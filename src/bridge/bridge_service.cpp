@@ -68,8 +68,10 @@ void BridgeService::establish_downstream(net::ConnectionPtr upstream,
                                          wire::BridgeRequest request,
                                          int attempts_left) {
   // Next-hop selection from the bridge's own storage (§4.1).
-  const auto record = daemon_.storage().find(request.destination);
-  if (!record.has_value()) {
+  // Read only while the frame is built, before anything can touch the
+  // storage.
+  const DeviceRecord* record = daemon_.storage().lookup(request.destination);
+  if (record == nullptr) {
     ++stats_.failed_no_route;
     (void)upstream->write(wire::encode_fail(
         ErrorCode::kNoRoute,

@@ -1,6 +1,7 @@
 #include "discovery/analyzer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace peerhood {
 
@@ -24,7 +25,7 @@ std::vector<NeighbourSnapshotEntry> snapshot_entries(
 
 int NeighbourhoodAnalyzer::integrate(
     DeviceStorage& storage, DeviceRecord direct_record,
-    const std::vector<NeighbourSnapshotEntry>& snapshot, Technology tech,
+    std::vector<NeighbourSnapshotEntry> snapshot, Technology tech,
     SimTime now) const {
   const MacAddress responder = direct_record.device.mac;
   const int responder_quality = direct_record.quality_sum;
@@ -54,7 +55,7 @@ int NeighbourhoodAnalyzer::integrate(
   }
   storage.reconcile_bridge(responder, alive);
 
-  for (const NeighbourSnapshotEntry& entry : snapshot) {
+  for (NeighbourSnapshotEntry& entry : snapshot) {
     // "Own device comparison filter is used to avoid duplicated route."
     if (entry.device.mac == self_) continue;
     if (entry.device.mac == responder) continue;
@@ -62,9 +63,9 @@ int NeighbourhoodAnalyzer::integrate(
     if (entry.bridge == self_) continue;
 
     DeviceRecord candidate;
-    candidate.device = entry.device;
-    candidate.prototypes = entry.prototypes;
-    candidate.services = entry.services;
+    candidate.device = std::move(entry.device);
+    candidate.prototypes = std::move(entry.prototypes);
+    candidate.services = std::move(entry.services);
     candidate.jump = entry.jump + 1;
     candidate.bridge = responder;
     candidate.route_mobility = responder_mobility;

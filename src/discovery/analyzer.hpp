@@ -47,9 +47,11 @@ class NeighbourhoodAnalyzer {
 
   // Integrates responder `direct_record` (jump 0, measured link quality) and
   // its snapshot. Returns the number of storage records inserted or updated.
+  // Both are consumed: each entry's descriptors move into its route
+  // candidate.
   int integrate(DeviceStorage& storage, DeviceRecord direct_record,
-                const std::vector<NeighbourSnapshotEntry>& snapshot,
-                Technology tech, SimTime now) const;
+                std::vector<NeighbourSnapshotEntry> snapshot, Technology tech,
+                SimTime now) const;
 
   [[nodiscard]] MacAddress self() const { return self_; }
   [[nodiscard]] const AnalyzerConfig& config() const { return config_; }

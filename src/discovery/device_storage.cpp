@@ -1,9 +1,19 @@
 #include "discovery/device_storage.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace peerhood {
+namespace {
+
+// Membership test for a MAC list that is sorted in the common case (inquiry
+// results and snapshots both come in ascending MAC order) but may be in any
+// order when it comes off the wire.
+bool listed(const std::vector<MacAddress>& macs, bool sorted, MacAddress mac) {
+  return sorted ? std::binary_search(macs.begin(), macs.end(), mac)
+                : std::find(macs.begin(), macs.end(), mac) != macs.end();
+}
+
+}  // namespace
 
 bool DeviceRecord::provides(std::string_view service_name) const {
   return find_service(service_name).has_value();
@@ -120,6 +130,11 @@ std::optional<DeviceRecord> DeviceStorage::find(MacAddress mac) const {
   return it->second;
 }
 
+const DeviceRecord* DeviceStorage::lookup(MacAddress mac) const {
+  const auto it = records_.find(mac);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
 bool DeviceStorage::contains(MacAddress mac) const {
   return records_.contains(mac);
 }
@@ -172,18 +187,16 @@ std::vector<MacAddress> DeviceStorage::age_direct(
     Technology tech, const std::vector<MacAddress>& responders, int max_missed,
     SimTime now) {
   std::vector<MacAddress> removed;
-  // Hashed responder set: one pass over `responders` instead of a linear
-  // std::find per stored record (O(records * responders) at scale).
-  const std::unordered_set<MacAddress> responded_set(responders.begin(),
-                                                     responders.end());
+  // Binary search per stored record instead of a linear std::find
+  // (O(records * responders) at scale); an unsorted list still ages right.
+  const bool sorted = std::is_sorted(responders.begin(), responders.end());
   for (auto it = records_.begin(); it != records_.end();) {
     DeviceRecord& record = it->second;
     if (!record.is_direct() || record.via_tech != tech) {
       ++it;
       continue;
     }
-    const bool responded = responded_set.contains(record.device.mac);
-    if (responded) {
+    if (listed(responders, sorted, record.device.mac)) {
       record.missed_loops = 0;
       record.last_seen = now;
       ++it;
@@ -217,12 +230,11 @@ void DeviceStorage::remove_routes_via(MacAddress bridge) {
 
 void DeviceStorage::reconcile_bridge(MacAddress bridge,
                                      const std::vector<MacAddress>& alive) {
-  const std::unordered_set<MacAddress> alive_set(alive.begin(), alive.end());
+  const bool sorted = std::is_sorted(alive.begin(), alive.end());
   for (auto it = records_.begin(); it != records_.end();) {
     const DeviceRecord& record = it->second;
     const bool via_bridge = !record.is_direct() && record.bridge == bridge;
-    const bool still_known = alive_set.contains(record.device.mac);
-    if (via_bridge && !still_known) {
+    if (via_bridge && !listed(alive, sorted, record.device.mac)) {
       it = records_.erase(it);
       ++generation_;
       ++weakening_gen_;

@@ -91,6 +91,11 @@ class DeviceStorage {
   }
 
   [[nodiscard]] std::optional<DeviceRecord> find(MacAddress mac) const;
+  // The stored record for `mac`, or nullptr — no copy. The pointer is valid
+  // only until the next storage mutation (upsert, touch, refresh_direct,
+  // remove, clear, aging, reconcile): read what you need from it before
+  // anything can change the storage, and call find() for a copy instead.
+  [[nodiscard]] const DeviceRecord* lookup(MacAddress mac) const;
   [[nodiscard]] bool contains(MacAddress mac) const;
   // True iff a *direct* record for `mac` is stored (no record copy — the
   // conditional-fetch hot path checks this per request).
@@ -118,7 +123,8 @@ class DeviceStorage {
   // Ages direct records of `tech`: responders get refreshed timestamps; the
   // others accumulate missed loops and are dropped after `max_missed`.
   // Routed records whose bridge was dropped are removed in cascade. Returns
-  // the macs removed.
+  // the macs removed. `responders` is binary-searched when it is in
+  // ascending MAC order (inquiry results are) and scanned linearly if not.
   std::vector<MacAddress> age_direct(Technology tech,
                                      const std::vector<MacAddress>& responders,
                                      int max_missed, SimTime now);
@@ -129,6 +135,8 @@ class DeviceStorage {
 
   // Drops routed records via `bridge` whose destination is not in `alive`
   // (the bridge's latest snapshot) — the bridge no longer knows them.
+  // Allocation-free: `alive` is binary-searched when it is in ascending MAC
+  // order (snapshots are) and scanned linearly if not.
   void reconcile_bridge(MacAddress bridge, const std::vector<MacAddress>& alive);
 
   [[nodiscard]] const RoutePolicy& policy() const { return policy_; }

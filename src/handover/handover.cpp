@@ -65,15 +65,16 @@ void HandoverController::refresh_plan() {
   plan_.clear();
   const MacAddress peer = channel_->peer();
   const MacAddress self = library_.daemon().mac();
-  for (const DeviceRecord& record : library_.daemon().storage().snapshot()) {
+  const DeviceStorage& storage = library_.daemon().storage();
+  storage.for_each([&](const DeviceRecord& record) {
     if (!record.is_direct() || record.device.mac == peer ||
         record.device.mac == self) {
-      continue;
+      return;
     }
     const auto link = std::find_if(
         record.neighbour_links.begin(), record.neighbour_links.end(),
         [peer](const NeighbourLink& l) { return l.mac == peer; });
-    if (link == record.neighbour_links.end()) continue;
+    if (link == record.neighbour_links.end()) return;
     // Route strength = the weakest of self->bridge and bridge->peer, minus
     // the §3.4.3 mobility cost of the bridge: a relay moving with us is
     // likely to lose the peer exactly when we do.
@@ -85,21 +86,20 @@ void HandoverController::refresh_plan() {
       score -= kBridgeFailurePenalty * failed->second;
     }
     plan_.push_back(RouteCandidate{record.device.mac, score});
-  }
+  });
   // Fallback: the storage's own (possibly multi-hop) route towards the
   // peer — its first hop can relay the resume through the chain, since
   // every bridge re-resolves the next hop from its own storage (Fig. 5.6).
-  const auto peer_record = library_.daemon().storage().find(peer);
-  if (peer_record.has_value() && !peer_record->is_direct()) {
+  const DeviceRecord* peer_record = storage.lookup(peer);
+  if (peer_record != nullptr && !peer_record->is_direct()) {
     const bool already_planned = std::any_of(
         plan_.begin(), plan_.end(), [&](const RouteCandidate& c) {
           return c.bridge == peer_record->bridge;
         });
     if (!already_planned) {
       int score = peer_record->min_link_quality;
-      const auto bridge_record =
-          library_.daemon().storage().find(peer_record->bridge);
-      if (bridge_record.has_value()) {
+      const DeviceRecord* bridge_record = storage.lookup(peer_record->bridge);
+      if (bridge_record != nullptr) {
         score -= config_.bridge_mobility_penalty *
                  mobility_cost(bridge_record->device.mobility);
       }

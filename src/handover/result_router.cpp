@@ -57,8 +57,8 @@ void ResultRouter::reconnect_and_send(std::weak_ptr<Channel> weak_channel,
     // Method 1: find a visible client service on the peer device in our own
     // storage ("server looks for the device in its neighborhood routing
     // table", §5.3).
-    const auto record = library_.daemon().storage().find(target);
-    if (record.has_value()) {
+    const DeviceRecord* record = library_.daemon().storage().lookup(target);
+    if (record != nullptr) {
       const auto it = std::find_if(
           record->services.begin(), record->services.end(),
           [](const ServiceInfo& s) { return s.attribute == "client"; });

@@ -168,9 +168,11 @@ void Daemon::on_datagram(Technology tech, MacAddress from,
     }
     case wire::Command::kFetchResponse:
     case wire::Command::kNotModified: {
-      const auto response = wire::decode_fetch_response(payload);
+      auto response = wire::decode_fetch_response(payload);
       if (!response.has_value()) return;
-      if (Plugin* p = plugin(tech)) p->on_fetch_response(from, *response);
+      if (Plugin* p = plugin(tech)) {
+        p->on_fetch_response(from, std::move(*response));
+      }
       return;
     }
     default:

@@ -46,8 +46,9 @@ void Library::dial(const net::NetAddress& hop, Bytes first_frame,
 void Library::connect(MacAddress destination, std::string service,
                       ConnectOptions options, ConnectCallback callback) {
   sim::Simulator& sim = daemon_.simulator();
-  const auto record = daemon_.storage().find(destination);
-  if (!record.has_value()) {
+  // Read only before dial(): nothing below touches the storage until then.
+  const DeviceRecord* record = daemon_.storage().lookup(destination);
+  if (record == nullptr) {
     sim.schedule_after(microseconds(1), [callback] {
       callback(Error{ErrorCode::kNoSuchDevice, "device not in storage"});
     });
@@ -110,9 +111,9 @@ void Library::connect(MacAddress destination, std::string service,
 
 void Library::resume_via_bridge(MacAddress bridge, const ChannelPtr& channel,
                                 StatusCallback callback, SimDuration timeout) {
-  const auto record = daemon_.storage().find(bridge);
+  const DeviceRecord* record = daemon_.storage().lookup(bridge);
   const Technology tech =
-      record.has_value() ? record->via_tech : Technology::kBluetooth;
+      record != nullptr ? record->via_tech : Technology::kBluetooth;
 
   wire::ConnectRequest request;
   request.session_id = channel->session_id();
@@ -162,9 +163,9 @@ void Library::resume_via_bridge(MacAddress bridge, const ChannelPtr& channel,
 
 void Library::resume_direct(const ChannelPtr& channel, StatusCallback callback,
                             SimDuration timeout) {
-  const auto record = daemon_.storage().find(channel->peer());
+  const DeviceRecord* record = daemon_.storage().lookup(channel->peer());
   const Technology tech =
-      record.has_value() ? record->via_tech : Technology::kBluetooth;
+      record != nullptr ? record->via_tech : Technology::kBluetooth;
 
   wire::ConnectRequest request;
   request.session_id = channel->session_id();

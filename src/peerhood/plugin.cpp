@@ -104,10 +104,10 @@ void Plugin::end_inquiry() {
       continue;
     }
     cycle_responders_.push_back(responder);
-    const auto record = daemon_.storage().find(responder);
-    const bool is_new = !record.has_value() || !record->is_direct();
+    const DeviceRecord* record = daemon_.storage().lookup(responder);
+    const bool is_new = record == nullptr || !record->is_direct();
     const bool recheck_due =
-        record.has_value() &&
+        record != nullptr &&
         now - record->last_seen >= daemon_.config().service_check_interval;
     if (is_new || recheck_due) {
       // Full information fetch for new devices and at the service checking
@@ -163,7 +163,7 @@ void Plugin::process_next_responder() {
         }
         view_consistent = true;  // nothing shipped, nothing to lose
       } else {
-        view_consistent = integrate_response(job.target, *resp);
+        view_consistent = integrate_response(job.target, std::move(*resp));
       }
     }
     if (!view_consistent) {
@@ -214,7 +214,7 @@ void Plugin::fetch_info(MacAddress target, FetchCallback done) {
       if (state->assembled.sections == 0) {
         state->assembled.not_modified = true;
       }
-      (*shared_done)(state->assembled);
+      (*shared_done)(std::move(state->assembled));
       return;
     }
     const std::uint8_t section =
@@ -247,16 +247,16 @@ void Plugin::fetch_info(MacAddress target, FetchCallback done) {
             return;
           }
           if ((part->sections & wire::kSectionDevice) != 0) {
-            state->assembled.device = part->device;
+            state->assembled.device = std::move(part->device);
           }
           if ((part->sections & wire::kSectionPrototypes) != 0) {
-            state->assembled.prototypes = part->prototypes;
+            state->assembled.prototypes = std::move(part->prototypes);
           }
           if ((part->sections & wire::kSectionServices) != 0) {
-            state->assembled.services = part->services;
+            state->assembled.services = std::move(part->services);
           }
           if ((part->sections & wire::kSectionNeighbours) != 0) {
-            state->assembled.neighbours = part->neighbours;
+            state->assembled.neighbours = std::move(part->neighbours);
           }
           state->assembled.sections |= part->sections;
           state->assembled.load_percent = part->load_percent;
@@ -346,7 +346,7 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
 }
 
 void Plugin::on_fetch_response(MacAddress from,
-                               const wire::FetchResponse& response) {
+                               wire::FetchResponse&& response) {
   // Shared cached frames cannot echo our id (wire::kSharedRequestId); they
   // are matched by peer address instead — a response always arrives (if at
   // all) well inside the pending window, so the address is unambiguous.
@@ -359,16 +359,15 @@ void Plugin::on_fetch_response(MacAddress from,
     ++stats_.stale_responses;  // answers a fetch we already gave up on
     return;
   }
-  bool epoch_changed = false;
   if (!response.not_modified) {
     // Adopt the responder's versions for the sections it shipped. An epoch
     // change (responder restart) invalidates everything we knew. First
     // contact (no baseline yet) is not a change — only a view that held
     // real generations can be invalidated.
     const auto view_it = peer_views_.find(from);
-    epoch_changed = view_it != peer_views_.end() &&
-                    view_it->second.known != 0 &&
-                    view_it->second.epoch != response.epoch;
+    response.epoch_changed = view_it != peer_views_.end() &&
+                             view_it->second.known != 0 &&
+                             view_it->second.epoch != response.epoch;
     PeerView& view = peer_views_[from];
     if (view.epoch != response.epoch) {
       view = PeerView{};
@@ -383,11 +382,10 @@ void Plugin::on_fetch_response(MacAddress from,
   daemon_.simulator().cancel(pending_->timeout);
   FetchCallback cb = std::move(pending_->done);
   pending_.reset();
-  // Annotate rather than mutate: `response` aliases the decoder's frame and
-  // epoch_changed is requester-side knowledge, not wire state.
-  wire::FetchResponse annotated = response;
-  annotated.epoch_changed = epoch_changed;
-  cb(annotated);
+  // The response is ours (decoded from the frame, never re-sent), so the
+  // requester-side epoch_changed annotation is set in place and the whole
+  // response moves on to the fetch chain.
+  cb(std::move(response));
 }
 
 int Plugin::sampled_quality(MacAddress target, std::uint8_t load_percent) {
@@ -406,7 +404,7 @@ int Plugin::sampled_quality(MacAddress target, std::uint8_t load_percent) {
 }
 
 bool Plugin::integrate_response(MacAddress target,
-                                const wire::FetchResponse& response) {
+                                wire::FetchResponse&& response) {
   const std::uint8_t sections = response.sections;
   if ((sections & wire::kSectionDevice) != 0 &&
       response.device.mac != target) {
@@ -418,23 +416,33 @@ bool Plugin::integrate_response(MacAddress target,
   // Overlay: sections the (delta) response carries come from the wire, the
   // rest from the stored direct record — absent sections are unchanged by
   // protocol contract. A delta for a device we no longer hold is dropped;
-  // the next cycle sees it as new and fetches full (no baseline).
-  std::optional<DeviceRecord> stored;
+  // the next cycle sees it as new and fetches full (no baseline). `stored`
+  // points into the storage, so it is read only until the upsert below.
+  const DeviceRecord* stored = nullptr;
   if (sections != wire::kSectionAll) {
-    stored = daemon_.storage().find(target);
-    if (!stored.has_value() || !stored->is_direct()) return false;
+    stored = daemon_.storage().lookup(target);
+    if (stored == nullptr || !stored->is_direct()) return false;
+    ++stats_.delta_responses;
   }
-  if (sections != wire::kSectionAll) ++stats_.delta_responses;
 
+  // if/else rather than ?: — a ?: of a moved field and a const stored one
+  // yields a const temporary, which would be copied, not moved.
   DeviceRecord direct;
-  direct.device = (sections & wire::kSectionDevice) != 0 ? response.device
-                                                         : stored->device;
-  direct.prototypes = (sections & wire::kSectionPrototypes) != 0
-                          ? response.prototypes
-                          : stored->prototypes;
-  direct.services = (sections & wire::kSectionServices) != 0
-                        ? response.services
-                        : stored->services;
+  if ((sections & wire::kSectionDevice) != 0) {
+    direct.device = std::move(response.device);
+  } else {
+    direct.device = stored->device;
+  }
+  if ((sections & wire::kSectionPrototypes) != 0) {
+    direct.prototypes = std::move(response.prototypes);
+  } else {
+    direct.prototypes = stored->prototypes;
+  }
+  if ((sections & wire::kSectionServices) != 0) {
+    direct.services = std::move(response.services);
+  } else {
+    direct.services = stored->services;
+  }
   direct.jump = 0;
   direct.route_mobility = 0;
   direct.quality_sum = quality;
@@ -444,7 +452,7 @@ bool Plugin::integrate_response(MacAddress target,
   if ((sections & wire::kSectionNeighbours) != 0) {
     stats_.integrations += static_cast<std::uint64_t>(
         daemon_.analyzer().integrate(daemon_.storage(), std::move(direct),
-                                     response.neighbours, tech_,
+                                     std::move(response.neighbours), tech_,
                                      daemon_.simulator().now()));
     return true;
   }

@@ -62,8 +62,9 @@ class Plugin {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] bool cycle_active() const { return cycle_active_; }
 
-  // Routed here by the daemon's datagram dispatcher.
-  void on_fetch_response(MacAddress from, const wire::FetchResponse& response);
+  // Routed here by the daemon's datagram dispatcher, which hands over the
+  // decoded response: it moves down the fetch chain into the storage.
+  void on_fetch_response(MacAddress from, wire::FetchResponse&& response);
 
   // Triggers one inquiry cycle immediately (tests/benches).
   void trigger_cycle();
@@ -92,8 +93,7 @@ class Plugin {
   // dropped (spoof / link lost / stored record gone) — the caller must then
   // discard the peer's version baseline, since on_fetch_response already
   // adopted generations this integration failed to apply.
-  bool integrate_response(MacAddress target,
-                          const wire::FetchResponse& response);
+  bool integrate_response(MacAddress target, wire::FetchResponse&& response);
   void complete_cycle();
   void schedule_next_cycle(SimDuration delay);
 

@@ -1,10 +1,14 @@
 #include "peerhood/session_store.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
+
+#include "common/log.hpp"
 
 namespace peerhood {
 
@@ -31,22 +35,41 @@ void SessionStore::bind_file(const std::string& path) {
   }
 }
 
-void SessionStore::persist() const {
+void SessionStore::persist() {
   if (path_.empty()) return;
   // Whole-file rewrite through a temp + rename: the journal on disk is
   // always a complete snapshot, never a torn one (the store is bounded, so
-  // the rewrite is a few KB at most).
+  // the rewrite is a few KB at most). A failed step leaves the previous
+  // journal in place.
   const std::string tmp = path_ + ".tmp";
   {
     std::ofstream out{tmp, std::ios::trunc};
-    if (!out) return;
+    if (!out) {
+      persist_failed("open");
+      return;
+    }
     for (const auto& [id, record] : records_) {
       out << "v1 " << id << ' ' << record.peer.as_u64() << ' '
           << record.next_seq << ' ' << record.expected << ' '
           << record.service << '\n';
     }
+    out.flush();
+    if (!out) {
+      persist_failed("write");
+      out.close();
+      std::remove(tmp.c_str());
+      return;
+    }
   }
-  std::rename(tmp.c_str(), path_.c_str());
+  if (std::rename(tmp.c_str(), path_.c_str()) != 0) persist_failed("rename");
+}
+
+void SessionStore::persist_failed(const char* step) {
+  ++persist_failures_;
+  // The store has no clock of its own; the line is stamped at time zero.
+  log(LogLevel::kError, SimTime{}, "session_store", "journal ", step,
+      " failed for ", path_, ": ", std::strerror(errno), " (",
+      persist_failures_, " failed writes)");
 }
 
 void SessionStore::touch(std::uint64_t session_id) {

@@ -45,7 +45,9 @@ class SessionStore {
   // complete, uncorrupted snapshot: a crash between a delivery and its
   // journal write loses at most the newest frontier — the at-least-once
   // boundary the resume protocol's dedup absorbs. Empty path (the default,
-  // and every sim scenario) keeps the store purely in-memory.
+  // and every sim scenario) keeps the store purely in-memory. A journal
+  // write that fails (temp file not opened, write/flush failed, rename
+  // refused) is logged and counted; the in-memory store keeps working.
   void bind_file(const std::string& path);
   [[nodiscard]] const std::string& journal_path() const { return path_; }
 
@@ -60,10 +62,15 @@ class SessionStore {
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   // Records evicted because the journal was full.
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+  // Journal rewrites that did not reach the disk (see bind_file).
+  [[nodiscard]] std::uint64_t persist_failures() const {
+    return persist_failures_;
+  }
 
  private:
   void touch(std::uint64_t session_id);
-  void persist() const;
+  void persist();
+  void persist_failed(const char* step);
 
   std::size_t capacity_;
   std::string path_;
@@ -71,6 +78,7 @@ class SessionStore {
   // LRU order, least recent first; small enough that linear scans are fine.
   std::deque<std::uint64_t> order_;
   std::uint64_t evictions_{0};
+  std::uint64_t persist_failures_{0};
 };
 
 }  // namespace peerhood

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace peerhood {
 namespace {
 
@@ -172,6 +175,77 @@ TEST(DeviceStorage, ReconcileBridgeDropsStaleRoutes) {
   EXPECT_FALSE(storage.contains(MacAddress::from_index(6)));
   EXPECT_TRUE(storage.contains(MacAddress::from_index(1)))
       << "the direct record of the bridge itself is untouched";
+}
+
+// Snapshots and inquiry results arrive in ascending MAC order, and the
+// storage binary-searches them; a list off the wire may be in any order and
+// must give the same result.
+TEST(DeviceStorage, ReconcileBridgeIgnoresAliveOrder) {
+  const auto populate = [](DeviceStorage& storage) {
+    storage.upsert(direct(1, 250));
+    for (std::uint64_t i = 5; i <= 14; ++i) {
+      storage.upsert(routed(i, 1, 1, 480, 235));
+    }
+  };
+  std::vector<MacAddress> alive;
+  for (const std::uint64_t i : {5, 7, 8, 11, 14, 30, 31}) {
+    alive.push_back(MacAddress::from_index(i));
+  }
+  std::sort(alive.begin(), alive.end());
+  std::vector<MacAddress> shuffled = alive;
+  std::rotate(shuffled.begin(), shuffled.begin() + 3, shuffled.end());
+  std::swap(shuffled[0], shuffled[1]);
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end()));
+
+  DeviceStorage sorted_storage;
+  DeviceStorage shuffled_storage;
+  populate(sorted_storage);
+  populate(shuffled_storage);
+  sorted_storage.reconcile_bridge(MacAddress::from_index(1), alive);
+  shuffled_storage.reconcile_bridge(MacAddress::from_index(1), shuffled);
+
+  EXPECT_EQ(sorted_storage.size(), 6u) << "bridge + the 5 stored alive routes";
+  EXPECT_EQ(shuffled_storage.size(), sorted_storage.size());
+  for (std::uint64_t i = 1; i <= 14; ++i) {
+    const MacAddress mac = MacAddress::from_index(i);
+    EXPECT_EQ(shuffled_storage.contains(mac), sorted_storage.contains(mac))
+        << "device " << i;
+  }
+  EXPECT_EQ(shuffled_storage.generation(), sorted_storage.generation());
+}
+
+TEST(DeviceStorage, AgeDirectIgnoresResponderOrder) {
+  std::vector<MacAddress> responders;
+  for (const std::uint64_t i : {2, 3, 6, 8}) {
+    responders.push_back(MacAddress::from_index(i));
+  }
+  std::sort(responders.begin(), responders.end());
+  std::vector<MacAddress> reversed(responders.rbegin(), responders.rend());
+
+  const auto survivors = [](const std::vector<MacAddress>& heard) {
+    DeviceStorage storage;
+    for (std::uint64_t i = 1; i <= 8; ++i) storage.upsert(direct(i, 250));
+    const auto removed =
+        storage.age_direct(Technology::kBluetooth, heard, 0, at(1.0));
+    EXPECT_EQ(removed.size(), 4u);
+    std::vector<MacAddress> kept;
+    storage.for_each(
+        [&](const DeviceRecord& record) { kept.push_back(record.device.mac); });
+    return kept;
+  };
+  EXPECT_EQ(survivors(reversed), survivors(responders));
+  EXPECT_EQ(survivors(responders), responders);
+}
+
+TEST(DeviceStorage, LookupPointsAtTheStoredRecord) {
+  DeviceStorage storage;
+  EXPECT_EQ(storage.lookup(MacAddress::from_index(1)), nullptr);
+  storage.upsert(direct(1, 250));
+  const DeviceRecord* record = storage.lookup(MacAddress::from_index(1));
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->device.name, "n1");
+  EXPECT_EQ(record->quality_sum, 250);
+  EXPECT_TRUE(record->is_direct());
 }
 
 TEST(DeviceStorage, RemoveRoutesVia) {

@@ -1,0 +1,266 @@
+// Proves the requester side of the discovery plane moves each decoded fetch
+// response into the storage instead of deep-copying it, with a counting
+// operator-new hook (same technique as test_snapshot_alloc): beyond what the
+// decoder itself allocates, handing a daemon a 32-entry neighbourhood costs
+// no more allocations than a 4-entry one. The daemon runs on a scripted
+// network whose datagram handler the test drives directly, so the count
+// covers exactly one datagram's dispatch, fetch chain and integration.
+// This TU overrides global operator new/delete; each test source builds into
+// its own binary, so the hook is scoped to this suite.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "net/network.hpp"
+#include "peerhood/daemon.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+
+void* counted_aligned_alloc(std::size_t size, std::size_t align) {
+  ++g_allocations;
+  const std::size_t rounded = (size + align - 1) / align * align;
+  if (void* p = std::aligned_alloc(align, rounded)) return p;
+  throw std::bad_alloc{};
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace peerhood {
+namespace {
+
+const MacAddress kSelf = MacAddress::from_index(1);
+const MacAddress kResponder = MacAddress::from_index(2);
+
+// A network with one scripted neighbour: every inquiry hears kResponder,
+// every link samples the same quality, and the fetch requests the daemon
+// sends are captured for the test to answer through the daemon's own
+// datagram handler.
+class ScriptedNetwork final : public net::Network {
+ public:
+  ScriptedNetwork() : sim_{7} { params_.fetch_failure_prob = 0.0; }
+
+  void attach_interface(MacAddress, Technology,
+                        std::shared_ptr<const sim::MobilityModel>) override {}
+  void detach_interface(MacAddress, Technology) override {}
+  void set_datagram_handler(MacAddress, Technology,
+                            DatagramHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void send_datagram(MacAddress, MacAddress, Technology,
+                     Bytes payload) override {
+    requests_.push_back(std::move(payload));
+  }
+  void send_datagram(MacAddress, MacAddress, Technology, FramePtr) override {}
+  Status listen(const net::NetAddress&, AcceptHandler) override {
+    return Status::ok_status();
+  }
+  void stop_listening(const net::NetAddress&) override {}
+  void connect(MacAddress, const net::NetAddress&, ConnectHandler) override {}
+  void set_keepalive_period(SimDuration) override {}
+  void begin_inquiry(MacAddress, Technology) override {}
+  std::vector<MacAddress> end_inquiry(MacAddress, Technology) override {
+    return {kResponder};
+  }
+  void cancel_inquiry(MacAddress, Technology) override {}
+  bool peerhood_tag(MacAddress, Technology) const override { return true; }
+  int sample_quality(MacAddress, MacAddress, Technology) override {
+    return 240;
+  }
+  const sim::TechnologyParams& params(Technology) const override {
+    return params_;
+  }
+  sim::Simulator& simulator() override { return sim_; }
+  std::size_t live_connection_count() const override { return 0; }
+
+  // Runs the simulation until the daemon has sent a fetch request; returns
+  // it (decoded), or nothing if the queue drained first.
+  std::optional<wire::FetchRequest> next_request() {
+    while (requests_.empty()) {
+      if (!sim_.step()) return std::nullopt;
+    }
+    const Bytes payload = std::move(requests_.front());
+    requests_.erase(requests_.begin());
+    return wire::decode_fetch_request(payload);
+  }
+
+  void deliver(std::span<const std::uint8_t> payload) {
+    handler_(kResponder, payload);
+  }
+
+ private:
+  sim::Simulator sim_;
+  sim::TechnologyParams params_;
+  DatagramHandler handler_;
+  std::vector<Bytes> requests_;
+};
+
+// Names past the small-string buffer, so any copy of an entry allocates.
+std::vector<NeighbourSnapshotEntry> neighbourhood(std::size_t entries) {
+  std::vector<NeighbourSnapshotEntry> out;
+  for (std::size_t i = 0; i < entries; ++i) {
+    NeighbourSnapshotEntry entry;
+    entry.device.mac = MacAddress::from_index(100 + i);
+    entry.device.name = "neighbour-device-number-" + std::to_string(i);
+    entry.prototypes = {Technology::kBluetooth, Technology::kWlan};
+    entry.services = {{"a-service-with-a-long-name-" + std::to_string(i),
+                       "an-attribute-long-enough-to-allocate", 9}};
+    entry.jump = 1;
+    entry.bridge = MacAddress::from_index(99);
+    entry.quality_sum = 200;
+    entry.min_link_quality = 200;
+    out.push_back(std::move(entry));
+  }
+  // A responder advertises its storage in ascending MAC order.
+  std::sort(out.begin(), out.end(),
+            [](const NeighbourSnapshotEntry& a, const NeighbourSnapshotEntry& b) {
+              return a.device.mac < b.device.mac;
+            });
+  return out;
+}
+
+class DiscoveryAllocation : public ::testing::Test {
+ protected:
+  DiscoveryAllocation() : daemon_{network_, kSelf, nullptr, config()} {
+    daemon_.start();
+  }
+
+  static DaemonConfig config() {
+    DaemonConfig config;
+    config.bridge_enabled = false;
+    return config;
+  }
+
+  // Answers every fetch request of the next inquiry cycle with an
+  // `entries`-sized neighbourhood (each answer ships every requested
+  // section at a fresh generation). Returns the allocations made while the
+  // daemon handled the answer carrying the neighbours section, minus what
+  // decoding that answer allocates on its own.
+  std::uint64_t run_cycle(std::size_t entries) {
+    std::uint64_t beyond_decode = 0;
+    const std::uint64_t cycles = daemon_.plugin(Technology::kBluetooth)
+                                     ->stats().loops;
+    do {
+      const auto request = network_.next_request();
+      if (!request.has_value()) {
+        ADD_FAILURE() << "the daemon stopped fetching";
+        return 0;
+      }
+      wire::FetchResponse response;
+      response.request_id = request->request_id;
+      response.sections = request->sections;
+      response.epoch = 42;
+      response.gens = wire::SectionGens{++gen_, ++gen_, ++gen_, ++gen_};
+      response.device = DeviceInfo{kResponder, "the-responder-device", 2,
+                                   MobilityClass::kStatic};
+      response.prototypes = {Technology::kBluetooth};
+      response.services = {{"echo-service-of-the-responder", "", 4}};
+      response.neighbours = neighbourhood(entries);
+      const Bytes payload = wire::encode(response);
+
+      std::uint64_t before = g_allocations.load();
+      { const auto decoded = wire::decode_fetch_response(payload); }
+      const std::uint64_t decode = g_allocations.load() - before;
+      before = g_allocations.load();
+      network_.deliver(payload);
+      const std::uint64_t handled = g_allocations.load() - before;
+      if ((request->sections & wire::kSectionNeighbours) != 0) {
+        beyond_decode = handled - decode;
+      }
+    } while (daemon_.plugin(Technology::kBluetooth)->cycle_active() ||
+             daemon_.plugin(Technology::kBluetooth)->stats().loops == cycles);
+    return beyond_decode;
+  }
+
+  ScriptedNetwork network_;
+  Daemon daemon_;
+  std::uint32_t gen_{0};
+};
+
+TEST_F(DiscoveryAllocation, ResponseMovesIntoStorageWithoutEntryCopies) {
+  // The first cycle of each size stores the neighbourhood (one record
+  // allocation per new device); the second re-ships the same routes, which
+  // integrate in place, so what is left is the fetch path's own overhead.
+  (void)run_cycle(4);
+  const std::uint64_t small = run_cycle(4);
+  ASSERT_EQ(daemon_.storage().size(), 1u + 4u);
+  (void)run_cycle(32);
+  const std::uint64_t large = run_cycle(32);
+  ASSERT_EQ(daemon_.storage().size(), 1u + 32u);
+
+  const Plugin::Stats& stats =
+      daemon_.plugin(Technology::kBluetooth)->stats();
+  EXPECT_EQ(stats.stale_responses, 0u);
+  EXPECT_GE(stats.delta_responses, 2u) << "the measured cycles were deltas";
+  EXPECT_EQ(large, small)
+      << "allocations beyond the decode grew with the entry count: the "
+         "neighbourhood is being copied on its way to the storage";
+}
+
+TEST(DeviceStorageAllocation, ReconcileBridgeAllocatesNothing) {
+  DeviceStorage storage;
+  DeviceRecord bridge;
+  bridge.device.mac = kResponder;
+  bridge.quality_sum = bridge.min_link_quality = 240;
+  ASSERT_TRUE(storage.upsert(bridge));
+  std::vector<MacAddress> alive;
+  for (std::uint64_t i = 100; i < 164; ++i) {
+    DeviceRecord routed;
+    routed.device.mac = MacAddress::from_index(i);
+    routed.jump = 1;
+    routed.bridge = kResponder;
+    routed.quality_sum = routed.min_link_quality = 200;
+    ASSERT_TRUE(storage.upsert(routed));
+    if (i % 3 != 0) alive.push_back(routed.device.mac);
+  }
+  std::sort(alive.begin(), alive.end());
+  std::vector<MacAddress> reversed(alive.rbegin(), alive.rend());
+
+  std::uint64_t before = g_allocations.load();
+  storage.reconcile_bridge(kResponder, alive);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "sorted snapshot";
+  const std::size_t kept = storage.size();
+  EXPECT_EQ(kept, 1u + alive.size());
+
+  before = g_allocations.load();
+  storage.reconcile_bridge(kResponder, reversed);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "unsorted snapshot";
+  EXPECT_EQ(storage.size(), kept);
+}
+
+}  // namespace
+}  // namespace peerhood

@@ -1,0 +1,106 @@
+// SessionStore journal persistence: a journal that cannot be written is
+// counted and logged, and the in-memory store keeps serving resumes.
+#include "peerhood/session_store.hpp"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <unistd.h>
+
+namespace peerhood {
+namespace {
+
+namespace fs = std::filesystem;
+
+SessionRecord record(std::uint64_t id) {
+  SessionRecord r;
+  r.session_id = id;
+  r.peer = MacAddress::from_index(id);
+  r.service = "echo";
+  return r;
+}
+
+// A fresh scratch directory under the system temp dir, removed on exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl =
+        (fs::temp_directory_path() / "session_store_XXXXXX").string();
+    if (::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (!path_.empty()) fs::remove_all(path_, ignored);
+  }
+  [[nodiscard]] const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+TEST(SessionStore, JournalRoundTripsThroughTheFile) {
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string journal = (dir.path() / "journal").string();
+  {
+    SessionStore store;
+    store.bind_file(journal);
+    store.put(record(1));
+    store.put(record(2));
+    ASSERT_TRUE(store.update_frontier(2, 17, 9));
+    EXPECT_EQ(store.persist_failures(), 0u);
+  }
+  SessionStore restarted;
+  restarted.bind_file(journal);
+  ASSERT_EQ(restarted.size(), 2u);
+  const SessionRecord* resumed = restarted.find(2);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->next_seq, 17u);
+  EXPECT_EQ(resumed->expected, 9u);
+  EXPECT_EQ(resumed->service, "echo");
+}
+
+TEST(SessionStore, UnwritableJournalIsCountedAndTheStoreKeepsWorking) {
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  SessionStore store;
+  store.bind_file((dir.path() / "missing" / "journal").string());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.persist_failures(), 0u) << "nothing written yet";
+
+  store.put(record(1));
+  EXPECT_EQ(store.persist_failures(), 1u);
+  ASSERT_TRUE(store.update_frontier(1, 5, 3));
+  store.put(record(2));
+  store.erase(2);
+  EXPECT_EQ(store.persist_failures(), 4u) << "every mutation's write failed";
+
+  const SessionRecord* kept = store.find(1);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->next_seq, 5u);
+  EXPECT_EQ(kept->expected, 3u);
+  EXPECT_EQ(store.find(2), nullptr);
+  EXPECT_FALSE(fs::exists(dir.path() / "missing"));
+}
+
+TEST(SessionStore, RefusedRenameIsCounted) {
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  // The journal path is a non-empty directory: the temp file is written
+  // next to it, but renaming it over the directory fails.
+  const fs::path journal = dir.path() / "journal";
+  ASSERT_TRUE(fs::create_directory(journal));
+  std::ofstream{journal / "occupant"} << "x";
+
+  SessionStore store;
+  store.bind_file(journal.string());
+  store.put(record(1));
+  EXPECT_EQ(store.persist_failures(), 1u);
+  EXPECT_NE(store.find(1), nullptr);
+  EXPECT_TRUE(fs::is_directory(journal));
+}
+
+}  // namespace
+}  // namespace peerhood
