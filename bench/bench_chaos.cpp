@@ -183,7 +183,7 @@ ChaosCell run_cell(const ScenarioRow& row, Tier tier, int trials) {
     cell.faults.burst_entries += m.fault_stats.burst_entries;
     cell.faults.node_crashes += m.fault_stats.node_crashes;
     cell.faults.node_restarts += m.fault_stats.node_restarts;
-    cell.corrupt_dropped += m.corrupt_frames_dropped;
+    cell.corrupt_dropped += m.net_stats.corrupt_drops;
     cell.restart_resumes += m.restart_resumes;
   }
   return cell;

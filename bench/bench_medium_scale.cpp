@@ -14,26 +14,17 @@
 // repetition advances simulated time to force grid rebuilds and position
 // re-sampling, matching how discovery cycles hit the medium in real runs.
 //
-// E-shard — wall-clock scaling of the sharded simulation core: the same
-// frame-level workload (per-endpoint tick chains + neighbour traffic on a
-// ShardedMedium corridor) run at shards=1 and shards=K, with merged frame
-// counts cross-checked so the speedup never comes from dropped work.
-//
 // Pass --smoke for a tiny workload (CI keeps BENCH_JSON emission alive).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "sim/medium.hpp"
-#include "sim/shard.hpp"
-#include "sim/sharded_medium.hpp"
 
 namespace {
 
@@ -203,123 +194,6 @@ void report_sweep_scaling() {
   note("brute sweep time is extrapolated from the per-query mean.");
 }
 
-// --- E-shard: sharded-core scaling ------------------------------------------
-
-// One run of the sharded corridor workload: `n` static endpoints 5 m apart
-// (Bluetooth range 10 m, so ~4 neighbours each), each ticking every 250 ms
-// on its owner shard — RNG draw per tick, a 32-byte frame to the right-hand
-// neighbour every 4th tick. Cross-shard traffic is exactly the stripe
-// boundaries, matching a region-partitioned deployment. Returns the wall
-// time of the run and the merged delivered-frame count (the parity check).
-struct ShardRunResult {
-  double wall_ms{0.0};
-  std::uint64_t frames{0};
-  std::uint64_t migrations{0};
-};
-
-ShardRunResult run_sharded_corridor(int n, std::uint32_t shards,
-                                    double sim_seconds) {
-  constexpr double kSpacing = 5.0;
-  sim::ShardedSimulator core{/*seed=*/7, shards};
-  sim::ShardedMediumConfig config;
-  config.world_min_x = 0.0;
-  config.world_max_x = kSpacing * n;
-  sim::ShardedMedium medium{core, config};
-
-  for (int i = 0; i < n; ++i) {
-    const MacAddress mac =
-        MacAddress::from_index(static_cast<std::uint64_t>(i) + 1);
-    const sim::Vec2 pos{(i + 0.5) * kSpacing, 0.0};
-    medium.register_endpoint(mac, Technology::kBluetooth,
-                             std::make_shared<sim::StaticPosition>(pos),
-                             [](MacAddress, const Bytes&) {});
-  }
-
-  // Per-endpoint self-rearming tick chains on the owner shards, starts
-  // staggered across one tick interval so no instant is a thundering herd.
-  for (int i = 0; i < n; ++i) {
-    const MacAddress mac =
-        MacAddress::from_index(static_cast<std::uint64_t>(i) + 1);
-    const MacAddress next =
-        MacAddress::from_index(static_cast<std::uint64_t>(i) + 2);
-    sim::Simulator* sim = &medium.owner_sim(mac);
-    const bool has_next = i + 1 < n;
-    auto tick = std::make_shared<std::function<void()>>();
-    auto ticks = std::make_shared<std::uint64_t>(0);
-    *tick = [&medium, sim, mac, next, has_next, tick, ticks] {
-      benchmark::DoNotOptimize(sim->rng().next_u64());
-      if (has_next && (*ticks)++ % 4 == 0) {
-        medium.send_frame(mac, next, Technology::kBluetooth, Bytes(32, 0xab));
-      }
-      sim->schedule_after(milliseconds(250), [tick] { (*tick)(); });
-    };
-    sim->schedule_at(SimTime{} + milliseconds(i % 250), [tick] { (*tick)(); });
-  }
-
-  using Clock = std::chrono::steady_clock;
-  const auto begin = Clock::now();
-  core.run_for(seconds(sim_seconds));
-  const auto end = Clock::now();
-
-  ShardRunResult result;
-  result.wall_ms =
-      std::chrono::duration<double, std::milli>(end - begin).count();
-  result.frames = medium.merged_stats().frames;
-  result.migrations = medium.stats().migrations;
-  return result;
-}
-
-void report_shard_scaling() {
-  heading("E-shard  Sharded core: wall-clock scaling vs shard count");
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("    hardware threads: %u%s\n", hw,
-              hw < 8 ? "  (scaling numbers below are core-starved)" : "");
-  std::printf("%9s %7s %8s %12s %12s %9s %7s\n", "nodes", "shards", "threads",
-              "wall (ms)", "frames", "scaling", "parity");
-  const std::vector<int> sizes =
-      g_smoke ? std::vector<int>{2'000} : std::vector<int>{100'000, 1'000'000};
-  const std::vector<std::uint32_t> shard_counts =
-      g_smoke ? std::vector<std::uint32_t>{1, 2, 4}
-              : std::vector<std::uint32_t>{1, 2, 4, 8};
-  const double sim_seconds = g_smoke ? 2.0 : 4.0;
-  for (const int n : sizes) {
-    double base_ms = 0.0;
-    std::uint64_t base_frames = 0;
-    for (const std::uint32_t shards : shard_counts) {
-      const ShardRunResult r = run_sharded_corridor(n, shards, sim_seconds);
-      if (shards == 1) {
-        base_ms = r.wall_ms;
-        base_frames = r.frames;
-      }
-      // Same workload, same seed: the merged sharded frame count must equal
-      // the single-shard count, or the "speedup" is dropped work.
-      const bool parity = r.frames == base_frames && r.frames > 0;
-      const double scaling = r.wall_ms > 0.0 ? base_ms / r.wall_ms : 0.0;
-      const unsigned threads = shards > 1 ? shards : 1;
-      std::printf("%9d %7u %8u %12.1f %12llu %8.2fx %7s\n", n, shards,
-                  threads, r.wall_ms,
-                  static_cast<unsigned long long>(r.frames), scaling,
-                  parity ? "yes" : "NO");
-      JsonRecord{"medium_scale_sharded"}
-          .field("nodes", n)
-          .field("shards", shards)
-          .field("threads", threads)
-          .field("hw_threads", hw)
-          .field("sim_seconds", sim_seconds)
-          .field("wall_ms", r.wall_ms)
-          .field("frames", static_cast<std::uint64_t>(r.frames))
-          .field("scaling", scaling)
-          .field("parity_ok", parity)
-          .emit();
-    }
-  }
-  note("scaling = wall(shards=1) / wall(shards=K) for the identical");
-  note("workload; parity = merged sharded frame count equals the");
-  note("single-shard count. Acceptance (>= 4x at 8 shards, 100k+ nodes)");
-  note("only applies on >= 8 hardware threads; tests/test_shard_speedup");
-  note("asserts >= 2x and skips itself on smaller machines.");
-}
-
 void BM_MediumSweepGrid2000(benchmark::State& state) {
   Scene scene{2000, 7};
   for (auto _ : state) {
@@ -352,7 +226,6 @@ int main(int argc, char** argv) {
   }
   argc = out;
   report_sweep_scaling();
-  report_shard_scaling();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

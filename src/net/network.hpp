@@ -46,14 +46,6 @@ struct NetStats {
   std::uint64_t send_queue_drops{0};
   // Connect attempts beyond the first (capped-backoff reconnects).
   std::uint64_t reconnect_attempts{0};
-
-  NetStats& operator+=(const NetStats& other) {
-    frames_checked += other.frames_checked;
-    corrupt_drops += other.corrupt_drops;
-    send_queue_drops += other.send_queue_drops;
-    reconnect_attempts += other.reconnect_attempts;
-    return *this;
-  }
 };
 
 class Network {
@@ -72,15 +64,6 @@ class Network {
   // can bake the header + tag into its shared response buffers and send them
   // through send_datagram(FramePtr) without a copy.
   static constexpr std::uint8_t kDatagramFrameTag = 0;
-
-  // Receive-side integrity accounting: frames whose length/checksum header
-  // failed verification are counted and dropped before any decoder sees
-  // them. Kept as its own struct (and not just NetStats fields) for the
-  // fault-plane tests that assert on it directly.
-  struct IntegrityStats {
-    std::uint64_t frames_checked{0};
-    std::uint64_t corrupt_drops{0};
-  };
 
   Network() = default;
   virtual ~Network() = default;
@@ -183,21 +166,12 @@ class Network {
   // Count of connections not yet fully closed (for tests).
   [[nodiscard]] virtual std::size_t live_connection_count() const = 0;
 
-  [[nodiscard]] const IntegrityStats& integrity_stats() const {
-    return integrity_;
-  }
-
-  // Backend-agnostic counters; backends fold their queue/reconnect
-  // accounting on top of the shared integrity numbers.
-  [[nodiscard]] virtual NetStats net_stats() const {
-    NetStats stats;
-    stats.frames_checked = integrity_.frames_checked;
-    stats.corrupt_drops = integrity_.corrupt_drops;
-    return stats;
-  }
+  // Backend-agnostic transport counters: every backend counts its
+  // integrity, queue and reconnect events straight into `net_stats_`.
+  [[nodiscard]] const NetStats& net_stats() const { return net_stats_; }
 
  protected:
-  IntegrityStats integrity_;
+  NetStats net_stats_;
 };
 
 }  // namespace peerhood::net

@@ -442,7 +442,7 @@ void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
   if (::sendmsg(udp_fd_, &msg, 0) < 0) {
     // Kernel buffer full (EAGAIN) or transient error: a dropped datagram —
     // exactly what the discovery plane's retransmits exist for.
-    ++send_queue_drops_;
+    ++net_stats_.send_queue_drops;
   }
 }
 
@@ -472,10 +472,10 @@ void PosixNetwork::on_udp_packet(std::span<const std::uint8_t> packet) {
   const MacAddress from = MacAddress::from_u64(mac64);
 
   const auto sealed = packet.subspan(kUdpHeader);
-  ++integrity_.frames_checked;
+  ++net_stats_.frames_checked;
   const auto body = check_frame(sealed);
   if (!body.has_value()) {
-    ++integrity_.corrupt_drops;
+    ++net_stats_.corrupt_drops;
     return;
   }
   if (body->empty() || (*body)[0] != kDatagramFrameTag) return;
@@ -641,7 +641,7 @@ void PosixNetwork::start_connect_attempt(std::uint64_t pending_id) {
     fail_connect(pending_id, "peer removed from topology");
     return;
   }
-  if (pending.attempt > 0) ++reconnect_attempts_;
+  if (pending.attempt > 0) ++net_stats_.reconnect_attempts;
   ++pending.attempt;
   pending.awaiting_ack = false;
   pending.framer = StreamFramer{};
@@ -820,13 +820,13 @@ void PosixNetwork::handle_pending_connect(int fd, std::uint32_t events) {
           std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
     }
     if (auto ack = pending.framer.next()) {
-      ++integrity_.frames_checked;
+      ++net_stats_.frames_checked;
       finish_connect_handshake(pending_id, *ack);
       return;
     }
     // next() latches the poison bit — check it after the decode attempt.
     if (pending.framer.poisoned()) {
-      ++integrity_.corrupt_drops;
+      ++net_stats_.corrupt_drops;
       fd_pending_.erase(fd);
       ::close(fd);
       pending.fd = -1;
@@ -913,13 +913,13 @@ void PosixNetwork::handle_incoming(int fd, std::uint32_t events) {
         std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
   }
   if (const auto hello = stream.framer.next()) {
-    ++integrity_.frames_checked;
+    ++net_stats_.frames_checked;
     accept_hello(fd, *hello);
     return;
   }
   // next() latches the poison bit — check it after the decode attempt.
   if (stream.framer.poisoned()) {
-    ++integrity_.corrupt_drops;
+    ++net_stats_.corrupt_drops;
     ::close(fd);
     incoming_.erase(it);
     return;
@@ -999,14 +999,14 @@ void PosixNetwork::conn_write(ConnState& conn,
     if (conn.outbox.size() == 1 && conn.front_sent > 0) {
       // Never drop a partially written frame — the stream would desync.
       conn.outbox.push_back(std::move(encoded));
-      ++send_queue_drops_;
+      ++net_stats_.send_queue_drops;
       drain_conn_outbox(conn);
       return;
     }
     const std::size_t victim = conn.front_sent > 0 ? 1 : 0;
     conn.outbox.erase(conn.outbox.begin() +
                       static_cast<std::ptrdiff_t>(victim));
-    ++send_queue_drops_;
+    ++net_stats_.send_queue_drops;
   }
   conn.outbox.push_back(std::move(encoded));
   drain_conn_outbox(conn);
@@ -1066,13 +1066,13 @@ void PosixNetwork::handle_conn_event(int fd, std::uint32_t events) {
       if (conn->framer.poisoned()) {
         // Mid-stream corruption: unlike a datagram there is no next-frame
         // boundary to resync on — count it and kill the connection.
-        ++integrity_.corrupt_drops;
+        ++net_stats_.corrupt_drops;
         close_conn(conn_id, /*notify_app=*/true);
         return;
       }
       break;
     }
-    ++integrity_.frames_checked;
+    ++net_stats_.frames_checked;
     if (frame->empty() || (*frame)[0] != kStreamData) continue;
     const auto endpoint = conn->endpoint.lock();
     if (endpoint == nullptr) break;
@@ -1103,15 +1103,6 @@ void PosixNetwork::close_conn(std::uint64_t conn_id, bool notify_app) {
 
 std::size_t PosixNetwork::live_connection_count() const {
   return conns_.size();
-}
-
-NetStats PosixNetwork::net_stats() const {
-  NetStats stats;
-  stats.frames_checked = integrity_.frames_checked;
-  stats.corrupt_drops = integrity_.corrupt_drops;
-  stats.send_queue_drops = send_queue_drops_;
-  stats.reconnect_attempts = reconnect_attempts_;
-  return stats;
 }
 
 }  // namespace peerhood::net

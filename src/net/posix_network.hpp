@@ -141,7 +141,6 @@ class PosixNetwork final : public Network {
 
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
   [[nodiscard]] std::size_t live_connection_count() const override;
-  [[nodiscard]] NetStats net_stats() const override;
 
  private:
   friend class PosixConnection;
@@ -207,8 +206,6 @@ class PosixNetwork final : public Network {
   SimDuration keepalive_period_{std::chrono::milliseconds{500}};
   std::uint64_t next_pending_id_{1};
   std::uint64_t next_conn_seq_{1};
-  std::uint64_t send_queue_drops_{0};
-  std::uint64_t reconnect_attempts_{0};
   bool destroying_{false};
 };
 

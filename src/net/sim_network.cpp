@@ -387,12 +387,12 @@ void SimNetwork::finish_connect(MacAddress from_mac, NetAddress to,
 
 void SimNetwork::handle_frame(MacAddress local, Technology tech,
                               MacAddress from, const Bytes& frame) {
-  ++integrity_.frames_checked;
+  ++net_stats_.frames_checked;
   const auto body = check_frame(frame);
   if (!body.has_value()) {
     // Truncated or bit-corrupted on the air (sim/fault.hpp): count and drop
     // before any decoder sees the bytes.
-    ++integrity_.corrupt_drops;
+    ++net_stats_.corrupt_drops;
     return;
   }
   if (body->empty()) return;

@@ -3,7 +3,7 @@
 // measured Bluetooth behaviour: connection establishment takes seconds and
 // fails stochastically (§4.3), and an open link dies when the peers leave
 // mutual coverage. Deterministic under a seed; the fault-injection plane
-// (sim/fault.hpp) and the sharded medium both sit below this class.
+// (sim/fault.hpp) sits below this class.
 //
 // The real-socket counterpart is net/posix_network.hpp; the shared contract
 // is net/network.hpp.

@@ -1,7 +1,6 @@
 #include "node/testbed.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
@@ -70,28 +69,8 @@ Result<ChannelPtr> Node::connect_blocking(MacAddress destination,
   return std::move(*outcome);
 }
 
-namespace {
-
-// shards == 0 -> the PEERHOOD_SHARDS environment variable (absent, empty or
-// unparsable -> 1), so CI can run the entire suite against the windowed
-// sharded path without touching a single call site.
-std::uint32_t resolve_shards(std::uint32_t shards) {
-  if (shards != 0) return shards;
-  const char* env = std::getenv("PEERHOOD_SHARDS");
-  if (env == nullptr) return 1;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(env, &end, 10);
-  if (end == env || value < 1 || value > 64) return 1;
-  return static_cast<std::uint32_t>(value);
-}
-
-}  // namespace
-
-Testbed::Testbed(std::uint64_t seed, sim::LinkQualityModel quality_model,
-                 std::uint32_t shards)
-    : core_{seed, resolve_shards(shards)},
-      medium_{core_.control(), quality_model},
-      network_{medium_} {}
+Testbed::Testbed(std::uint64_t seed, sim::LinkQualityModel quality_model)
+    : sim_{seed}, medium_{sim_, quality_model}, network_{medium_} {}
 
 Node& Testbed::add_node(const std::string& name, sim::Vec2 position,
                         NodeOptions options) {
@@ -132,7 +111,7 @@ std::vector<MacAddress> Testbed::macs() const {
   return out;
 }
 
-void Testbed::run_for(double seconds_) { core_.run_for(seconds(seconds_)); }
+void Testbed::run_for(double seconds_) { sim_.run_for(seconds(seconds_)); }
 
 void Testbed::run_discovery_rounds(int rounds) {
   // Pace rounds off the slowest technology actually configured on a node;
@@ -148,7 +127,7 @@ void Testbed::run_discovery_rounds(int rounds) {
   }
   // A round must also cover the per-responder fetch time; pad by 50%.
   for (int i = 0; i < rounds; ++i) {
-    core_.run_for(slowest + slowest / 2);
+    sim_.run_for(slowest + slowest / 2);
   }
 }
 

@@ -33,6 +33,12 @@ void SessionStore::bind_file(const std::string& path) {
     records_[id] = std::move(record);
     touch(id);
   }
+  // A journal written under a larger bound (or by a foreign writer) must
+  // not leave the store over capacity: put() evicts only one record per
+  // insert, so an oversized load would never shrink back.
+  if (capacity_ == 0 || records_.size() <= capacity_) return;
+  while (records_.size() > capacity_) evict_lru();
+  persist();
 }
 
 void SessionStore::persist() {
@@ -78,14 +84,18 @@ void SessionStore::touch(std::uint64_t session_id) {
   order_.push_back(session_id);
 }
 
+void SessionStore::evict_lru() {
+  const std::uint64_t victim = order_.front();
+  order_.pop_front();
+  records_.erase(victim);
+  ++evictions_;
+}
+
 void SessionStore::put(SessionRecord record) {
   const std::uint64_t id = record.session_id;
   if (records_.find(id) == records_.end() && records_.size() >= capacity_ &&
       capacity_ > 0 && !order_.empty()) {
-    const std::uint64_t victim = order_.front();
-    order_.pop_front();
-    records_.erase(victim);
-    ++evictions_;
+    evict_lru();
   }
   records_[id] = std::move(record);
   touch(id);

@@ -40,7 +40,8 @@ class SessionStore {
 
   // Optional file persistence — the journal of a *real* daemon process.
   // bind_file() loads every record a previous incarnation journalled at
-  // `path` (the kill -9 restart path), then rewrites the file on each
+  // `path` (the kill -9 restart path), trimming the least recent down to
+  // capacity (counted in evictions()), then rewrites the file on each
   // mutation via write-temp + rename, so the on-disk journal is always a
   // complete, uncorrupted snapshot: a crash between a delivery and its
   // journal write loses at most the newest frontier — the at-least-once
@@ -69,6 +70,8 @@ class SessionStore {
 
  private:
   void touch(std::uint64_t session_id);
+  // Drops the least-recently-touched record; precondition: !order_.empty().
+  void evict_lru();
   void persist();
   void persist_failed(const char* step);
 

@@ -221,8 +221,12 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_{std::move(spec)} {}
 ScenarioRunner::~ScenarioRunner() = default;
 
 Status ScenarioRunner::setup() {
-  testbed_ = std::make_unique<node::Testbed>(spec_.seed, spec_.quality_model,
-                                             spec_.shards);
+  if (spec_.shards != 1) {
+    return Status{ErrorCode::kInvalidArgument,
+                  "ScenarioSpec::shards must be 1, got " +
+                      std::to_string(spec_.shards)};
+  }
+  testbed_ = std::make_unique<node::Testbed>(spec_.seed, spec_.quality_model);
   if (spec_.radio.has_value()) testbed_->medium().configure(*spec_.radio);
 
   // The server-side accept handler needs to know, per service, whether its
@@ -690,8 +694,6 @@ void ScenarioRunner::run() {
   for (node::Node* node : testbed_->nodes()) {
     metrics_.restart_resumes += node->daemon().engine().stats().restart_resumes;
   }
-  metrics_.corrupt_frames_dropped =
-      testbed_->network().integrity_stats().corrupt_drops;
   metrics_.net_stats = testbed_->network().net_stats();
 }
 

@@ -185,12 +185,10 @@ struct ScenarioSpec {
   FaultScheduleSpec faults{};
   // Node-crash plane for the scenario body; same lazy-construction contract.
   CrashScheduleSpec crashes{};
-  // Simulation shard count handed to the Testbed: 1 = the plain
-  // single-threaded kernel, N > 1 = the conservative windowed core on a
-  // worker pool, 0 (default) = the PEERHOOD_SHARDS environment variable.
-  // The stack runs on the control shard, so metrics are identical under
-  // every shard count (tests/test_shard_scenario_parity.cpp).
-  std::uint32_t shards{0};
+  // Fixed at 1: the simulation runs on one single-threaded kernel. Kept
+  // only because the perfbench workload runner assigns it; setup()
+  // rejects any other value.
+  std::uint32_t shards{1};
 };
 
 struct SessionMetrics {
@@ -232,11 +230,8 @@ struct ScenarioMetrics {
   // from the crash plane. Part of the determinism contract: the same (seed,
   // fault schedule, crash schedule) must reproduce these exactly.
   sim::FaultStats fault_stats{};
-  std::uint64_t corrupt_frames_dropped{0};
   // Backend-agnostic transport counters (net::Network::net_stats()) over the
-  // whole run. corrupt_frames_dropped above stays the body-scoped figure the
-  // bench tables print; this is the raw backend total, comparable with what
-  // a real-socket daemon logs on shutdown.
+  // whole run, comparable with what a real-socket daemon logs on shutdown.
   net::NetStats net_stats{};
   // kResumeRestart handshakes honoured from a SessionStore journal, summed
   // over every node's engine — the crash plane's recovery counter.

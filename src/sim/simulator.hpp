@@ -80,28 +80,8 @@ class Simulator {
 
   void run_for(SimDuration duration) { run_until(now_ + duration); }
 
-  // Runs events strictly before `horizon` and stops, leaving the clock at
-  // the last fired event (never advanced to the horizon itself). This is the
-  // conservative-window primitive for the sharded engine: a shard drains its
-  // window without manufacturing artificial clock advances, so a sharded run
-  // fires time observers at exactly the same instants as a plain run_until.
-  void run_before(SimTime horizon) {
-    while (!queue_.empty() && queue_.next_time() < horizon) {
-      advance_to(queue_.next_time());
-      (void)queue_.run_next();
-    }
-  }
-
   // Time of the earliest pending event; only valid when !idle().
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
-
-  // Advances the clock (firing time observers) without running any event.
-  // Used by the sharded coordinator to align shard clocks on the final
-  // deadline, mirroring run_until's trailing advance. No-op unless t is
-  // ahead of the clock; precondition: no pending event before t.
-  void advance_clock_to(SimTime t) {
-    if (t > now_) advance_to(t);
-  }
 
   // Drains the queue completely (with a safety cap against runaway loops).
   void run_all(std::uint64_t max_events = 50'000'000) {

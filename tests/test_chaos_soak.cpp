@@ -103,7 +103,7 @@ TEST(ChaosSoak, CorridorSurvivesFaultMatrixAcrossSeeds) {
     check_fault_matrix_fired(outcome.metrics.fault_stats);
     // Corrupted frames were caught by the transport's frame check, not
     // delivered as garbage.
-    EXPECT_GT(outcome.metrics.corrupt_frames_dropped, 0u);
+    EXPECT_GT(outcome.metrics.net_stats.corrupt_drops, 0u);
     // Recovery: at most ~kCutEnd messages can have arrived before the
     // partition healed (1 msg/s), so clearing this floor means the session
     // delivered traffic *after* the faults' worst window.
@@ -122,7 +122,7 @@ TEST(ChaosSoak, ChurnSurvivesFaultMatrixAcrossSeeds) {
     const SoakOutcome outcome = run_soak(std::move(spec));
     ASSERT_EQ(outcome.metrics.sessions.size(), 2u);
     check_fault_matrix_fired(outcome.metrics.fault_stats);
-    EXPECT_GT(outcome.metrics.corrupt_frames_dropped, 0u);
+    EXPECT_GT(outcome.metrics.net_stats.corrupt_drops, 0u);
     for (const SessionMetrics& session : outcome.metrics.sessions) {
       EXPECT_TRUE(session.connected);
     }
@@ -150,7 +150,8 @@ TEST(ChaosSoak, SameSeedAndScheduleReplayIdentically) {
   EXPECT_EQ(a.metrics.total_handovers(), b.metrics.total_handovers());
   EXPECT_EQ(a.metrics.medium_frames, b.metrics.medium_frames);
   EXPECT_DOUBLE_EQ(a.metrics.total_outage_s(), b.metrics.total_outage_s());
-  EXPECT_EQ(a.metrics.corrupt_frames_dropped, b.metrics.corrupt_frames_dropped);
+  EXPECT_EQ(a.metrics.net_stats.corrupt_drops,
+            b.metrics.net_stats.corrupt_drops);
   const sim::FaultStats& fa = a.metrics.fault_stats;
   const sim::FaultStats& fb = b.metrics.fault_stats;
   EXPECT_EQ(fa.frames_seen, fb.frames_seen);
@@ -176,7 +177,7 @@ TEST(ChaosSoak, EmptyScheduleLeavesScenarioUntouched) {
   EXPECT_FALSE(runner.testbed().medium().has_fault_plane());
   const sim::FaultStats& stats = runner.metrics().fault_stats;
   EXPECT_EQ(stats.frames_seen, 0u);
-  EXPECT_EQ(runner.metrics().corrupt_frames_dropped, 0u);
+  EXPECT_EQ(runner.metrics().net_stats.corrupt_drops, 0u);
   EXPECT_GT(runner.metrics().total_sent(), 80u);
   EXPECT_LE(runner.metrics().frames_lost(), 3u);
 }

@@ -241,7 +241,7 @@ TEST(CrashSoak, EmptyCrashScheduleLeavesScenarioUntouched) {
   EXPECT_EQ(stats.node_crashes, 0u);
   EXPECT_EQ(stats.node_restarts, 0u);
   EXPECT_EQ(runner.metrics().restart_resumes, 0u);
-  EXPECT_EQ(runner.metrics().corrupt_frames_dropped, 0u);
+  EXPECT_EQ(runner.metrics().net_stats.corrupt_drops, 0u);
   EXPECT_GT(runner.metrics().total_sent(), 80u);
   EXPECT_LE(runner.metrics().frames_lost(), 3u);
 }

@@ -310,8 +310,8 @@ TEST(FaultPlaneNetwork, CorruptFramesAreCountedAndDropped) {
   // Every frame was bit-flipped in flight; the length+checksum header must
   // reject all of them before any decoder runs.
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(network.integrity_stats().frames_checked, 20u);
-  EXPECT_EQ(network.integrity_stats().corrupt_drops, 20u);
+  EXPECT_EQ(network.net_stats().frames_checked, 20u);
+  EXPECT_EQ(network.net_stats().corrupt_drops, 20u);
   EXPECT_EQ(medium.fault_plane().stats().corrupted, 20u);
 }
 

@@ -86,8 +86,8 @@ TEST_F(PosixNetworkTest, DatagramRoundtrip) {
   ASSERT_TRUE(pump_until(*a_, *b_, [&] { return received.has_value(); }));
   EXPECT_EQ(*received, payload);
   EXPECT_EQ(from, a_->mac());
-  EXPECT_GE(b_->integrity_stats().frames_checked, 1u);
-  EXPECT_EQ(b_->integrity_stats().corrupt_drops, 0u);
+  EXPECT_GE(b_->net_stats().frames_checked, 1u);
+  EXPECT_EQ(b_->net_stats().corrupt_drops, 0u);
 }
 
 TEST_F(PosixNetworkTest, ConnectAcceptDataBothWaysAndClose) {
@@ -270,8 +270,8 @@ TEST_F(PosixNetworkTest, BoundedSendQueueDropsOldest) {
   });
   ASSERT_TRUE(pump_until(*a, *b_, [&] { return delivered >= 4; }));
   EXPECT_FALSE(bad_frame);
-  EXPECT_EQ(a->integrity_stats().corrupt_drops, 0u);
-  EXPECT_EQ(b_->integrity_stats().corrupt_drops, 0u);
+  EXPECT_EQ(a->net_stats().corrupt_drops, 0u);
+  EXPECT_EQ(b_->net_stats().corrupt_drops, 0u);
 }
 
 TEST_F(PosixNetworkTest, GarbageOnTcpSocketPoisonsNotCrashes) {

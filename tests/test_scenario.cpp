@@ -120,5 +120,22 @@ TEST(ScenarioRunner, UnknownServiceFailsSetup) {
   EXPECT_FALSE(runner.setup().ok());
 }
 
+TEST(ScenarioRunner, ShardsOtherThanOneFailSetup) {
+  ScenarioSpec spec = corridor_walk(1, true);
+  EXPECT_EQ(spec.shards, 1u);
+  spec.shards = 2;
+  ScenarioRunner rejected{std::move(spec)};
+  const Status status = rejected.setup();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.error().message.find("ScenarioSpec::shards"),
+            std::string::npos);
+
+  ScenarioRunner runner{corridor_walk(1, true)};
+  ASSERT_TRUE(runner.setup().ok());
+  runner.run();
+  EXPECT_GT(runner.metrics().total_sent(), 0u);
+}
+
 }  // namespace
 }  // namespace peerhood::scenario

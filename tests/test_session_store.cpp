@@ -1,5 +1,6 @@
 // SessionStore journal persistence: a journal that cannot be written is
-// counted and logged, and the in-memory store keeps serving resumes.
+// counted and logged, and the in-memory store keeps serving resumes; a
+// journal larger than the store's bound is trimmed on load.
 #include "peerhood/session_store.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +101,37 @@ TEST(SessionStore, RefusedRenameIsCounted) {
   EXPECT_EQ(store.persist_failures(), 1u);
   EXPECT_NE(store.find(1), nullptr);
   EXPECT_TRUE(fs::is_directory(journal));
+}
+
+TEST(SessionStore, OversizedJournalIsTrimmedToCapacityOnLoad) {
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string journal = (dir.path() / "journal").string();
+  {
+    SessionStore large{8};
+    large.bind_file(journal);
+    for (std::uint64_t id = 1; id <= 8; ++id) large.put(record(id));
+    ASSERT_EQ(large.size(), 8u);
+  }
+  SessionStore small{3};
+  small.bind_file(journal);
+  EXPECT_EQ(small.size(), 3u);
+  EXPECT_EQ(small.evictions(), 5u);
+  // The journal lists records in session-id order, so the lowest ids load
+  // as least recent and go first.
+  EXPECT_EQ(small.find(5), nullptr);
+  EXPECT_NE(small.find(6), nullptr);
+  EXPECT_NE(small.find(8), nullptr);
+  // The bound holds from here on: one insert, one eviction.
+  small.put(record(9));
+  EXPECT_EQ(small.size(), 3u);
+  EXPECT_EQ(small.evictions(), 6u);
+  EXPECT_EQ(small.persist_failures(), 0u);
+
+  SessionStore reread{8};
+  reread.bind_file(journal);
+  EXPECT_EQ(reread.size(), 3u) << "the trimmed store was written back";
+  EXPECT_EQ(reread.evictions(), 0u);
 }
 
 }  // namespace
