@@ -117,7 +117,11 @@ double datagrams_per_sec(LoopbackPair& pair, int count) {
   const Bytes payload(64, 0x17);
   const auto begin = Clock::now();
   for (int i = 0; i < count; ++i) {
-    pair.a->send_datagram(pair.a->mac(), pair.b->mac(), kTech, payload);
+    pair.a->send_datagram(pair.a->mac(), pair.b->mac(), kTech,
+                          net::make_datagram_frame(
+                              payload.size(), [&payload](ByteWriter& writer) {
+                                writer.raw(payload);
+                              }));
     const int want = i + 1;
     pair.pump_until([&] { return delivered >= want; });
   }

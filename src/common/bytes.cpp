@@ -4,23 +4,6 @@
 
 namespace peerhood {
 
-void ByteWriter::u8(std::uint8_t v) { out_.push_back(v); }
-
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v >> 8));
-  u8(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v >> 16));
-  u16(static_cast<std::uint16_t>(v));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
-
 void ByteWriter::string(std::string_view v) {
   const auto n = std::min<std::size_t>(
       v.size(), std::numeric_limits<std::uint16_t>::max());
@@ -35,39 +18,6 @@ void ByteWriter::blob(std::span<const std::uint8_t> v) {
 
 void ByteWriter::raw(std::span<const std::uint8_t> v) {
   out_.insert(out_.end(), v.begin(), v.end());
-}
-
-bool ByteReader::take(std::size_t n) {
-  if (failed_ || data_.size() - pos_ < n) {
-    failed_ = true;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::u8() {
-  if (!take(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  if (!take(2)) return 0;
-  const auto hi = static_cast<std::uint16_t>(data_[pos_] << 8);
-  const auto lo = static_cast<std::uint16_t>(data_[pos_ + 1]);
-  pos_ += 2;
-  return static_cast<std::uint16_t>(hi | lo);
-}
-
-std::uint32_t ByteReader::u32() {
-  const auto hi = static_cast<std::uint32_t>(u16());
-  const auto lo = static_cast<std::uint32_t>(u16());
-  return failed_ ? 0 : (hi << 16) | lo;
-}
-
-std::uint64_t ByteReader::u64() {
-  const auto hi = static_cast<std::uint64_t>(u32());
-  const auto lo = static_cast<std::uint64_t>(u32());
-  return failed_ ? 0 : (hi << 32) | lo;
 }
 
 std::string ByteReader::string() {

@@ -27,10 +27,24 @@ class ByteWriter {
     }
   }
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  // Fixed-width primitives are inline: every encoder calls them per field.
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u16(std::uint16_t v) {
+    std::uint8_t* p = grow(2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
+  }
+  void u32(std::uint32_t v) {
+    std::uint8_t* p = grow(4);
+    p[0] = static_cast<std::uint8_t>(v >> 24);
+    p[1] = static_cast<std::uint8_t>(v >> 16);
+    p[2] = static_cast<std::uint8_t>(v >> 8);
+    p[3] = static_cast<std::uint8_t>(v);
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
   // Length-prefixed (u16) string.
   void string(std::string_view v);
   // Length-prefixed (u32) blob.
@@ -41,6 +55,13 @@ class ByteWriter {
   [[nodiscard]] Bytes&& take() && { return std::move(out_); }
 
  private:
+  // Appends `n` bytes and returns where they start.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
   Bytes out_;
 };
 
@@ -48,10 +69,32 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_{data} {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  // Fixed-width primitives are inline: every decoder calls them per field.
+  [[nodiscard]] std::uint8_t u8() {
+    if (!take(1)) return 0;
+    return data_[pos_++];
+  }
+  [[nodiscard]] std::uint16_t u16() {
+    if (!take(2)) return 0;
+    const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) |
+                                              data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+  [[nodiscard]] std::uint32_t u32() {
+    if (!take(4)) return 0;
+    const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
+                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    pos_ += 4;
+    return v;
+  }
+  [[nodiscard]] std::uint64_t u64() {
+    if (!take(8)) return 0;
+    const auto hi = static_cast<std::uint64_t>(u32());
+    return (hi << 32) | u32();
+  }
   [[nodiscard]] std::string string();
   // Zero-copy variant of string(): a view into the underlying buffer, valid
   // only while that buffer lives. Decode hot paths use it so fields that are
@@ -71,7 +114,14 @@ class ByteReader {
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  [[nodiscard]] bool take(std::size_t n);
+  // Fails the reader (and returns false) unless `n` more bytes remain.
+  [[nodiscard]] bool take(std::size_t n) {
+    if (failed_ || data_.size() - pos_ < n) {
+      failed_ = true;
+      return false;
+    }
+    return true;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_{0};

@@ -38,23 +38,6 @@ std::optional<MacAddress> MacAddress::parse(std::string_view text) {
   return MacAddress{octets};
 }
 
-std::uint64_t MacAddress::as_u64() const {
-  std::uint64_t packed = 0;
-  for (const std::uint8_t octet : octets_) {
-    packed = (packed << 8) | octet;
-  }
-  return packed;
-}
-
-MacAddress MacAddress::from_u64(std::uint64_t packed) {
-  std::array<std::uint8_t, 6> octets{};
-  for (int i = 5; i >= 0; --i) {
-    octets[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(packed);
-    packed >>= 8;
-  }
-  return MacAddress{octets};
-}
-
 std::string MacAddress::to_string() const {
   char buffer[18];
   std::snprintf(buffer, sizeof buffer, "%02x:%02x:%02x:%02x:%02x:%02x",

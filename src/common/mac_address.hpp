@@ -33,9 +33,21 @@ class MacAddress {
   }
 
   // Packs the six octets into the low 48 bits of a u64 (big-endian order).
-  [[nodiscard]] std::uint64_t as_u64() const;
+  // Inline: hash keys and wire encoders call it on every frame.
+  [[nodiscard]] constexpr std::uint64_t as_u64() const {
+    std::uint64_t packed = 0;
+    for (const std::uint8_t octet : octets_) packed = (packed << 8) | octet;
+    return packed;
+  }
 
-  [[nodiscard]] static MacAddress from_u64(std::uint64_t packed);
+  [[nodiscard]] static constexpr MacAddress from_u64(std::uint64_t packed) {
+    std::array<std::uint8_t, 6> octets{};
+    for (int i = 5; i >= 0; --i) {
+      octets[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(packed);
+      packed >>= 8;
+    }
+    return MacAddress{octets};
+  }
 
   [[nodiscard]] std::string to_string() const;
 

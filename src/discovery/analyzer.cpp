@@ -5,24 +5,6 @@
 
 namespace peerhood {
 
-std::vector<NeighbourSnapshotEntry> snapshot_entries(
-    const DeviceStorage& storage) {
-  std::vector<NeighbourSnapshotEntry> entries;
-  entries.reserve(storage.size());
-  storage.for_each([&](const DeviceRecord& record) {
-    NeighbourSnapshotEntry entry;
-    entry.device = record.device;
-    entry.prototypes = record.prototypes;
-    entry.services = record.services;
-    entry.jump = record.jump;
-    entry.bridge = record.bridge;
-    entry.quality_sum = record.quality_sum;
-    entry.min_link_quality = record.min_link_quality;
-    entries.push_back(std::move(entry));
-  });
-  return entries;
-}
-
 int NeighbourhoodAnalyzer::integrate(
     DeviceStorage& storage, DeviceRecord direct_record,
     std::vector<NeighbourSnapshotEntry> snapshot, Technology tech,

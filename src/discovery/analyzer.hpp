@@ -27,12 +27,6 @@ struct NeighbourSnapshotEntry {
                          const NeighbourSnapshotEntry&) = default;
 };
 
-// The advertised form of a whole DeviceStorage: one snapshot entry per
-// record, advertised fields only. This is the payload of the neighbours
-// section; the snapshot cache re-builds it once per storage generation.
-[[nodiscard]] std::vector<NeighbourSnapshotEntry> snapshot_entries(
-    const DeviceStorage& storage);
-
 struct AnalyzerConfig {
   // When false, snapshots only refresh the responder's neighbour-link list —
   // the pre-thesis behaviour of PeerHood [2] with two-jump vision and no

@@ -54,13 +54,9 @@ bool RoutePolicy::prefer(const DeviceRecord& candidate,
 
 bool DeviceStorage::advertised_equal(const DeviceRecord& a,
                                      const DeviceRecord& b) {
-  // Exactly the fields a NeighbourSnapshotEntry ships; liveness bookkeeping
-  // and the neighbour-link list are local-only and must not churn the
-  // generation. KEEP IN SYNC with snapshot_entries() (analyzer.cpp) and
-  // encode_snapshot_entry (protocol.cpp): a field shipped on the wire but
-  // missing here would let the snapshot cache serve stale frames as
-  // kNotModified. tests/test_device_storage.cpp
-  // (GenerationCoversEveryAdvertisedField) flips each field one by one.
+  // Exactly the fields wire::encode_snapshot_entry ships (see the KEEP IN
+  // SYNC note there); liveness bookkeeping and the neighbour-link list are
+  // local-only and must not churn the generation.
   return a.jump == b.jump && a.bridge == b.bridge &&
          a.quality_sum == b.quality_sum &&
          a.min_link_quality == b.min_link_quality && a.device == b.device &&

@@ -26,10 +26,10 @@
 #include <span>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "net/address.hpp"
 #include "net/connection.hpp"
+#include "net/frame_check.hpp"
 #include "sim/medium.hpp"
 
 namespace peerhood::net {
@@ -57,13 +57,7 @@ class Network {
   using DatagramHandler =
       std::function<void(MacAddress from, std::span<const std::uint8_t>)>;
   // Shared immutable frame buffer (one allocation, many sends).
-  using FramePtr = sim::RadioMedium::FramePtr;
-
-  // First *body* byte (after the integrity header, net/frame_check.hpp) of
-  // every frame carrying a datagram. Public so the discovery snapshot cache
-  // can bake the header + tag into its shared response buffers and send them
-  // through send_datagram(FramePtr) without a copy.
-  static constexpr std::uint8_t kDatagramFrameTag = 0;
+  using FramePtr = net::FramePtr;
 
   Network() = default;
   virtual ~Network() = default;
@@ -82,12 +76,11 @@ class Network {
   // --- Datagrams (used by the discovery plane) ------------------------------
   virtual void set_datagram_handler(MacAddress mac, Technology tech,
                                     DatagramHandler handler) = 0;
-  virtual void send_datagram(MacAddress from, MacAddress to, Technology tech,
-                             Bytes payload) = 0;
-  // Copy-free variant: `frame` must already start with the sealed integrity
-  // header + kDatagramFrameTag (the sender baked them in). Repeated sends of
-  // the same frame share one allocation end to end — the discovery cache's
-  // steady-state path.
+  // The one datagram entry point. `frame` is a complete sealed frame —
+  // integrity header, kDatagramFrameTag, payload — built in one buffer by
+  // net::make_datagram_frame (net/frame_check.hpp). Backends ship it as is:
+  // no prepend copy, and repeated sends of one frame (the discovery cache's
+  // steady state) share a single allocation end to end.
   virtual void send_datagram(MacAddress from, MacAddress to, Technology tech,
                              FramePtr frame) = 0;
 

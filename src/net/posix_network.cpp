@@ -406,18 +406,6 @@ void PosixNetwork::set_datagram_handler(MacAddress mac, Technology tech,
 }
 
 void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
-                                 Technology tech, Bytes payload) {
-  Bytes framed;
-  framed.reserve(kFrameHeaderSize + payload.size() + 1);
-  framed.resize(kFrameHeaderSize);
-  framed.push_back(kDatagramFrameTag);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  seal_frame(framed);
-  send_datagram(from, to, tech,
-                std::make_shared<const Bytes>(std::move(framed)));
-}
-
-void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
                                  Technology tech, FramePtr frame) {
   assert(frame != nullptr && frame->size() > kFrameHeaderSize &&
          (*frame)[kFrameHeaderSize] == kDatagramFrameTag);

@@ -110,8 +110,6 @@ class PosixNetwork final : public Network {
   void set_datagram_handler(MacAddress mac, Technology tech,
                             DatagramHandler handler) override;
   void send_datagram(MacAddress from, MacAddress to, Technology tech,
-                     Bytes payload) override;
-  void send_datagram(MacAddress from, MacAddress to, Technology tech,
                      FramePtr frame) override;
 
   [[nodiscard]] Status listen(const NetAddress& address,

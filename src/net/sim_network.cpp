@@ -11,7 +11,7 @@ namespace peerhood::net {
 namespace {
 
 // Medium-level frame kinds.
-constexpr std::uint8_t kFrameDatagram = SimNetwork::kDatagramFrameTag;
+constexpr std::uint8_t kFrameDatagram = kDatagramFrameTag;
 constexpr std::uint8_t kFrameData = 1;
 constexpr std::uint8_t kFrameClose = 2;
 
@@ -232,19 +232,8 @@ void SimNetwork::set_datagram_handler(MacAddress mac, Technology tech,
 }
 
 void SimNetwork::send_datagram(MacAddress from, MacAddress to, Technology tech,
-                               Bytes payload) {
-  Bytes frame;
-  frame.reserve(kFrameHeaderSize + payload.size() + 1);
-  frame.resize(kFrameHeaderSize);
-  frame.push_back(kFrameDatagram);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  seal_frame(frame);
-  medium_.send_frame(from, to, tech, std::move(frame));
-}
-
-void SimNetwork::send_datagram(MacAddress from, MacAddress to, Technology tech,
-                               sim::RadioMedium::FramePtr frame) {
-  // The sender baked the sealed integrity header + datagram tag in.
+                               FramePtr frame) {
+  // The sender built the sealed integrity header + datagram tag in.
   assert(frame != nullptr && frame->size() > kFrameHeaderSize &&
          (*frame)[kFrameHeaderSize] == kDatagramFrameTag);
   medium_.send_frame(from, to, tech, std::move(frame));

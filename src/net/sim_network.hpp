@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -43,8 +44,6 @@ class SimNetwork final : public Network {
   // --- Datagrams (used by the discovery plane) ------------------------------
   void set_datagram_handler(MacAddress mac, Technology tech,
                             DatagramHandler handler) override;
-  void send_datagram(MacAddress from, MacAddress to, Technology tech,
-                     Bytes payload) override;
   void send_datagram(MacAddress from, MacAddress to, Technology tech,
                      FramePtr frame) override;
 
@@ -106,9 +105,10 @@ class SimNetwork final : public Network {
 
   struct Pair;  // shared state of one connection (both ends)
 
-  using IfaceKey = std::pair<std::uint64_t, std::uint8_t>;
-  [[nodiscard]] static IfaceKey iface_key(MacAddress mac, Technology tech) {
-    return {mac.as_u64(), static_cast<std::uint8_t>(tech)};
+  // MACs are 48-bit, so (mac, tech) packs into one hashable word.
+  [[nodiscard]] static std::uint64_t iface_key(MacAddress mac,
+                                               Technology tech) {
+    return (mac.as_u64() << 8) | static_cast<std::uint8_t>(tech);
   }
 
   void handle_frame(MacAddress local, Technology tech, MacAddress from,
@@ -124,7 +124,7 @@ class SimNetwork final : public Network {
                        Technology tech, std::uint8_t kind, Bytes payload);
 
   sim::RadioMedium& medium_;
-  std::map<IfaceKey, Interface> interfaces_;
+  std::unordered_map<std::uint64_t, Interface> interfaces_;
   std::map<NetAddress, AcceptHandler> listeners_;
   std::map<std::uint64_t, std::shared_ptr<Pair>> pairs_;
   std::uint64_t next_conn_id_{1};

@@ -4,11 +4,12 @@
 // boundaries — a frame can arrive split across any number of reads, or
 // glued to its neighbours. StreamFramer reassembles:
 //
-//   [u16 magic 'PH'][u16 body_len][u32 FNV-1a(body)][body ...]
+//   [u16 magic 'PH'][u16 body_len][u32 frame_checksum(body)][body ...]
 //
 // The length+checksum part is exactly the net/frame_check.hpp header, so a
 // stream frame is magic + sealed frame and the two integrity planes share
-// one checksum implementation.
+// one checksum implementation: the four-lane word-wide hash, which detects
+// every single-byte corruption of a body with certainty.
 //
 // Corruption contract: a stream, unlike a datagram, has no frame boundary
 // to fall back on — after any integrity failure (bad magic, bad checksum,

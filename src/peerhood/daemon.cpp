@@ -72,10 +72,8 @@ void Daemon::stop() {
   }
   // Cancel deferred replies: a stopped daemon sends nothing, and the events
   // must not outlive a daemon that is destroyed before its simulator.
-  for (auto& [peer, queue] : send_queues_) {
-    for (PendingSend& entry : queue) simulator().cancel(entry.event);
-  }
-  send_queues_.clear();
+  for (const PendingSend& entry : send_queue_) simulator().cancel(entry.event);
+  send_queue_.clear();
 }
 
 void Daemon::crash() {
@@ -213,37 +211,39 @@ void Daemon::answer_fetch(Technology tech, MacAddress from,
   // every deferred reply to this daemon's lifetime: stop() and crash()
   // cancel the events, so no pre-stop snapshot escapes a restarted daemon
   // and no event outlives the daemon. The closure stays inline-sized by
-  // capturing only the queue key; the frame lives in the queue entry.
-  std::deque<PendingSend>& queue = send_queues_[from.as_u64()];
-  if (queue.size() >= config_.max_peer_send_queue && !queue.empty()) {
-    simulator().cancel(queue.front().event);
-    queue.pop_front();
+  // capturing only the entry id; the frame lives in the queue entry.
+  const std::uint64_t peer = from.as_u64();
+  std::size_t queued = 0;
+  auto oldest = send_queue_.end();
+  for (auto it = send_queue_.begin(); it != send_queue_.end(); ++it) {
+    if (it->peer != peer) continue;
+    if (queued++ == 0) oldest = it;
+  }
+  if (queued > 0 && queued >= config_.max_peer_send_queue) {
+    simulator().cancel(oldest->event);
+    send_queue_.erase(oldest);
     ++send_queue_drops_;
   }
-  PendingSend entry;
+  PendingSend& entry = send_queue_.emplace_back();
   entry.id = next_send_id_++;
+  entry.peer = peer;
   entry.frame = std::move(frame);
   entry.tech = tech;
-  queue.push_back(std::move(entry));
-  auto send = [this, peer = from.as_u64(), id = queue.back().id] {
-    flush_pending_send(peer, id);
-  };
+  auto send = [this, id = entry.id] { flush_pending_send(id); };
   static_assert(sizeof(send) <= sim::InlineCallable::kInlineSize);
-  queue.back().event = simulator().schedule_after(cost, std::move(send));
+  entry.event = simulator().schedule_after(cost, std::move(send));
 }
 
-void Daemon::flush_pending_send(std::uint64_t peer_key, std::uint64_t send_id) {
-  const auto queue_it = send_queues_.find(peer_key);
-  if (queue_it == send_queues_.end()) return;
-  std::deque<PendingSend>& queue = queue_it->second;
-  const auto entry_it =
-      std::find_if(queue.begin(), queue.end(),
-                   [send_id](const PendingSend& e) { return e.id == send_id; });
-  if (entry_it == queue.end()) return;
-  network_.send_datagram(self_.mac, MacAddress::from_u64(peer_key),
-                         entry_it->tech, entry_it->frame);
-  queue.erase(entry_it);
-  if (queue.empty()) send_queues_.erase(queue_it);
+void Daemon::flush_pending_send(std::uint64_t send_id) {
+  // Ids ascend along the queue (appends only, erases keep the order).
+  const auto it = std::lower_bound(
+      send_queue_.begin(), send_queue_.end(), send_id,
+      [](const PendingSend& e, std::uint64_t id) { return e.id < id; });
+  if (it == send_queue_.end() || it->id != send_id) return;
+  PendingSend entry = std::move(*it);
+  send_queue_.erase(it);
+  network_.send_datagram(self_.mac, MacAddress::from_u64(entry.peer),
+                         entry.tech, std::move(entry.frame));
 }
 
 }  // namespace peerhood

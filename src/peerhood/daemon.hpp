@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -107,8 +106,9 @@ class Daemon {
  private:
   struct PendingSend {
     std::uint64_t id{0};
+    std::uint64_t peer{0};  // MacAddress::as_u64 of the requester
     sim::EventId event{sim::kInvalidEvent};
-    sim::RadioMedium::FramePtr frame;
+    net::FramePtr frame;
     Technology tech{Technology::kBluetooth};
   };
 
@@ -116,7 +116,7 @@ class Daemon {
                    std::span<const std::uint8_t> payload);
   void answer_fetch(Technology tech, MacAddress from,
                     const wire::FetchRequest& request);
-  void flush_pending_send(std::uint64_t peer_key, std::uint64_t send_id);
+  void flush_pending_send(std::uint64_t send_id);
   [[nodiscard]] SnapshotSource snapshot_source() const;
 
   net::Network& network_;
@@ -128,15 +128,18 @@ class Daemon {
   Engine engine_;
   std::vector<std::unique_ptr<Plugin>> plugins_;
   std::vector<ServiceInfo> services_;
-  SnapshotCache cache_{net::Network::kDatagramFrameTag};
+  SnapshotCache cache_{/*datagram_frames=*/true};
   // Duplicate-suppression memo: last non-shared request id seen per
   // (requester, technology). Requesters mint fresh ids per attempt (retries
   // included), so only a fault-plane duplicate repeats the latest id.
   std::map<std::pair<std::uint64_t, std::uint8_t>, std::uint32_t>
       last_request_;
   SessionStore session_store_;
-  // Capped per-peer queues of deferred fetch replies (oldest-drop).
-  std::map<std::uint64_t, std::deque<PendingSend>> send_queues_;
+  // Deferred fetch replies of every peer in one flat list, oldest first
+  // (ids ascend). Each peer's share is capped at max_peer_send_queue with
+  // oldest-drop. A handful of replies is in flight at a time, so a scan
+  // beats a per-peer container that is created and erased per answer.
+  std::vector<PendingSend> send_queue_;
   std::uint64_t next_send_id_{1};
   std::uint64_t send_queue_drops_{0};
   std::uint64_t duplicate_requests_{0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "net/frame_check.hpp"
 #include "peerhood/daemon.hpp"
 
 namespace peerhood {
@@ -42,10 +43,14 @@ void Plugin::stop() {
     // Stopped mid-inquiry: close the window without collecting responders.
     daemon_.network().cancel_inquiry(daemon_.mac(), tech_);
   }
-  if (pending_.has_value()) {
-    daemon_.simulator().cancel(pending_->timeout);
-    pending_.reset();
+  // End the fetch chain: the awaited answer's timeout is cancelled, and a
+  // pending failure completion or retry finds chain_ moved.
+  ++chain_;
+  if (pending_.awaiting) {
+    daemon_.simulator().cancel(pending_.timeout);
+    pending_.awaiting = false;
   }
+  split_ = SplitState{};
   cycle_active_ = false;
 }
 
@@ -128,147 +133,153 @@ void Plugin::process_next_responder() {
     complete_cycle();
     return;
   }
-  const FetchJob job = fetch_queue_[fetch_index_++];
-  auto done = [this, job](std::optional<wire::FetchResponse> resp) {
-    if (resp.has_value() && resp->epoch_changed && !resp->not_modified &&
-        resp->sections != wire::kSectionAll) {
-      // The responder restarted between our request and this (partial)
-      // response: overlaying it onto the stored record would mix post-
-      // restart sections with pre-restart state. Drop the baseline (already
-      // re-seeded with the new epoch by on_fetch_response — erase it fully)
-      // and requeue an unconditional full fetch this cycle instead.
-      ++stats_.epoch_invalidations;
-      peer_views_.erase(job.target);
-      fetch_queue_.push_back(FetchJob{job.target, /*full=*/true});
-      process_next_responder();
-      return;
-    }
-    bool view_consistent = false;
-    if (resp.has_value()) {
-      if (resp->not_modified) {
-        // Nothing the responder advertises moved since our baseline: skip
-        // the whole analyzer/reconcile pass — re-integrating an identical
-        // snapshot would re-reconcile every bridge route for nothing. The
-        // exchange still happened, so the RSSI sample and the freshness
-        // time stamp (Fig. 3.12) refresh exactly like a full fetch.
-        ++stats_.not_modified;
-        const int quality = sampled_quality(job.target, resp->load_percent);
-        if (quality > 0) {
-          daemon_.storage().refresh_direct(job.target, quality,
-                                           daemon_.simulator().now());
-        } else {
-          // The device answered, so it is alive even if our own position
-          // sample says the link is gone; keep the time stamp fresh.
-          daemon_.storage().touch(job.target, daemon_.simulator().now());
-        }
-        view_consistent = true;  // nothing shipped, nothing to lose
-      } else {
-        view_consistent = integrate_response(job.target, std::move(*resp));
-      }
-    }
-    if (!view_consistent) {
-      // The fetch aborted (timeout / spoof / link lost mid-fetch) after
-      // on_fetch_response may already have adopted newer generations from
-      // the parts that did arrive. Keeping that baseline would make the
-      // responder answer kNotModified for content we never integrated —
-      // drop the view so the next fetch is an unconditional full one.
-      peer_views_.erase(job.target);
-    }
-    process_next_responder();
-  };
-  if (job.full) {
-    fetch_info(job.target, std::move(done));
+  job_ = fetch_queue_[fetch_index_++];
+  if (job_.full) {
+    fetch_info();
   } else {
     const sim::TechnologyParams& params =
         daemon_.network().params(tech_);
-    fetch_section(job.target, wire::kSectionNeighbours, params.fetch_time,
-                  std::move(done));
+    fetch_section(job_.target, wire::kSectionNeighbours, params.fetch_time);
   }
 }
 
-void Plugin::fetch_info(MacAddress target, FetchCallback done) {
+void Plugin::job_done(std::optional<wire::FetchResponse> resp) {
+  const FetchJob job = job_;
+  if (resp.has_value() && resp->epoch_changed && !resp->not_modified &&
+      resp->sections != wire::kSectionAll) {
+    // The responder restarted between our request and this (partial)
+    // response: overlaying it onto the stored record would mix post-
+    // restart sections with pre-restart state. Drop the baseline (already
+    // re-seeded with the new epoch by on_fetch_response — erase it fully)
+    // and requeue an unconditional full fetch this cycle instead.
+    ++stats_.epoch_invalidations;
+    peer_views_.erase(job.target);
+    fetch_queue_.push_back(FetchJob{job.target, /*full=*/true});
+    process_next_responder();
+    return;
+  }
+  bool view_consistent = false;
+  if (resp.has_value()) {
+    if (resp->not_modified) {
+      // Nothing the responder advertises moved since our baseline: skip
+      // the whole analyzer/reconcile pass — re-integrating an identical
+      // snapshot would re-reconcile every bridge route for nothing. The
+      // exchange still happened, so the RSSI sample and the freshness
+      // time stamp (Fig. 3.12) refresh exactly like a full fetch.
+      ++stats_.not_modified;
+      const int quality = sampled_quality(job.target, resp->load_percent);
+      if (quality > 0) {
+        daemon_.storage().refresh_direct(job.target, quality,
+                                         daemon_.simulator().now());
+      } else {
+        // The device answered, so it is alive even if our own position
+        // sample says the link is gone; keep the time stamp fresh.
+        daemon_.storage().touch(job.target, daemon_.simulator().now());
+      }
+      view_consistent = true;  // nothing shipped, nothing to lose
+    } else {
+      view_consistent = integrate_response(job.target, std::move(*resp));
+    }
+  }
+  if (!view_consistent) {
+    // The fetch aborted (timeout / spoof / link lost mid-fetch) after
+    // on_fetch_response may already have adopted newer generations from
+    // the parts that did arrive. Keeping that baseline would make the
+    // responder answer kNotModified for content we never integrated —
+    // drop the view so the next fetch is an unconditional full one.
+    peer_views_.erase(job.target);
+  }
+  process_next_responder();
+}
+
+void Plugin::fetch_info() {
   const sim::TechnologyParams& params =
       daemon_.network().params(tech_);
   if (daemon_.config().unified_fetch) {
     // One longer connection fetching everything (§3.4.1 suggestion).
-    fetch_section(target, wire::kSectionAll, 2 * params.fetch_time,
-                  std::move(done));
+    fetch_section(job_.target, wire::kSectionAll, 2 * params.fetch_time);
     return;
   }
   // The paper's four short connections (Fig. 3.7), issued sequentially; any
   // failure aborts the whole fetch for this cycle.
-  auto state = std::make_shared<SplitState>();
-  auto step = std::make_shared<std::function<void()>>();
-  auto shared_done = std::make_shared<FetchCallback>(std::move(done));
-  // Ownership of `step` flows through the continuation chain: each section's
-  // callback holds the only strong reference while its request is in flight.
-  // The step function itself captures a weak_ptr — a strong self-capture
-  // would be a shared_ptr cycle that leaks the whole chain (state, callbacks)
-  // once per split fetch, completed or abandoned.
-  std::weak_ptr<std::function<void()>> weak_step = step;
-  *step = [this, target, state, weak_step, shared_done, params] {
-    if (state->next_section == 4) {
-      // Sections answered kNotModified stay absent from the assembly; the
-      // integration overlays them from the stored record. All four
-      // unchanged collapses to a kNotModified result.
-      if (state->assembled.sections == 0) {
-        state->assembled.not_modified = true;
-      }
-      (*shared_done)(std::move(state->assembled));
+  split_ = SplitState{};
+  split_.active = true;
+  split_.section_cost = params.fetch_time;
+  split_step();
+}
+
+void Plugin::split_step() {
+  if (split_.next_section == 4) {
+    // Sections answered kNotModified stay absent from the assembly; the
+    // integration overlays them from the stored record. All four
+    // unchanged collapses to a kNotModified result.
+    split_.active = false;
+    if (split_.assembled.sections == 0) split_.assembled.not_modified = true;
+    job_done(std::move(split_.assembled));
+    return;
+  }
+  const std::uint8_t section =
+      wire::kSectionOrder[static_cast<std::size_t>(split_.next_section)];
+  ++split_.next_section;
+  fetch_section(job_.target, section, split_.section_cost);
+}
+
+void Plugin::split_part_done(std::optional<wire::FetchResponse> part) {
+  if (!part.has_value()) {
+    split_.active = false;
+    job_done(std::nullopt);
+    return;
+  }
+  if (part->epoch_changed) {
+    // Responder restarted mid-assembly: every part gathered so far
+    // (including kNotModified conclusions) describes state that no longer
+    // exists. Restart the assembly once — the view was reset to the new
+    // epoch, so the re-fetches are unconditional — and abort the cycle's
+    // fetch if it happens again.
+    if (split_.epoch_retry) {
+      split_.active = false;
+      job_done(std::nullopt);
       return;
     }
-    const std::uint8_t section =
-        wire::kSectionOrder[static_cast<std::size_t>(state->next_section)];
-    ++state->next_section;
-    // Always succeeds: whoever invoked *this* function holds a strong ref
-    // for the duration of the call.
-    auto self = weak_step.lock();
-    fetch_section(
-        target, section, params.fetch_time,
-        [state, self, shared_done](std::optional<wire::FetchResponse> part) {
-          if (!part.has_value()) {
-            (*shared_done)(std::nullopt);
-            return;
-          }
-          if (part->epoch_changed) {
-            // Responder restarted mid-assembly: every part gathered so far
-            // (including kNotModified conclusions) describes state that no
-            // longer exists. Restart the assembly once — the view was reset
-            // to the new epoch, so the re-fetches are unconditional — and
-            // abort the cycle's fetch if it happens again.
-            if (state->epoch_retry) {
-              (*shared_done)(std::nullopt);
-              return;
-            }
-            state->epoch_retry = true;
-            state->assembled = wire::FetchResponse{};
-            state->next_section = 0;
-            (*self)();
-            return;
-          }
-          if ((part->sections & wire::kSectionDevice) != 0) {
-            state->assembled.device = std::move(part->device);
-          }
-          if ((part->sections & wire::kSectionPrototypes) != 0) {
-            state->assembled.prototypes = std::move(part->prototypes);
-          }
-          if ((part->sections & wire::kSectionServices) != 0) {
-            state->assembled.services = std::move(part->services);
-          }
-          if ((part->sections & wire::kSectionNeighbours) != 0) {
-            state->assembled.neighbours = std::move(part->neighbours);
-          }
-          state->assembled.sections |= part->sections;
-          state->assembled.load_percent = part->load_percent;
-          (*self)();
-        });
-  };
-  (*step)();
+    split_.epoch_retry = true;
+    split_.assembled = wire::FetchResponse{};
+    split_.next_section = 0;
+    split_step();
+    return;
+  }
+  wire::FetchResponse& assembled = split_.assembled;
+  if ((part->sections & wire::kSectionDevice) != 0) {
+    assembled.device = std::move(part->device);
+  }
+  if ((part->sections & wire::kSectionPrototypes) != 0) {
+    assembled.prototypes = std::move(part->prototypes);
+  }
+  if ((part->sections & wire::kSectionServices) != 0) {
+    assembled.services = std::move(part->services);
+  }
+  if ((part->sections & wire::kSectionNeighbours) != 0) {
+    assembled.neighbours = std::move(part->neighbours);
+  }
+  assembled.sections |= part->sections;
+  assembled.load_percent = part->load_percent;
+  split_step();
+}
+
+void Plugin::fetch_done(std::optional<wire::FetchResponse> response) {
+  if (split_.active) {
+    split_part_done(std::move(response));
+  } else {
+    job_done(std::move(response));
+  }
 }
 
 void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
-                           SimDuration cost, FetchCallback done, int attempt) {
+                           SimDuration cost, int attempt) {
   ++stats_.fetch_attempts;
+  pending_.target = target;
+  pending_.sections = sections;
+  pending_.cost = cost;
+  pending_.attempt = attempt;
   sim::Simulator& sim = daemon_.simulator();
   const sim::TechnologyParams& params =
       daemon_.network().params(tech_);
@@ -276,12 +287,11 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
   // "even if the devices have strong enough signal", §4.3).
   if (sim.rng().bernoulli(params.fetch_failure_prob)) {
     ++stats_.fetch_failures;
-    // `done` continues the fetch chain through raw-`this` captures; the
-    // token parks the event harmlessly if the plugin dies before it fires.
-    sim.schedule_after(cost, [token = sentinel_.token(),
-                              done = std::move(done)] {
-      if (token.expired()) return;
-      done(std::nullopt);
+    // The token parks the event harmlessly if the plugin dies before it
+    // fires; the chain generation ends it if the plugin was stopped.
+    sim.schedule_after(cost, [this, token = sentinel_.token(), chain = chain_] {
+      if (token.expired() || chain != chain_) return;
+      fetch_done(std::nullopt);
     });
     return;
   }
@@ -300,49 +310,51 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
           wire::FetchBaseline{view->second.epoch, view->second.gens};
     }
   }
-  daemon_.network().send_datagram(daemon_.mac(), target, tech_,
-                                  wire::encode(request));
-  PendingFetch pending;
-  pending.target = target;
-  pending.request_id = request_id;
-  pending.done = std::move(done);
+  // The request is encoded straight into its sealed datagram frame.
+  daemon_.network().send_datagram(
+      daemon_.mac(), target, tech_,
+      net::make_datagram_frame(wire::kMaxFetchRequestSize,
+                               [&request](ByteWriter& writer) {
+                                 wire::encode_into(writer, request);
+                               }));
+  pending_.request_id = request_id;
+  pending_.awaiting = true;
   const DaemonConfig& cfg = daemon_.config();
   const SimDuration deadline =
       seconds(std::chrono::duration<double>(cost).count() *
               cfg.fetch_timeout_mult) +
       cfg.fetch_timeout_extra;
-  pending.timeout =
-      sim.schedule_after(deadline, [this, target, sections, cost, attempt] {
-        if (!pending_.has_value()) return;
-        ++stats_.fetch_timeouts;
-        FetchCallback cb = std::move(pending_->done);
-        pending_.reset();
-        const DaemonConfig& cfg = daemon_.config();
-        if (attempt < cfg.fetch_retries) {
-          // Re-ask after a jittered, doubling backoff: a loss burst that ate
-          // the response (or the request) may still be in progress, and
-          // synchronised retries from several requesters would pile onto the
-          // same responder.
-          ++stats_.fetch_retries;
-          sim::Simulator& sim = daemon_.simulator();
-          const double base =
-              std::chrono::duration<double>(cfg.fetch_retry_backoff).count() *
-              static_cast<double>(std::uint64_t{1} << attempt);
-          const double scale = sim.rng().uniform(1.0 - cfg.fetch_retry_jitter,
-                                                 1.0 + cfg.fetch_retry_jitter);
-          sim.schedule_after(
-              seconds(base * scale),
-              [this, token = sentinel_.token(), target, sections, cost,
-               attempt, cb = std::move(cb)]() mutable {
-                if (token.expired() || stopped_) return;
-                fetch_section(target, sections, cost, std::move(cb),
-                              attempt + 1);
-              });
-          return;
-        }
-        cb(std::nullopt);
-      });
-  pending_ = std::move(pending);
+  pending_.timeout = sim.schedule_after(deadline, [this] {
+    on_fetch_timeout();
+  });
+}
+
+void Plugin::on_fetch_timeout() {
+  if (!pending_.awaiting) return;
+  ++stats_.fetch_timeouts;
+  pending_.awaiting = false;
+  const DaemonConfig& cfg = daemon_.config();
+  if (pending_.attempt < cfg.fetch_retries) {
+    // Re-ask after a jittered, doubling backoff: a loss burst that ate the
+    // response (or the request) may still be in progress, and synchronised
+    // retries from several requesters would pile onto the same responder.
+    ++stats_.fetch_retries;
+    sim::Simulator& sim = daemon_.simulator();
+    const double base =
+        std::chrono::duration<double>(cfg.fetch_retry_backoff).count() *
+        static_cast<double>(std::uint64_t{1} << pending_.attempt);
+    const double scale = sim.rng().uniform(1.0 - cfg.fetch_retry_jitter,
+                                           1.0 + cfg.fetch_retry_jitter);
+    sim.schedule_after(
+        seconds(base * scale),
+        [this, token = sentinel_.token(), chain = chain_] {
+          if (token.expired() || chain != chain_) return;
+          fetch_section(pending_.target, pending_.sections, pending_.cost,
+                        pending_.attempt + 1);
+        });
+    return;
+  }
+  fetch_done(std::nullopt);
 }
 
 void Plugin::on_fetch_response(MacAddress from,
@@ -350,11 +362,11 @@ void Plugin::on_fetch_response(MacAddress from,
   // Shared cached frames cannot echo our id (wire::kSharedRequestId); they
   // are matched by peer address instead — a response always arrives (if at
   // all) well inside the pending window, so the address is unambiguous.
-  if (!pending_.has_value() || pending_->target != from) {
+  if (!pending_.awaiting || pending_.target != from) {
     ++stats_.stale_responses;  // unsolicited, late or duplicated on the air
     return;
   }
-  if (response.request_id != pending_->request_id &&
+  if (response.request_id != pending_.request_id &&
       response.request_id != wire::kSharedRequestId) {
     ++stats_.stale_responses;  // answers a fetch we already gave up on
     return;
@@ -379,13 +391,12 @@ void Plugin::on_fetch_response(MacAddress from,
       view.known |= section;
     }
   }
-  daemon_.simulator().cancel(pending_->timeout);
-  FetchCallback cb = std::move(pending_->done);
-  pending_.reset();
+  daemon_.simulator().cancel(pending_.timeout);
+  pending_.awaiting = false;
   // The response is ours (decoded from the frame, never re-sent), so the
   // requester-side epoch_changed annotation is set in place and the whole
   // response moves on to the fetch chain.
-  cb(std::move(response));
+  fetch_done(std::move(response));
 }
 
 int Plugin::sampled_quality(MacAddress target, std::uint8_t load_percent) {

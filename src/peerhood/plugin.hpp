@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -74,17 +73,29 @@ class Plugin {
   void forget_peers();
 
  private:
-  using FetchCallback =
-      std::function<void(std::optional<wire::FetchResponse>)>;
-
   void begin_cycle();
   void end_inquiry();
+  // Starts the next queued fetch job, or completes the cycle when none is
+  // left.
   void process_next_responder();
-  // Issues the information fetch for one device: either the unified single
+  // Issues the information fetch for job_: either the unified single
   // exchange or the paper's four short exchanges (§3.4.1).
-  void fetch_info(MacAddress target, FetchCallback done);
+  void fetch_info();
+  // Requests the next section of a split fetch, or hands the finished
+  // assembly to job_done.
+  void split_step();
+  // One request/response exchange: sets pending_ and either sends the
+  // request or schedules the short-connection failure.
   void fetch_section(MacAddress target, std::uint8_t sections,
-                     SimDuration cost, FetchCallback done, int attempt = 0);
+                     SimDuration cost, int attempt = 0);
+  void on_fetch_timeout();
+  // The fetch chain's continuation: every exchange ends here exactly once,
+  // with the response or nullopt (failure / timeout). Feeds the split
+  // assembly when one is active, job_done otherwise.
+  void fetch_done(std::optional<wire::FetchResponse> response);
+  void split_part_done(std::optional<wire::FetchResponse> part);
+  // Integrates (or drops) the finished fetch for job_ and moves on.
+  void job_done(std::optional<wire::FetchResponse> response);
   // Samples the link RSSI to `target` (§3.4.1), de-rated by the responder's
   // advertised bridge load when configured (§4). <= 0 means out of range.
   [[nodiscard]] int sampled_quality(MacAddress target,
@@ -103,9 +114,13 @@ class Plugin {
   sim::EventId inquiry_end_event_{sim::kInvalidEvent};
   bool stopped_{true};
   bool cycle_active_{false};
-  // Guards the per-fetch completion closures (they capture `this` and are
+  // Guards the scheduled fetch continuations (they capture `this` and are
   // owned by the event queue, which can outlive this plugin's daemon).
   DestructionSentinel sentinel_;
+  // Fetch-chain generation, bumped by stop(): a failure completion or retry
+  // scheduled before the stop finds it moved and ends there, so a stopped
+  // plugin sends nothing and a restarted one runs exactly one chain.
+  std::uint64_t chain_{0};
 
   // Per-cycle state.
   struct FetchJob {
@@ -115,14 +130,22 @@ class Plugin {
   std::vector<FetchJob> fetch_queue_;
   std::vector<MacAddress> cycle_responders_;
   std::size_t fetch_index_{0};
+  // The job being fetched. One fetch is in flight per plugin at a time, so
+  // the whole chain's state lives in the members below.
+  FetchJob job_;
 
+  // The current exchange. `awaiting` is set while its request is on the
+  // air; target, sections, cost and attempt outlive it for the retry.
   struct PendingFetch {
     MacAddress target;
     std::uint32_t request_id{0};
+    std::uint8_t sections{0};
+    SimDuration cost{};
+    int attempt{0};
     sim::EventId timeout{sim::kInvalidEvent};
-    FetchCallback done;
+    bool awaiting{false};
   };
-  std::optional<PendingFetch> pending_;
+  PendingFetch pending_;
   // Ids are minted from 1: wire::kSharedRequestId marks the responder's
   // shared cached frames, which are matched by peer address instead.
   std::uint32_t next_request_id_{1};
@@ -141,14 +164,17 @@ class Plugin {
   // the neighbours baselines above (see end_inquiry).
   std::uint32_t storage_weakening_gen_{0};
 
-  // Split-fetch assembly state.
+  // Split-fetch assembly state (the paper's four short exchanges).
   struct SplitState {
+    bool active{false};
     wire::FetchResponse assembled;
     int next_section{0};
+    SimDuration section_cost{};
     // The assembly was already restarted once after a mid-conversation
     // epoch change; a second change aborts the fetch for this cycle.
     bool epoch_retry{false};
   };
+  SplitState split_;
 
   Stats stats_;
 };

@@ -1,5 +1,7 @@
 #include "peerhood/protocol.hpp"
 
+#include <algorithm>
+
 namespace peerhood::wire {
 
 std::uint32_t& SectionGens::of(std::uint8_t section_bit) {
@@ -81,35 +83,42 @@ ConnectRequest decode_connect_body(ByteReader& reader) {
   return request;
 }
 
-void encode_snapshot_entry(ByteWriter& writer,
-                           const NeighbourSnapshotEntry& entry) {
-  writer.reserve(31 + entry.prototypes.size());
-  encode_device(writer, entry.device);
-  writer.u8(static_cast<std::uint8_t>(entry.prototypes.size()));
-  for (const Technology tech : entry.prototypes) {
-    writer.u8(static_cast<std::uint8_t>(tech));
+// Smallest encoded service (two empty strings and the port) and snapshot
+// entry (empty strings and lists): they bound the decoders' reserves by the
+// bytes actually received.
+constexpr std::size_t kMinServiceSize = 6;
+constexpr std::size_t kMinSnapshotEntrySize = 30;
+
+// Reserves room for `count` wire elements of at least `min_size` bytes each,
+// but never more than the remaining input could hold: the count is
+// untrusted, so a lying header cannot make the decoder over-allocate.
+template <typename T>
+void reserve_from_wire(std::vector<T>& out, std::size_t count,
+                       const ByteReader& reader, std::size_t min_size) {
+  out.reserve(std::min(count, reader.remaining() / min_size));
+}
+
+void decode_prototypes(ByteReader& reader, std::vector<Technology>& out) {
+  const std::size_t count = reader.u8();
+  reserve_from_wire(out, count, reader, 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(decode_technology(reader));
   }
-  writer.u16(static_cast<std::uint16_t>(entry.services.size()));
-  for (const ServiceInfo& service : entry.services) {
-    encode_service(writer, service);
+}
+
+void decode_services(ByteReader& reader, std::vector<ServiceInfo>& out) {
+  const std::size_t count = reader.u16();
+  reserve_from_wire(out, count, reader, kMinServiceSize);
+  for (std::size_t i = 0; i < count && reader.ok(); ++i) {
+    out.push_back(decode_service(reader));
   }
-  writer.u8(static_cast<std::uint8_t>(entry.jump));
-  writer.u64(entry.bridge.as_u64());
-  writer.u16(static_cast<std::uint16_t>(entry.quality_sum));
-  writer.u8(static_cast<std::uint8_t>(entry.min_link_quality));
 }
 
 NeighbourSnapshotEntry decode_snapshot_entry(ByteReader& reader) {
   NeighbourSnapshotEntry entry;
   entry.device = decode_device(reader);
-  const std::size_t proto_count = reader.u8();
-  for (std::size_t i = 0; i < proto_count; ++i) {
-    entry.prototypes.push_back(decode_technology(reader));
-  }
-  const std::size_t service_count = reader.u16();
-  for (std::size_t i = 0; i < service_count && reader.ok(); ++i) {
-    entry.services.push_back(decode_service(reader));
-  }
+  decode_prototypes(reader, entry.prototypes);
+  decode_services(reader, entry.services);
   entry.jump = reader.u8();
   entry.bridge = MacAddress::from_u64(reader.u64());
   entry.quality_sum = reader.u16();
@@ -151,6 +160,30 @@ ServiceInfo decode_service(ByteReader& reader) {
   return service;
 }
 
+void encode_response_header(ByteWriter& writer, std::uint32_t request_id,
+                            std::uint8_t sections, std::uint8_t load_percent,
+                            std::uint64_t epoch) {
+  writer.u8(static_cast<std::uint8_t>(Command::kFetchResponse));
+  writer.u32(request_id);
+  writer.u8(sections);
+  writer.u8(load_percent);
+  writer.u64(epoch);
+}
+
+void encode_prototypes(ByteWriter& writer,
+                       const std::vector<Technology>& prototypes) {
+  writer.u8(static_cast<std::uint8_t>(prototypes.size()));
+  for (const Technology tech : prototypes) {
+    writer.u8(static_cast<std::uint8_t>(tech));
+  }
+}
+
+void encode_services(ByteWriter& writer,
+                     const std::vector<ServiceInfo>& services) {
+  writer.u16(static_cast<std::uint16_t>(services.size()));
+  for (const ServiceInfo& service : services) encode_service(writer, service);
+}
+
 void encode_into(ByteWriter& writer, const FetchRequest& request) {
   writer.reserve(7 + (request.baseline.has_value() ? 24 : 0));
   writer.u8(static_cast<std::uint8_t>(Command::kFetchRequest));
@@ -181,30 +214,21 @@ void encode_into(ByteWriter& writer, const FetchResponse& response) {
     writer.u8(response.load_percent);
     return;
   }
-  writer.reserve(15 + 32 * response.services.size() +
+  writer.reserve(kResponseHeaderSize + 32 * response.services.size() +
                  64 * response.neighbours.size());
-  writer.u8(static_cast<std::uint8_t>(Command::kFetchResponse));
-  writer.u32(response.request_id);
-  writer.u8(response.sections);
-  writer.u8(response.load_percent);
-  writer.u64(response.epoch);
+  encode_response_header(writer, response.request_id, response.sections,
+                         response.load_percent, response.epoch);
   if ((response.sections & kSectionDevice) != 0) {
     writer.u32(response.gens.device);
     encode_device(writer, response.device);
   }
   if ((response.sections & kSectionPrototypes) != 0) {
     writer.u32(response.gens.prototypes);
-    writer.u8(static_cast<std::uint8_t>(response.prototypes.size()));
-    for (const Technology tech : response.prototypes) {
-      writer.u8(static_cast<std::uint8_t>(tech));
-    }
+    encode_prototypes(writer, response.prototypes);
   }
   if ((response.sections & kSectionServices) != 0) {
     writer.u32(response.gens.services);
-    writer.u16(static_cast<std::uint16_t>(response.services.size()));
-    for (const ServiceInfo& service : response.services) {
-      encode_service(writer, service);
-    }
+    encode_services(writer, response.services);
   }
   if ((response.sections & kSectionNeighbours) != 0) {
     writer.u32(response.gens.neighbours);
@@ -274,21 +298,17 @@ std::optional<FetchResponse> decode_fetch_response(
   }
   if ((response.sections & kSectionPrototypes) != 0) {
     response.gens.prototypes = reader.u32();
-    const std::size_t count = reader.u8();
-    for (std::size_t i = 0; i < count; ++i) {
-      response.prototypes.push_back(decode_technology(reader));
-    }
+    decode_prototypes(reader, response.prototypes);
   }
   if ((response.sections & kSectionServices) != 0) {
     response.gens.services = reader.u32();
-    const std::size_t count = reader.u16();
-    for (std::size_t i = 0; i < count && reader.ok(); ++i) {
-      response.services.push_back(decode_service(reader));
-    }
+    decode_services(reader, response.services);
   }
   if ((response.sections & kSectionNeighbours) != 0) {
     response.gens.neighbours = reader.u32();
     const std::size_t count = reader.u16();
+    reserve_from_wire(response.neighbours, count, reader,
+                      kMinSnapshotEntrySize);
     for (std::size_t i = 0; i < count && reader.ok(); ++i) {
       response.neighbours.push_back(decode_snapshot_entry(reader));
     }

@@ -94,6 +94,8 @@ struct FetchRequest {
   // Present iff the requester holds versions for every requested section.
   std::optional<FetchBaseline> baseline;
 };
+// Command, id, sections, flags, then the optional u64 epoch + 4 u32 gens.
+inline constexpr std::size_t kMaxFetchRequestSize = 7 + 24;
 
 // Cached response frames are shared verbatim between requesters, so they
 // cannot echo a per-request id; they carry kSharedRequestId instead and the
@@ -203,5 +205,62 @@ void encode_device(ByteWriter& writer, const DeviceInfo& device);
 [[nodiscard]] DeviceInfo decode_device(ByteReader& reader);
 void encode_service(ByteWriter& writer, const ServiceInfo& service);
 [[nodiscard]] ServiceInfo decode_service(ByteReader& reader);
+
+// ---------------------------------------------------------------------------
+// Fetch-response pieces. encode_into(FetchResponse) writes a decoded struct;
+// the snapshot cache writes the same layout straight from the responder's
+// live state (no FetchResponse copy of the storage). Both are built from
+// these pieces, and test_snapshot_delta (EncodesLikeTheResponseStructEncoder)
+// pins their output byte-identical.
+
+// Command, request id, section bits, load and epoch (kResponseHeaderSize).
+void encode_response_header(ByteWriter& writer, std::uint32_t request_id,
+                            std::uint8_t sections, std::uint8_t load_percent,
+                            std::uint64_t epoch);
+inline constexpr std::size_t kResponseHeaderSize = 15;
+// u8 count + one byte per technology.
+void encode_prototypes(ByteWriter& writer,
+                       const std::vector<Technology>& prototypes);
+// u16 count + each service.
+void encode_services(ByteWriter& writer,
+                     const std::vector<ServiceInfo>& services);
+
+// Upper bounds on the encoded sizes (exact unless a string exceeds the u16
+// length prefix and is truncated), for one-allocation response buffers.
+[[nodiscard]] inline std::size_t encoded_size(const DeviceInfo& device) {
+  return 15 + device.name.size();
+}
+[[nodiscard]] inline std::size_t encoded_size(
+    const std::vector<ServiceInfo>& services) {
+  std::size_t size = 2;
+  for (const ServiceInfo& service : services) {
+    size += 6 + service.name.size() + service.attribute.size();
+  }
+  return size;
+}
+
+// One neighbourhood-snapshot entry. `Entry` is NeighbourSnapshotEntry or a
+// DeviceRecord — the snapshot cache encodes storage records in place.
+//
+// KEEP IN SYNC with DeviceStorage::advertised_equal (device_storage.cpp):
+// a field shipped here but missing there would let the snapshot cache serve
+// stale frames as kNotModified. tests/test_device_storage.cpp
+// (GenerationCoversEveryAdvertisedField) flips each field one by one.
+template <typename Entry>
+[[nodiscard]] std::size_t snapshot_entry_size(const Entry& entry) {
+  return encoded_size(entry.device) + 1 + entry.prototypes.size() +
+         encoded_size(entry.services) + 12;
+}
+template <typename Entry>
+void encode_snapshot_entry(ByteWriter& writer, const Entry& entry) {
+  writer.reserve(snapshot_entry_size(entry));
+  encode_device(writer, entry.device);
+  encode_prototypes(writer, entry.prototypes);
+  encode_services(writer, entry.services);
+  writer.u8(static_cast<std::uint8_t>(entry.jump));
+  writer.u64(entry.bridge.as_u64());
+  writer.u16(static_cast<std::uint16_t>(entry.quality_sum));
+  writer.u8(static_cast<std::uint8_t>(entry.min_link_quality));
+}
 
 }  // namespace peerhood::wire

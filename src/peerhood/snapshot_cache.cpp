@@ -1,6 +1,7 @@
 #include "peerhood/snapshot_cache.hpp"
 
-#include "discovery/analyzer.hpp"
+#include <utility>
+
 #include "net/frame_check.hpp"
 
 namespace peerhood {
@@ -23,44 +24,81 @@ bool SnapshotCache::sections_equal(std::uint8_t sections,
   return true;
 }
 
-SnapshotCache::FramePtr SnapshotCache::encode_frame(
-    const wire::FetchResponse& response) const {
-  ByteWriter writer;
-  if (prefix_.has_value()) {
-    // Datagram-ready frame: sealed integrity header + tag + body, baked in
-    // once so every requester at this generation ships the same allocation.
-    net::begin_frame(writer);
-    writer.u8(*prefix_);
-    wire::encode_into(writer, response);
-    Bytes frame = std::move(writer).take();
-    net::seal_frame(frame);
-    return std::make_shared<const Bytes>(std::move(frame));
+template <typename WriteBody>
+SnapshotCache::FramePtr SnapshotCache::make_frame(
+    std::size_t body_size, WriteBody&& write_body) const {
+  if (datagram_frames_) {
+    return net::make_datagram_frame(body_size,
+                                    std::forward<WriteBody>(write_body));
   }
-  wire::encode_into(writer, response);
+  ByteWriter writer;
+  writer.reserve(body_size);
+  std::forward<WriteBody>(write_body)(writer);
   return std::make_shared<const Bytes>(std::move(writer).take());
 }
 
-wire::FetchResponse SnapshotCache::build_response(
-    std::uint8_t sections, const SnapshotSource& src) const {
-  wire::FetchResponse response;
-  response.request_id = wire::kSharedRequestId;
-  response.sections = sections;
-  response.load_percent = src.load_percent;
-  response.epoch = src.epoch;
-  response.gens = src.gens;
-  if ((sections & wire::kSectionDevice) != 0 && src.device != nullptr) {
-    response.device = *src.device;
+SnapshotCache::FramePtr SnapshotCache::encode_sections(
+    std::uint32_t request_id, std::uint8_t sections,
+    const SnapshotSource& src) const {
+  // Absent source parts encode as empty, like a default FetchResponse.
+  static const DeviceInfo kNoDevice;
+  static const std::vector<Technology> kNoPrototypes;
+  static const std::vector<ServiceInfo> kNoServices;
+  const DeviceInfo& device = src.device != nullptr ? *src.device : kNoDevice;
+  const std::vector<Technology>& prototypes =
+      src.prototypes != nullptr ? *src.prototypes : kNoPrototypes;
+  const std::vector<ServiceInfo>& services =
+      src.services != nullptr ? *src.services : kNoServices;
+  const bool neighbours = (sections & wire::kSectionNeighbours) != 0 &&
+                          src.storage != nullptr;
+
+  // Size pass first, so the buffer is allocated once whatever the storage
+  // holds. Each present section is its u32 generation plus its payload.
+  std::size_t size = wire::kResponseHeaderSize;
+  if ((sections & wire::kSectionDevice) != 0) {
+    size += 4 + wire::encoded_size(device);
   }
-  if ((sections & wire::kSectionPrototypes) != 0 && src.prototypes != nullptr) {
-    response.prototypes = *src.prototypes;
+  if ((sections & wire::kSectionPrototypes) != 0) {
+    size += 4 + 1 + prototypes.size();
   }
-  if ((sections & wire::kSectionServices) != 0 && src.services != nullptr) {
-    response.services = *src.services;
+  if ((sections & wire::kSectionServices) != 0) {
+    size += 4 + wire::encoded_size(services);
   }
-  if ((sections & wire::kSectionNeighbours) != 0 && src.storage != nullptr) {
-    response.neighbours = snapshot_entries(*src.storage);
+  if ((sections & wire::kSectionNeighbours) != 0) {
+    size += 4 + 2;
+    if (neighbours) {
+      src.storage->for_each([&size](const DeviceRecord& record) {
+        size += wire::snapshot_entry_size(record);
+      });
+    }
   }
-  return response;
+
+  return make_frame(size, [&](ByteWriter& writer) {
+    wire::encode_response_header(writer, request_id, sections,
+                                 src.load_percent, src.epoch);
+    if ((sections & wire::kSectionDevice) != 0) {
+      writer.u32(src.gens.device);
+      wire::encode_device(writer, device);
+    }
+    if ((sections & wire::kSectionPrototypes) != 0) {
+      writer.u32(src.gens.prototypes);
+      wire::encode_prototypes(writer, prototypes);
+    }
+    if ((sections & wire::kSectionServices) != 0) {
+      writer.u32(src.gens.services);
+      wire::encode_services(writer, services);
+    }
+    if ((sections & wire::kSectionNeighbours) != 0) {
+      writer.u32(src.gens.neighbours);
+      writer.u16(static_cast<std::uint16_t>(
+          neighbours ? src.storage->size() : 0));
+      if (neighbours) {
+        src.storage->for_each([&writer](const DeviceRecord& record) {
+          wire::encode_snapshot_entry(writer, record);
+        });
+      }
+    }
+  });
 }
 
 SnapshotCache::FramePtr SnapshotCache::respond(
@@ -86,7 +124,9 @@ SnapshotCache::FramePtr SnapshotCache::respond(
       response.not_modified = true;
       response.request_id = wire::kSharedRequestId;
       response.load_percent = src.load_percent;
-      FramePtr frame = encode_frame(response);
+      FramePtr frame = make_frame(6, [&response](ByteWriter& writer) {
+        wire::encode_into(writer, response);
+      });
       if (caching_) {
         not_modified_ = frame;
         not_modified_load_ = src.load_percent;
@@ -96,9 +136,7 @@ SnapshotCache::FramePtr SnapshotCache::respond(
     // Deltas are requester-specific (they depend on the baseline), so they
     // are encoded afresh and can echo the real request id.
     ++stats_.deltas;
-    wire::FetchResponse response = build_response(changed, src);
-    response.request_id = request.request_id;
-    return encode_frame(response);
+    return encode_sections(request.request_id, changed, src);
   }
 
   // Full response: no baseline, or the responder restarted since the
@@ -111,7 +149,7 @@ SnapshotCache::FramePtr SnapshotCache::respond(
     return slot.frame;
   }
   ++stats_.full_encodes;
-  FramePtr frame = encode_frame(build_response(sections, src));
+  FramePtr frame = encode_sections(wire::kSharedRequestId, sections, src);
   if (caching_) {
     slot.frame = frame;
     slot.gens = src.gens;

@@ -25,7 +25,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "discovery/device_storage.hpp"
 #include "peerhood/protocol.hpp"
@@ -57,12 +56,11 @@ class SnapshotCache {
     std::uint64_t not_modified{0};  // kNotModified served
   };
 
-  // `frame_prefix`, when set, is baked in front of every produced frame —
-  // the daemon passes the net-layer datagram tag so cached buffers can be
-  // handed to SimNetwork::send_datagram without a prepend copy.
-  explicit SnapshotCache(std::optional<std::uint8_t> frame_prefix =
-                             std::nullopt)
-      : prefix_{frame_prefix} {}
+  // With `datagram_frames` every produced buffer is a complete sealed
+  // datagram frame (net::make_datagram_frame) that the daemon hands to
+  // Network::send_datagram as is; without, it is the bare encoded response.
+  explicit SnapshotCache(bool datagram_frames = false)
+      : datagram_frames_{datagram_frames} {}
 
   // When disabled the cache encodes every reply afresh (the pre-cache
   // behaviour, kept for the ablation bench); conditional requests are still
@@ -91,13 +89,18 @@ class SnapshotCache {
                                            const wire::SectionGens& a,
                                            const wire::SectionGens& b);
 
-  [[nodiscard]] FramePtr encode_frame(const wire::FetchResponse& response)
-      const;
-  [[nodiscard]] wire::FetchResponse build_response(std::uint8_t sections,
-                                                   const SnapshotSource& src)
-      const;
+  // Wraps `write_body` output in a datagram frame or a bare buffer.
+  template <typename WriteBody>
+  [[nodiscard]] FramePtr make_frame(std::size_t body_size,
+                                    WriteBody&& write_body) const;
+  // Encodes a response carrying `sections` straight from `src` — device,
+  // prototypes, services and the storage records in place, no intermediate
+  // FetchResponse — into one exactly-sized buffer.
+  [[nodiscard]] FramePtr encode_sections(std::uint32_t request_id,
+                                         std::uint8_t sections,
+                                         const SnapshotSource& src) const;
 
-  std::optional<std::uint8_t> prefix_;
+  bool datagram_frames_;
   bool caching_{true};
   // One cached full response per requested-sections bitmask (0..15).
   std::array<CachedFull, 16> full_{};

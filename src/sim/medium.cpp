@@ -236,9 +236,8 @@ const RadioMedium::LinkCacheEntry& RadioMedium::link_cache_entry(
     const Endpoint& ea, const Endpoint& eb) const {
   const std::uint64_t ka = ea.mac.as_u64();
   const std::uint64_t kb = eb.mac.as_u64();
-  const auto key = std::tuple{std::min(ka, kb), std::max(ka, kb),
-                              static_cast<std::uint8_t>(ea.tech)};
-  LinkCacheEntry& entry = link_cache_[key];
+  LinkCacheEntry& entry =
+      link_cache_[link_key(std::min(ka, kb), std::max(ka, kb), ea.tech)];
   if (entry.gen == position_gen_) {
     ++quality_stats_.cache_hits;
     return entry;
@@ -501,13 +500,14 @@ std::vector<MacAddress> RadioMedium::in_range_of_brute(MacAddress mac,
   if (origin == nullptr) return out;
   const Vec2 at = origin->mobility->position_at(sim_.now());
   const double range = params(tech).range_m;
-  // endpoints_ iterates in ascending (mac, tech) order, so `out` comes back
-  // in ascending MAC order — the same contract as the grid path.
   for (const auto& [k, endpoint] : endpoints_) {
     if (endpoint.tech != tech || endpoint.mac == mac) continue;
     const Vec2 pos = endpoint.mobility->position_at(sim_.now());
     if (within_range(at, pos, range)) out.push_back(endpoint.mac);
   }
+  // endpoints_ is hashed: sort into ascending MAC order, the same contract
+  // as the grid path.
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -606,9 +606,7 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
     if (copy == 1) deliver_at = deliver_at + fault.duplicate_lag;
 
     if (!fault.reorder) {
-      const auto dir_key = std::tuple{from.as_u64(), to.as_u64(),
-                                      static_cast<std::uint8_t>(tech)};
-      auto& last = last_delivery_[dir_key];
+      auto& last = last_delivery_[link_key(from.as_u64(), to.as_u64(), tech)];
       if (deliver_at <= last) deliver_at = last + microseconds(1);
       last = deliver_at;
       if (last_delivery_.size() >= last_delivery_sweep_limit_) {

@@ -25,9 +25,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -305,13 +305,32 @@ class RadioMedium {
     std::uint64_t grid_gen{0};
     // Registered endpoints whose mobility model is not static — the only
     // ones the incremental refresh must look at. Pointers stay valid:
-    // endpoints_ is a node-stable map.
+    // endpoints_ is node-based.
     std::vector<const Endpoint*> mobiles;
   };
 
-  using Key = std::pair<std::uint64_t, std::uint8_t>;  // (mac, tech)
-  [[nodiscard]] static Key key(MacAddress mac, Technology tech) {
-    return {mac.as_u64(), static_cast<std::uint8_t>(tech)};
+  // (mac, tech) in one word: MACs are 48-bit.
+  [[nodiscard]] static std::uint64_t key(MacAddress mac, Technology tech) {
+    return (mac.as_u64() << 8) | static_cast<std::uint8_t>(tech);
+  }
+  // A (mac, mac, tech) link: the first MAC, then the second packed with the
+  // technology.
+  struct LinkKey {
+    std::uint64_t a{0};
+    std::uint64_t b_tech{0};
+    friend bool operator==(const LinkKey&, const LinkKey&) = default;
+  };
+  struct LinkKeyHash {
+    std::size_t operator()(const LinkKey& k) const noexcept {
+      std::uint64_t h = k.a * 0x9e3779b97f4a7c15ULL ^ k.b_tech;
+      h ^= h >> 31;
+      h *= 0xbf58476d1ce4e5b9ULL;
+      return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+  };
+  [[nodiscard]] static LinkKey link_key(std::uint64_t a, std::uint64_t b,
+                                        Technology tech) {
+    return {a, (b << 8) | static_cast<std::uint8_t>(tech)};
   }
 
   [[nodiscard]] static std::size_t tech_index(Technology tech);
@@ -358,7 +377,10 @@ class RadioMedium {
   Simulator::TimeObserverId time_observer_{0};
   LinkQualityModel quality_model_;
   Rng noise_rng_;
-  std::map<Key, Endpoint> endpoints_;
+  // Hashed by key(): every frame, sample and inquiry resolves endpoints
+  // here. Node-based, so Endpoint pointers (grid payloads, mobile lists)
+  // stay valid across rehashes.
+  std::unordered_map<std::uint64_t, Endpoint> endpoints_;
   mutable std::array<TechState, kTechnologyCount> tech_;
   // Bumped by the Simulator time observer whenever the clock advances; every
   // cached position / grid tagged with an older generation is stale.
@@ -366,8 +388,7 @@ class RadioMedium {
   // Last scheduled delivery per directed (from, to, tech) — preserves frame
   // ordering within a direction. Aged via age_last_delivery() once it grows
   // past last_delivery_sweep_limit_.
-  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint8_t>, SimTime>
-      last_delivery_;
+  std::unordered_map<LinkKey, SimTime, LinkKeyHash> last_delivery_;
   std::size_t last_delivery_sweep_limit_{kLastDeliveryMinSweep};
   static constexpr std::size_t kLastDeliveryMinSweep = 64;
   TrafficStats stats_;
@@ -381,8 +402,7 @@ class RadioMedium {
   std::size_t live_observers_{0};
   // Keyed (min mac, max mac, tech); generation-tagged like the position
   // cache, swept when it outgrows the live working set.
-  mutable std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint8_t>,
-                   LinkCacheEntry>
+  mutable std::unordered_map<LinkKey, LinkCacheEntry, LinkKeyHash>
       link_cache_;
   mutable std::size_t link_cache_sweep_limit_{kLastDeliveryMinSweep};
   mutable QualityStats quality_stats_;

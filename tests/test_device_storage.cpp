@@ -299,7 +299,7 @@ TEST(DeviceStorage, GenerationCoversEveryAdvertisedField) {
   // Every field a NeighbourSnapshotEntry ships must, when changed alone,
   // move the generation — otherwise the snapshot cache would serve stale
   // frames as kNotModified. Mirrors the field list in advertised_equal /
-  // snapshot_entries / encode_snapshot_entry.
+  // encode_snapshot_entry.
   const auto base = [] {
     DeviceRecord r = direct(1, 250);
     r.device.name = "n1";

@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"
 #include "peerhood/daemon.hpp"
+#include "scripted_network.hpp"
 
 namespace {
 
@@ -66,69 +66,6 @@ namespace {
 const MacAddress kSelf = MacAddress::from_index(1);
 const MacAddress kResponder = MacAddress::from_index(2);
 
-// A network with one scripted neighbour: every inquiry hears kResponder,
-// every link samples the same quality, and the fetch requests the daemon
-// sends are captured for the test to answer through the daemon's own
-// datagram handler.
-class ScriptedNetwork final : public net::Network {
- public:
-  ScriptedNetwork() : sim_{7} { params_.fetch_failure_prob = 0.0; }
-
-  void attach_interface(MacAddress, Technology,
-                        std::shared_ptr<const sim::MobilityModel>) override {}
-  void detach_interface(MacAddress, Technology) override {}
-  void set_datagram_handler(MacAddress, Technology,
-                            DatagramHandler handler) override {
-    handler_ = std::move(handler);
-  }
-  void send_datagram(MacAddress, MacAddress, Technology,
-                     Bytes payload) override {
-    requests_.push_back(std::move(payload));
-  }
-  void send_datagram(MacAddress, MacAddress, Technology, FramePtr) override {}
-  Status listen(const net::NetAddress&, AcceptHandler) override {
-    return Status::ok_status();
-  }
-  void stop_listening(const net::NetAddress&) override {}
-  void connect(MacAddress, const net::NetAddress&, ConnectHandler) override {}
-  void set_keepalive_period(SimDuration) override {}
-  void begin_inquiry(MacAddress, Technology) override {}
-  std::vector<MacAddress> end_inquiry(MacAddress, Technology) override {
-    return {kResponder};
-  }
-  void cancel_inquiry(MacAddress, Technology) override {}
-  bool peerhood_tag(MacAddress, Technology) const override { return true; }
-  int sample_quality(MacAddress, MacAddress, Technology) override {
-    return 240;
-  }
-  const sim::TechnologyParams& params(Technology) const override {
-    return params_;
-  }
-  sim::Simulator& simulator() override { return sim_; }
-  std::size_t live_connection_count() const override { return 0; }
-
-  // Runs the simulation until the daemon has sent a fetch request; returns
-  // it (decoded), or nothing if the queue drained first.
-  std::optional<wire::FetchRequest> next_request() {
-    while (requests_.empty()) {
-      if (!sim_.step()) return std::nullopt;
-    }
-    const Bytes payload = std::move(requests_.front());
-    requests_.erase(requests_.begin());
-    return wire::decode_fetch_request(payload);
-  }
-
-  void deliver(std::span<const std::uint8_t> payload) {
-    handler_(kResponder, payload);
-  }
-
- private:
-  sim::Simulator sim_;
-  sim::TechnologyParams params_;
-  DatagramHandler handler_;
-  std::vector<Bytes> requests_;
-};
-
 // Names past the small-string buffer, so any copy of an entry allocates.
 std::vector<NeighbourSnapshotEntry> neighbourhood(std::size_t entries) {
   std::vector<NeighbourSnapshotEntry> out;
@@ -155,7 +92,8 @@ std::vector<NeighbourSnapshotEntry> neighbourhood(std::size_t entries) {
 
 class DiscoveryAllocation : public ::testing::Test {
  protected:
-  DiscoveryAllocation() : daemon_{network_, kSelf, nullptr, config()} {
+  DiscoveryAllocation()
+      : network_{{kResponder}}, daemon_{network_, kSelf, nullptr, config()} {
     daemon_.start();
   }
 
@@ -175,11 +113,12 @@ class DiscoveryAllocation : public ::testing::Test {
     const std::uint64_t cycles = daemon_.plugin(Technology::kBluetooth)
                                      ->stats().loops;
     do {
-      const auto request = network_.next_request();
-      if (!request.has_value()) {
-        ADD_FAILURE() << "the daemon stopped fetching";
+      const auto sent = network_.next_request();
+      if (!sent.has_value()) {
+        ADD_FAILURE() << "no fetch request within the simulated deadline";
         return 0;
       }
+      const wire::FetchRequest* request = &sent->request;
       wire::FetchResponse response;
       response.request_id = request->request_id;
       response.sections = request->sections;
@@ -196,7 +135,7 @@ class DiscoveryAllocation : public ::testing::Test {
       { const auto decoded = wire::decode_fetch_response(payload); }
       const std::uint64_t decode = g_allocations.load() - before;
       before = g_allocations.load();
-      network_.deliver(payload);
+      network_.deliver(kResponder, payload);
       const std::uint64_t handled = g_allocations.load() - before;
       if ((request->sections & wire::kSectionNeighbours) != 0) {
         beyond_decode = handled - decode;
@@ -206,7 +145,7 @@ class DiscoveryAllocation : public ::testing::Test {
     return beyond_decode;
   }
 
-  ScriptedNetwork network_;
+  testing::ScriptedNetwork network_;
   Daemon daemon_;
   std::uint32_t gen_{0};
 };

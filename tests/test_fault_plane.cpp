@@ -303,7 +303,10 @@ TEST(FaultPlaneNetwork, CorruptFramesAreCountedAndDropped) {
   medium.fault_plane().set_profile(Technology::kBluetooth, profile);
 
   for (int i = 0; i < 20; ++i) {
-    network.send_datagram(a, b, Technology::kBluetooth, Bytes(16, 0x5A));
+    network.send_datagram(a, b, Technology::kBluetooth,
+                          net::make_datagram_frame(16, [](ByteWriter& writer) {
+                            writer.raw(Bytes(16, 0x5A));
+                          }));
   }
   sim.run_all();
 

@@ -326,7 +326,10 @@ TEST_F(NetworkTest, DatagramsRouteToHandler) {
                               got.assign(payload.begin(), payload.end());
                               got_from = from;
                             });
-  net_.send_datagram(a, b, Technology::kBluetooth, Bytes{5, 5, 5});
+  net_.send_datagram(a, b, Technology::kBluetooth,
+                     make_datagram_frame(3, [](ByteWriter& writer) {
+                       writer.raw(Bytes{5, 5, 5});
+                     }));
   sim_.run_for(seconds(1.0));
   EXPECT_EQ(got, (Bytes{5, 5, 5}));
   EXPECT_EQ(got_from, a);

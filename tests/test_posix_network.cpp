@@ -82,7 +82,11 @@ TEST_F(PosixNetworkTest, DatagramRoundtrip) {
         received = Bytes{payload.begin(), payload.end()};
       });
   const Bytes payload{1, 2, 3, 250};
-  a_->send_datagram(a_->mac(), b_->mac(), kBluetooth, payload);
+  a_->send_datagram(a_->mac(), b_->mac(), kBluetooth,
+                    make_datagram_frame(payload.size(),
+                                        [&payload](ByteWriter& writer) {
+                                          writer.raw(payload);
+                                        }));
   ASSERT_TRUE(pump_until(*a_, *b_, [&] { return received.has_value(); }));
   EXPECT_EQ(*received, payload);
   EXPECT_EQ(from, a_->mac());

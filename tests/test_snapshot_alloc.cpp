@@ -3,6 +3,10 @@
 // full response has been encoded for the current generations, answering
 // further requests at those generations — full, kNotModified, any requester
 // — allocates nothing; the shared frame is handed out by reference count.
+// The ExchangeAllocation pins cover one steady-state discovery exchange: a
+// request frame is one buffer plus one control block, a cached reply adds
+// nothing, and a fresh encode from the storage is one buffer plus one
+// control block whatever the entry count.
 // This TU overrides global operator new/delete; each test source builds into
 // its own binary, so the hook is scoped to this suite.
 #include <gtest/gtest.h>
@@ -12,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "net/frame_check.hpp"
 #include "peerhood/snapshot_cache.hpp"
 
 namespace {
@@ -126,6 +131,91 @@ TEST(SnapshotCacheAllocation, RepeatSameGenerationRequestsAllocateNothing) {
   auto again = cache.respond({201, wire::kSectionAll, std::nullopt}, src);
   EXPECT_EQ(again.get(), recoded.get());
   EXPECT_EQ(g_allocations.load(), after_recode);
+}
+
+// The responder state the pins below encode from: `entries` neighbours.
+struct Responder {
+  explicit Responder(std::size_t entries) {
+    self.mac = MacAddress::from_index(1);
+    self.name = "responder";
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      EXPECT_TRUE(storage.upsert(neighbour(100 + i)));
+    }
+    src.device = &self;
+    src.prototypes = &prototypes;
+    src.services = &services;
+    src.storage = &storage;
+    src.gens = {1, 1, 1, storage.generation()};
+    src.epoch = 0xfeed;
+  }
+
+  DeviceInfo self;
+  std::vector<Technology> prototypes{Technology::kBluetooth};
+  std::vector<ServiceInfo> services{{"echo", "", 4}};
+  DeviceStorage storage;
+  SnapshotSource src;
+};
+
+TEST(ExchangeAllocation, RequestFrameIsOneBufferAndOneControlBlock) {
+  const wire::FetchRequest plain{7, wire::kSectionAll, std::nullopt};
+  const wire::FetchRequest conditional{
+      8, wire::kSectionNeighbours,
+      wire::FetchBaseline{0xfeed, wire::SectionGens{1, 2, 3, 4}}};
+  for (const wire::FetchRequest& request : {plain, conditional}) {
+    const std::uint64_t before = g_allocations.load();
+    const net::FramePtr frame = net::make_datagram_frame(
+        wire::kMaxFetchRequestSize,
+        [&request](ByteWriter& writer) { wire::encode_into(writer, request); });
+    const std::uint64_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(allocations, 2u) << "request id " << request.request_id;
+    const auto body = net::check_frame(*frame);
+    ASSERT_TRUE(body.has_value());
+    const auto decoded = wire::decode_fetch_request(body->subspan(1));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->baseline, request.baseline);
+  }
+}
+
+TEST(ExchangeAllocation, CachedDatagramReplyAllocatesNothing) {
+  // The daemon's cache builds sealed datagram frames; a repeat request at
+  // the same generations hands the same frame out by reference count.
+  Responder responder{16};
+  SnapshotCache cache{/*datagram_frames=*/true};
+  const auto warm =
+      cache.respond({1, wire::kSectionAll, std::nullopt}, responder.src);
+  const std::uint64_t before = g_allocations.load();
+  const auto again =
+      cache.respond({2, wire::kSectionAll, std::nullopt}, responder.src);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(again.get(), warm.get());
+}
+
+TEST(ExchangeAllocation, FreshEncodeIsOneBufferAndOneControlBlock) {
+  // Full responses and deltas are encoded straight from the storage into
+  // one exactly-sized buffer: two allocations whatever the entry count.
+  for (const std::size_t entries : {0u, 1u, 4u, 32u, 128u}) {
+    Responder responder{entries};
+    SnapshotCache cache{/*datagram_frames=*/true};
+    cache.set_caching(false);
+    std::uint64_t before = g_allocations.load();
+    const auto full =
+        cache.respond({1, wire::kSectionAll, std::nullopt}, responder.src);
+    EXPECT_EQ(g_allocations.load() - before, 2u) << entries << " entries";
+    ASSERT_TRUE(net::check_frame(*full).has_value());
+
+    wire::FetchBaseline stale{responder.src.epoch, responder.src.gens};
+    stale.gens.neighbours -= 1;
+    before = g_allocations.load();
+    const auto delta = cache.respond({2, wire::kSectionAll, stale},
+                                     responder.src);
+    EXPECT_EQ(g_allocations.load() - before, 2u) << entries << " entries";
+    const auto body = net::check_frame(*delta);
+    ASSERT_TRUE(body.has_value());
+    const auto decoded = wire::decode_fetch_response(body->subspan(1));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->sections, wire::kSectionNeighbours);
+    EXPECT_EQ(decoded->neighbours.size(), entries);
+  }
 }
 
 }  // namespace

@@ -156,6 +156,36 @@ TEST(SnapshotCache, RepeatRequestsShareOneFrame) {
   EXPECT_EQ(responder.cache.stats().full_encodes, 2u);
 }
 
+TEST(SnapshotCache, EncodesLikeTheResponseStructEncoder) {
+  // The cache writes responses straight from the responder's state; the
+  // bytes must equal wire::encode of the same response as a struct.
+  Responder responder;
+  responder.services = {{"echo", "", 4}, {"compute", "attr", 5}};
+  ASSERT_TRUE(responder.storage.upsert(record_for(5, 0, 200)));
+  ASSERT_TRUE(responder.storage.upsert(record_for(6, 1, 150)));
+  ASSERT_TRUE(responder.storage.upsert(record_for(7, 2, 90)));
+  responder.load = 25;
+  const SnapshotSource src = responder.source();
+  for (std::uint8_t sections = 1; sections <= wire::kSectionAll; ++sections) {
+    wire::FetchResponse expected;
+    expected.request_id = wire::kSharedRequestId;
+    expected.sections = sections;
+    expected.load_percent = src.load_percent;
+    expected.epoch = src.epoch;
+    expected.gens = src.gens;
+    expected.device = responder.self;
+    expected.prototypes = responder.prototypes;
+    expected.services = responder.services;
+    responder.storage.for_each([&](const DeviceRecord& record) {
+      expected.neighbours.push_back(
+          {record.device, record.prototypes, record.services, record.jump,
+           record.bridge, record.quality_sum, record.min_link_quality});
+    });
+    const auto frame = responder.answer({9, sections, std::nullopt});
+    EXPECT_EQ(*frame, wire::encode(expected)) << "sections " << +sections;
+  }
+}
+
 TEST(SnapshotCache, SectionSubsetsCacheIndependently) {
   Responder responder;
   const auto all = responder.answer({1, wire::kSectionAll, std::nullopt});
