@@ -1,8 +1,8 @@
 // E-event — the zero-allocation event core (ISSUE 2 tentpole).
 //
 // Measurements over the simulator kernel, each timed for the pooled
-// arena/wheel EventQueue and for ReferenceEventQueue — the retained pre-PR
-// implementation (priority_queue + unordered_map + std::function), the same
+// arena+heap EventQueue and for ReferenceEventQueue — the test-support
+// oracle (priority_queue + unordered_map + std::function), the same
 // before/after pattern as in_range_of_brute for the spatial grid. All
 // closures carry frame-delivery-sized (40 B) captures.
 //
@@ -11,10 +11,10 @@
 //    lives in) are scheduled and drained.
 //  * zero-delay cascade: fire → schedule-at-now → fire, the deferred-action
 //    pattern (teardown, handler release) — the worst case for a comparison
-//    heap, O(1) in the wheel.
+//    heap, since every near-now key sifts to the root.
 //  * mixed-horizon steady state: a standing population with a realistic
 //    delay mix (30% zero-delay, 35% ~30 ms frame latencies, 20% 500 ms
-//    keepalives, 15% long timers) — includes far-heap events on purpose.
+//    keepalives, 15% long timers).
 //  * schedule→cancel: every event cancelled instead of fired (a generation
 //    check in the pooled queue vs a map erase in the reference).
 //  * frames/sec end to end: two in-range endpoints on a RadioMedium, each
@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/medium.hpp"
-#include "sim/reference_event_queue.hpp"
 
 namespace {
 
@@ -214,7 +214,7 @@ void print_pair(const char* bench_name, double ref_ns, double pooled_ns,
                 int scale) {
   const double speedup = pooled_ns > 0.0 ? ref_ns / pooled_ns : 0.0;
   std::printf("%-22s %12.1f ns/op\n", "reference (map+func)", ref_ns);
-  std::printf("%-22s %12.1f ns/op\n", "pooled arena+wheel", pooled_ns);
+  std::printf("%-22s %12.1f ns/op\n", "pooled arena+heap", pooled_ns);
   std::printf("%-22s %11.2fx\n", "speedup", speedup);
   JsonRecord{bench_name}
       .field("scale", scale)
@@ -269,11 +269,9 @@ void report_event_core() {
       .field("frames_per_sec", fps)
       .emit();
 
-  note("acceptance: schedule->fire speedup >= 2x vs the retained reference");
-  note("queue. The mixed-horizon record deliberately includes far timers");
-  note("(beyond the ~33 ms wheel window) that fall back to the 4-ary heap,");
-  note("so its speedup is lower. Zero steady-state allocations are asserted");
-  note("by tests/test_event_alloc.cpp rather than measured here.");
+  note("These loops keep 1024 events standing; simulator scenarios keep a");
+  note("few dozen. Zero steady-state allocations are asserted by");
+  note("tests/test_event_alloc.cpp rather than measured here.");
 }
 
 void BM_ScheduleFirePooled(benchmark::State& state) {

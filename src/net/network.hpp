@@ -152,8 +152,8 @@ class Network {
 
   // The backend's event core: timers and the deterministic RNG stream every
   // protocol layer schedules against. For SimNetwork this is the medium's
-  // simulator; for PosixNetwork a wall-clock-driven instance whose wheel
-  // deadlines bound the epoll_wait timeout.
+  // simulator; for PosixNetwork a wall-clock-driven instance whose next
+  // event deadline bounds the epoll_wait timeout.
   [[nodiscard]] virtual sim::Simulator& simulator() = 0;
 
   // Count of connections not yet fully closed (for tests).

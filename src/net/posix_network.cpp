@@ -343,7 +343,7 @@ void PosixNetwork::advance_clock() { sim_.run_until(wall_now()); }
 
 void PosixNetwork::poll_once(SimDuration max_wait) {
   // Fire timers due by wall time, then sleep in epoll at most until the
-  // timing wheel's next deadline — timers and sockets share one core.
+  // event queue's next deadline — timers and sockets share one core.
   advance_clock();
   std::int64_t wait_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(max_wait).count();

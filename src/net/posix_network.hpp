@@ -10,7 +10,7 @@
 // Every protocol timer — handshake retransmits, reliable-channel RTOs,
 // inquiry cycles, deferred sends — schedules on that simulator exactly as it
 // does against SimNetwork, and the epoll_wait timeout is bounded by the
-// timing wheel's next deadline, so sockets and timers share one core.
+// event queue's next deadline, so sockets and timers share one core.
 //
 // Robustness contract (PR 7's crash plane made real): a kill -9'd process
 // loses exactly what Daemon::crash() loses. Peers observe the death as

@@ -1,18 +1,8 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 
 namespace peerhood::sim {
-
-namespace {
-constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
-}  // namespace
-
-EventQueue::EventQueue()
-    : buckets_(kWheelSize), occupancy_(kWheelWords, 0),
-      buckets2_(kWheel2Size) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -28,8 +18,6 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   if (++s.gen == 0) ++s.gen;  // generation 0 is reserved for kInvalidEvent
-  s.state = SlotState::kIdle;
-  s.next = kNilSlot;
   free_slots_.push_back(slot);
 }
 
@@ -37,357 +25,48 @@ EventId EventQueue::schedule(SimTime at, InlineCallable action) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.action = std::move(action);
-  s.at = at;
-  s.seq = next_seq_++;
-  const EventId id = make_id(s.gen, slot);
-  const std::int64_t at_us = at.since_epoch.count();
-  const std::int64_t delta_us = (at - now_).count();
-  if (delta_us >= 0 && delta_us < static_cast<std::int64_t>(kWheelSize)) {
-    s.state = SlotState::kWheelLive;
-    wheel_append(bucket_of(at_us), slot);
-  } else if (delta_us > 0 &&
-             frame_of(at_us) - frame_of(now_.since_epoch.count()) <
-                 static_cast<std::int64_t>(kWheel2Size)) {
-    s.state = SlotState::kWheel2Live;
-    wheel2_append(static_cast<std::size_t>(frame_of(at_us)) & kWheel2Mask,
-                  slot);
-  } else {
-    // Past deadlines (delta < 0) also land here; run_next flushes the wheels
-    // if and when the clock actually moves backwards to fire one.
-    s.state = SlotState::kHeapLive;
-    heap_push(Entry{at, s.seq, id});
-  }
-  ++live_count_;
-  return id;
-}
-
-void EventQueue::advance_window(SimTime t) {
-  if (t <= now_) return;
-  assert(empty() || next_time() >= t);
-  now_ = t;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{at, next_seq_++, slot});
+  return make_id(s.gen, slot);
 }
 
 void EventQueue::cancel(EventId id) {
   const std::uint32_t slot = slot_of(id);
-  if (slot >= slots_.size() || !is_live(id)) return;
+  if (slot >= slots_.size() || slots_[slot].gen != gen_of(id)) return;
   Slot& s = slots_[slot];
   s.action.reset();
-  if (s.state == SlotState::kWheelLive) {
-    // Invalidate the id now; the slot itself is recycled when the bucket
-    // chain physically unlinks it (wheel_peek, flush, or reset_stale).
-    s.state = SlotState::kWheelCancelled;
-    if (++s.gen == 0) ++s.gen;
-  } else if (s.state == SlotState::kWheel2Live) {
-    // Same deferral: the frame bucket unlinks it on cascade/flush/reset.
-    s.state = SlotState::kWheel2Cancelled;
-    if (++s.gen == 0) ++s.gen;
-  } else {
-    release_slot(slot);
-  }
-  if (--live_count_ == 0) reset_stale();
+  remove_at(s.heap_index);
+  release_slot(slot);
 }
 
-void EventQueue::reset_stale() {
-  // Heap entries' slots were already released when they were cancelled;
-  // dropping the entries is enough.
-  heap_.clear();
-  for (std::size_t word = 0; word < kWheel2Words; ++word) {
-    std::uint64_t bits = occupancy2_[word];
-    while (bits != 0) {
-      const std::size_t bucket =
-          (word << 6) | std::size_t(std::countr_zero(bits));
-      bits &= bits - 1;
-      while (buckets2_[bucket].head != kNilSlot) {
-        const std::uint32_t slot = wheel2_pop_head(bucket);
-        slots_[slot].state = SlotState::kIdle;
-        free_slots_.push_back(slot);
-      }
-    }
-  }
-  for (std::size_t sword = 0; sword < kSummaryWords; ++sword) {
-    std::uint64_t sbits = occupancy_summary_[sword];
-    while (sbits != 0) {
-      const std::size_t word =
-          (sword << 6) | std::size_t(std::countr_zero(sbits));
-      sbits &= sbits - 1;
-      std::uint64_t bits = occupancy_[word];
-      while (bits != 0) {
-        const std::size_t bucket =
-            (word << 6) | std::size_t(std::countr_zero(bits));
-        bits &= bits - 1;
-        while (buckets_[bucket].head != kNilSlot) {
-          const std::uint32_t slot = wheel_pop_head(bucket);
-          slots_[slot].state = SlotState::kIdle;
-          free_slots_.push_back(slot);
-        }
-      }
-    }
-  }
+SimTime EventQueue::run_next() {
+  assert(!empty());
+  const Entry top = heap_.front();
+  remove_at(0);
+  InlineCallable action = std::move(slots_[top.slot].action);
+  release_slot(top.slot);
+  action();
+  return top.at;
 }
 
-// --- wheel -------------------------------------------------------------------
-
-void EventQueue::occupancy_set(std::size_t bucket) const {
-  const std::size_t word = bucket >> 6;
-  occupancy_[word] |= std::uint64_t{1} << (bucket & 63);
-  occupancy_summary_[word >> 6] |= std::uint64_t{1} << (word & 63);
+void EventQueue::place(std::size_t i, const Entry& entry) {
+  heap_[i] = entry;
+  slots_[entry.slot].heap_index = static_cast<std::uint32_t>(i);
 }
 
-void EventQueue::occupancy_clear(std::size_t bucket) const {
-  const std::size_t word = bucket >> 6;
-  occupancy_[word] &= ~(std::uint64_t{1} << (bucket & 63));
-  if (occupancy_[word] == 0) {
-    occupancy_summary_[word >> 6] &= ~(std::uint64_t{1} << (word & 63));
-  }
-}
-
-void EventQueue::wheel_append(std::size_t bucket, std::uint32_t slot) {
-  Bucket& b = buckets_[bucket];
-  slots_[slot].next = kNilSlot;
-  if (b.head == kNilSlot) {
-    b.head = b.tail = slot;
-    occupancy_set(bucket);
-  } else {
-    slots_[b.tail].next = slot;
-    b.tail = slot;
-  }
-}
-
-std::uint32_t EventQueue::wheel_pop_head(std::size_t bucket) const {
-  Bucket& b = buckets_[bucket];
-  const std::uint32_t head = b.head;
-  assert(head != kNilSlot);
-  b.head = slots_[head].next;
-  if (b.head == kNilSlot) {
-    b.tail = kNilSlot;
-    occupancy_clear(bucket);
-  }
-  slots_[head].next = kNilSlot;
-  return head;
-}
-
-std::size_t EventQueue::wheel_scan(std::size_t start) const {
-  const std::size_t start_word = start >> 6;
-  const std::uint64_t head_bits =
-      occupancy_[start_word] & (kAllOnes << (start & 63));
-  if (head_bits != 0) {
-    return (start_word << 6) | std::size_t(std::countr_zero(head_bits));
-  }
-  // Walk the summary cyclically; the final iteration re-reads the starting
-  // word in full, covering buckets cyclically "behind" the start position.
-  std::size_t sword = start_word >> 6;
-  const std::size_t sbit = start_word & 63;
-  std::uint64_t sbits =
-      occupancy_summary_[sword] & (sbit == 63 ? 0 : kAllOnes << (sbit + 1));
-  for (std::size_t i = 0; i <= kSummaryWords; ++i) {
-    if (sbits != 0) {
-      const std::size_t word =
-          (sword << 6) | std::size_t(std::countr_zero(sbits));
-      return (word << 6) | std::size_t(std::countr_zero(occupancy_[word]));
-    }
-    sword = (sword + 1) & (kSummaryWords - 1);
-    sbits = occupancy_summary_[sword];
-  }
-  return kNoBucket;
-}
-
-std::size_t EventQueue::wheel_peek() const {
-  const std::size_t start = bucket_of(now_.since_epoch.count());
-  for (;;) {
-    const std::size_t bucket = wheel_scan(start);
-    if (bucket == kNoBucket) return kNoBucket;
-    Bucket& b = buckets_[bucket];
-    while (b.head != kNilSlot &&
-           slots_[b.head].state == SlotState::kWheelCancelled) {
-      const std::uint32_t slot = wheel_pop_head(bucket);
-      // Generation was already bumped at cancel; just recycle the storage.
-      slots_[slot].state = SlotState::kIdle;
-      free_slots_.push_back(slot);
-    }
-    if (b.head != kNilSlot) return bucket;
-    // Bucket held only cancelled events (occupancy got cleared): rescan.
-  }
-}
-
-void EventQueue::flush_wheel_to_heap() {
-  for (std::size_t sword = 0; sword < kSummaryWords; ++sword) {
-    std::uint64_t sbits = occupancy_summary_[sword];
-    while (sbits != 0) {
-      const std::size_t word =
-          (sword << 6) | std::size_t(std::countr_zero(sbits));
-      sbits &= sbits - 1;
-      std::uint64_t bits = occupancy_[word];
-      while (bits != 0) {
-        const std::size_t bucket =
-            (word << 6) | std::size_t(std::countr_zero(bits));
-        bits &= bits - 1;
-        while (buckets_[bucket].head != kNilSlot) {
-          const std::uint32_t slot = wheel_pop_head(bucket);
-          Slot& s = slots_[slot];
-          if (s.state == SlotState::kWheelCancelled) {
-            s.state = SlotState::kIdle;
-            free_slots_.push_back(slot);
-          } else {
-            s.state = SlotState::kHeapLive;
-            heap_push(Entry{s.at, s.seq, make_id(s.gen, slot)});
-          }
-        }
-      }
-    }
-  }
-  for (std::size_t word = 0; word < kWheel2Words; ++word) {
-    std::uint64_t bits = occupancy2_[word];
-    while (bits != 0) {
-      const std::size_t bucket =
-          (word << 6) | std::size_t(std::countr_zero(bits));
-      bits &= bits - 1;
-      while (buckets2_[bucket].head != kNilSlot) {
-        const std::uint32_t slot = wheel2_pop_head(bucket);
-        Slot& s = slots_[slot];
-        if (s.state == SlotState::kWheel2Cancelled) {
-          s.state = SlotState::kIdle;
-          free_slots_.push_back(slot);
-        } else {
-          s.state = SlotState::kHeapLive;
-          heap_push(Entry{s.at, s.seq, make_id(s.gen, slot)});
-        }
-      }
-    }
-  }
-}
-
-// --- second-level wheel ------------------------------------------------------
-
-void EventQueue::occupancy2_set(std::size_t bucket) const {
-  occupancy2_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-}
-
-void EventQueue::occupancy2_clear(std::size_t bucket) const {
-  occupancy2_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-}
-
-void EventQueue::wheel2_append(std::size_t bucket, std::uint32_t slot) {
-  Bucket& b = buckets2_[bucket];
-  slots_[slot].next = kNilSlot;
-  if (b.head == kNilSlot) {
-    b.head = b.tail = slot;
-    occupancy2_set(bucket);
-  } else {
-    slots_[b.tail].next = slot;
-    b.tail = slot;
-  }
-}
-
-std::uint32_t EventQueue::wheel2_pop_head(std::size_t bucket) const {
-  Bucket& b = buckets2_[bucket];
-  const std::uint32_t head = b.head;
-  assert(head != kNilSlot);
-  b.head = slots_[head].next;
-  if (b.head == kNilSlot) {
-    b.tail = kNilSlot;
-    occupancy2_clear(bucket);
-  }
-  slots_[head].next = kNilSlot;
-  return head;
-}
-
-std::size_t EventQueue::wheel2_scan(std::size_t start) const {
-  const std::size_t start_word = start >> 6;
-  std::uint64_t bits = occupancy2_[start_word] & (kAllOnes << (start & 63));
-  std::size_t word = start_word;
-  // The final iteration re-reads the starting word in full, covering
-  // buckets cyclically "behind" the start position.
-  for (std::size_t i = 0; i <= kWheel2Words; ++i) {
-    if (bits != 0) {
-      return (word << 6) | std::size_t(std::countr_zero(bits));
-    }
-    word = (word + 1) & (kWheel2Words - 1);
-    bits = occupancy2_[word];
-  }
-  return kNoBucket2;
-}
-
-void EventQueue::wheel_insert_sorted(std::size_t bucket,
-                                     std::uint32_t slot) const {
-  // Bucket chains are always seq-increasing: appends carry the globally
-  // newest seq, and this path preserves the order — so a single walk finds
-  // the insertion point.
-  Bucket& b = buckets_[bucket];
-  slots_[slot].next = kNilSlot;
-  if (b.head == kNilSlot) {
-    b.head = b.tail = slot;
-    occupancy_set(bucket);
-    return;
-  }
-  if (slots_[slot].seq > slots_[b.tail].seq) {
-    slots_[b.tail].next = slot;
-    b.tail = slot;
-    return;
-  }
-  std::uint32_t prev = kNilSlot;
-  std::uint32_t cur = b.head;
-  while (cur != kNilSlot && slots_[cur].seq < slots_[slot].seq) {
-    prev = cur;
-    cur = slots_[cur].next;
-  }
-  slots_[slot].next = cur;
-  if (prev == kNilSlot) {
-    b.head = slot;
-  } else {
-    slots_[prev].next = slot;
-  }
-}
-
-void EventQueue::cascade_frame(std::size_t bucket) const {
-  // Reconstruct the frame this bucket represents (unique within one wheel
-  // revolution of the current frame; a debris-only bucket may reconstruct
-  // to an earlier frame, which only makes the window slide conservative).
-  const std::int64_t cur_frame = frame_of(now_.since_epoch.count());
-  const std::size_t start = static_cast<std::size_t>(cur_frame) & kWheel2Mask;
-  const std::int64_t frame =
-      cur_frame + static_cast<std::int64_t>((bucket - start) & kWheel2Mask);
-  const SimTime frame_start =
-      SimTime{} + microseconds(frame << kWheelBits);
-  if (frame_start > now_) now_ = frame_start;
-  while (buckets2_[bucket].head != kNilSlot) {
-    const std::uint32_t slot = wheel2_pop_head(bucket);
-    Slot& s = slots_[slot];
-    if (s.state == SlotState::kWheel2Cancelled) {
-      s.state = SlotState::kIdle;
-      free_slots_.push_back(slot);
-    } else {
-      assert(s.state == SlotState::kWheel2Live);
-      assert(s.at >= now_ && (s.at - now_).count() <
-                                 static_cast<std::int64_t>(kWheelSize));
-      s.state = SlotState::kWheelLive;
-      wheel_insert_sorted(bucket_of(s.at.since_epoch.count()), slot);
-    }
-  }
-}
-
-// --- far-event heap ----------------------------------------------------------
-
-void EventQueue::heap_push(const Entry& entry) const {
-  heap_.push_back(entry);
-  // Sift up with a hole: shift parents down, write the entry once at the end.
-  std::size_t i = heap_.size() - 1;
+void EventQueue::sift_up(std::size_t i, Entry entry) {
+  // Sift with a hole: shift parents down, write the entry once at the end.
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!before(entry, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = entry;
+  place(i, entry);
 }
 
-void EventQueue::heap_pop_top() const {
-  assert(!heap_.empty());
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return;
-  // Sift the former tail down from the root, again with a hole.
+void EventQueue::sift_down(std::size_t i, Entry entry) {
   const std::size_t n = heap_.size();
-  std::size_t i = 0;
   for (;;) {
     const std::size_t first_child = 4 * i + 1;
     if (first_child >= n) break;
@@ -396,81 +75,24 @@ void EventQueue::heap_pop_top() const {
     for (std::size_t c = first_child + 1; c < end_child; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], last)) break;
-    heap_[i] = heap_[best];
+    if (!before(heap_[best], entry)) break;
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = last;
+  place(i, entry);
 }
 
-// --- pop paths ---------------------------------------------------------------
-
-EventQueue::Candidate EventQueue::peek() const {
-  for (;;) {
-    while (!heap_.empty() && !is_live(heap_.front().id)) {
-      heap_pop_top();
-    }
-    const std::size_t bucket = wheel_peek();
-    Candidate c;
-    if (bucket != kNoBucket) {
-      const SimTime wheel_at = slots_[buckets_[bucket].head].at;
-      if (heap_.empty() || wheel_at < heap_.front().at ||
-          (wheel_at == heap_.front().at &&
-           slots_[buckets_[bucket].head].seq < heap_.front().seq)) {
-        c.any = true;
-        c.from_wheel = true;
-        c.at = wheel_at;
-        c.bucket = bucket;
-      }
-    }
-    if (!c.any && !heap_.empty()) {
-      c.any = true;
-      c.from_wheel = false;
-      c.at = heap_.front().at;
-    }
-    // The winner so far beats the second wheel only if it fires strictly
-    // before the earliest occupied frame could; on a tie (or no winner) the
-    // frame cascades into the first wheel and the comparison reruns exactly.
-    const std::size_t start2 =
-        static_cast<std::size_t>(frame_of(now_.since_epoch.count())) &
-        kWheel2Mask;
-    const std::size_t b2 = wheel2_scan(start2);
-    if (b2 == kNoBucket2) return c;
-    const std::int64_t cur_frame = frame_of(now_.since_epoch.count());
-    const std::int64_t frame =
-        cur_frame + static_cast<std::int64_t>((b2 - start2) & kWheel2Mask);
-    const SimTime frame_start = SimTime{} + microseconds(frame << kWheelBits);
-    if (c.any && c.at < frame_start) return c;
-    cascade_frame(b2);
-  }
-}
-
-SimTime EventQueue::next_time() const {
-  const Candidate c = peek();
-  assert(c.any);
-  return c.at;
-}
-
-SimTime EventQueue::run_next() {
-  const Candidate c = peek();
-  assert(c.any);
-  std::uint32_t slot;
-  if (c.from_wheel) {
-    slot = wheel_pop_head(c.bucket);
+void EventQueue::remove_at(std::size_t i) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // the tail itself was removed
+  // The tail may belong above or below the hole: a cancelled interior entry
+  // can sit under a tail that is earlier than its parent.
+  if (i > 0 && before(last, heap_[(i - 1) / 4])) {
+    sift_up(i, last);
   } else {
-    slot = slot_of(heap_.front().id);
-    heap_pop_top();
+    sift_down(i, last);
   }
-  // The clock reached c.at: the wheel window slides forward with it. When a
-  // past-scheduled heap event moves the clock *backwards*, the window base
-  // shifts under any wheel entries scheduled meanwhile — spill them first.
-  if (c.at < now_) flush_wheel_to_heap();
-  now_ = c.at;
-  InlineCallable action = std::move(slots_[slot].action);
-  release_slot(slot);
-  if (--live_count_ == 0) reset_stale();
-  action();
-  return c.at;
 }
 
 }  // namespace peerhood::sim

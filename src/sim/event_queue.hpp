@@ -1,5 +1,5 @@
 // Discrete-event scheduler. Events fire in (time, insertion-order) order;
-// cancellation is O(1) (a generation check plus lazy removal).
+// cancellation removes the event at once, in O(log n).
 //
 // Zero-allocation steady state: event storage is a pooled slot arena — a
 // vector of slots recycled through a free list, each holding the event's
@@ -8,39 +8,18 @@
 // the fired/stale checks are a single array index + compare; there is no
 // id → action map at all.
 //
-// The pending set is two-tier, exploiting the shape of simulator traffic:
-//
-//  * Near events — zero-delay deferrals, cascades, per-hop frame latencies
-//    (~30 ms), bumped in-order frame trains — land in a timing wheel of
-//    2^15 one-microsecond buckets (a ~33 ms window). Schedule is an O(1)
-//    FIFO append (events are chained intrusively through their slots) and
-//    fire is an O(1) pop guided by a two-level occupancy bitmap. This is
-//    the hot path: a comparison heap pays its worst case exactly here
-//    (near-now keys sift to the root on push and force full sift-downs on
-//    pop), the wheel pays nothing.
-//  * Mid events — keepalive periods, inquiry cycles, connect delays — land
-//    in a hierarchical second-level wheel of 2^10 buckets, each covering one
-//    2^15 µs *frame* of the first wheel (~33.6 s horizon). Schedule is the
-//    same O(1) chained append; when the clock enters a frame, its bucket
-//    cascades into the first-level wheel (each event re-bucketed in O(1),
-//    amortized one cascade per event). Live entries can never alias a
-//    bucket: the clock cannot pass a live event, so every live frame lies
-//    within one wheel revolution of the current frame.
-//  * Far events — anything beyond the second wheel's horizon — go to an
-//    implicit 4-ary min-heap (shallower than a binary heap, and the four
-//    children of a node share a cache line), with cancelled entries dropped
-//    lazily when they surface at the top.
-//
-// Ordering across the three tiers stays exact: candidates are compared by
-// (time, global sequence) when both are non-empty, and the cascade path
-// inserts by sequence so a far-scheduled event and a near-scheduled event
-// sharing a timestamp still fire in insertion order. A first-wheel bucket
-// holds events of a single timestamp (two distinct in-window times can
-// never collide in a bucket, see wheel_peek), so bucket chain order is
-// sequence order. Once the arena, free list, heap and wheels have grown to
-// the scenario's high-water mark, schedule/cancel/fire allocate nothing.
+// The pending set is one indexed 4-ary min-heap of {time, seq, slot}
+// entries (shallower than a binary heap, and the four children of a node
+// share a cache line). Each live slot records its entry's heap position, so
+// cancel removes the entry directly instead of leaving debris for the pop
+// path. The simulator keeps a few dozen events pending (tens, rarely more
+// than ~150), where one small heap beats any bucketed structure. Once the
+// arena, free list and heap have grown to the scenario's high-water mark,
+// schedule/cancel/fire allocate nothing; a fresh queue allocates nothing
+// until its first schedule.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -55,8 +34,6 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  EventQueue();
-
   EventId schedule(SimTime at, InlineCallable action);
 
   // Cancels a pending event. Safe to call on already-fired or invalid ids:
@@ -64,78 +41,31 @@ class EventQueue {
   // match — even after the slot has been recycled for a newer event.
   void cancel(EventId id);
 
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_count_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   // Time of the earliest pending event; only valid when !empty().
-  [[nodiscard]] SimTime next_time() const;
+  [[nodiscard]] SimTime next_time() const {
+    assert(!empty());
+    return heap_.front().at;
+  }
 
   // Pops and runs the earliest event; returns its scheduled time. The slot
   // is released *before* the action runs, so the action may freely schedule
   // (and even land in the slot it just vacated) or cancel.
   SimTime run_next();
 
-  // Moves the wheel's window base forward to `t` (no-op when t is not ahead
-  // of the last fired time). The Simulator calls this whenever its clock
-  // advances — without it, events scheduled after an idle gap would measure
-  // their delay against a stale base and spill into the far heap even when
-  // they are near-horizon. Precondition: no live event is pending before
-  // `t` (the Simulator only advances past times it has drained).
-  void advance_window(SimTime t);
-
  private:
-  static constexpr std::uint32_t kNilSlot = 0xFFFFFFFF;
-  static constexpr std::size_t kWheelBits = 15;
-  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-  static constexpr std::size_t kWheelMask = kWheelSize - 1;
-  static constexpr std::size_t kWheelWords = kWheelSize / 64;
-  static constexpr std::size_t kSummaryWords = kWheelWords / 64;
-  static constexpr std::size_t kNoBucket = kWheelSize;
-  // Second-level wheel: one bucket per 2^15 µs frame, 2^10 frames of
-  // horizon (~33.6 s — covers keepalives, inquiry cycles, connect delays).
-  static constexpr std::size_t kWheel2Bits = 10;
-  static constexpr std::size_t kWheel2Size = std::size_t{1} << kWheel2Bits;
-  static constexpr std::size_t kWheel2Mask = kWheel2Size - 1;
-  static constexpr std::size_t kWheel2Words = kWheel2Size / 64;
-  static constexpr std::size_t kNoBucket2 = kWheel2Size;
-
-  enum class SlotState : std::uint8_t {
-    kIdle,            // free or fired; not in any structure
-    kWheelLive,       // chained in a first-wheel bucket, pending
-    kWheelCancelled,  // chained in a first-wheel bucket, cancelled — the slot
-                      // is returned to the pool only when physically unlinked
-    kWheel2Live,       // chained in a second-wheel frame bucket, pending
-    kWheel2Cancelled,  // chained in a second-wheel bucket, cancelled
-    kHeapLive,         // referenced by a live heap entry
-  };
-
   struct Slot {
     InlineCallable action;
-    SimTime at{};                  // absolute deadline (cascade + flush)
-    std::uint64_t seq{0};          // insertion order (wheel ordering + flush)
     std::uint32_t gen{1};
-    std::uint32_t next{kNilSlot};  // intrusive wheel-bucket chain
-    SlotState state{SlotState::kIdle};
+    std::uint32_t heap_index{0};  // position of the slot's entry while live
   };
 
-  struct Entry {  // far-event heap entry
+  struct Entry {
     SimTime at;
-    std::uint64_t seq;
-    EventId id;
-  };
-
-  struct Bucket {
-    std::uint32_t head{kNilSlot};
-    std::uint32_t tail{kNilSlot};
-  };
-
-  // Next live candidate across both tiers (valid after the call; peeking
-  // physically drains cancelled wheel entries and stale heap tops it meets).
-  struct Candidate {
-    bool any{false};
-    bool from_wheel{false};
-    SimTime at{};
-    std::size_t bucket{kNoBucket};
+    std::uint64_t seq;  // insertion order breaks timestamp ties
+    std::uint32_t slot;
   };
 
   [[nodiscard]] static constexpr std::uint32_t slot_of(EventId id) {
@@ -154,84 +84,21 @@ class EventQueue {
     return a.at < b.at || (a.at == b.at && a.seq < b.seq);
   }
 
-  // A heap entry is live iff its generation still matches its slot's.
-  [[nodiscard]] bool is_live(EventId id) const {
-    return slots_[slot_of(id)].gen == gen_of(id);
-  }
-
   [[nodiscard]] std::uint32_t acquire_slot();
   // Invalidates all outstanding ids for `slot` and returns it to the pool.
   void release_slot(std::uint32_t slot);
 
-  // --- wheel -----------------------------------------------------------------
-  [[nodiscard]] static std::size_t bucket_of(std::int64_t at_us) {
-    return static_cast<std::size_t>(at_us) & kWheelMask;
-  }
-  [[nodiscard]] static std::int64_t frame_of(std::int64_t at_us) {
-    return at_us >> kWheelBits;
-  }
-  void wheel_append(std::size_t bucket, std::uint32_t slot);
-  // Chain insert keeping the bucket seq-sorted — the cascade path, where the
-  // incoming (older) event may need to fire before a later same-time event
-  // that was scheduled near-horizon directly.
-  void wheel_insert_sorted(std::size_t bucket, std::uint32_t slot) const;
-  // Unlinks the bucket head (precondition: non-empty) and returns it.
-  std::uint32_t wheel_pop_head(std::size_t bucket) const;
-  void occupancy_set(std::size_t bucket) const;
-  void occupancy_clear(std::size_t bucket) const;
-  // First occupied bucket at cyclic distance >= 0 from `start`, or kNoBucket.
-  [[nodiscard]] std::size_t wheel_scan(std::size_t start) const;
-  // Nearest bucket with a *live* head, draining cancelled entries met on the
-  // way; kNoBucket when the wheel holds no live event.
-  [[nodiscard]] std::size_t wheel_peek() const;
-  // --- second-level wheel ----------------------------------------------------
-  void wheel2_append(std::size_t bucket, std::uint32_t slot);
-  std::uint32_t wheel2_pop_head(std::size_t bucket) const;
-  void occupancy2_set(std::size_t bucket) const;
-  void occupancy2_clear(std::size_t bucket) const;
-  // First occupied frame bucket at cyclic distance >= 0 from `start`, or
-  // kNoBucket2 when the second wheel is empty.
-  [[nodiscard]] std::size_t wheel2_scan(std::size_t start) const;
-  // Empties frame bucket `bucket` into the first wheel (live entries
-  // seq-sorted into their 1 µs buckets, cancelled debris recycled), sliding
-  // the window base to the frame start. Legal only when no live event lies
-  // before the frame start — peek() establishes that before calling.
-  void cascade_frame(std::size_t bucket) const;
+  // Writes `entry` at heap position `i` and records the position in its slot.
+  void place(std::size_t i, const Entry& entry);
+  void sift_up(std::size_t i, Entry entry);
+  void sift_down(std::size_t i, Entry entry);
+  // Removes the entry at heap position `i`, refilling the hole with the tail.
+  void remove_at(std::size_t i);
 
-  // Scheduling before `now_` (impossible through the Simulator, which clamps
-  // to its clock, but legal on the raw queue) would move the wheel's window
-  // base backwards under its entries; spill both wheels into the heap first.
-  void flush_wheel_to_heap();
-  // Called whenever live_count_ drops to zero: everything still chained or
-  // heaped is cancelled debris, so reclaim it eagerly. Without this, a
-  // cancel-heavy workload that empties the queue would strand cancelled
-  // wheel slots (no pop ever walks their buckets) and grow the arena.
-  void reset_stale();
-
-  // --- far-event heap --------------------------------------------------------
-  void heap_push(const Entry& entry) const;
-  void heap_pop_top() const;
-
-  [[nodiscard]] Candidate peek() const;
-
-  // Mutable: peeking from const next_time() physically drains cancelled
-  // entries (heap tops, wheel bucket chains) and recycles their slots.
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;
-  mutable std::vector<Entry> heap_;
-  mutable std::vector<Bucket> buckets_;
-  mutable std::vector<std::uint64_t> occupancy_;          // one bit per bucket
-  mutable std::uint64_t occupancy_summary_[kSummaryWords]{};  // per 64 buckets
-  mutable std::vector<Bucket> buckets2_;                  // per-frame chains
-  mutable std::uint64_t occupancy2_[kWheel2Words]{};
-  // Last fired time: the wheel's window base. First-wheel entries always lie
-  // in [now_, now_ + kWheelSize) microseconds; second-wheel entries in
-  // frames [frame(now_), frame(now_) + kWheel2Size). Mutable: a cascade from
-  // const peek() slides the base to the frame start (never past a live
-  // event, so the Simulator's clock contract is unaffected).
-  mutable SimTime now_{};
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_{1};
-  std::size_t live_count_{0};
 };
 
 }  // namespace peerhood::sim

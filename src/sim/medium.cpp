@@ -232,39 +232,19 @@ std::uint64_t RadioMedium::link_shadow_key(MacAddress a, MacAddress b,
          static_cast<std::uint64_t>(tech);
 }
 
-const RadioMedium::LinkCacheEntry& RadioMedium::link_cache_entry(
-    const Endpoint& ea, const Endpoint& eb) const {
-  const std::uint64_t ka = ea.mac.as_u64();
-  const std::uint64_t kb = eb.mac.as_u64();
-  LinkCacheEntry& entry =
-      link_cache_[link_key(std::min(ka, kb), std::max(ka, kb), ea.tech)];
-  if (entry.gen == position_gen_) {
-    ++quality_stats_.cache_hits;
-    return entry;
-  }
-  entry.gen = position_gen_;
-  entry.distance = sim::distance(cached_position(ea), cached_position(eb));
-  entry.base = quality_model_.base_quality(
-      entry.distance, state(ea.tech).params.range_m,
-      link_shadow_key(ea.mac, eb.mac, ea.tech));
+double RadioMedium::base_quality(const Endpoint& ea, const Endpoint& eb,
+                                 double distance_m) const {
   ++quality_stats_.evaluations;
-  if (link_cache_.size() >= link_cache_sweep_limit_) {
-    // Entries only serve repeats within one SimTime; anything stale is dead
-    // weight. The fresh entry carries the current gen and survives.
-    std::erase_if(link_cache_, [this](const auto& kv) {
-      return kv.second.gen != position_gen_;
-    });
-    link_cache_sweep_limit_ =
-        std::max(kLastDeliveryMinSweep, link_cache_.size() * 2);
-  }
-  return entry;
+  return quality_model_.base_quality(distance_m, state(ea.tech).params.range_m,
+                                     link_shadow_key(ea.mac, eb.mac, ea.tech));
 }
 
 int RadioMedium::sample_quality(MacAddress a, MacAddress b, Technology tech) {
   const Endpoint* ea = find(a, tech);
   const Endpoint* eb = find(b, tech);
   if (ea == nullptr || eb == nullptr) return 0;
-  return quality_model_.finalize(link_cache_entry(*ea, *eb).base, &noise_rng_);
+  const double d = sim::distance(cached_position(*ea), cached_position(*eb));
+  return quality_model_.finalize(base_quality(*ea, *eb, d), &noise_rng_);
 }
 
 int RadioMedium::expected_quality(MacAddress a, MacAddress b,
@@ -272,7 +252,8 @@ int RadioMedium::expected_quality(MacAddress a, MacAddress b,
   const Endpoint* ea = find(a, tech);
   const Endpoint* eb = find(b, tech);
   if (ea == nullptr || eb == nullptr) return 0;
-  return quality_model_.finalize(link_cache_entry(*ea, *eb).base, nullptr);
+  const double d = sim::distance(cached_position(*ea), cached_position(*eb));
+  return quality_model_.finalize(base_quality(*ea, *eb, d), nullptr);
 }
 
 QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,
@@ -382,25 +363,25 @@ LinkQualityEvent RadioMedium::probe_link(MacAddress a, MacAddress b,
   const Endpoint* ea = find(a, tech);
   const Endpoint* eb = find(b, tech);
   if (ea == nullptr || eb == nullptr) return event;
-  const LinkCacheEntry& cache = link_cache_entry(*ea, *eb);
   const double range = state(tech).params.range_m;
-  event.distance_m = cache.distance;
-  event.quality = quality_model_.finalize(cache.base, nullptr);
+  const Vec2 rel = cached_position(*ea) - cached_position(*eb);
+  event.distance_m = rel.norm();
+  event.quality = quality_model_.finalize(
+      base_quality(*ea, *eb, event.distance_m), nullptr);
   // Signed slope from the models' velocities: project the relative
   // velocity onto the separation axis, then difference the path-loss
   // curve one second of radial motion ahead (clamped to the coverage).
-  const Vec2 rel = cached_position(*ea) - cached_position(*eb);
   const Vec2 vrel =
       ea->mobility->velocity_at(event.at) - eb->mobility->velocity_at(event.at);
   event.radial_speed_mps =
-      cache.distance > 1e-9
-          ? (rel.x * vrel.x + rel.y * vrel.y) / cache.distance
+      event.distance_m > 1e-9
+          ? (rel.x * vrel.x + rel.y * vrel.y) / event.distance_m
           : vrel.norm();
   // A dead link has no meaningful quality slope: the ahead-point would
   // clamp back inside coverage and report a phantom recovery.
   if (event.quality > 0) {
     const double ahead =
-        std::clamp(cache.distance + event.radial_speed_mps, 0.0, range);
+        std::clamp(event.distance_m + event.radial_speed_mps, 0.0, range);
     const double base_ahead =
         quality_model_.base_quality(ahead, range, link_shadow_key(a, b, tech));
     event.slope_per_s =
@@ -576,12 +557,13 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
   if (faults_ != nullptr) {
     // Degradation for the quality coupling: 0 at full quality, 1 at the
     // coverage edge (out-of-range frames never reach this point).
-    const LinkCacheEntry& link = link_cache_entry(*from_e, *to_e);
+    const double base = base_quality(
+        *from_e, *to_e,
+        sim::distance(cached_position(*from_e), cached_position(*to_e)));
     const double span = std::max(
         1.0, static_cast<double>(quality_model_.q_max - quality_model_.q_edge));
     const double degradation = std::clamp(
-        (static_cast<double>(quality_model_.q_max) - link.base) / span, 0.0,
-        1.0);
+        (static_cast<double>(quality_model_.q_max) - base) / span, 0.0, 1.0);
     fault = faults_->judge(from, to, tech, degradation, sim_.now(),
                            cached_position(*from_e), cached_position(*to_e));
     if (fault.drop) {

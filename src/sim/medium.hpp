@@ -15,7 +15,8 @@
 //            | O(N) position_at calls   | O(local density) after one
 //            |   per query -> O(N^2)    |   O(N) rebuild per SimTime
 //   in_range / distance / quality
-//            | 2 position_at per call   | cached, once per SimTime
+//            | 2 position_at per call   | positions cached once per
+//            |                          |   SimTime; quality per call
 //
 // The grid is rebuilt lazily when the clock advances (the Simulator time
 // observer bumps `position_gen_`) and maintained incrementally while time
@@ -49,11 +50,12 @@ struct TrafficStats {
   std::uint64_t drops{0};
 };
 
-// Counters for the link-quality plane. `evaluations` counts actual
-// distance -> path-loss computations; `cache_hits` repeats served from the
-// per-SimTime link cache; `observer_evals` observer re-checks (the
-// O(moved endpoints) bound is asserted against this one); `events_emitted`
-// threshold/coverage crossing callbacks delivered.
+// Counters for the link-quality plane. `evaluations` counts
+// distance -> path-loss computations, one per quality read;
+// `observer_evals` observer re-checks (the O(moved endpoints) bound is
+// asserted against this one); `events_emitted` threshold/coverage crossing
+// callbacks delivered. `cache_hits` is kept only because the benchmark
+// (perfbench/) reads it; the medium has no link cache, so it always reads 0.
 struct QualityStats {
   std::uint64_t evaluations{0};
   std::uint64_t cache_hits{0};
@@ -152,8 +154,6 @@ class RadioMedium {
   [[nodiscard]] bool in_range(MacAddress a, MacAddress b,
                               Technology tech) const;
   // Noisy sample of the RSSI-style quality (0 when out of range / missing).
-  // The noise-free part is served from the per-SimTime link cache: repeated
-  // reads of one link within a tick cost one distance evaluation.
   [[nodiscard]] int sample_quality(MacAddress a, MacAddress b,
                                    Technology tech);
   // Noise-free quality (for analytical benches and the observer plane).
@@ -287,12 +287,6 @@ class RadioMedium {
     std::uint64_t eval_gen{0};  // position_gen_ of the last evaluation
   };
 
-  struct LinkCacheEntry {
-    std::uint64_t gen{0};
-    double distance{0.0};
-    double base{0.0};  // noise-free shadowed quality; <= 0 = dead
-  };
-
   struct TechState {
     TechnologyParams params{};
     SpatialGrid grid{1.0};
@@ -356,11 +350,10 @@ class RadioMedium {
   void collect_in_range(const Endpoint& origin, TechState& ts,
                         std::vector<const Endpoint*>& out) const;
 
-  // Per-SimTime link cache: distance + noise-free quality computed at most
-  // once per distinct (link, SimTime) no matter how many reads hit it.
-  [[nodiscard]] const LinkCacheEntry& link_cache_entry(const Endpoint& ea,
-                                                       const Endpoint& eb)
-      const;
+  // Noise-free shadowed quality of the (ea, eb) link at `distance_m`;
+  // <= 0 means dead. Counts one evaluation.
+  [[nodiscard]] double base_quality(const Endpoint& ea, const Endpoint& eb,
+                                    double distance_m) const;
   [[nodiscard]] static std::uint64_t link_shadow_key(MacAddress a,
                                                      MacAddress b,
                                                      Technology tech);
@@ -400,11 +393,6 @@ class RadioMedium {
   std::vector<QualityObserver> observers_;
   std::vector<std::uint32_t> observer_free_;
   std::size_t live_observers_{0};
-  // Keyed (min mac, max mac, tech); generation-tagged like the position
-  // cache, swept when it outgrows the live working set.
-  mutable std::unordered_map<LinkKey, LinkCacheEntry, LinkKeyHash>
-      link_cache_;
-  mutable std::size_t link_cache_sweep_limit_{kLastDeliveryMinSweep};
   mutable QualityStats quality_stats_;
 };
 

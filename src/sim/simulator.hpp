@@ -53,8 +53,10 @@ class Simulator {
     return queue_.schedule(at < now_ ? now_ : at, std::move(action));
   }
 
+  // A negative delay clamps to now() like a past schedule_at time, so the
+  // clock never runs backwards.
   EventId schedule_after(SimDuration delay, InlineCallable action) {
-    return queue_.schedule(now_ + delay, std::move(action));
+    return schedule_at(now_ + delay, std::move(action));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }
@@ -99,9 +101,6 @@ class Simulator {
   void advance_to(SimTime t) {
     if (t == now_) return;
     now_ = t;
-    // Keep the queue's near-horizon window tracking the clock, so events
-    // scheduled after an idle stretch still take the O(1) wheel path.
-    queue_.advance_window(t);
     for (const TimeObserver& observer : time_observers_) {
       if (observer) observer();
     }

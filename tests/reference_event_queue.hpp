@@ -1,14 +1,15 @@
-// The pre-arena event queue, retained verbatim as a reference
+// Test-support oracle: the pre-arena event queue, kept as a reference
 // implementation: std::priority_queue of (time, seq) entries plus an
 // unordered_map from EventId to a std::function action — one map-node
 // allocation per event and a heap-allocated closure for captures beyond
 // std::function's tiny inline buffer.
 //
-// Like `RadioMedium::in_range_of_brute` for the spatial grid, this is the
-// oracle for the pooled EventQueue: the randomized parity tests drive both
-// queues through identical schedule/cancel/fire interleavings and require
-// identical (time, insertion-order) fire sequences, and bench_event_core
-// uses it as the before/after baseline for the schedule→fire hot loop.
+// The randomized parity tests drive it and the pooled sim::EventQueue
+// through identical schedule/cancel/fire interleavings and require
+// identical (time, insertion-order) fire sequences; bench_event_core uses it
+// as the baseline for the schedule→fire hot loop. It lives under tests/
+// (bench targets get tests/ on their include path) so no production header
+// carries it.
 #pragma once
 
 #include <cassert>

@@ -1,5 +1,6 @@
 // Proves the "zero-allocation event core" claim with a counting
-// operator-new hook: once the slot arena, free list and heap have reached
+// operator-new hook: a fresh queue or simulator allocates nothing until its
+// first schedule, and once the slot arena, free list and heap have reached
 // their high-water marks, scheduling and firing events whose closures fit
 // InlineCallable's inline buffer performs no heap allocation at all.
 // This TU overrides global operator new/delete; each test source builds
@@ -65,6 +66,18 @@ struct FrameSizedCapture {
   std::uint64_t a, b, c, d;
   std::uint64_t* sink;
 };
+
+TEST(EventCoreAllocation, ConstructionAllocatesNothingUntilFirstSchedule) {
+  const std::uint64_t before = g_allocations.load();
+  {
+    EventQueue q;
+    Simulator sim{3};
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    q.schedule(SimTime{} + microseconds(1), [] {});
+    sim.schedule_after(microseconds(1), [] {});
+    EXPECT_GT(g_allocations.load() - before, 0u);  // the hook sees growth
+  }
+}
 
 TEST(EventCoreAllocation, SteadyStateScheduleFireIsAllocationFree) {
   EventQueue q;

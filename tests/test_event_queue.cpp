@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/reference_event_queue.hpp"
+#include "reference_event_queue.hpp"
 
 namespace peerhood::sim {
 namespace {
@@ -189,11 +189,11 @@ TEST(EventQueue, RandomizedParityWithReferenceQueue) {
   SimTime now{};
   int next_tag = 0;
   constexpr int kOps = 12'000;
-  // Delay mix stressing every tier of the pooled queue: zero-delay bursts
-  // and small near-horizon delays (first wheel), delays straddling the
-  // ~33 ms frame boundary (second wheel, incl. keepalive/inquiry-scale
-  // timers), delays beyond the ~33.6 s second-wheel horizon (far heap), and
-  // occasional *past* deadlines, which force the wheel-to-heap flush path.
+  // Delay mix covering every horizon the simulator produces: zero-delay
+  // bursts and microsecond delays (deferrals, same-time ties), ~30 ms frame
+  // latencies, keepalive/inquiry-scale timers up to 30 s, long timers up to
+  // 80 s, and occasional *past* deadlines that land ahead of everything
+  // already pending.
   const auto random_when = [&rng, &now] {
     const double roll = rng.next_double();
     if (roll < 0.25) return now;
@@ -254,9 +254,9 @@ TEST(EventQueue, RandomizedParityWithReferenceQueue) {
   EXPECT_GE(pooled_log.size(), 5'000u);
 }
 
-// Scheduling behind the queue's clock (below the last fired time) must
-// still fire in global (time, insertion-order) order — this exercises the
-// wheel-to-heap flush that keeps the near-horizon window consistent.
+// Scheduling behind the last fired time (legal on the raw queue; the
+// Simulator clamps it) must still fire in global (time, insertion-order)
+// order.
 TEST(EventQueue, PastTimeScheduleFiresInGlobalOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -305,7 +305,7 @@ TEST(EventQueue, CancelStormReleasesAndReusesSlots) {
   EXPECT_EQ(fired, 100);
 }
 
-// Events on both sides of the wheel window (~33 ms) interleave correctly.
+// Millisecond-scale events scheduled out of order fire in time order.
 TEST(EventQueue, NearAndFarEventsInterleave) {
   EventQueue q;
   std::vector<int> order;
@@ -317,13 +317,12 @@ TEST(EventQueue, NearAndFarEventsInterleave) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 50, 100}));
 }
 
-// Timers across all three tiers — first wheel (< 33 ms), second wheel
-// (keepalive/inquiry scale, < 33.6 s) and the far heap beyond it — fire in
-// exact time order, including entries that cascade through both wheels.
-TEST(EventQueue, SecondWheelTimersFireInOrder) {
+// Timers from 1 ms to 60 s — frame latencies, keepalive/inquiry periods
+// and long timers — fire in exact time order whatever the schedule order.
+TEST(EventQueue, MixedHorizonTimersFireInOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule(SimTime{} + seconds(60.0), [&] { order.push_back(7); });  // heap
+  q.schedule(SimTime{} + seconds(60.0), [&] { order.push_back(7); });
   q.schedule(SimTime{} + seconds(10.0), [&] { order.push_back(5); });
   q.schedule(SimTime{} + milliseconds(500), [&] { order.push_back(3); });
   q.schedule(SimTime{} + milliseconds(1), [&] { order.push_back(1); });
@@ -334,27 +333,26 @@ TEST(EventQueue, SecondWheelTimersFireInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
 }
 
-// A far-scheduled timer and a near-scheduled event sharing the exact same
-// timestamp must fire in insertion order: the cascade path inserts by
-// sequence rather than appending.
-TEST(EventQueue, CascadedTimerKeepsInsertionOrderOnTimestampTie) {
+// A timer scheduled 5 s ahead and an event scheduled 1 ms ahead of the
+// same timestamp must fire in insertion order: the tie is broken by
+// sequence, not by how far ahead each was scheduled.
+TEST(EventQueue, LongTimerKeepsInsertionOrderOnTimestampTie) {
   EventQueue q;
   std::vector<int> order;
   const SimTime tie = SimTime{} + seconds(5.0);
-  q.schedule(tie, [&] { order.push_back(1); });  // second wheel (far)
+  q.schedule(tie, [&] { order.push_back(1); });  // 5 s ahead
   q.schedule(SimTime{} + seconds(4.999), [&, tie] {
-    // Scheduled near-horizon, directly into the first wheel, after the far
-    // timer has already been pending for ~5 s.
+    // Scheduled 1 ms ahead, after the first timer has already been pending
+    // for ~5 s.
     q.schedule(tie, [&] { order.push_back(2); });
   });
   while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// Cancelling second-wheel timers defers slot reclamation to the frame
-// cascade (or queue reset); every event must still be accounted for exactly
-// once across heavy mixed-horizon churn.
-TEST(EventQueue, SecondWheelCancelAndRecycle) {
+// Cancelling timers anywhere in a 30 s horizon must account for every
+// event exactly once across heavy churn, and leave the arena reusable.
+TEST(EventQueue, MixedHorizonCancelAndRecycle) {
   EventQueue q;
   Rng rng{7};
   int fired = 0;

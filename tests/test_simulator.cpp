@@ -52,6 +52,26 @@ TEST(Simulator, PastEventsClampToNow) {
   EXPECT_EQ(sim.now(), SimTime{} + seconds(10.0));
 }
 
+// A negative delay clamps to now() like a past schedule_at time: the event
+// fires at the current time and the clock (and every time observer) never
+// sees time run backwards.
+TEST(Simulator, NegativeDelayClampsToNow) {
+  Simulator sim{1};
+  const SimTime five = SimTime{} + seconds(5.0);
+  sim.run_until(five);
+  std::vector<SimTime> observed;
+  sim.add_time_observer([&] { observed.push_back(sim.now()); });
+  SimTime fired_at{};
+  sim.schedule_after(seconds(-2.0), [&] { fired_at = sim.now(); });
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(fired_at, five);
+  EXPECT_EQ(sim.now(), five);
+  EXPECT_TRUE(observed.empty());  // the clock did not move at all
+  sim.schedule_after(seconds(1.0), [] {});
+  sim.run_all();
+  EXPECT_EQ(observed, (std::vector<SimTime>{five + seconds(1.0)}));
+}
+
 TEST(Simulator, CancelWorksThroughSimulator) {
   Simulator sim{1};
   bool ran = false;
