@@ -4,8 +4,9 @@
 // set — exactly what the PeerHood inquiry loops do once per searching cycle.
 // The sweep is timed two ways over the same randomly moving population:
 //
-//  * brute: in_range_of_brute — the pre-grid linear scan, one virtual
-//    position_at call per registered endpoint per query (O(N^2) per sweep);
+//  * brute: in_range_of_brute (tests/reference_neighbours.hpp) — the
+//    pre-grid linear scan, one virtual position_at call per endpoint per
+//    query (O(N^2) per sweep);
 //  * grid:  in_range_of — spatial grid + per-SimTime position cache
 //    (O(N) rebuild per tick, then O(local density) per query).
 //
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "reference_neighbours.hpp"
 #include "sim/medium.hpp"
 
 namespace {
@@ -52,17 +54,25 @@ struct Scene {
       const sim::Vec2 start{rng.uniform(0.0, side), rng.uniform(0.0, side)};
       const MacAddress mac = MacAddress::from_index(
           static_cast<std::uint64_t>(i));
-      medium.register_endpoint(
-          mac, Technology::kBluetooth,
-          std::make_shared<sim::RandomWaypoint>(config, start, sim.fork_rng()),
-          nullptr);
+      auto mobility =
+          std::make_shared<sim::RandomWaypoint>(config, start, sim.fork_rng());
+      medium.register_endpoint(mac, Technology::kBluetooth, mobility, nullptr);
       macs.push_back(mac);
+      endpoints.push_back(sim::ReferenceEndpoint{mac, std::move(mobility)});
     }
+  }
+
+  // The brute-force oracle's answer for one node at the current SimTime.
+  [[nodiscard]] std::vector<MacAddress> brute(MacAddress mac) const {
+    return sim::in_range_of_brute(
+        endpoints, mac, medium.params(Technology::kBluetooth).range_m,
+        sim.now());
   }
 
   sim::Simulator sim;
   sim::RadioMedium medium;
   std::vector<MacAddress> macs;
+  std::vector<sim::ReferenceEndpoint> endpoints;
 };
 
 // One full discovery sweep; returns total neighbour count (checksum).
@@ -71,7 +81,7 @@ std::size_t sweep(Scene& scene) {
   std::size_t total = 0;
   for (const MacAddress mac : scene.macs) {
     const auto neighbours =
-        kBrute ? scene.medium.in_range_of_brute(mac, Technology::kBluetooth)
+        kBrute ? scene.brute(mac)
                : scene.medium.in_range_of(mac, Technology::kBluetooth);
     total += neighbours.size();
   }
@@ -119,10 +129,7 @@ void sampled_rep(Scene& scene, double* grid_ms, double* brute_ms,
   double queries = 0.0;
   const auto brute_begin = Clock::now();
   for (std::size_t i = 0; i < n; i += stride) {
-    benchmark::DoNotOptimize(
-        scene.medium
-            .in_range_of_brute(scene.macs[i], Technology::kBluetooth)
-            .data());
+    benchmark::DoNotOptimize(scene.brute(scene.macs[i]).data());
     queries += 1.0;
   }
   const auto brute_end = Clock::now();
@@ -134,8 +141,7 @@ void sampled_rep(Scene& scene, double* grid_ms, double* brute_ms,
   // Parity outside the timed region: at the same SimTime the grid answer
   // must match the oracle exactly, node by node.
   for (std::size_t i = 0; i < n; i += stride) {
-    if (scene.medium.in_range_of_brute(scene.macs[i],
-                                       Technology::kBluetooth) !=
+    if (scene.brute(scene.macs[i]) !=
         scene.medium.in_range_of(scene.macs[i], Technology::kBluetooth)) {
       *parity_ok = false;
     }

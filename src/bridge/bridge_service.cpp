@@ -8,6 +8,12 @@
 
 namespace peerhood::bridge {
 
+namespace {
+// Deadline for one downstream hop: connect, forward the bridge frame and
+// receive the chain acknowledgement.
+constexpr SimDuration kDownstreamTimeout = std::chrono::seconds{45};
+}  // namespace
+
 BridgeService::BridgeService(Daemon& daemon, Library& library,
                              BridgeConfig config)
     : daemon_{daemon}, library_{library}, config_{config} {}
@@ -124,7 +130,7 @@ void BridgeService::establish_downstream(net::ConnectionPtr upstream,
 
   dial_with_ack(
       daemon_.network(), daemon_.mac(), hop, std::move(forward_frame),
-      config_.downstream_timeout,
+      kDownstreamTimeout,
       [this, token = sentinel_.token(), upstream,
        retry_or_fail](Result<net::ConnectionPtr> result) {
         if (!result.ok()) {

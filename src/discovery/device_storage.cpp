@@ -29,7 +29,7 @@ std::optional<ServiceInfo> DeviceRecord::find_service(
 }
 
 bool RoutePolicy::admissible(const DeviceRecord& record) const {
-  return record.min_link_quality >= quality_threshold;
+  return record.min_link_quality >= sim::LinkQualityModel::kDefaultThreshold;
 }
 
 bool RoutePolicy::prefer(const DeviceRecord& candidate,

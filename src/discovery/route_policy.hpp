@@ -15,9 +15,8 @@ namespace peerhood {
 struct DeviceRecord;  // defined in device_storage.hpp
 
 struct RoutePolicy {
-  // Per-link admissibility threshold (Fig. 3.9, §5.2.1).
-  int quality_threshold{sim::LinkQualityModel::kDefaultThreshold};
-  // When true, an admissible route always beats an inadmissible one; an
+  // Every link must clear sim::LinkQualityModel::kDefaultThreshold, the
+  // Fig. 3.9 / §5.2.1 admissibility threshold. When true, an admissible route always beats an inadmissible one; an
   // inadmissible route is still stored when it is the only way (the paper
   // prefers any connectivity over none).
   bool enforce_threshold{true};

@@ -9,11 +9,37 @@
 namespace peerhood::handover {
 
 namespace {
+// --- Reactive loop: the paper's HandoverThread (Fig. 5.5, §5.2) --------------
+// Poll link quality once per second and repair after more than
+// kLowCountLimit consecutive samples under the Fig. 3.9 threshold.
+constexpr int kQualityThreshold = sim::LinkQualityModel::kDefaultThreshold;
+constexpr int kLowCountLimit = 3;
+constexpr SimDuration kMonitorPeriod = std::chrono::seconds{1};
+// Deadline of one bridged or direct session resume.
+constexpr SimDuration kResumeTimeout = std::chrono::seconds{30};
+// Plan scoring: quality units subtracted per §3.4.3 mobility-cost unit of
+// the bridge ({static,hybrid,dynamic} = {0,1,3}). A mobile bridge whose
+// own link is about to die with ours (e.g. a fellow group member walking
+// the same corridor) must lose to a weaker but static relay even when its
+// advertised neighbour qualities are a full inquiry cycle stale — hence a
+// penalty larger than the stale-quality spread (~60 units for dynamic).
+constexpr int kBridgeMobilityPenalty = 20;
 // Score penalty per failed resume attempt through a bridge within the
 // current repair episode — larger than any achievable link score, so one
 // failure sorts the bridge behind every untried candidate (a crashed relay
 // would otherwise win re-planning forever on its stale advertised quality).
 constexpr int kBridgeFailurePenalty = 1000;
+
+// --- Predictive make-before-break layer ---------------------------------------
+// The observer arms the predictor this many quality units *above* the
+// reactive threshold: early warning, so a slow bridge chain can still be
+// pre-dialed before the link reaches the edge.
+constexpr int kPredictHeadroom = 10;
+constexpr int kPredictThreshold = kQualityThreshold + kPredictHeadroom;
+// Cadence of the armed predictor between crossing events.
+constexpr SimDuration kPredictPollPeriod = std::chrono::milliseconds{250};
+// Pre-dial when predicted time-to-loss < bridge setup estimate × margin.
+constexpr double kSetupMargin = 1.3;
 }  // namespace
 
 HandoverController::HandoverController(Library& library, ChannelPtr channel,
@@ -27,8 +53,8 @@ void HandoverController::start() {
   refresh_plan();
   state_ = HandoverState::kMonitor;
   if (config_.predictive_enabled) subscribe_link();
-  monitor_.start(library_.daemon().simulator(), config_.monitor_period,
-                 [this] { tick(); }, config_.monitor_period);
+  monitor_.start(library_.daemon().simulator(), kMonitorPeriod,
+                 [this] { tick(); }, kMonitorPeriod);
 }
 
 void HandoverController::stop() {
@@ -79,7 +105,7 @@ void HandoverController::refresh_plan() {
     // the §3.4.3 mobility cost of the bridge: a relay moving with us is
     // likely to lose the peer exactly when we do.
     int score = std::min(record.quality_sum, link->quality) -
-                config_.bridge_mobility_penalty *
+                kBridgeMobilityPenalty *
                     mobility_cost(record.device.mobility);
     if (const auto failed = bridge_failures_.find(record.device.mac);
         failed != bridge_failures_.end()) {
@@ -100,7 +126,7 @@ void HandoverController::refresh_plan() {
       int score = peer_record->min_link_quality;
       const DeviceRecord* bridge_record = storage.lookup(peer_record->bridge);
       if (bridge_record != nullptr) {
-        score -= config_.bridge_mobility_penalty *
+        score -= kBridgeMobilityPenalty *
                  mobility_cost(bridge_record->device.mobility);
       }
       if (const auto failed = bridge_failures_.find(peer_record->bridge);
@@ -123,13 +149,9 @@ void HandoverController::subscribe_link() {
   if (channel_ == nullptr || channel_->connection() == nullptr) return;
   const net::NetAddress local = channel_->connection()->local_address();
   const net::NetAddress remote = channel_->connection()->remote_address();
-  sim::QualityObserverConfig config;
-  config.threshold = config_.quality_threshold + config_.predict_headroom;
-  config.hysteresis = config_.hysteresis;
-  config.min_interval = config_.quality_eval_interval;
   net::Network& network = library_.daemon().network();
   observer_ = network.observe_quality(
-      local.mac, remote.mac, remote.tech, config,
+      local.mac, remote.mac, remote.tech, kPredictThreshold,
       [this, token = sentinel_.token()](const sim::LinkQualityEvent& event) {
         if (token.expired()) return;
         on_quality_event(event);
@@ -144,7 +166,7 @@ void HandoverController::subscribe_link() {
   // the predictor directly.
   const sim::LinkQualityEvent probe =
       network.probe_link(local.mac, remote.mac, remote.tech);
-  if (probe.quality > 0 && probe.quality < config.threshold && !busy_) {
+  if (probe.quality > 0 && probe.quality < kPredictThreshold && !busy_) {
     arm_predictor();
   }
 }
@@ -156,10 +178,6 @@ void HandoverController::unsubscribe_link() {
 }
 
 double HandoverController::setup_estimate_s() const {
-  if (config_.bridge_setup_estimate > SimDuration{0}) {
-    return std::chrono::duration<double>(config_.bridge_setup_estimate)
-        .count();
-  }
   // Worst-case establishment of a §4.1 bridge chain: the PH_OK travels back
   // only after *two* hops re-established (self->bridge, bridge->peer), each
   // paying the per-hop connect delay — the §4.3 measurement this whole
@@ -208,8 +226,8 @@ void HandoverController::on_quality_event(const sim::LinkQualityEvent& event) {
 
 void HandoverController::arm_predictor() {
   if (predictor_.running()) return;
-  predictor_.start(library_.daemon().simulator(), config_.predict_poll_period,
-                   [this] { predict_check(); }, config_.predict_poll_period);
+  predictor_.start(library_.daemon().simulator(), kPredictPollPeriod,
+                   [this] { predict_check(); }, kPredictPollPeriod);
 }
 
 void HandoverController::disarm_predictor() { predictor_.stop(); }
@@ -226,8 +244,7 @@ void HandoverController::predict_check() {
   net::Network& network = library_.daemon().network();
   const sim::LinkQualityEvent probe =
       network.probe_link(local.mac, remote.mac, remote.tech);
-  if (probe.quality > config_.quality_threshold + config_.predict_headroom +
-                          config_.hysteresis) {
+  if (probe.quality > kPredictThreshold + sim::kQualityHysteresis) {
     // Recovered (defensive double-check of the kRose edge).
     disarm_predictor();
     return;
@@ -245,7 +262,7 @@ void HandoverController::predict_check() {
   const double range = network.params(remote.tech).range_m;
   const double time_to_loss =
       (range - probe.distance_m) / probe.radial_speed_mps;
-  if (time_to_loss > setup_estimate_s() * config_.setup_margin) return;
+  if (time_to_loss > setup_estimate_s() * kSetupMargin) return;
   // Pre-dialing only makes sense onto a route that does not share the dying
   // first hop: resuming "via" the hop we are already on replaces the
   // connection with an identical path. Terminal loss with no alternative
@@ -299,12 +316,12 @@ void HandoverController::tick() {
 
   ++stats_.samples;
   const int quality = channel_->link_quality();
-  if (quality < config_.quality_threshold) {
+  if (quality < kQualityThreshold) {
     ++low_count_;
   } else {
     low_count_ = 0;
   }
-  if (low_count_ > config_.low_count_limit) {
+  if (low_count_ > kLowCountLimit) {
     ++stats_.degradations;
     low_count_ = 0;
     if (!emit(HandoverEvent{HandoverEvent::Kind::kDegradationDetected, {},
@@ -335,6 +352,15 @@ void HandoverController::execute() {
     attempt_direct_resume();
   } else if (config_.reconnection_enabled) {
     start_reconnection();
+  } else if (config_.direct_resume_enabled) {
+    // Crash-tolerant session, link still open, nothing to dial: giving up
+    // would hand the session to the application's restart path and lose
+    // frames the journal could have saved. Keep monitoring, as
+    // attempt_route() does for a live link; a dead link comes back here
+    // through the direct-resume branch above.
+    busy_ = false;
+    predicted_ = false;
+    state_ = HandoverState::kMonitor;
   } else {
     busy_ = false;
     predicted_ = false;
@@ -406,7 +432,7 @@ void HandoverController::attempt_route(std::size_t candidate_index) {
         }
         attempt_route(candidate_index + 1);
       },
-      config_.resume_timeout);
+      kResumeTimeout);
 }
 
 void HandoverController::attempt_direct_resume() {
@@ -436,7 +462,7 @@ void HandoverController::attempt_direct_resume() {
         }
         finish_dead_link_pass();
       },
-      config_.resume_timeout);
+      kResumeTimeout);
 }
 
 void HandoverController::finish_dead_link_pass() {

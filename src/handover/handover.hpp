@@ -2,7 +2,7 @@
 //
 // The seed implementation was the paper's HandoverThread (Fig. 5.5)
 // verbatim: poll link quality once per second and react after
-// `low_count_limit` consecutive bad samples — by which time the corridor
+// `kLowCountLimit` consecutive bad samples — by which time the corridor
 // walker of Fig. 5.4 has already lost the link, so every handover is an
 // outage. This engine keeps that reactive loop as the fallback and layers a
 // *predictive make-before-break* path on top of the medium's push-based
@@ -45,24 +45,17 @@
 namespace peerhood::handover {
 
 struct HandoverConfig {
-  // --- Reactive (paper) parameters -----------------------------------------
-  int quality_threshold{230};
-  int low_count_limit{3};
-  SimDuration monitor_period{std::chrono::seconds{1}};
+  // --- Reactive (paper) repair ---------------------------------------------
+  // The HandoverThread's Fig. 3.9 quality threshold, 1 s monitor period and
+  // low-count limit are the paper's fixed parameters (constants in
+  // handover.cpp); only the repair strategy is chosen here.
+
   // Routing-handover attempts (distinct bridges) before falling back.
   int max_route_attempts{2};
-  // Plan scoring: quality units subtracted per §3.4.3 mobility-cost unit of
-  // the bridge ({static,hybrid,dynamic} = {0,1,3}). A mobile bridge whose
-  // own link is about to die with ours (e.g. a fellow group member walking
-  // the same corridor) must lose to a weaker but static relay even when its
-  // advertised neighbour qualities are a full inquiry cycle stale — hence a
-  // penalty larger than the stale-quality spread (~60 units for dynamic).
-  int bridge_mobility_penalty{20};
   // Disables routing handover entirely (hard-handover baseline: reconnect
   // to another provider only — the Fig. 5.3 behaviour).
   bool routing_enabled{true};
   bool reconnection_enabled{true};
-  SimDuration resume_timeout{std::chrono::seconds{30}};
   // Full routing-plan passes attempted against a dead link before the
   // controller goes terminal. Crash scenarios raise this so the controller
   // keeps retrying across a server's downtime and the restart-resume path
@@ -76,24 +69,9 @@ struct HandoverConfig {
   bool direct_resume_enabled{false};
 
   // --- Predictive make-before-break layer ----------------------------------
+  // Its arming band, poll cadence and pre-dial margin are constants in
+  // handover.cpp.
   bool predictive_enabled{true};
-  // The observer arms the predictor this many quality units *above* the
-  // reactive threshold: early warning, so a slow bridge chain can still be
-  // pre-dialed before the link reaches the edge.
-  int predict_headroom{10};
-  // Hysteresis band for the quality observer (kRose needs threshold +
-  // hysteresis, so a hovering link cannot chatter).
-  int hysteresis{5};
-  // Observer rate limit: the medium re-evaluates the link at most this
-  // often, however many events advance the clock.
-  SimDuration quality_eval_interval{std::chrono::milliseconds{100}};
-  // Cadence of the armed predictor between crossing events.
-  SimDuration predict_poll_period{std::chrono::milliseconds{250}};
-  // Estimated bridge establishment latency. zero() = derive from the link's
-  // technology parameters (worst-case per-hop connect delay) at start.
-  SimDuration bridge_setup_estimate{SimDuration{0}};
-  // Pre-dial when predicted time-to-loss < estimate × margin.
-  double setup_margin{1.3};
 };
 
 enum class HandoverState {

@@ -5,6 +5,11 @@
 
 namespace peerhood::handover {
 
+namespace {
+// Ceiling of the doubling reconnect backoff (before jitter).
+constexpr SimDuration kRetryCap = std::chrono::seconds{48};
+}  // namespace
+
 void ResultRouter::deliver(const ChannelPtr& channel, Bytes result,
                            std::function<void(Status)> done) {
   if (channel->open()) {
@@ -78,7 +83,7 @@ void ResultRouter::reconnect_and_send(std::weak_ptr<Channel> weak_channel,
     const double base_s =
         std::chrono::duration<double>(config_.retry_base).count();
     const double cap_s =
-        std::chrono::duration<double>(config_.retry_cap).count();
+        std::chrono::duration<double>(kRetryCap).count();
     const double backoff_s = std::min(
         base_s * static_cast<double>(std::uint64_t{1} << (used - 1)), cap_s);
     const double scale = sim.rng().uniform(1.0 - config_.retry_jitter,

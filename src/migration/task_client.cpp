@@ -35,14 +35,11 @@ void TaskClient::run(DoneCallback done) {
   pending_outcome_ = MigrationOutcome{};
   pending_outcome_.started = library_.daemon().simulator().now();
 
-  // Register the call-back target for server-initiated result delivery.
-  // Method 1 advertises it network-wide ("client" attribute); Method 2
-  // keeps it hidden and pushes the parameters in the connect handshake.
-  const bool visible =
-      config_.reconnect_method == handover::ReconnectMethod::kClientService;
+  // Register the call-back target for server-initiated result delivery:
+  // hidden, with the parameters pushed in the connect handshake (§5.3
+  // Method 2).
   (void)library_.register_service(
-      ServiceInfo{config_.reconnect_service,
-                  visible ? "client" : kHiddenAttribute, 0},
+      ServiceInfo{config_.reconnect_service, kHiddenAttribute, 0},
       [this](ChannelPtr back_channel, const wire::ConnectRequest&) {
         back_channel->set_data_handler([this](const Bytes& frame) {
           if (tag_of(frame) == FrameTag::kResult && !outcome_.has_value()) {
@@ -95,34 +92,32 @@ void TaskClient::on_connected(ChannelPtr channel) {
     // will reconnect. During upload the handover controller handles repair.
   });
 
-  if (config_.use_handover) {
-    handover_ = std::make_unique<handover::HandoverController>(
-        library_, channel_, config_.handover);
-    handover_->set_event_handler([this](const handover::HandoverEvent& event) {
-      using Kind = handover::HandoverEvent::Kind;
-      if (event.kind == Kind::kHandoverComplete) {
-        ++pending_outcome_.handovers;
-        // After substitution the server replies with a progress frame that
-        // tells us where to resume; sending pauses until it arrives.
-      } else if (event.kind == Kind::kHandoverFailed) {
-        ++pending_outcome_.handover_failures;
-      } else if (event.kind == Kind::kReconnected) {
-        // New provider, new session: the whole task restarts (§5.2.2).
-        channel_ = event.new_channel;
-        channel_->set_data_handler(
-            [this](const Bytes& frame) { on_frame(frame); });
-        next_to_send_ = 0;
-        upload_finished_ = false;
-        send_header_and_start();
-      } else if (event.kind == Kind::kGaveUp) {
-        if (!outcome_.has_value() && !upload_finished_) {
-          finish(MigrationOutcome::Kind::kFailed,
-                 Error{ErrorCode::kConnectionFailed, event.detail});
-        }
+  handover_ =
+      std::make_unique<handover::HandoverController>(library_, channel_);
+  handover_->set_event_handler([this](const handover::HandoverEvent& event) {
+    using Kind = handover::HandoverEvent::Kind;
+    if (event.kind == Kind::kHandoverComplete) {
+      ++pending_outcome_.handovers;
+      // After substitution the server replies with a progress frame that
+      // tells us where to resume; sending pauses until it arrives.
+    } else if (event.kind == Kind::kHandoverFailed) {
+      ++pending_outcome_.handover_failures;
+    } else if (event.kind == Kind::kReconnected) {
+      // New provider, new session: the whole task restarts (§5.2.2).
+      channel_ = event.new_channel;
+      channel_->set_data_handler(
+          [this](const Bytes& frame) { on_frame(frame); });
+      next_to_send_ = 0;
+      upload_finished_ = false;
+      send_header_and_start();
+    } else if (event.kind == Kind::kGaveUp) {
+      if (!outcome_.has_value() && !upload_finished_) {
+        finish(MigrationOutcome::Kind::kFailed,
+               Error{ErrorCode::kConnectionFailed, event.detail});
       }
-    });
-    handover_->start();
-  }
+    }
+  });
+  handover_->start();
 
   send_header_and_start();
 }

@@ -12,7 +12,6 @@
 
 #include "common/handler_slot.hpp"
 #include "handover/handover.hpp"
-#include "handover/result_router.hpp"
 #include "migration/task.hpp"
 #include "peerhood/library.hpp"
 
@@ -20,14 +19,10 @@ namespace peerhood::migration {
 
 struct TaskClientConfig {
   TaskSpec spec{};
-  // Attach a handover controller to the upload channel.
-  bool use_handover{true};
-  handover::HandoverConfig handover{};
-  // How the server may call back with the result (§5.3 Methods 1 and 2).
-  handover::ReconnectMethod reconnect_method{
-      handover::ReconnectMethod::kClientParams};
-  // Client-side service the server connects back to. Registered as a
-  // visible "client" service for Method 1, hidden for Method 2.
+  // Client-side service the server connects back to with the result. It is
+  // registered hidden and its name travels in the connect handshake (§5.3
+  // Method 2, the paper's preferred design); a handover controller with the
+  // default policy guards the upload channel.
   std::string reconnect_service{"client.result"};
   SimDuration result_timeout{std::chrono::seconds{600}};
   SimDuration connect_timeout{std::chrono::seconds{60}};

@@ -127,10 +127,9 @@ class Network {
   // model return kInvalidQualityObserver; the controller then never gets a
   // kFell edge and falls back to its reactive monitor loop.
   virtual sim::QualityObserverId observe_quality(
-      MacAddress a, MacAddress b, Technology tech,
-      sim::QualityObserverConfig config, sim::RadioMedium::QualityHandler
-      handler) {
-    (void)a; (void)b; (void)tech; (void)config; (void)handler;
+      MacAddress a, MacAddress b, Technology tech, int threshold,
+      sim::RadioMedium::QualityHandler handler) {
+    (void)a; (void)b; (void)tech; (void)threshold; (void)handler;
     return sim::kInvalidQualityObserver;
   }
   virtual void unobserve_quality(sim::QualityObserverId id) { (void)id; }

@@ -37,6 +37,8 @@ constexpr std::uint8_t kStreamData = 0x03;
 
 constexpr std::size_t kUdpHeader = 1 + 8 + 1;  // kind + from mac + tech
 constexpr std::size_t kReadChunk = 16 * 1024;
+// Quality reported for configured peers (loopback links do not degrade).
+constexpr int kPeerLinkQuality = 240;
 
 
 sockaddr_in make_addr(const std::string& ip, std::uint16_t port) {
@@ -567,7 +569,7 @@ bool PosixNetwork::peerhood_tag(MacAddress mac, Technology tech) const {
 int PosixNetwork::sample_quality(MacAddress /*local*/, MacAddress peer,
                                  Technology /*tech*/) {
   // No geometry: configured peers are healthy, everything else is gone.
-  return find_peer(peer) != nullptr ? config_.link_quality : 0;
+  return find_peer(peer) != nullptr ? kPeerLinkQuality : 0;
 }
 
 const sim::TechnologyParams& PosixNetwork::params(Technology tech) const {

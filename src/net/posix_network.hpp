@@ -74,8 +74,6 @@ struct PosixConfig {
   // Per-connection bounded send queue (frames); the oldest frame is dropped
   // on overflow (NetStats::send_queue_drops) — PR 7's accounting on a socket.
   std::size_t max_send_queue{1024};
-  // Quality reported for configured peers (loopback links do not degrade).
-  int link_quality{240};
 };
 
 class PosixNetwork final : public Network {

@@ -291,10 +291,9 @@ const sim::TechnologyParams& SimNetwork::params(Technology tech) const {
 }
 
 sim::QualityObserverId SimNetwork::observe_quality(
-    MacAddress a, MacAddress b, Technology tech,
-    sim::QualityObserverConfig config,
+    MacAddress a, MacAddress b, Technology tech, int threshold,
     sim::RadioMedium::QualityHandler handler) {
-  return medium_.observe_quality(a, b, tech, config, std::move(handler));
+  return medium_.observe_quality(a, b, tech, threshold, std::move(handler));
 }
 
 void SimNetwork::unobserve_quality(sim::QualityObserverId id) {

@@ -81,8 +81,7 @@ class SimNetwork final : public Network {
 
   // --- Quality observation (full support: the medium has geometry) ----------
   sim::QualityObserverId observe_quality(
-      MacAddress a, MacAddress b, Technology tech,
-      sim::QualityObserverConfig config,
+      MacAddress a, MacAddress b, Technology tech, int threshold,
       sim::RadioMedium::QualityHandler handler) override;
   void unobserve_quality(sim::QualityObserverId id) override;
   [[nodiscard]] sim::LinkQualityEvent probe_link(MacAddress a, MacAddress b,

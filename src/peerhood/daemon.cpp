@@ -19,6 +19,14 @@ std::uint64_t mint_epoch(MacAddress mac) {
   return (mac.as_u64() << 20) ^ counter.fetch_add(1);
 }
 
+// Deferred fetch replies queued per peer; when full the oldest queued reply
+// is dropped (and counted) before the new one is queued, so a requester
+// storm cannot grow daemon memory without bound.
+constexpr std::size_t kMaxPeerSendQueue = 8;
+// SessionStore journal capacity: resume records surviving a crash. Least
+// recently touched records are evicted first.
+constexpr std::size_t kSessionJournalCapacity = 64;
+
 }  // namespace
 
 Daemon::Daemon(net::Network& network, MacAddress mac,
@@ -30,10 +38,9 @@ Daemon::Daemon(net::Network& network, MacAddress mac,
       self_{mac, config_.device_name,
             static_cast<std::uint32_t>(mac.as_u64() & 0xffffffffu),
             config_.mobility},
-      storage_{config_.route_policy},
       analyzer_{mac, AnalyzerConfig{config_.propagate_routes}},
       engine_{network, mac},
-      session_store_{config_.session_journal_capacity} {
+      session_store_{kSessionJournalCapacity} {
   cache_.set_caching(config_.snapshot_cache);
   if (!config_.session_journal_path.empty()) {
     session_store_.bind_file(config_.session_journal_path);
@@ -219,7 +226,7 @@ void Daemon::answer_fetch(Technology tech, MacAddress from,
     if (it->peer != peer) continue;
     if (queued++ == 0) oldest = it;
   }
-  if (queued > 0 && queued >= config_.max_peer_send_queue) {
+  if (queued > 0 && queued >= kMaxPeerSendQueue) {
     simulator().cancel(oldest->event);
     send_queue_.erase(oldest);
     ++send_queue_drops_;

@@ -136,7 +136,7 @@ class Daemon {
       last_request_;
   SessionStore session_store_;
   // Deferred fetch replies of every peer in one flat list, oldest first
-  // (ids ascend). Each peer's share is capped at max_peer_send_queue with
+  // (ids ascend). Each peer's share is capped at kMaxPeerSendQueue with
   // oldest-drop. A handful of replies is in flight at a time, so a scan
   // beats a per-peer container that is created and erased per answer.
   std::vector<PendingSend> send_queue_;

@@ -11,6 +11,12 @@ namespace {
 // either plain frames or a ReliableChannel on both ends).
 constexpr std::uint8_t kTagData = 0xD1;
 constexpr std::uint8_t kTagAck = 0xD2;
+// Consecutive duplicate cumulative acks that trigger a fast retransmit of
+// the first unacked frame.
+constexpr int kDupAckThreshold = 3;
+// Maximum out-of-order frames the receiver buffers; also the basis of the
+// window it advertises in every ack.
+constexpr std::size_t kReorderCap = 256;
 
 }  // namespace
 
@@ -134,7 +140,7 @@ void ReliableChannel::restore(std::uint64_t next_seq, std::uint64_t expected) {
 std::uint32_t ReliableChannel::advertised_window() const {
   const std::size_t used = reorder_.size();
   const std::size_t free =
-      config_.reorder_cap > used ? config_.reorder_cap - used : 0;
+      kReorderCap > used ? kReorderCap - used : 0;
   return static_cast<std::uint32_t>(
       std::min<std::size_t>(free, UINT32_MAX));
 }
@@ -156,7 +162,7 @@ void ReliableChannel::on_frame(const Bytes& frame) {
     // peer ignoring our advertised window) is dropped, not buffered; the
     // immediate ack below re-advertises the window.
     if (in_order || reorder_.count(seq) != 0 ||
-        reorder_.size() < config_.reorder_cap) {
+        reorder_.size() < kReorderCap) {
       reorder_.emplace(seq, std::move(decoded->payload));
       // Deliver the contiguous prefix.
       while (!reorder_.empty() && reorder_.begin()->first == expected_) {
@@ -197,8 +203,8 @@ void ReliableChannel::on_ack(std::uint64_t cumulative, std::uint32_t window) {
     return;
   }
   // Duplicate cumulative ack: the peer is stuck at a hole we can fill.
-  if (outbox_.empty() || config_.dup_ack_threshold <= 0) return;
-  if (++dup_acks_ < config_.dup_ack_threshold) return;
+  if (outbox_.empty()) return;
+  if (++dup_acks_ < kDupAckThreshold) return;
   dup_acks_ = 0;
   ++fast_retransmits_;
   ++retransmissions_;

@@ -54,7 +54,10 @@ void SessionStore::persist() {
       persist_failed("open");
       return;
     }
-    for (const auto& [id, record] : records_) {
+    // Least recent first: bind_file() re-touches lines in file order, so
+    // a reload restores the LRU order along with the records.
+    for (const std::uint64_t id : order_) {
+      const SessionRecord& record = records_.at(id);
       out << "v1 " << id << ' ' << record.peer.as_u64() << ' '
           << record.next_seq << ' ' << record.expected << ' '
           << record.service << '\n';

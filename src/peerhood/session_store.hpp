@@ -40,15 +40,16 @@ class SessionStore {
 
   // Optional file persistence — the journal of a *real* daemon process.
   // bind_file() loads every record a previous incarnation journalled at
-  // `path` (the kill -9 restart path), trimming the least recent down to
-  // capacity (counted in evictions()), then rewrites the file on each
-  // mutation via write-temp + rename, so the on-disk journal is always a
-  // complete, uncorrupted snapshot: a crash between a delivery and its
-  // journal write loses at most the newest frontier — the at-least-once
-  // boundary the resume protocol's dedup absorbs. Empty path (the default,
-  // and every sim scenario) keeps the store purely in-memory. A journal
-  // write that fails (temp file not opened, write/flush failed, rename
-  // refused) is logged and counted; the in-memory store keeps working.
+  // `path` (the kill -9 restart path) in its recency order, trimming the
+  // least recent down to capacity (counted in evictions()), then rewrites
+  // the file on each mutation via write-temp + rename, so the on-disk
+  // journal is always a complete, uncorrupted snapshot: a crash between a
+  // delivery and its journal write loses at most the newest frontier — the
+  // at-least-once boundary the resume protocol's dedup absorbs. Empty path
+  // (the default, and every sim scenario) keeps the store purely
+  // in-memory. A journal write that fails (temp file not opened,
+  // write/flush failed, rename refused) is logged and counted; the
+  // in-memory store keeps working.
   void bind_file(const std::string& path);
   [[nodiscard]] const std::string& journal_path() const { return path_; }
 

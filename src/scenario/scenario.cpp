@@ -15,6 +15,10 @@ namespace {
 // runner's Session, not the channel), so duplicates and gaps are detectable
 // across every repair path including crash–restart resumes.
 constexpr std::size_t kPayloadHeader = 8;
+// Every session sends one 32-byte message per second.
+constexpr SimDuration kMessageInterval = std::chrono::seconds{1};
+constexpr std::size_t kMessageBytes = 32;
+static_assert(kMessageBytes >= kPayloadHeader);
 
 void put_u32(Bytes& payload, std::size_t at, std::uint32_t value) {
   payload[at] = static_cast<std::uint8_t>(value & 0xff);
@@ -31,9 +35,8 @@ std::optional<std::uint32_t> get_u32(const Bytes& payload, std::size_t at) {
          (static_cast<std::uint32_t>(payload[at + 3]) << 24);
 }
 
-Bytes make_payload(std::uint32_t session_index, std::uint32_t counter,
-                   std::size_t bytes) {
-  Bytes payload(std::max(bytes, kPayloadHeader), std::uint8_t{0});
+Bytes make_payload(std::uint32_t session_index, std::uint32_t counter) {
+  Bytes payload(kMessageBytes, std::uint8_t{0});
   put_u32(payload, 0, session_index);
   put_u32(payload, 4, counter);
   return payload;
@@ -226,7 +229,7 @@ Status ScenarioRunner::setup() {
                   "ScenarioSpec::shards must be 1, got " +
                       std::to_string(spec_.shards)};
   }
-  testbed_ = std::make_unique<node::Testbed>(spec_.seed, spec_.quality_model);
+  testbed_ = std::make_unique<node::Testbed>(spec_.seed);
   if (spec_.radio.has_value()) testbed_->medium().configure(*spec_.radio);
 
   // The server-side accept handler needs to know, per service, whether its
@@ -390,7 +393,7 @@ void ScenarioRunner::attach_channel(Session& session, ChannelPtr channel) {
     // The reliability layer occupies the channel's data + handover slots;
     // the runner's outage accounting chains through its handover hook.
     session.reliable = std::make_shared<ReliableChannel>(
-        testbed_->sim(), session.channel, session.spec.reliable_config);
+        testbed_->sim(), session.channel);
     session.reliable->set_handover_handler(
         [this, raw] { note_outage_end(*raw); });
   } else {
@@ -398,7 +401,6 @@ void ScenarioRunner::attach_channel(Session& session, ChannelPtr channel) {
         [this, raw](const net::ConnectionPtr&) { note_outage_end(*raw); });
   }
 
-  if (!session.spec.handover) return;
   session.controller = std::make_unique<handover::HandoverController>(
       session.client->library(), session.channel,
       session.spec.handover_config);
@@ -449,20 +451,18 @@ void ScenarioRunner::attach_channel(Session& session, ChannelPtr channel) {
 
 void ScenarioRunner::start_traffic(Session& session) {
   Session* raw = &session;
-  const auto interval = seconds(session.spec.traffic.message_interval_s);
   // Stagger sessions so their writes do not land on one instant.
   const auto phase = microseconds(37'000 * (session.index + 1));
   session.traffic.start(
-      testbed_->sim(), interval,
+      testbed_->sim(), kMessageInterval,
       [this, raw] {
         if (raw->channel == nullptr) return;
         // A reliable session keeps sending through an outage — the layer
         // buffers (bounded by its window) and replays after the resume. A
         // plain session's writes would just vanish; skip them.
         if (raw->reliable == nullptr && !raw->channel->open()) return;
-        const Bytes payload =
-            make_payload(static_cast<std::uint32_t>(raw->index),
-                         raw->next_msg, raw->spec.traffic.message_bytes);
+        const Bytes payload = make_payload(
+            static_cast<std::uint32_t>(raw->index), raw->next_msg);
         const Status accepted = raw->reliable != nullptr
                                     ? raw->reliable->send(payload)
                                     : raw->channel->write(payload);
@@ -471,7 +471,7 @@ void ScenarioRunner::start_traffic(Session& session) {
           ++raw->next_msg;
         }
       },
-      interval + phase);
+      kMessageInterval + phase);
 }
 
 void ScenarioRunner::start_watchdog(Session& session) {

@@ -88,23 +88,17 @@ struct NodeGroup {
   bool churn{false};
 };
 
-struct TrafficSpec {
-  double message_interval_s{1.0};
-  std::size_t message_bytes{32};
-};
-
 struct SessionSpec {
   std::string client;   // node name (e.g. "walker0")
   std::string server;   // node name
   std::string service;  // must be registered on the server's group
-  TrafficSpec traffic{};
-  bool handover{true};
+  // Every session sends one 32-byte message per second and is guarded by a
+  // HandoverController with this policy.
   handover::HandoverConfig handover_config{};
   // Run the session over ReliableChannel on both ends. The server side
   // journals the resume frontier into its daemon's SessionStore, so the
   // session survives a server crash–restart (kResumeRestart) exactly-once.
   bool reliable{false};
-  ReliableConfig reliable_config{};
 };
 
 // Declarative fault plane (sim/fault.hpp): per-technology link-fault
@@ -168,7 +162,6 @@ struct ScenarioSpec {
   std::string name;
   std::uint64_t seed{1};
   std::optional<sim::TechnologyParams> radio;  // configure() when set
-  sim::LinkQualityModel quality_model{};
   std::vector<NodeGroup> groups;
   std::vector<SessionSpec> sessions;
   int discovery_rounds{3};

@@ -6,6 +6,12 @@
 
 namespace peerhood::sim {
 
+namespace {
+// An observed link is re-evaluated at most once per interval no matter how
+// many events advance the clock.
+constexpr SimDuration kObserverMinInterval = std::chrono::milliseconds{100};
+}  // namespace
+
 RadioMedium::RadioMedium(Simulator& sim, LinkQualityModel quality_model)
     : sim_{sim}, quality_model_{quality_model}, noise_rng_{sim.fork_rng()} {
   for (const Technology tech : {Technology::kBluetooth, Technology::kWlan,
@@ -257,8 +263,7 @@ int RadioMedium::expected_quality(MacAddress a, MacAddress b,
 }
 
 QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,
-                                               Technology tech,
-                                               QualityObserverConfig config,
+                                               Technology tech, int threshold,
                                                QualityHandler handler) {
   std::uint32_t index;
   if (!observer_free_.empty()) {
@@ -274,7 +279,7 @@ QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,
   obs.a = a;
   obs.b = b;
   obs.tech = tech;
-  obs.config = config;
+  obs.threshold = threshold;
   obs.handler = handler
                     ? std::make_shared<const QualityHandler>(std::move(handler))
                     : nullptr;
@@ -396,7 +401,7 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
   QualityObserver& obs = observers_[index];
   const std::uint32_t gen = obs.gen;
   obs.eval_gen = position_gen_;
-  obs.next_eval = now + obs.config.min_interval;
+  obs.next_eval = now + kObserverMinInterval;
   ++quality_stats_.observer_evals;
 
   LinkQualityEvent event = probe_link(obs.a, obs.b, obs.tech);
@@ -405,9 +410,9 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
   const bool was_in = obs.in_range;
   const bool was_below = obs.below;
   bool below = was_below;
-  if (event.quality < obs.config.threshold) {
+  if (event.quality < obs.threshold) {
     below = true;
-  } else if (event.quality > obs.config.threshold + obs.config.hysteresis) {
+  } else if (event.quality > obs.threshold + kQualityHysteresis) {
     below = false;
   }
   // Commit the detector state before dispatch: the callback may unsubscribe
@@ -471,24 +476,6 @@ std::vector<MacAddress> RadioMedium::in_range_of(MacAddress mac,
   collect_in_range(*origin, state(tech), hits);
   out.reserve(hits.size());
   for (const Endpoint* e : hits) out.push_back(e->mac);
-  return out;
-}
-
-std::vector<MacAddress> RadioMedium::in_range_of_brute(MacAddress mac,
-                                                       Technology tech) const {
-  std::vector<MacAddress> out;
-  const Endpoint* origin = find(mac, tech);
-  if (origin == nullptr) return out;
-  const Vec2 at = origin->mobility->position_at(sim_.now());
-  const double range = params(tech).range_m;
-  for (const auto& [k, endpoint] : endpoints_) {
-    if (endpoint.tech != tech || endpoint.mac == mac) continue;
-    const Vec2 pos = endpoint.mobility->position_at(sim_.now());
-    if (within_range(at, pos, range)) out.push_back(endpoint.mac);
-  }
-  // endpoints_ is hashed: sort into ascending MAC order, the same contract
-  // as the grid path.
-  std::sort(out.begin(), out.end());
   return out;
 }
 

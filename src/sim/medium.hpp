@@ -94,15 +94,10 @@ struct LinkQualityEvent {
   SimTime at;
 };
 
-struct QualityObserverConfig {
-  int threshold{LinkQualityModel::kDefaultThreshold};
-  // kRose only fires once quality clears threshold + hysteresis, so a link
-  // hovering at the threshold cannot chatter fell/rose every tick.
-  int hysteresis{5};
-  // A link is re-evaluated at most once per min_interval no matter how many
-  // events advance the clock.
-  SimDuration min_interval{std::chrono::milliseconds{100}};
-};
+// kRose only fires once quality clears the observer's threshold + this
+// band, so a link hovering at the threshold cannot chatter fell/rose every
+// tick.
+inline constexpr int kQualityHysteresis = 5;
 
 // Slot+generation handle, same scheme as EventId: stale unsubscribes are
 // detected and ignored, so unsubscribe is idempotent.
@@ -174,8 +169,7 @@ class RadioMedium {
   // not register/unregister endpoints or destroy the medium.
   using QualityHandler = std::function<void(const LinkQualityEvent&)>;
   QualityObserverId observe_quality(MacAddress a, MacAddress b,
-                                    Technology tech,
-                                    QualityObserverConfig config,
+                                    Technology tech, int threshold,
                                     QualityHandler handler);
   // Idempotent; stale ids (already unsubscribed, or from a reused slot) are
   // ignored. Safe to call from inside a quality event.
@@ -193,14 +187,9 @@ class RadioMedium {
                                             Technology tech) const;
 
   // Endpoints (other than `mac`) currently within radio range, in ascending
-  // MAC order (the ordering contract shared with in_range_of_brute).
+  // MAC order.
   [[nodiscard]] std::vector<MacAddress> in_range_of(MacAddress mac,
                                                     Technology tech) const;
-  // Reference linear-scan implementation — one virtual position_at call per
-  // registered endpoint, no grid, no cache. Kept as the oracle for the grid
-  // parity tests and as the baseline for bench_medium_scale.
-  [[nodiscard]] std::vector<MacAddress> in_range_of_brute(
-      MacAddress mac, Technology tech) const;
   // As in_range_of, but honouring discoverability and the Bluetooth inquiry
   // asymmetry: a device that is itself inquiring does not respond (§3.4.2).
   [[nodiscard]] std::vector<MacAddress> discoverable_in_range(
@@ -276,7 +265,7 @@ class RadioMedium {
     MacAddress a;
     MacAddress b;
     Technology tech{Technology::kBluetooth};
-    QualityObserverConfig config{};
+    int threshold{LinkQualityModel::kDefaultThreshold};
     // Pinned (shared_ptr copy) before every call — HandlerSlot discipline
     // without the slot, since observers are arena entries, not members.
     std::shared_ptr<const QualityHandler> handler;
@@ -329,7 +318,7 @@ class RadioMedium {
 
   [[nodiscard]] static std::size_t tech_index(Technology tech);
   // Squared-distance range predicate shared by every in-range check (grid,
-  // brute-force oracle, frame delivery) so their results are bit-identical.
+  // point queries, frame delivery) so their results are bit-identical.
   [[nodiscard]] static bool within_range(Vec2 a, Vec2 b, double range_m);
 
   [[nodiscard]] const Endpoint* find(MacAddress mac, Technology tech) const;

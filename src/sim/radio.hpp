@@ -101,10 +101,11 @@ enum class PathLossLaw : std::uint8_t { kConcavePower = 0, kLogDistance = 1 };
 // key, so a given pair sees the same shadow for the whole run), plus bounded
 // per-sample noise. Beyond the range the link is dead (quality 0).
 struct LinkQualityModel {
+  static constexpr int q_max = 255;
+  static constexpr int q_edge = 175;
+  static constexpr double exponent = 2.0;
+
   PathLossLaw law{PathLossLaw::kConcavePower};
-  int q_max{255};
-  int q_edge{175};
-  double exponent{2.0};
   double noise{2.0};
   // 0 = shadowing off. In quality units (the 0-255 scale is the sim's dB
   // analogue). `shadow_seed` decorrelates shadow maps across runs.

@@ -10,6 +10,9 @@
 // the suite.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "scenario/scenario.hpp"
 
 namespace peerhood::scenario {
@@ -26,6 +29,16 @@ void make_crash_tolerant(SessionSpec& session) {
   session.handover_config.reconnection_enabled = false;
   session.handover_config.direct_resume_enabled = true;
   session.handover_config.max_dead_link_passes = 1000;
+}
+
+// The corridor server hard-crashes 30 s into the body and restarts 10 s
+// later.
+void add_server_crash(ScenarioSpec& spec) {
+  CrashScheduleSpec::Crash crash;
+  crash.targets = {"server"};
+  crash.at_s = 30.0;
+  crash.downtime_s = 10.0;
+  spec.crashes.crashes.push_back(crash);
 }
 
 struct SoakOutcome {
@@ -77,11 +90,7 @@ TEST(CrashSoak, ServerCrashResumesFromJournalAcrossSeeds) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     ScenarioSpec spec = corridor_walk(seed, /*predictive=*/true);
     make_crash_tolerant(spec.sessions[0]);
-    CrashScheduleSpec::Crash crash;
-    crash.targets = {"server"};
-    crash.at_s = 30.0;
-    crash.downtime_s = 10.0;
-    spec.crashes.crashes.push_back(crash);
+    add_server_crash(spec);
 
     const SoakOutcome outcome = run_soak(std::move(spec));
     ASSERT_EQ(outcome.metrics.sessions.size(), 1u);
@@ -100,6 +109,32 @@ TEST(CrashSoak, ServerCrashResumesFromJournalAcrossSeeds) {
     EXPECT_GE(session.received + 15, session.sent);
     EXPECT_TRUE(outcome.discovery_reconverged);
   }
+}
+
+// A bounded seed swarm over the same server crash: 500 corridor walks, each
+// of which must resume from the journal without the application restarting
+// the session, and deliver exactly-once. Hand-picked seeds above miss rare
+// repair sequences that a swarm finds (e.g. degradation on a still-open
+// link with no bridge to dial).
+TEST(CrashSoak, ServerCrashSwarm) {
+  std::string broken;
+  for (std::uint64_t seed = 1000; seed < 1500; ++seed) {
+    ScenarioSpec spec = corridor_walk(seed, /*predictive=*/true);
+    make_crash_tolerant(spec.sessions[0]);
+    add_server_crash(spec);
+    ScenarioRunner runner{std::move(spec)};
+    const Status status = runner.setup();
+    ASSERT_TRUE(status.ok()) << status.error().to_string();
+    runner.run();
+    for (const SessionMetrics& session : runner.metrics().sessions) {
+      if (session.restarts != 0 || session.gaps != 0 ||
+          session.dup_or_reorder != 0) {
+        broken += " " + std::to_string(seed);
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(broken.empty()) << "seeds that broke exactly-once:" << broken;
 }
 
 // --- Active bridge relay crashes mid-relay ----------------------------------

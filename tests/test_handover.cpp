@@ -236,6 +236,37 @@ TEST_F(HandoverTest, UserMayDeclineReconnection) {
   EXPECT_EQ(controller.stats().reconnections, 0u);
 }
 
+TEST_F(HandoverTest, CrashTolerantSessionKeepsMonitoringOpenLinkWithoutPlan) {
+  // A crash-tolerant session (direct resume on, reconnection off) whose link
+  // degrades while still open, with no bridge to dial: the controller must
+  // stay in monitor state. Giving up would hand the session to the
+  // application's restart path although the link still carries frames.
+  build(11);
+  c_->daemon().stop();
+  testbed_->run_discovery_rounds(4);
+  const ChannelPtr channel = connect();
+  ASSERT_NE(channel, nullptr);
+  start_decay(channel);
+  HandoverConfig config;
+  config.reconnection_enabled = false;
+  config.direct_resume_enabled = true;
+  HandoverController controller{a_->library(), channel, config};
+  controller.refresh_plan();
+  ASSERT_FALSE(controller.planned_bridge().has_value());
+  std::vector<HandoverEvent::Kind> events;
+  controller.set_event_handler(
+      [&](const HandoverEvent& e) { events.push_back(e.kind); });
+  controller.start();
+  testbed_->run_for(60.0);
+  EXPECT_GE(controller.stats().degradations, 1u);
+  EXPECT_EQ(std::count(events.begin(), events.end(),
+                       HandoverEvent::Kind::kGaveUp),
+            0);
+  EXPECT_EQ(controller.state(), handover::HandoverState::kMonitor);
+  EXPECT_EQ(controller.stats().direct_resumes, 0u);
+  EXPECT_TRUE(channel->open());
+}
+
 TEST_F(HandoverTest, HardHandoverBaselineSkipsRouting) {
   build(9);
   auto& s2 = testbed_->add_node("s2", {-6.0, 0.0},

@@ -306,7 +306,8 @@ TEST_F(PosixNetworkTest, QualityPlaneDefaults) {
       a_->sample_quality(a_->mac(), MacAddress::from_index(77), kBluetooth),
       0);
   // No geometry: observation is declined, probe carries the flat sample.
-  const auto id = a_->observe_quality(a_->mac(), b_->mac(), kBluetooth, {},
+  const auto id = a_->observe_quality(a_->mac(), b_->mac(), kBluetooth,
+                                      sim::LinkQualityModel::kDefaultThreshold,
                                       [](const sim::LinkQualityEvent&) {});
   EXPECT_EQ(id, sim::kInvalidQualityObserver);
   const sim::LinkQualityEvent probe =

@@ -16,6 +16,8 @@ namespace {
 
 MacAddress mac(std::uint64_t n) { return MacAddress::from_index(n); }
 
+constexpr int kThreshold = LinkQualityModel::kDefaultThreshold;
+
 class QualityObserverTest : public ::testing::Test {
  protected:
   QualityObserverTest() : sim_{42}, medium_{sim_} {}
@@ -48,7 +50,7 @@ TEST_F(QualityObserverTest, SeparatingLinkEmitsFellWithNegativeSlope) {
   add_linear(2, {1.0, 0.0}, {0.5, 0.0});
   std::vector<LinkQualityEvent> events;
   const auto id = medium_.observe_quality(
-      mac(1), mac(2), Technology::kBluetooth, {},
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
       [&](const LinkQualityEvent& e) { events.push_back(e); });
   ASSERT_NE(id, kInvalidQualityObserver);
   EXPECT_EQ(medium_.quality_observer_count(), 1u);
@@ -70,7 +72,7 @@ TEST_F(QualityObserverTest, LostAndRestoredOnCoverageEdges) {
   add_linear(2, {1.0, 0.0}, {0.5, 0.0});
   std::vector<LinkQualityEvent::Edge> edges;
   (void)medium_.observe_quality(
-      mac(1), mac(2), Technology::kBluetooth, {},
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
       [&](const LinkQualityEvent& e) { edges.push_back(e.edge); });
   advance(20.0);
   ASSERT_GE(edges.size(), 2u);
@@ -107,7 +109,7 @@ TEST_F(QualityObserverTest, HysteresisSuppressesChatter) {
   int fell = 0;
   int rose = 0;
   (void)medium_.observe_quality(
-      mac(1), mac(2), Technology::kBluetooth, {},
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
       [&](const LinkQualityEvent& e) {
         if (e.edge == LinkQualityEvent::Edge::kFell) ++fell;
         if (e.edge == LinkQualityEvent::Edge::kRose) ++rose;
@@ -124,7 +126,7 @@ TEST_F(QualityObserverTest, UnsubscribeIsIdempotentAndStaleSafe) {
   add_linear(2, {1.0, 0.0}, {0.5, 0.0});
   int calls = 0;
   const auto id = medium_.observe_quality(
-      mac(1), mac(2), Technology::kBluetooth, {},
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
       [&](const LinkQualityEvent&) { ++calls; });
   medium_.unobserve_quality(id);
   medium_.unobserve_quality(id);  // repeat: no-op
@@ -133,7 +135,7 @@ TEST_F(QualityObserverTest, UnsubscribeIsIdempotentAndStaleSafe) {
   // The slot is recycled; the stale id must not detach the new observer.
   int calls2 = 0;
   const auto id2 = medium_.observe_quality(
-      mac(1), mac(2), Technology::kBluetooth, {},
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
       [&](const LinkQualityEvent&) { ++calls2; });
   medium_.unobserve_quality(id);  // stale
   EXPECT_EQ(medium_.quality_observer_count(), 1u);
@@ -150,14 +152,14 @@ TEST_F(QualityObserverTest, CallbackMayUnsubscribeItselfAndSubscribeAnew) {
   int second_calls = 0;
   QualityObserverId first = kInvalidQualityObserver;
   first = medium_.observe_quality(
-      mac(1), mac(2), Technology::kBluetooth, {},
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
       [&](const LinkQualityEvent&) {
         ++first_calls;
         // Reentrant: retire self, install a replacement — both legal from
         // inside the dispatch.
         medium_.unobserve_quality(first);
         (void)medium_.observe_quality(
-            mac(1), mac(2), Technology::kBluetooth, {},
+            mac(1), mac(2), Technology::kBluetooth, kThreshold,
             [&](const LinkQualityEvent&) { ++second_calls; });
       });
   advance(25.0);
@@ -179,14 +181,14 @@ TEST_F(QualityObserverTest, TickCostIsMovedEndpointsNotSubscribers) {
   // 500 static-static observers...
   for (std::uint64_t i = 1; i <= 500; ++i) {
     (void)medium_.observe_quality(mac(i), mac(i + 250),
-                                  Technology::kBluetooth, {},
+                                  Technology::kBluetooth, kThreshold,
                                   [](const LinkQualityEvent&) {});
   }
   // ...and 4 watching the mobile endpoint.
   constexpr std::uint64_t kMobileObservers = 4;
   for (std::uint64_t i = 1; i <= kMobileObservers; ++i) {
     (void)medium_.observe_quality(mac(i), mac(kNodes),
-                                  Technology::kBluetooth, {},
+                                  Technology::kBluetooth, kThreshold,
                                   [](const LinkQualityEvent&) {});
   }
   EXPECT_EQ(medium_.quality_observer_count(), 504u);

@@ -1,6 +1,7 @@
 // SessionStore journal persistence: a journal that cannot be written is
 // counted and logged, and the in-memory store keeps serving resumes; a
-// journal larger than the store's bound is trimmed on load.
+// journal larger than the store's bound is trimmed on load; a reload keeps
+// the least-recently-touched order.
 #include "peerhood/session_store.hpp"
 
 #include <gtest/gtest.h>
@@ -117,8 +118,8 @@ TEST(SessionStore, OversizedJournalIsTrimmedToCapacityOnLoad) {
   small.bind_file(journal);
   EXPECT_EQ(small.size(), 3u);
   EXPECT_EQ(small.evictions(), 5u);
-  // The journal lists records in session-id order, so the lowest ids load
-  // as least recent and go first.
+  // The journal lists records least recent first; they were put in id
+  // order, so the lowest ids load as least recent and go first.
   EXPECT_EQ(small.find(5), nullptr);
   EXPECT_NE(small.find(6), nullptr);
   EXPECT_NE(small.find(8), nullptr);
@@ -132,6 +133,31 @@ TEST(SessionStore, OversizedJournalIsTrimmedToCapacityOnLoad) {
   reread.bind_file(journal);
   EXPECT_EQ(reread.size(), 3u) << "the trimmed store was written back";
   EXPECT_EQ(reread.evictions(), 0u);
+}
+
+TEST(SessionStore, ReloadKeepsLeastRecentlyTouchedOrder) {
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string journal = (dir.path() / "journal").string();
+  {
+    SessionStore store{2};
+    store.bind_file(journal);
+    store.put(record(1));
+    store.put(record(2));
+    // Record 1 is now the most recently touched, record 2 the least.
+    ASSERT_TRUE(store.update_frontier(1, 5, 7));
+  }
+  SessionStore restarted{2};
+  restarted.bind_file(journal);
+  ASSERT_EQ(restarted.size(), 2u);
+  restarted.put(record(3));
+  EXPECT_EQ(restarted.evictions(), 1u);
+  EXPECT_EQ(restarted.find(2), nullptr) << "the least recent record goes";
+  const SessionRecord* kept = restarted.find(1);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->next_seq, 5u);
+  EXPECT_EQ(kept->expected, 7u);
+  EXPECT_NE(restarted.find(3), nullptr);
 }
 
 }  // namespace

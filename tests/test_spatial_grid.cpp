@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "reference_neighbours.hpp"
 #include "sim/medium.hpp"
 
 namespace peerhood::sim {
@@ -101,27 +102,60 @@ class GridParityTest : public ::testing::Test {
  protected:
   GridParityTest() : sim_{2024}, medium_{sim_} {}
 
+  // Registers (or re-registers) an endpoint with the medium and mirrors it
+  // in the oracle's endpoint list.
   MacAddress add(std::uint64_t index,
                  std::shared_ptr<const MobilityModel> mobility,
                  Technology tech = Technology::kBluetooth) {
     const MacAddress mac = MacAddress::from_index(index);
-    medium_.register_endpoint(mac, tech, std::move(mobility), nullptr);
-    macs_[static_cast<std::size_t>(tech)].push_back(mac);
+    medium_.register_endpoint(mac, tech, mobility, nullptr);
+    std::vector<ReferenceEndpoint>& list = endpoints(tech);
+    const auto it = find(list, mac);
+    if (it != list.end()) {
+      it->mobility = std::move(mobility);
+    } else {
+      list.push_back(ReferenceEndpoint{mac, std::move(mobility)});
+    }
     return mac;
   }
 
+  void remove(MacAddress mac, Technology tech = Technology::kBluetooth) {
+    medium_.unregister_endpoint(mac, tech);
+    std::vector<ReferenceEndpoint>& list = endpoints(tech);
+    list.erase(find(list, mac));
+  }
+
+  // The brute-force oracle over the same endpoints at the current SimTime.
+  std::vector<MacAddress> brute(MacAddress mac, Technology tech) {
+    return in_range_of_brute(endpoints(tech), mac, medium_.params(tech).range_m,
+                             sim_.now());
+  }
+
   void expect_parity(Technology tech) {
-    for (const MacAddress mac : macs_[static_cast<std::size_t>(tech)]) {
-      EXPECT_EQ(medium_.in_range_of(mac, tech),
-                medium_.in_range_of_brute(mac, tech))
-          << "query origin " << mac.to_string() << " at t="
+    for (const ReferenceEndpoint& endpoint : endpoints(tech)) {
+      EXPECT_EQ(medium_.in_range_of(endpoint.mac, tech),
+                brute(endpoint.mac, tech))
+          << "query origin " << endpoint.mac.to_string() << " at t="
           << sim_.now().seconds() << "s";
     }
   }
 
   Simulator sim_;
   RadioMedium medium_;
-  std::array<std::vector<MacAddress>, kTechnologyCount> macs_;
+
+ private:
+  std::vector<ReferenceEndpoint>& endpoints(Technology tech) {
+    return endpoints_[static_cast<std::size_t>(tech)];
+  }
+  static std::vector<ReferenceEndpoint>::iterator find(
+      std::vector<ReferenceEndpoint>& list, MacAddress mac) {
+    return std::find_if(list.begin(), list.end(),
+                        [mac](const ReferenceEndpoint& e) {
+                          return e.mac == mac;
+                        });
+  }
+
+  std::array<std::vector<ReferenceEndpoint>, kTechnologyCount> endpoints_;
 };
 
 TEST_F(GridParityTest, RandomizedMovingNodesManySimTimes) {
@@ -189,15 +223,7 @@ TEST_F(GridParityTest, AllStaticDeploymentStaysExact) {
     sim_.run_until(sim_.now() + seconds(1.0));
     expect_parity(Technology::kBluetooth);
   }
-  medium_.unregister_endpoint(MacAddress::from_index(7),
-                              Technology::kBluetooth);
-  macs_[static_cast<std::size_t>(Technology::kBluetooth)].erase(
-      std::remove(macs_[static_cast<std::size_t>(Technology::kBluetooth)]
-                      .begin(),
-                  macs_[static_cast<std::size_t>(Technology::kBluetooth)]
-                      .end(),
-                  MacAddress::from_index(7)),
-      macs_[static_cast<std::size_t>(Technology::kBluetooth)].end());
+  remove(MacAddress::from_index(7));
   sim_.run_until(sim_.now() + seconds(1.0));
   add(41, std::make_shared<StaticPosition>(Vec2{0.0, 0.0}));
   expect_parity(Technology::kBluetooth);
@@ -215,7 +241,7 @@ TEST_F(GridParityTest, NodeExactlyAtRangeIsIncluded) {
   add(6, std::make_shared<StaticPosition>(Vec2{10.001, 0.0}));  // just out
   const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
   EXPECT_EQ(neighbours.size(), 4u);
-  EXPECT_EQ(neighbours, medium_.in_range_of_brute(a, Technology::kBluetooth));
+  EXPECT_EQ(neighbours, brute(a, Technology::kBluetooth));
   EXPECT_TRUE(medium_.in_range(a, MacAddress::from_index(5),
                                Technology::kBluetooth));
   EXPECT_FALSE(medium_.in_range(a, MacAddress::from_index(6),
@@ -230,7 +256,7 @@ TEST_F(GridParityTest, NegativeCoordinatesParity) {
   add(4, std::make_shared<StaticPosition>(Vec2{-70.0, -70.0}));
   const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
   EXPECT_EQ(neighbours.size(), 2u);
-  EXPECT_EQ(neighbours, medium_.in_range_of_brute(a, Technology::kBluetooth));
+  EXPECT_EQ(neighbours, brute(a, Technology::kBluetooth));
 }
 
 TEST_F(GridParityTest, RegisterWhileGridCachedSameTick) {
@@ -244,7 +270,7 @@ TEST_F(GridParityTest, RegisterWhileGridCachedSameTick) {
   add(3, std::make_shared<StaticPosition>(Vec2{0.0, 5.0}));
   const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
   EXPECT_EQ(neighbours.size(), 2u);
-  EXPECT_EQ(neighbours, medium_.in_range_of_brute(a, Technology::kBluetooth));
+  EXPECT_EQ(neighbours, brute(a, Technology::kBluetooth));
 }
 
 TEST_F(GridParityTest, UnregisterWhileGridCachedSameTick) {
@@ -254,10 +280,10 @@ TEST_F(GridParityTest, UnregisterWhileGridCachedSameTick) {
       add(2, std::make_shared<StaticPosition>(Vec2{5.0, 0.0}));
   add(3, std::make_shared<StaticPosition>(Vec2{0.0, 5.0}));
   EXPECT_EQ(medium_.in_range_of(a, Technology::kBluetooth).size(), 2u);
-  medium_.unregister_endpoint(b, Technology::kBluetooth);
+  remove(b);
   const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
   EXPECT_EQ(neighbours.size(), 1u);
-  EXPECT_EQ(neighbours, medium_.in_range_of_brute(a, Technology::kBluetooth));
+  EXPECT_EQ(neighbours, brute(a, Technology::kBluetooth));
 }
 
 TEST_F(GridParityTest, ReRegisterMovesEndpointSameTick) {
@@ -267,13 +293,11 @@ TEST_F(GridParityTest, ReRegisterMovesEndpointSameTick) {
       add(2, std::make_shared<StaticPosition>(Vec2{500.0, 0.0}));
   EXPECT_TRUE(medium_.in_range_of(a, Technology::kBluetooth).empty());
   // Re-registration teleports b next to a; the cached grid must move it.
-  medium_.register_endpoint(b, Technology::kBluetooth,
-                            std::make_shared<StaticPosition>(Vec2{3.0, 0.0}),
-                            nullptr);
+  add(2, std::make_shared<StaticPosition>(Vec2{3.0, 0.0}));
   const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
   ASSERT_EQ(neighbours.size(), 1u);
   EXPECT_EQ(neighbours[0], b);
-  EXPECT_EQ(neighbours, medium_.in_range_of_brute(a, Technology::kBluetooth));
+  EXPECT_EQ(neighbours, brute(a, Technology::kBluetooth));
 }
 
 TEST_F(GridParityTest, ConfigureNewRangeInvalidatesGrid) {
@@ -286,7 +310,7 @@ TEST_F(GridParityTest, ConfigureNewRangeInvalidatesGrid) {
   medium_.configure(wide);
   const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
   EXPECT_EQ(neighbours.size(), 1u);
-  EXPECT_EQ(neighbours, medium_.in_range_of_brute(a, Technology::kBluetooth));
+  EXPECT_EQ(neighbours, brute(a, Technology::kBluetooth));
 }
 
 TEST_F(GridParityTest, FastMoverCrossesCellsOverTime) {
@@ -301,7 +325,7 @@ TEST_F(GridParityTest, FastMoverCrossesCellsOverTime) {
     sim_.run_until(sim_.now() + seconds(1.0));
     const auto neighbours = medium_.in_range_of(a, Technology::kBluetooth);
     EXPECT_EQ(neighbours,
-              medium_.in_range_of_brute(a, Technology::kBluetooth));
+              brute(a, Technology::kBluetooth));
     const bool in_now =
         std::find(neighbours.begin(), neighbours.end(), b) != neighbours.end();
     seen_in_range = seen_in_range || in_now;

@@ -28,7 +28,7 @@ TEST(Testbed, NodeLookupByName) {
   testbed.add_node("beta", {5.0, 0.0});
   EXPECT_EQ(testbed.node("alpha").name(), "alpha");
   EXPECT_EQ(testbed.node("beta").name(), "beta");
-  EXPECT_THROW(testbed.node("gamma"), std::out_of_range);
+  EXPECT_THROW((void)testbed.node("gamma"), std::out_of_range);
 }
 
 TEST(Testbed, DaemonStartsWithHiddenBridgeService) {
