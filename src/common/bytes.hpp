@@ -102,6 +102,19 @@ class ByteReader {
   // capacity — never materialise a temporary heap string.
   [[nodiscard]] std::string_view str_view();
   [[nodiscard]] Bytes blob();
+  // Zero-copy: the next `n` bytes as a view (empty if fewer remain, which
+  // fails the reader), valid only while the underlying buffer lives.
+  [[nodiscard]] std::span<const std::uint8_t> view(std::size_t n) {
+    if (!take(n)) return {};
+    const std::span<const std::uint8_t> v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
+  }
+  // The read position, and a view of everything read since an earlier one.
+  [[nodiscard]] std::size_t position() const { return pos_; }
+  [[nodiscard]] std::span<const std::uint8_t> since(std::size_t mark) const {
+    return data_.subspan(mark, pos_ - mark);
+  }
 
   // True iff no read has run past the end of the buffer and no decoder
   // called fail() on a semantically invalid field.

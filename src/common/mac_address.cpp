@@ -39,10 +39,10 @@ std::optional<MacAddress> MacAddress::parse(std::string_view text) {
 }
 
 std::string MacAddress::to_string() const {
+  const std::array<std::uint8_t, 6> o = octets();
   char buffer[18];
-  std::snprintf(buffer, sizeof buffer, "%02x:%02x:%02x:%02x:%02x:%02x",
-                octets_[0], octets_[1], octets_[2], octets_[3], octets_[4],
-                octets_[5]);
+  std::snprintf(buffer, sizeof buffer, "%02x:%02x:%02x:%02x:%02x:%02x", o[0],
+                o[1], o[2], o[3], o[4], o[5]);
   return std::string{buffer};
 }
 

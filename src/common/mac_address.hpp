@@ -18,8 +18,9 @@ class MacAddress {
  public:
   constexpr MacAddress() = default;
 
-  constexpr explicit MacAddress(std::array<std::uint8_t, 6> octets)
-      : octets_{octets} {}
+  constexpr explicit MacAddress(std::array<std::uint8_t, 6> octets) {
+    for (const std::uint8_t octet : octets) packed_ = (packed_ << 8) | octet;
+  }
 
   // Deterministically derives a MAC from a small integer; used by the
   // simulator to mint unique interface identities.
@@ -28,35 +29,41 @@ class MacAddress {
   // Parses "aa:bb:cc:dd:ee:ff"; returns nullopt on malformed input.
   [[nodiscard]] static std::optional<MacAddress> parse(std::string_view text);
 
-  [[nodiscard]] const std::array<std::uint8_t, 6>& octets() const {
-    return octets_;
-  }
-
-  // Packs the six octets into the low 48 bits of a u64 (big-endian order).
-  // Inline: hash keys and wire encoders call it on every frame.
-  [[nodiscard]] constexpr std::uint64_t as_u64() const {
-    std::uint64_t packed = 0;
-    for (const std::uint8_t octet : octets_) packed = (packed << 8) | octet;
-    return packed;
-  }
-
-  [[nodiscard]] static constexpr MacAddress from_u64(std::uint64_t packed) {
+  [[nodiscard]] constexpr std::array<std::uint8_t, 6> octets() const {
     std::array<std::uint8_t, 6> octets{};
+    std::uint64_t packed = packed_;
     for (int i = 5; i >= 0; --i) {
       octets[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(packed);
       packed >>= 8;
     }
-    return MacAddress{octets};
+    return octets;
+  }
+
+  // The six octets in the low 48 bits of a u64, big-endian (first octet
+  // highest) — which is how the address is stored.
+  [[nodiscard]] constexpr std::uint64_t as_u64() const { return packed_; }
+
+  // Keeps the low 48 bits of `packed`.
+  [[nodiscard]] static constexpr MacAddress from_u64(std::uint64_t packed) {
+    MacAddress mac;
+    mac.packed_ = packed & kMask;
+    return mac;
   }
 
   [[nodiscard]] std::string to_string() const;
 
-  [[nodiscard]] bool is_null() const { return as_u64() == 0; }
+  [[nodiscard]] constexpr bool is_null() const { return packed_ == 0; }
 
-  friend auto operator<=>(const MacAddress&, const MacAddress&) = default;
+  // One 48-bit word compare: with the first octet in the highest bits this
+  // is the octets' lexicographic order, and every std::map<MacAddress, ...>
+  // probe is a single integer compare instead of a memcmp call.
+  friend constexpr auto operator<=>(const MacAddress&,
+                                    const MacAddress&) = default;
 
  private:
-  std::array<std::uint8_t, 6> octets_{};
+  static constexpr std::uint64_t kMask = (std::uint64_t{1} << 48) - 1;
+
+  std::uint64_t packed_{0};
 };
 
 }  // namespace peerhood

@@ -3,17 +3,6 @@
 #include <algorithm>
 
 namespace peerhood {
-namespace {
-
-// Membership test for a MAC list that is sorted in the common case (inquiry
-// results and snapshots both come in ascending MAC order) but may be in any
-// order when it comes off the wire.
-bool listed(const std::vector<MacAddress>& macs, bool sorted, MacAddress mac) {
-  return sorted ? std::binary_search(macs.begin(), macs.end(), mac)
-                : std::find(macs.begin(), macs.end(), mac) != macs.end();
-}
-
-}  // namespace
 
 bool DeviceRecord::provides(std::string_view service_name) const {
   return find_service(service_name).has_value();
@@ -28,12 +17,11 @@ std::optional<ServiceInfo> DeviceRecord::find_service(
   return *it;
 }
 
-bool RoutePolicy::admissible(const DeviceRecord& record) const {
-  return record.min_link_quality >= sim::LinkQualityModel::kDefaultThreshold;
+bool RoutePolicy::admissible(const Route& route) const {
+  return route.min_link_quality >= sim::LinkQualityModel::kDefaultThreshold;
 }
 
-bool RoutePolicy::prefer(const DeviceRecord& candidate,
-                         const DeviceRecord& stored) const {
+bool RoutePolicy::prefer(const Route& candidate, const Route& stored) const {
   // Fig. 3.13 comparison chain: jumps always dominate — in particular a
   // direct observation can never be displaced by a multi-hop route.
   if (candidate.jump != stored.jump) return candidate.jump < stored.jump;
@@ -52,45 +40,17 @@ bool RoutePolicy::prefer(const DeviceRecord& candidate,
   return candidate.quality_sum > stored.quality_sum;
 }
 
-bool DeviceStorage::advertised_equal(const DeviceRecord& a,
-                                     const DeviceRecord& b) {
-  // Exactly the fields wire::encode_snapshot_entry ships (see the KEEP IN
-  // SYNC note there); liveness bookkeeping and the neighbour-link list are
-  // local-only and must not churn the generation.
+bool DeviceStorage::advertised_route_equal(const Route& a, const Route& b) {
+  // With the descriptors, exactly the fields wire::encode_snapshot_entry
+  // ships (see the KEEP IN SYNC note there); liveness bookkeeping and the
+  // neighbour-link list are local-only and must not churn the generation.
   return a.jump == b.jump && a.bridge == b.bridge &&
          a.quality_sum == b.quality_sum &&
-         a.min_link_quality == b.min_link_quality && a.device == b.device &&
-         a.prototypes == b.prototypes && a.services == b.services;
+         a.min_link_quality == b.min_link_quality;
 }
 
 bool DeviceStorage::upsert(DeviceRecord record) {
-  if (record.jump > policy_.max_jumps) return false;
-  const MacAddress mac = record.device.mac;
-  const auto it = records_.find(mac);
-  if (it == records_.end()) {
-    records_.emplace(mac, std::move(record));
-    ++generation_;
-    return true;
-  }
-  DeviceRecord& stored = it->second;
-  const bool same_route =
-      record.jump == stored.jump && record.bridge == stored.bridge;
-  if (same_route || policy_.prefer(record, stored)) {
-    if (!advertised_equal(record, stored)) {
-      ++generation_;
-      // A record that got *worse* (the old content would still win under
-      // the policy) can un-dominate previously rejected candidates, exactly
-      // like a removal: flag it so baselines are dropped and alternatives
-      // re-offered.
-      if (policy_.prefer(stored, record)) ++weakening_gen_;
-    }
-    stored = std::move(record);
-    return true;
-  }
-  // Keep the stored route, but refresh liveness: seeing *any* route to the
-  // device proves it exists.
-  stored.last_seen = std::max(stored.last_seen, record.last_seen);
-  return false;
+  return upsert(OwnedRecord{record});
 }
 
 bool DeviceStorage::touch(MacAddress mac, SimTime now) {
@@ -131,6 +91,12 @@ const DeviceRecord* DeviceStorage::lookup(MacAddress mac) const {
   return it == records_.end() ? nullptr : &it->second;
 }
 
+std::vector<NeighbourLink>* DeviceStorage::neighbour_links(MacAddress mac) {
+  const auto it = records_.find(mac);
+  if (it == records_.end() || !it->second.is_direct()) return nullptr;
+  return &it->second.neighbour_links;
+}
+
 bool DeviceStorage::contains(MacAddress mac) const {
   return records_.contains(mac);
 }
@@ -165,17 +131,11 @@ std::vector<DeviceRecord> DeviceStorage::providers_of(
 }
 
 void DeviceStorage::remove(MacAddress mac) {
-  if (records_.erase(mac) > 0) {
-    ++generation_;
-    ++weakening_gen_;
-  }
+  if (records_.erase(mac) > 0) erased();
 }
 
 void DeviceStorage::clear() {
-  if (!records_.empty()) {
-    ++generation_;
-    ++weakening_gen_;
-  }
+  if (!records_.empty()) erased();
   records_.clear();
 }
 
@@ -192,7 +152,7 @@ std::vector<MacAddress> DeviceStorage::age_direct(
       ++it;
       continue;
     }
-    if (listed(responders, sorted, record.device.mac)) {
+    if (listed(responders, sorted, record.device.mac, std::identity{})) {
       record.missed_loops = 0;
       record.last_seen = now;
       ++it;
@@ -202,8 +162,7 @@ std::vector<MacAddress> DeviceStorage::age_direct(
     if (record.missed_loops > max_missed) {
       removed.push_back(record.device.mac);
       it = records_.erase(it);
-      ++generation_;
-      ++weakening_gen_;
+      erased();
     } else {
       ++it;
     }
@@ -216,24 +175,7 @@ void DeviceStorage::remove_routes_via(MacAddress bridge) {
   for (auto it = records_.begin(); it != records_.end();) {
     if (!it->second.is_direct() && it->second.bridge == bridge) {
       it = records_.erase(it);
-      ++generation_;
-      ++weakening_gen_;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void DeviceStorage::reconcile_bridge(MacAddress bridge,
-                                     const std::vector<MacAddress>& alive) {
-  const bool sorted = std::is_sorted(alive.begin(), alive.end());
-  for (auto it = records_.begin(); it != records_.end();) {
-    const DeviceRecord& record = it->second;
-    const bool via_bridge = !record.is_direct() && record.bridge == bridge;
-    if (via_bridge && !listed(alive, sorted, record.device.mac)) {
-      it = records_.erase(it);
-      ++generation_;
-      ++weakening_gen_;
+      erased();
     } else {
       ++it;
     }

@@ -4,7 +4,10 @@
 // that transform the DeviceStorage into an Ad-hoc routing address table").
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -16,27 +19,10 @@
 namespace peerhood {
 
 // One known device plus the best route to it.
-struct DeviceRecord {
+struct DeviceRecord : Route {
   DeviceInfo device;
   std::vector<Technology> prototypes;
   std::vector<ServiceInfo> services;
-
-  // Routing information. Direct neighbours have jump == 0 (paper convention:
-  // "Direct devices have jump number as 0") and a null bridge.
-  int jump{0};
-  MacAddress bridge;
-  // Mobility cost of the first-hop bridge ("only the nearest device's
-  // mobility numbers are considered", §3.4.3); 0 for direct routes.
-  int route_mobility{0};
-  // Sum of link qualities along the route (Fig. 3.8) and the weakest link
-  // (Fig. 3.9 admissibility).
-  int quality_sum{0};
-  int min_link_quality{0};
-  Technology via_tech{Technology::kBluetooth};
-
-  // Freshness bookkeeping (Fig. 3.12: "make older").
-  SimTime last_seen{};
-  int missed_loops{0};
 
   // For direct records only: the neighbour's own neighbour list.
   std::vector<NeighbourLink> neighbour_links;
@@ -45,6 +31,39 @@ struct DeviceRecord {
   [[nodiscard]] bool provides(std::string_view service_name) const;
   [[nodiscard]] std::optional<ServiceInfo> find_service(
       std::string_view service_name) const;
+};
+
+// A candidate for DeviceStorage::upsert: the route it offers to mac(), and
+// the device's descriptors (device, prototypes, services) wherever they
+// already are — an owned record, or a snapshot entry still in the frame that
+// carried it. upsert compares the descriptors with the stored ones and asks
+// write() to copy them only for a new device or a change.
+//   write(record, descriptors_changed) stores route() into `record` (a
+//   stored record being updated, or a fresh one being inserted, in which
+//   case descriptors_changed is true) and, when descriptors_changed, the
+//   descriptors too.
+template <typename C>
+concept UpsertCandidate = requires(C& candidate, const DeviceRecord& stored,
+                                   DeviceRecord& record) {
+  { candidate.mac() } -> std::same_as<MacAddress>;
+  { candidate.route() } -> std::convertible_to<const Route&>;
+  { candidate.same_descriptors(stored) } -> std::same_as<bool>;
+  candidate.write(record, true);
+};
+
+// A DeviceRecord as an upsert candidate: an accepted record replaces the
+// stored one whole (its neighbour links too), moving its descriptors.
+struct OwnedRecord {
+  DeviceRecord& record;
+
+  [[nodiscard]] MacAddress mac() const { return record.device.mac; }
+  [[nodiscard]] const Route& route() const { return record; }
+  [[nodiscard]] bool same_descriptors(const DeviceRecord& stored) const {
+    return record.device == stored.device &&
+           record.prototypes == stored.prototypes &&
+           record.services == stored.services;
+  }
+  void write(DeviceRecord& target, bool) { target = std::move(record); }
 };
 
 class DeviceStorage {
@@ -56,6 +75,12 @@ class DeviceStorage {
   // (equal jump and bridge) always refreshes the stored one. Returns true if
   // the stored state changed.
   bool upsert(DeviceRecord record);
+  // The same upsert for any candidate: the policy ranks the numeric route
+  // fields, and an accepted candidate updates the stored record in place,
+  // writing descriptors only when they differ (a re-shipped snapshot entry
+  // almost always matches what is stored, and then nothing is copied).
+  template <UpsertCandidate Candidate>
+  bool upsert(Candidate&& candidate);
 
   // Monotonic content generation: bumped whenever the *advertised* state of
   // the storage changes (membership, or any field shipped in a neighbourhood
@@ -96,6 +121,10 @@ class DeviceStorage {
   // remove, clear, aging, reconcile): read what you need from it before
   // anything can change the storage, and call find() for a copy instead.
   [[nodiscard]] const DeviceRecord* lookup(MacAddress mac) const;
+  // The neighbour-link list of the direct record for `mac`, or nullptr. The
+  // links are local bookkeeping that no snapshot advertises, so callers
+  // rewrite them in place and no generation moves.
+  [[nodiscard]] std::vector<NeighbourLink>* neighbour_links(MacAddress mac);
   [[nodiscard]] bool contains(MacAddress mac) const;
   // True iff a *direct* record for `mac` is stored (no record copy — the
   // conditional-fetch hot path checks this per request).
@@ -134,22 +163,93 @@ class DeviceStorage {
   void remove_routes_via(MacAddress bridge);
 
   // Drops routed records via `bridge` whose destination is not in `alive`
-  // (the bridge's latest snapshot) — the bridge no longer knows them.
-  // Allocation-free: `alive` is binary-searched when it is in ascending MAC
-  // order (snapshots are) and scanned linearly if not.
-  void reconcile_bridge(MacAddress bridge, const std::vector<MacAddress>& alive);
+  // (the bridge's latest snapshot; `mac_of` maps an element to its MAC) —
+  // the bridge no longer knows them. Allocation-free: `alive` is
+  // binary-searched when it is in ascending MAC order (snapshots are) and
+  // scanned linearly if not.
+  template <typename Alive = std::vector<MacAddress>,
+            typename MacOf = std::identity>
+  void reconcile_bridge(MacAddress bridge, const Alive& alive,
+                        MacOf mac_of = {});
 
   [[nodiscard]] const RoutePolicy& policy() const { return policy_; }
 
  private:
-  // True iff the two records advertise identically in a snapshot entry.
-  [[nodiscard]] static bool advertised_equal(const DeviceRecord& a,
-                                             const DeviceRecord& b);
+  // Membership test for a MAC list (`mac_of` maps an element to its MAC)
+  // that is sorted in the common case — inquiry results and snapshots both
+  // come in ascending MAC order — but may be in any order when it comes off
+  // the wire.
+  template <typename Range, typename MacOf>
+  [[nodiscard]] static bool listed(const Range& macs, bool sorted,
+                                   MacAddress mac, MacOf mac_of) {
+    return sorted ? std::ranges::binary_search(macs, mac, {}, mac_of)
+                  : std::ranges::find(macs, mac, mac_of) != macs.end();
+  }
+  // True iff the two routes advertise identically in a snapshot entry (the
+  // descriptors are compared by the candidate).
+  [[nodiscard]] static bool advertised_route_equal(const Route& a,
+                                                   const Route& b);
+  // Counts a removed record: both generations move.
+  void erased() {
+    ++generation_;
+    ++weakening_gen_;
+  }
 
   RoutePolicy policy_;
   std::map<MacAddress, DeviceRecord> records_;
   std::uint32_t generation_{1};
   std::uint32_t weakening_gen_{1};
 };
+
+template <UpsertCandidate Candidate>
+bool DeviceStorage::upsert(Candidate&& candidate) {
+  // A copy: an owned candidate's write() moves the record route() views.
+  const Route route = candidate.route();
+  if (route.jump > policy_.max_jumps) return false;
+  const MacAddress mac = candidate.mac();
+  auto it = records_.lower_bound(mac);
+  if (it == records_.end() || it->first != mac) {
+    it = records_.emplace_hint(it, mac, DeviceRecord{});
+    candidate.write(it->second, true);
+    ++generation_;
+    return true;
+  }
+  DeviceRecord& stored = it->second;
+  const bool same_route =
+      route.jump == stored.jump && route.bridge == stored.bridge;
+  if (!same_route && !policy_.prefer(route, stored)) {
+    // Keep the stored route, but refresh liveness: seeing *any* route to
+    // the device proves it exists.
+    stored.last_seen = std::max(stored.last_seen, route.last_seen);
+    return false;
+  }
+  const bool same_descriptors = candidate.same_descriptors(stored);
+  if (!same_descriptors || !advertised_route_equal(route, stored)) {
+    ++generation_;
+    // A record that got *worse* (the old content would still win under the
+    // policy) can un-dominate previously rejected candidates, exactly like
+    // a removal: flag it so baselines are dropped and alternatives
+    // re-offered.
+    if (policy_.prefer(stored, route)) ++weakening_gen_;
+  }
+  candidate.write(stored, !same_descriptors);
+  return true;
+}
+
+template <typename Alive, typename MacOf>
+void DeviceStorage::reconcile_bridge(MacAddress bridge, const Alive& alive,
+                                     MacOf mac_of) {
+  const bool sorted = std::ranges::is_sorted(alive, {}, mac_of);
+  for (auto it = records_.begin(); it != records_.end();) {
+    const DeviceRecord& record = it->second;
+    if (!record.is_direct() && record.bridge == bridge &&
+        !listed(alive, sorted, record.device.mac, mac_of)) {
+      it = records_.erase(it);
+      erased();
+    } else {
+      ++it;
+    }
+  }
+}
 
 }  // namespace peerhood

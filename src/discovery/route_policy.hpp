@@ -8,11 +8,33 @@
 // threshold 230").
 #pragma once
 
+#include "common/mac_address.hpp"
+#include "common/sim_time.hpp"
 #include "sim/radio.hpp"
 
 namespace peerhood {
 
-struct DeviceRecord;  // defined in device_storage.hpp
+// A known route to one device: the numeric fields the policy ranks, how it
+// was learned and when it was last confirmed. DeviceRecord extends it with
+// the device's descriptors.
+struct Route {
+  // Direct neighbours have jump == 0 (paper convention: "Direct devices have
+  // jump number as 0") and a null bridge.
+  int jump{0};
+  MacAddress bridge;
+  // Mobility cost of the first-hop bridge ("only the nearest device's
+  // mobility numbers are considered", §3.4.3); 0 for direct routes.
+  int route_mobility{0};
+  // Sum of link qualities along the route (Fig. 3.8) and the weakest link
+  // (Fig. 3.9 admissibility).
+  int quality_sum{0};
+  int min_link_quality{0};
+  Technology via_tech{Technology::kBluetooth};
+
+  // Freshness bookkeeping (Fig. 3.12: "make older").
+  SimTime last_seen{};
+  int missed_loops{0};
+};
 
 struct RoutePolicy {
   // Every link must clear sim::LinkQualityModel::kDefaultThreshold, the
@@ -25,11 +47,10 @@ struct RoutePolicy {
   // devices should be taken into account").
   int max_jumps{6};
 
-  [[nodiscard]] bool admissible(const DeviceRecord& record) const;
+  [[nodiscard]] bool admissible(const Route& route) const;
 
   // True when `candidate` should replace `stored` (same destination).
-  [[nodiscard]] bool prefer(const DeviceRecord& candidate,
-                            const DeviceRecord& stored) const;
+  [[nodiscard]] bool prefer(const Route& candidate, const Route& stored) const;
 };
 
 }  // namespace peerhood

@@ -173,11 +173,11 @@ void Daemon::on_datagram(Technology tech, MacAddress from,
     }
     case wire::Command::kFetchResponse:
     case wire::Command::kNotModified: {
-      auto response = wire::decode_fetch_response(payload);
-      if (!response.has_value()) return;
-      if (Plugin* p = plugin(tech)) {
-        p->on_fetch_response(from, std::move(*response));
-      }
+      if (!wire::decode_fetch_response(payload, received_)) return;
+      if (Plugin* p = plugin(tech)) p->on_fetch_response(from, received_);
+      // The entry views point into `payload`, which the backend reclaims
+      // when this dispatch returns.
+      received_.neighbours.clear();
       return;
     }
     default:

@@ -129,6 +129,10 @@ class Daemon {
   std::vector<std::unique_ptr<Plugin>> plugins_;
   std::vector<ServiceInfo> services_;
   SnapshotCache cache_{/*datagram_frames=*/true};
+  // Every received fetch response is decoded into this one buffer, so a
+  // steady neighbours refresh allocates nothing; its entry views die with
+  // the dispatch that decoded them (see on_datagram).
+  wire::ReceivedFetchResponse received_;
   // Duplicate-suppression memo: last non-shared request id seen per
   // (requester, technology). Requesters mint fresh ids per attempt (retries
   // included), so only a fault-plane duplicate repeats the latest id.

@@ -1,6 +1,7 @@
 #include "peerhood/plugin.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/log.hpp"
 #include "net/frame_check.hpp"
@@ -23,6 +24,44 @@ constexpr SimDuration kFetchTimeoutExtra = std::chrono::seconds{2};
 constexpr int kFetchRetries = 1;
 constexpr SimDuration kFetchRetryBackoff = std::chrono::seconds{1};
 constexpr double kFetchRetryJitter = 0.5;
+
+// The responder's direct record as a (possibly delta) fetch response
+// updates it: jump 0 at the measured link quality, and the descriptor
+// sections the response carries. Absent sections are unchanged by protocol
+// contract and stay as stored; the neighbour links are the analyzer's.
+struct DirectUpdate {
+  MacAddress target;
+  Route direct;
+  wire::ReceivedFetchResponse& response;
+
+  [[nodiscard]] MacAddress mac() const { return target; }
+  [[nodiscard]] const Route& route() const { return direct; }
+  [[nodiscard]] bool same_descriptors(const DeviceRecord& stored) const {
+    return (!carries(wire::kSectionDevice) ||
+            response.device == stored.device) &&
+           (!carries(wire::kSectionPrototypes) ||
+            response.prototypes == stored.prototypes) &&
+           (!carries(wire::kSectionServices) ||
+            response.services == stored.services);
+  }
+  void write(DeviceRecord& record, bool descriptors_changed) {
+    static_cast<Route&>(record) = direct;
+    if (!descriptors_changed) return;
+    if (carries(wire::kSectionDevice)) {
+      record.device = std::move(response.device);
+    }
+    if (carries(wire::kSectionPrototypes)) {
+      record.prototypes = std::move(response.prototypes);
+    }
+    if (carries(wire::kSectionServices)) {
+      record.services = std::move(response.services);
+    }
+  }
+
+  [[nodiscard]] bool carries(std::uint8_t section) const {
+    return (response.sections & section) != 0;
+  }
+};
 }  // namespace
 
 Plugin::Plugin(Daemon& daemon, Technology technology)
@@ -160,9 +199,9 @@ void Plugin::process_next_responder() {
   }
 }
 
-void Plugin::job_done(std::optional<wire::FetchResponse> resp) {
+void Plugin::job_done(wire::ReceivedFetchResponse* resp) {
   const FetchJob job = job_;
-  if (resp.has_value() && resp->epoch_changed && !resp->not_modified &&
+  if (resp != nullptr && resp->epoch_changed && !resp->not_modified &&
       resp->sections != wire::kSectionAll) {
     // The responder restarted between our request and this (partial)
     // response: overlaying it onto the stored record would mix post-
@@ -176,7 +215,7 @@ void Plugin::job_done(std::optional<wire::FetchResponse> resp) {
     return;
   }
   bool view_consistent = false;
-  if (resp.has_value()) {
+  if (resp != nullptr) {
     if (resp->not_modified) {
       // Nothing the responder advertises moved since our baseline: skip
       // the whole analyzer/reconcile pass — re-integrating an identical
@@ -195,7 +234,7 @@ void Plugin::job_done(std::optional<wire::FetchResponse> resp) {
       }
       view_consistent = true;  // nothing shipped, nothing to lose
     } else {
-      view_consistent = integrate_response(job.target, std::move(*resp));
+      view_consistent = integrate_response(job.target, *resp);
     }
   }
   if (!view_consistent) {
@@ -226,25 +265,16 @@ void Plugin::fetch_info() {
 }
 
 void Plugin::split_step() {
-  if (split_.next_section == 4) {
-    // Sections answered kNotModified stay absent from the assembly; the
-    // integration overlays them from the stored record. All four
-    // unchanged collapses to a kNotModified result.
-    split_.active = false;
-    if (split_.assembled.sections == 0) split_.assembled.not_modified = true;
-    job_done(std::move(split_.assembled));
-    return;
-  }
   const std::uint8_t section =
       wire::kSectionOrder[static_cast<std::size_t>(split_.next_section)];
   ++split_.next_section;
   fetch_section(job_.target, section, split_.section_cost);
 }
 
-void Plugin::split_part_done(std::optional<wire::FetchResponse> part) {
-  if (!part.has_value()) {
+void Plugin::split_part_done(wire::ReceivedFetchResponse* part) {
+  if (part == nullptr) {
     split_.active = false;
-    job_done(std::nullopt);
+    job_done(nullptr);
     return;
   }
   if (part->epoch_changed) {
@@ -255,38 +285,63 @@ void Plugin::split_part_done(std::optional<wire::FetchResponse> part) {
     // fetch if it happens again.
     if (split_.epoch_retry) {
       split_.active = false;
-      job_done(std::nullopt);
+      job_done(nullptr);
       return;
     }
     split_.epoch_retry = true;
-    split_.assembled = wire::FetchResponse{};
+    split_.assembled = wire::ReceivedFetchResponse{};
     split_.next_section = 0;
     split_step();
     return;
   }
-  wire::FetchResponse& assembled = split_.assembled;
-  if ((part->sections & wire::kSectionDevice) != 0) {
-    assembled.device = std::move(part->device);
+  // Sections answered kNotModified stay absent; the integration keeps the
+  // stored record's.
+  wire::ReceivedFetchResponse& assembled = split_.assembled;
+  if (split_.next_section < 4) {
+    // A neighbours section before the fourth exchange answers another one
+    // (a shared frame duplicated on the air). Its entries are views into
+    // this datagram, so it cannot wait for the assembly to finish: drop it,
+    // the fourth exchange fetches the neighbourhood.
+    part->sections &= static_cast<std::uint8_t>(~wire::kSectionNeighbours);
+    if ((part->sections & wire::kSectionDevice) != 0) {
+      assembled.device = std::move(part->device);
+    }
+    if ((part->sections & wire::kSectionPrototypes) != 0) {
+      assembled.prototypes = std::move(part->prototypes);
+    }
+    if ((part->sections & wire::kSectionServices) != 0) {
+      assembled.services = std::move(part->services);
+    }
+    assembled.sections |= part->sections;
+    split_step();
+    return;
   }
-  if ((part->sections & wire::kSectionPrototypes) != 0) {
-    assembled.prototypes = std::move(part->prototypes);
+  // The last part is the neighbours exchange (kSectionOrder), whose entries
+  // are views into the datagram being dispatched: the earlier parts join it,
+  // and it is integrated before this dispatch returns. All four unchanged
+  // collapses to a kNotModified result.
+  split_.active = false;
+  const auto earlier =
+      static_cast<std::uint8_t>(assembled.sections & ~part->sections);
+  if ((earlier & wire::kSectionDevice) != 0) {
+    part->device = std::move(assembled.device);
   }
-  if ((part->sections & wire::kSectionServices) != 0) {
-    assembled.services = std::move(part->services);
+  if ((earlier & wire::kSectionPrototypes) != 0) {
+    part->prototypes = std::move(assembled.prototypes);
   }
-  if ((part->sections & wire::kSectionNeighbours) != 0) {
-    assembled.neighbours = std::move(part->neighbours);
+  if ((earlier & wire::kSectionServices) != 0) {
+    part->services = std::move(assembled.services);
   }
-  assembled.sections |= part->sections;
-  assembled.load_percent = part->load_percent;
-  split_step();
+  part->sections |= earlier;
+  part->not_modified = part->sections == 0;
+  job_done(part);
 }
 
-void Plugin::fetch_done(std::optional<wire::FetchResponse> response) {
+void Plugin::fetch_done(wire::ReceivedFetchResponse* response) {
   if (split_.active) {
-    split_part_done(std::move(response));
+    split_part_done(response);
   } else {
-    job_done(std::move(response));
+    job_done(response);
   }
 }
 
@@ -308,7 +363,7 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
     // fires; the chain generation ends it if the plugin was stopped.
     sim.schedule_after(cost, [this, token = sentinel_.token(), chain = chain_] {
       if (token.expired() || chain != chain_) return;
-      fetch_done(std::nullopt);
+      fetch_done(nullptr);
     });
     return;
   }
@@ -369,11 +424,11 @@ void Plugin::on_fetch_timeout() {
         });
     return;
   }
-  fetch_done(std::nullopt);
+  fetch_done(nullptr);
 }
 
 void Plugin::on_fetch_response(MacAddress from,
-                               wire::FetchResponse&& response) {
+                               wire::ReceivedFetchResponse& response) {
   // Shared cached frames cannot echo our id (wire::kSharedRequestId); they
   // are matched by peer address instead — a response always arrives (if at
   // all) well inside the pending window, so the address is unambiguous.
@@ -409,9 +464,10 @@ void Plugin::on_fetch_response(MacAddress from,
   daemon_.simulator().cancel(pending_.timeout);
   pending_.awaiting = false;
   // The response is ours (decoded from the frame, never re-sent), so the
-  // requester-side epoch_changed annotation is set in place and the whole
-  // response moves on to the fetch chain.
-  fetch_done(std::move(response));
+  // requester-side epoch_changed annotation is set in place.
+  dispatching_ = &response;
+  fetch_done(&response);
+  dispatching_ = nullptr;
 }
 
 int Plugin::sampled_quality(MacAddress target, std::uint8_t load_percent) {
@@ -430,8 +486,12 @@ int Plugin::sampled_quality(MacAddress target, std::uint8_t load_percent) {
 }
 
 bool Plugin::integrate_response(MacAddress target,
-                                wire::FetchResponse&& response) {
+                                wire::ReceivedFetchResponse& response) {
   const std::uint8_t sections = response.sections;
+  // Neighbour entries are views into a datagram: only the one being
+  // dispatched is still alive.
+  assert((sections & wire::kSectionNeighbours) == 0 ||
+         &response == dispatching_);
   if ((sections & wire::kSectionDevice) != 0 &&
       response.device.mac != target) {
     return false;  // spoofed
@@ -440,45 +500,27 @@ bool Plugin::integrate_response(MacAddress target,
   if (quality <= 0) return false;  // responder moved away mid-fetch
 
   // Overlay: sections the (delta) response carries come from the wire, the
-  // rest from the stored direct record — absent sections are unchanged by
-  // protocol contract. A delta for a device we no longer hold is dropped;
-  // the next cycle sees it as new and fetches full (no baseline). `stored`
-  // points into the storage, so it is read only until the upsert below.
-  const DeviceRecord* stored = nullptr;
+  // rest stay as the stored direct record has them — absent sections are
+  // unchanged by protocol contract. A delta for a device we no longer hold
+  // is dropped; the next cycle sees it as new and fetches full (no
+  // baseline).
   if (sections != wire::kSectionAll) {
-    stored = daemon_.storage().lookup(target);
+    const DeviceRecord* stored = daemon_.storage().lookup(target);
     if (stored == nullptr || !stored->is_direct()) return false;
     ++stats_.delta_responses;
   }
 
-  // if/else rather than ?: — a ?: of a moved field and a const stored one
-  // yields a const temporary, which would be copied, not moved.
-  DeviceRecord direct;
-  if ((sections & wire::kSectionDevice) != 0) {
-    direct.device = std::move(response.device);
-  } else {
-    direct.device = stored->device;
-  }
-  if ((sections & wire::kSectionPrototypes) != 0) {
-    direct.prototypes = std::move(response.prototypes);
-  } else {
-    direct.prototypes = stored->prototypes;
-  }
-  if ((sections & wire::kSectionServices) != 0) {
-    direct.services = std::move(response.services);
-  } else {
-    direct.services = stored->services;
-  }
-  direct.jump = 0;
-  direct.route_mobility = 0;
+  Route direct;
   direct.quality_sum = quality;
   direct.min_link_quality = quality;
   direct.via_tech = tech_;
+  direct.last_seen = daemon_.simulator().now();
+  DirectUpdate update{target, direct, response};
 
   if ((sections & wire::kSectionNeighbours) != 0) {
     stats_.integrations += static_cast<std::uint64_t>(
-        daemon_.analyzer().integrate(daemon_.storage(), std::move(direct),
-                                     std::move(response.neighbours), tech_,
+        daemon_.analyzer().integrate(daemon_.storage(), update,
+                                     response.neighbours, tech_,
                                      daemon_.simulator().now()));
     return true;
   }
@@ -486,11 +528,8 @@ bool Plugin::integrate_response(MacAddress target,
   // services and the measured link quality — without the route-propagation
   // and bridge-reconcile pass (an empty snapshot would wipe every route
   // learned through this responder).
-  direct.neighbour_links = stored->neighbour_links;
-  direct.last_seen = daemon_.simulator().now();
-  direct.missed_loops = 0;
   stats_.integrations += static_cast<std::uint64_t>(
-      daemon_.storage().upsert(std::move(direct)) ? 1 : 0);
+      daemon_.storage().upsert(update) ? 1 : 0);
   return true;
 }
 

@@ -61,9 +61,12 @@ class Plugin {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] bool cycle_active() const { return cycle_active_; }
 
-  // Routed here by the daemon's datagram dispatcher, which hands over the
-  // decoded response: it moves down the fetch chain into the storage.
-  void on_fetch_response(MacAddress from, wire::FetchResponse&& response);
+  // Routed here by the daemon's datagram dispatcher with the response it
+  // decoded; the response's neighbour entries are views into the datagram,
+  // so a neighbours section is integrated before this returns and no view
+  // is kept (see wire::ReceivedFetchResponse).
+  void on_fetch_response(MacAddress from,
+                         wire::ReceivedFetchResponse& response);
 
   // Triggers one inquiry cycle immediately (tests/benches).
   void trigger_cycle();
@@ -81,8 +84,7 @@ class Plugin {
   // Issues the information fetch for job_: either the unified single
   // exchange or the paper's four short exchanges (§3.4.1).
   void fetch_info();
-  // Requests the next section of a split fetch, or hands the finished
-  // assembly to job_done.
+  // Requests the next section of a split fetch.
   void split_step();
   // One request/response exchange: sets pending_ and either sends the
   // request or schedules the short-connection failure.
@@ -90,12 +92,12 @@ class Plugin {
                      SimDuration cost, int attempt = 0);
   void on_fetch_timeout();
   // The fetch chain's continuation: every exchange ends here exactly once,
-  // with the response or nullopt (failure / timeout). Feeds the split
+  // with the response or nullptr (failure / timeout). Feeds the split
   // assembly when one is active, job_done otherwise.
-  void fetch_done(std::optional<wire::FetchResponse> response);
-  void split_part_done(std::optional<wire::FetchResponse> part);
+  void fetch_done(wire::ReceivedFetchResponse* response);
+  void split_part_done(wire::ReceivedFetchResponse* part);
   // Integrates (or drops) the finished fetch for job_ and moves on.
-  void job_done(std::optional<wire::FetchResponse> response);
+  void job_done(wire::ReceivedFetchResponse* response);
   // Samples the link RSSI to `target` (§3.4.1), de-rated by the responder's
   // advertised bridge load when configured (§4). <= 0 means out of range.
   [[nodiscard]] int sampled_quality(MacAddress target,
@@ -104,7 +106,8 @@ class Plugin {
   // dropped (spoof / link lost / stored record gone) — the caller must then
   // discard the peer's version baseline, since on_fetch_response already
   // adopted generations this integration failed to apply.
-  bool integrate_response(MacAddress target, wire::FetchResponse&& response);
+  bool integrate_response(MacAddress target,
+                          wire::ReceivedFetchResponse& response);
   void complete_cycle();
   void schedule_next_cycle(SimDuration delay);
 
@@ -164,10 +167,13 @@ class Plugin {
   // the neighbours baselines above (see end_inquiry).
   std::uint32_t storage_weakening_gen_{0};
 
-  // Split-fetch assembly state (the paper's four short exchanges).
+  // Split-fetch assembly state (the paper's four short exchanges): the
+  // owned sections of the first three parts. The fourth, neighbours part
+  // completes the fetch itself (see split_part_done), so no entry view is
+  // ever kept here.
   struct SplitState {
     bool active{false};
-    wire::FetchResponse assembled;
+    wire::ReceivedFetchResponse assembled;
     int next_section{0};
     SimDuration section_cost{};
     // The assembly was already restarted once after a mid-conversation
@@ -175,6 +181,9 @@ class Plugin {
     bool epoch_retry{false};
   };
   SplitState split_;
+  // The response of the datagram being dispatched (on_fetch_response), the
+  // only one whose neighbour entry views are alive; nullptr otherwise.
+  const wire::ReceivedFetchResponse* dispatching_{nullptr};
 
   Stats stats_;
 };

@@ -114,16 +114,35 @@ void decode_services(ByteReader& reader, std::vector<ServiceInfo>& out) {
   }
 }
 
-NeighbourSnapshotEntry decode_snapshot_entry(ByteReader& reader) {
-  NeighbourSnapshotEntry entry;
-  entry.device = decode_device(reader);
-  decode_prototypes(reader, entry.prototypes);
-  decode_services(reader, entry.services);
+// Skips one encoded service (see encode_service), failing the reader on
+// truncation.
+void skip_service(ByteReader& reader) {
+  (void)reader.str_view();
+  (void)reader.str_view();
+  (void)reader.u16();
+}
+
+// Parses and validates one snapshot entry (encode_snapshot_entry's layout)
+// into `entry`, as views into the reader's buffer.
+void decode_snapshot_entry(ByteReader& reader, SnapshotEntryView& entry) {
+  entry.device.mac = MacAddress::from_u64(reader.u64());
+  entry.device.name = reader.str_view();
+  entry.device.checksum = reader.u32();
+  entry.device.mobility = decode_mobility(reader);
+  entry.prototypes = reader.view(reader.u8());
+  for (const std::uint8_t raw : entry.prototypes) {
+    if (raw >= kTechnologyCount) reader.fail();
+  }
+  entry.services.count = reader.u16();
+  const std::size_t services_at = reader.position();
+  for (std::size_t i = 0; i < entry.services.count && reader.ok(); ++i) {
+    skip_service(reader);
+  }
+  entry.services.bytes = reader.since(services_at);
   entry.jump = reader.u8();
   entry.bridge = MacAddress::from_u64(reader.u64());
   entry.quality_sum = reader.u16();
   entry.min_link_quality = reader.u8();
-  return entry;
 }
 
 }  // namespace
@@ -274,47 +293,91 @@ std::optional<FetchRequest> decode_fetch_request(
   return request;
 }
 
-std::optional<FetchResponse> decode_fetch_response(
-    std::span<const std::uint8_t> payload) {
+bool decode_fetch_response(std::span<const std::uint8_t> payload,
+                           ReceivedFetchResponse& out) {
+  // Start from a default response, but keep the neighbours buffer: a steady
+  // neighbourhood refresh then allocates nothing.
+  std::vector<SnapshotEntryView> buffer = std::move(out.neighbours);
+  buffer.clear();
+  out = ReceivedFetchResponse{};
+  out.neighbours = std::move(buffer);
   ByteReader reader{payload};
   const auto command = static_cast<Command>(reader.u8());
-  FetchResponse response;
   if (command == Command::kNotModified) {
-    response.request_id = reader.u32();
-    response.load_percent = reader.u8();
-    response.not_modified = true;
-    if (!reader.ok()) return std::nullopt;
-    return response;
+    out.request_id = reader.u32();
+    out.load_percent = reader.u8();
+    out.not_modified = true;
+    return reader.ok();
   }
-  if (command != Command::kFetchResponse) return std::nullopt;
-  response.request_id = reader.u32();
-  response.sections = reader.u8();
-  if ((response.sections & ~kSectionAll) != 0) return std::nullopt;
-  response.load_percent = reader.u8();
-  response.epoch = reader.u64();
-  if ((response.sections & kSectionDevice) != 0) {
-    response.gens.device = reader.u32();
-    response.device = decode_device(reader);
+  if (command != Command::kFetchResponse) return false;
+  out.request_id = reader.u32();
+  out.sections = reader.u8();
+  if ((out.sections & ~kSectionAll) != 0) return false;
+  out.load_percent = reader.u8();
+  out.epoch = reader.u64();
+  if ((out.sections & kSectionDevice) != 0) {
+    out.gens.device = reader.u32();
+    out.device = decode_device(reader);
   }
-  if ((response.sections & kSectionPrototypes) != 0) {
-    response.gens.prototypes = reader.u32();
-    decode_prototypes(reader, response.prototypes);
+  if ((out.sections & kSectionPrototypes) != 0) {
+    out.gens.prototypes = reader.u32();
+    decode_prototypes(reader, out.prototypes);
   }
-  if ((response.sections & kSectionServices) != 0) {
-    response.gens.services = reader.u32();
-    decode_services(reader, response.services);
+  if ((out.sections & kSectionServices) != 0) {
+    out.gens.services = reader.u32();
+    decode_services(reader, out.services);
   }
-  if ((response.sections & kSectionNeighbours) != 0) {
-    response.gens.neighbours = reader.u32();
+  if ((out.sections & kSectionNeighbours) != 0) {
+    out.gens.neighbours = reader.u32();
     const std::size_t count = reader.u16();
-    reserve_from_wire(response.neighbours, count, reader,
-                      kMinSnapshotEntrySize);
+    reserve_from_wire(out.neighbours, count, reader, kMinSnapshotEntrySize);
     for (std::size_t i = 0; i < count && reader.ok(); ++i) {
-      response.neighbours.push_back(decode_snapshot_entry(reader));
+      decode_snapshot_entry(reader, out.neighbours.emplace_back());
     }
   }
-  if (!reader.ok()) return std::nullopt;
-  return response;
+  return reader.ok();
+}
+
+bool SnapshotEntryView::same_descriptors(const DeviceRecord& record) const {
+  if (device.mac != record.device.mac || device.name != record.device.name ||
+      device.checksum != record.device.checksum ||
+      device.mobility != record.device.mobility ||
+      prototypes.size() != record.prototypes.size() ||
+      services.count != record.services.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < prototypes.size(); ++i) {
+    if (prototypes[i] != static_cast<std::uint8_t>(record.prototypes[i])) {
+      return false;
+    }
+  }
+  ByteReader reader{services.bytes};
+  for (const ServiceInfo& service : record.services) {
+    if (reader.str_view() != service.name ||
+        reader.str_view() != service.attribute ||
+        reader.u16() != service.port) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SnapshotEntryView::copy_descriptors_to(DeviceRecord& record) const {
+  record.device.mac = device.mac;
+  record.device.name.assign(device.name);
+  record.device.checksum = device.checksum;
+  record.device.mobility = device.mobility;
+  record.prototypes.resize(prototypes.size());
+  for (std::size_t i = 0; i < prototypes.size(); ++i) {
+    record.prototypes[i] = static_cast<Technology>(prototypes[i]);
+  }
+  record.services.resize(services.count);
+  ByteReader reader{services.bytes};
+  for (ServiceInfo& service : record.services) {
+    service.name.assign(reader.str_view());
+    service.attribute.assign(reader.str_view());
+    service.port = reader.u16();
+  }
 }
 
 Bytes encode_connect(const ConnectRequest& request) {

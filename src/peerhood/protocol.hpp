@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -102,7 +104,42 @@ inline constexpr std::size_t kMaxFetchRequestSize = 7 + 24;
 // requester matches them by peer address. Requesters mint ids from 1.
 inline constexpr std::uint32_t kSharedRequestId = 0;
 
-struct FetchResponse {
+// One received neighbours-section entry, viewed in the frame that carried
+// it: decode_fetch_response has validated every byte (enum fields are in
+// their domains), and nothing is copied out of the frame until an integrate
+// finds a new device or changed descriptors. Fields mirror
+// NeighbourSnapshotEntry, so NeighbourhoodAnalyzer::integrate walks either.
+struct SnapshotEntryView {
+  struct Device {
+    MacAddress mac;
+    std::string_view name;
+    std::uint32_t checksum{0};
+    MobilityClass mobility{MobilityClass::kDynamic};
+  };
+  // `count` services as encode_services writes them, minus the count.
+  struct Services {
+    std::span<const std::uint8_t> bytes;
+    std::size_t count{0};
+  };
+
+  Device device;
+  std::span<const std::uint8_t> prototypes;  // one Technology byte each
+  Services services;
+  int jump{0};
+  MacAddress bridge;
+  int quality_sum{0};
+  int min_link_quality{0};
+
+  [[nodiscard]] bool same_descriptors(const DeviceRecord& record) const;
+  // Assigns into the record's strings and vectors (reusing their capacity).
+  void copy_descriptors_to(DeviceRecord& record) const;
+};
+
+// A fetch response. FetchResponse owns its neighbours section (what tests
+// and tools build and encode); ReceivedFetchResponse is what a requester
+// decodes, its neighbours viewed in the received frame.
+template <typename Entry>
+struct BasicFetchResponse {
   std::uint32_t request_id{0};
   // Sections present in *this* message. For a delta response this is the
   // subset of requested sections whose generation moved; absent requested
@@ -125,8 +162,15 @@ struct FetchResponse {
   DeviceInfo device;
   std::vector<Technology> prototypes;
   std::vector<ServiceInfo> services;
-  std::vector<NeighbourSnapshotEntry> neighbours;
+  std::vector<Entry> neighbours;
 };
+using FetchResponse = BasicFetchResponse<NeighbourSnapshotEntry>;
+// The entry views point into the received frame, so a ReceivedFetchResponse
+// is valid only while that frame is: on both backends, for the datagram
+// dispatch that delivered it. The requester integrates a neighbours section
+// inside that dispatch — it is the last part of a split fetch (kSectionOrder)
+// — and keeps no view past it.
+using ReceivedFetchResponse = BasicFetchResponse<SnapshotEntryView>;
 
 [[nodiscard]] Bytes encode(const FetchRequest& request);
 [[nodiscard]] Bytes encode(const FetchResponse& response);
@@ -193,9 +237,12 @@ struct Handshake {
 [[nodiscard]] std::optional<FetchRequest> decode_fetch_request(
     std::span<const std::uint8_t> payload);
 // Decodes kFetchResponse and kNotModified frames (the latter yields
-// not_modified == true and no sections).
-[[nodiscard]] std::optional<FetchResponse> decode_fetch_response(
-    std::span<const std::uint8_t> payload);
+// not_modified == true and no sections) into `out`, reusing its neighbours
+// buffer, and returns false on malformed input — checked for the whole
+// frame, so a rejected section leaves nothing to integrate. Views in `out`
+// point into `payload`.
+[[nodiscard]] bool decode_fetch_response(std::span<const std::uint8_t> payload,
+                                         ReceivedFetchResponse& out);
 // Peeks the command byte of a datagram payload.
 [[nodiscard]] std::optional<Command> peek_command(
     std::span<const std::uint8_t> payload);
@@ -242,10 +289,13 @@ void encode_services(ByteWriter& writer,
 // One neighbourhood-snapshot entry. `Entry` is NeighbourSnapshotEntry or a
 // DeviceRecord — the snapshot cache encodes storage records in place.
 //
-// KEEP IN SYNC with DeviceStorage::advertised_equal (device_storage.cpp):
-// a field shipped here but missing there would let the snapshot cache serve
-// stale frames as kNotModified. tests/test_device_storage.cpp
-// (GenerationCoversEveryAdvertisedField) flips each field one by one.
+// KEEP IN SYNC with DeviceStorage::advertised_route_equal and
+// SnapshotEntryView::same_descriptors, which compares field by field (the
+// other upsert candidates compare whole structs): a field shipped here but
+// missing there would let the snapshot cache serve stale frames as
+// kNotModified.
+// tests/test_device_storage.cpp (GenerationCoversEveryAdvertisedField) flips
+// each field one by one.
 template <typename Entry>
 [[nodiscard]] std::size_t snapshot_entry_size(const Entry& entry) {
   return encoded_size(entry.device) + 1 + entry.prototypes.size() +

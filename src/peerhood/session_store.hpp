@@ -1,8 +1,8 @@
 // SessionStore — the daemon's crash-survivable session journal.
 //
 // Everything else a daemon holds is volatile: a crash wipes DeviceStorage,
-// plugin baselines and the engine's live session map. This journal models
-// the one sliver of state a real daemon would fsync: per session, the resume
+// plugin baselines and the engine's live session map. This journal is the
+// one sliver of state that outlives a crash: per session, the resume
 // frontier of its ReliableChannel — the next sequence it would send and the
 // next it expects to receive. A restarted daemon honours kResumeRestart by
 // looking the session up here and rebuilding the reliable layer at exactly
@@ -50,6 +50,15 @@ class SessionStore {
   // in-memory. A journal write that fails (temp file not opened,
   // write/flush failed, rename refused) is logged and counted; the
   // in-memory store keeps working.
+  //
+  // Durability boundary: nothing is fsynced. The temp + rename leaves a
+  // complete journal in the kernel's page cache, which survives the
+  // process dying (kill -9, a crash) but not the machine losing power or
+  // the kernel crashing: the file may then hold an older journal or, on
+  // some filesystems, be empty. persist() runs on every mutation — each
+  // frontier update of every reliable session — so an fsync per write
+  // would put a disk flush on the data path; durable writes belong with
+  // the append-only log that replaces the whole-file rewrite.
   void bind_file(const std::string& path);
   [[nodiscard]] const std::string& journal_path() const { return path_; }
 

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "discovery/analyzer.hpp"
+#include "peerhood/protocol.hpp"
+
 namespace peerhood {
 namespace {
 
@@ -333,6 +336,63 @@ TEST(DeviceStorage, GenerationCoversEveryAdvertisedField) {
               "min_link_quality");
   // jump/bridge change the route identity (different-route upsert paths)
   // and are covered by the insert/replace tests above.
+
+  // The same flips shipped in a responder's snapshot: encoded, decoded as
+  // views into the frame, and integrated as a route through the responder.
+  const NeighbourhoodAnalyzer analyzer{MacAddress::from_index(90)};
+  const auto base_entry = [&base] {
+    const DeviceRecord r = base();
+    NeighbourSnapshotEntry entry;
+    entry.device = r.device;
+    entry.prototypes = r.prototypes;
+    entry.services = r.services;
+    entry.quality_sum = entry.min_link_quality = 250;
+    return entry;
+  };
+  const auto integrate = [&analyzer](DeviceStorage& storage,
+                                     const NeighbourSnapshotEntry& entry) {
+    wire::FetchResponse response;
+    response.sections = wire::kSectionNeighbours;
+    response.neighbours = {entry};
+    const Bytes frame = wire::encode(response);
+    wire::ReceivedFetchResponse received;
+    ASSERT_TRUE(wire::decode_fetch_response(frame, received));
+    DeviceRecord responder = direct(2, 240);
+    (void)analyzer.integrate(storage, OwnedRecord{responder},
+                             received.neighbours, Technology::kBluetooth,
+                             at(1.0));
+  };
+  const auto expect_wire_bump = [&](auto mutate, const char* what) {
+    DeviceStorage storage;
+    integrate(storage, base_entry());
+    ASSERT_TRUE(storage.contains(MacAddress::from_index(1))) << what;
+    const std::uint32_t gen = storage.generation();
+    integrate(storage, base_entry());
+    EXPECT_EQ(storage.generation(), gen) << what << ": unchanged re-ship";
+    NeighbourSnapshotEntry changed = base_entry();
+    mutate(changed);
+    integrate(storage, changed);
+    EXPECT_NE(storage.generation(), gen) << what << " via a frame";
+  };
+  using Entry = NeighbourSnapshotEntry;
+  expect_wire_bump([](Entry& e) { e.device.name = "renamed"; },
+                   "device.name");
+  expect_wire_bump([](Entry& e) { e.device.checksum = 99; },
+                   "device.checksum");
+  expect_wire_bump(
+      [](Entry& e) { e.device.mobility = MobilityClass::kHybrid; },
+      "device.mobility");
+  expect_wire_bump([](Entry& e) { e.prototypes.push_back(Technology::kWlan); },
+                   "prototypes");
+  expect_wire_bump([](Entry& e) { e.services.push_back({"extra", "", 3}); },
+                   "services");
+  expect_wire_bump([](Entry& e) { e.services[0].attribute = "attr"; },
+                   "services[0].attribute");
+  expect_wire_bump([](Entry& e) { e.services[0].port = 7; },
+                   "services[0].port");
+  expect_wire_bump([](Entry& e) { e.quality_sum = 100; }, "quality_sum");
+  expect_wire_bump([](Entry& e) { e.min_link_quality = 100; },
+                   "min_link_quality");
 }
 
 TEST(DeviceStorage, WeakeningGenerationTracksDegradationAndRemoval) {

@@ -1,10 +1,10 @@
-// Proves the requester side of the discovery plane moves each decoded fetch
-// response into the storage instead of deep-copying it, with a counting
-// operator-new hook (same technique as test_snapshot_alloc): beyond what the
-// decoder itself allocates, handing a daemon a 32-entry neighbourhood costs
-// no more allocations than a 4-entry one. The daemon runs on a scripted
-// network whose datagram handler the test drives directly, so the count
-// covers exactly one datagram's dispatch, fetch chain and integration.
+// Proves the requester side of the discovery plane integrates a re-shipped
+// neighbourhood without copying it, with a counting operator-new hook (same
+// technique as test_snapshot_alloc): the whole dispatch of a 32-entry
+// answer — decode included — costs exactly what a 4-entry one does, and no
+// more than the next request frame. The daemon runs on a scripted network
+// whose datagram handler the test drives directly, so the count covers
+// exactly one datagram's dispatch, fetch chain and integration.
 // This TU overrides global operator new/delete; each test source builds into
 // its own binary, so the hook is scoped to this suite.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "net/frame_check.hpp"
 #include "peerhood/daemon.hpp"
 #include "scripted_network.hpp"
 
@@ -106,10 +107,10 @@ class DiscoveryAllocation : public ::testing::Test {
   // Answers every fetch request of the next inquiry cycle with an
   // `entries`-sized neighbourhood (each answer ships every requested
   // section at a fresh generation). Returns the allocations made while the
-  // daemon handled the answer carrying the neighbours section, minus what
-  // decoding that answer allocates on its own.
+  // daemon handled the answer carrying the neighbours section: the whole
+  // datagram dispatch, from decode to whatever the fetch chain sends next.
   std::uint64_t run_cycle(std::size_t entries) {
-    std::uint64_t beyond_decode = 0;
+    std::uint64_t dispatch = 0;
     const std::uint64_t cycles = daemon_.plugin(Technology::kBluetooth)
                                      ->stats().loops;
     do {
@@ -131,18 +132,26 @@ class DiscoveryAllocation : public ::testing::Test {
       response.neighbours = neighbourhood(entries);
       const Bytes payload = wire::encode(response);
 
-      std::uint64_t before = g_allocations.load();
-      { const auto decoded = wire::decode_fetch_response(payload); }
-      const std::uint64_t decode = g_allocations.load() - before;
-      before = g_allocations.load();
+      const std::uint64_t before = g_allocations.load();
       network_.deliver(kResponder, payload);
-      const std::uint64_t handled = g_allocations.load() - before;
       if ((request->sections & wire::kSectionNeighbours) != 0) {
-        beyond_decode = handled - decode;
+        dispatch = g_allocations.load() - before;
       }
     } while (daemon_.plugin(Technology::kBluetooth)->cycle_active() ||
              daemon_.plugin(Technology::kBluetooth)->stats().loops == cycles);
-    return beyond_decode;
+    return dispatch;
+  }
+
+  // What the plugin allocates to send one fetch request: its sealed
+  // datagram frame.
+  static std::uint64_t request_frame_allocations() {
+    const wire::FetchRequest request{
+        7, wire::kSectionAll, wire::FetchBaseline{42, {1, 2, 3, 4}}};
+    const std::uint64_t before = g_allocations.load();
+    const auto frame = net::make_datagram_frame(
+        wire::kMaxFetchRequestSize,
+        [&request](ByteWriter& writer) { wire::encode_into(writer, request); });
+    return g_allocations.load() - before;
   }
 
   testing::ScriptedNetwork network_;
@@ -166,8 +175,76 @@ TEST_F(DiscoveryAllocation, ResponseMovesIntoStorageWithoutEntryCopies) {
   EXPECT_EQ(stats.stale_responses, 0u);
   EXPECT_GE(stats.delta_responses, 2u) << "the measured cycles were deltas";
   EXPECT_EQ(large, small)
-      << "allocations beyond the decode grew with the entry count: the "
+      << "the dispatch's allocations grew with the entry count: the "
          "neighbourhood is being copied on its way to the storage";
+  const std::uint64_t request_frame = request_frame_allocations();
+  EXPECT_EQ(request_frame, 2u) << "one buffer plus one control block";
+  EXPECT_LE(small, request_frame)
+      << "a re-shipped neighbourhood allocates beyond the next request";
+}
+
+TEST(DeviceStorageAllocation, SameDescriptorRouteRefreshAllocatesNothing) {
+  DeviceStorage storage;
+  const auto routed = [](int quality) {
+    DeviceRecord record;
+    record.device = DeviceInfo{MacAddress::from_index(100),
+                               "a-device-name-past-the-small-string", 3,
+                               MobilityClass::kHybrid};
+    record.prototypes = {Technology::kBluetooth, Technology::kWlan};
+    record.services = {{"a-service-with-a-long-name",
+                        "an-attribute-long-enough-to-allocate", 9}};
+    record.jump = 2;
+    record.bridge = kResponder;
+    record.quality_sum = record.min_link_quality = quality;
+    return record;
+  };
+  ASSERT_TRUE(storage.upsert(routed(200)));
+
+  // An owned record over the same route: the stored one is updated, and
+  // the record's descriptors move (built before the count starts).
+  DeviceRecord refresh = routed(210);
+  std::uint64_t before = g_allocations.load();
+  EXPECT_TRUE(storage.upsert(std::move(refresh)));
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "owned record";
+
+  // The same route re-shipped in a received frame: compared in place.
+  NeighbourSnapshotEntry entry;
+  entry.device = routed(0).device;
+  entry.prototypes = routed(0).prototypes;
+  entry.services = routed(0).services;
+  // The responder's own one-jump route: offered as the stored two-jump
+  // route through it, and not one of its neighbour links.
+  entry.jump = 1;
+  entry.bridge = MacAddress::from_index(99);
+  entry.quality_sum = entry.min_link_quality = 230;
+  wire::FetchResponse response;
+  response.sections = wire::kSectionNeighbours;
+  response.neighbours = {entry};
+  const Bytes frame = wire::encode(response);
+  wire::ReceivedFetchResponse received;
+  ASSERT_TRUE(wire::decode_fetch_response(frame, received));
+  DeviceRecord bridge;
+  bridge.device.mac = kResponder;
+  bridge.quality_sum = bridge.min_link_quality = 240;
+  ASSERT_TRUE(storage.upsert(bridge));
+  const NeighbourhoodAnalyzer analyzer{kSelf};
+  // The first integration moves the route onto this bridge's figures; the
+  // second re-ships it unchanged.
+  (void)analyzer.integrate(storage, OwnedRecord{bridge}, received.neighbours,
+                           Technology::kBluetooth, SimTime{});
+  const std::uint32_t generation = storage.generation();
+  DeviceRecord again;
+  again.device.mac = kResponder;
+  again.quality_sum = again.min_link_quality = 240;
+  before = g_allocations.load();
+  const int refreshed =
+      analyzer.integrate(storage, OwnedRecord{again}, received.neighbours,
+                         Technology::kBluetooth, SimTime{});
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "entry viewed in a frame";
+  EXPECT_EQ(refreshed, 2) << "the direct record and the route both accepted";
+  EXPECT_EQ(storage.lookup(entry.device.mac)->quality_sum, 230 + 240);
+  EXPECT_EQ(storage.generation(), generation);
+  EXPECT_EQ(storage.lookup(entry.device.mac)->device.name, entry.device.name);
 }
 
 TEST(DeviceStorageAllocation, ReconcileBridgeAllocatesNothing) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_fetch_decoder.hpp"
+
 namespace peerhood::wire {
 namespace {
 
@@ -61,12 +63,12 @@ TEST(Protocol, NotModifiedRoundTrip) {
   response.load_percent = 61;
   const Bytes frame = encode(response);
   EXPECT_EQ(peek_command(frame), Command::kNotModified);
-  const auto decoded = decode_fetch_response(frame);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->not_modified);
-  EXPECT_EQ(decoded->request_id, 5u);
-  EXPECT_EQ(decoded->load_percent, 61);
-  EXPECT_EQ(decoded->sections, 0);
+  ReceivedFetchResponse decoded;
+  ASSERT_TRUE(decode_fetch_response(frame, decoded));
+  EXPECT_TRUE(decoded.not_modified);
+  EXPECT_EQ(decoded.request_id, 5u);
+  EXPECT_EQ(decoded.load_percent, 61);
+  EXPECT_EQ(decoded.sections, 0);
 }
 
 TEST(Protocol, ResponseCarriesEpochAndSectionGens) {
@@ -77,13 +79,14 @@ TEST(Protocol, ResponseCarriesEpochAndSectionGens) {
   response.gens.services = 7;
   response.gens.neighbours = 0xffffffffu;
   response.services = {{"svc", "", 3}};
-  const auto decoded = decode_fetch_response(encode(response));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->epoch, response.epoch);
-  EXPECT_EQ(decoded->gens.services, 7u);
-  EXPECT_EQ(decoded->gens.neighbours, 0xffffffffu);
-  EXPECT_EQ(decoded->services, response.services);
-  EXPECT_FALSE(decoded->not_modified);
+  const Bytes frame = encode(response);
+  ReceivedFetchResponse decoded;
+  ASSERT_TRUE(decode_fetch_response(frame, decoded));
+  EXPECT_EQ(decoded.epoch, response.epoch);
+  EXPECT_EQ(decoded.gens.services, 7u);
+  EXPECT_EQ(decoded.gens.neighbours, 0xffffffffu);
+  EXPECT_EQ(decoded.services, response.services);
+  EXPECT_FALSE(decoded.not_modified);
 }
 
 TEST(Protocol, RequestRejectsUnknownSectionBits) {
@@ -98,7 +101,8 @@ TEST(Protocol, ResponseRejectsUnknownSectionBits) {
   response.device = sample_device(2);
   Bytes frame = encode(response);
   frame[5] = 0x90;  // sections byte: unknown high bits
-  EXPECT_FALSE(decode_fetch_response(frame).has_value());
+  ReceivedFetchResponse decoded;
+  EXPECT_FALSE(decode_fetch_response(frame, decoded));
 }
 
 TEST(Protocol, FetchResponseFullRoundTrip) {
@@ -120,7 +124,7 @@ TEST(Protocol, FetchResponseFullRoundTrip) {
   entry.min_link_quality = 231;
   response.neighbours.push_back(entry);
 
-  const auto decoded = decode_fetch_response(encode(response));
+  const auto decoded = reference_decode_fetch_response(encode(response));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->request_id, 9u);
   EXPECT_EQ(decoded->load_percent, 25);
@@ -136,16 +140,65 @@ TEST(Protocol, FetchResponseFullRoundTrip) {
   EXPECT_EQ(back.min_link_quality, 231);
 }
 
+TEST(Protocol, FetchResponseEntriesAreViewsIntoTheFrame) {
+  FetchResponse response;
+  response.sections = kSectionNeighbours;
+  NeighbourSnapshotEntry entry;
+  entry.device = sample_device(2);
+  entry.prototypes = {Technology::kGprs, Technology::kBluetooth};
+  entry.services = {{"remote", "attr", 5}, {"other", "", 6}};
+  entry.jump = 1;
+  entry.bridge = MacAddress::from_index(7);
+  entry.quality_sum = 480;
+  entry.min_link_quality = 231;
+  response.neighbours.push_back(entry);
+  const Bytes frame = encode(response);
+
+  ReceivedFetchResponse decoded;
+  ASSERT_TRUE(decode_fetch_response(frame, decoded));
+  ASSERT_EQ(decoded.neighbours.size(), 1u);
+  const SnapshotEntryView& view = decoded.neighbours[0];
+  const auto inside = [&frame](const void* p) {
+    const auto* byte = static_cast<const std::uint8_t*>(p);
+    return byte >= frame.data() && byte < frame.data() + frame.size();
+  };
+  EXPECT_TRUE(inside(view.device.name.data()));
+  EXPECT_TRUE(inside(view.prototypes.data()));
+  EXPECT_TRUE(inside(view.services.bytes.data()));
+  EXPECT_EQ(view.device.name, entry.device.name);
+  EXPECT_EQ(view.services.count, 2u);
+  EXPECT_EQ(view.jump, 1);
+  EXPECT_EQ(view.bridge, entry.bridge);
+  EXPECT_EQ(view.quality_sum, 480);
+  EXPECT_EQ(view.min_link_quality, 231);
+  EXPECT_EQ(materialise(view), entry);
+
+  // Descriptor comparison against a stored record, one field at a time.
+  DeviceRecord stored;
+  view.copy_descriptors_to(stored);
+  EXPECT_TRUE(view.same_descriptors(stored));
+  DeviceRecord renamed = stored;
+  renamed.device.name += "x";
+  EXPECT_FALSE(view.same_descriptors(renamed));
+  DeviceRecord reordered = stored;
+  std::swap(reordered.prototypes[0], reordered.prototypes[1]);
+  EXPECT_FALSE(view.same_descriptors(reordered));
+  DeviceRecord reported = stored;
+  reported.services[1].port = 7;
+  EXPECT_FALSE(view.same_descriptors(reported));
+}
+
 TEST(Protocol, FetchResponsePartialSections) {
   FetchResponse response;
   response.request_id = 4;
   response.sections = kSectionServices;
   response.services = {{"only-services", "", 1}};
-  const auto decoded = decode_fetch_response(encode(response));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->neighbours.empty());
-  EXPECT_TRUE(decoded->device.mac.is_null());
-  ASSERT_EQ(decoded->services.size(), 1u);
+  const Bytes frame = encode(response);
+  ReceivedFetchResponse decoded;
+  ASSERT_TRUE(decode_fetch_response(frame, decoded));
+  EXPECT_TRUE(decoded.neighbours.empty());
+  EXPECT_TRUE(decoded.device.mac.is_null());
+  ASSERT_EQ(decoded.services.size(), 1u);
 }
 
 TEST(Protocol, ConnectRoundTripWithoutParams) {
@@ -232,7 +285,8 @@ TEST(Protocol, MalformedInputRejected) {
   frame.resize(frame.size() / 2);
   EXPECT_FALSE(decode_handshake(frame).has_value());
   EXPECT_FALSE(decode_fetch_request(Bytes{1, 2}).has_value());
-  EXPECT_FALSE(decode_fetch_response(Bytes{2, 0}).has_value());
+  ReceivedFetchResponse response;
+  EXPECT_FALSE(decode_fetch_response(Bytes{2, 0}, response));
 }
 
 TEST(Protocol, PeekCommand) {
@@ -249,7 +303,8 @@ TEST(Protocol, FuzzDecodersDoNotCrash) {
     }
     (void)decode_handshake(junk);
     (void)decode_fetch_request(junk);
-    (void)decode_fetch_response(junk);
+    ReceivedFetchResponse response;
+    (void)decode_fetch_response(junk, response);
     (void)peek_command(junk);
   }
   SUCCEED();

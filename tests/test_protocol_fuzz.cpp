@@ -2,27 +2,33 @@
 // every protocol.* decoder must survive arbitrary byte soup and single-bit
 // mutations of valid frames without crashing, overflowing, or fabricating
 // out-of-domain enum values. Decoders either return nullopt or a value whose
-// enum fields are in range — never anything in between.
+// enum fields are in range — never anything in between. The fetch-response
+// decoder must also agree with the materialising reference decoder on every
+// frame, and a frame it rejects must leave a daemon's storage untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/stream_framer.hpp"
+#include "peerhood/daemon.hpp"
 #include "peerhood/protocol.hpp"
 #include "peerhood/reliable_channel.hpp"
+#include "reference_fetch_decoder.hpp"
+#include "scripted_network.hpp"
 
 namespace peerhood::wire {
 namespace {
 
-void check_decoded_domain(const std::optional<FetchResponse>& response) {
-  if (!response.has_value()) return;
-  for (const Technology tech : response->prototypes) {
+void check_decoded_domain(const FetchResponse& response) {
+  for (const Technology tech : response.prototypes) {
     EXPECT_LT(static_cast<std::size_t>(tech), kTechnologyCount);
   }
-  for (const NeighbourSnapshotEntry& entry : response->neighbours) {
+  for (const NeighbourSnapshotEntry& entry : response.neighbours) {
     for (const Technology tech : entry.prototypes) {
       EXPECT_LT(static_cast<std::size_t>(tech), kTechnologyCount);
     }
@@ -31,12 +37,72 @@ void check_decoded_domain(const std::optional<FetchResponse>& response) {
   }
 }
 
+// The requester's decoder (entries viewed in the frame) must accept a frame
+// exactly when the materialising reference decoder does, and then yield the
+// same response once its entries are materialised. One buffer is reused
+// for every frame, as the daemon reuses its own.
+void check_fetch_response(std::span<const std::uint8_t> bytes) {
+  static ReceivedFetchResponse viewed;
+  const auto reference = reference_decode_fetch_response(bytes);
+  const bool accepted = decode_fetch_response(bytes, viewed);
+  ASSERT_EQ(accepted, reference.has_value());
+  if (!accepted) return;
+  check_decoded_domain(*reference);
+  EXPECT_EQ(viewed.request_id, reference->request_id);
+  EXPECT_EQ(viewed.sections, reference->sections);
+  EXPECT_EQ(viewed.load_percent, reference->load_percent);
+  EXPECT_EQ(viewed.epoch, reference->epoch);
+  EXPECT_EQ(viewed.gens, reference->gens);
+  EXPECT_EQ(viewed.not_modified, reference->not_modified);
+  EXPECT_EQ(viewed.device, reference->device);
+  EXPECT_EQ(viewed.prototypes, reference->prototypes);
+  EXPECT_EQ(viewed.services, reference->services);
+  ASSERT_EQ(viewed.neighbours.size(), reference->neighbours.size());
+  for (std::size_t i = 0; i < viewed.neighbours.size(); ++i) {
+    EXPECT_EQ(materialise(viewed.neighbours[i]), reference->neighbours[i])
+        << "entry " << i;
+  }
+}
+
 void decode_everything(std::span<const std::uint8_t> bytes) {
   (void)peek_command(bytes);
   (void)decode_handshake(bytes);
   (void)decode_fetch_request(bytes);
-  check_decoded_domain(decode_fetch_response(bytes));
+  check_fetch_response(bytes);
   (void)peerhood::decode_reliable_frame(bytes);
+}
+
+NeighbourSnapshotEntry sample_entry(std::uint64_t index, int services) {
+  NeighbourSnapshotEntry entry;
+  entry.device = DeviceInfo{MacAddress::from_index(index),
+                            "neighbour-" + std::to_string(index),
+                            static_cast<std::uint32_t>(index * 31),
+                            index % 2 == 0 ? MobilityClass::kStatic
+                                           : MobilityClass::kHybrid};
+  entry.prototypes = {Technology::kGprs, Technology::kWlan};
+  for (int i = 0; i < services; ++i) {
+    entry.services.push_back(
+        ServiceInfo{"svc-" + std::to_string(i), i % 2 == 0 ? "" : "client",
+                    static_cast<std::uint16_t>(5 + i)});
+  }
+  entry.jump = static_cast<int>(index % 3);
+  entry.bridge = MacAddress::from_index(9);
+  entry.quality_sum = 200 + static_cast<int>(index);
+  entry.min_link_quality = 180;
+  return entry;
+}
+
+// A neighbours-only answer with three entries of 0, 1 and 2 services.
+Bytes sample_neighbours_response() {
+  FetchResponse response;
+  response.request_id = 8;
+  response.sections = kSectionNeighbours;
+  response.epoch = 3;
+  response.gens = SectionGens{0, 0, 0, 77};
+  for (int i = 0; i < 3; ++i) {
+    response.neighbours.push_back(sample_entry(20 + i, i));
+  }
+  return encode(response);
 }
 
 Bytes sample_fetch_response() {
@@ -130,8 +196,99 @@ TEST(ProtocolFuzz, RandomBytesNeverCrashDecoders) {
   }
 }
 
+TEST(ProtocolFuzz, RandomFetchResponsesAgreeWithReference) {
+  // Byte soup rarely gets past the command byte, so this round mutates valid
+  // responses: 1-6 random bytes overwritten, sometimes cut short.
+  Rng rng{0x5EC7105};
+  const Bytes samples[] = {sample_fetch_response(),
+                           sample_neighbours_response()};
+  for (int round = 0; round < 6000; ++round) {
+    Bytes frame = samples[round % 2];
+    const int edits = rng.uniform_int(1, 6);
+    for (int i = 0; i < edits; ++i) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(frame.size()) - 1));
+      frame[at] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    if (rng.bernoulli(0.2)) {
+      frame.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(frame.size()))));
+    }
+    check_fetch_response(frame);
+  }
+}
+
+TEST(ProtocolFuzz, OutOfDomainEnumValuesAgreeWithReference) {
+  // Every byte of the responses set in turn to values just past each enum's
+  // domain (Technology 0-2, MobilityClass 0/1/3) and to the extremes.
+  for (const Bytes& sample :
+       {sample_fetch_response(), sample_neighbours_response()}) {
+    for (std::size_t at = 0; at < sample.size(); ++at) {
+      for (const std::uint8_t value : {0x00, 0x02, 0x03, 0x04, 0x7F, 0xFF}) {
+        Bytes frame = sample;
+        frame[at] = value;
+        check_fetch_response(frame);
+      }
+    }
+  }
+}
+
+TEST(ProtocolFuzz, RejectedNeighboursSectionNeverReachesTheStorage) {
+  // A unified fetch answered with a neighbours section whose last entry is
+  // corrupt: the entries before it are well formed, yet none of them — and
+  // not the responder itself — may be stored. The intact answer then
+  // integrates in full.
+  const MacAddress self = MacAddress::from_index(1);
+  const MacAddress responder = MacAddress::from_index(2);
+  testing::ScriptedNetwork network{{responder}};
+  DaemonConfig config;
+  config.bridge_enabled = false;
+  config.unified_fetch = true;
+  Daemon daemon{network, self, nullptr, config};
+  daemon.start();
+  const auto sent = network.next_request();
+  ASSERT_TRUE(sent.has_value());
+  ASSERT_EQ(sent->request.sections, kSectionAll);
+
+  FetchResponse response;
+  response.request_id = sent->request.request_id;
+  response.sections = kSectionAll;
+  response.epoch = 5;
+  response.gens = SectionGens{1, 1, 1, 1};
+  response.device = DeviceInfo{responder, "responder", 2,
+                               MobilityClass::kStatic};
+  for (int i = 0; i < 4; ++i) {
+    response.neighbours.push_back(sample_entry(30 + i, i));
+  }
+  const Bytes intact = encode(response);
+  // The last entry closes the frame; its mobility byte follows the MAC, the
+  // length-prefixed name and the checksum.
+  const NeighbourSnapshotEntry& last = response.neighbours.back();
+  const std::size_t last_entry_mobility = intact.size() -
+                                          snapshot_entry_size(last) + 8 + 2 +
+                                          last.device.name.size() + 4;
+  Bytes corrupt_mobility = intact;
+  ASSERT_EQ(corrupt_mobility[last_entry_mobility],
+            static_cast<std::uint8_t>(MobilityClass::kHybrid));
+  corrupt_mobility[last_entry_mobility] = 2;  // between kHybrid and kDynamic
+  const Bytes truncated(intact.begin(), intact.end() - 1);
+
+  const std::uint32_t generation = daemon.storage().generation();
+  for (const Bytes& malformed : {corrupt_mobility, truncated}) {
+    ASSERT_FALSE(reference_decode_fetch_response(malformed).has_value());
+    network.deliver(responder, malformed);
+    EXPECT_EQ(daemon.storage().size(), 0u);
+    EXPECT_EQ(daemon.storage().generation(), generation);
+  }
+  network.deliver(responder, intact);
+  EXPECT_EQ(daemon.storage().size(), 1u + 4u);
+  EXPECT_EQ(daemon.plugin(Technology::kBluetooth)->stats().integrations,
+            1u + 4u);
+}
+
 TEST(ProtocolFuzz, BitFlippedValidFramesNeverCrashDecoders) {
   const Bytes samples[] = {sample_fetch_response(), sample_fetch_request(),
+                           sample_neighbours_response(),
                            sample_bridge_handshake(), encode_ok(),
                            encode_fail(ErrorCode::kProtocolError, "boom"),
                            encode_connect(ConnectRequest{1, "svc", {}}),
@@ -152,6 +309,7 @@ TEST(ProtocolFuzz, BitFlippedValidFramesNeverCrashDecoders) {
 
 TEST(ProtocolFuzz, TruncationsNeverCrashDecoders) {
   const Bytes samples[] = {sample_fetch_response(), sample_fetch_request(),
+                           sample_neighbours_response(),
                            sample_bridge_handshake(),
                            sample_resume_restart(),
                            sample_bridge_resume_restart(),
@@ -282,11 +440,12 @@ TEST(ProtocolFuzz, OutOfDomainEnumBytesRejectTheFrame) {
   response.device = DeviceInfo{MacAddress::from_index(2), "d", 0,
                                MobilityClass::kStatic};
   Bytes frame = encode(response);
-  ASSERT_TRUE(decode_fetch_response(frame).has_value());
+  ReceivedFetchResponse decoded;
+  ASSERT_TRUE(decode_fetch_response(frame, decoded));
   // The mobility byte is the last byte of the device record (see
   // encode_device); for a kSectionDevice-only response it is the final byte.
   frame.back() = 0x7F;
-  EXPECT_FALSE(decode_fetch_response(frame).has_value());
+  EXPECT_FALSE(decode_fetch_response(frame, decoded));
 }
 
 }  // namespace

@@ -211,10 +211,10 @@ TEST(ExchangeAllocation, FreshEncodeIsOneBufferAndOneControlBlock) {
     EXPECT_EQ(g_allocations.load() - before, 2u) << entries << " entries";
     const auto body = net::check_frame(*delta);
     ASSERT_TRUE(body.has_value());
-    const auto decoded = wire::decode_fetch_response(body->subspan(1));
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->sections, wire::kSectionNeighbours);
-    EXPECT_EQ(decoded->neighbours.size(), entries);
+    wire::ReceivedFetchResponse decoded;
+    ASSERT_TRUE(wire::decode_fetch_response(body->subspan(1), decoded));
+    EXPECT_EQ(decoded.sections, wire::kSectionNeighbours);
+    EXPECT_EQ(decoded.neighbours.size(), entries);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "peerhood/snapshot_cache.hpp"
+#include "reference_fetch_decoder.hpp"
 
 namespace peerhood {
 namespace {
@@ -116,7 +117,7 @@ struct View {
 };
 
 wire::FetchResponse decode_or_die(const SnapshotCache::FramePtr& frame) {
-  const auto decoded = wire::decode_fetch_response(*frame);
+  const auto decoded = wire::reference_decode_fetch_response(*frame);
   EXPECT_TRUE(decoded.has_value());
   return decoded.value_or(wire::FetchResponse{});
 }
@@ -319,14 +320,15 @@ TEST(SnapshotDelta, TruncatedFramesRejected) {
   const auto not_modified = responder.answer(
       {4, wire::kSectionAll,
        wire::FetchBaseline{responder.epoch, responder.source().gens}});
+  wire::ReceivedFetchResponse decoded;
   for (const auto& frame : {full, delta, not_modified}) {
     for (std::size_t cut = 1; cut < frame->size(); ++cut) {
       Bytes truncated{frame->begin(),
                       frame->begin() + static_cast<long>(cut)};
-      EXPECT_FALSE(wire::decode_fetch_response(truncated).has_value())
+      EXPECT_FALSE(wire::decode_fetch_response(truncated, decoded))
           << "prefix of length " << cut << " must be rejected";
     }
-    EXPECT_TRUE(wire::decode_fetch_response(*frame).has_value());
+    EXPECT_TRUE(wire::decode_fetch_response(*frame, decoded));
   }
 
   // Conditional requests reject truncation too.
@@ -341,7 +343,7 @@ TEST(SnapshotDelta, TruncatedFramesRejected) {
   // Unknown section bits and unknown request flags are rejected.
   Bytes bad_sections = *full;
   bad_sections[5] = 0xff;
-  EXPECT_FALSE(wire::decode_fetch_response(bad_sections).has_value());
+  EXPECT_FALSE(wire::decode_fetch_response(bad_sections, decoded));
   Bytes bad_flags = encoded;
   bad_flags[6] = 0x7e;
   EXPECT_FALSE(wire::decode_fetch_request(bad_flags).has_value());
@@ -393,12 +395,13 @@ TEST(SnapshotDelta, RandomizedDeltaVsFullParity) {
         ++fetches;
         const std::uint8_t sections = wire::kSectionAll;
         const auto request_id = static_cast<std::uint32_t>(op + 1);
-        const auto conditional = wire::decode_fetch_response(*responder.answer(
-            {request_id, sections, view.baseline(sections)}));
+        const auto conditional =
+            wire::reference_decode_fetch_response(*responder.answer(
+                {request_id, sections, view.baseline(sections)}));
         ASSERT_TRUE(conditional.has_value());
         view.apply(*conditional);
 
-        const auto full = wire::decode_fetch_response(
+        const auto full = wire::reference_decode_fetch_response(
             *responder.answer({request_id, sections, std::nullopt}));
         ASSERT_TRUE(full.has_value());
         ASSERT_EQ(view.device, full->device) << "op " << op;
