@@ -15,6 +15,7 @@
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "net/address.hpp"
+#include "net/frame_check.hpp"
 
 namespace peerhood::net {
 
@@ -31,6 +32,11 @@ class Connection {
   // Queues a frame towards the peer. Fails only when the connection is
   // already closed locally; in-flight loss is silent (see header comment).
   virtual Status write(Bytes frame) = 0;
+  // As write(), for a frame whose first kConnFrameHeaderSize bytes are room
+  // the transport may overwrite with its own header; the payload follows
+  // them. SimNetwork writes its frame header into that room, so the frame
+  // reaches the medium in the buffer it was built in, with no copy.
+  virtual Status write_with_room(Bytes frame) = 0;
 
   // Push-style delivery. While no handler is installed frames accumulate and
   // can be drained with poll_frame().

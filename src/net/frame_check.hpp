@@ -33,6 +33,11 @@ namespace peerhood::net {
 // u16 body length + u32 checksum.
 inline constexpr std::size_t kFrameHeaderSize = 6;
 
+// Header of a SimNetwork connection frame: the integrity header, the frame
+// kind and the u64 connection id. A frame written through
+// Connection::write_with_room starts with this much room for it.
+inline constexpr std::size_t kConnFrameHeaderSize = kFrameHeaderSize + 1 + 8;
+
 // First body byte of every frame carrying a datagram (the other body tags
 // are the sim backend's connection frames).
 inline constexpr std::uint8_t kDatagramFrameTag = 0;

@@ -124,6 +124,15 @@ class PosixConnection final
     return Status::ok_status();
   }
 
+  Status write_with_room(Bytes frame) override {
+    if (!open_) {
+      return Status{ErrorCode::kConnectionClosed, "write on closed connection"};
+    }
+    net_.conn_write(*state_, std::span<const std::uint8_t>{frame}.subspan(
+                                 kConnFrameHeaderSize));
+    return Status::ok_status();
+  }
+
   void set_data_handler(DataHandler handler) override {
     data_slot_.set(std::move(handler));
     if (!data_slot_.armed() || rx_.empty()) return;

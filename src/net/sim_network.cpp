@@ -49,9 +49,16 @@ class SimConnection final : public Connection,
   }
 
   Status write(Bytes frame) override {
-    if (!open_) {
-      return Status{ErrorCode::kConnectionClosed, "write on closed connection"};
-    }
+    if (!open_) return closed_error();
+    Bytes framed;
+    framed.reserve(kConnFrameHeaderSize + frame.size());
+    framed.resize(kConnFrameHeaderSize);
+    framed.insert(framed.end(), frame.begin(), frame.end());
+    return write_with_room(std::move(framed));
+  }
+
+  Status write_with_room(Bytes frame) override {
+    if (!open_) return closed_error();
     net_.send_conn_frame(pair_->id, local_address().mac,
                          remote_address().mac, pair_->tech, kFrameData,
                          std::move(frame));
@@ -172,6 +179,10 @@ class SimConnection final : public Connection,
   }
 
  private:
+  static Status closed_error() {
+    return Status{ErrorCode::kConnectionClosed, "write on closed connection"};
+  }
+
   SimNetwork& net_;
   std::shared_ptr<SimNetwork::Pair> pair_;
   bool is_a_;
@@ -410,14 +421,14 @@ void SimNetwork::handle_frame(MacAddress local, Technology tech,
 
 void SimNetwork::send_conn_frame(std::uint64_t conn_id, MacAddress from,
                                  MacAddress to, Technology tech,
-                                 std::uint8_t kind, Bytes payload) {
-  ByteWriter writer;
-  writer.reserve(kFrameHeaderSize + 9 + payload.size());
-  begin_frame(writer);
-  writer.u8(kind);
-  writer.u64(conn_id);
-  writer.raw(payload);
-  Bytes frame = std::move(writer).take();
+                                 std::uint8_t kind, Bytes frame) {
+  assert(frame.size() >= kConnFrameHeaderSize);
+  // The room after the integrity header: kind, then the big-endian id.
+  std::uint8_t* header = frame.data() + kFrameHeaderSize;
+  header[0] = kind;
+  for (int i = 0; i < 8; ++i) {
+    header[1 + i] = static_cast<std::uint8_t>(conn_id >> (56 - 8 * i));
+  }
   seal_frame(frame);
   medium_.send_frame(from, to, tech, std::move(frame));
 }
@@ -452,7 +463,8 @@ void SimNetwork::notify_local_close(Pair& pair, bool is_a) {
   // checks converge to closed anyway.
   const NetAddress& self = is_a ? pair.addr_a : pair.addr_b;
   const NetAddress& peer = is_a ? pair.addr_b : pair.addr_a;
-  send_conn_frame(pair.id, self.mac, peer.mac, pair.tech, kFrameClose, {});
+  send_conn_frame(pair.id, self.mac, peer.mac, pair.tech, kFrameClose,
+                  Bytes(kConnFrameHeaderSize));
   teardown(pair, /*notify_peers=*/false);
 }
 
@@ -460,18 +472,18 @@ void SimNetwork::check_keepalive(std::uint64_t conn_id) {
   const auto it = pairs_.find(conn_id);
   if (it == pairs_.end()) return;
   Pair& pair = *it->second;
-  auto end_a = pair.end_a.lock();
-  auto end_b = pair.end_b.lock();
+  const auto end_a = pair.end_a.lock();
+  const auto end_b = pair.end_b.lock();
 
-  bool dead = !medium_.in_range(pair.addr_a.mac, pair.addr_b.mac, pair.tech);
   // An artificial quality override that reaches 0 also kills the link
   // (§5.2.1 decay experiments).
-  for (const auto& end : {end_a, end_b}) {
-    if (end != nullptr && end->has_quality_override() &&
-        end->override_quality_now() <= 0) {
-      dead = true;
-    }
-  }
+  const auto overridden_dead = [](SimConnection* end) {
+    return end != nullptr && end->has_quality_override() &&
+           end->override_quality_now() <= 0;
+  };
+  bool dead = !medium_.in_range(pair.addr_a.mac, pair.addr_b.mac, pair.tech);
+  if (overridden_dead(end_a.get())) dead = true;
+  if (overridden_dead(end_b.get())) dead = true;
   // An end whose last handle was dropped behaves as closed.
   if ((pair.open_a && end_a == nullptr) || (pair.open_b && end_b == nullptr)) {
     dead = true;

@@ -119,8 +119,10 @@ class SimNetwork final : public Network {
   void notify_local_close(Pair& pair, bool is_a);
   void check_keepalive(std::uint64_t conn_id);
   void teardown(Pair& pair, bool notify_peers);
+  // Sends a connection frame built with kConnFrameHeaderSize bytes of room
+  // in front of its payload; the header is written into that room.
   void send_conn_frame(std::uint64_t conn_id, MacAddress from, MacAddress to,
-                       Technology tech, std::uint8_t kind, Bytes payload);
+                       Technology tech, std::uint8_t kind, Bytes frame);
 
   sim::RadioMedium& medium_;
   std::unordered_map<std::uint64_t, Interface> interfaces_;

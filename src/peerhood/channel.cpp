@@ -85,6 +85,13 @@ Status Channel::write(Bytes frame) {
   return connection_->write(std::move(frame));
 }
 
+Status Channel::write_with_room(Bytes frame) {
+  if (connection_ == nullptr || closed_) {
+    return Status{ErrorCode::kConnectionClosed, "channel has no connection"};
+  }
+  return connection_->write_with_room(std::move(frame));
+}
+
 void Channel::set_data_handler(DataHandler handler) {
   data_slot_.set(std::move(handler));
   // Re-attach so that buffered frames drain into the new handler.

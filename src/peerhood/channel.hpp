@@ -51,6 +51,8 @@ class Channel {
   [[nodiscard]] MacAddress peer() const { return peer_; }
 
   Status write(Bytes frame);
+  // See net::Connection::write_with_room.
+  Status write_with_room(Bytes frame);
   void set_data_handler(DataHandler handler);
   void set_close_handler(CloseHandler handler);
   void set_handover_handler(HandoverHandler handler);

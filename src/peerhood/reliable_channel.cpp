@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bytes.hpp"
+#include "net/frame_check.hpp"
 
 namespace peerhood {
 namespace {
@@ -18,22 +19,46 @@ constexpr int kDupAckThreshold = 3;
 // window it advertises in every ack.
 constexpr std::size_t kReorderCap = 256;
 
-}  // namespace
+// Tag, seq and payload length before a data frame's payload; tag,
+// cumulative ack and window make up a whole ack.
+constexpr std::size_t kDataHeaderSize = 1 + 8 + 4;
+constexpr std::size_t kAckSize = 1 + 8 + 4;
 
-Bytes encode_reliable_data(std::uint64_t seq, const Bytes& payload) {
+// A writer over one exactly-sized buffer of `room` zero bytes followed by a
+// frame of `frame_size` bytes.
+ByteWriter frame_writer(std::size_t room, std::size_t frame_size) {
+  static constexpr std::uint8_t kRoom[net::kConnFrameHeaderSize]{};
   ByteWriter writer;
+  writer.reserve(room + frame_size);
+  writer.raw(std::span<const std::uint8_t>{kRoom, room});
+  return writer;
+}
+
+Bytes encode_data(std::size_t room, std::uint64_t seq, const Bytes& payload) {
+  ByteWriter writer = frame_writer(room, kDataHeaderSize + payload.size());
   writer.u8(kTagData);
   writer.u64(seq);
   writer.blob(payload);
   return std::move(writer).take();
 }
 
-Bytes encode_reliable_ack(std::uint64_t cumulative, std::uint32_t window) {
-  ByteWriter writer;
+Bytes encode_ack(std::size_t room, std::uint64_t cumulative,
+                 std::uint32_t window) {
+  ByteWriter writer = frame_writer(room, kAckSize);
   writer.u8(kTagAck);
   writer.u64(cumulative);
   writer.u32(window);
   return std::move(writer).take();
+}
+
+}  // namespace
+
+Bytes encode_reliable_data(std::uint64_t seq, const Bytes& payload) {
+  return encode_data(0, seq, payload);
+}
+
+Bytes encode_reliable_ack(std::uint64_t cumulative, std::uint32_t window) {
+  return encode_ack(0, cumulative, window);
 }
 
 std::optional<ReliableFrame> decode_reliable_frame(
@@ -100,8 +125,8 @@ Status ReliableChannel::send(Bytes frame) {
     return Status{ErrorCode::kCapacityExceeded, "window full"};
   }
   const std::uint64_t seq = next_seq_++;
-  outbox_.emplace(seq, frame);
-  transmit(seq, frame);
+  const auto queued = outbox_.try_emplace(seq, std::move(frame)).first;
+  transmit(seq, queued->second);
   if (retransmit_event_ == sim::kInvalidEvent) arm_retransmit();
   journal();
   return Status::ok_status();
@@ -110,7 +135,8 @@ Status ReliableChannel::send(Bytes frame) {
 void ReliableChannel::transmit(std::uint64_t seq, const Bytes& payload) {
   // A failed write is fine: the frame stays in the outbox and the
   // retransmit timer (or post-handover resync) tries again.
-  (void)channel_->write(encode_reliable_data(seq, payload));
+  (void)channel_->write_with_room(
+      encode_data(net::kConnFrameHeaderSize, seq, payload));
 }
 
 void ReliableChannel::set_data_handler(DataHandler handler) {
@@ -215,7 +241,8 @@ void ReliableChannel::flush_ack() {
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEvent;
   ack_pending_ = false;
-  (void)channel_->write(encode_reliable_ack(expected_, advertised_window()));
+  (void)channel_->write_with_room(encode_ack(
+      net::kConnFrameHeaderSize, expected_, advertised_window()));
 }
 
 void ReliableChannel::arm_retransmit() {

@@ -1,6 +1,5 @@
 #include "peerhood/session_store.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -29,9 +28,7 @@ void SessionStore::bind_file(const std::string& path) {
     record.peer = MacAddress::from_u64(peer64);
     fields.ignore(1);
     std::getline(fields, record.service);
-    const std::uint64_t id = record.session_id;
-    records_[id] = std::move(record);
-    touch(id);
+    upsert(std::move(record));
   }
   // A journal written under a larger bound (or by a foreign writer) must
   // not leave the store over capacity: put() evicts only one record per
@@ -56,9 +53,10 @@ void SessionStore::persist() {
     }
     // Least recent first: bind_file() re-touches lines in file order, so
     // a reload restores the LRU order along with the records.
-    for (const std::uint64_t id : order_) {
-      const SessionRecord& record = records_.at(id);
-      out << "v1 " << id << ' ' << record.peer.as_u64() << ' '
+    for (const Entry* entry = oldest_; entry != nullptr;
+         entry = entry->newer) {
+      const SessionRecord& record = entry->record;
+      out << "v1 " << record.session_id << ' ' << record.peer.as_u64() << ' '
           << record.next_seq << ' ' << record.expected << ' '
           << record.service << '\n';
     }
@@ -81,15 +79,37 @@ void SessionStore::persist_failed(const char* step) {
       persist_failures_, " failed writes)");
 }
 
-void SessionStore::touch(std::uint64_t session_id) {
-  const auto it = std::find(order_.begin(), order_.end(), session_id);
-  if (it != order_.end()) order_.erase(it);
-  order_.push_back(session_id);
+void SessionStore::upsert(SessionRecord record) {
+  const std::uint64_t id = record.session_id;
+  const auto [it, inserted] = records_.try_emplace(id);
+  it->second.record = std::move(record);
+  if (inserted) {
+    link_newest(it->second);
+  } else {
+    touch(it->second);
+  }
+}
+
+void SessionStore::touch(Entry& entry) {
+  unlink(entry);
+  link_newest(entry);
+}
+
+void SessionStore::link_newest(Entry& entry) {
+  entry.older = newest_;
+  entry.newer = nullptr;
+  (newest_ != nullptr ? newest_->newer : oldest_) = &entry;
+  newest_ = &entry;
+}
+
+void SessionStore::unlink(Entry& entry) {
+  (entry.older != nullptr ? entry.older->newer : oldest_) = entry.newer;
+  (entry.newer != nullptr ? entry.newer->older : newest_) = entry.older;
 }
 
 void SessionStore::evict_lru() {
-  const std::uint64_t victim = order_.front();
-  order_.pop_front();
+  const std::uint64_t victim = oldest_->record.session_id;
+  unlink(*oldest_);
   records_.erase(victim);
   ++evictions_;
 }
@@ -97,11 +117,10 @@ void SessionStore::evict_lru() {
 void SessionStore::put(SessionRecord record) {
   const std::uint64_t id = record.session_id;
   if (records_.find(id) == records_.end() && records_.size() >= capacity_ &&
-      capacity_ > 0 && !order_.empty()) {
+      capacity_ > 0) {
     evict_lru();
   }
-  records_[id] = std::move(record);
-  touch(id);
+  upsert(std::move(record));
   persist();
 }
 
@@ -110,22 +129,24 @@ bool SessionStore::update_frontier(std::uint64_t session_id,
                                    std::uint64_t expected) {
   const auto it = records_.find(session_id);
   if (it == records_.end()) return false;
-  it->second.next_seq = next_seq;
-  it->second.expected = expected;
-  touch(session_id);
+  it->second.record.next_seq = next_seq;
+  it->second.record.expected = expected;
+  touch(it->second);
   persist();
   return true;
 }
 
 const SessionRecord* SessionStore::find(std::uint64_t session_id) const {
   const auto it = records_.find(session_id);
-  return it == records_.end() ? nullptr : &it->second;
+  return it == records_.end() ? nullptr : &it->second.record;
 }
 
 void SessionStore::erase(std::uint64_t session_id) {
-  records_.erase(session_id);
-  const auto it = std::find(order_.begin(), order_.end(), session_id);
-  if (it != order_.end()) order_.erase(it);
+  const auto it = records_.find(session_id);
+  if (it != records_.end()) {
+    unlink(it->second);
+    records_.erase(it);
+  }
   persist();
 }
 

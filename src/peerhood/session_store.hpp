@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 
@@ -37,6 +36,10 @@ struct SessionRecord {
 class SessionStore {
  public:
   explicit SessionStore(std::size_t capacity = 64) : capacity_{capacity} {}
+
+  // The recency list points into the record map's nodes.
+  SessionStore(const SessionStore&) = delete;
+  SessionStore& operator=(const SessionStore&) = delete;
 
   // Optional file persistence — the journal of a *real* daemon process.
   // bind_file() loads every record a previous incarnation journalled at
@@ -79,17 +82,31 @@ class SessionStore {
   }
 
  private:
-  void touch(std::uint64_t session_id);
-  // Drops the least-recently-touched record; precondition: !order_.empty().
+  // A record and its neighbours in LRU order. The order is a doubly linked
+  // list threaded through the map's nodes (which never move), so marking a
+  // record most recent is O(1) and allocates nothing.
+  struct Entry {
+    SessionRecord record;
+    Entry* older{nullptr};
+    Entry* newer{nullptr};
+  };
+
+  // Inserts or overwrites the record and marks it most recently touched.
+  void upsert(SessionRecord record);
+  // Marks the record most recently touched.
+  void touch(Entry& entry);
+  void link_newest(Entry& entry);
+  void unlink(Entry& entry);
+  // Drops the least-recently-touched record; precondition: !records_.empty().
   void evict_lru();
   void persist();
   void persist_failed(const char* step);
 
   std::size_t capacity_;
   std::string path_;
-  std::map<std::uint64_t, SessionRecord> records_;
-  // LRU order, least recent first; small enough that linear scans are fine.
-  std::deque<std::uint64_t> order_;
+  std::map<std::uint64_t, Entry> records_;
+  Entry* oldest_{nullptr};
+  Entry* newest_{nullptr};
   std::uint64_t evictions_{0};
   std::uint64_t persist_failures_{0};
 };

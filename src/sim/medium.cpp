@@ -90,6 +90,7 @@ void RadioMedium::register_endpoint(
     it->second.grid_position = at;
   }
   (void)inserted;
+  next_walk_ = SimTime::zero();
   // Observers may outlive endpoint churn: re-attach any that watch a link
   // touching the (re-)registered endpoint. insert_or_assign wiped the old
   // watcher list, so this rebuild is what keeps them firing.
@@ -112,6 +113,7 @@ void RadioMedium::unregister_endpoint(MacAddress mac, Technology tech) {
   endpoints_.erase(it);
   // Always evict: the grid must never hold a dangling payload.
   ts.grid.remove(mac.as_u64());
+  next_walk_ = SimTime::zero();
 }
 
 bool RadioMedium::has_endpoint(MacAddress mac, Technology tech) const {
@@ -288,6 +290,7 @@ QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,
   obs.next_eval = SimTime::zero();
   obs.eval_gen = 0;
   ++live_observers_;
+  next_walk_ = SimTime::zero();
   attach_watcher(index);
   // Prime the edge detector against the current link state; deliberately
   // silent — only crossings *after* subscription are pushed.
@@ -308,6 +311,7 @@ void RadioMedium::unobserve_quality(QualityObserverId id) {
   // Release the captures now; a dispatch in progress still holds its pin.
   obs.handler.reset();
   --live_observers_;
+  next_walk_ = SimTime::zero();
   observer_free_.push_back(index);
   // Watcher-list entries are dropped lazily by the per-tick walk.
 }
@@ -325,8 +329,11 @@ void RadioMedium::attach_watcher(std::uint32_t index) {
 }
 
 void RadioMedium::evaluate_quality_observers() {
-  if (live_observers_ == 0) return;
   const SimTime now = sim_.now();
+  if (live_observers_ == 0 || now < next_walk_) return;
+  // A callback that (un)subscribes resets next_walk_ to zero, and the min
+  // below keeps it there.
+  next_walk_ = SimTime{SimDuration::max()};
   for (TechState& ts : tech_) {
     // Only endpoints that can have moved are walked: a subscriber set full
     // of static-static links costs nothing per tick. Index loops + lazy
@@ -351,8 +358,11 @@ void RadioMedium::evaluate_quality_observers() {
         ++i;
         // Dedupe (a link whose both ends are mobile is visited twice) and
         // rate-limit; both checks are O(1), no quality math.
-        if (obs->eval_gen == position_gen_ || now < obs->next_eval) continue;
-        evaluate_observer(index, now, /*emit=*/true);
+        if (obs->eval_gen != position_gen_ && now >= obs->next_eval) {
+          evaluate_observer(index, now, /*emit=*/true);
+        }
+        // Re-read: a callback may have grown observers_.
+        next_walk_ = std::min(next_walk_, observers_[index].next_eval);
       }
     }
   }

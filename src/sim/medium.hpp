@@ -158,10 +158,13 @@ class RadioMedium {
   // --- Push-based quality observers ----------------------------------------
   // Subscribes to threshold/coverage crossings on the (a, b) link. The
   // medium re-evaluates an observed link only when the clock advances AND at
-  // least one of its endpoints is mobile — a scenario tick costs
-  // O(observers on moved endpoints), not O(subscribers) polls. The first
-  // evaluation happens synchronously (priming the edge detector) but emits
-  // nothing; only crossings after subscription are pushed.
+  // least one of its endpoints is mobile, at most once per 100 ms. The walk
+  // over mobile endpoints' observers records the earliest time any of them
+  // is next due and is skipped on every advance before it, so a tick between
+  // evaluations costs O(1); a subscribe, unsubscribe or endpoint
+  // (un)registration makes the next advance walk. The first evaluation
+  // happens synchronously (priming the edge detector) but emits nothing;
+  // only crossings after subscription are pushed.
   //
   // Handler lifecycle follows the HandlerSlot rules: the handler is pinned
   // before each call, so a callback may unsubscribe any observer (including
@@ -347,7 +350,8 @@ class RadioMedium {
                                                      MacAddress b,
                                                      Technology tech);
   // Re-checks observers attached to mobile endpoints; runs from the clock's
-  // time observer, after position_gen_ was bumped.
+  // time observer, after position_gen_ was bumped. Skipped while the clock
+  // is before next_walk_.
   void evaluate_quality_observers();
   // One observer re-check: updates the edge detector and pushes crossing
   // events. Takes the index (not a reference): the handler may grow
@@ -382,6 +386,11 @@ class RadioMedium {
   std::vector<QualityObserver> observers_;
   std::vector<std::uint32_t> observer_free_;
   std::size_t live_observers_{0};
+  // Earliest next_eval among the observers the last walk visited: no walk
+  // before it can evaluate anything. Reset to zero (walk on the next
+  // advance) by every subscribe, unsubscribe and endpoint (un)registration,
+  // which change what the walk visits.
+  SimTime next_walk_{};
   mutable QualityStats quality_stats_;
 };
 

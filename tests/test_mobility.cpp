@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+
 namespace peerhood::sim {
 namespace {
 
@@ -307,6 +311,87 @@ TEST(GaussMarkov, LongSimsKeepBoundedHistory) {
   // Backwards replay stays exact.
   GaussMarkov oracle{{}, {50.0, 50.0}, Rng{29}};
   EXPECT_EQ(model.position_at(at(10.0)), oracle.position_at(at(10.0)));
+}
+
+// --- Segment history: exact against a fresh model ----------------------------
+
+// Drives one long-lived model through a random mix of forward steps,
+// repeats, short backward jumps, long forward jumps (which prune the
+// history) and jumps far back (behind the prune base). Every answer must be
+// bit-equal to a fresh model's, queried at that time alone.
+template <typename Make>
+void expect_history_parity(const Make& make, std::uint64_t seed) {
+  const std::shared_ptr<const MobilityModel> model = make();
+  Rng pattern{seed};
+  std::int64_t t_us = 0;
+  for (int step = 0; step < 300; ++step) {
+    const double roll = pattern.next_double();
+    if (roll < 0.45) {
+      t_us += pattern.uniform_int(1, 2'000'000);
+    } else if (roll < 0.6) {
+      // Repeat the previous time.
+    } else if (roll < 0.8) {
+      t_us -= pattern.uniform_int(1, 5'000'000);
+      t_us = std::max<std::int64_t>(t_us, 0);
+    } else if (roll < 0.9) {
+      t_us += pattern.uniform_int(20'000'000, 150'000'000);
+    } else {
+      t_us = pattern.uniform_int(0, t_us / 2);
+    }
+    const SimTime t{microseconds(t_us)};
+    const std::shared_ptr<const MobilityModel> fresh = make();
+    if (pattern.next_double() < 0.5) {
+      EXPECT_EQ(model->position_at(t), fresh->position_at(t))
+          << "step " << step << " t_us " << t_us;
+    } else {
+      EXPECT_EQ(model->velocity_at(t), fresh->velocity_at(t))
+          << "step " << step << " t_us " << t_us;
+    }
+  }
+}
+
+RandomWaypoint::Config small_area() {
+  // Short segments, so the history crosses the prune watermark quickly.
+  RandomWaypoint::Config config;
+  config.area_max = {20.0, 20.0};
+  config.pause = seconds(0.5);
+  return config;
+}
+
+TEST(SegmentHistory, RandomWaypointMatchesFreshModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_history_parity(
+        [seed] {
+          return std::make_shared<RandomWaypoint>(small_area(),
+                                                  Vec2{5.0, 5.0}, Rng{seed});
+        },
+        seed);
+  }
+}
+
+TEST(SegmentHistory, GaussMarkovMatchesFreshModel) {
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    expect_history_parity(
+        [seed] {
+          return std::make_shared<GaussMarkov>(GaussMarkov::Config{},
+                                               Vec2{50.0, 50.0}, Rng{seed});
+        },
+        seed);
+  }
+}
+
+TEST(SegmentHistory, GroupMemberMatchesFreshModel) {
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    expect_history_parity(
+        [seed] {
+          auto reference = std::make_shared<RandomWaypoint>(
+              small_area(), Vec2{10.0, 10.0}, Rng{seed});
+          return std::make_shared<GroupMember>(
+              reference, Vec2{1.0, -1.0}, GroupMember::Config{},
+              Rng{seed + 100});
+        },
+        seed);
+  }
 }
 
 TEST(Vec2, Arithmetic) {

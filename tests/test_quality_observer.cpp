@@ -2,7 +2,9 @@
 // events, slope signs, observer lifecycle (idempotent unsubscribe,
 // reentrant unsubscribe/subscribe from inside a callback), symmetric
 // quality reads with their evaluation count, and the scaling contract — a scenario tick performs
-// O(observers on moved endpoints) evaluations, not O(subscribers) polls.
+// O(observers on moved endpoints) evaluations, not O(subscribers) polls,
+// and an endpoint re-registration or a subscription from a callback is
+// never missed by the walk that skips ticks with nothing due.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -165,6 +167,60 @@ TEST_F(QualityObserverTest, CallbackMayUnsubscribeItselfAndSubscribeAnew) {
   advance(25.0);
   EXPECT_EQ(first_calls, 1);
   EXPECT_GT(second_calls, 0);  // replacement saw the later kLost edge
+}
+
+TEST_F(QualityObserverTest, ReRegisteredEndpointIsEvaluatedOnTheFirstAdvance) {
+  add_static(1, {0.0, 0.0});
+  add_linear(2, {1.0, 0.0}, {0.5, 0.0});
+  (void)medium_.observe_quality(mac(1), mac(2), Technology::kBluetooth,
+                                kThreshold, [](const LinkQualityEvent&) {});
+  // Subscribing evaluated the link; the next evaluation is due 100 ms on.
+  sim_.run_until(sim_.now() + milliseconds(50));
+  const std::uint64_t primed = medium_.quality_stats().observer_evals;
+
+  // The mobile end leaves while the observer is not yet due, and the clock
+  // passes the due time while it is gone: nothing can be evaluated.
+  medium_.unregister_endpoint(mac(2), Technology::kBluetooth);
+  sim_.run_until(sim_.now() + milliseconds(250));
+  EXPECT_EQ(medium_.quality_stats().observer_evals, primed);
+
+  // Back again: the very next advance evaluates the overdue observer.
+  add_linear(2, {2.0, 0.0}, {0.5, 0.0});
+  sim_.run_until(sim_.now() + microseconds(1));
+  EXPECT_EQ(medium_.quality_stats().observer_evals, primed + 1);
+}
+
+TEST_F(QualityObserverTest, ObserverSubscribedFromACallbackIsEvaluatedWhenDue) {
+  add_static(1, {0.0, 0.0});
+  add_linear(2, {1.0, 0.0}, {0.5, 0.0});
+  add_linear(3, {0.0, 1.0}, {0.0, 0.1});
+  SimTime subscribed_at{};
+  bool subscribed = false;
+  (void)medium_.observe_quality(
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
+      [&](const LinkQualityEvent& e) {
+        if (subscribed) return;
+        subscribed = true;
+        subscribed_at = e.at;
+        // A link on an endpoint no other observer watches.
+        (void)medium_.observe_quality(mac(1), mac(3), Technology::kBluetooth,
+                                      kThreshold,
+                                      [](const LinkQualityEvent&) {});
+      });
+  while (!subscribed) sim_.run_until(sim_.now() + milliseconds(10));
+
+  // Both observers were evaluated at subscribed_at (the new one by its
+  // subscription), so neither is due for 100 ms; on the first advance
+  // that reaches it, both are evaluated.
+  const SimTime due = subscribed_at + milliseconds(100);
+  std::uint64_t evals = medium_.quality_stats().observer_evals;
+  while (sim_.now() + milliseconds(10) < due) {
+    sim_.run_until(sim_.now() + milliseconds(10));
+    EXPECT_EQ(medium_.quality_stats().observer_evals, evals)
+        << "at " << to_string(sim_.now());
+  }
+  sim_.run_until(due);
+  EXPECT_EQ(medium_.quality_stats().observer_evals, evals + 2);
 }
 
 TEST_F(QualityObserverTest, TickCostIsMovedEndpointsNotSubscribers) {

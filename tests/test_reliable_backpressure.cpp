@@ -3,9 +3,10 @@
 // window — the channel's own or the peer-advertised one — is full,
 // ReliableChannel::send refuses with kCapacityExceeded and the refusing path
 // allocates *nothing*, so a never-draining peer bounds sender memory at the
-// window size instead of growing it. This TU overrides global operator
-// new/delete; each test source builds into its own binary, so the hook is
-// scoped to this suite.
+// window size instead of growing it. The ConnectionFrameAllocation pins
+// count one steady-state data frame and one ack. This TU overrides global
+// operator new/delete; each test source builds into its own binary, so the
+// hook is scoped to this suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -160,6 +161,50 @@ TEST_F(ReliableBackpressureTest, PeerAdvertisedWindowBoundsSenderWithoutAllocati
   EXPECT_TRUE(all_refused);
   EXPECT_EQ(g_allocations.load(), before);
   EXPECT_EQ(reliable_->unacked(), 2u);
+}
+
+// The steady-state cost of one frame on the connection data path. A send
+// allocates the outbox entry (which keeps the payload, moved in), one frame
+// buffer sized for the reliable header, the payload and the transport
+// header, and the control block the medium shares that buffer through. A
+// flushed ack is one buffer and one control block.
+class ConnectionFrameAllocation : public ReliableBackpressureTest {};
+
+TEST_F(ConnectionFrameAllocation, SendIsOutboxEntryFrameBufferAndControlBlock) {
+  build(3, ReliableConfig{});
+  // Warm up: grow the event arena and the medium's per-link state.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(reliable_->send(Bytes(64, 0x11)).ok());
+    testbed_->run_for(0.1);
+  }
+  std::vector<Bytes> payloads;
+  for (int i = 0; i < 4; ++i) payloads.emplace_back(64, 0x22);
+  for (Bytes& payload : payloads) {
+    const std::uint64_t before = g_allocations.load();
+    const Status status = reliable_->send(std::move(payload));
+    const std::uint64_t allocations = g_allocations.load() - before;
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(allocations, 3u);
+    testbed_->run_for(0.1);
+  }
+}
+
+TEST_F(ConnectionFrameAllocation, FlushedAckIsOneBufferAndOneControlBlock) {
+  build(4, ReliableConfig{});
+  ASSERT_NE(server_channel_, nullptr);
+  ReliableChannel server{testbed_->sim(), server_channel_};
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(reliable_->send(Bytes(64, 0x33)).ok());
+    // Delivered, but the batched ack is still pending (200 ms delay).
+    testbed_->run_for(0.1);
+    ASSERT_EQ(server.delivered_count(), static_cast<std::uint64_t>(round + 1));
+    const std::uint64_t before = g_allocations.load();
+    server.resync();  // flushes the pending ack; nothing to retransmit
+    const std::uint64_t allocations = g_allocations.load() - before;
+    if (round > 0) EXPECT_EQ(allocations, 2u) << "round " << round;
+    testbed_->run_for(0.1);
+    ASSERT_EQ(reliable_->unacked(), 0u) << "the flushed ack arrived";
+  }
 }
 
 }  // namespace

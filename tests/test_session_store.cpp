@@ -1,15 +1,23 @@
 // SessionStore journal persistence: a journal that cannot be written is
 // counted and logged, and the in-memory store keeps serving resumes; a
 // journal larger than the store's bound is trimmed on load; a reload keeps
-// the least-recently-touched order.
+// the least-recently-touched order, which random operations keep equal to
+// a reference deque's.
 #include "peerhood/session_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <unistd.h>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace peerhood {
 namespace {
@@ -158,6 +166,95 @@ TEST(SessionStore, ReloadKeepsLeastRecentlyTouchedOrder) {
   EXPECT_EQ(kept->next_seq, 5u);
   EXPECT_EQ(kept->expected, 7u);
   EXPECT_NE(restarted.find(3), nullptr);
+}
+
+// The session ids of a journal file, in line order (least recent first).
+std::vector<std::uint64_t> journal_ids(const std::string& path) {
+  std::vector<std::uint64_t> ids;
+  std::ifstream in{path};
+  std::string tag;
+  std::uint64_t id = 0;
+  std::string rest;
+  while (in >> tag >> id && std::getline(in, rest)) ids.push_back(id);
+  return ids;
+}
+
+TEST(SessionStore, RandomizedOperationsKeepTheReferenceLruOrder) {
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string journal = (dir.path() / "journal").string();
+  constexpr std::size_t kCapacity = 8;
+  constexpr std::int64_t kIds = 14;
+  SessionStore store{kCapacity};
+  store.bind_file(journal);
+  // The reference: a deque in LRU order, least recent first, plus each
+  // record's frontier.
+  std::deque<std::uint64_t> order;
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> frontier;
+  std::uint64_t evictions = 0;
+  Rng rng{2024};
+  for (std::uint64_t step = 1; step <= 600; ++step) {
+    const auto id = static_cast<std::uint64_t>(rng.uniform_int(1, kIds));
+    const auto it = std::find(order.begin(), order.end(), id);
+    const double roll = rng.next_double();
+    if (roll < 0.4) {
+      if (it != order.end()) {
+        order.erase(it);
+      } else if (order.size() >= kCapacity) {
+        frontier.erase(order.front());
+        order.pop_front();
+        ++evictions;
+      }
+      order.push_back(id);
+      frontier[id] = {1, 1};
+      store.put(record(id));
+    } else if (roll < 0.8) {
+      const bool known = it != order.end();
+      ASSERT_EQ(store.update_frontier(id, step, 2 * step), known);
+      if (known) {
+        order.erase(it);
+        order.push_back(id);
+        frontier[id] = {step, 2 * step};
+      }
+    } else {
+      if (it != order.end()) {
+        order.erase(it);
+        frontier.erase(id);
+      }
+      store.erase(id);
+    }
+    const std::vector<std::uint64_t> expected(order.begin(), order.end());
+    ASSERT_EQ(journal_ids(journal), expected) << "step " << step;
+    ASSERT_EQ(store.size(), order.size());
+    ASSERT_EQ(store.evictions(), evictions);
+    for (std::uint64_t probe = 1; probe <= kIds; ++probe) {
+      const SessionRecord* found = store.find(probe);
+      const auto known = frontier.find(probe);
+      ASSERT_EQ(found != nullptr, known != frontier.end()) << probe;
+      if (found == nullptr) continue;
+      EXPECT_EQ(found->next_seq, known->second.first);
+      EXPECT_EQ(found->expected, known->second.second);
+    }
+  }
+  ASSERT_GT(evictions, 0u);
+  ASSERT_FALSE(order.empty());
+
+  // A reload keeps the order: touching the most recent record rewrites the
+  // journal without reordering it...
+  SessionStore reloaded{kCapacity};
+  reloaded.bind_file(journal);
+  ASSERT_EQ(reloaded.size(), order.size());
+  ASSERT_TRUE(reloaded.update_frontier(order.back(), 7, 7));
+  EXPECT_EQ(journal_ids(journal),
+            std::vector<std::uint64_t>(order.begin(), order.end()));
+  // ...and new records evict the old ones least recent first.
+  std::uint64_t fresh = 1000;
+  while (reloaded.size() < kCapacity) reloaded.put(record(fresh++));
+  for (const std::uint64_t victim : order) {
+    ASSERT_NE(reloaded.find(victim), nullptr) << victim;
+    reloaded.put(record(fresh++));
+    EXPECT_EQ(reloaded.find(victim), nullptr) << victim;
+  }
 }
 
 }  // namespace
