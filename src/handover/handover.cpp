@@ -362,14 +362,8 @@ void HandoverController::execute() {
     predicted_ = false;
     state_ = HandoverState::kMonitor;
   } else {
-    busy_ = false;
     predicted_ = false;
-    state_ = HandoverState::kFailed;
-    if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                            "no routing plan and reconnection disabled"})) {
-      return;  // handler destroyed the controller
-    }
-    stop();
+    give_up("no routing plan and reconnection disabled");
   }
 }
 
@@ -405,24 +399,12 @@ void HandoverController::attempt_route(std::size_t candidate_index) {
         // The resume may resolve long after this controller died.
         if (token.expired()) return;
         if (status.ok()) {
-          ++stats_.handovers;
           if (predicted_ && !link_lost_since_dial_) {
             // The swap completed with the old transport still alive —
             // a genuine make-before-break, no outage window.
             ++stats_.predictive_handovers;
           }
-          predicted_ = false;
-          busy_ = false;
-          low_count_ = 0;
-          dead_link_passes_ = 0;
-          bridge_failures_.clear();
-          state_ = HandoverState::kMonitor;
-          // Traffic now flows through the bridge: move the observer to the
-          // link the device can actually sense (self -> bridge hop).
-          if (config_.predictive_enabled) subscribe_link();
-          (void)emit(HandoverEvent{HandoverEvent::Kind::kHandoverComplete,
-                                   bridge, nullptr,
-                                   "rerouted via " + bridge.to_string()});
+          repaired(bridge, "rerouted via " + bridge.to_string());
           return;
         }
         ++bridge_failures_[bridge];
@@ -444,16 +426,7 @@ void HandoverController::attempt_direct_resume() {
         if (status.ok()) {
           // Same recovery as a successful routing handover, minus a bridge:
           // the session survived, possibly across a peer restart.
-          ++stats_.handovers;
-          predicted_ = false;
-          busy_ = false;
-          low_count_ = 0;
-          dead_link_passes_ = 0;
-          bridge_failures_.clear();
-          state_ = HandoverState::kMonitor;
-          if (config_.predictive_enabled) subscribe_link();
-          (void)emit(HandoverEvent{HandoverEvent::Kind::kHandoverComplete, {},
-                                   nullptr, "resumed directly with peer"});
+          repaired({}, "resumed directly with peer");
           return;
         }
         if (!emit(HandoverEvent{HandoverEvent::Kind::kHandoverFailed, {},
@@ -480,13 +453,32 @@ void HandoverController::finish_dead_link_pass() {
     state_ = HandoverState::kMonitor;
     return;
   }
+  give_up("routing plan exhausted on a dead link");
+}
+
+void HandoverController::give_up(std::string detail) {
   busy_ = false;
   state_ = HandoverState::kFailed;
   if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                          "routing plan exhausted on a dead link"})) {
+                          std::move(detail)})) {
     return;  // handler destroyed the controller
   }
   stop();
+}
+
+void HandoverController::repaired(MacAddress bridge, std::string detail) {
+  ++stats_.handovers;
+  predicted_ = false;
+  busy_ = false;
+  low_count_ = 0;
+  dead_link_passes_ = 0;
+  bridge_failures_.clear();
+  state_ = HandoverState::kMonitor;
+  // Traffic may now flow through a bridge: move the observer to the link the
+  // device can actually sense (self -> bridge hop).
+  if (config_.predictive_enabled) subscribe_link();
+  (void)emit(HandoverEvent{HandoverEvent::Kind::kHandoverComplete, bridge,
+                           nullptr, std::move(detail)});
 }
 
 void HandoverController::start_reconnection() {
@@ -498,13 +490,7 @@ void HandoverController::start_reconnection() {
   auto proceed = [this, token = sentinel_.token()](bool granted) {
     if (token.expired()) return;
     if (!granted) {
-      busy_ = false;
-      state_ = HandoverState::kFailed;
-      if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                              "user declined reconnection"})) {
-        return;  // handler destroyed the controller
-      }
-      stop();
+      give_up("user declined reconnection");
       return;
     }
     const auto providers =
@@ -514,14 +500,7 @@ void HandoverController::start_reconnection() {
         providers.begin(), providers.end(),
         [old_peer](const DeviceRecord& r) { return r.device.mac != old_peer; });
     if (it == providers.end()) {
-      busy_ = false;
-      state_ = HandoverState::kFailed;
-      if (!emit(HandoverEvent{
-              HandoverEvent::Kind::kGaveUp, {}, nullptr,
-              "no alternative provider of " + channel_->service()})) {
-        return;  // handler destroyed the controller
-      }
-      stop();
+      give_up("no alternative provider of " + channel_->service());
       return;
     }
     Library::ConnectOptions options;
@@ -529,16 +508,11 @@ void HandoverController::start_reconnection() {
         it->device.mac, channel_->service(), options,
         [this, token](Result<ChannelPtr> result) {
           if (token.expired()) return;
-          busy_ = false;
           if (!result.ok()) {
-            state_ = HandoverState::kFailed;
-            if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                                    result.error().to_string()})) {
-              return;  // handler destroyed the controller
-            }
-            stop();
+            give_up(result.error().to_string());
             return;
           }
+          busy_ = false;
           ++stats_.reconnections;
           state_ = HandoverState::kDone;
           // A reconnection is a *new* session: the task restarts (§5.2.2

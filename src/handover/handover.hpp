@@ -164,6 +164,12 @@ class HandoverController {
   // terminal.
   void finish_dead_link_pass();
   void start_reconnection();
+  // Terminal failure: kFailed, emit kGaveUp with `detail`, then stop().
+  void give_up(std::string detail);
+  // A resume succeeded (through `bridge`, or directly when it is empty):
+  // back to a fresh kMonitor, observing the new link, and emit
+  // kHandoverComplete with `detail`.
+  void repaired(MacAddress bridge, std::string detail);
 
   // Predictive layer.
   void subscribe_link();    // (re-)observe the current transport link

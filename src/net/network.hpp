@@ -1,8 +1,8 @@
 // net::Network — the abstract transport the whole PeerHood stack runs on.
 //
-// Backend split (this PR): the protocol stack (Engine, Daemon, Plugin,
-// dial_with_ack, Library, BridgeService, HandoverController) consumes only
-// this interface. Two backends implement it:
+// The protocol stack (Engine, Daemon, Plugin, dial_with_ack, Library,
+// BridgeService, HandoverController) consumes only this interface. Two
+// backends implement it:
 //
 //   - SimNetwork   (net/sim_network.hpp): the simulated transport on top of
 //     sim::RadioMedium — stochastic connect delays/failures, coverage-driven
@@ -12,9 +12,13 @@
 //     driven sim::Simulator so timers and sockets share one event core.
 //
 // The interface covers everything the stack needs from a medium: datagrams,
-// listen/connect with ConnectionPtr endpoints, the discovery inquiry plane,
-// link-quality sampling/observation, per-technology parameters, integrity
-// accounting, and the backend's Simulator (timers + deterministic RNG).
+// connect with net::Connection endpoints (one endpoint class, backend hooks
+// underneath; net/connection.hpp), the discovery inquiry plane, link-quality
+// sampling/observation, per-technology parameters, integrity accounting,
+// and the backend's Simulator (timers + deterministic RNG). The listener
+// table lives in this base class, so listen/stop_listening behave the same
+// on every backend; a backend finds the accept handler of an incoming
+// connection with listener().
 // Quality *observation* (the predictive-handover push plane) is optional:
 // backends without a mobility model return kInvalidQualityObserver and the
 // handover controller degrades gracefully to its reactive loop.
@@ -22,8 +26,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -87,17 +93,20 @@ class Network {
   // --- Connections ----------------------------------------------------------
   // Binds an accept handler to `address`. Double-bind is an error (real
   // sockets say EADDRINUSE): the first listener keeps the address.
-  [[nodiscard]] virtual Status listen(const NetAddress& address,
-                                      AcceptHandler handler) = 0;
-  virtual void stop_listening(const NetAddress& address) = 0;
+  [[nodiscard]] Status listen(const NetAddress& address,
+                              AcceptHandler handler) {
+    if (!listeners_.try_emplace(address, std::move(handler)).second) {
+      return Status{ErrorCode::kAddressInUse,
+                    "listener already bound at " + address.to_string()};
+    }
+    return Status::ok_status();
+  }
+  void stop_listening(const NetAddress& address) { listeners_.erase(address); }
 
   // Asynchronously establishes a connection. The handler fires exactly once
   // with either an open connection or an error.
   virtual void connect(MacAddress from_mac, const NetAddress& to,
                        ConnectHandler handler) = 0;
-
-  // How often open connections verify their peer is still alive/in coverage.
-  virtual void set_keepalive_period(SimDuration period) = 0;
 
   // --- Discovery inquiry plane ---------------------------------------------
   // One §3.4.2 inquiry window: begin_inquiry opens it (the device stops
@@ -163,7 +172,17 @@ class Network {
   [[nodiscard]] const NetStats& net_stats() const { return net_stats_; }
 
  protected:
+  // The accept handler bound at `address`, or null. Callers copy it before
+  // invoking: the handler may stop_listening on its own address.
+  [[nodiscard]] const AcceptHandler* listener(const NetAddress& address) const {
+    const auto it = listeners_.find(address);
+    return it == listeners_.end() ? nullptr : &it->second;
+  }
+
   NetStats net_stats_;
+
+ private:
+  std::map<NetAddress, AcceptHandler> listeners_;
 };
 
 }  // namespace peerhood::net

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/handler_slot.hpp"
 #include "common/log.hpp"
 #include "net/frame_check.hpp"
 
@@ -100,136 +99,33 @@ struct PosixNetwork::ConnState {
   std::weak_ptr<PosixConnection> endpoint;
 };
 
-class PosixConnection final
-    : public Connection,
-      public std::enable_shared_from_this<PosixConnection> {
+class PosixConnection final : public Connection {
  public:
-  PosixConnection(PosixNetwork& net, std::shared_ptr<PosixNetwork::ConnState>
-                  state)
-      : net_{net}, state_{std::move(state)} {}
+  PosixConnection(PosixNetwork& net,
+                  std::shared_ptr<PosixNetwork::ConnState> state)
+      : Connection{net.simulator(), state->id, state->local, state->remote},
+        net_{net},
+        state_{std::move(state)} {}
 
-  ~PosixConnection() override {
-    if (open_) {
-      open_ = false;
-      close_slot_.sever();
-      net_.close_conn(state_->id, /*notify_app=*/false);
-    }
-  }
-
-  Status write(Bytes frame) override {
-    if (!open_) {
-      return Status{ErrorCode::kConnectionClosed, "write on closed connection"};
-    }
-    net_.conn_write(*state_, frame);
-    return Status::ok_status();
-  }
-
-  Status write_with_room(Bytes frame) override {
-    if (!open_) {
-      return Status{ErrorCode::kConnectionClosed, "write on closed connection"};
-    }
-    net_.conn_write(*state_, std::span<const std::uint8_t>{frame}.subspan(
-                                 kConnFrameHeaderSize));
-    return Status::ok_status();
-  }
-
-  void set_data_handler(DataHandler handler) override {
-    data_slot_.set(std::move(handler));
-    if (!data_slot_.armed() || rx_.empty()) return;
-    // Same drain discipline as SimConnection: a drained frame's handler may
-    // replace itself or drop the last strong reference to this connection.
-    const std::weak_ptr<PosixConnection> self = weak_from_this();
-    while (const auto strong = self.lock()) {
-      if (!strong->data_slot_.armed() || strong->rx_.empty()) break;
-      Bytes frame = std::move(strong->rx_.front());
-      strong->rx_.pop_front();
-      strong->data_slot_.invoke(frame);
-    }
-  }
-
-  void set_close_handler(CloseHandler handler) override {
-    close_slot_.set(std::move(handler));
-  }
-
-  std::optional<Bytes> poll_frame() override {
-    if (rx_.empty()) return std::nullopt;
-    Bytes frame = std::move(rx_.front());
-    rx_.pop_front();
-    return frame;
-  }
-
-  void close() override {
-    if (!open_) return;
-    open_ = false;
-    net_.close_conn(state_->id, /*notify_app=*/false);
-    release_handlers_deferred();
-  }
-
-  [[nodiscard]] bool open() const override { return open_; }
-
-  int link_quality() override {
-    if (quality_override_) {
-      return quality_override_(net_.simulator().now());
-    }
-    if (!open_) return 0;
-    return net_.sample_quality(local_address().mac, remote_address().mac,
-                               state_->remote.tech);
-  }
-
-  void set_quality_override(QualityOverride override_fn) override {
-    quality_override_ = std::move(override_fn);
-  }
-
-  [[nodiscard]] NetAddress local_address() const override {
-    return state_->local;
-  }
-  [[nodiscard]] NetAddress remote_address() const override {
-    return state_->remote;
-  }
-  [[nodiscard]] std::uint64_t id() const override { return state_->id; }
-
-  // --- hooks used by PosixNetwork ------------------------------------------
-  void deliver(Bytes payload) {
-    if (!open_) return;
-    if (data_slot_.armed()) {
-      data_slot_.invoke(payload);
-    } else {
-      rx_.push_back(std::move(payload));
-    }
-  }
-
-  // Peer death (FIN/RST/poisoned stream): fire the close handler at most
-  // once, handlers released on the next event (they often capture our own
-  // shared_ptr — see handler_slot.hpp).
-  void force_close() {
-    if (!open_) return;
-    open_ = false;
-    release_handlers_deferred();
-    close_slot_.fire_once();
-  }
-
-  void release_handlers_deferred() {
-    const std::weak_ptr<PosixConnection> self = weak_from_this();
-    net_.simulator().schedule_after(SimDuration{0}, [self] {
-      if (const auto strong = self.lock()) strong->clear_handlers();
-    });
-  }
-
-  void mark_closed() { open_ = false; }
-  void clear_handlers() {
-    auto data = data_slot_.sever_take();
-    auto close_h = close_slot_.sever_take();
-    // Locals destroyed here; no member of *this touched afterwards.
-  }
+  ~PosixConnection() override { close_on_drop(); }
 
  private:
+  void transport_send(Bytes frame, std::size_t payload_offset) override {
+    net_.conn_write(
+        *state_, std::span<const std::uint8_t>{frame}.subspan(payload_offset));
+  }
+
+  void transport_close() override {
+    net_.close_conn(state_->id, /*notify_app=*/false);
+  }
+
+  int transport_quality() override {
+    return net_.sample_quality(local_address().mac, remote_address().mac,
+                               remote_address().tech);
+  }
+
   PosixNetwork& net_;
   std::shared_ptr<PosixNetwork::ConnState> state_;
-  bool open_{true};
-  HandlerSlot<void(const Bytes&)> data_slot_;
-  HandlerSlot<void()> close_slot_;
-  QualityOverride quality_override_;
-  std::deque<Bytes> rx_;
 };
 
 // An outbound connect in flight: TCP three-way handshake, then the logical
@@ -300,9 +196,9 @@ PosixNetwork::PosixNetwork(PosixConfig config)
 
 PosixNetwork::~PosixNetwork() {
   destroying_ = true;
-  // Two-phase quiesce, mirroring ~SimNetwork: first mark every endpoint
-  // closed (so destructors triggered below never call back into this dying
-  // network), then break the handler->channel->connection reference cycles.
+  // Two-phase quiesce: first mark every endpoint closed (so destructors
+  // triggered below never call back into this dying network), then break
+  // the handler->channel->connection reference cycles.
   std::vector<std::shared_ptr<ConnState>> conns;
   conns.reserve(conns_.size());
   for (const auto& [id, conn] : conns_) conns.push_back(conn);
@@ -590,20 +486,6 @@ void PosixNetwork::configure(const sim::TechnologyParams& params) {
 }
 
 // --- Connections -------------------------------------------------------------
-
-Status PosixNetwork::listen(const NetAddress& address, AcceptHandler handler) {
-  const auto [it, inserted] =
-      listeners_.try_emplace(address, std::move(handler));
-  if (!inserted) {
-    return Status{ErrorCode::kAddressInUse,
-                  "listener already bound at " + address.to_string()};
-  }
-  return Status::ok_status();
-}
-
-void PosixNetwork::stop_listening(const NetAddress& address) {
-  listeners_.erase(address);
-}
 
 void PosixNetwork::connect(MacAddress from_mac, const NetAddress& to,
                            ConnectHandler handler) {
@@ -944,8 +826,8 @@ void PosixNetwork::accept_hello(int fd,
   }
   const Technology tech = static_cast<Technology>(tech_raw);
   const NetAddress local{to_mac, tech, port};
-  const auto listener = listeners_.find(local);
-  const bool accepted = listener != listeners_.end() &&
+  const AcceptHandler* const accept_handler = listener(local);
+  const bool accepted = accept_handler != nullptr &&
                         attached_.contains(iface_key(to_mac, tech));
 
   // Answer the hello first (blocking-ish: the ack is 10 bytes and the socket
@@ -973,9 +855,9 @@ void PosixNetwork::accept_hello(int fd,
 
   auto endpoint = std::make_shared<PosixConnection>(*this, conn);
   conn->endpoint = endpoint;
-  // Copy the accept handler out of the map: it may stop_listening on this
+  // Copy the accept handler out of the table: it may stop_listening on this
   // very address from inside the callback.
-  const AcceptHandler accept = listener->second;
+  const AcceptHandler accept = *accept_handler;
   accept(endpoint);
   // Data frames glued to the hello: deliver after accept installed handlers.
   if (conns_.contains(conn->id)) handle_conn_event(fd, 0);

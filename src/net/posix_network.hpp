@@ -110,14 +110,8 @@ class PosixNetwork final : public Network {
   void send_datagram(MacAddress from, MacAddress to, Technology tech,
                      FramePtr frame) override;
 
-  [[nodiscard]] Status listen(const NetAddress& address,
-                              AcceptHandler handler) override;
-  void stop_listening(const NetAddress& address) override;
   void connect(MacAddress from_mac, const NetAddress& to,
                ConnectHandler handler) override;
-  void set_keepalive_period(SimDuration period) override {
-    keepalive_period_ = period;
-  }
 
   void begin_inquiry(MacAddress mac, Technology tech) override;
   [[nodiscard]] std::vector<MacAddress> end_inquiry(MacAddress mac,
@@ -184,7 +178,6 @@ class PosixNetwork final : public Network {
   std::map<std::uint64_t, PosixPeer> peers_;
   std::set<IfaceKey> attached_;
   std::map<IfaceKey, DatagramHandler> datagram_handlers_;
-  std::map<NetAddress, AcceptHandler> listeners_;
 
   // Inquiry windows and learned SDP tags, per technology.
   std::set<std::uint8_t> inquiring_;
@@ -199,7 +192,6 @@ class PosixNetwork final : public Network {
   std::map<std::uint64_t, std::shared_ptr<ConnState>> conns_;
 
   sim::TechnologyParams params_[kTechnologyCount];
-  SimDuration keepalive_period_{std::chrono::milliseconds{500}};
   std::uint64_t next_pending_id_{1};
   std::uint64_t next_conn_seq_{1};
   bool destroying_{false};

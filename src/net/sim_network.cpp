@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/handler_slot.hpp"
-#include "common/log.hpp"
 #include "sim/simulator.hpp"
 
 namespace peerhood::net {
@@ -14,6 +12,9 @@ namespace {
 constexpr std::uint8_t kFrameDatagram = kDatagramFrameTag;
 constexpr std::uint8_t kFrameData = 1;
 constexpr std::uint8_t kFrameClose = 2;
+
+// How often open connections verify they are still in coverage.
+constexpr SimDuration kKeepalivePeriod = std::chrono::milliseconds{500};
 
 }  // namespace
 
@@ -31,166 +32,45 @@ struct SimNetwork::Pair {
   sim::PeriodicTask keepalive;
 };
 
-// One endpoint of a simulated connection.
-class SimConnection final : public Connection,
-                            public std::enable_shared_from_this<SimConnection> {
+// One endpoint of a simulated connection: the frame, close and quality
+// hooks over the medium.
+class SimConnection final : public Connection {
  public:
   SimConnection(SimNetwork& net, std::shared_ptr<SimNetwork::Pair> pair,
                 bool is_a)
-      : net_{net}, pair_{std::move(pair)}, is_a_{is_a} {}
+      : Connection{net.simulator(), pair->id,
+                   is_a ? pair->addr_a : pair->addr_b,
+                   is_a ? pair->addr_b : pair->addr_a},
+        net_{net},
+        pair_{std::move(pair)},
+        is_a_{is_a} {}
 
-  ~SimConnection() override {
-    if (open_) {
-      // RAII teardown: dropping the last handle closes this side politely.
-      open_ = false;
-      close_slot_.sever();
-      net_.notify_local_close(*pair_, is_a_);
-    }
-  }
-
-  Status write(Bytes frame) override {
-    if (!open_) return closed_error();
-    Bytes framed;
-    framed.reserve(kConnFrameHeaderSize + frame.size());
-    framed.resize(kConnFrameHeaderSize);
-    framed.insert(framed.end(), frame.begin(), frame.end());
-    return write_with_room(std::move(framed));
-  }
-
-  Status write_with_room(Bytes frame) override {
-    if (!open_) return closed_error();
-    net_.send_conn_frame(pair_->id, local_address().mac,
-                         remote_address().mac, pair_->tech, kFrameData,
-                         std::move(frame));
-    return Status::ok_status();
-  }
-
-  void set_data_handler(DataHandler handler) override {
-    data_slot_.set(std::move(handler));
-    if (!data_slot_.armed() || rx_.empty()) return;
-    // Drain buffered frames through the slot. A drained frame's handler may
-    // replace itself (fresh handler re-read per frame) or release the last
-    // strong reference to this connection — hold a strong self-reference per
-    // iteration and re-acquire it through the weak pointer, so the loop
-    // never touches a freed object.
-    const std::weak_ptr<SimConnection> self = weak_from_this();
-    while (const auto strong = self.lock()) {
-      if (!strong->data_slot_.armed() || strong->rx_.empty()) break;
-      Bytes frame = std::move(strong->rx_.front());
-      strong->rx_.pop_front();
-      strong->data_slot_.invoke(frame);
-    }
-  }
-
-  void set_close_handler(CloseHandler handler) override {
-    close_slot_.set(std::move(handler));
-  }
-
-  std::optional<Bytes> poll_frame() override {
-    if (rx_.empty()) return std::nullopt;
-    Bytes frame = std::move(rx_.front());
-    rx_.pop_front();
-    return frame;
-  }
-
-  void close() override {
-    if (!open_) return;
-    open_ = false;
-    net_.notify_local_close(*pair_, is_a_);
-    release_handlers_deferred();
-  }
-
-  [[nodiscard]] bool open() const override { return open_; }
-
-  int link_quality() override {
-    if (quality_override_) {
-      return quality_override_(net_.simulator().now());
-    }
-    if (!open_) return 0;
-    return net_.medium().sample_quality(local_address().mac,
-                                        remote_address().mac, pair_->tech);
-  }
-
-  void set_quality_override(QualityOverride override_fn) override {
-    quality_override_ = std::move(override_fn);
-  }
-
-  [[nodiscard]] NetAddress local_address() const override {
-    return is_a_ ? pair_->addr_a : pair_->addr_b;
-  }
-  [[nodiscard]] NetAddress remote_address() const override {
-    return is_a_ ? pair_->addr_b : pair_->addr_a;
-  }
-  [[nodiscard]] std::uint64_t id() const override { return pair_->id; }
-
-  // --- internal hooks used by SimNetwork -----------------------------------
-  void deliver(Bytes payload) {
-    if (!open_) return;
-    if (data_slot_.armed()) {
-      // Slot dispatch copies the handler first: it may replace itself (e.g.
-      // the engine's first-frame handshake handler hands the connection to a
-      // channel) or release the last reference to this connection.
-      data_slot_.invoke(payload);
-    } else {
-      // Undelivered frames are moved, not copied, into the rx queue.
-      rx_.push_back(std::move(payload));
-    }
-  }
-
-  // Peer closed or coverage lost: mark closed and inform the application.
-  // The close handler is consumed, so it fires at most once even when both
-  // the peer frame and the keepalive report the same death.
-  void force_close() {
-    if (!open_) return;
-    open_ = false;
-    release_handlers_deferred();
-    close_slot_.fire_once();
-  }
-
-  // Handlers often capture the connection's own shared_ptr (handshake
-  // awaiters, relay loops). Clearing them synchronously could destroy the
-  // object mid-member-call, so break the cycle on the next event.
-  void release_handlers_deferred() {
-    const std::weak_ptr<SimConnection> self = weak_from_this();
-    net_.simulator().schedule_after(SimDuration{0}, [self] {
-      if (const auto strong = self.lock()) strong->clear_handlers();
-    });
-  }
-
-  // Teardown support (see ~SimNetwork): phase 1 marks the end closed so a
-  // later destructor never touches the dying network/medium; phase 2 drops
-  // the handlers, breaking handler->channel->connection reference cycles.
-  void mark_closed() { open_ = false; }
-  void clear_handlers() {
-    // Take both handlers out before destroying either: releasing a capture
-    // can reentrantly call set_*_handler(nullptr) on this same connection
-    // (via ~Channel) or even destroy this connection outright.
-    auto data = data_slot_.sever_take();
-    auto close_h = close_slot_.sever_take();
-    // Locals destroyed here, releasing whatever they captured; no member of
-    // *this is touched after this point.
-  }
-
-  [[nodiscard]] int override_quality_now() {
-    return quality_override_ ? quality_override_(net_.simulator().now()) : -1;
-  }
-  [[nodiscard]] bool has_quality_override() const {
-    return static_cast<bool>(quality_override_);
-  }
+  ~SimConnection() override { close_on_drop(); }
 
  private:
-  static Status closed_error() {
-    return Status{ErrorCode::kConnectionClosed, "write on closed connection"};
+  void transport_send(Bytes frame, std::size_t payload_offset) override {
+    if (payload_offset == 0) {
+      // A plain write(): copy the payload behind the header room.
+      Bytes framed;
+      framed.reserve(kConnFrameHeaderSize + frame.size());
+      framed.resize(kConnFrameHeaderSize);
+      framed.insert(framed.end(), frame.begin(), frame.end());
+      frame = std::move(framed);
+    }
+    net_.send_conn_frame(id(), local_address().mac, remote_address().mac,
+                         pair_->tech, kFrameData, std::move(frame));
+  }
+
+  void transport_close() override { net_.notify_local_close(*pair_, is_a_); }
+
+  int transport_quality() override {
+    return net_.medium().sample_quality(local_address().mac,
+                                        remote_address().mac, pair_->tech);
   }
 
   SimNetwork& net_;
   std::shared_ptr<SimNetwork::Pair> pair_;
   bool is_a_;
-  bool open_{true};
-  HandlerSlot<void(const Bytes&)> data_slot_;
-  HandlerSlot<void()> close_slot_;
-  QualityOverride quality_override_;
-  std::deque<Bytes> rx_;
 };
 
 SimNetwork::SimNetwork(sim::RadioMedium& medium) : medium_{medium} {}
@@ -248,22 +128,6 @@ void SimNetwork::send_datagram(MacAddress from, MacAddress to, Technology tech,
   assert(frame != nullptr && frame->size() > kFrameHeaderSize &&
          (*frame)[kFrameHeaderSize] == kDatagramFrameTag);
   medium_.send_frame(from, to, tech, std::move(frame));
-}
-
-Status SimNetwork::listen(const NetAddress& address, AcceptHandler handler) {
-  // Double-bind is an error, as on real sockets (EADDRINUSE). The silent
-  // overwrite this used to do could drop a live engine listener on the floor.
-  const auto [it, inserted] =
-      listeners_.try_emplace(address, std::move(handler));
-  if (!inserted) {
-    return Status{ErrorCode::kAddressInUse,
-                  "listener already bound at " + address.to_string()};
-  }
-  return Status::ok_status();
-}
-
-void SimNetwork::stop_listening(const NetAddress& address) {
-  listeners_.erase(address);
 }
 
 void SimNetwork::begin_inquiry(MacAddress mac, Technology tech) {
@@ -353,8 +217,8 @@ void SimNetwork::finish_connect(MacAddress from_mac, NetAddress to,
     handler(Error{ErrorCode::kConnectionFailed, "link blacked out"});
     return;
   }
-  const auto listener = listeners_.find(to);
-  if (listener == listeners_.end()) {
+  const AcceptHandler* const accept_handler = listener(to);
+  if (accept_handler == nullptr) {
     handler(Error{ErrorCode::kConnectionFailed,
                   "no listener at " + to.to_string()});
     return;
@@ -372,14 +236,14 @@ void SimNetwork::finish_connect(MacAddress from_mac, NetAddress to,
   pairs_[pair->id] = pair;
 
   const std::uint64_t conn_id = pair->id;
-  pair->keepalive.start(simulator(), keepalive_period_,
+  pair->keepalive.start(simulator(), kKeepalivePeriod,
                         [this, conn_id] { check_keepalive(conn_id); },
-                        keepalive_period_);
+                        kKeepalivePeriod);
 
   // Acceptor first (mirrors listen/accept then connect-return ordering).
-  // Copy the accept handler out of the map: it may stop_listening on this
+  // Copy the accept handler out of the table: it may stop_listening on this
   // very address from inside the callback.
-  const AcceptHandler accept = listener->second;
+  const AcceptHandler accept = *accept_handler;
   accept(end_b);
   handler(ConnectionPtr{end_a});
 }
@@ -477,13 +341,9 @@ void SimNetwork::check_keepalive(std::uint64_t conn_id) {
 
   // An artificial quality override that reaches 0 also kills the link
   // (§5.2.1 decay experiments).
-  const auto overridden_dead = [](SimConnection* end) {
-    return end != nullptr && end->has_quality_override() &&
-           end->override_quality_now() <= 0;
-  };
   bool dead = !medium_.in_range(pair.addr_a.mac, pair.addr_b.mac, pair.tech);
-  if (overridden_dead(end_a.get())) dead = true;
-  if (overridden_dead(end_b.get())) dead = true;
+  if (end_a != nullptr && end_a->overridden_dead()) dead = true;
+  if (end_b != nullptr && end_b->overridden_dead()) dead = true;
   // An end whose last handle was dropped behaves as closed.
   if ((pair.open_a && end_a == nullptr) || (pair.open_b && end_b == nullptr)) {
     dead = true;

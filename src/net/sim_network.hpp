@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -48,20 +47,11 @@ class SimNetwork final : public Network {
                      FramePtr frame) override;
 
   // --- Connections ----------------------------------------------------------
-  [[nodiscard]] Status listen(const NetAddress& address,
-                              AcceptHandler handler) override;
-  void stop_listening(const NetAddress& address) override;
-
   // Asynchronously establishes a connection. The handler fires exactly once,
   // after the sampled per-technology establishment delay, with either an open
   // connection or an error (failure injection / out of range / no listener).
   void connect(MacAddress from_mac, const NetAddress& to,
                ConnectHandler handler) override;
-
-  // How often open connections verify they are still in coverage.
-  void set_keepalive_period(SimDuration period) override {
-    keepalive_period_ = period;
-  }
 
   // --- Discovery inquiry plane ---------------------------------------------
   // Delegates to the medium, preserving the pre-interface accounting order
@@ -126,10 +116,8 @@ class SimNetwork final : public Network {
 
   sim::RadioMedium& medium_;
   std::unordered_map<std::uint64_t, Interface> interfaces_;
-  std::map<NetAddress, AcceptHandler> listeners_;
   std::map<std::uint64_t, std::shared_ptr<Pair>> pairs_;
   std::uint64_t next_conn_id_{1};
-  SimDuration keepalive_period_{std::chrono::milliseconds{500}};
 };
 
 }  // namespace peerhood::net

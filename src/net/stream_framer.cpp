@@ -1,10 +1,13 @@
 #include "net/stream_framer.hpp"
 
+#include <cassert>
+
 #include "net/frame_check.hpp"
 
 namespace peerhood::net {
 
 Bytes encode_stream_frame(std::span<const std::uint8_t> body) {
+  assert(body.size() <= 0xffff);  // Connection::write refuses larger frames
   Bytes frame;
   frame.reserve(kStreamHeaderSize + body.size());
   frame.push_back(static_cast<std::uint8_t>(kStreamMagic >> 8));

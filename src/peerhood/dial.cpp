@@ -4,13 +4,39 @@
 #include <memory>
 #include <utility>
 
-#include "net/dial_state.hpp"
 #include "peerhood/protocol.hpp"
 #include "sim/simulator.hpp"
 
 namespace peerhood {
 
 namespace {
+
+// The shared ownership state of one in-flight dial: a connection attempt
+// plus the wait for its chain acknowledgement (PH_OK / PH_FAIL).
+//
+// The state owns the half-open connection; the connection's handlers
+// capture only a shared_ptr to this state (never the connection itself), so
+// the only cycle is state->conn->handlers->state, and every completion path
+// breaks it with release_conn(). A dial still in flight at teardown is
+// broken by the network's handler sever.
+struct HalfOpenDial {
+  bool done{false};
+  sim::EventId timer{sim::kInvalidEvent};
+  net::ConnectionPtr conn;
+
+  // Detaches the half-open connection and returns it (empty when the
+  // connect itself has not resolved yet). Severing the handlers here is
+  // what releases the state — and with it, this struct's captures.
+  net::ConnectionPtr release_conn() {
+    net::ConnectionPtr out = std::move(conn);
+    conn = nullptr;
+    if (out != nullptr) {
+      out->set_data_handler(nullptr);
+      out->set_close_handler(nullptr);
+    }
+    return out;
+  }
+};
 
 // Handshake frames ride the same lossy medium as application traffic: a
 // single lost request (or lost acknowledgement) must not cost the whole
@@ -30,7 +56,7 @@ constexpr SimDuration kHandshakeRetryCap = std::chrono::seconds{6};
 constexpr int kHandshakeRetryLimit = 8;
 
 void schedule_handshake_retransmit(
-    sim::Simulator& sim, std::shared_ptr<net::HalfOpenDial> state, Bytes frame,
+    sim::Simulator& sim, std::shared_ptr<HalfOpenDial> state, Bytes frame,
     SimDuration delay, int attempts,
     std::shared_ptr<std::function<void(Result<net::ConnectionPtr>)>> done) {
   sim.schedule_after(delay, [&sim, state = std::move(state),
@@ -59,7 +85,7 @@ void dial_with_ack(net::Network& network, MacAddress from,
                    SimDuration timeout,
                    std::function<void(Result<net::ConnectionPtr>)> done) {
   sim::Simulator& sim = network.simulator();
-  auto state = std::make_shared<net::HalfOpenDial>();
+  auto state = std::make_shared<HalfOpenDial>();
   auto shared_done =
       std::make_shared<std::function<void(Result<net::ConnectionPtr>)>>(
           std::move(done));

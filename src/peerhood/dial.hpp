@@ -4,10 +4,10 @@
 // resume) and BridgeService (downstream chaining), which previously each
 // hand-rolled this wiring.
 //
-// Ownership: the half-open connection is parked in a net::HalfOpenDial whose
-// handlers capture only the state (see src/net/dial_state.hpp); every
-// completion path — ack, peer close, timeout, connect failure — severs the
-// handlers, so no dial leaves a handler cycle behind. `done` fires exactly
+// Ownership: the half-open connection is parked in a HalfOpenDial (see
+// dial.cpp) whose handlers capture only the state; every completion path —
+// ack, peer close, timeout, connect failure — severs the handlers, so no
+// dial leaves a handler cycle behind. `done` fires exactly
 // once, with an open connection (handlers cleared, ack consumed) or an
 // error.
 #pragma once

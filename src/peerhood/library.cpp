@@ -36,17 +36,10 @@ void Library::unregister_service(const std::string& name) {
   daemon_.engine().remove_service_handler(name);
 }
 
-void Library::dial(const net::NetAddress& hop, Bytes first_frame,
-                   SimDuration timeout,
-                   std::function<void(Result<net::ConnectionPtr>)> done) {
-  dial_with_ack(daemon_.network(), daemon_.mac(), hop, std::move(first_frame),
-                timeout, std::move(done));
-}
-
 void Library::connect(MacAddress destination, std::string service,
                       ConnectOptions options, ConnectCallback callback) {
   sim::Simulator& sim = daemon_.simulator();
-  // Read only before dial(): nothing below touches the storage until then.
+  // Read only before dialling: nothing below touches the storage until then.
   const DeviceRecord* record = daemon_.storage().lookup(destination);
   if (record == nullptr) {
     sim.schedule_after(microseconds(1), [callback] {
@@ -97,24 +90,22 @@ void Library::connect(MacAddress destination, std::string service,
   }
 
   const std::uint64_t session_id = request.session_id;
-  dial(hop, std::move(first_frame), options.timeout,
-       [callback, session_id, service, destination](
-           Result<net::ConnectionPtr> result) {
-         if (!result.ok()) {
-           callback(result.error());
-           return;
-         }
-         callback(std::make_shared<Channel>(session_id, service, destination,
-                                            std::move(result).value()));
-       });
+  dial_with_ack(daemon_.network(), daemon_.mac(), hop, std::move(first_frame),
+                options.timeout,
+                [callback, session_id, service, destination](
+                    Result<net::ConnectionPtr> result) {
+                  if (!result.ok()) {
+                    callback(result.error());
+                    return;
+                  }
+                  callback(std::make_shared<Channel>(
+                      session_id, service, destination,
+                      std::move(result).value()));
+                });
 }
 
 void Library::resume_via_bridge(MacAddress bridge, const ChannelPtr& channel,
                                 StatusCallback callback, SimDuration timeout) {
-  const DeviceRecord* record = daemon_.storage().lookup(bridge);
-  const Technology tech =
-      record != nullptr ? record->via_tech : Technology::kBluetooth;
-
   wire::ConnectRequest request;
   request.session_id = channel->session_id();
   request.service = channel->service();
@@ -123,84 +114,62 @@ void Library::resume_via_bridge(MacAddress bridge, const ChannelPtr& channel,
   bridge_request.destination = channel->peer();
   bridge_request.final_command = wire::Command::kResume;
   bridge_request.inner = std::move(request);
+  Bytes resume_frame = wire::encode_bridge(bridge_request);
+  bridge_request.final_command = wire::Command::kResumeRestart;
+  Bytes restart_frame = wire::encode_bridge(bridge_request);
 
-  const net::NetAddress hop{bridge, tech, net::kPeerHoodEnginePort};
+  resume(bridge, std::move(resume_frame), std::move(restart_frame), channel,
+         std::move(callback), timeout);
+}
+
+void Library::resume_direct(const ChannelPtr& channel, StatusCallback callback,
+                            SimDuration timeout) {
+  wire::ConnectRequest request;
+  request.session_id = channel->session_id();
+  request.service = channel->service();
+  // The restart frame carries the same session id: the responder restores
+  // it from its journal rather than the (crashed) live session map.
+  resume(channel->peer(), wire::encode_resume(request),
+         wire::encode_resume_restart(request), channel, std::move(callback),
+         timeout);
+}
+
+void Library::resume(MacAddress hop_mac, Bytes resume_frame,
+                     Bytes restart_frame, const ChannelPtr& channel,
+                     StatusCallback callback, SimDuration timeout) {
+  const DeviceRecord* record = daemon_.storage().lookup(hop_mac);
+  const Technology tech =
+      record != nullptr ? record->via_tech : Technology::kBluetooth;
+  const net::NetAddress hop{hop_mac, tech, net::kPeerHoodEnginePort};
   // The fallback closure captures the network (which outlives every node)
   // and our mac, not `this` — the Library may be gone by the time the first
   // dial fails, while the dial machinery only needs the transport.
   net::Network* network = &daemon_.network();
   const MacAddress self = daemon_.mac();
-  Bytes resume_frame = wire::encode_bridge(bridge_request);
-  bridge_request.final_command = wire::Command::kResumeRestart;
-  Bytes restart_frame = wire::encode_bridge(bridge_request);
+  auto replace = [channel, callback](Result<net::ConnectionPtr> result) {
+    if (!result.ok()) {
+      callback(Status{result.error()});
+      return;
+    }
+    channel->replace_connection(std::move(result).value());
+    callback(Status::ok_status());
+  };
 
-  dial(hop, std::move(resume_frame), timeout,
-       [channel, callback, network, self, hop, timeout,
-        restart_frame = std::move(restart_frame)](
-           Result<net::ConnectionPtr> result) mutable {
-         if (result.ok()) {
-           channel->replace_connection(std::move(result).value());
-           callback(Status::ok_status());
-           return;
-         }
-         if (result.error().code != ErrorCode::kUnknownSession) {
-           callback(Status{result.error()});
-           return;
-         }
-         // The server dropped the session — it restarted. Re-dial once with
-         // PH_RESUME_RESTART so its journal can revive the session.
-         dial_with_ack(*network, self, hop, std::move(restart_frame), timeout,
-                       [channel, callback](Result<net::ConnectionPtr> retry) {
-                         if (!retry.ok()) {
-                           callback(Status{retry.error()});
-                           return;
-                         }
-                         channel->replace_connection(std::move(retry).value());
-                         callback(Status::ok_status());
-                       });
-       });
-}
-
-void Library::resume_direct(const ChannelPtr& channel, StatusCallback callback,
-                            SimDuration timeout) {
-  const DeviceRecord* record = daemon_.storage().lookup(channel->peer());
-  const Technology tech =
-      record != nullptr ? record->via_tech : Technology::kBluetooth;
-
-  wire::ConnectRequest request;
-  request.session_id = channel->session_id();
-  request.service = channel->service();
-
-  const net::NetAddress hop{channel->peer(), tech, net::kPeerHoodEnginePort};
-  net::Network* network = &daemon_.network();
-  const MacAddress self = daemon_.mac();
-  Bytes restart_frame = wire::encode_resume_restart(request);
-
-  dial(hop, wire::encode_resume(request), timeout,
-       [channel, callback, network, self, hop, timeout,
-        restart_frame = std::move(restart_frame)](
-           Result<net::ConnectionPtr> result) mutable {
-         if (result.ok()) {
-           channel->replace_connection(std::move(result).value());
-           callback(Status::ok_status());
-           return;
-         }
-         if (result.error().code != ErrorCode::kUnknownSession) {
-           callback(Status{result.error()});
-           return;
-         }
-         // Same session id on the responder's side, restored from its
-         // journal rather than the (crashed) live session map.
-         dial_with_ack(*network, self, hop, std::move(restart_frame), timeout,
-                       [channel, callback](Result<net::ConnectionPtr> retry) {
-                         if (!retry.ok()) {
-                           callback(Status{retry.error()});
-                           return;
-                         }
-                         channel->replace_connection(std::move(retry).value());
-                         callback(Status::ok_status());
-                       });
-       });
+  dial_with_ack(
+      *network, self, hop, std::move(resume_frame), timeout,
+      [network, self, hop, timeout, replace = std::move(replace),
+       restart_frame = std::move(restart_frame)](
+          Result<net::ConnectionPtr> result) mutable {
+        if (!result.ok() &&
+            result.error().code == ErrorCode::kUnknownSession) {
+          // The server dropped the session — it restarted. Re-dial once with
+          // PH_RESUME_RESTART so its journal can revive the session.
+          dial_with_ack(*network, self, hop, std::move(restart_frame), timeout,
+                        std::move(replace));
+          return;
+        }
+        replace(std::move(result));
+      });
 }
 
 }  // namespace peerhood

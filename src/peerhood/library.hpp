@@ -72,10 +72,13 @@ class Library {
   [[nodiscard]] Daemon& daemon() { return daemon_; }
 
  private:
-  // Sends `first_frame` on a fresh connection to `hop` and waits for the
-  // chain acknowledgement (PH_OK / PH_FAIL, §4.1).
-  void dial(const net::NetAddress& hop, Bytes first_frame, SimDuration timeout,
-            std::function<void(Result<net::ConnectionPtr>)> done);
+  // The resume ladder shared by both resume_* entry points: dial `hop_mac`
+  // with `resume_frame`; on kUnknownSession (the server restarted) dial once
+  // more with `restart_frame` (PH_RESUME_RESTART); then hand the new
+  // connection to `channel`.
+  void resume(MacAddress hop_mac, Bytes resume_frame, Bytes restart_frame,
+              const ChannelPtr& channel, StatusCallback callback,
+              SimDuration timeout);
 
   Daemon& daemon_;
 };

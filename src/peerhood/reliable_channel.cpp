@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bytes.hpp"
+#include "net/connection.hpp"
 #include "net/frame_check.hpp"
 
 namespace peerhood {
@@ -116,7 +117,10 @@ void ReliableChannel::shutdown() {
 }
 
 Status ReliableChannel::send(Bytes frame) {
-  // Backpressure check first — this path must not allocate when refusing,
+  if (frame.size() > net::kMaxConnPayload - kDataHeaderSize) {
+    return Status{ErrorCode::kInvalidArgument, "frame too large"};
+  }
+  // Backpressure check next — this path must not allocate when refusing,
   // so a never-draining peer bounds sender memory at the window size. The
   // message stays within the small-string buffer for the same reason.
   if (outbox_.size() >= std::min<std::uint64_t>(config_.window,

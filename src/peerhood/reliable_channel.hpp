@@ -98,7 +98,9 @@ class ReliableChannel {
   // Buffers and sends; the frame stays queued until the peer acks it. When
   // the send window (own or peer-advertised) is full, refuses with
   // kCapacityExceeded *before allocating anything* — backpressure, not
-  // unbounded buffering.
+  // unbounded buffering. A frame whose data frame would exceed
+  // net::kMaxConnPayload is refused with kInvalidArgument, taking no
+  // window slot: the transport could never carry it.
   Status send(Bytes frame);
 
   // In-order, exactly-once delivery of the peer's frames.

@@ -36,12 +36,7 @@ class ScriptedNetwork final : public net::Network {
     sent_.push_back(Sent{to, std::move(frame)});
     ++datagrams_sent_;
   }
-  Status listen(const net::NetAddress&, AcceptHandler) override {
-    return Status::ok_status();
-  }
-  void stop_listening(const net::NetAddress&) override {}
   void connect(MacAddress, const net::NetAddress&, ConnectHandler) override {}
-  void set_keepalive_period(SimDuration) override {}
   void begin_inquiry(MacAddress, Technology) override {}
   std::vector<MacAddress> end_inquiry(MacAddress, Technology) override {
     return responders_;

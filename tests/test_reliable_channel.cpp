@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "handover/handover.hpp"
+#include "net/connection.hpp"
 #include "scenario_util.hpp"
 
 namespace peerhood {
@@ -98,6 +99,30 @@ TEST_F(ReliableChannelTest, WindowLimitsOutstandingFrames) {
   const Status overflow = limited->send(Bytes{1});
   EXPECT_FALSE(overflow.ok());
   EXPECT_EQ(overflow.error().code, ErrorCode::kCapacityExceeded);
+}
+
+TEST_F(ReliableChannelTest, OversizeFrameIsRefusedWithoutTakingAWindowSlot) {
+  build(6);
+  // The largest payload whose data frame (tag, seq, length, payload) still
+  // fits one connection frame.
+  const std::size_t largest = net::kMaxConnPayload - (1 + 8 + 4);
+  const Status oversize = client_rel_->send(Bytes(largest + 1, 0xEE));
+  ASSERT_FALSE(oversize.ok());
+  EXPECT_EQ(oversize.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(client_rel_->unacked(), 0u);
+
+  Bytes maximal(largest);
+  for (std::size_t i = 0; i < maximal.size(); ++i) {
+    maximal[i] = static_cast<std::uint8_t>(i * 13);
+  }
+  ASSERT_TRUE(client_rel_->send(maximal).ok());
+  ASSERT_TRUE(client_rel_->send(Bytes{9}).ok());
+  EXPECT_EQ(client_rel_->unacked(), 2u);
+  testbed_->run_for(10.0);
+  ASSERT_EQ(received_.size(), 2u);
+  EXPECT_EQ(received_[0], maximal);
+  EXPECT_EQ(received_[1], Bytes{9});
+  EXPECT_EQ(client_rel_->unacked(), 0u);
 }
 
 TEST_F(ReliableChannelTest, NoLossAcrossHandover) {
