@@ -48,7 +48,8 @@ struct NetStats {
   // header (bit corruption on the air, or garbage on a real socket).
   std::uint64_t frames_checked{0};
   std::uint64_t corrupt_drops{0};
-  // Oldest-drop evictions from bounded per-peer send queues.
+  // Frames a sender dropped: oldest-drop evictions from bounded per-peer
+  // send queues, and on PosixNetwork also datagrams the kernel refused.
   std::uint64_t send_queue_drops{0};
   // Connect attempts beyond the first (capped-backoff reconnects).
   std::uint64_t reconnect_attempts{0};

@@ -36,6 +36,9 @@ constexpr std::uint8_t kStreamData = 0x03;
 
 constexpr std::size_t kUdpHeader = 1 + 8 + 1;  // kind + from mac + tech
 constexpr std::size_t kReadChunk = 16 * 1024;
+// epoll keys of the two fixed sockets; streams take keys from 2 upward.
+constexpr std::uint64_t kUdpKey = 0;
+constexpr std::uint64_t kListenerKey = 1;
 // Quality reported for configured peers (loopback links do not degrade).
 constexpr int kPeerLinkQuality = 240;
 
@@ -55,6 +58,17 @@ std::uint16_t bound_port(int fd) {
     return 0;
   }
   return ntohs(addr.sin_port);
+}
+
+// Writes the header of every UDP packet: [kind][from mac, big-endian][tech].
+void put_udp_header(std::uint8_t* out, std::uint8_t kind, MacAddress from,
+                    Technology tech) {
+  out[0] = kind;
+  const std::uint64_t mac64 = from.as_u64();
+  for (int i = 0; i < 8; ++i) {
+    out[1 + i] = static_cast<std::uint8_t>(mac64 >> (56 - 8 * i));
+  }
+  out[9] = static_cast<std::uint8_t>(tech);
 }
 
 // Fast, clean localhost parameters: discovery cycles in hundreds of
@@ -78,15 +92,19 @@ sim::TechnologyParams fast_params(Technology tech) {
 
 }  // namespace
 
-// --- Connection endpoint -----------------------------------------------------
+// --- Streams -----------------------------------------------------------------
 
-// Shared state of one TCP-backed connection (the network side). The
-// application-facing endpoint (PosixConnection) holds a shared_ptr to this;
-// the fd and outbox live here so the network can drain and close even after
-// the application dropped its handle.
-struct PosixNetwork::ConnState {
-  std::uint64_t id{0};
+// One TCP socket from connect()/accept4() to close. The application-facing
+// endpoint (PosixConnection) holds a shared_ptr to its stream; the fd and
+// outbox live here so the network can drain and close even after the
+// application dropped its handle.
+struct PosixNetwork::Stream {
+  enum class Phase : std::uint8_t { kDialing, kAwaitingHello, kOpen, kClosed };
+
+  std::uint64_t key{0};
+  Phase phase{Phase::kAwaitingHello};
   int fd{-1};
+  std::uint64_t id{0};
   NetAddress local;
   NetAddress remote;
   StreamFramer framer;
@@ -95,28 +113,33 @@ struct PosixNetwork::ConnState {
   std::deque<Bytes> outbox;
   std::size_t front_sent{0};
   bool want_write{false};
-  bool open{true};
   std::weak_ptr<PosixConnection> endpoint;
+  // Dial only: the connect handler, attempts so far and the per-attempt
+  // deadline.
+  ConnectHandler handler;
+  int attempt{0};
+  sim::EventId deadline{sim::kInvalidEvent};
 };
 
 class PosixConnection final : public Connection {
  public:
   PosixConnection(PosixNetwork& net,
-                  std::shared_ptr<PosixNetwork::ConnState> state)
-      : Connection{net.simulator(), state->id, state->local, state->remote},
+                  std::shared_ptr<PosixNetwork::Stream> stream)
+      : Connection{net.simulator(), stream->id, stream->local, stream->remote},
         net_{net},
-        state_{std::move(state)} {}
+        stream_{std::move(stream)} {}
 
   ~PosixConnection() override { close_on_drop(); }
 
  private:
   void transport_send(Bytes frame, std::size_t payload_offset) override {
-    net_.conn_write(
-        *state_, std::span<const std::uint8_t>{frame}.subspan(payload_offset));
+    net_.queue_frame(*stream_, kStreamData,
+                     std::span<const std::uint8_t>{frame}.subspan(
+                         payload_offset));
   }
 
   void transport_close() override {
-    net_.close_conn(state_->id, /*notify_app=*/false);
+    net_.close_stream(*stream_, /*notify_app=*/false);
   }
 
   int transport_quality() override {
@@ -125,31 +148,7 @@ class PosixConnection final : public Connection {
   }
 
   PosixNetwork& net_;
-  std::shared_ptr<PosixNetwork::ConnState> state_;
-};
-
-// An outbound connect in flight: TCP three-way handshake, then the logical
-// hello/ack. Retries with capped backoff on refusal or timeout.
-struct PosixNetwork::PendingConnect {
-  std::uint64_t id{0};
-  int fd{-1};
-  MacAddress from;
-  NetAddress to;
-  ConnectHandler handler;
-  StreamFramer framer;
-  std::uint64_t conn_id{0};
-  int attempt{0};
-  bool awaiting_ack{false};
-  sim::EventId timeout{sim::kInvalidEvent};
-  // Hello bytes not yet flushed to the socket (short-write safety).
-  Bytes hello_pending;
-  std::size_t hello_sent{0};
-};
-
-// An accepted TCP stream before its logical hello arrived.
-struct PosixNetwork::IncomingStream {
-  int fd{-1};
-  StreamFramer framer;
+  std::shared_ptr<PosixNetwork::Stream> stream_;
 };
 
 // --- Construction / teardown -------------------------------------------------
@@ -190,38 +189,31 @@ PosixNetwork::PosixNetwork(PosixConfig config)
   }
   tcp_port_ = bound_port(tcp_fd_);
 
-  update_epoll(udp_fd_, EPOLLIN);
-  update_epoll(tcp_fd_, EPOLLIN);
+  update_epoll(udp_fd_, kUdpKey, EPOLLIN);
+  update_epoll(tcp_fd_, kListenerKey, EPOLLIN);
 }
 
 PosixNetwork::~PosixNetwork() {
   destroying_ = true;
   // Two-phase quiesce: first mark every endpoint closed (so destructors
   // triggered below never call back into this dying network), then break
-  // the handler->channel->connection reference cycles.
-  std::vector<std::shared_ptr<ConnState>> conns;
-  conns.reserve(conns_.size());
-  for (const auto& [id, conn] : conns_) conns.push_back(conn);
-  for (const auto& conn : conns) {
-    conn->open = false;
-    if (const auto end = conn->endpoint.lock()) end->mark_closed();
+  // the handler->channel->connection reference cycles. Dropping a dial's
+  // stream releases the handler's captures (dial state) without invoking it
+  // — same as a SimNetwork dying with a connect event still queued.
+  std::vector<StreamPtr> streams;
+  streams.reserve(streams_.size());
+  for (const auto& [key, stream] : streams_) streams.push_back(stream);
+  for (const auto& stream : streams) {
+    stream->phase = Stream::Phase::kClosed;
+    if (const auto end = stream->endpoint.lock()) end->mark_closed();
   }
-  for (const auto& conn : conns) {
-    if (const auto end = conn->endpoint.lock()) end->clear_handlers();
+  for (const auto& stream : streams) {
+    if (const auto end = stream->endpoint.lock()) end->clear_handlers();
   }
-  for (const auto& conn : conns) {
-    if (conn->fd >= 0) ::close(conn->fd);
+  for (const auto& stream : streams) {
+    if (stream->fd >= 0) ::close(stream->fd);
   }
-  conns_.clear();
-  // Half-open connects: dropping the PendingConnect releases the handler's
-  // captures (dial state) without invoking it — same as a SimNetwork dying
-  // with a connect event still queued.
-  for (const auto& [id, pending] : pending_) {
-    if (pending->fd >= 0) ::close(pending->fd);
-  }
-  pending_.clear();
-  for (const auto& [fd, incoming] : incoming_) ::close(fd);
-  incoming_.clear();
+  streams_.clear();
   if (udp_fd_ >= 0) ::close(udp_fd_);
   if (tcp_fd_ >= 0) ::close(tcp_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -265,28 +257,24 @@ void PosixNetwork::poll_once(SimDuration max_wait) {
   const int n = ::epoll_wait(epoll_fd_, events, 64,
                              static_cast<int>(wait_ms));
   for (int i = 0; i < n; ++i) {
-    const int fd = events[i].data.fd;
-    const std::uint32_t mask = events[i].events;
-    if (fd == udp_fd_) {
+    const std::uint64_t key = events[i].data.u64;
+    if (key == kUdpKey) {
       handle_udp_readable();
-    } else if (fd == tcp_fd_) {
+    } else if (key == kListenerKey) {
       handle_listener_readable();
-    } else if (fd_pending_.contains(fd)) {
-      handle_pending_connect(fd, mask);
-    } else if (incoming_.contains(fd)) {
-      handle_incoming(fd, mask);
-    } else if (fd_conn_.contains(fd)) {
-      handle_conn_event(fd, mask);
+    } else {
+      handle_stream(key, events[i].events);
     }
     if (destroying_) return;
   }
   advance_clock();
 }
 
-void PosixNetwork::update_epoll(int fd, std::uint32_t events) {
+void PosixNetwork::update_epoll(int fd, std::uint64_t key,
+                                std::uint32_t events) {
   epoll_event ev{};
   ev.events = events;
-  ev.data.fd = fd;
+  ev.data.u64 = key;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0 && errno == ENOENT) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
   }
@@ -319,12 +307,7 @@ void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
   const PosixPeer* peer = find_peer(to);
   if (peer == nullptr) return;  // not in the topology: silent, like a radio
   std::uint8_t header[kUdpHeader];
-  header[0] = kUdpData;
-  const std::uint64_t mac64 = from.as_u64();
-  for (int i = 0; i < 8; ++i) {
-    header[1 + i] = static_cast<std::uint8_t>(mac64 >> (56 - 8 * i));
-  }
-  header[9] = static_cast<std::uint8_t>(tech);
+  put_udp_header(header, kUdpData, from, tech);
   iovec iov[2];
   iov[0] = {header, sizeof(header)};
   iov[1] = {const_cast<std::uint8_t*>(frame->data()), frame->size()};
@@ -353,18 +336,21 @@ void PosixNetwork::handle_udp_readable() {
 }
 
 void PosixNetwork::on_udp_packet(std::span<const std::uint8_t> packet) {
+  // Outside input: bound every read by the packet's size.
   if (packet.size() < kUdpHeader) return;
-  if (packet[0] == kUdpBeacon) {
-    on_beacon(packet);
-    return;
-  }
-  if (packet[0] != kUdpData) return;
+  const std::uint8_t kind = packet[0];
   std::uint64_t mac64 = 0;
   for (int i = 0; i < 8; ++i) mac64 = (mac64 << 8) | packet[1 + i];
   const auto tech_raw = packet[9];
   if (tech_raw >= kTechnologyCount) return;
   const Technology tech = static_cast<Technology>(tech_raw);
   const MacAddress from = MacAddress::from_u64(mac64);
+  if (kind == kUdpBeacon) {
+    if (packet.size() < kUdpHeader + 1) return;
+    on_beacon(from, tech, packet[kUdpHeader]);
+    return;
+  }
+  if (kind != kUdpData) return;
 
   const auto sealed = packet.subspan(kUdpHeader);
   ++net_stats_.frames_checked;
@@ -392,35 +378,23 @@ void PosixNetwork::on_udp_packet(std::span<const std::uint8_t> packet) {
 void PosixNetwork::send_beacon(const PosixPeer& peer, Technology tech,
                                bool reply) {
   std::uint8_t packet[kUdpHeader + 1];
-  packet[0] = kUdpBeacon;
-  const std::uint64_t mac64 = config_.mac.as_u64();
-  for (int i = 0; i < 8; ++i) {
-    packet[1 + i] = static_cast<std::uint8_t>(mac64 >> (56 - 8 * i));
-  }
-  packet[9] = static_cast<std::uint8_t>(tech);
-  packet[10] = static_cast<std::uint8_t>(
-      (reply ? kBeaconReply : 0) |
-      (config_.peerhood_capable ? kBeaconCapable : 0));
+  put_udp_header(packet, kUdpBeacon, config_.mac, tech);
+  packet[kUdpHeader] =
+      static_cast<std::uint8_t>((reply ? kBeaconReply : 0) | kBeaconCapable);
   sockaddr_in addr = make_addr(peer.ip, peer.udp_port);
   (void)::sendto(udp_fd_, packet, sizeof(packet), 0,
                  reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
 }
 
-void PosixNetwork::on_beacon(std::span<const std::uint8_t> packet) {
-  if (packet.size() < kUdpHeader + 1) return;
-  std::uint64_t mac64 = 0;
-  for (int i = 0; i < 8; ++i) mac64 = (mac64 << 8) | packet[1 + i];
-  const auto tech_raw = packet[9];
-  if (tech_raw >= kTechnologyCount) return;
-  const Technology tech = static_cast<Technology>(tech_raw);
-  const std::uint8_t flags = packet[10];
-  const MacAddress from = MacAddress::from_u64(mac64);
+void PosixNetwork::on_beacon(MacAddress from, Technology tech,
+                             std::uint8_t flags) {
+  const auto tech_raw = static_cast<std::uint8_t>(tech);
   peer_tags_[iface_key(from, tech)] = (flags & kBeaconCapable) != 0;
 
   if ((flags & kBeaconReply) != 0) {
     // A reply to our probe: collect while the inquiry window is open.
     if (inquiring_.contains(tech_raw)) {
-      inquiry_responders_[tech_raw].insert(mac64);
+      inquiry_responders_[tech_raw].insert(from.as_u64());
     }
     return;
   }
@@ -481,11 +455,7 @@ const sim::TechnologyParams& PosixNetwork::params(Technology tech) const {
   return params_[static_cast<std::size_t>(tech)];
 }
 
-void PosixNetwork::configure(const sim::TechnologyParams& params) {
-  params_[static_cast<std::size_t>(params.tech)] = params;
-}
-
-// --- Connections -------------------------------------------------------------
+// --- Streams -----------------------------------------------------------------
 
 void PosixNetwork::connect(MacAddress from_mac, const NetAddress& to,
                            ConnectHandler handler) {
@@ -502,260 +472,112 @@ void PosixNetwork::connect(MacAddress from_mac, const NetAddress& to,
     });
     return;
   }
-  auto pending = std::make_unique<PendingConnect>();
-  pending->id = next_pending_id_++;
-  pending->from = from_mac;
-  pending->to = to;
-  pending->handler = std::move(handler);
-  pending->conn_id = (config_.mac.as_u64() << 16) ^ next_conn_seq_++;
-  const std::uint64_t id = pending->id;
-  pending_[id] = std::move(pending);
-  start_connect_attempt(id);
+  auto stream = std::make_shared<Stream>();
+  stream->phase = Stream::Phase::kDialing;
+  stream->id = (config_.mac.as_u64() << 16) ^ next_conn_seq_++;
+  stream->local = NetAddress{from_mac, to.tech, 0};
+  stream->remote = to;
+  stream->handler = std::move(handler);
+  add_stream(stream);
+  start_dial(stream);
 }
 
-void PosixNetwork::start_connect_attempt(std::uint64_t pending_id) {
-  const auto it = pending_.find(pending_id);
-  if (it == pending_.end()) return;
-  PendingConnect& pending = *it->second;
-  const PosixPeer* peer = find_peer(pending.to.mac);
+void PosixNetwork::add_stream(const StreamPtr& stream) {
+  stream->key = next_key_++;
+  streams_.emplace(stream->key, stream);
+}
+
+// One dial attempt: a fresh socket, the hello queued at once (it leaves as
+// soon as TCP is established) and a deadline that covers both the TCP
+// handshake and the hello/ack round trip.
+void PosixNetwork::start_dial(const StreamPtr& stream) {
+  const PosixPeer* peer = find_peer(stream->remote.mac);
   if (peer == nullptr) {
-    fail_connect(pending_id, "peer removed from topology");
+    fail_dial(*stream, "peer removed from topology");
     return;
   }
-  if (pending.attempt > 0) ++net_stats_.reconnect_attempts;
-  ++pending.attempt;
-  pending.awaiting_ack = false;
-  pending.framer = StreamFramer{};
-  pending.hello_pending.clear();
-  pending.hello_sent = 0;
+  if (stream->attempt > 0) ++net_stats_.reconnect_attempts;
+  ++stream->attempt;
 
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    fail_connect(pending_id, "socket() failed");
+    fail_dial(*stream, "socket() failed");
     return;
   }
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  pending.fd = fd;
-  fd_pending_[fd] = pending_id;
+  stream->fd = fd;
   sockaddr_in addr = make_addr(peer->ip, peer->tcp_port);
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    // Immediate refusal (rare on loopback): retry through the backoff path.
-    fd_pending_.erase(fd);
-    ::close(fd);
-    pending.fd = -1;
-    const SimDuration backoff = std::min(
-        config_.connect_backoff_cap,
-        config_.connect_backoff_base * (std::int64_t{1} << (pending.attempt - 1)));
-    if (pending.attempt >= config_.connect_attempts) {
-      fail_connect(pending_id, "connection refused");
-      return;
-    }
-    sim_.schedule_after(backoff, [this, pending_id] {
-      start_connect_attempt(pending_id);
-    });
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+      errno != EINPROGRESS) {
+    retry_or_fail(stream, "connection refused");
     return;
   }
-  update_epoll(fd, EPOLLIN | EPOLLOUT);
-  // Per-attempt deadline covers both the TCP handshake and the logical
-  // hello/ack round trip.
-  pending.timeout = sim_.schedule_after(config_.connect_timeout,
-                                        [this, pending_id] {
-    const auto timed_out = pending_.find(pending_id);
-    if (timed_out == pending_.end()) return;
-    PendingConnect& p = *timed_out->second;
-    p.timeout = sim::kInvalidEvent;
-    if (p.fd >= 0) {
-      fd_pending_.erase(p.fd);
-      ::close(p.fd);
-      p.fd = -1;
-    }
-    if (p.attempt >= config_.connect_attempts) {
-      fail_connect(pending_id, "connect timed out");
-      return;
-    }
-    const SimDuration backoff = std::min(
-        config_.connect_backoff_cap,
-        config_.connect_backoff_base * (std::int64_t{1} << (p.attempt - 1)));
-    sim_.schedule_after(backoff, [this, pending_id] {
-      start_connect_attempt(pending_id);
-    });
+  update_epoll(fd, stream->key, EPOLLIN);
+  stream->deadline = sim_.schedule_after(
+      config_.connect_timeout, [this, key = stream->key] {
+        const auto it = streams_.find(key);
+        if (it == streams_.end()) return;
+        const StreamPtr timed_out = it->second;
+        timed_out->deadline = sim::kInvalidEvent;
+        retry_or_fail(timed_out, "connect timed out");
+      });
+  // The logical hello: [conn_id][from][to][tech][port].
+  ByteWriter hello;
+  hello.u64(stream->id);
+  hello.u64(stream->local.mac.as_u64());
+  hello.u64(stream->remote.mac.as_u64());
+  hello.u8(static_cast<std::uint8_t>(stream->remote.tech));
+  hello.u16(stream->remote.port);
+  queue_frame(*stream, kStreamHello, std::move(hello).take());
+}
+
+void PosixNetwork::retry_or_fail(const StreamPtr& stream,
+                                 const std::string& reason) {
+  if (stream->attempt >= config_.connect_attempts) {
+    fail_dial(*stream, reason);
+    return;
+  }
+  release(*stream);
+  // A fresh key, under which no socket was ever registered: no late event of
+  // the attempt just closed can reach the next one.
+  add_stream(stream);
+  const SimDuration backoff =
+      std::min(config_.connect_backoff_cap,
+               config_.connect_backoff_base *
+                   (std::int64_t{1} << (stream->attempt - 1)));
+  sim_.schedule_after(backoff, [this, key = stream->key] {
+    const auto it = streams_.find(key);
+    if (it == streams_.end()) return;
+    const StreamPtr retry = it->second;
+    start_dial(retry);
   });
 }
 
-void PosixNetwork::fail_connect(std::uint64_t pending_id,
-                                const std::string& reason) {
-  const auto it = pending_.find(pending_id);
-  if (it == pending_.end()) return;
-  auto pending = std::move(it->second);
-  pending_.erase(it);
-  if (pending->timeout != sim::kInvalidEvent) sim_.cancel(pending->timeout);
-  if (pending->fd >= 0) {
-    fd_pending_.erase(pending->fd);
-    ::close(pending->fd);
-  }
-  const ConnectHandler handler = std::move(pending->handler);
-  if (handler) {
-    handler(Error{ErrorCode::kConnectionFailed, reason});
-  }
+void PosixNetwork::fail_dial(Stream& stream, const std::string& reason) {
+  release(stream);
+  stream.phase = Stream::Phase::kClosed;
+  const ConnectHandler handler = std::move(stream.handler);
+  if (handler) handler(Error{ErrorCode::kConnectionFailed, reason});
 }
 
-void PosixNetwork::handle_pending_connect(int fd, std::uint32_t events) {
-  const auto fd_it = fd_pending_.find(fd);
-  if (fd_it == fd_pending_.end()) return;
-  const std::uint64_t pending_id = fd_it->second;
-  const auto it = pending_.find(pending_id);
-  if (it == pending_.end()) return;
-  PendingConnect& pending = *it->second;
-
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0 && !pending.awaiting_ack) {
-    // TCP connect failed (no listener / RST). Retry with backoff.
-    fd_pending_.erase(fd);
-    ::close(fd);
-    pending.fd = -1;
-    if (pending.timeout != sim::kInvalidEvent) {
-      sim_.cancel(pending.timeout);
-      pending.timeout = sim::kInvalidEvent;
-    }
-    if (pending.attempt >= config_.connect_attempts) {
-      fail_connect(pending_id, "connection refused");
-      return;
-    }
-    const SimDuration backoff = std::min(
-        config_.connect_backoff_cap,
-        config_.connect_backoff_base * (std::int64_t{1} << (pending.attempt - 1)));
-    sim_.schedule_after(backoff, [this, pending_id] {
-      start_connect_attempt(pending_id);
-    });
-    return;
-  }
-
-  if ((events & EPOLLOUT) != 0) {
-    if (!pending.awaiting_ack && pending.hello_pending.empty()) {
-      int err = 0;
-      socklen_t len = sizeof(err);
-      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) {
-        fd_pending_.erase(fd);
-        ::close(fd);
-        pending.fd = -1;
-        if (pending.timeout != sim::kInvalidEvent) {
-          sim_.cancel(pending.timeout);
-          pending.timeout = sim::kInvalidEvent;
-        }
-        if (pending.attempt >= config_.connect_attempts) {
-          fail_connect(pending_id, "connection refused");
-          return;
-        }
-        const SimDuration backoff =
-            std::min(config_.connect_backoff_cap,
-                     config_.connect_backoff_base *
-                         (std::int64_t{1} << (pending.attempt - 1)));
-        sim_.schedule_after(backoff, [this, pending_id] {
-          start_connect_attempt(pending_id);
-        });
-        return;
-      }
-      // TCP established: send the logical hello
-      // [kind][conn_id][from][to][tech][port].
-      ByteWriter writer;
-      writer.u8(kStreamHello);
-      writer.u64(pending.conn_id);
-      writer.u64(pending.from.as_u64());
-      writer.u64(pending.to.mac.as_u64());
-      writer.u8(static_cast<std::uint8_t>(pending.to.tech));
-      writer.u16(pending.to.port);
-      pending.hello_pending = encode_stream_frame(std::move(writer).take());
-      pending.hello_sent = 0;
-      pending.awaiting_ack = true;
-    }
-    while (pending.hello_sent < pending.hello_pending.size()) {
-      const ssize_t n = ::send(
-          fd, pending.hello_pending.data() + pending.hello_sent,
-          pending.hello_pending.size() - pending.hello_sent, MSG_NOSIGNAL);
-      if (n <= 0) break;  // EAGAIN: finish on the next EPOLLOUT
-      pending.hello_sent += static_cast<std::size_t>(n);
-    }
-    if (pending.hello_sent == pending.hello_pending.size()) {
-      update_epoll(fd, EPOLLIN);  // hello flushed; now wait for the ack
-    }
-  }
-
-  if ((events & EPOLLIN) != 0 && pending.awaiting_ack) {
-    std::uint8_t buffer[kReadChunk];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-      if (n < 0) break;
-      if (n == 0) {
-        // Peer closed before answering: treat as refusal.
-        fd_pending_.erase(fd);
-        ::close(fd);
-        pending.fd = -1;
-        fail_connect(pending_id, "peer closed during handshake");
-        return;
-      }
-      pending.framer.feed(
-          std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
-    }
-    if (auto ack = pending.framer.next()) {
-      ++net_stats_.frames_checked;
-      finish_connect_handshake(pending_id, *ack);
-      return;
-    }
-    // next() latches the poison bit — check it after the decode attempt.
-    if (pending.framer.poisoned()) {
-      ++net_stats_.corrupt_drops;
-      fd_pending_.erase(fd);
-      ::close(fd);
-      pending.fd = -1;
-      fail_connect(pending_id, "corrupt handshake stream");
-      return;
-    }
-  }
-}
-
-void PosixNetwork::finish_connect_handshake(
-    std::uint64_t pending_id, std::span<const std::uint8_t> ack_body) {
-  const auto it = pending_.find(pending_id);
-  if (it == pending_.end()) return;
-  auto pending = std::move(it->second);
-  pending_.erase(it);
-  if (pending->timeout != sim::kInvalidEvent) sim_.cancel(pending->timeout);
-  fd_pending_.erase(pending->fd);
-
-  ByteReader reader{ack_body};
+void PosixNetwork::open_dial(const StreamPtr& stream,
+                             std::span<const std::uint8_t> ack) {
+  ByteReader reader{ack};
   const std::uint8_t kind = reader.u8();
   const std::uint8_t ok = reader.u8();
   if (!reader.ok() || kind != kStreamHelloAck || ok == 0) {
-    ::close(pending->fd);
-    const ConnectHandler handler = std::move(pending->handler);
-    handler(Error{ErrorCode::kConnectionFailed,
-                  "no listener at " + pending->to.to_string()});
+    fail_dial(*stream, "no listener at " + stream->remote.to_string());
     return;
   }
-
-  auto conn = std::make_shared<ConnState>();
-  conn->id = pending->conn_id;
-  conn->fd = pending->fd;
-  conn->local = NetAddress{pending->from, pending->to.tech, 0};
-  conn->remote = pending->to;
-  // Bytes that followed the ack in the same read belong to the data stream.
-  conn->framer = std::move(pending->framer);
-  conns_[conn->id] = conn;
-  fd_conn_[conn->fd] = conn->id;
-  update_epoll(conn->fd, EPOLLIN);
-
-  auto endpoint = std::make_shared<PosixConnection>(*this, conn);
-  conn->endpoint = endpoint;
-  const ConnectHandler handler = std::move(pending->handler);
+  if (stream->deadline != sim::kInvalidEvent) sim_.cancel(stream->deadline);
+  stream->deadline = sim::kInvalidEvent;
+  stream->phase = Stream::Phase::kOpen;
+  auto endpoint = std::make_shared<PosixConnection>(*this, stream);
+  stream->endpoint = endpoint;
+  const ConnectHandler handler = std::move(stream->handler);
   handler(ConnectionPtr{endpoint});
-  // Any data frames that raced the ack are in the framer already.
-  if (const auto state = conns_.find(conn->id); state != conns_.end()) {
-    handle_conn_event(conn->fd, 0);
-  }
 }
 
 void PosixNetwork::handle_listener_readable() {
@@ -765,54 +587,16 @@ void PosixNetwork::handle_listener_readable() {
     if (fd < 0) return;
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto incoming = std::make_unique<IncomingStream>();
-    incoming->fd = fd;
-    incoming_[fd] = std::move(incoming);
-    update_epoll(fd, EPOLLIN);
+    auto stream = std::make_shared<Stream>();
+    stream->fd = fd;
+    add_stream(stream);
+    update_epoll(fd, stream->key, EPOLLIN);
   }
 }
 
-void PosixNetwork::handle_incoming(int fd, std::uint32_t events) {
-  const auto it = incoming_.find(fd);
-  if (it == incoming_.end()) return;
-  IncomingStream& stream = *it->second;
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    ::close(fd);
-    incoming_.erase(it);
-    return;
-  }
-  std::uint8_t buffer[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0) break;
-    if (n == 0) {
-      ::close(fd);
-      incoming_.erase(it);
-      return;
-    }
-    stream.framer.feed(
-        std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
-  }
-  if (const auto hello = stream.framer.next()) {
-    ++net_stats_.frames_checked;
-    accept_hello(fd, *hello);
-    return;
-  }
-  // next() latches the poison bit — check it after the decode attempt.
-  if (stream.framer.poisoned()) {
-    ++net_stats_.corrupt_drops;
-    ::close(fd);
-    incoming_.erase(it);
-    return;
-  }
-}
-
-void PosixNetwork::accept_hello(int fd,
-                                std::span<const std::uint8_t> hello_body) {
-  const auto it = incoming_.find(fd);
-  if (it == incoming_.end()) return;
-
-  ByteReader reader{hello_body};
+void PosixNetwork::accept_stream(const StreamPtr& stream,
+                                 std::span<const std::uint8_t> hello) {
+  ByteReader reader{hello};
   const std::uint8_t kind = reader.u8();
   const std::uint64_t conn_id = reader.u64();
   const MacAddress from = MacAddress::from_u64(reader.u64());
@@ -820,170 +604,173 @@ void PosixNetwork::accept_hello(int fd,
   const std::uint8_t tech_raw = reader.u8();
   const std::uint16_t port = reader.u16();
   if (!reader.ok() || kind != kStreamHello || tech_raw >= kTechnologyCount) {
-    ::close(fd);
-    incoming_.erase(it);
+    close_stream(*stream, /*notify_app=*/false);
     return;
   }
   const Technology tech = static_cast<Technology>(tech_raw);
   const NetAddress local{to_mac, tech, port};
   const AcceptHandler* const accept_handler = listener(local);
-  const bool accepted = accept_handler != nullptr &&
-                        attached_.contains(iface_key(to_mac, tech));
-
-  // Answer the hello first (blocking-ish: the ack is 10 bytes and the socket
-  // buffer of a fresh connection is empty — a short write here closes).
-  ByteWriter writer;
-  writer.u8(kStreamHelloAck);
-  writer.u8(accepted ? 1 : 0);
-  const Bytes ack = encode_stream_frame(std::move(writer).take());
-  const ssize_t sent = ::send(fd, ack.data(), ack.size(), MSG_NOSIGNAL);
-  if (!accepted || sent != static_cast<ssize_t>(ack.size())) {
-    ::close(fd);
-    incoming_.erase(it);
+  const std::uint8_t accepted = accept_handler != nullptr &&
+                                attached_.contains(iface_key(to_mac, tech));
+  queue_frame(*stream, kStreamHelloAck, {&accepted, 1});
+  if (accepted == 0) {
+    // The refusal went out first: the fresh socket's send buffer was empty.
+    close_stream(*stream, /*notify_app=*/false);
     return;
   }
 
-  auto conn = std::make_shared<ConnState>();
-  conn->id = conn_id;
-  conn->fd = fd;
-  conn->local = local;
-  conn->remote = NetAddress{from, tech, 0};
-  conn->framer = std::move(it->second->framer);
-  incoming_.erase(it);
-  conns_[conn->id] = conn;
-  fd_conn_[fd] = conn->id;
-
-  auto endpoint = std::make_shared<PosixConnection>(*this, conn);
-  conn->endpoint = endpoint;
+  stream->id = conn_id;
+  stream->local = local;
+  stream->remote = NetAddress{from, tech, 0};
+  stream->phase = Stream::Phase::kOpen;
+  auto endpoint = std::make_shared<PosixConnection>(*this, stream);
+  stream->endpoint = endpoint;
   // Copy the accept handler out of the table: it may stop_listening on this
   // very address from inside the callback.
   const AcceptHandler accept = *accept_handler;
   accept(endpoint);
-  // Data frames glued to the hello: deliver after accept installed handlers.
-  if (conns_.contains(conn->id)) handle_conn_event(fd, 0);
 }
 
-// --- Established connections -------------------------------------------------
+// The one read path. It reads everything the socket holds into the framer
+// and handles every complete frame by phase; only then does it act on end of
+// stream or a poisoned framer, so frames that arrived with the FIN count.
+void PosixNetwork::handle_stream(std::uint64_t key, std::uint32_t events) {
+  const auto it = streams_.find(key);
+  if (it == streams_.end()) return;  // closed earlier in this epoll batch
+  const StreamPtr stream = it->second;
+  if ((events & EPOLLOUT) != 0) flush(*stream);
 
-void PosixNetwork::conn_write(ConnState& conn,
-                              std::span<const std::uint8_t> frame_body) {
-  if (!conn.open || conn.fd < 0) return;
+  bool ended = (events & (EPOLLERR | EPOLLHUP)) != 0;
+  std::uint8_t buffer[kReadChunk];
+  for (;;) {
+    const ssize_t n = ::recv(stream->fd, buffer, sizeof(buffer), 0);
+    if (n < 0) break;
+    if (n == 0) {
+      ended = true;
+      break;
+    }
+    stream->framer.feed(
+        std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
+  }
+
+  // A frame handler may close the stream, so re-check its phase each round.
+  while (stream->phase != Stream::Phase::kClosed) {
+    const std::optional<Bytes> frame = stream->framer.next();
+    if (!frame.has_value()) break;
+    ++net_stats_.frames_checked;
+    if (stream->phase == Stream::Phase::kDialing) {
+      open_dial(stream, *frame);
+    } else if (stream->phase == Stream::Phase::kAwaitingHello) {
+      accept_stream(stream, *frame);
+    } else if (!frame->empty() && (*frame)[0] == kStreamData) {
+      if (const auto endpoint = stream->endpoint.lock()) {
+        endpoint->deliver(Bytes{frame->begin() + 1, frame->end()});
+      }
+    }
+  }
+  if (stream->phase == Stream::Phase::kClosed) return;
+
+  // next() latches the poison bit: read it after the last decode attempt.
+  // Unlike a datagram, a stream has no next-frame boundary to resync on.
+  const bool poisoned = stream->framer.poisoned();
+  if (poisoned) {
+    ++net_stats_.corrupt_drops;
+  } else if (!ended) {
+    return;
+  }
+  if (stream->phase != Stream::Phase::kDialing) {
+    close_stream(*stream, /*notify_app=*/true);
+  } else if (poisoned) {
+    fail_dial(*stream, "corrupt handshake stream");
+  } else if (!stream->outbox.empty() && stream->front_sent == 0) {
+    // The hello never left, so TCP was never established: a refusal.
+    retry_or_fail(stream, "connection refused");
+  } else {
+    fail_dial(*stream, "peer closed during handshake");
+  }
+}
+
+// The one write path: the hello, the ack and data frames all queue here.
+void PosixNetwork::queue_frame(Stream& stream, std::uint8_t kind,
+                               std::span<const std::uint8_t> body) {
+  if (stream.fd < 0) return;
   ByteWriter writer;
-  writer.reserve(1 + frame_body.size());
-  writer.u8(kStreamData);
-  writer.raw(frame_body);
+  writer.reserve(1 + body.size());
+  writer.u8(kind);
+  writer.raw(body);
   Bytes encoded = encode_stream_frame(std::move(writer).take());
-  if (conn.outbox.size() >= config_.max_send_queue) {
+  if (stream.outbox.size() >= config_.max_send_queue) {
     // Bounded queue, oldest-drop (PR 7's accounting): dropping the *newest*
     // would starve progress under sustained overload; reliable layers
     // retransmit whatever the drop ate.
-    if (conn.outbox.size() == 1 && conn.front_sent > 0) {
+    if (stream.outbox.size() == 1 && stream.front_sent > 0) {
       // Never drop a partially written frame — the stream would desync.
-      conn.outbox.push_back(std::move(encoded));
+      stream.outbox.push_back(std::move(encoded));
       ++net_stats_.send_queue_drops;
-      drain_conn_outbox(conn);
+      flush(stream);
       return;
     }
-    const std::size_t victim = conn.front_sent > 0 ? 1 : 0;
-    conn.outbox.erase(conn.outbox.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
+    const std::size_t victim = stream.front_sent > 0 ? 1 : 0;
+    stream.outbox.erase(stream.outbox.begin() +
+                        static_cast<std::ptrdiff_t>(victim));
     ++net_stats_.send_queue_drops;
   }
-  conn.outbox.push_back(std::move(encoded));
-  drain_conn_outbox(conn);
+  stream.outbox.push_back(std::move(encoded));
+  flush(stream);
 }
 
-void PosixNetwork::drain_conn_outbox(ConnState& conn) {
-  while (!conn.outbox.empty()) {
-    const Bytes& front = conn.outbox.front();
+void PosixNetwork::flush(Stream& stream) {
+  while (!stream.outbox.empty()) {
+    const Bytes& front = stream.outbox.front();
     const ssize_t n =
-        ::send(conn.fd, front.data() + conn.front_sent,
-               front.size() - conn.front_sent, MSG_NOSIGNAL);
-    if (n <= 0) break;  // EAGAIN / error: EPOLLOUT (or close path) continues
-    conn.front_sent += static_cast<std::size_t>(n);
-    if (conn.front_sent == front.size()) {
-      conn.outbox.pop_front();
-      conn.front_sent = 0;
+        ::send(stream.fd, front.data() + stream.front_sent,
+               front.size() - stream.front_sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // EAGAIN / error: EPOLLOUT (or the close path) goes on
+    stream.front_sent += static_cast<std::size_t>(n);
+    if (stream.front_sent == front.size()) {
+      stream.outbox.pop_front();
+      stream.front_sent = 0;
     }
   }
-  const bool want_write = !conn.outbox.empty();
-  if (want_write != conn.want_write) {
-    conn.want_write = want_write;
-    update_epoll(conn.fd, EPOLLIN | (want_write ? EPOLLOUT : 0u));
+  const bool want_write = !stream.outbox.empty();
+  if (want_write != stream.want_write) {
+    stream.want_write = want_write;
+    update_epoll(stream.fd, stream.key, EPOLLIN | (want_write ? EPOLLOUT : 0u));
   }
 }
 
-void PosixNetwork::handle_conn_event(int fd, std::uint32_t events) {
-  const auto fd_it = fd_conn_.find(fd);
-  if (fd_it == fd_conn_.end()) return;
-  const std::uint64_t conn_id = fd_it->second;
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  const std::shared_ptr<ConnState> conn = it->second;
-
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    close_conn(conn_id, /*notify_app=*/true);
-    return;
+// Drops everything tied to the stream's socket: its deadline, the socket
+// (queued-but-unsent frames die with it), its buffers and its table entry.
+void PosixNetwork::release(Stream& stream) {
+  if (stream.deadline != sim::kInvalidEvent) {
+    sim_.cancel(stream.deadline);
+    stream.deadline = sim::kInvalidEvent;
   }
-  if ((events & EPOLLOUT) != 0) drain_conn_outbox(*conn);
-
-  bool peer_closed = false;
-  std::uint8_t buffer[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0) break;
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    conn->framer.feed(
-        std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
+  if (stream.fd >= 0) {
+    ::close(stream.fd);
+    stream.fd = -1;
   }
-  // Drain every complete frame. The endpoint may close/die inside a data
-  // handler — re-check liveness each round.
-  while (conns_.contains(conn_id) && conn->open) {
-    auto frame = conn->framer.next();
-    if (!frame.has_value()) {
-      if (conn->framer.poisoned()) {
-        // Mid-stream corruption: unlike a datagram there is no next-frame
-        // boundary to resync on — count it and kill the connection.
-        ++net_stats_.corrupt_drops;
-        close_conn(conn_id, /*notify_app=*/true);
-        return;
-      }
-      break;
-    }
-    ++net_stats_.frames_checked;
-    if (frame->empty() || (*frame)[0] != kStreamData) continue;
-    const auto endpoint = conn->endpoint.lock();
-    if (endpoint == nullptr) break;
-    endpoint->deliver(Bytes{frame->begin() + 1, frame->end()});
-  }
-  if (peer_closed && conns_.contains(conn_id)) {
-    close_conn(conn_id, /*notify_app=*/true);
-  }
+  stream.framer = StreamFramer{};
+  stream.outbox.clear();
+  stream.front_sent = 0;
+  stream.want_write = false;
+  streams_.erase(stream.key);
 }
 
-void PosixNetwork::close_conn(std::uint64_t conn_id, bool notify_app) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  const std::shared_ptr<ConnState> conn = it->second;
-  conns_.erase(it);
-  conn->open = false;
-  if (conn->fd >= 0) {
-    fd_conn_.erase(conn->fd);
-    ::close(conn->fd);  // queued-but-unsent frames die with the socket
-    conn->fd = -1;
-  }
+void PosixNetwork::close_stream(Stream& stream, bool notify_app) {
+  if (stream.phase == Stream::Phase::kClosed) return;
+  release(stream);
+  stream.phase = Stream::Phase::kClosed;
   if (notify_app) {
-    if (const auto endpoint = conn->endpoint.lock()) {
-      endpoint->force_close();
-    }
+    if (const auto endpoint = stream.endpoint.lock()) endpoint->force_close();
   }
 }
 
 std::size_t PosixNetwork::live_connection_count() const {
-  return conns_.size();
+  return static_cast<std::size_t>(
+      std::count_if(streams_.begin(), streams_.end(), [](const auto& entry) {
+        return entry.second->phase == Stream::Phase::kOpen;
+      }));
 }
 
 }  // namespace peerhood::net

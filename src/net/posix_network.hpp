@@ -5,6 +5,17 @@
 // per process via a logical-port hello. Everything is non-blocking over one
 // epoll instance.
 //
+// One Stream record per TCP socket, from connect()/accept4() to close, in
+// one of four phases: kDialing (a connect in flight: TCP handshake, then the
+// logical hello/ack), kAwaitingHello (accepted, hello not yet read), kOpen
+// (a live connection behind a PosixConnection endpoint) and kClosed. Every
+// stream has one framer, one outbox and one read path; the hello, the ack
+// and data frames all leave through the outbox. epoll_event::data carries
+// the stream's key, not its fd. Keys are never reused, and a dial takes a
+// fresh key for each attempt, so an event queued for a socket closed earlier in
+// the same epoll batch finds no stream instead of the socket that took its
+// fd number. The UDP and listening sockets take the fixed keys 0 and 1.
+//
 // Event core bridge: the backend owns a sim::Simulator whose clock is
 // advanced to *wall time* (microseconds since construction) by poll_once().
 // Every protocol timer — handshake retransmits, reliable-channel RTOs,
@@ -23,7 +34,8 @@
 // Scope: a static localhost/LAN peer table (mac -> ip:ports) stands in for
 // the radio medium's geometry. Quality observation is declined (the
 // handover controller falls back to its reactive loop) and sample_quality
-// reports a flat healthy value for configured peers.
+// reports a flat healthy value for configured peers. Beacons always
+// advertise the PeerHood tag.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +74,6 @@ struct PosixConfig {
   std::uint16_t udp_port{0};
   std::uint16_t tcp_port{0};
   std::uint64_t seed{1};
-  // Advertised in inquiry beacon replies (the SDP PeerHood tag).
-  bool peerhood_capable{true};
   // TCP connect + logical-port handshake deadline per attempt.
   SimDuration connect_timeout{std::chrono::milliseconds{1000}};
   // Attempts per connect() call; retries pay capped exponential backoff and
@@ -122,12 +132,10 @@ class PosixNetwork final : public Network {
   [[nodiscard]] int sample_quality(MacAddress local, MacAddress peer,
                                    Technology tech) override;
 
+  // Fast localhost parameters: sub-second inquiry cadence, no synthetic
+  // connect delay or failure injection.
   [[nodiscard]] const sim::TechnologyParams& params(
       Technology tech) const override;
-  // Replaces the parameter set for one technology (fast localhost defaults
-  // are installed at construction: sub-second inquiry cadence, no synthetic
-  // connect delay or failure injection).
-  void configure(const sim::TechnologyParams& params);
 
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
   [[nodiscard]] std::size_t live_connection_count() const override;
@@ -135,9 +143,8 @@ class PosixNetwork final : public Network {
  private:
   friend class PosixConnection;
 
-  struct PendingConnect;
-  struct IncomingStream;
-  struct ConnState;
+  struct Stream;
+  using StreamPtr = std::shared_ptr<Stream>;
 
   using IfaceKey = std::pair<std::uint64_t, std::uint8_t>;
   [[nodiscard]] static IfaceKey iface_key(MacAddress mac, Technology tech) {
@@ -147,22 +154,27 @@ class PosixNetwork final : public Network {
   void advance_clock();
   void handle_udp_readable();
   void handle_listener_readable();
-  void handle_pending_connect(int fd, std::uint32_t events);
-  void handle_incoming(int fd, std::uint32_t events);
-  void handle_conn_event(int fd, std::uint32_t events);
   void on_udp_packet(std::span<const std::uint8_t> packet);
-  void on_beacon(std::span<const std::uint8_t> packet);
-  void start_connect_attempt(std::uint64_t pending_id);
-  void fail_connect(std::uint64_t pending_id, const std::string& reason);
-  void finish_connect_handshake(std::uint64_t pending_id,
-                                std::span<const std::uint8_t> ack_body);
-  void accept_hello(int fd, std::span<const std::uint8_t> hello_body);
-  void conn_write(ConnState& conn, std::span<const std::uint8_t> frame_body);
-  void drain_conn_outbox(ConnState& conn);
-  void close_conn(std::uint64_t conn_id, bool notify_app);
-  void update_epoll(int fd, std::uint32_t events);
+  void on_beacon(MacAddress from, Technology tech, std::uint8_t flags);
   void send_beacon(const PosixPeer& peer, Technology tech, bool reply);
   [[nodiscard]] const PosixPeer* find_peer(MacAddress mac) const;
+
+  // Streams. Closing a stream drops the table's reference to it, so every
+  // caller holds its own StreamPtr: never pass the table's slot itself.
+  void add_stream(const StreamPtr& stream);
+  void handle_stream(std::uint64_t key, std::uint32_t events);
+  void start_dial(const StreamPtr& stream);
+  void retry_or_fail(const StreamPtr& stream, const std::string& reason);
+  void fail_dial(Stream& stream, const std::string& reason);
+  void open_dial(const StreamPtr& stream, std::span<const std::uint8_t> ack);
+  void accept_stream(const StreamPtr& stream,
+                     std::span<const std::uint8_t> hello);
+  void queue_frame(Stream& stream, std::uint8_t kind,
+                   std::span<const std::uint8_t> body);
+  void flush(Stream& stream);
+  void release(Stream& stream);
+  void close_stream(Stream& stream, bool notify_app);
+  void update_epoll(int fd, std::uint64_t key, std::uint32_t events);
 
   PosixConfig config_;
   sim::Simulator sim_;
@@ -184,15 +196,11 @@ class PosixNetwork final : public Network {
   std::map<std::uint8_t, std::set<std::uint64_t>> inquiry_responders_;
   std::map<IfaceKey, bool> peer_tags_;
 
-  // fd -> state for the three live-socket kinds.
-  std::map<int, std::uint64_t> fd_pending_;          // connecting/awaiting ack
-  std::map<int, std::unique_ptr<IncomingStream>> incoming_;  // pre-hello
-  std::map<int, std::uint64_t> fd_conn_;
-  std::map<std::uint64_t, std::unique_ptr<PendingConnect>> pending_;
-  std::map<std::uint64_t, std::shared_ptr<ConnState>> conns_;
+  // Every TCP socket, by epoll key.
+  std::map<std::uint64_t, StreamPtr> streams_;
 
   sim::TechnologyParams params_[kTechnologyCount];
-  std::uint64_t next_pending_id_{1};
+  std::uint64_t next_key_{2};
   std::uint64_t next_conn_seq_{1};
   bool destroying_{false};
 };

@@ -210,6 +210,42 @@ TYPED_TEST(ConnectionContract, DroppingTheLastHandleClosesThePeer) {
   EXPECT_FALSE(this->server_->open());
 }
 
+TYPED_TEST(ConnectionContract, AcceptThatWritesAndClosesStillConnects) {
+  // A server that answers and hangs up at once: the connect succeeds, the
+  // frame arrives and the close handler fires once, even when the ack, the
+  // frame and the end of stream reach the client together.
+  const NetAddress addr{this->backend_.server_mac(), kBluetooth, 43};
+  ASSERT_TRUE(this->backend_.server_net()
+                  .listen(addr,
+                          [](ConnectionPtr c) {
+                            ASSERT_TRUE(c->write(Bytes{7}).ok());
+                            c->close();
+                          })
+                  .ok());
+  ConnectionPtr client;
+  std::vector<Bytes> seen;
+  int closes = 0;
+  bool failed = false;
+  this->backend_.client_net().connect(
+      this->backend_.client_mac(), addr, [&](Result<ConnectionPtr> result) {
+        if (!result.ok()) {
+          failed = true;
+          return;
+        }
+        client = std::move(result).value();
+        client->set_data_handler(
+            [&seen](const Bytes& frame) { seen.push_back(frame); });
+        client->set_close_handler([&closes] { ++closes; });
+      });
+  ASSERT_TRUE(
+      this->backend_.run_until([&] { return failed || closes > 0; }));
+  this->backend_.settle();
+  EXPECT_FALSE(failed);
+  EXPECT_EQ(seen, (std::vector<Bytes>{{7}}));
+  EXPECT_EQ(closes, 1);
+  EXPECT_FALSE(client->open());
+}
+
 TYPED_TEST(ConnectionContract, QualityOverrideDrivesLinkQuality) {
   const int live = this->client_->link_quality();
   EXPECT_GT(live, 0);
