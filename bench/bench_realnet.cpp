@@ -1,10 +1,13 @@
 // E-realnet — the real-socket backend on loopback.
 //
 // Two PosixNetwork backends in ONE process, pumped alternately through
-// poll_once: real UDP datagrams, a real TCP connection with length-prefix
-// framing, kernel socket buffers and epoll in the path — but no scheduler
-// noise from extra processes, so the numbers are a stable upper bound for
-// what the three-process harness (tools/realnet_node.cpp) can see.
+// poll_once with a zero wait: real UDP datagrams, a real TCP connection with
+// length-prefix framing, kernel socket buffers and epoll in the path — but
+// no scheduler noise from extra processes, so the numbers are a stable upper
+// bound for what the three-process harness (tools/realnet_node.cpp) can see.
+// Neither side sleeps in epoll while the other has work; a 1 ms wait per
+// pump would cap the stream near 64 frames per millisecond and add an idle
+// millisecond to the connect.
 //
 //  * connect latency: dial → accepted, hello/ack handshake included.
 //  * stream throughput: framed 1 KiB writes client → server, drained as
@@ -63,8 +66,8 @@ struct LoopbackPair {
   // not raced; the CI smoke row finishes in milliseconds).
   void pump_until(const std::function<bool()>& done) {
     while (!done()) {
-      a->poll_once(milliseconds(1));
-      b->poll_once(milliseconds(1));
+      a->poll_once(SimDuration{0});
+      b->poll_once(SimDuration{0});
     }
   }
 };
@@ -100,8 +103,8 @@ double stream_frames_per_sec(LoopbackPair& pair, const ConnectionPtr& client,
       (void)client->write(payload);
       ++sent;
     }
-    pair.a->poll_once(milliseconds(1));
-    pair.b->poll_once(milliseconds(1));
+    pair.a->poll_once(SimDuration{0});
+    pair.b->poll_once(SimDuration{0});
   }
   const double s =
       std::chrono::duration<double>(Clock::now() - begin).count();

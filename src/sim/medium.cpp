@@ -69,17 +69,16 @@ void RadioMedium::register_endpoint(
   endpoint.mobility = std::move(mobility);
   endpoint.handler = std::move(handler);
   TechState& ts = state(tech);
-  {
-    // Re-registration may swap the mobility model; retire the old entry's
-    // mobile-list slot first (the map node — and thus the pointer — is
-    // reused by insert_or_assign below).
-    const auto existing = endpoints_.find(key(mac, tech));
-    if (existing != endpoints_.end() && !existing->second.is_static) {
-      std::erase(ts.mobiles, &existing->second);
-    }
+  // Re-registration may swap the mobility model; retire the old entry's
+  // mobile-list slot first (the map node — and thus the pointer and its
+  // index slot — is reused by insert_or_assign below).
+  if (const Endpoint* existing = find(mac, tech);
+      existing != nullptr && !existing->is_static) {
+    std::erase(ts.mobiles, existing);
   }
   const auto [it, inserted] =
       endpoints_.insert_or_assign(key(mac, tech), std::move(endpoint));
+  if (inserted) index_insert(it->first, &it->second);
   if (!it->second.is_static) ts.mobiles.push_back(&it->second);
   // A built grid (current or stale) is maintained incrementally: a stale one
   // is only ever *refreshed* on the next query, so every registered endpoint
@@ -89,7 +88,6 @@ void RadioMedium::register_endpoint(
     ts.grid.insert(mac.as_u64(), at, &it->second);
     it->second.grid_position = at;
   }
-  (void)inserted;
   next_walk_ = SimTime::zero();
   // Observers may outlive endpoint churn: re-attach any that watch a link
   // touching the (re-)registered endpoint. insert_or_assign wiped the old
@@ -110,6 +108,7 @@ void RadioMedium::unregister_endpoint(MacAddress mac, Technology tech) {
   if (it == endpoints_.end()) return;
   TechState& ts = state(tech);
   if (!it->second.is_static) std::erase(ts.mobiles, &it->second);
+  index_erase(it->first);
   endpoints_.erase(it);
   // Always evict: the grid must never hold a dangling payload.
   ts.grid.remove(mac.as_u64());
@@ -117,18 +116,63 @@ void RadioMedium::unregister_endpoint(MacAddress mac, Technology tech) {
 }
 
 bool RadioMedium::has_endpoint(MacAddress mac, Technology tech) const {
-  return endpoints_.contains(key(mac, tech));
+  return find(mac, tech) != nullptr;
 }
 
-const RadioMedium::Endpoint* RadioMedium::find(MacAddress mac,
-                                               Technology tech) const {
-  const auto it = endpoints_.find(key(mac, tech));
-  return it == endpoints_.end() ? nullptr : &it->second;
+std::size_t RadioMedium::home_slot(std::uint64_t k) const {
+  // Fibonacci hashing: the top bits of the product spread the consecutive
+  // MACs tests and scenarios hand out across the whole table.
+  return static_cast<std::size_t>((k * 0x9e3779b97f4a7c15ULL) >>
+                                  index_shift_);
 }
 
-RadioMedium::Endpoint* RadioMedium::find(MacAddress mac, Technology tech) {
-  const auto it = endpoints_.find(key(mac, tech));
-  return it == endpoints_.end() ? nullptr : &it->second;
+RadioMedium::Endpoint* RadioMedium::find(MacAddress mac,
+                                         Technology tech) const {
+  const std::uint64_t k = key(mac, tech);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home_slot(k);; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.endpoint == nullptr) return nullptr;
+    if (slot.key == k) return slot.endpoint;
+  }
+}
+
+void RadioMedium::index_insert(std::uint64_t k, Endpoint* endpoint) {
+  // Kept at most half full, so a probe run ends at an empty slot soon.
+  if (2 * endpoints_.size() > index_.size()) {
+    // Double, and re-place every endpoint (the new one included).
+    index_.assign(2 * index_.size(), IndexSlot{});
+    --index_shift_;
+    for (auto& [other_key, other] : endpoints_) place(other_key, &other);
+    return;
+  }
+  place(k, endpoint);
+}
+
+void RadioMedium::place(std::uint64_t k, Endpoint* endpoint) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home_slot(k);
+  while (index_[i].endpoint != nullptr) i = (i + 1) & mask;
+  index_[i] = {k, endpoint};
+}
+
+void RadioMedium::index_erase(std::uint64_t k) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home_slot(k);
+  while (index_[hole].key != k || index_[hole].endpoint == nullptr) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless that would move it before its home slot.
+  for (std::size_t i = (hole + 1) & mask; index_[i].endpoint != nullptr;
+       i = (i + 1) & mask) {
+    const std::size_t probe_distance = (i - home_slot(index_[i].key)) & mask;
+    if (probe_distance >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = IndexSlot{};
 }
 
 Vec2 RadioMedium::cached_position(const Endpoint& endpoint) const {
@@ -370,24 +414,30 @@ void RadioMedium::evaluate_quality_observers() {
 
 LinkQualityEvent RadioMedium::probe_link(MacAddress a, MacAddress b,
                                          Technology tech) const {
-  LinkQualityEvent event;
-  event.a = a;
-  event.b = b;
-  event.tech = tech;
-  event.at = sim_.now();
+  LinkQualityEvent event{.a = a, .b = b, .tech = tech, .at = sim_.now()};
   const Endpoint* ea = find(a, tech);
   const Endpoint* eb = find(b, tech);
   if (ea == nullptr || eb == nullptr) return event;
-  const double range = state(tech).params.range_m;
-  const Vec2 rel = cached_position(*ea) - cached_position(*eb);
-  event.distance_m = rel.norm();
+  measure_link(*ea, *eb, event);
+  add_link_motion(*ea, *eb, event);
+  return event;
+}
+
+void RadioMedium::measure_link(const Endpoint& ea, const Endpoint& eb,
+                               LinkQualityEvent& event) const {
+  event.distance_m = (cached_position(ea) - cached_position(eb)).norm();
   event.quality = quality_model_.finalize(
-      base_quality(*ea, *eb, event.distance_m), nullptr);
+      base_quality(ea, eb, event.distance_m), nullptr);
+}
+
+void RadioMedium::add_link_motion(const Endpoint& ea, const Endpoint& eb,
+                                  LinkQualityEvent& event) const {
   // Signed slope from the models' velocities: project the relative
   // velocity onto the separation axis, then difference the path-loss
   // curve one second of radial motion ahead (clamped to the coverage).
+  const Vec2 rel = cached_position(ea) - cached_position(eb);
   const Vec2 vrel =
-      ea->mobility->velocity_at(event.at) - eb->mobility->velocity_at(event.at);
+      ea.mobility->velocity_at(event.at) - eb.mobility->velocity_at(event.at);
   event.radial_speed_mps =
       event.distance_m > 1e-9
           ? (rel.x * vrel.x + rel.y * vrel.y) / event.distance_m
@@ -395,15 +445,15 @@ LinkQualityEvent RadioMedium::probe_link(MacAddress a, MacAddress b,
   // A dead link has no meaningful quality slope: the ahead-point would
   // clamp back inside coverage and report a phantom recovery.
   if (event.quality > 0) {
+    const double range = state(event.tech).params.range_m;
     const double ahead =
         std::clamp(event.distance_m + event.radial_speed_mps, 0.0, range);
-    const double base_ahead =
-        quality_model_.base_quality(ahead, range, link_shadow_key(a, b, tech));
+    const double base_ahead = quality_model_.base_quality(
+        ahead, range, link_shadow_key(event.a, event.b, event.tech));
     event.slope_per_s =
         static_cast<double>(quality_model_.finalize(base_ahead, nullptr)) -
         static_cast<double>(event.quality);
   }
-  return event;
 }
 
 void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
@@ -414,7 +464,11 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
   obs.next_eval = now + kObserverMinInterval;
   ++quality_stats_.observer_evals;
 
-  LinkQualityEvent event = probe_link(obs.a, obs.b, obs.tech);
+  LinkQualityEvent event{.a = obs.a, .b = obs.b, .tech = obs.tech, .at = now};
+  const Endpoint* ea = find(obs.a, obs.tech);
+  const Endpoint* eb = find(obs.b, obs.tech);
+  const bool linked = ea != nullptr && eb != nullptr;
+  if (linked) measure_link(*ea, *eb, event);
   const bool in_range = event.quality > 0;
 
   const bool was_in = obs.in_range;
@@ -443,6 +497,10 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
     if (!was_below && below) edges[edge_count++] = Edge::kFell;
     if (was_below && !below) edges[edge_count++] = Edge::kRose;
   }
+  if (edge_count == 0) return;
+  // Only a pushed crossing carries motion; both endpoints are still
+  // registered, since callbacks have not run yet.
+  if (linked) add_link_motion(*ea, *eb, event);
 
   for (std::size_t i = 0; i < edge_count; ++i) {
     // Pin-before-call (HandlerSlot discipline): the callback may

@@ -17,6 +17,12 @@
 //   in_range / distance / quality
 //            | 2 position_at per call   | positions cached once per
 //            |                          |   SimTime; quality per call
+//   endpoint lookup (every read above, every frame)
+//            | hash-map probe           | one probe of a flat open-
+//            |                          |   addressing index
+//   observer re-check (100 ms per observed link)
+//            | quality + 2 velocity_at  | quality only; the velocities
+//            |   + look-ahead slope     |   and slope only on a crossing
 //
 // The grid is rebuilt lazily when the clock advances (the Simulator time
 // observer bumps `position_gen_`) and maintained incrementally while time
@@ -24,6 +30,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,11 +58,13 @@ struct TrafficStats {
 };
 
 // Counters for the link-quality plane. `evaluations` counts
-// distance -> path-loss computations, one per quality read;
-// `observer_evals` observer re-checks (the O(moved endpoints) bound is
-// asserted against this one); `events_emitted` threshold/coverage crossing
-// callbacks delivered. `cache_hits` is kept only because the benchmark
-// (perfbench/) reads it; the medium has no link cache, so it always reads 0.
+// distance -> path-loss computations, one per quality read; the look-ahead
+// that completes a probe or a pushed crossing with its motion is not
+// counted. `observer_evals` counts observer re-checks (the O(moved
+// endpoints) bound is asserted against this one); `events_emitted`
+// threshold/coverage crossing callbacks delivered. `cache_hits` is kept
+// only because the benchmark (perfbench/) reads it; the medium has no link
+// cache, so it always reads 0.
 struct QualityStats {
   std::uint64_t evaluations{0};
   std::uint64_t cache_hits{0};
@@ -324,8 +333,14 @@ class RadioMedium {
   // point queries, frame delivery) so their results are bit-identical.
   [[nodiscard]] static bool within_range(Vec2 a, Vec2 b, double range_m);
 
-  [[nodiscard]] const Endpoint* find(MacAddress mac, Technology tech) const;
-  [[nodiscard]] Endpoint* find(MacAddress mac, Technology tech);
+  // One probe of index_; null when (mac, tech) is not registered.
+  [[nodiscard]] Endpoint* find(MacAddress mac, Technology tech) const;
+  [[nodiscard]] std::size_t home_slot(std::uint64_t k) const;
+  // Adds a newly registered endpoint to index_, doubling it first when it
+  // would be more than half full.
+  void index_insert(std::uint64_t k, Endpoint* endpoint);
+  void place(std::uint64_t k, Endpoint* endpoint);
+  void index_erase(std::uint64_t k);
 
   [[nodiscard]] Vec2 cached_position(const Endpoint& endpoint) const;
   [[nodiscard]] TechState& state(Technology tech) const;
@@ -346,6 +361,14 @@ class RadioMedium {
   // <= 0 means dead. Counts one evaluation.
   [[nodiscard]] double base_quality(const Endpoint& ea, const Endpoint& eb,
                                     double distance_m) const;
+  // probe_link in two halves. measure_link fills the event's distance and
+  // noise-free quality (one evaluation); add_link_motion then adds the
+  // radial speed and quality slope from both models' velocities (not
+  // counted). An observer re-check needs the motion only for a crossing.
+  void measure_link(const Endpoint& ea, const Endpoint& eb,
+                    LinkQualityEvent& event) const;
+  void add_link_motion(const Endpoint& ea, const Endpoint& eb,
+                       LinkQualityEvent& event) const;
   [[nodiscard]] static std::uint64_t link_shadow_key(MacAddress a,
                                                      MacAddress b,
                                                      Technology tech);
@@ -363,10 +386,21 @@ class RadioMedium {
   Simulator::TimeObserverId time_observer_{0};
   LinkQualityModel quality_model_;
   Rng noise_rng_;
-  // Hashed by key(): every frame, sample and inquiry resolves endpoints
-  // here. Node-based, so Endpoint pointers (grid payloads, mobile lists)
-  // stay valid across rehashes.
+  // Owns every endpoint, keyed by key(). Node-based, so Endpoint pointers
+  // (grid payloads, mobile lists, index_) stay valid across rehashes.
   std::unordered_map<std::uint64_t, Endpoint> endpoints_;
+  // Open-addressing index over endpoints_: every frame, sample and inquiry
+  // resolves its endpoints here. Power-of-two size, at most half full,
+  // multiplicative hash (home_slot), linear probing; an empty slot has a
+  // null endpoint. Maintained by register/unregister (backward-shift
+  // deletion keeps probe runs gap-free without tombstones).
+  struct IndexSlot {
+    std::uint64_t key{0};
+    Endpoint* endpoint{nullptr};
+  };
+  static constexpr std::size_t kIndexMinSlots = 16;
+  std::vector<IndexSlot> index_ = std::vector<IndexSlot>(kIndexMinSlots);
+  int index_shift_{64 - std::countr_zero(kIndexMinSlots)};  // 64 - log2 size
   mutable std::array<TechState, kTechnologyCount> tech_;
   // Bumped by the Simulator time observer whenever the clock advances; every
   // cached position / grid tagged with an older generation is stale.

@@ -40,6 +40,17 @@ void prune_history(Segments& segments, SimTime t, EndsBefore ends_before) {
   if (cut > 0) segments.erase(segments.begin(), segments.begin() + cut);
 }
 
+// Index of the last segment departing at or before `t`: the one holding `t`
+// once the history extends through it.
+template <typename Segments>
+std::size_t last_departed(const Segments& segments, SimTime t) {
+  const auto next = std::upper_bound(
+      segments.begin(), segments.end(), t,
+      [](SimTime value, const auto& s) { return value < s.depart; });
+  assert(next != segments.begin());
+  return static_cast<std::size_t>(next - 1 - segments.begin());
+}
+
 }  // namespace
 
 Vec2 MobilityModel::velocity_at(SimTime t) const {
@@ -101,7 +112,7 @@ void RandomWaypoint::rewind() const {
 }
 
 void RandomWaypoint::extend_until(SimTime t) const {
-  while (segments_.back().arrive < t) {
+  while (segments_.back().arrive <= t) {
     const Segment& last = segments_.back();
     const Vec2 target{rng_.uniform(config_.area_min.x, config_.area_max.x),
                       rng_.uniform(config_.area_min.y, config_.area_max.y)};
@@ -116,6 +127,12 @@ void RandomWaypoint::extend_until(SimTime t) const {
 }
 
 const RandomWaypoint::Segment& RandomWaypoint::segment_for(SimTime t) const {
+  // Still inside the last segment used: the next one departs at its end, so
+  // this is the segment the search below would find.
+  if (cursor_ < segments_.size()) {
+    const Segment& seg = segments_[cursor_];
+    if (seg.depart <= t && t < seg.arrive) return seg;
+  }
   // A query behind the pruned base deterministically replays the whole walk
   // from the initial RNG state — exactness over speed for the rare backwards
   // jump; forward queries stay O(1) amortised with bounded history.
@@ -123,11 +140,8 @@ const RandomWaypoint::Segment& RandomWaypoint::segment_for(SimTime t) const {
   extend_until(t);
   prune_history(segments_, t,
                 [](const Segment& s, SimTime at) { return s.arrive < at; });
-  const auto next = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](SimTime value, const Segment& s) { return value < s.depart; });
-  assert(next != segments_.begin());
-  return *(next - 1);
+  cursor_ = last_departed(segments_, t);
+  return segments_[cursor_];
 }
 
 Vec2 RandomWaypoint::position_at(SimTime t) const {
@@ -205,24 +219,31 @@ GaussMarkov::Segment GaussMarkov::make_segment(SimTime depart,
 }
 
 void GaussMarkov::extend_until(SimTime t) const {
-  while (segments_.back().depart + config_.update_interval < t) {
+  while (segments_.back().depart + config_.update_interval <= t) {
     const Segment& last = segments_.back();
     segments_.push_back(
         make_segment(last.depart + config_.update_interval, last.to));
   }
 }
 
-Vec2 GaussMarkov::position_at(SimTime t) const {
+const GaussMarkov::Segment& GaussMarkov::segment_for(SimTime t) const {
+  if (cursor_ < segments_.size()) {
+    const Segment& seg = segments_[cursor_];
+    if (seg.depart <= t && t < seg.depart + config_.update_interval) {
+      return seg;
+    }
+  }
   if (t < segments_.front().depart) rewind();
   extend_until(t);
   prune_history(segments_, t, [this](const Segment& s, SimTime at) {
     return s.depart + config_.update_interval < at;
   });
-  const auto next = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](SimTime value, const Segment& s) { return value < s.depart; });
-  assert(next != segments_.begin());
-  const Segment& seg = *(next - 1);
+  cursor_ = last_departed(segments_, t);
+  return segments_[cursor_];
+}
+
+Vec2 GaussMarkov::position_at(SimTime t) const {
+  const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
   if (dt <= 0.0) return seg.from;
   const double alpha =
@@ -231,13 +252,7 @@ Vec2 GaussMarkov::position_at(SimTime t) const {
 }
 
 Vec2 GaussMarkov::velocity_at(SimTime t) const {
-  if (t < segments_.front().depart) rewind();
-  extend_until(t);
-  const auto next = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](SimTime value, const Segment& s) { return value < s.depart; });
-  assert(next != segments_.begin());
-  const Segment& seg = *(next - 1);
+  const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
   if (dt <= 0.0) return {};
   return (seg.to - seg.from) * (1.0 / dt);
@@ -269,25 +284,32 @@ void GroupMember::extend_until(SimTime t) const {
   if (segments_.empty()) {
     segments_.push_back(Segment{SimTime::zero(), {}, draw_target()});
   }
-  while (segments_.back().depart + config_.update_interval < t) {
+  while (segments_.back().depart + config_.update_interval <= t) {
     const Segment& last = segments_.back();
     segments_.push_back(Segment{last.depart + config_.update_interval,
                                 last.to, draw_target()});
   }
 }
 
-Vec2 GroupMember::deviation_at(SimTime t) const {
-  if (config_.deviation_radius_m <= 0.0) return {};
+const GroupMember::Segment& GroupMember::segment_for(SimTime t) const {
+  if (cursor_ < segments_.size()) {
+    const Segment& seg = segments_[cursor_];
+    if (seg.depart <= t && t < seg.depart + config_.update_interval) {
+      return seg;
+    }
+  }
   if (!segments_.empty() && t < segments_.front().depart) rewind();
   extend_until(t);
   prune_history(segments_, t, [this](const Segment& s, SimTime at) {
     return s.depart + config_.update_interval < at;
   });
-  const auto next = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](SimTime value, const Segment& s) { return value < s.depart; });
-  assert(next != segments_.begin());
-  const Segment& seg = *(next - 1);
+  cursor_ = last_departed(segments_, t);
+  return segments_[cursor_];
+}
+
+Vec2 GroupMember::deviation_at(SimTime t) const {
+  if (config_.deviation_radius_m <= 0.0) return {};
+  const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
   if (dt <= 0.0) return seg.from;
   const double alpha =
@@ -297,13 +319,7 @@ Vec2 GroupMember::deviation_at(SimTime t) const {
 
 Vec2 GroupMember::deviation_slope_at(SimTime t) const {
   if (config_.deviation_radius_m <= 0.0) return {};
-  if (!segments_.empty() && t < segments_.front().depart) rewind();
-  extend_until(t);
-  const auto next = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](SimTime value, const Segment& s) { return value < s.depart; });
-  assert(next != segments_.begin());
-  const Segment& seg = *(next - 1);
+  const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
   if (dt <= 0.0) return {};
   return (seg.to - seg.from) * (1.0 / dt);

@@ -10,11 +10,19 @@
 // quality observers of RadioMedium use it to compute the signed link-quality
 // slope, which is what turns threshold crossings into *predictions*.
 //
-// Segment-generating models (RandomWaypoint, GaussMarkov, GroupDeviation)
+// Segment-generating models (RandomWaypoint, GaussMarkov, GroupMember)
 // keep their history bounded: segments wholly before the newest queried time
 // are pruned once the history grows past a watermark, and a query *behind*
 // the pruned base deterministically regenerates the walk from its initial
 // RNG state — backwards queries stay exact, long sims stay O(1) in memory.
+//
+// A segment holds the half-open interval [depart, next depart). A query at
+// an exact boundary generates the segment departing there and answers from
+// it, so position and velocity at any instant are the same whatever was
+// queried before. Each of these models keeps a cursor on the segment its
+// last query used; a query inside that segment's interval (the common case:
+// the clock moves forward a little) skips the history search entirely, and
+// any other query searches and re-seats the cursor.
 #pragma once
 
 #include <memory>
@@ -146,6 +154,7 @@ class RandomWaypoint final : public MobilityModel {
   Rng initial_rng_;  // pristine copy: backwards queries replay the walk
   mutable Rng rng_;
   mutable std::vector<Segment> segments_;
+  mutable std::size_t cursor_{0};  // segments_ index of the last query
 };
 
 // Gauss–Markov mobility: speed and direction evolve as first-order
@@ -192,6 +201,7 @@ class GaussMarkov final : public MobilityModel {
   void seed_segments() const;
   // Advances the AR state one step and emits the segment leaving `from`.
   [[nodiscard]] Segment make_segment(SimTime depart, Vec2 from) const;
+  [[nodiscard]] const Segment& segment_for(SimTime t) const;
 
   Config config_;
   Vec2 start_;
@@ -199,6 +209,7 @@ class GaussMarkov final : public MobilityModel {
   mutable Rng rng_;
   mutable WalkState state_;
   mutable std::vector<Segment> segments_;
+  mutable std::size_t cursor_{0};
 };
 
 // Reference-point group mobility (RPGM): each member tracks a shared group
@@ -233,6 +244,7 @@ class GroupMember final : public MobilityModel {
 
   void extend_until(SimTime t) const;
   void rewind() const;
+  [[nodiscard]] const Segment& segment_for(SimTime t) const;
   [[nodiscard]] Vec2 deviation_at(SimTime t) const;
   [[nodiscard]] Vec2 deviation_slope_at(SimTime t) const;
 
@@ -242,6 +254,7 @@ class GroupMember final : public MobilityModel {
   Rng initial_rng_;
   mutable Rng rng_;
   mutable std::vector<Segment> segments_;
+  mutable std::size_t cursor_{0};
 };
 
 }  // namespace peerhood::sim

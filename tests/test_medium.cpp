@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "reference_neighbours.hpp"
 
 namespace peerhood::sim {
 namespace {
@@ -264,6 +270,82 @@ TEST_F(MediumTest, LastDeliveryMapStaysBoundedOverManyPairs) {
   // 30 rounds × 40 distinct directed pairs ≈ 1200 lifetime pairs; the sweep
   // keeps the live map well below that.
   EXPECT_LT(medium_.last_delivery_entries(), 300u);
+}
+
+// The endpoint index under churn: endpoints over two technologies are
+// registered, unregistered and re-registered (sometimes swapping a static
+// model for a moving one or back) in a seeded order that grows the index
+// through several doublings. After every step each lookup agrees with a
+// reference map: registration, position, pairwise range and the neighbour
+// list.
+TEST(MediumEndpointIndex, AgreesWithReferenceMapThroughChurn) {
+  Simulator sim{3};
+  RadioMedium medium{sim};
+  constexpr std::uint64_t kMacs = 320;
+  constexpr Technology kTechs[] = {Technology::kBluetooth, Technology::kWlan};
+  std::map<std::pair<std::uint64_t, Technology>,
+           std::shared_ptr<const MobilityModel>>
+      reference;
+  // Keys unregistered at least once, and those of them registered again.
+  std::set<std::pair<std::uint64_t, Technology>> left;
+  std::set<std::pair<std::uint64_t, Technology>> returned;
+  Rng rng{2024};
+  const auto mac = [](std::uint64_t n) { return MacAddress::from_index(n); };
+
+  for (int step = 0; step < 5000; ++step) {
+    const auto n = static_cast<std::uint64_t>(rng.uniform_int(1, kMacs));
+    const Technology tech = kTechs[rng.uniform_int(0, 1)];
+    if (rng.next_double() < 0.65) {
+      const Vec2 at{rng.uniform(0.0, 80.0), rng.uniform(0.0, 80.0)};
+      std::shared_ptr<const MobilityModel> model;
+      if (rng.next_double() < 0.5) {
+        model = std::make_shared<StaticPosition>(at);
+      } else {
+        model = std::make_shared<LinearMotion>(
+            at, Vec2{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
+            sim.now());
+      }
+      medium.register_endpoint(mac(n), tech, model, nullptr);
+      reference[{n, tech}] = std::move(model);
+      if (left.contains({n, tech})) returned.insert({n, tech});
+    } else {
+      medium.unregister_endpoint(mac(n), tech);
+      if (reference.erase({n, tech}) > 0) left.insert({n, tech});
+    }
+    if (step % 50 == 49) sim.run_until(sim.now() + seconds(1.0));
+
+    for (std::uint64_t i = 1; i <= kMacs; ++i) {
+      for (const Technology t : kTechs) {
+        const auto it = reference.find({i, t});
+        ASSERT_EQ(medium.has_endpoint(mac(i), t), it != reference.end())
+            << "step " << step << " mac " << i;
+        const auto position = medium.position_of(mac(i), t);
+        ASSERT_EQ(position.has_value(), it != reference.end());
+        if (position) {
+          EXPECT_EQ(*position, it->second->position_at(sim.now()));
+        }
+      }
+    }
+    // The stepped endpoint's neighbours, and its range to one other MAC.
+    std::vector<ReferenceEndpoint> same_tech;
+    for (const auto& [k, model] : reference) {
+      if (k.second == tech) same_tech.push_back({mac(k.first), model});
+    }
+    const std::vector<MacAddress> expected = in_range_of_brute(
+        same_tech, mac(n), medium.params(tech).range_m, sim.now());
+    ASSERT_EQ(medium.in_range_of(mac(n), tech), expected) << "step " << step;
+    // Another MAC: in_range_of leaves the endpoint itself out.
+    const auto hop = static_cast<std::uint64_t>(rng.uniform_int(1, kMacs - 1));
+    const MacAddress other = mac((n - 1 + hop) % kMacs + 1);
+    EXPECT_EQ(medium.in_range(mac(n), other, tech),
+              std::find(expected.begin(), expected.end(), other) !=
+                  expected.end())
+        << "step " << step;
+  }
+  // The walk reached a population that needs a many-times-doubled index,
+  // and took most of it through a full leave-and-return cycle.
+  EXPECT_GT(reference.size(), 300u);
+  EXPECT_GE(returned.size(), 300u);
 }
 
 }  // namespace

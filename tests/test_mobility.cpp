@@ -317,13 +317,17 @@ TEST(GaussMarkov, LongSimsKeepBoundedHistory) {
 
 // Drives one long-lived model through a random mix of forward steps,
 // repeats, short backward jumps, long forward jumps (which prune the
-// history) and jumps far back (behind the prune base). Every answer must be
-// bit-equal to a fresh model's, queried at that time alone.
+// history) and jumps far back (behind the prune base). A quarter of the
+// times are snapped onto a segment boundary: down to a multiple of
+// `boundary`, or to `boundary` itself. Every answer must be bit-equal to a
+// fresh model's, queried at that time alone.
 template <typename Make>
-void expect_history_parity(const Make& make, std::uint64_t seed) {
+void expect_history_parity(const Make& make, std::uint64_t seed,
+                           SimDuration boundary) {
   const std::shared_ptr<const MobilityModel> model = make();
   Rng pattern{seed};
   std::int64_t t_us = 0;
+  const std::int64_t boundary_us = boundary.count();
   for (int step = 0; step < 300; ++step) {
     const double roll = pattern.next_double();
     if (roll < 0.45) {
@@ -337,6 +341,10 @@ void expect_history_parity(const Make& make, std::uint64_t seed) {
       t_us += pattern.uniform_int(20'000'000, 150'000'000);
     } else {
       t_us = pattern.uniform_int(0, t_us / 2);
+    }
+    if (pattern.next_double() < 0.25) {
+      t_us = pattern.next_double() < 0.2 ? boundary_us
+                                          : t_us / boundary_us * boundary_us;
     }
     const SimTime t{microseconds(t_us)};
     const std::shared_ptr<const MobilityModel> fresh = make();
@@ -359,13 +367,14 @@ RandomWaypoint::Config small_area() {
 }
 
 TEST(SegmentHistory, RandomWaypointMatchesFreshModel) {
+  // The initial pause's end is the one boundary known in advance.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     expect_history_parity(
         [seed] {
           return std::make_shared<RandomWaypoint>(small_area(),
                                                   Vec2{5.0, 5.0}, Rng{seed});
         },
-        seed);
+        seed, small_area().pause);
   }
 }
 
@@ -376,7 +385,7 @@ TEST(SegmentHistory, GaussMarkovMatchesFreshModel) {
           return std::make_shared<GaussMarkov>(GaussMarkov::Config{},
                                                Vec2{50.0, 50.0}, Rng{seed});
         },
-        seed);
+        seed, GaussMarkov::Config{}.update_interval);
   }
 }
 
@@ -390,7 +399,57 @@ TEST(SegmentHistory, GroupMemberMatchesFreshModel) {
               reference, Vec2{1.0, -1.0}, GroupMember::Config{},
               Rng{seed + 100});
         },
-        seed);
+        seed, GroupMember::Config{}.update_interval);
+  }
+}
+
+// At an exact segment boundary every model answers from the segment that
+// departs there (the right-hand derivative of mobility.hpp), whether or not
+// a later time was queried first.
+template <typename Make>
+void expect_boundary_ignores_history(const Make& make, SimTime boundary,
+                                     SimTime later) {
+  const std::shared_ptr<const MobilityModel> fresh = make();
+  const std::shared_ptr<const MobilityModel> primed = make();
+  (void)primed->position_at(later);
+  EXPECT_EQ(primed->velocity_at(boundary), fresh->velocity_at(boundary));
+  EXPECT_EQ(primed->position_at(boundary), fresh->position_at(boundary));
+}
+
+TEST(SegmentBoundary, RandomWaypointPauseEndIgnoresHistory) {
+  // Default 2 s initial pause: at its end the walk has started.
+  expect_boundary_ignores_history(
+      [] {
+        return std::make_shared<RandomWaypoint>(RandomWaypoint::Config{},
+                                                Vec2{50.0, 50.0}, Rng{3});
+      },
+      at(2.0), at(3.0));
+  RandomWaypoint model{{}, {50.0, 50.0}, Rng{3}};
+  EXPECT_NE(model.velocity_at(at(2.0)), (Vec2{0.0, 0.0}));
+}
+
+TEST(SegmentBoundary, GaussMarkovUpdateIgnoresHistory) {
+  for (const double t : {1.0, 3.0, 8.0}) {
+    expect_boundary_ignores_history(
+        [] {
+          return std::make_shared<GaussMarkov>(GaussMarkov::Config{},
+                                               Vec2{50.0, 50.0}, Rng{5});
+        },
+        at(t), at(t + 1.0));
+  }
+}
+
+TEST(SegmentBoundary, GroupMemberRetargetIgnoresHistory) {
+  GroupMember::Config config;
+  config.deviation_radius_m = 0.8;
+  for (const double t : {4.0, 8.0, 12.0}) {
+    expect_boundary_ignores_history(
+        [config] {
+          return std::make_shared<GroupMember>(
+              std::make_shared<StaticPosition>(Vec2{10.0, 10.0}),
+              Vec2{1.0, 0.0}, config, Rng{5});
+        },
+        at(t), at(t + 1.0));
   }
 }
 

@@ -1,7 +1,9 @@
 // Push-based link-quality plane (PR 5): threshold/hysteresis crossing
 // events, slope signs, observer lifecycle (idempotent unsubscribe,
 // reentrant unsubscribe/subscribe from inside a callback), symmetric
-// quality reads with their evaluation count, and the scaling contract — a scenario tick performs
+// quality reads with their evaluation count, a re-check that reads quality
+// only (motion is added for a crossing alone, bit-equal to a probe), and
+// the scaling contract — a scenario tick performs
 // O(observers on moved endpoints) evaluations, not O(subscribers) polls,
 // and an endpoint re-registration or a subscription from a callback is
 // never missed by the walk that skips ticks with nothing due.
@@ -279,6 +281,79 @@ TEST_F(QualityObserverTest, QualityReadsAreSymmetricAndEachCountsOneEvaluation) 
   EXPECT_EQ(stats.evaluations, evals0 + 5);
   // Nothing serves repeats any more; the counter stays for the benchmark.
   EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+// Counts the velocity_at calls made on the model it wraps.
+class CountingMobility final : public MobilityModel {
+ public:
+  explicit CountingMobility(std::shared_ptr<const MobilityModel> inner)
+      : inner_{std::move(inner)} {}
+  [[nodiscard]] Vec2 position_at(SimTime t) const override {
+    return inner_->position_at(t);
+  }
+  [[nodiscard]] Vec2 velocity_at(SimTime t) const override {
+    ++velocity_calls;
+    return inner_->velocity_at(t);
+  }
+  mutable std::uint64_t velocity_calls{0};
+
+ private:
+  std::shared_ptr<const MobilityModel> inner_;
+};
+
+TEST_F(QualityObserverTest, ReCheckMeasuresQualityOnlyAndCrossingAddsMotion) {
+  add_static(1, {0.0, 0.0});
+  const auto walker = std::make_shared<CountingMobility>(
+      std::make_shared<LinearMotion>(Vec2{1.0, 0.0}, Vec2{0.5, 0.0}));
+  medium_.register_endpoint(mac(2), Technology::kBluetooth, walker, nullptr);
+  std::vector<LinkQualityEvent> pushed;
+  std::vector<LinkQualityEvent> probed;
+  (void)medium_.observe_quality(
+      mac(1), mac(2), Technology::kBluetooth, kThreshold,
+      [&](const LinkQualityEvent& e) {
+        pushed.push_back(e);
+        probed.push_back(
+            medium_.probe_link(mac(1), mac(2), Technology::kBluetooth));
+      });
+  // Subscribing primes the detector from a quality read alone.
+  EXPECT_EQ(walker->velocity_calls, 0u);
+
+  // Walks from 1 m to 11 m: kFell near 5.6 m, kLost at 10 m.
+  const QualityStats& stats = medium_.quality_stats();
+  int quiet = 0;
+  for (int step = 0; step < 200; ++step) {
+    const std::uint64_t evals = stats.evaluations;
+    const std::uint64_t rechecks = stats.observer_evals;
+    const std::uint64_t calls = walker->velocity_calls;
+    const std::size_t events = pushed.size();
+    sim_.run_until(sim_.now() + milliseconds(100));
+    ASSERT_EQ(stats.observer_evals, rechecks + 1) << "step " << step;
+    const std::uint64_t crossings = pushed.size() - events;
+    if (crossings == 0) {
+      ++quiet;
+      EXPECT_EQ(walker->velocity_calls, calls) << "step " << step;
+      EXPECT_EQ(stats.evaluations, evals + 1) << "step " << step;
+    } else {
+      // The re-check's own read and motion, plus each probe's.
+      EXPECT_EQ(walker->velocity_calls, calls + 1 + crossings);
+      EXPECT_EQ(stats.evaluations, evals + 1 + crossings);
+    }
+  }
+  EXPECT_GT(quiet, 190);
+
+  ASSERT_EQ(pushed.size(), 2u);
+  EXPECT_EQ(pushed[0].edge, LinkQualityEvent::Edge::kFell);
+  EXPECT_EQ(pushed[1].edge, LinkQualityEvent::Edge::kLost);
+  for (std::size_t i = 0; i < pushed.size(); ++i) {
+    // Bit for bit what a one-shot probe at the same instant reads.
+    EXPECT_EQ(pushed[i].at, probed[i].at);
+    EXPECT_EQ(pushed[i].quality, probed[i].quality);
+    EXPECT_EQ(pushed[i].distance_m, probed[i].distance_m);
+    EXPECT_EQ(pushed[i].radial_speed_mps, probed[i].radial_speed_mps);
+    EXPECT_EQ(pushed[i].slope_per_s, probed[i].slope_per_s);
+  }
+  EXPECT_LT(pushed[0].slope_per_s, 0.0);
+  EXPECT_NEAR(pushed[0].radial_speed_mps, 0.5, 1e-9);
 }
 
 TEST(LinkQualityModelTest, LogDistanceLawDecaysSteeperNearTransmitter) {

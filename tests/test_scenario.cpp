@@ -113,6 +113,72 @@ TEST(ScenarioRunner, GroupScenarioBuildsAllMembersAndSessions) {
   EXPECT_GT(runner.metrics().total_sent(), 100u);
 }
 
+// --- Quality-plane work, pinned ----------------------------------------------
+
+// The bursty-loss profile with corruption, duplication and reorder that
+// bench_chaos calls full chaos.
+sim::FaultProfile full_chaos() {
+  sim::FaultProfile profile;
+  profile.loss_good = 0.03;
+  profile.loss_bad = 0.6;
+  profile.p_good_to_bad = 0.05;
+  profile.p_bad_to_good = 0.25;
+  profile.quality_coupling = 0.5;
+  profile.corrupt_prob = 0.02;
+  profile.duplicate_prob = 0.05;
+  profile.reorder_prob = 0.1;
+  return profile;
+}
+
+struct PlaneWork {
+  std::uint64_t evaluations;
+  std::uint64_t observer_evals;
+  std::uint64_t events_emitted;
+  std::uint64_t frames;
+};
+
+// Set-up plus body of one scenario: how often the medium measured a link,
+// re-checked an observer, pushed a crossing and carried a frame.
+PlaneWork run_and_count(ScenarioSpec spec) {
+  ScenarioRunner runner{std::move(spec)};
+  EXPECT_TRUE(runner.setup().ok());
+  runner.run();
+  const sim::QualityStats& quality = runner.testbed().medium().quality_stats();
+  return {quality.evaluations, quality.observer_evals, quality.events_emitted,
+          runner.testbed().medium().stats().frames};
+}
+
+// The group walk under full chaos with reliable sessions that keep
+// re-planning a dead link: the shape the benchmark's mobility-chaos
+// workload runs. Any change to how often the medium reads a link shows up
+// here as an exact count.
+TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
+  ScenarioSpec spec = group_walk(11, /*predictive=*/true, 4);
+  spec.faults.profiles.push_back({Technology::kBluetooth, full_chaos()});
+  for (SessionSpec& session : spec.sessions) {
+    session.reliable = true;
+    session.handover_config.reconnection_enabled = false;
+    session.handover_config.direct_resume_enabled = true;
+    session.handover_config.max_dead_link_passes = 1000;
+  }
+  const PlaneWork work = run_and_count(std::move(spec));
+  EXPECT_EQ(work.evaluations, 4449u);
+  EXPECT_EQ(work.observer_evals, 1916u);
+  EXPECT_EQ(work.events_emitted, 2u);
+  EXPECT_EQ(work.frames, 2950u);
+}
+
+// The office floor with relay daemons stopping and restarting: the shape of
+// the benchmark's churn workload.
+TEST(ScenarioRunner, ChurnQualityWorkIsPinned) {
+  const PlaneWork work =
+      run_and_count(churn(11, /*predictive=*/true, /*nodes=*/12));
+  EXPECT_EQ(work.evaluations, 3029u);
+  EXPECT_EQ(work.observer_evals, 1919u);
+  EXPECT_EQ(work.events_emitted, 8u);
+  EXPECT_EQ(work.frames, 4861u);
+}
+
 TEST(ScenarioRunner, UnknownServiceFailsSetup) {
   ScenarioSpec spec = corridor_walk(1, true);
   spec.sessions[0].service = "no-such-service";
