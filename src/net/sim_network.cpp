@@ -1,6 +1,7 @@
 #include "net/sim_network.hpp"
 
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "sim/simulator.hpp"
@@ -29,6 +30,10 @@ struct SimNetwork::Pair {
   bool open_a{true};
   bool open_b{true};
   bool torn_down{false};
+  // The link is in range up to range_until while the medium's horizon
+  // epoch reads range_epoch (0: nothing proven yet).
+  SimTime range_until{};
+  std::uint32_t range_epoch{0};
   sim::PeriodicTask keepalive;
 };
 
@@ -339,9 +344,18 @@ void SimNetwork::check_keepalive(std::uint64_t conn_id) {
   const auto end_a = pair.end_a.lock();
   const auto end_b = pair.end_b.lock();
 
+  // Within its range horizon the link is in coverage without a look.
+  bool dead = false;
+  if (pair.range_epoch != medium_.horizon_epoch() ||
+      simulator().now() > pair.range_until) {
+    const std::optional<SimTime> until =
+        medium_.in_range_until(pair.addr_a.mac, pair.addr_b.mac, pair.tech);
+    dead = !until.has_value();
+    pair.range_until = until.value_or(SimTime{});
+    pair.range_epoch = medium_.horizon_epoch();
+  }
   // An artificial quality override that reaches 0 also kills the link
   // (§5.2.1 decay experiments).
-  bool dead = !medium_.in_range(pair.addr_a.mac, pair.addr_b.mac, pair.tech);
   if (end_a != nullptr && end_a->overridden_dead()) dead = true;
   if (end_b != nullptr && end_b->overridden_dead()) dead = true;
   // An end whose last handle was dropped behaves as closed.

@@ -251,6 +251,7 @@ Status ScenarioRunner::setup() {
                       "group '" + group.prefix +
                           "': kGroup needs a valid group_reference"};
       }
+      reference = adopt_model(std::move(reference));
     }
     for (int i = 0; i < group.count; ++i) {
       const std::string name = group.prefix + std::to_string(i);
@@ -264,8 +265,8 @@ Status ScenarioRunner::setup() {
         return Status{ErrorCode::kInvalidArgument,
                       "group '" + group.prefix + "': invalid mobility spec"};
       }
-      node::Node& node = testbed_->add_mobile_node(name, std::move(model),
-                                                   options);
+      node::Node& node = testbed_->add_mobile_node(
+          name, adopt_model(std::move(model)), options);
       if (group.churn) churn_nodes_.push_back(&node);
       for (const std::string& service : group.services) {
         const Status status = node.library().register_service(

@@ -245,7 +245,7 @@ struct ScenarioMetrics {
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(ScenarioSpec spec);
-  ~ScenarioRunner();
+  virtual ~ScenarioRunner();
 
   ScenarioRunner(const ScenarioRunner&) = delete;
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
@@ -260,6 +260,16 @@ class ScenarioRunner {
   [[nodiscard]] node::Testbed& testbed() { return *testbed_; }
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
   [[nodiscard]] const ScenarioMetrics& metrics() const { return metrics_; }
+
+ protected:
+  // Every mobility model setup() builds, group references included, passes
+  // through here before a node or a group member receives it. The default
+  // hands it on; a subclass may wrap it (tests hide max_speed() this way,
+  // so that every medium check measures).
+  [[nodiscard]] virtual std::shared_ptr<const sim::MobilityModel> adopt_model(
+      std::shared_ptr<const sim::MobilityModel> model) const {
+    return model;
+  }
 
  private:
   struct Session;

@@ -10,6 +10,8 @@ namespace {
 // An observed link is re-evaluated at most once per interval no matter how
 // many events advance the clock.
 constexpr SimDuration kObserverMinInterval = std::chrono::milliseconds{100};
+// Horizons further out than this are cut to it (no SimTime overflow).
+constexpr double kMaxQuietS = 1e9;
 }  // namespace
 
 RadioMedium::RadioMedium(Simulator& sim, LinkQualityModel quality_model)
@@ -52,6 +54,7 @@ void RadioMedium::configure(const TechnologyParams& params) {
     ts.grid.set_cell_size(params.range_m);
   }
   ts.grid_gen = 0;  // force a rebuild on the next query
+  bump_horizon_epoch();
 }
 
 const TechnologyParams& RadioMedium::params(Technology tech) const {
@@ -66,6 +69,7 @@ void RadioMedium::register_endpoint(
   endpoint.mac = mac;
   endpoint.tech = tech;
   endpoint.is_static = mobility->is_static();
+  endpoint.max_speed = mobility->max_speed();
   endpoint.mobility = std::move(mobility);
   endpoint.handler = std::move(handler);
   TechState& ts = state(tech);
@@ -89,6 +93,7 @@ void RadioMedium::register_endpoint(
     it->second.grid_position = at;
   }
   next_walk_ = SimTime::zero();
+  bump_horizon_epoch();
   // Observers may outlive endpoint churn: re-attach any that watch a link
   // touching the (re-)registered endpoint. insert_or_assign wiped the old
   // watcher list, so this rebuild is what keeps them firing.
@@ -113,6 +118,7 @@ void RadioMedium::unregister_endpoint(MacAddress mac, Technology tech) {
   // Always evict: the grid must never hold a dangling payload.
   ts.grid.remove(mac.as_u64());
   next_walk_ = SimTime::zero();
+  bump_horizon_epoch();
 }
 
 bool RadioMedium::has_endpoint(MacAddress mac, Technology tech) const {
@@ -276,6 +282,30 @@ bool RadioMedium::in_range(MacAddress a, MacAddress b, Technology tech) const {
                       params(tech).range_m);
 }
 
+std::optional<SimTime> RadioMedium::in_range_until(MacAddress a,
+                                                  MacAddress b,
+                                                  Technology tech) const {
+  const Endpoint* ea = find(a, tech);
+  const Endpoint* eb = find(b, tech);
+  if (ea == nullptr || eb == nullptr) return std::nullopt;
+  const Vec2 a_at = cached_position(*ea);
+  const Vec2 b_at = cached_position(*eb);
+  const double range = params(tech).range_m;
+  if (!within_range(a_at, b_at, range)) return std::nullopt;
+  return range_until(*ea, a_at, *eb, b_at, range);
+}
+
+SimTime RadioMedium::quiet_until(SimTime now, const Endpoint& ea,
+                                 const Endpoint& eb, double margin_m) {
+  // Each end may stray kPositionSlackM beyond its speed bound.
+  const double reach_m = margin_m - 2.0 * kPositionSlackM;
+  // NaN (infinite reach at infinite speed) proves nothing either.
+  const double quiet_s = reach_m / (ea.max_speed + eb.max_speed);
+  if (!(quiet_s > 0.0)) return now;
+  return now + SimDuration{static_cast<SimDuration::rep>(
+                   std::min(quiet_s, kMaxQuietS) * 1e6)};
+}
+
 std::uint64_t RadioMedium::link_shadow_key(MacAddress a, MacAddress b,
                                            Technology tech) {
   const std::uint64_t lo = std::min(a.as_u64(), b.as_u64());
@@ -289,6 +319,47 @@ double RadioMedium::base_quality(const Endpoint& ea, const Endpoint& eb,
   ++quality_stats_.evaluations;
   return quality_model_.base_quality(distance_m, state(ea.tech).params.range_m,
                                      link_shadow_key(ea.mac, eb.mac, ea.tech));
+}
+
+double RadioMedium::quiet_margin(const QualityObserver& obs,
+                                 const Endpoint& ea, const Endpoint& eb,
+                                 double distance_m) const {
+  // Qualities in [lo, hi] keep the detector still: live or dead as now,
+  // and no lower than the threshold while above it, no higher than
+  // threshold + hysteresis while below it.
+  int lo = obs.in_range ? 1 : 0;
+  int hi = obs.in_range ? LinkQualityModel::q_max : 0;
+  if (obs.below) {
+    hi = std::min(hi, obs.threshold + kQualityHysteresis);
+  } else {
+    lo = std::max(lo, obs.threshold);
+  }
+  const double range = state(ea.tech).params.range_m;
+  const std::uint64_t key = link_shadow_key(ea.mac, eb.mac, ea.tech);
+  const auto quality_at = [&](double d) {
+    return quality_model_.finalize(quality_model_.base_quality(d, range, key),
+                                   nullptr);
+  };
+  // finalize() rounds to nearest: quality >= level takes a base of at least
+  // level - 0.5, and quality >= 1 any live base.
+  const auto edge = [&](int level) {
+    return quality_model_.reach(level <= 1 ? 0.0 : level - 0.5, range, key);
+  };
+  // Quality never rises with distance, so each band end is proven by one
+  // check of quality_at a slack inside the solved edge: what holds there
+  // holds on the band's side of it. A failed check proves nothing.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double far = kInf;  // quality >= lo up to here
+  if (lo > 0) {
+    far = edge(lo) - kPositionSlackM;
+    if (!(far >= 0.0) || quality_at(far) < lo) far = -kInf;
+  }
+  double near = -kInf;  // quality <= hi from here on
+  if (hi < LinkQualityModel::q_max) {
+    near = std::max(edge(hi + 1), 0.0) + kPositionSlackM;
+    if (quality_at(near) > hi) near = kInf;
+  }
+  return std::min(distance_m - near, far - distance_m);
 }
 
 int RadioMedium::sample_quality(MacAddress a, MacAddress b, Technology tech) {
@@ -333,6 +404,7 @@ QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,
   obs.in_range = false;
   obs.next_eval = SimTime::zero();
   obs.eval_gen = 0;
+  obs.quiet_epoch = 0;
   ++live_observers_;
   next_walk_ = SimTime::zero();
   attach_watcher(index);
@@ -463,6 +535,8 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
   obs.eval_gen = position_gen_;
   obs.next_eval = now + kObserverMinInterval;
   ++quality_stats_.observer_evals;
+  // Proven quiet: a measurement would leave the detector where it is.
+  if (obs.quiet_epoch == horizon_epoch_ && now <= obs.quiet_until) return;
 
   LinkQualityEvent event{.a = obs.a, .b = obs.b, .tech = obs.tech, .at = now};
   const Endpoint* ea = find(obs.a, obs.tech);
@@ -479,10 +553,17 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
   } else if (event.quality > obs.threshold + kQualityHysteresis) {
     below = false;
   }
-  // Commit the detector state before dispatch: the callback may unsubscribe
-  // this observer or subscribe new ones (which reallocates observers_).
+  // Commit the detector state and its quiet horizon before dispatch: the
+  // callback may unsubscribe this observer or subscribe new ones (which
+  // reallocates observers_). A missing endpoint keeps the link dead until
+  // a registration, which bumps the epoch.
   obs.in_range = in_range;
   obs.below = below;
+  obs.quiet_epoch = horizon_epoch_;
+  obs.quiet_until =
+      linked ? quiet_until(now, *ea, *eb,
+                           quiet_margin(obs, *ea, *eb, event.distance_m))
+             : SimTime{SimDuration::max()};
   if (!emit) return;
 
   using Edge = LinkQualityEvent::Edge;
@@ -602,9 +683,13 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
   const TechnologyParams& p = params(tech);
   const Endpoint* from_e = find(from, tech);
   const Endpoint* to_e = find(to, tech);
-  if (from_e == nullptr || to_e == nullptr ||
-      !within_range(cached_position(*from_e), cached_position(*to_e),
-                    p.range_m)) {
+  if (from_e == nullptr || to_e == nullptr) {
+    ++stats_.drops;
+    return;
+  }
+  const Vec2 from_at = cached_position(*from_e);
+  const Vec2 to_at = cached_position(*to_e);
+  if (!within_range(from_at, to_at, p.range_m)) {
     ++stats_.drops;
     return;
   }
@@ -612,15 +697,14 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
   if (faults_ != nullptr) {
     // Degradation for the quality coupling: 0 at full quality, 1 at the
     // coverage edge (out-of-range frames never reach this point).
-    const double base = base_quality(
-        *from_e, *to_e,
-        sim::distance(cached_position(*from_e), cached_position(*to_e)));
+    const double base =
+        base_quality(*from_e, *to_e, sim::distance(from_at, to_at));
     const double span = std::max(
         1.0, static_cast<double>(quality_model_.q_max - quality_model_.q_edge));
     const double degradation = std::clamp(
         (static_cast<double>(quality_model_.q_max) - base) / span, 0.0, 1.0);
-    fault = faults_->judge(from, to, tech, degradation, sim_.now(),
-                           cached_position(*from_e), cached_position(*to_e));
+    fault = faults_->judge(from, to, tech, degradation, sim_.now(), from_at,
+                           to_at);
     if (fault.drop) {
       ++stats_.drops;
       return;
@@ -636,6 +720,10 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
 
   const SimDuration tx_time =
       seconds(static_cast<double>(frame->size()) / p.bytes_per_second);
+  // A copy delivered by then is still in range: its delivery skips the
+  // re-check.
+  const SimTime proven_until =
+      range_until(*from_e, from_at, *to_e, to_at, p.range_m);
   const int copies = fault.duplicate ? 2 : 1;
   for (int copy = 0; copy < copies; ++copy) {
     SimTime deliver_at =
@@ -653,8 +741,10 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
     // A reordered frame is exempt from the in-order bump: its extra delay
     // lets frames sent after it overtake it, which is the whole point.
 
-    auto deliver = [this, from, to, tech, frame]() {
-      deliver_frame(from, to, tech, frame);
+    const std::uint32_t epoch =
+        deliver_at <= proven_until ? horizon_epoch_ : 0;
+    auto deliver = [this, from, to, tech, epoch, frame]() {
+      deliver_frame(from, to, tech, epoch, frame);
     };
     // The whole point of the FramePtr scheme: a delivery event must fit the
     // event queue's inline buffer, so the per-frame hot path never allocates.
@@ -664,17 +754,23 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
 }
 
 void RadioMedium::deliver_frame(MacAddress from, MacAddress to,
-                                Technology tech, const FramePtr& frame) {
-  // Positions have moved since send time; one cached re-check decides
-  // delivery (drop if either side is gone or out of coverage).
-  const Endpoint* sender = find(from, tech);
+                                Technology tech, std::uint32_t epoch,
+                                const FramePtr& frame) {
   const Endpoint* receiver = find(to, tech);
-  if (sender == nullptr || receiver == nullptr ||
-      !within_range(cached_position(*sender), cached_position(*receiver),
-                    params(tech).range_m)) {
-    ++stats_.drops;
-    return;
+  // Positions have moved since send time; unless the send proved the copy
+  // in range for now (and no endpoint or range changed since), one cached
+  // re-check decides delivery (drop if either side is gone or out of
+  // coverage).
+  if (epoch != horizon_epoch_) {
+    const Endpoint* sender = find(from, tech);
+    if (sender == nullptr || receiver == nullptr ||
+        !within_range(cached_position(*sender), cached_position(*receiver),
+                      params(tech).range_m)) {
+      ++stats_.drops;
+      return;
+    }
   }
+  assert(receiver != nullptr);
   if (receiver->handler) receiver->handler(from, *frame);
 }
 

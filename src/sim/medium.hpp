@@ -23,6 +23,24 @@
 //   observer re-check (100 ms per observed link)
 //            | quality + 2 velocity_at  | quality only; the velocities
 //            |   + look-ahead slope     |   and slope only on a crossing
+//   observer re-check inside its quiet horizon
+//            | quality                  | bookkeeping only: no position,
+//            |                          |   no path loss
+//   frame delivery whose range was proven at send time
+//            | 2 lookups + range check  | receiver lookup only
+//   connection keepalive inside its range horizon (SimNetwork)
+//            | 2 lookups + range check  | one epoch and clock compare
+//
+// Horizons. Every mobility model bounds its speed (MobilityModel::
+// max_speed), so a link measured at distance d now cannot reach distance d'
+// before |d' - d| / (speed_a + speed_b) has passed (less the models' slack).
+// Three checks turn that into a horizon before which they cannot change
+// their outcome: an observer re-check (the distance band in which its edge
+// detector stays where it is), a frame delivery (still in range at its
+// delivery time, proven when sent) and a connection keepalive (still in
+// range). A medium-wide epoch, bumped by register_endpoint,
+// unregister_endpoint and configure, invalidates every horizon: the proofs
+// assume the same models, endpoints and range.
 //
 // The grid is rebuilt lazily when the clock advances (the Simulator time
 // observer bumps `position_gen_`) and maintained incrementally while time
@@ -31,6 +49,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -57,10 +76,11 @@ struct TrafficStats {
   std::uint64_t drops{0};
 };
 
-// Counters for the link-quality plane. `evaluations` counts
+// Counters for the link-quality plane. `evaluations` counts measurements:
 // distance -> path-loss computations, one per quality read; the look-ahead
-// that completes a probe or a pushed crossing with its motion is not
-// counted. `observer_evals` counts observer re-checks (the O(moved
+// that completes a probe or a pushed crossing with its motion, and the band
+// ends of an observer's quiet horizon, are not counted. `observer_evals`
+// counts observer re-checks, measured or proven quiet (the O(moved
 // endpoints) bound is asserted against this one); `events_emitted`
 // threshold/coverage crossing callbacks delivered. `cache_hits` is kept
 // only because the benchmark (perfbench/) reads it; the medium has no link
@@ -157,6 +177,16 @@ class RadioMedium {
                                 Technology tech) const;
   [[nodiscard]] bool in_range(MacAddress a, MacAddress b,
                               Technology tech) const;
+  // in_range with its horizon: the last instant up to which the link
+  // provably stays in range (now if nothing more is proven), or nullopt
+  // when it is out of range now. The proof holds while horizon_epoch()
+  // reads what it read when the horizon was taken.
+  [[nodiscard]] std::optional<SimTime> in_range_until(MacAddress a,
+                                                      MacAddress b,
+                                                      Technology tech) const;
+  // Bumped by every register_endpoint, unregister_endpoint and configure;
+  // never 0, so 0 can mean "nothing proven".
+  [[nodiscard]] std::uint32_t horizon_epoch() const { return horizon_epoch_; }
   // Noisy sample of the RSSI-style quality (0 when out of range / missing).
   [[nodiscard]] int sample_quality(MacAddress a, MacAddress b,
                                    Technology tech);
@@ -173,7 +203,9 @@ class RadioMedium {
   // evaluations costs O(1); a subscribe, unsubscribe or endpoint
   // (un)registration makes the next advance walk. The first evaluation
   // happens synchronously (priming the edge detector) but emits nothing;
-  // only crossings after subscription are pushed.
+  // only crossings after subscription are pushed. A due re-check inside the
+  // link's quiet horizon (see the header comment) does not measure: the
+  // link cannot have left the distance band that keeps the detector still.
   //
   // Handler lifecycle follows the HandlerSlot rules: the handler is pinned
   // before each call, so a callback may unsubscribe any observer (including
@@ -209,7 +241,9 @@ class RadioMedium {
 
   // --- Frame transport -------------------------------------------------------
   // Unicast, in-order per (from,to,tech) direction. The frame is dropped
-  // (stats.drops++) if the peers are out of range at delivery time.
+  // (stats.drops++) if the peers are out of range at delivery time; a copy
+  // whose range is proven at send time for its delivery time skips that
+  // re-check.
   void send_frame(MacAddress from, MacAddress to, Technology tech,
                   Bytes frame) {
     send_frame(from, to, tech,
@@ -258,6 +292,7 @@ class RadioMedium {
     // Static endpoints are sampled once and never re-indexed: the grid
     // refresh skips them entirely (mobility->is_static() at registration).
     bool is_static{false};
+    double max_speed{0.0};  // mobility->max_speed() at registration
     // Position memoised against position_gen_; recomputed at most once per
     // distinct SimTime no matter how many queries touch this endpoint.
     mutable Vec2 cached_position{};
@@ -286,6 +321,10 @@ class RadioMedium {
     bool in_range{false};
     SimTime next_eval{};
     std::uint64_t eval_gen{0};  // position_gen_ of the last evaluation
+    // Quiet horizon: no re-check up to quiet_until can push a crossing,
+    // while horizon_epoch_ still reads quiet_epoch.
+    SimTime quiet_until{};
+    std::uint32_t quiet_epoch{0};
   };
 
   struct TechState {
@@ -344,10 +383,11 @@ class RadioMedium {
 
   [[nodiscard]] Vec2 cached_position(const Endpoint& endpoint) const;
   [[nodiscard]] TechState& state(Technology tech) const;
-  // Terminal delivery of a scheduled frame: range-check at delivery time
-  // and invoke the receiver's handler.
+  // Terminal delivery of a scheduled frame: range-check at delivery time,
+  // unless `epoch` (0 = nothing proven) is still current, and invoke the
+  // receiver's handler.
   void deliver_frame(MacAddress from, MacAddress to, Technology tech,
-                     const FramePtr& frame);
+                     std::uint32_t epoch, const FramePtr& frame);
   // Brings all stale technology grids current (single pass over the
   // endpoints); no-op when `ts`'s grid is already current. Never-built grids
   // are rebuilt wholesale, built ones refreshed incrementally (moved
@@ -372,6 +412,28 @@ class RadioMedium {
   [[nodiscard]] static std::uint64_t link_shadow_key(MacAddress a,
                                                      MacAddress b,
                                                      Technology tech);
+  // The last instant up to which the distance of the (ea, eb) link, now
+  // `margin_m` inside a band edge, provably stays inside: both models'
+  // speed bounds and slack. `now` when nothing more is proven.
+  [[nodiscard]] static SimTime quiet_until(SimTime now, const Endpoint& ea,
+                                           const Endpoint& eb,
+                                           double margin_m);
+  // quiet_until for the (ea, eb) link, in range now with its ends at a_at
+  // and b_at, to stay in range: the bound frame delivery and the
+  // connection keepalive share.
+  [[nodiscard]] SimTime range_until(const Endpoint& ea, Vec2 a_at,
+                                    const Endpoint& eb, Vec2 b_at,
+                                    double range_m) const {
+    const Vec2 gap = a_at - b_at;
+    return quiet_until(sim_.now(), ea, eb,
+                       range_m - std::sqrt(gap.x * gap.x + gap.y * gap.y));
+  }
+  // How far the observed (ea, eb) link, now at `distance_m`, provably is
+  // inside the band of distances whose quality keeps obs's detector in its
+  // current state; not positive if nothing is proven.
+  [[nodiscard]] double quiet_margin(const QualityObserver& obs,
+                                    const Endpoint& ea, const Endpoint& eb,
+                                    double distance_m) const;
   // Re-checks observers attached to mobile endpoints; runs from the clock's
   // time observer, after position_gen_ was bumped. Skipped while the clock
   // is before next_walk_.
@@ -381,6 +443,9 @@ class RadioMedium {
   // observers_ reentrantly.
   void evaluate_observer(std::uint32_t index, SimTime now, bool emit);
   void attach_watcher(std::uint32_t index);
+  void bump_horizon_epoch() {
+    if (++horizon_epoch_ == 0) horizon_epoch_ = 1;
+  }
 
   Simulator& sim_;
   Simulator::TimeObserverId time_observer_{0};
@@ -405,6 +470,8 @@ class RadioMedium {
   // Bumped by the Simulator time observer whenever the clock advances; every
   // cached position / grid tagged with an older generation is stale.
   std::uint64_t position_gen_{1};
+  // See horizon_epoch(); wraps after 2^32 bumps, far beyond any run.
+  std::uint32_t horizon_epoch_{1};
   // Last scheduled delivery per directed (from, to, tech) — preserves frame
   // ordering within a direction. Aged via age_last_delivery() once it grows
   // past last_delivery_sweep_limit_.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
 
 namespace peerhood::sim {
 namespace {
@@ -16,6 +18,7 @@ constexpr std::size_t kMaxSegments = 64;
 constexpr std::size_t kKeepBehind = 8;
 
 constexpr double kMicrosPerSecond = 1e6;
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 double to_seconds(SimDuration d) {
   return static_cast<double>(d.count()) / kMicrosPerSecond;
@@ -98,6 +101,22 @@ Vec2 WaypointPath::velocity_at(SimTime t) const {
   return (next->position - prev->position) * (1.0 / span);
 }
 
+double WaypointPath::max_speed() const {
+  double fastest = 0.0;
+  for (std::size_t i = 1; i < waypoints_.size(); ++i) {
+    const Waypoint& prev = waypoints_[i - 1];
+    const Waypoint& next = waypoints_[i];
+    const double leg = distance(prev.position, next.position);
+    const double span = to_seconds(next.at - prev.at);
+    if (span <= 0.0) {
+      if (leg > 0.0) return kUnbounded;
+      continue;
+    }
+    fastest = std::max(fastest, leg / span);
+  }
+  return fastest;
+}
+
 RandomWaypoint::RandomWaypoint(Config config, Vec2 start, Rng rng)
     : config_{config}, start_{start}, initial_rng_{rng}, rng_{rng} {
   segments_.push_back(
@@ -124,6 +143,21 @@ void RandomWaypoint::extend_until(SimTime t) const {
         depart + seconds(speed > 0.0 ? dist / speed : 0.0) + config_.pause;
     segments_.push_back(Segment{depart, arrive, last.to, target});
   }
+}
+
+double RandomWaypoint::max_speed() const {
+  // A leg's travel time is cut to whole microseconds, so a leg may arrive
+  // up to 1 us early: at most top * 1 us ahead of a walk at the top speed.
+  // Each leg but the last in an interval is followed by a pause of at
+  // least 1 us (the clock's resolution) inside it, which gives that time
+  // back; the last leg's lead is within kPositionSlackM below 1 km/s. So
+  // the top speed needs no widening. A walk that can draw a zero speed (its
+  // leg then jumps) or has no pause (legs under 1 us, each a jump, can
+  // chain) proves nothing.
+  if (!(config_.speed_min_mps > 0.0) || config_.pause <= SimDuration{0}) {
+    return kUnbounded;
+  }
+  return std::max(config_.speed_min_mps, config_.speed_max_mps);
 }
 
 const RandomWaypoint::Segment& RandomWaypoint::segment_for(SimTime t) const {
@@ -166,6 +200,11 @@ Vec2 RandomWaypoint::velocity_at(SimTime t) const {
 
 GaussMarkov::GaussMarkov(Config config, Vec2 start, Rng rng)
     : config_{config}, start_{start}, initial_rng_{rng}, rng_{rng} {
+  // Every segment departs one interval after the last: a zero interval
+  // would make extend_until append segments forever.
+  if (config_.update_interval <= SimDuration::zero()) {
+    throw std::invalid_argument{"GaussMarkov: update_interval must be > 0"};
+  }
   seed_segments();
 }
 
@@ -185,7 +224,7 @@ void GaussMarkov::seed_segments() const {
 
 GaussMarkov::Segment GaussMarkov::make_segment(SimTime depart,
                                                Vec2 from) const {
-  const double dt = std::max(1e-6, to_seconds(config_.update_interval));
+  const double dt = to_seconds(config_.update_interval);
   // Steer the mean heading back toward the centre when hugging an edge.
   double mean_dir = state_.direction;
   const Vec2 centre = (config_.area_min + config_.area_max) * 0.5;
@@ -245,7 +284,6 @@ const GaussMarkov::Segment& GaussMarkov::segment_for(SimTime t) const {
 Vec2 GaussMarkov::position_at(SimTime t) const {
   const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
-  if (dt <= 0.0) return seg.from;
   const double alpha =
       std::clamp(to_seconds(t - seg.depart) / dt, 0.0, 1.0);
   return seg.from + (seg.to - seg.from) * alpha;
@@ -254,7 +292,6 @@ Vec2 GaussMarkov::position_at(SimTime t) const {
 Vec2 GaussMarkov::velocity_at(SimTime t) const {
   const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
-  if (dt <= 0.0) return {};
   return (seg.to - seg.from) * (1.0 / dt);
 }
 
@@ -266,6 +303,19 @@ GroupMember::GroupMember(std::shared_ptr<const MobilityModel> reference,
       initial_rng_{rng},
       rng_{rng} {
   assert(reference_ != nullptr);
+  // As in GaussMarkov; a deviation that never moves never extends.
+  if (config_.deviation_radius_m > 0.0 &&
+      config_.update_interval <= SimDuration::zero()) {
+    throw std::invalid_argument{
+        "GroupMember: update_interval must be > 0 with a deviation"};
+  }
+}
+
+double GroupMember::max_speed() const {
+  const double reference = reference_->max_speed();
+  if (config_.deviation_radius_m <= 0.0) return reference;
+  return reference + 2.0 * config_.deviation_radius_m /
+                         to_seconds(config_.update_interval);
 }
 
 void GroupMember::rewind() const {
@@ -311,7 +361,6 @@ Vec2 GroupMember::deviation_at(SimTime t) const {
   if (config_.deviation_radius_m <= 0.0) return {};
   const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
-  if (dt <= 0.0) return seg.from;
   const double alpha =
       std::clamp(to_seconds(t - seg.depart) / dt, 0.0, 1.0);
   return seg.from + (seg.to - seg.from) * alpha;
@@ -321,7 +370,6 @@ Vec2 GroupMember::deviation_slope_at(SimTime t) const {
   if (config_.deviation_radius_m <= 0.0) return {};
   const Segment& seg = segment_for(t);
   const double dt = to_seconds(config_.update_interval);
-  if (dt <= 0.0) return {};
   return (seg.to - seg.from) * (1.0 / dt);
 }
 

@@ -23,8 +23,18 @@
 // last query used; a query inside that segment's interval (the common case:
 // the clock moves forward a little) skips the history search entirely, and
 // any other query searches and re-seats the cursor.
+//
+// max_speed() is an upper bound on how fast a model can move: for any
+// t1 <= t2, |position_at(t2) - position_at(t1)| <= max_speed() * (t2 - t1)
+// (in seconds) plus sim::kPositionSlackM, which absorbs floating-point
+// rounding and the microsecond truncation of generated leg times. The radio
+// medium turns the bound into horizons before which a link provably keeps
+// its range and quality state (medium.hpp). A model that cannot bound its
+// speed reports +infinity, the default, and is then re-measured on every
+// check.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -33,6 +43,11 @@
 #include "sim/vec2.hpp"
 
 namespace peerhood::sim {
+
+// Absolute slack of the max_speed() contract per model, in metres: far above
+// the rounding of positions of a few kilometres, and above one microsecond
+// of travel at any speed below 1 km/s.
+inline constexpr double kPositionSlackM = 1e-3;
 
 class MobilityModel {
  public:
@@ -51,6 +66,12 @@ class MobilityModel {
   // clock advances, so a mostly-static deployment pays grid maintenance
   // only for the endpoints that actually move.
   [[nodiscard]] virtual bool is_static() const { return false; }
+
+  // Upper bound on |d position| / dt in m/s (see the header comment); the
+  // default +infinity proves nothing.
+  [[nodiscard]] virtual double max_speed() const {
+    return std::numeric_limits<double>::infinity();
+  }
 };
 
 // Fixed device (the paper's "static" terminals: PCs, servers).
@@ -61,6 +82,7 @@ class StaticPosition final : public MobilityModel {
   [[nodiscard]] Vec2 position_at(SimTime) const override { return position_; }
   [[nodiscard]] Vec2 velocity_at(SimTime) const override { return {}; }
   [[nodiscard]] bool is_static() const override { return true; }
+  [[nodiscard]] double max_speed() const override { return 0.0; }
 
  private:
   Vec2 position_;
@@ -83,6 +105,7 @@ class LinearMotion final : public MobilityModel {
   [[nodiscard]] Vec2 velocity_at(SimTime t) const override {
     return t < departure_ ? Vec2{} : velocity_;
   }
+  [[nodiscard]] double max_speed() const override { return velocity_.norm(); }
 
  private:
   Vec2 start_;
@@ -106,6 +129,9 @@ class WaypointPath final : public MobilityModel {
 
   [[nodiscard]] Vec2 position_at(SimTime t) const override;
   [[nodiscard]] Vec2 velocity_at(SimTime t) const override;
+  // The fastest leg; +infinity if two waypoints share a time but not a
+  // position (the path jumps there).
+  [[nodiscard]] double max_speed() const override;
 
   [[nodiscard]] const std::vector<Waypoint>& waypoints() const {
     return waypoints_;
@@ -132,6 +158,10 @@ class RandomWaypoint final : public MobilityModel {
 
   [[nodiscard]] Vec2 position_at(SimTime t) const override;
   [[nodiscard]] Vec2 velocity_at(SimTime t) const override;
+  // speed_max_mps: the microsecond cut of leg times stays within
+  // kPositionSlackM (see mobility.cpp); +infinity without a pause or with
+  // a zero minimum speed.
+  [[nodiscard]] double max_speed() const override;
 
   // Live history length — exposed so tests can assert the prune keeps long
   // sims bounded.
@@ -176,6 +206,7 @@ class GaussMarkov final : public MobilityModel {
     double edge_margin_m{5.0};
   };
 
+  // Throws std::invalid_argument unless update_interval is positive.
   GaussMarkov(Config config, Vec2 start, Rng rng);
 
   [[nodiscard]] Vec2 position_at(SimTime t) const override;
@@ -224,6 +255,8 @@ class GroupMember final : public MobilityModel {
     SimDuration update_interval{std::chrono::seconds{4}};
   };
 
+  // Throws std::invalid_argument if the deviation moves
+  // (deviation_radius_m > 0) but update_interval is not positive.
   GroupMember(std::shared_ptr<const MobilityModel> reference, Vec2 offset,
               Config config, Rng rng);
 
@@ -232,6 +265,9 @@ class GroupMember final : public MobilityModel {
   [[nodiscard]] bool is_static() const override {
     return reference_->is_static() && config_.deviation_radius_m <= 0.0;
   }
+  // The reference's bound plus the deviation's: it crosses at most the
+  // disk's diameter per update_interval.
+  [[nodiscard]] double max_speed() const override;
 
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 

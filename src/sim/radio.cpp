@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace peerhood::sim {
 
@@ -95,6 +96,26 @@ double LinkQualityModel::base_quality(double distance_m, double range_m,
   // May come back <= 0 under deep shadow: a dead link inside nominal
   // coverage, which finalize() reports as quality 0.
   return q;
+}
+
+double LinkQualityModel::reach(double base, double range_m,
+                               std::uint64_t link_key) const {
+  double top = q_max;
+  if (link_key != 0) top += shadow_offset(link_key);
+  // The share of the span the law may lose before the quality drops below
+  // `base`.
+  const double loss = (top - base) / static_cast<double>(q_max - q_edge);
+  if (!(loss >= 0.0)) return -std::numeric_limits<double>::infinity();
+  double frac = 1.0;
+  switch (law) {
+    case PathLossLaw::kConcavePower:
+      frac = std::pow(loss, 1.0 / exponent);
+      break;
+    case PathLossLaw::kLogDistance:
+      frac = (std::pow(10.0, loss) - 1.0) / 9.0;
+      break;
+  }
+  return std::min(frac, 1.0) * range_m;
 }
 
 int LinkQualityModel::finalize(double base, Rng* noise_rng) const {

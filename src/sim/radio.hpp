@@ -120,6 +120,11 @@ struct LinkQualityModel {
   // un-shadowed sample, e.g. analytic benches).
   [[nodiscard]] double base_quality(double distance_m, double range_m,
                                     std::uint64_t link_key = 0) const;
+  // The inverse of base_quality: the largest distance whose base quality
+  // is still at least `base` (at most range_m), exact only to rounding;
+  // -infinity if the base quality is below `base` everywhere.
+  [[nodiscard]] double reach(double base, double range_m,
+                             std::uint64_t link_key = 0) const;
   // Applies per-sample noise and the 1..255 clamp to a live base quality.
   [[nodiscard]] int finalize(double base, Rng* noise_rng) const;
   // Deterministic per-link shadow offset (0 when shadow_sigma == 0).

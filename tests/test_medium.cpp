@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "forwarding_model.hpp"
 #include "reference_neighbours.hpp"
 
 namespace peerhood::sim {
@@ -184,6 +185,81 @@ TEST_F(MediumTest, DropWhenReceiverMovesAwayBeforeDelivery) {
   sim_.run_all();
   EXPECT_TRUE(received_.empty());
   EXPECT_EQ(medium_.stats().drops, 1u);
+}
+
+TEST_F(MediumTest, DropWhenReceiverLeavesDuringPerHopLatency) {
+  const MacAddress a = add(1, {0.0, 0.0});
+  // A one-byte frame: only the 30 ms per-hop latency passes, in which b
+  // walks from 9.9 m to 10.2 m.
+  const MacAddress b = MacAddress::from_index(2);
+  medium_.register_endpoint(
+      b, Technology::kBluetooth,
+      std::make_shared<LinearMotion>(Vec2{9.9, 0.0}, Vec2{10.0, 0.0}),
+      [this, b](MacAddress from, const Bytes& frame) {
+        received_.push_back({b, from, frame});
+      });
+  medium_.send_frame(a, b, Technology::kBluetooth, Bytes{1});
+  sim_.run_all();
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(medium_.stats().drops, 1u);
+}
+
+TEST_F(MediumTest, ReRegistrationBetweenSendAndDeliveryForcesReCheck) {
+  // Both static: the send proves the copy in range for ever, until the
+  // receiver is registered again with a model that is out of range.
+  const MacAddress a = add(1, {0.0, 0.0});
+  const MacAddress b = add(2, {2.0, 0.0});
+  medium_.send_frame(a, b, Technology::kBluetooth, Bytes{1});
+  (void)add(2, {20.0, 0.0});
+  sim_.run_all();
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(medium_.stats().drops, 1u);
+  // Re-registered in range: delivered to the new registration.
+  (void)add(2, {2.0, 0.0});
+  medium_.send_frame(a, b, Technology::kBluetooth, Bytes{2});
+  (void)add(2, {3.0, 0.0});
+  sim_.run_all();
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0].frame, (Bytes{2}));
+}
+
+// Frames across the coverage edge, from receivers walking at up to 40 m/s
+// in and out: the send-time proof delivers and drops exactly the frames
+// the delivery-time re-check does.
+TEST(MediumDeliveryProof, AgreesWithTheReCheckAcrossTheEdge) {
+  std::vector<std::vector<int>> delivered(2);
+  std::uint64_t drops[2] = {0, 0};
+  for (const bool unbounded : {false, true}) {
+    Simulator sim{5};
+    RadioMedium medium{sim};
+    const MacAddress a = MacAddress::from_index(1);
+    medium.register_endpoint(a, Technology::kBluetooth,
+                             std::make_shared<StaticPosition>(Vec2{}),
+                             nullptr);
+    Rng rng{99};
+    for (int i = 0; i < 400; ++i) {
+      const MacAddress b = MacAddress::from_index(100 + i);
+      const Vec2 start{rng.uniform(9.0, 10.0), 0.0};
+      const Vec2 velocity{rng.uniform(-40.0, 40.0), 0.0};
+      medium.register_endpoint(
+          b, Technology::kBluetooth,
+          testing::maybe_unbounded(std::make_shared<LinearMotion>(
+                                       start, velocity, sim.now()),
+                                   unbounded),
+          [&delivered, unbounded, i](MacAddress, const Bytes&) {
+            delivered[unbounded].push_back(i);
+          });
+      medium.send_frame(a, b, Technology::kBluetooth,
+                        Bytes(static_cast<std::size_t>(rng.uniform_int(1, 3000)),
+                              0));
+      sim.run_all();
+    }
+    drops[unbounded] = medium.stats().drops;
+  }
+  EXPECT_EQ(delivered[0], delivered[1]);
+  EXPECT_EQ(drops[0], drops[1]);
+  EXPECT_GT(drops[0], 50u);
+  EXPECT_GT(delivered[0].size(), 50u);
 }
 
 TEST_F(MediumTest, UnregisteredReceiverDrops) {

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+
+#include "forwarding_model.hpp"
 
 namespace peerhood::sim {
 namespace {
@@ -450,6 +455,180 @@ TEST(SegmentBoundary, GroupMemberRetargetIgnoresHistory) {
               Vec2{1.0, 0.0}, config, Rng{5});
         },
         at(t), at(t + 1.0));
+  }
+}
+
+// --- max_speed(): the bound the medium's horizons rest on -----------------
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+// |p(t2) - p(t1)| <= max_speed * (t2 - t1) + kPositionSlackM over seeded
+// pairs in [0, 2 * horizon_us]: gaps from 1 us to `horizon_us`, a fifth of
+// them starting on a multiple of `boundary` (a segment or waypoint edge)
+// and a fifth ending on one. The model is queried in pair order, so its
+// history goes forwards and back.
+void expect_speed_bounded(const MobilityModel& model, std::uint64_t seed,
+                          SimDuration boundary, std::int64_t horizon_us,
+                          double slack_m = kPositionSlackM) {
+  const double bound = model.max_speed();
+  ASSERT_TRUE(std::isfinite(bound));
+  Rng pattern{seed};
+  const std::int64_t boundary_us = boundary.count();
+  double tightest = 0.0;  // the largest |dp| / bound seen
+  for (int pair = 0; pair < 3000; ++pair) {
+    std::int64_t t1 = pattern.uniform_int(0, horizon_us);
+    const double roll = pattern.next_double();
+    const std::int64_t gap =
+        roll < 0.4   ? pattern.uniform_int(1, 50)
+        : roll < 0.7 ? pattern.uniform_int(1, 200'000)
+                     : pattern.uniform_int(1, horizon_us);
+    std::int64_t t2 = t1 + gap;
+    const double snap = pattern.next_double();
+    if (snap < 0.2) {
+      t1 = t1 / boundary_us * boundary_us;
+    } else if (snap < 0.4) {
+      t2 = std::max(t1, t2 / boundary_us * boundary_us);
+    }
+    const Vec2 p1 = model.position_at(SimTime{microseconds(t1)});
+    const Vec2 p2 = model.position_at(SimTime{microseconds(t2)});
+    const double moved = distance(p1, p2);
+    const double allowed =
+        bound * static_cast<double>(t2 - t1) * 1e-6 + slack_m;
+    EXPECT_LE(moved, allowed) << "pair " << pair << " t1_us " << t1
+                              << " t2_us " << t2;
+    if (t2 > t1) {
+      tightest = std::max(tightest, moved / (static_cast<double>(t2 - t1) *
+                                             1e-6));
+    }
+  }
+  // The walk does move at (nearly) its bound: the test has teeth.
+  if (bound > 0.0) EXPECT_GT(tightest, 0.3 * bound);
+}
+
+TEST(MaxSpeed, StaticAndLinear) {
+  EXPECT_EQ(StaticPosition({1.0, 2.0}).max_speed(), 0.0);
+  const LinearMotion linear{{0.0, 0.0}, {3.0, 4.0}, at(1.0)};
+  EXPECT_EQ(linear.max_speed(), 5.0);
+  expect_speed_bounded(linear, 1, seconds(1.0), 30'000'000);
+}
+
+TEST(MaxSpeed, WaypointPathIsItsFastestLeg) {
+  // Legs at 1, 4 and 0.5 m/s, with a zero-span leg that stays put.
+  const WaypointPath path{{{at(0.0), {0.0, 0.0}},
+                           {at(2.0), {2.0, 0.0}},
+                           {at(2.0), {2.0, 0.0}},
+                           {at(3.0), {2.0, 4.0}},
+                           {at(5.0), {2.0, 5.0}}}};
+  EXPECT_DOUBLE_EQ(path.max_speed(), 4.0);
+  expect_speed_bounded(path, 2, seconds(1.0), 6'000'000);
+}
+
+TEST(MaxSpeed, WaypointPathJumpIsUnbounded) {
+  // Two waypoints at one instant, apart: the path jumps there.
+  const WaypointPath path{{{at(0.0), {0.0, 0.0}},
+                           {at(1.0), {1.0, 0.0}},
+                           {at(1.0), {3.0, 0.0}},
+                           {at(2.0), {3.0, 1.0}}}};
+  EXPECT_EQ(path.max_speed(), kUnbounded);
+  EXPECT_GT(distance(path.position_at(SimTime{microseconds(999'999)}),
+                     path.position_at(at(1.0))),
+            1.9);
+}
+
+TEST(MaxSpeed, RandomWaypointDefaultWalk) {
+  const RandomWaypoint::Config config;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const RandomWaypoint walk{config, {50.0, 50.0}, Rng{seed}};
+    EXPECT_EQ(walk.max_speed(), config.speed_max_mps);
+    expect_speed_bounded(walk, seed, config.pause, 300'000'000);
+  }
+}
+
+TEST(MaxSpeed, RandomWaypointLegsShorterThanAMillisecond) {
+  // A half-millimetre area: every leg lasts under 1 ms, so the microsecond
+  // cut of its travel time is a large share of it. Pauses of 1 ms and of
+  // 1 us, the shortest that gives the cut back.
+  for (const SimDuration pause : {milliseconds(1), microseconds(1)}) {
+    RandomWaypoint::Config config;
+    config.area_max = {5e-4, 5e-4};
+    config.speed_min_mps = 1.0;
+    config.speed_max_mps = 1.5;
+    config.pause = pause;
+    for (const std::uint64_t seed : {4u, 5u}) {
+      const RandomWaypoint walk{config, {2e-4, 2e-4}, Rng{seed}};
+      // The slack the cut needs: one microsecond at the top speed.
+      expect_speed_bounded(walk, seed, pause, 100'000,
+                           config.speed_max_mps * 1e-6 + 1e-12);
+    }
+  }
+}
+
+TEST(MaxSpeed, RandomWaypointWithoutPauseOrMinimumSpeedIsUnbounded) {
+  RandomWaypoint::Config no_pause;
+  no_pause.pause = SimDuration{0};
+  EXPECT_EQ(RandomWaypoint(no_pause, {1.0, 1.0}, Rng{1}).max_speed(),
+            kUnbounded);
+  RandomWaypoint::Config standstill;
+  standstill.speed_min_mps = 0.0;
+  EXPECT_EQ(RandomWaypoint(standstill, {1.0, 1.0}, Rng{1}).max_speed(),
+            kUnbounded);
+}
+
+TEST(MaxSpeed, GroupMemberAddsItsDeviation) {
+  GroupMember::Config config;
+  config.deviation_radius_m = 0.8;
+  config.update_interval = seconds(4.0);
+  const auto path = std::make_shared<WaypointPath>(
+      std::vector<WaypointPath::Waypoint>{{at(0.0), {0.0, 0.0}},
+                                          {at(10.0), {10.0, 0.0}},
+                                          {at(30.0), {10.0, 30.0}}});
+  const auto walk = std::make_shared<RandomWaypoint>(
+      small_area(), Vec2{10.0, 10.0}, Rng{6});
+  for (const auto& reference :
+       {std::shared_ptr<const MobilityModel>{path},
+        std::shared_ptr<const MobilityModel>{walk}}) {
+    for (const std::uint64_t seed : {7u, 8u}) {
+      const GroupMember member{reference, {1.0, -1.0}, config, Rng{seed}};
+      EXPECT_DOUBLE_EQ(member.max_speed(), reference->max_speed() + 0.4);
+      expect_speed_bounded(member, seed, config.update_interval, 60'000'000);
+    }
+  }
+  // Without a deviation the member moves exactly as its reference.
+  config.deviation_radius_m = 0.0;
+  EXPECT_EQ(GroupMember(path, {}, config, Rng{1}).max_speed(),
+            path->max_speed());
+}
+
+TEST(MaxSpeed, UnboundedModelsReportInfinity) {
+  const auto gauss = std::make_shared<GaussMarkov>(GaussMarkov::Config{},
+                                                   Vec2{50.0, 50.0}, Rng{1});
+  EXPECT_EQ(gauss->max_speed(), kUnbounded);
+  EXPECT_EQ(testing::ForwardingModel(std::make_shared<StaticPosition>(Vec2{}))
+                .max_speed(),
+            kUnbounded);
+  // A member of an unbounded group is unbounded too.
+  EXPECT_EQ(GroupMember(gauss, {}, GroupMember::Config{}, Rng{2}).max_speed(),
+            kUnbounded);
+}
+
+// A non-positive update interval used to make extend_until loop forever;
+// the constructors refuse it.
+TEST(MobilityConfig, NonPositiveUpdateIntervalIsRefused) {
+  for (const SimDuration interval : {SimDuration{0}, SimDuration{-1}}) {
+    GaussMarkov::Config gauss;
+    gauss.update_interval = interval;
+    EXPECT_THROW(GaussMarkov(gauss, {1.0, 1.0}, Rng{1}),
+                 std::invalid_argument);
+    GroupMember::Config group;
+    group.update_interval = interval;
+    const auto reference = std::make_shared<StaticPosition>(Vec2{});
+    EXPECT_THROW(GroupMember(reference, {}, group, Rng{1}),
+                 std::invalid_argument);
+    // A deviation that never moves never extends, so it is allowed.
+    group.deviation_radius_m = 0.0;
+    const GroupMember still{reference, {2.0, 0.0}, group, Rng{1}};
+    EXPECT_EQ(still.position_at(at(5.0)), (Vec2{2.0, 0.0}));
+    EXPECT_EQ(still.max_speed(), 0.0);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <optional>
 
+#include "forwarding_model.hpp"
 #include "net/address.hpp"
 
 namespace peerhood::net {
@@ -301,6 +302,78 @@ TEST_F(NetworkTest, DroppingLastHandleClosesConnection) {
   client.reset();  // RAII close
   sim_.run_for(seconds(2.0));
   EXPECT_TRUE(server_lost);
+}
+
+// How a connection between a static and a second endpoint dies in the
+// keepalive tests below.
+enum class Death {
+  kClientDropped,  // the client's last handle goes at 3.3 s
+  kOverrideZero,   // the client's quality override reads 0 from 3.3 s
+  kWalkOut,        // the server end walks out of range at 10 s
+};
+
+// When the server end learns that its link died; `unbounded` hides both
+// models' speed bounds, so every keepalive tick measures the range.
+SimTime server_close_time(Death death, bool unbounded) {
+  sim::Simulator sim{123};
+  sim::RadioMedium medium{sim};
+  SimNetwork net{medium};
+  sim::TechnologyParams bt = sim::bluetooth_params();
+  bt.connect_failure_prob = 0.0;
+  bt.connect_delay_min_s = 1.0;
+  bt.connect_delay_max_s = 1.0;
+  medium.configure(bt);
+  const MacAddress a = MacAddress::from_index(1);
+  const MacAddress b = MacAddress::from_index(2);
+  net.attach_interface(
+      a, Technology::kBluetooth,
+      testing::maybe_unbounded(std::make_shared<sim::StaticPosition>(Vec2{}),
+                               unbounded));
+  std::shared_ptr<const sim::MobilityModel> walk =
+      death == Death::kWalkOut
+          ? std::shared_ptr<const sim::MobilityModel>{std::make_shared<
+                sim::LinearMotion>(Vec2{2.0, 0.0}, Vec2{0.8, 0.0})}
+          : std::make_shared<sim::StaticPosition>(Vec2{3.0, 0.0});
+  net.attach_interface(b, Technology::kBluetooth,
+                       testing::maybe_unbounded(std::move(walk), unbounded));
+  ConnectionPtr client;
+  ConnectionPtr server;
+  const NetAddress to{b, Technology::kBluetooth, 7};
+  EXPECT_TRUE(net.listen(to, [&](ConnectionPtr c) { server = c; }).ok());
+  net.connect(a, to, [&](Result<ConnectionPtr> r) {
+    client = std::move(r).value();
+  });
+  sim.run_until(SimTime{} + seconds(3.3));
+  EXPECT_NE(server, nullptr);
+  SimTime closed{};
+  server->set_close_handler([&] { closed = sim.now(); });
+  if (death == Death::kClientDropped) client.reset();
+  if (death == Death::kOverrideZero) {
+    client->set_quality_override([](SimTime) { return 0; });
+  }
+  sim.run_until(SimTime{} + seconds(20.0));
+  EXPECT_FALSE(server->open());
+  return closed;
+}
+
+// The range horizon changes no teardown: the
+// server end hears of it at the same instant as with every tick measuring,
+// which for an override or a walk-out is the first keepalive tick after
+// the death (ticks every 500 ms from the connect at 1 s).
+TEST(SimKeepalive, TearsDownOnTheSameTickAsAlwaysMeasuring) {
+  for (const Death death :
+       {Death::kClientDropped, Death::kOverrideZero, Death::kWalkOut}) {
+    EXPECT_EQ(server_close_time(death, false),
+              server_close_time(death, true))
+        << static_cast<int>(death);
+  }
+  EXPECT_EQ(server_close_time(Death::kOverrideZero, false),
+            SimTime{} + seconds(3.5));
+  EXPECT_EQ(server_close_time(Death::kWalkOut, false),
+            SimTime{} + seconds(10.5));
+  // The dropped client tells its peer in a close frame, one hop later.
+  EXPECT_LT(server_close_time(Death::kClientDropped, false),
+            SimTime{} + seconds(3.5));
 }
 
 TEST_F(NetworkTest, PairsAreReclaimed) {

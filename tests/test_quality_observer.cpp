@@ -6,12 +6,14 @@
 // the scaling contract — a scenario tick performs
 // O(observers on moved endpoints) evaluations, not O(subscribers) polls,
 // and an endpoint re-registration or a subscription from a callback is
-// never missed by the walk that skips ticks with nothing due.
+// never missed by the walk that skips ticks with nothing due. Re-checks
+// inside a quiet horizon push exactly what measuring ones do.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "forwarding_model.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 
@@ -354,6 +356,110 @@ TEST_F(QualityObserverTest, ReCheckMeasuresQualityOnlyAndCrossingAddsMotion) {
   }
   EXPECT_LT(pushed[0].slope_per_s, 0.0);
   EXPECT_NEAR(pushed[0].radial_speed_mps, 0.5, 1e-9);
+}
+
+// --- Quiet horizons ---------------------------------------------------------
+
+struct ObservedWalk {
+  std::vector<LinkQualityEvent> events;
+  QualityStats stats;
+};
+
+// A walker going out past the coverage edge, back in to 0.5 m, out to
+// hover near the threshold distance and out again, watched from a static
+// endpoint at `threshold`. `unbounded` hides the walker's speed bound.
+ObservedWalk observe_walk(const LinkQualityModel& quality, int threshold,
+                          bool unbounded) {
+  Simulator sim{42};
+  RadioMedium medium{sim, quality};
+  medium.register_endpoint(mac(1), Technology::kBluetooth,
+                           std::make_shared<StaticPosition>(Vec2{}), nullptr);
+  const auto at = [](double s) { return SimTime{} + seconds(s); };
+  const auto walk = std::make_shared<WaypointPath>(
+      std::vector<WaypointPath::Waypoint>{{at(0.0), {1.0, 0.0}},
+                                          {at(12.0), {12.0, 0.0}},
+                                          {at(20.0), {0.0, 0.5}},
+                                          {at(30.0), {5.6, 0.0}},
+                                          {at(50.0), {5.9, 0.0}},
+                                          {at(53.0), {5.3, 0.1}},
+                                          {at(70.0), {11.0, 0.0}}});
+  medium.register_endpoint(mac(2), Technology::kBluetooth,
+                           testing::maybe_unbounded(walk, unbounded),
+                           nullptr);
+  ObservedWalk out;
+  (void)medium.observe_quality(
+      mac(1), mac(2), Technology::kBluetooth, threshold,
+      [&out](const LinkQualityEvent& e) { out.events.push_back(e); });
+  while (sim.now() < at(75.0)) sim.run_until(sim.now() + milliseconds(37));
+  out.stats = medium.quality_stats();
+  return out;
+}
+
+// Both path-loss laws, with and without shadowing, and thresholds from
+// low to high: every crossing is pushed at the same instant with the same
+// reading, and the proven run measures less.
+TEST(QualityObserverHorizon, PushesWhatAlwaysMeasuringPushes) {
+  int pushed = 0;
+  for (const PathLossLaw law :
+       {PathLossLaw::kConcavePower, PathLossLaw::kLogDistance}) {
+    for (const double shadow : {0.0, 6.0, 150.0}) {
+      for (const std::uint64_t shadow_seed : {1u, 2u, 3u}) {
+        for (const int threshold : {1, 180, 200, kThreshold, 250, 255}) {
+          LinkQualityModel quality;
+          quality.law = law;
+          quality.shadow_sigma = shadow;
+          quality.shadow_seed = shadow_seed;
+          const ObservedWalk proven = observe_walk(quality, threshold, false);
+          const ObservedWalk measured = observe_walk(quality, threshold, true);
+          const std::string where =
+              "law " + std::to_string(static_cast<int>(law)) + " shadow " +
+              std::to_string(shadow) + " seed " +
+              std::to_string(shadow_seed) + " threshold " +
+              std::to_string(threshold);
+          ASSERT_EQ(proven.events.size(), measured.events.size()) << where;
+          for (std::size_t i = 0; i < proven.events.size(); ++i) {
+            const LinkQualityEvent& p = proven.events[i];
+            const LinkQualityEvent& m = measured.events[i];
+            EXPECT_EQ(p.edge, m.edge) << where << " event " << i;
+            EXPECT_EQ(p.at, m.at) << where << " event " << i;
+            EXPECT_EQ(p.quality, m.quality) << where << " event " << i;
+            EXPECT_EQ(p.distance_m, m.distance_m) << where << " event " << i;
+            EXPECT_EQ(p.slope_per_s, m.slope_per_s) << where;
+            EXPECT_EQ(p.radial_speed_mps, m.radial_speed_mps) << where;
+          }
+          EXPECT_EQ(proven.stats.observer_evals, measured.stats.observer_evals)
+              << where;
+          EXPECT_EQ(proven.stats.events_emitted,
+                    measured.stats.events_emitted)
+              << where;
+          EXPECT_LT(proven.stats.evaluations, measured.stats.evaluations)
+              << where;
+          pushed += static_cast<int>(proven.events.size());
+        }
+      }
+    }
+  }
+  EXPECT_GT(pushed, 200);
+}
+
+// Near the threshold the horizon shrinks to nothing: a link hovering just
+// above it is measured on every re-check, so kFell lands on the re-check
+// an always-measuring observer pushes it on.
+TEST(QualityObserverHorizon, FellAtTheSameInstantNearTheThreshold) {
+  const LinkQualityModel quality;
+  const ObservedWalk proven = observe_walk(quality, kThreshold, false);
+  const ObservedWalk measured = observe_walk(quality, kThreshold, true);
+  std::vector<SimTime> proven_fell;
+  std::vector<SimTime> measured_fell;
+  for (const LinkQualityEvent& e : proven.events) {
+    if (e.edge == LinkQualityEvent::Edge::kFell) proven_fell.push_back(e.at);
+  }
+  for (const LinkQualityEvent& e : measured.events) {
+    if (e.edge == LinkQualityEvent::Edge::kFell) measured_fell.push_back(e.at);
+  }
+  // Out past the edge, and twice more while hovering around 5.6-5.9 m.
+  EXPECT_GE(proven_fell.size(), 2u);
+  EXPECT_EQ(proven_fell, measured_fell);
 }
 
 TEST(LinkQualityModelTest, LogDistanceLawDecaysSteeperNearTransmitter) {

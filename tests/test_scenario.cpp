@@ -2,6 +2,13 @@
 // declarative ScenarioRunner — setup, traffic, metrics, determinism.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "forwarding_model.hpp"
 #include "scenario/scenario.hpp"
 
 namespace peerhood::scenario {
@@ -152,8 +159,8 @@ PlaneWork run_and_count(ScenarioSpec spec) {
 // re-planning a dead link: the shape the benchmark's mobility-chaos
 // workload runs. Any change to how often the medium reads a link shows up
 // here as an exact count.
-TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
-  ScenarioSpec spec = group_walk(11, /*predictive=*/true, 4);
+ScenarioSpec chaos_group_walk(std::uint64_t seed) {
+  ScenarioSpec spec = group_walk(seed, /*predictive=*/true, 4);
   spec.faults.profiles.push_back({Technology::kBluetooth, full_chaos()});
   for (SessionSpec& session : spec.sessions) {
     session.reliable = true;
@@ -161,8 +168,13 @@ TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
     session.handover_config.direct_resume_enabled = true;
     session.handover_config.max_dead_link_passes = 1000;
   }
-  const PlaneWork work = run_and_count(std::move(spec));
-  EXPECT_EQ(work.evaluations, 4449u);
+  return spec;
+}
+
+TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
+  const PlaneWork work = run_and_count(chaos_group_walk(11));
+  // Measurements only: re-checks inside a quiet horizon do not measure.
+  EXPECT_EQ(work.evaluations, 2826u);
   EXPECT_EQ(work.observer_evals, 1916u);
   EXPECT_EQ(work.events_emitted, 2u);
   EXPECT_EQ(work.frames, 2950u);
@@ -173,10 +185,159 @@ TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
 TEST(ScenarioRunner, ChurnQualityWorkIsPinned) {
   const PlaneWork work =
       run_and_count(churn(11, /*predictive=*/true, /*nodes=*/12));
-  EXPECT_EQ(work.evaluations, 3029u);
+  EXPECT_EQ(work.evaluations, 1348u);
   EXPECT_EQ(work.observer_evals, 1919u);
   EXPECT_EQ(work.events_emitted, 8u);
   EXPECT_EQ(work.frames, 4861u);
+}
+
+// --- Horizon oracle ------------------------------------------------------------
+
+// Every model behind a ForwardingModel: the medium proves nothing, so every
+// observer re-check, frame delivery and keepalive tick measures.
+class AlwaysMeasureRunner final : public ScenarioRunner {
+ public:
+  using ScenarioRunner::ScenarioRunner;
+
+ private:
+  std::shared_ptr<const sim::MobilityModel> adopt_model(
+      std::shared_ptr<const sim::MobilityModel> model) const override {
+    return std::make_shared<testing::ForwardingModel>(std::move(model));
+  }
+};
+
+struct RunPrint {
+  // Every ScenarioMetrics and TrafficStats field, doubles in hex.
+  std::string outcome;
+  std::uint64_t observer_evals{0};
+  std::uint64_t events_emitted{0};
+  std::uint64_t evaluations{0};
+  // Every crossing pushed to an observer of each node pair.
+  std::uint64_t event_hash{0};
+  std::uint64_t event_count{0};
+};
+
+std::string describe(const ScenarioMetrics& m, const sim::TrafficStats& t) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const SessionMetrics& s : m.sessions) {
+    out << "session " << s.connected << ' ' << s.sent << ' ' << s.received
+        << ' ' << s.handovers << ' ' << s.predictions << ' '
+        << s.predictive_handovers << ' ' << s.reconnections << ' '
+        << s.restarts << ' ' << s.dup_or_reorder << ' ' << s.gaps << ' '
+        << s.outage_episodes << ' ' << s.outage_s << ' '
+        << s.handover_latency_sum_s << ' ' << s.handover_latency_count
+        << '\n';
+  }
+  const sim::FaultStats& f = m.fault_stats;
+  out << "body " << m.medium_frames << ' ' << m.medium_frame_bytes << ' '
+      << m.quality_observer_evals << ' ' << m.quality_events << ' '
+      << m.restart_resumes << "\nfaults " << f.frames_seen << ' '
+      << f.loss_drops << ' ' << f.blackout_drops << ' ' << f.corrupted << ' '
+      << f.duplicated << ' ' << f.reordered << ' ' << f.burst_entries << ' '
+      << f.node_crashes << ' ' << f.node_restarts << "\nnet "
+      << m.net_stats.frames_checked << ' ' << m.net_stats.corrupt_drops << ' '
+      << m.net_stats.send_queue_drops << ' '
+      << m.net_stats.reconnect_attempts << "\ntraffic " << t.inquiries << ' '
+      << t.inquiry_responses << ' ' << t.frames << ' ' << t.frame_bytes << ' '
+      << t.drops << '\n';
+  return out.str();
+}
+
+template <typename Runner>
+RunPrint run_print(ScenarioSpec spec) {
+  Runner runner{std::move(spec)};
+  RunPrint print;
+  const Status setup = runner.setup();
+  if (!setup.ok()) {
+    ADD_FAILURE() << setup.error().to_string();
+    return print;
+  }
+  sim::RadioMedium& medium = runner.testbed().medium();
+  print.event_hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&print](std::uint64_t word) {
+    print.event_hash = (print.event_hash ^ word) * 0x100000001b3ULL;
+  };
+  // Watch every node pair at the paper's threshold, on top of the
+  // sessions' own observers.
+  const std::vector<node::Node*> nodes = runner.testbed().nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      (void)medium.observe_quality(
+          nodes[i]->mac(), nodes[j]->mac(), Technology::kBluetooth,
+          sim::LinkQualityModel::kDefaultThreshold,
+          [&](const sim::LinkQualityEvent& e) {
+            ++print.event_count;
+            for (const std::uint64_t word :
+                 {e.a.as_u64(), e.b.as_u64(),
+                  static_cast<std::uint64_t>(e.edge),
+                  static_cast<std::uint64_t>(e.quality),
+                  std::bit_cast<std::uint64_t>(e.slope_per_s),
+                  std::bit_cast<std::uint64_t>(e.distance_m),
+                  std::bit_cast<std::uint64_t>(e.radial_speed_mps),
+                  static_cast<std::uint64_t>(e.at.since_epoch.count())}) {
+              mix(word);
+            }
+          });
+    }
+  }
+  runner.run();
+  const sim::QualityStats& quality = medium.quality_stats();
+  print.outcome = describe(runner.metrics(), medium.stats());
+  print.observer_evals = quality.observer_evals;
+  print.events_emitted = quality.events_emitted;
+  print.evaluations = quality.evaluations;
+  return print;
+}
+
+// Proofs change no outcome: with and without them a scenario runs to the
+// same metrics, traffic, re-check count and pushed crossings, and measures
+// no more often.
+template <typename MakeSpec>
+void expect_horizons_invisible(const MakeSpec& make_spec,
+                               std::uint64_t first_seed, int seeds) {
+  std::uint64_t proven_evaluations = 0;
+  std::uint64_t measured_evaluations = 0;
+  std::uint64_t events = 0;
+  for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
+    const RunPrint proven = run_print<ScenarioRunner>(make_spec(seed));
+    const RunPrint measured = run_print<AlwaysMeasureRunner>(make_spec(seed));
+    EXPECT_EQ(proven.outcome, measured.outcome) << "seed " << seed;
+    EXPECT_EQ(proven.observer_evals, measured.observer_evals)
+        << "seed " << seed;
+    EXPECT_EQ(proven.events_emitted, measured.events_emitted)
+        << "seed " << seed;
+    EXPECT_EQ(proven.event_hash, measured.event_hash) << "seed " << seed;
+    EXPECT_EQ(proven.event_count, measured.event_count) << "seed " << seed;
+    EXPECT_LE(proven.evaluations, measured.evaluations) << "seed " << seed;
+    proven_evaluations += proven.evaluations;
+    measured_evaluations += measured.evaluations;
+    events += proven.event_count;
+  }
+  // The proofs do skip work, and the watched links do cross edges.
+  EXPECT_LT(proven_evaluations, measured_evaluations);
+  EXPECT_GT(events, 0u);
+}
+
+TEST(HorizonOracle, ChaosGroupWalk) {
+  expect_horizons_invisible(chaos_group_walk, 1, 70);
+}
+
+TEST(HorizonOracle, Churn) {
+  // As in the benchmark's churn workload: a client that starts out of its
+  // server's range keeps retrying its first connect for 10 minutes.
+  expect_horizons_invisible(
+      [](std::uint64_t seed) {
+        ScenarioSpec spec = churn(seed, true, /*n=*/12);
+        spec.connect_deadline_s = 600.0;
+        return spec;
+      },
+      1, 70);
+}
+
+TEST(HorizonOracle, CorridorWalk) {
+  expect_horizons_invisible(
+      [](std::uint64_t seed) { return corridor_walk(seed, true); }, 1, 60);
 }
 
 TEST(ScenarioRunner, UnknownServiceFailsSetup) {
