@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -456,6 +457,92 @@ TEST(SegmentBoundary, GroupMemberRetargetIgnoresHistory) {
         },
         at(t), at(t + 1.0));
   }
+}
+
+// --- Walk hash: the generated walks are pinned bit for bit ---------------
+
+// FNV-1a over the bit patterns of position_at and velocity_at of one model,
+// queried 3,000 times on a seeded schedule: forward steps, repeats, short
+// and far backward jumps, far forward jumps (which prune the history), with
+// a quarter of the times snapped onto a multiple of `boundary`. A change to
+// a model's draw order, leg arithmetic or boundary convention changes the
+// hash; GaussMarkov appears in no golden output, so only this catches it.
+std::uint64_t walk_hash(const MobilityModel& model, std::uint64_t seed,
+                        SimDuration boundary) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](Vec2 v) {
+    for (const double d : {v.x, v.y}) {
+      hash = (hash ^ std::bit_cast<std::uint64_t>(d)) * 0x100000001b3ULL;
+    }
+  };
+  Rng pattern{seed};
+  std::int64_t t_us = 0;
+  const std::int64_t boundary_us = boundary.count();
+  for (int step = 0; step < 3000; ++step) {
+    const double roll = pattern.next_double();
+    if (roll < 0.5) {
+      t_us += pattern.uniform_int(1, 1'500'000);
+    } else if (roll < 0.6) {
+      // Repeat the previous time.
+    } else if (roll < 0.8) {
+      t_us = std::max<std::int64_t>(0, t_us - pattern.uniform_int(1, 5'000'000));
+    } else if (roll < 0.9) {
+      t_us += pattern.uniform_int(20'000'000, 400'000'000);
+    } else {
+      t_us = pattern.uniform_int(0, t_us / 2);
+    }
+    if (pattern.next_double() < 0.25) t_us = t_us / boundary_us * boundary_us;
+    const SimTime t{microseconds(t_us)};
+    mix(model.position_at(t));
+    mix(model.velocity_at(t));
+  }
+  return hash;
+}
+
+TEST(WalkHash, GeneratedWalksAreBitStable) {
+  const auto path = std::make_shared<WaypointPath>(
+      std::vector<WaypointPath::Waypoint>{{at(0.0), {0.0, 0.0}},
+                                          {at(10.0), {10.0, 0.0}},
+                                          {at(30.0), {10.0, 30.0}}});
+  const auto walk = std::make_shared<RandomWaypoint>(
+      small_area(), Vec2{10.0, 10.0}, Rng{6});
+  GroupMember::Config still;
+  still.deviation_radius_m = 0.0;
+  std::uint64_t random_default = 0;
+  std::uint64_t random_small = 0;
+  std::uint64_t gauss = 0;
+  std::uint64_t group_path = 0;
+  std::uint64_t group_walk = 0;
+  std::uint64_t group_still = 0;
+  // Each sum is over fresh models, so every seed's hash counts once.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    random_default += walk_hash(
+        RandomWaypoint{{}, {50.0, 50.0}, Rng{seed}}, seed, seconds(2.0));
+    random_small += walk_hash(
+        RandomWaypoint{small_area(), {5.0, 5.0}, Rng{seed}}, seed,
+        small_area().pause);
+    gauss += walk_hash(GaussMarkov{{}, {50.0, 50.0}, Rng{seed}}, seed,
+                       seconds(1.0));
+    group_path += walk_hash(
+        GroupMember{path, {1.0, -1.0}, {}, Rng{seed + 100}}, seed,
+        seconds(4.0));
+    // Over a fresh walk, so the reference's own history does not depend
+    // on the seeds before.
+    group_walk += walk_hash(
+        GroupMember{std::make_shared<RandomWaypoint>(*walk), {1.0, -1.0}, {},
+                    Rng{seed + 200}},
+        seed, seconds(4.0));
+    group_still += walk_hash(
+        GroupMember{std::make_shared<RandomWaypoint>(*walk), {2.0, 0.5},
+                    still, Rng{seed + 300}},
+        seed, small_area().pause);
+  }
+  EXPECT_EQ(random_default, 943118308762712251ULL);
+  EXPECT_EQ(random_small, 18390587335224192518ULL);
+  EXPECT_EQ(gauss, 9301331562593035587ULL);
+  EXPECT_EQ(group_path, 10846265213145376449ULL);
+  EXPECT_EQ(group_walk, 11593575834152295966ULL);
+  EXPECT_EQ(group_still, 6730690878041790638ULL);
 }
 
 // --- max_speed(): the bound the medium's horizons rest on -----------------
