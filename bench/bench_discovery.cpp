@@ -1,7 +1,7 @@
 // E1 + E2 — Coverage exclusion vs. total environment awareness (Figs. 3.1,
 // 3.3, 3.6) and the maximum notification delay (Fig. 3.10) — plus the
 // PR 4 discovery-plane scale sweep: steady-state fetch bytes and round
-// latency, full fetch vs cached encode vs conditional delta fetch.
+// latency, full fetch vs conditional delta fetch.
 //
 // Paper claims reproduced here:
 //  * Legacy PeerHood [2] sees at most two jumps; dynamic device discovery
@@ -108,14 +108,12 @@ void report_notification_delay() {
 
 struct ScaleMode {
   const char* name;
-  bool snapshot_cache;
   bool conditional_fetch;
 };
 
 constexpr ScaleMode kScaleModes[] = {
-    {"full", false, false},    // paper behaviour: encode + ship per request
-    {"cached", true, false},   // responder-side cache, full responses
-    {"delta", true, true},     // versioned conditional fetch
+    {"full", false},  // paper behaviour: ship the full snapshot per request
+    {"delta", true},  // versioned conditional fetch
 };
 
 struct ScaleResult {
@@ -143,7 +141,6 @@ ScaleResult run_scale(int n, const ScaleMode& mode, bool asymmetric,
   for (int i = 0; i < n; ++i) {
     node::NodeOptions options;
     options.mobility = MobilityClass::kStatic;
-    options.daemon.snapshot_cache = mode.snapshot_cache;
     options.daemon.conditional_fetch = mode.conditional_fetch;
     testbed.add_node("n" + std::to_string(i),
                      {5.0 * (i % side), 5.0 * (i / side)}, options);

@@ -27,11 +27,6 @@ struct DaemonConfig {
   // one unified connection instead of four short ones (ablation E10).
   bool unified_fetch{false};
 
-  // Responder side of the discovery plane: cache the encoded snapshot
-  // response per generation and serve repeat requests from the shared
-  // buffer (off = re-encode per request, the pre-cache baseline).
-  bool snapshot_cache{true};
-
   // Requester side: send the last-seen epoch + per-section generations with
   // each fetch so unchanged responders answer kNotModified / section deltas
   // instead of full snapshots (off = always fetch full, the paper's

@@ -41,7 +41,6 @@ Daemon::Daemon(net::Network& network, MacAddress mac,
       analyzer_{mac, AnalyzerConfig{config_.propagate_routes}},
       engine_{network, mac},
       session_store_{kSessionJournalCapacity} {
-  cache_.set_caching(config_.snapshot_cache);
   if (!config_.session_journal_path.empty()) {
     session_store_.bind_file(config_.session_journal_path);
   }

@@ -6,14 +6,6 @@
 
 namespace peerhood {
 
-void SnapshotCache::set_caching(bool enabled) {
-  caching_ = enabled;
-  if (!enabled) {
-    for (CachedFull& slot : full_) slot.frame.reset();
-    not_modified_.reset();
-  }
-}
-
 bool SnapshotCache::sections_equal(std::uint8_t sections,
                                    const wire::SectionGens& a,
                                    const wire::SectionGens& b) {
@@ -116,8 +108,7 @@ SnapshotCache::FramePtr SnapshotCache::respond(
     }
     if (changed == 0) {
       ++stats_.not_modified;
-      if (caching_ && not_modified_ != nullptr &&
-          not_modified_load_ == src.load_percent) {
+      if (not_modified_ != nullptr && not_modified_load_ == src.load_percent) {
         return not_modified_;
       }
       wire::FetchResponse response;
@@ -127,10 +118,8 @@ SnapshotCache::FramePtr SnapshotCache::respond(
       FramePtr frame = make_frame(6, [&response](ByteWriter& writer) {
         wire::encode_into(writer, response);
       });
-      if (caching_) {
-        not_modified_ = frame;
-        not_modified_load_ = src.load_percent;
-      }
+      not_modified_ = frame;
+      not_modified_load_ = src.load_percent;
       return frame;
     }
     // Deltas are requester-specific (they depend on the baseline), so they
@@ -142,7 +131,7 @@ SnapshotCache::FramePtr SnapshotCache::respond(
   // Full response: no baseline, or the responder restarted since the
   // requester last looked (epoch mismatch — generations are incomparable).
   CachedFull& slot = full_[sections];
-  if (caching_ && slot.frame != nullptr && slot.epoch == src.epoch &&
+  if (slot.frame != nullptr && slot.epoch == src.epoch &&
       slot.load_percent == src.load_percent &&
       sections_equal(sections, slot.gens, src.gens)) {
     ++stats_.full_hits;
@@ -150,12 +139,10 @@ SnapshotCache::FramePtr SnapshotCache::respond(
   }
   ++stats_.full_encodes;
   FramePtr frame = encode_sections(wire::kSharedRequestId, sections, src);
-  if (caching_) {
-    slot.frame = frame;
-    slot.gens = src.gens;
-    slot.epoch = src.epoch;
-    slot.load_percent = src.load_percent;
-  }
+  slot.frame = frame;
+  slot.gens = src.gens;
+  slot.epoch = src.epoch;
+  slot.load_percent = src.load_percent;
   return frame;
 }
 

@@ -62,12 +62,6 @@ class SnapshotCache {
   explicit SnapshotCache(bool datagram_frames = false)
       : datagram_frames_{datagram_frames} {}
 
-  // When disabled the cache encodes every reply afresh (the pre-cache
-  // behaviour, kept for the ablation bench); conditional requests are still
-  // answered with kNotModified / deltas.
-  void set_caching(bool enabled);
-  [[nodiscard]] bool caching() const { return caching_; }
-
   // Produces the encoded reply frame for `request` against `src`: a shared
   // cached full response, a shared cached kNotModified, or a fresh delta.
   // Never returns nullptr.
@@ -101,7 +95,6 @@ class SnapshotCache {
                                          const SnapshotSource& src) const;
 
   bool datagram_frames_;
-  bool caching_{true};
   // One cached full response per requested-sections bitmask (0..15).
   std::array<CachedFull, 16> full_{};
   FramePtr not_modified_;

@@ -124,14 +124,6 @@ std::shared_ptr<const sim::MobilityModel> MobilitySpec::build(
                                                  departure);
     case Kind::kWaypoints:
       return std::make_shared<sim::WaypointPath>(shifted(waypoints, offset));
-    case Kind::kTrace: {
-      auto parsed = parse_waypoint_trace(trace);
-      // Spec errors surface at build time; an invalid inline trace is a
-      // programming error in the scenario, not a runtime condition.
-      if (!parsed.ok()) return nullptr;
-      return std::make_shared<sim::WaypointPath>(
-          shifted(std::move(parsed).value(), offset));
-    }
     case Kind::kRandomWaypoint:
       return std::make_shared<sim::RandomWaypoint>(random_waypoint,
                                                    start + offset, rng);

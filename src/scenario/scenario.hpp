@@ -37,7 +37,6 @@ struct MobilitySpec {
     kRandomWaypoint,
     kGaussMarkov,
     kGroup,
-    kTrace,
   };
 
   Kind kind{Kind::kStatic};
@@ -46,8 +45,8 @@ struct MobilitySpec {
   sim::Vec2 start{};
   sim::Vec2 velocity{};                                // kLinear
   SimTime departure{};                                 // kLinear
-  std::vector<sim::WaypointPath::Waypoint> waypoints;  // kWaypoints
-  std::string trace;                                   // kTrace (trace text)
+  // kWaypoints: scripted, or a recorded trace (parse_waypoint_trace).
+  std::vector<sim::WaypointPath::Waypoint> waypoints;
   sim::RandomWaypoint::Config random_waypoint{};
   sim::GaussMarkov::Config gauss_markov{};
   sim::GroupMember::Config group{};
@@ -64,7 +63,8 @@ struct MobilitySpec {
 // Parses a waypoint trace: one "<seconds> <x> <y>" triple per line,
 // '#'-comments and blank lines ignored, timestamps non-decreasing.
 // The scenario layer's trace-driven loader — recorded walks (or ns-2-style
-// exports converted to this form) replay as WaypointPath models.
+// exports converted to this form) go into MobilitySpec::waypoints and replay
+// as WaypointPath models; a bad trace is an error here, before any build.
 [[nodiscard]] Result<std::vector<sim::WaypointPath::Waypoint>>
 parse_waypoint_trace(std::string_view text);
 // Same, from a file on disk.

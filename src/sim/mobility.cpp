@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
@@ -10,11 +11,11 @@
 namespace peerhood::sim {
 namespace {
 
-// History watermarks shared by the segment-generating models: once a walk
-// holds more than kMaxSegments, everything wholly before the queried time is
-// pruned down to kKeepBehind trailing segments (a little slack for small
-// backwards probes, e.g. finite-difference velocity checks in tests).
-constexpr std::size_t kMaxSegments = 64;
+// History watermarks of a GeneratedWalk: once it holds more than
+// kMaxLegs legs, everything wholly before the queried time is pruned
+// down to kKeepBehind trailing legs (a little slack for small backwards
+// probes, e.g. finite-difference velocity checks in tests).
+constexpr std::size_t kMaxLegs = 64;
 constexpr std::size_t kKeepBehind = 8;
 
 constexpr double kMicrosPerSecond = 1e6;
@@ -28,44 +29,7 @@ Vec2 clamp_into(Vec2 p, Vec2 lo, Vec2 hi) {
   return {std::clamp(p.x, lo.x, hi.x), std::clamp(p.y, lo.y, hi.y)};
 }
 
-// Drops fully-past history once it crosses the watermark. `t` is the newest
-// query; only segments that end strictly before it are candidates.
-template <typename Segments, typename EndsBefore>
-void prune_history(Segments& segments, SimTime t, EndsBefore ends_before) {
-  if (segments.size() <= kMaxSegments) return;
-  std::size_t cut = 0;
-  while (cut + kKeepBehind < segments.size() &&
-         ends_before(segments[cut], t)) {
-    ++cut;
-  }
-  if (cut > kKeepBehind) cut -= kKeepBehind;
-  else cut = 0;
-  if (cut > 0) segments.erase(segments.begin(), segments.begin() + cut);
-}
-
-// Index of the last segment departing at or before `t`: the one holding `t`
-// once the history extends through it.
-template <typename Segments>
-std::size_t last_departed(const Segments& segments, SimTime t) {
-  const auto next = std::upper_bound(
-      segments.begin(), segments.end(), t,
-      [](SimTime value, const auto& s) { return value < s.depart; });
-  assert(next != segments.begin());
-  return static_cast<std::size_t>(next - 1 - segments.begin());
-}
-
 }  // namespace
-
-Vec2 MobilityModel::velocity_at(SimTime t) const {
-  // Symmetric finite difference, degrading to forward difference at t = 0.
-  constexpr SimDuration h = std::chrono::milliseconds{25};
-  const SimTime hi = t + h;
-  const SimTime lo = t.since_epoch >= h ? SimTime{t.since_epoch - h}
-                                        : SimTime::zero();
-  const double dt = to_seconds(hi - lo);
-  if (dt <= 0.0) return {};
-  return (position_at(hi) - position_at(lo)) * (1.0 / dt);
-}
 
 WaypointPath::WaypointPath(std::vector<Waypoint> waypoints)
     : waypoints_{std::move(waypoints)} {
@@ -117,32 +81,97 @@ double WaypointPath::max_speed() const {
   return fastest;
 }
 
-RandomWaypoint::RandomWaypoint(Config config, Vec2 start, Rng rng)
-    : config_{config}, start_{start}, initial_rng_{rng}, rng_{rng} {
-  segments_.push_back(
-      Segment{SimTime::zero(), SimTime::zero() + config_.pause, start, start});
-}
-
-void RandomWaypoint::rewind() const {
-  rng_ = initial_rng_;
-  segments_.clear();
-  segments_.push_back(Segment{SimTime::zero(), SimTime::zero() + config_.pause,
-                              start_, start_});
-}
-
-void RandomWaypoint::extend_until(SimTime t) const {
-  while (segments_.back().arrive <= t) {
-    const Segment& last = segments_.back();
-    const Vec2 target{rng_.uniform(config_.area_min.x, config_.area_max.x),
-                      rng_.uniform(config_.area_min.y, config_.area_max.y)};
-    const double speed =
-        rng_.uniform(config_.speed_min_mps, config_.speed_max_mps);
-    const double dist = distance(last.to, target);
-    const SimTime depart = last.arrive;
-    const SimTime arrive =
-        depart + seconds(speed > 0.0 ? dist / speed : 0.0) + config_.pause;
-    segments_.push_back(Segment{depart, arrive, last.to, target});
+const GeneratedWalk::Leg& GeneratedWalk::leg_at(SimTime t) const {
+  // Still inside the last leg used: the next one departs at its end, so
+  // this is the leg seek() would find.
+  if (cursor_ < legs_.size()) {
+    const Leg& leg = legs_[cursor_];
+    if (leg.depart <= t && t < leg.end) return leg;
   }
+  return seek(t);
+}
+
+const GeneratedWalk::Leg& GeneratedWalk::seek(SimTime t) const {
+  // A query behind the pruned history deterministically replays the whole
+  // walk from the pristine RNG state — exactness over speed for the rare
+  // backwards jump; forward queries stay O(1) amortised.
+  if (legs_.empty() || t < legs_.front().depart) {
+    rng_ = initial_rng_;
+    legs_.clear();
+    legs_.push_back(make_leg_(nullptr, rng_));
+  }
+  while (legs_.back().end <= t) {
+    legs_.push_back(make_leg_(&legs_.back(), rng_));
+  }
+  if (legs_.size() > kMaxLegs) {
+    std::size_t cut = 0;
+    while (cut + kKeepBehind < legs_.size() && legs_[cut].end < t) ++cut;
+    if (cut > kKeepBehind) {
+      const auto drop = static_cast<std::ptrdiff_t>(cut - kKeepBehind);
+      legs_.erase(legs_.begin(), legs_.begin() + drop);
+    }
+  }
+  // The last leg departing at or before t; the history extends through it.
+  const auto next = std::upper_bound(
+      legs_.begin(), legs_.end(), t,
+      [](SimTime value, const Leg& leg) { return value < leg.depart; });
+  assert(next != legs_.begin());
+  cursor_ = static_cast<std::size_t>(next - 1 - legs_.begin());
+  return legs_[cursor_];
+}
+
+Vec2 GeneratedWalk::position_at(SimTime t) const {
+  const Leg& leg = leg_at(t);
+  if (leg.travel_s <= 0.0) return leg.to;
+  const double elapsed = to_seconds(t - leg.depart);
+  const double alpha = std::clamp(elapsed / leg.travel_s, 0.0, 1.0);
+  return leg.from + (leg.to - leg.from) * alpha;
+}
+
+Vec2 GeneratedWalk::velocity_at(SimTime t) const {
+  const Leg& leg = leg_at(t);
+  const double elapsed = to_seconds(t - leg.depart);
+  // Holding at the target (or a zero-length hop): standing still.
+  if (leg.travel_s <= 0.0 || elapsed >= leg.travel_s) return {};
+  return (leg.to - leg.from) * (1.0 / leg.travel_s);
+}
+
+namespace {
+
+// A walk to a uniform target at a uniform speed, then the pause; the walk
+// opens with a pause at `start`.
+GeneratedWalk::MakeLeg random_waypoint_legs(RandomWaypoint::Config config,
+                                            Vec2 start) {
+  return [config, start](const GeneratedWalk::Leg* last, Rng& rng) {
+    const SimTime depart = last == nullptr ? SimTime::zero() : last->end;
+    const Vec2 from = last == nullptr ? start : last->to;
+    Vec2 to = from;
+    SimDuration travel{0};
+    if (last != nullptr) {
+      to = {rng.uniform(config.area_min.x, config.area_max.x),
+            rng.uniform(config.area_min.y, config.area_max.y)};
+      const double speed =
+          rng.uniform(config.speed_min_mps, config.speed_max_mps);
+      travel = seconds(speed > 0.0 ? distance(from, to) / speed : 0.0);
+    }
+    const SimTime end = depart + travel + config.pause;
+    return GeneratedWalk::Leg{
+        depart, end, from, to,
+        to_seconds(end - depart) - to_seconds(config.pause)};
+  };
+}
+
+}  // namespace
+
+RandomWaypoint::RandomWaypoint(Config config, Vec2 start, Rng rng)
+    : config_{config}, walk_{rng, random_waypoint_legs(config, start)} {}
+
+Vec2 RandomWaypoint::position_at(SimTime t) const {
+  return walk_.position_at(t);
+}
+
+Vec2 RandomWaypoint::velocity_at(SimTime t) const {
+  return walk_.velocity_at(t);
 }
 
 double RandomWaypoint::max_speed() const {
@@ -160,150 +189,101 @@ double RandomWaypoint::max_speed() const {
   return std::max(config_.speed_min_mps, config_.speed_max_mps);
 }
 
-const RandomWaypoint::Segment& RandomWaypoint::segment_for(SimTime t) const {
-  // Still inside the last segment used: the next one departs at its end, so
-  // this is the segment the search below would find.
-  if (cursor_ < segments_.size()) {
-    const Segment& seg = segments_[cursor_];
-    if (seg.depart <= t && t < seg.arrive) return seg;
-  }
-  // A query behind the pruned base deterministically replays the whole walk
-  // from the initial RNG state — exactness over speed for the rare backwards
-  // jump; forward queries stay O(1) amortised with bounded history.
-  if (t < segments_.front().depart) rewind();
-  extend_until(t);
-  prune_history(segments_, t,
-                [](const Segment& s, SimTime at) { return s.arrive < at; });
-  cursor_ = last_departed(segments_, t);
-  return segments_[cursor_];
+namespace {
+
+// One AR step per update_interval. The first leg resets the AR state from
+// the (re-)wound stream, so a replay is exact.
+GeneratedWalk::MakeLeg gauss_markov_legs(GaussMarkov::Config config,
+                                         Vec2 start) {
+  return [config, start, speed = 0.0, direction = 0.0](
+             const GeneratedWalk::Leg* last, Rng& rng) mutable {
+    if (last == nullptr) {
+      speed = std::max(0.0, config.mean_speed_mps);
+      direction = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    }
+    const SimTime depart = last == nullptr ? SimTime::zero() : last->end;
+    const Vec2 from =
+        last == nullptr ? clamp_into(start, config.area_min, config.area_max)
+                        : last->to;
+    const double dt = to_seconds(config.update_interval);
+    // Steer the mean heading back toward the centre when hugging an edge.
+    double mean_dir = direction;
+    const Vec2 centre = (config.area_min + config.area_max) * 0.5;
+    const bool near_edge = from.x < config.area_min.x + config.edge_margin_m ||
+                           from.x > config.area_max.x - config.edge_margin_m ||
+                           from.y < config.area_min.y + config.edge_margin_m ||
+                           from.y > config.area_max.y - config.edge_margin_m;
+    if (near_edge) mean_dir = std::atan2(centre.y - from.y, centre.x - from.x);
+
+    const double a = std::clamp(config.alpha, 0.0, 1.0);
+    const double memoryless = std::sqrt(std::max(0.0, 1.0 - a * a));
+    const double speed_noise = rng.gaussian(0.0, config.speed_sigma);
+    speed = std::max(0.0, a * speed + (1.0 - a) * config.mean_speed_mps +
+                              memoryless * speed_noise);
+    // Blend toward the mean heading along the short way around the circle:
+    // the random walk drifts the unwrapped direction arbitrarily far, and a
+    // naive (1-a)·(mean - dir) step would then spin instead of steer.
+    const double turn =
+        std::remainder(mean_dir - direction, 2.0 * std::numbers::pi);
+    direction += (1.0 - a) * turn +
+                 memoryless * rng.gaussian(0.0, config.direction_sigma);
+
+    const Vec2 velocity{speed * std::cos(direction),
+                        speed * std::sin(direction)};
+    const Vec2 to =
+        clamp_into(from + velocity * dt, config.area_min, config.area_max);
+    return GeneratedWalk::Leg{depart, depart + config.update_interval, from,
+                              to, dt};
+  };
 }
 
-Vec2 RandomWaypoint::position_at(SimTime t) const {
-  const Segment& seg = segment_for(t);
-  const double travel = to_seconds(seg.arrive - seg.depart) -
-                        to_seconds(config_.pause);
-  if (travel <= 0.0) return seg.to;
-  const double elapsed = to_seconds(t - seg.depart);
-  const double alpha = std::clamp(elapsed / travel, 0.0, 1.0);
-  return seg.from + (seg.to - seg.from) * alpha;
-}
-
-Vec2 RandomWaypoint::velocity_at(SimTime t) const {
-  const Segment& seg = segment_for(t);
-  const double travel = to_seconds(seg.arrive - seg.depart) -
-                        to_seconds(config_.pause);
-  const double elapsed = to_seconds(t - seg.depart);
-  // Paused at the target (or a zero-length hop): standing still.
-  if (travel <= 0.0 || elapsed >= travel) return {};
-  return (seg.to - seg.from) * (1.0 / travel);
-}
+}  // namespace
 
 GaussMarkov::GaussMarkov(Config config, Vec2 start, Rng rng)
-    : config_{config}, start_{start}, initial_rng_{rng}, rng_{rng} {
-  // Every segment departs one interval after the last: a zero interval
-  // would make extend_until append segments forever.
-  if (config_.update_interval <= SimDuration::zero()) {
+    : walk_{rng, gauss_markov_legs(config, start)} {
+  // Every leg departs one interval after the last: a zero interval would
+  // make the walk append legs forever.
+  if (config.update_interval <= SimDuration::zero()) {
     throw std::invalid_argument{"GaussMarkov: update_interval must be > 0"};
   }
-  seed_segments();
-}
-
-void GaussMarkov::rewind() const {
-  rng_ = initial_rng_;
-  seed_segments();
-}
-
-void GaussMarkov::seed_segments() const {
-  state_.speed = std::max(0.0, config_.mean_speed_mps);
-  state_.direction = rng_.uniform(0.0, 2.0 * std::numbers::pi);
-  segments_.clear();
-  segments_.push_back(make_segment(
-      SimTime::zero(),
-      clamp_into(start_, config_.area_min, config_.area_max)));
-}
-
-GaussMarkov::Segment GaussMarkov::make_segment(SimTime depart,
-                                               Vec2 from) const {
-  const double dt = to_seconds(config_.update_interval);
-  // Steer the mean heading back toward the centre when hugging an edge.
-  double mean_dir = state_.direction;
-  const Vec2 centre = (config_.area_min + config_.area_max) * 0.5;
-  const bool near_edge =
-      from.x < config_.area_min.x + config_.edge_margin_m ||
-      from.x > config_.area_max.x - config_.edge_margin_m ||
-      from.y < config_.area_min.y + config_.edge_margin_m ||
-      from.y > config_.area_max.y - config_.edge_margin_m;
-  if (near_edge) mean_dir = std::atan2(centre.y - from.y, centre.x - from.x);
-
-  const double a = std::clamp(config_.alpha, 0.0, 1.0);
-  const double memoryless = std::sqrt(std::max(0.0, 1.0 - a * a));
-  state_.speed = std::max(
-      0.0, a * state_.speed + (1.0 - a) * config_.mean_speed_mps +
-               memoryless * rng_.gaussian(0.0, config_.speed_sigma));
-  // Blend toward the mean heading along the short way around the circle:
-  // the random walk drifts the unwrapped direction arbitrarily far, and a
-  // naive (1-a)·(mean - dir) step would then spin instead of steer.
-  const double turn = std::remainder(mean_dir - state_.direction,
-                                     2.0 * std::numbers::pi);
-  state_.direction += (1.0 - a) * turn +
-                      memoryless * rng_.gaussian(0.0, config_.direction_sigma);
-
-  const Vec2 velocity{state_.speed * std::cos(state_.direction),
-                      state_.speed * std::sin(state_.direction)};
-  Segment seg;
-  seg.depart = depart;
-  seg.from = from;
-  seg.to = clamp_into(from + velocity * dt, config_.area_min, config_.area_max);
-  return seg;
-}
-
-void GaussMarkov::extend_until(SimTime t) const {
-  while (segments_.back().depart + config_.update_interval <= t) {
-    const Segment& last = segments_.back();
-    segments_.push_back(
-        make_segment(last.depart + config_.update_interval, last.to));
-  }
-}
-
-const GaussMarkov::Segment& GaussMarkov::segment_for(SimTime t) const {
-  if (cursor_ < segments_.size()) {
-    const Segment& seg = segments_[cursor_];
-    if (seg.depart <= t && t < seg.depart + config_.update_interval) {
-      return seg;
-    }
-  }
-  if (t < segments_.front().depart) rewind();
-  extend_until(t);
-  prune_history(segments_, t, [this](const Segment& s, SimTime at) {
-    return s.depart + config_.update_interval < at;
-  });
-  cursor_ = last_departed(segments_, t);
-  return segments_[cursor_];
 }
 
 Vec2 GaussMarkov::position_at(SimTime t) const {
-  const Segment& seg = segment_for(t);
-  const double dt = to_seconds(config_.update_interval);
-  const double alpha =
-      std::clamp(to_seconds(t - seg.depart) / dt, 0.0, 1.0);
-  return seg.from + (seg.to - seg.from) * alpha;
+  return walk_.position_at(t);
 }
 
 Vec2 GaussMarkov::velocity_at(SimTime t) const {
-  const Segment& seg = segment_for(t);
-  const double dt = to_seconds(config_.update_interval);
-  return (seg.to - seg.from) * (1.0 / dt);
+  return walk_.velocity_at(t);
 }
+
+namespace {
+
+// Every update_interval the deviation re-targets a uniform point of its disk.
+GeneratedWalk::MakeLeg deviation_legs(GroupMember::Config config) {
+  return [config](const GeneratedWalk::Leg* last, Rng& rng) {
+    const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    // sqrt for a uniform density over the disk, not clustered at the centre.
+    const double radius =
+        config.deviation_radius_m * std::sqrt(rng.next_double());
+    const SimTime depart = last == nullptr ? SimTime::zero() : last->end;
+    const Vec2 from = last == nullptr ? Vec2{} : last->to;
+    return GeneratedWalk::Leg{depart, depart + config.update_interval, from,
+                              {radius * std::cos(angle),
+                               radius * std::sin(angle)},
+                              to_seconds(config.update_interval)};
+  };
+}
+
+}  // namespace
 
 GroupMember::GroupMember(std::shared_ptr<const MobilityModel> reference,
                          Vec2 offset, Config config, Rng rng)
     : reference_{std::move(reference)},
       offset_{offset},
       config_{config},
-      initial_rng_{rng},
-      rng_{rng} {
+      deviation_{rng, deviation_legs(config)} {
   assert(reference_ != nullptr);
-  // As in GaussMarkov; a deviation that never moves never extends.
+  // As in GaussMarkov; a deviation that never moves is never queried.
   if (config_.deviation_radius_m > 0.0 &&
       config_.update_interval <= SimDuration::zero()) {
     throw std::invalid_argument{
@@ -318,67 +298,16 @@ double GroupMember::max_speed() const {
                          to_seconds(config_.update_interval);
 }
 
-void GroupMember::rewind() const {
-  rng_ = initial_rng_;
-  segments_.clear();
-}
-
-void GroupMember::extend_until(SimTime t) const {
-  auto draw_target = [this]() -> Vec2 {
-    const double angle = rng_.uniform(0.0, 2.0 * std::numbers::pi);
-    // sqrt for a uniform density over the disk, not clustered at the centre.
-    const double radius =
-        config_.deviation_radius_m * std::sqrt(rng_.next_double());
-    return {radius * std::cos(angle), radius * std::sin(angle)};
-  };
-  if (segments_.empty()) {
-    segments_.push_back(Segment{SimTime::zero(), {}, draw_target()});
-  }
-  while (segments_.back().depart + config_.update_interval <= t) {
-    const Segment& last = segments_.back();
-    segments_.push_back(Segment{last.depart + config_.update_interval,
-                                last.to, draw_target()});
-  }
-}
-
-const GroupMember::Segment& GroupMember::segment_for(SimTime t) const {
-  if (cursor_ < segments_.size()) {
-    const Segment& seg = segments_[cursor_];
-    if (seg.depart <= t && t < seg.depart + config_.update_interval) {
-      return seg;
-    }
-  }
-  if (!segments_.empty() && t < segments_.front().depart) rewind();
-  extend_until(t);
-  prune_history(segments_, t, [this](const Segment& s, SimTime at) {
-    return s.depart + config_.update_interval < at;
-  });
-  cursor_ = last_departed(segments_, t);
-  return segments_[cursor_];
-}
-
-Vec2 GroupMember::deviation_at(SimTime t) const {
-  if (config_.deviation_radius_m <= 0.0) return {};
-  const Segment& seg = segment_for(t);
-  const double dt = to_seconds(config_.update_interval);
-  const double alpha =
-      std::clamp(to_seconds(t - seg.depart) / dt, 0.0, 1.0);
-  return seg.from + (seg.to - seg.from) * alpha;
-}
-
-Vec2 GroupMember::deviation_slope_at(SimTime t) const {
-  if (config_.deviation_radius_m <= 0.0) return {};
-  const Segment& seg = segment_for(t);
-  const double dt = to_seconds(config_.update_interval);
-  return (seg.to - seg.from) * (1.0 / dt);
-}
-
 Vec2 GroupMember::position_at(SimTime t) const {
-  return reference_->position_at(t) + offset_ + deviation_at(t);
+  const Vec2 deviation =
+      config_.deviation_radius_m > 0.0 ? deviation_.position_at(t) : Vec2{};
+  return reference_->position_at(t) + offset_ + deviation;
 }
 
 Vec2 GroupMember::velocity_at(SimTime t) const {
-  return reference_->velocity_at(t) + deviation_slope_at(t);
+  const Vec2 slope =
+      config_.deviation_radius_m > 0.0 ? deviation_.velocity_at(t) : Vec2{};
+  return reference_->velocity_at(t) + slope;
 }
 
 }  // namespace peerhood::sim

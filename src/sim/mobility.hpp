@@ -4,25 +4,16 @@
 // (linear / waypoint), random office movement (random waypoint), plus the
 // scenario-matrix models of the handover plane: temporally correlated
 // Gauss–Markov motion, reference-point group mobility, and trace-driven
-// waypoint paths (loaded by src/scenario/).
+// waypoint paths (parsed by src/scenario/).
 //
 // Every model also reports its instantaneous velocity (velocity_at): the
 // quality observers of RadioMedium use it to compute the signed link-quality
 // slope, which is what turns threshold crossings into *predictions*.
 //
-// Segment-generating models (RandomWaypoint, GaussMarkov, GroupMember)
-// keep their history bounded: segments wholly before the newest queried time
-// are pruned once the history grows past a watermark, and a query *behind*
-// the pruned base deterministically regenerates the walk from its initial
-// RNG state — backwards queries stay exact, long sims stay O(1) in memory.
-//
-// A segment holds the half-open interval [depart, next depart). A query at
-// an exact boundary generates the segment departing there and answers from
-// it, so position and velocity at any instant are the same whatever was
-// queried before. Each of these models keeps a cursor on the segment its
-// last query used; a query inside that segment's interval (the common case:
-// the clock moves forward a little) skips the history search entirely, and
-// any other query searches and re-seats the cursor.
+// The random models (RandomWaypoint, GaussMarkov, and GroupMember's
+// deviation) generate their path leg by leg from a private RNG stream. Their
+// legs live in one GeneratedWalk, which holds the history, its cursor, its
+// pruning and its replay; a model only says how its next leg is made.
 //
 // max_speed() is an upper bound on how fast a model can move: for any
 // t1 <= t2, |position_at(t2) - position_at(t1)| <= max_speed() * (t2 - t1)
@@ -34,8 +25,10 @@
 // check.
 #pragma once
 
+#include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -55,11 +48,10 @@ class MobilityModel {
 
   [[nodiscard]] virtual Vec2 position_at(SimTime t) const = 0;
 
-  // Instantaneous velocity (m/s). The default is a symmetric finite
-  // difference over position_at; models with analytic motion override it.
-  // At kinks (waypoint corners, segment boundaries) the value is the
-  // right-hand derivative by convention.
-  [[nodiscard]] virtual Vec2 velocity_at(SimTime t) const;
+  // Instantaneous velocity (m/s): the derivative of position_at. At kinks
+  // (waypoint corners, leg boundaries) it is the right-hand derivative, so
+  // a walk that departs at t reports its new velocity at t.
+  [[nodiscard]] virtual Vec2 velocity_at(SimTime t) const = 0;
 
   // True iff position_at returns the same point for every t. The radio
   // medium skips re-sampling (and re-indexing) static endpoints when the
@@ -116,7 +108,7 @@ class LinearMotion final : public MobilityModel {
 // Piecewise-linear path through timestamped waypoints; holds the first
 // waypoint before the path starts and the last one after it ends. Used to
 // script walks (leave office, enter corridor, come back — Fig. 5.6/5.7) and
-// to replay recorded traces (scenario::load_waypoint_trace).
+// to replay recorded traces (scenario::parse_waypoint_trace).
 class WaypointPath final : public MobilityModel {
  public:
   struct Waypoint {
@@ -141,9 +133,64 @@ class WaypointPath final : public MobilityModel {
   std::vector<Waypoint> waypoints_;
 };
 
+// The leg history of a generated walk. A leg leaves `from` at `depart`,
+// moves in a straight line to `to` in `travel_s` seconds, and holds there
+// until `end`, when the next leg departs from `to`. Legs are made on demand
+// by the walk's MakeLeg from a private RNG stream, so any instant has one
+// answer whatever was queried before:
+//
+// - A leg holds the half-open interval [depart, end). A query at an exact
+//   boundary makes the leg departing there and answers from it: velocity is
+//   the right-hand derivative.
+// - A cursor stays on the leg of the last query; a query inside it (the
+//   clock moved on a little) skips the history search.
+// - Once the history holds more than a watermark of legs, legs that end
+//   before the newest query are pruned down to a few behind it, so long
+//   sims stay O(1) in memory.
+// - A query behind the pruned history replays the walk from the pristine
+//   RNG state: backwards queries stay exact.
+class GeneratedWalk {
+ public:
+  struct Leg {
+    SimTime depart;
+    SimTime end;
+    Vec2 from;
+    Vec2 to;
+    double travel_s;  // <= 0: the walk stands at `to` for the whole leg
+  };
+
+  // Makes the first leg (departing at time zero) when `last` is null, else
+  // the leg departing at last->end from last->to. Called only when the
+  // history grows, in walk order from the first leg, so a maker may carry
+  // state that its first leg resets. It must capture by value: models, and
+  // with them their walks, are copyable. The walk makes legs until one ends
+  // after the query, so legs must not keep ending where they depart.
+  using MakeLeg = std::function<Leg(const Leg* last, Rng& rng)>;
+
+  GeneratedWalk(Rng rng, MakeLeg make_leg)
+      : make_leg_{std::move(make_leg)}, initial_rng_{rng}, rng_{rng} {}
+
+  [[nodiscard]] Vec2 position_at(SimTime t) const;
+  [[nodiscard]] Vec2 velocity_at(SimTime t) const;
+
+  // Live history length — exposed so tests can assert the prune keeps long
+  // sims bounded.
+  [[nodiscard]] std::size_t segment_count() const { return legs_.size(); }
+
+ private:
+  [[nodiscard]] const Leg& leg_at(SimTime t) const;
+  [[nodiscard]] const Leg& seek(SimTime t) const;
+
+  MakeLeg make_leg_;
+  Rng initial_rng_;  // pristine copy: backwards queries replay the walk
+  mutable Rng rng_;
+  mutable std::vector<Leg> legs_;
+  mutable std::size_t cursor_{0};  // legs_ index of the last query
+};
+
 // Random-waypoint model inside a rectangular area: pick a target uniformly,
-// walk to it at a uniform speed, pause, repeat. Segments are generated
-// on demand from a private deterministic stream.
+// walk to it at a uniform speed, pause, repeat. Each leg is one walk and the
+// pause after it; the walk opens with a pause at `start`.
 class RandomWaypoint final : public MobilityModel {
  public:
   struct Config {
@@ -163,35 +210,21 @@ class RandomWaypoint final : public MobilityModel {
   // a zero minimum speed.
   [[nodiscard]] double max_speed() const override;
 
-  // Live history length — exposed so tests can assert the prune keeps long
-  // sims bounded.
-  [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
+  [[nodiscard]] std::size_t segment_count() const {
+    return walk_.segment_count();
+  }
 
  private:
-  struct Segment {
-    SimTime depart;
-    SimTime arrive;  // includes the trailing pause
-    Vec2 from;
-    Vec2 to;
-  };
-
-  void extend_until(SimTime t) const;
-  void rewind() const;
-  [[nodiscard]] const Segment& segment_for(SimTime t) const;
-
   Config config_;
-  Vec2 start_;
-  Rng initial_rng_;  // pristine copy: backwards queries replay the walk
-  mutable Rng rng_;
-  mutable std::vector<Segment> segments_;
-  mutable std::size_t cursor_{0};  // segments_ index of the last query
+  GeneratedWalk walk_;
 };
 
 // Gauss–Markov mobility: speed and direction evolve as first-order
 // autoregressive processes, so motion is temporally correlated — no sharp
 // random-waypoint turnarounds. `alpha` tunes the memory (1 = straight line,
 // 0 = memoryless). Near the area edge the mean direction steers back toward
-// the centre (the standard boundary treatment).
+// the centre (the standard boundary treatment). Each leg is one
+// update_interval of straight motion, both ends inside the area.
 class GaussMarkov final : public MobilityModel {
  public:
   struct Config {
@@ -212,42 +245,20 @@ class GaussMarkov final : public MobilityModel {
   [[nodiscard]] Vec2 position_at(SimTime t) const override;
   [[nodiscard]] Vec2 velocity_at(SimTime t) const override;
 
-  [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
+  [[nodiscard]] std::size_t segment_count() const {
+    return walk_.segment_count();
+  }
 
  private:
-  struct Segment {
-    SimTime depart;
-    Vec2 from;
-    Vec2 to;  // position one update_interval later (both endpoints in-area)
-  };
-  struct WalkState {
-    double speed{0.0};
-    double direction{0.0};
-  };
-
-  void extend_until(SimTime t) const;
-  void rewind() const;
-  // Resets the AR state from the (re-)wound RNG stream and emits the first
-  // segment — ctor and rewind() share it so replay is exact.
-  void seed_segments() const;
-  // Advances the AR state one step and emits the segment leaving `from`.
-  [[nodiscard]] Segment make_segment(SimTime depart, Vec2 from) const;
-  [[nodiscard]] const Segment& segment_for(SimTime t) const;
-
-  Config config_;
-  Vec2 start_;
-  Rng initial_rng_;
-  mutable Rng rng_;
-  mutable WalkState state_;
-  mutable std::vector<Segment> segments_;
-  mutable std::size_t cursor_{0};
+  GeneratedWalk walk_;
 };
 
 // Reference-point group mobility (RPGM): each member tracks a shared group
 // reference model (any MobilityModel — typically RandomWaypoint for the
 // group's logical centre) at a fixed formation offset, plus a bounded random
-// deviation that re-targets every `update_interval`. Destroying members is
-// independent of the reference; members share it by shared_ptr.
+// deviation: a walk whose legs re-target a point of the deviation disk every
+// `update_interval`. Destroying members is independent of the reference;
+// members share it by shared_ptr.
 class GroupMember final : public MobilityModel {
  public:
   struct Config {
@@ -269,28 +280,15 @@ class GroupMember final : public MobilityModel {
   // disk's diameter per update_interval.
   [[nodiscard]] double max_speed() const override;
 
-  [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
+  [[nodiscard]] std::size_t segment_count() const {
+    return deviation_.segment_count();
+  }
 
  private:
-  struct Segment {
-    SimTime depart;
-    Vec2 from;  // deviation vector at depart
-    Vec2 to;    // deviation vector at depart + update_interval
-  };
-
-  void extend_until(SimTime t) const;
-  void rewind() const;
-  [[nodiscard]] const Segment& segment_for(SimTime t) const;
-  [[nodiscard]] Vec2 deviation_at(SimTime t) const;
-  [[nodiscard]] Vec2 deviation_slope_at(SimTime t) const;
-
   std::shared_ptr<const MobilityModel> reference_;
   Vec2 offset_;
   Config config_;
-  Rng initial_rng_;
-  mutable Rng rng_;
-  mutable std::vector<Segment> segments_;
-  mutable std::size_t cursor_{0};
+  GeneratedWalk deviation_;  // never queried without a deviation
 };
 
 }  // namespace peerhood::sim

@@ -235,9 +235,9 @@ sim::LinkQualityModel noise_free_quality() {
 }
 
 TEST(DiscoveryDelta, DeltaPlaneConvergesLikeFullFetch) {
-  // Two identically-seeded worlds, one with the conditional-fetch plane and
-  // the snapshot cache, one with the paper's always-full fetch. The
-  // discovery outcome must be identical.
+  // Two identically-seeded worlds, one with the conditional-fetch plane,
+  // one with the paper's always-full fetch. The discovery outcome must be
+  // identical.
   constexpr int kNodes = 5;
   auto build = [&](bool delta) {
     auto testbed = std::make_unique<Testbed>(11, noise_free_quality());
@@ -245,7 +245,6 @@ TEST(DiscoveryDelta, DeltaPlaneConvergesLikeFullFetch) {
     for (int i = 0; i < kNodes; ++i) {
       node::NodeOptions options = fast_node(MobilityClass::kStatic);
       options.daemon.conditional_fetch = delta;
-      options.daemon.snapshot_cache = delta;
       testbed->add_node("n" + std::to_string(i), {8.0 * i, 0.0}, options);
     }
     testbed->run_discovery_rounds(kNodes + 4);

@@ -409,6 +409,19 @@ TEST(SegmentHistory, GroupMemberMatchesFreshModel) {
   }
 }
 
+TEST(SegmentHistory, CopiedModelContinuesItsOwnWalk) {
+  // Mid-walk, the Gauss–Markov leg maker carries AR state; a copy must own
+  // its own, so interleaved queries of the two never disturb each other.
+  GaussMarkov original{{}, {50.0, 50.0}, Rng{31}};
+  (void)original.position_at(at(50.0));
+  const GaussMarkov copy = original;
+  const GaussMarkov fresh{{}, {50.0, 50.0}, Rng{31}};
+  for (double t = 50.5; t < 150.0; t += 1.3) {
+    EXPECT_EQ(copy.position_at(at(t)), fresh.position_at(at(t))) << t;
+    EXPECT_EQ(original.velocity_at(at(t)), fresh.velocity_at(at(t))) << t;
+  }
+}
+
 // At an exact segment boundary every model answers from the segment that
 // departs there (the right-hand derivative of mobility.hpp), whether or not
 // a later time was queried first.
@@ -698,7 +711,7 @@ TEST(MaxSpeed, UnboundedModelsReportInfinity) {
             kUnbounded);
 }
 
-// A non-positive update interval used to make extend_until loop forever;
+// A non-positive update interval used to make the walk append legs forever;
 // the constructors refuse it.
 TEST(MobilityConfig, NonPositiveUpdateIntervalIsRefused) {
   for (const SimDuration interval : {SimDuration{0}, SimDuration{-1}}) {

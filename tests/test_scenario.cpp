@@ -59,8 +59,11 @@ TEST(MobilitySpecBuild, EveryKindProducesAModel) {
   EXPECT_EQ(built->position_at(SimTime{}), (sim::Vec2{2.0, 2.0}));
   EXPECT_TRUE(built->is_static());
 
-  spec.kind = MobilitySpec::Kind::kTrace;
-  spec.trace = "0 0 0\n10 5 0\n";
+  // A recorded trace replays as a waypoint path.
+  auto trace = parse_waypoint_trace("0 0 0\n10 5 0\n");
+  ASSERT_TRUE(trace.ok());
+  spec.kind = MobilitySpec::Kind::kWaypoints;
+  spec.waypoints = std::move(trace).value();
   built = spec.build(rng.fork());
   ASSERT_NE(built, nullptr);
   EXPECT_EQ(built->position_at(SimTime{} + seconds(4.0)),

@@ -192,11 +192,11 @@ TEST(ExchangeAllocation, CachedDatagramReplyAllocatesNothing) {
 
 TEST(ExchangeAllocation, FreshEncodeIsOneBufferAndOneControlBlock) {
   // Full responses and deltas are encoded straight from the storage into
-  // one exactly-sized buffer: two allocations whatever the entry count.
+  // one exactly-sized buffer: two allocations whatever the entry count. A
+  // fresh cache's first reply is always a fresh encode.
   for (const std::size_t entries : {0u, 1u, 4u, 32u, 128u}) {
     Responder responder{entries};
     SnapshotCache cache{/*datagram_frames=*/true};
-    cache.set_caching(false);
     std::uint64_t before = g_allocations.load();
     const auto full =
         cache.respond({1, wire::kSectionAll, std::nullopt}, responder.src);

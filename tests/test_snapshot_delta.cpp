@@ -289,21 +289,6 @@ TEST(SnapshotCache, GenerationWraparoundIsAChange) {
   EXPECT_TRUE(again.not_modified);
 }
 
-TEST(SnapshotCache, CachingDisabledStillAnswersCorrectly) {
-  Responder responder;
-  responder.cache.set_caching(false);
-  responder.services = {{"echo", "", 4}};
-  const auto first = responder.answer({1, wire::kSectionAll, std::nullopt});
-  const auto second = responder.answer({2, wire::kSectionAll, std::nullopt});
-  EXPECT_NE(first.get(), second.get());  // fresh encode per request
-
-  View view;
-  view.apply(decode_or_die(first));
-  const auto decoded = decode_or_die(responder.answer(
-      {3, wire::kSectionAll, view.baseline(wire::kSectionAll)}));
-  EXPECT_TRUE(decoded.not_modified);
-}
-
 TEST(SnapshotDelta, TruncatedFramesRejected) {
   Responder responder;
   responder.services = {{"echo", "attr", 4}};
