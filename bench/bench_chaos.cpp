@@ -1,4 +1,4 @@
-// E9 — Robustness under injected faults: the chaos matrix.
+// E-chaos — Robustness under injected faults: the chaos matrix.
 //
 // Every cell runs a canned scenario under one fault tier — pristine medium,
 // bursty (Gilbert–Elliott) loss, the full chaos profile (loss + corruption +
@@ -231,8 +231,8 @@ void emit_cell(const ChaosCell& cell) {
 }
 
 void report_matrix(bool smoke) {
-  heading(smoke ? "E9 chaos matrix (smoke: 1 seed per cell)"
-                : "E9 chaos matrix: scenarios x fault tiers");
+  heading(smoke ? "E-chaos chaos matrix (smoke: 1 seed per cell)"
+                : "E-chaos chaos matrix: scenarios x fault tiers");
   std::printf("%10s %10s %6s %6s %9s %10s %4s %4s %8s %8s\n", "scenario",
               "faults", "sent", "recv", "delivery", "outage ms", "ho", "rst",
               "lost", "corrupt");

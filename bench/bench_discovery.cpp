@@ -1,12 +1,7 @@
-// E1 + E2 — Coverage exclusion vs. total environment awareness (Figs. 3.1,
-// 3.3, 3.6) and the maximum notification delay (Fig. 3.10) — plus the
-// PR 4 discovery-plane scale sweep: steady-state fetch bytes and round
-// latency, full fetch vs conditional delta fetch.
-//
-// Paper claims reproduced here:
-//  * Legacy PeerHood [2] sees at most two jumps; dynamic device discovery
-//    reaches the whole connected network (jump-labelled routing table).
-//  * The delay for a change k hops away is ≈ k × searching cycle.
+// E-discovery — the discovery plane's cost at scale: steady-state fetch
+// bytes and round latency, full fetch vs conditional delta fetch, plus the
+// timing loops of discovery convergence, snapshot integration and route
+// preference. The paper's experiments E1-E12 are in paper_experiments.cpp.
 //
 // Pass --smoke for a tiny workload (CI keeps BENCH_JSON emission alive).
 #include <benchmark/benchmark.h>
@@ -14,8 +9,8 @@
 #include <chrono>
 #include <cstring>
 
-#include "baseline/visibility.hpp"
 #include "bench_util.hpp"
+#include "discovery/analyzer.hpp"
 
 namespace {
 
@@ -23,79 +18,6 @@ using namespace peerhood;
 using namespace peerhood::bench;
 
 bool g_smoke = false;
-
-void build_line(node::Testbed& testbed, int n, bool legacy) {
-  for (int i = 0; i < n; ++i) {
-    node::NodeOptions options = scenario_node(MobilityClass::kStatic);
-    options.daemon.propagate_routes = !legacy;
-    testbed.add_node("n" + std::to_string(i), {8.0 * i, 0.0}, options);
-  }
-}
-
-void report_awareness() {
-  heading("E1  Coverage exclusion: visible devices per node (line, 8 m spacing)");
-  std::printf("%6s %10s | %-22s | %-22s\n", "nodes", "mode", "routable (min/mean/max)",
-              "visible (min/mean/max)");
-  for (const int n : {3, 5, 8}) {
-    for (const bool legacy : {true, false}) {
-      std::vector<double> routable;
-      std::vector<double> visible;
-      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        node::Testbed testbed{seed};
-        testbed.medium().configure(ideal_bluetooth());
-        build_line(testbed, n, legacy);
-        testbed.run_discovery_rounds(n + 4);
-        for (node::Node* node : testbed.nodes()) {
-          routable.push_back(static_cast<double>(
-              baseline::routable_device_count(node->daemon().storage())));
-          visible.push_back(static_cast<double>(baseline::visible_device_count(
-              node->daemon().storage(), node->mac())));
-        }
-      }
-      const Summary r = summarize(routable);
-      const Summary v = summarize(visible);
-      std::printf("%6d %10s | %5.1f / %5.2f / %5.1f  | %5.1f / %5.2f / %5.1f\n",
-                  n, legacy ? "legacy[2]" : "dynamic", r.min, r.mean, r.max,
-                  v.min, v.mean, v.max);
-    }
-  }
-  note("paper: legacy vision stops after two jumps (Fig. 3.3); dynamic");
-  note("discovery gives every node the whole network (Fig. 3.6).");
-}
-
-void report_notification_delay() {
-  heading("E2  Max notification delay vs. hop count (Fig. 3.10)");
-  std::printf("%6s %16s %18s\n", "hops", "mean delay (s)", "delay / cycle (x)");
-  const double cycle_s = 10.0;  // nominal Bluetooth searching cycle
-  for (const int hops : {1, 2, 3, 4, 5}) {
-    std::vector<double> delays;
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      node::Testbed testbed{seed};
-      testbed.medium().configure(ideal_bluetooth());
-      build_line(testbed, hops + 1, /*legacy=*/false);
-      testbed.run_discovery_rounds(hops + 4);
-      // A new device appears next to the far end; measure when the near end
-      // learns about it.
-      testbed.add_node("fresh", {8.0 * hops, 8.0},
-                       scenario_node(MobilityClass::kStatic));
-      const double appeared = testbed.sim().now().seconds();
-      const MacAddress fresh = testbed.node("fresh").mac();
-      auto& observer = testbed.node("n0");
-      const SimTime deadline = testbed.sim().now() + seconds(400.0);
-      while (!observer.daemon().storage().contains(fresh) &&
-             testbed.sim().now() < deadline) {
-        testbed.run_for(0.5);
-      }
-      if (observer.daemon().storage().contains(fresh)) {
-        delays.push_back(testbed.sim().now().seconds() - appeared);
-      }
-    }
-    const Summary s = summarize(delays);
-    std::printf("%6d %16.1f %18.2f\n", hops, s.mean, s.mean / cycle_s);
-  }
-  note("paper: Max Delay = Num Jump x searching cycle time; the ratio");
-  note("column should grow roughly linearly with the hop count.");
-}
 
 // --- PR 4: discovery-plane cost at scale ------------------------------------
 //
@@ -225,7 +147,8 @@ void run_scale_regime(const char* regime, bool asymmetric,
 }
 
 void report_scale_sweep() {
-  heading("E13  Discovery-plane cost at scale (~12-neighbour static grid)");
+  heading("E-discovery  Discovery-plane cost at scale (~12-neighbour static "
+          "grid)");
   // Convergence takes ~max_jumps rounds plus settling. The "steady" regime
   // (no inquiry asymmetry, so no false aging) is the low-churn steady state
   // of the acceptance target; the "churn" regime keeps the paper's §3.4.2
@@ -248,13 +171,60 @@ void BM_DiscoveryConvergenceLine5(benchmark::State& state) {
   for (auto _ : state) {
     node::Testbed testbed{42};
     testbed.medium().configure(ideal_bluetooth());
-    build_line(testbed, 5, /*legacy=*/false);
+    for (int i = 0; i < 5; ++i) {
+      testbed.add_node("n" + std::to_string(i), {8.0 * i, 0.0},
+                       scenario_node(MobilityClass::kStatic));
+    }
     testbed.run_discovery_rounds(9);
     benchmark::DoNotOptimize(
         testbed.node("n0").daemon().storage().size());
   }
 }
 BENCHMARK(BM_DiscoveryConvergenceLine5)->Unit(benchmark::kMillisecond);
+
+MacAddress mac(std::uint64_t i) { return MacAddress::from_index(i); }
+
+void BM_AnalyzerIntegrate(benchmark::State& state) {
+  const int entries = static_cast<int>(state.range(0));
+  std::vector<NeighbourSnapshotEntry> snapshot;
+  for (int i = 0; i < entries; ++i) {
+    NeighbourSnapshotEntry e;
+    e.device.mac = mac(static_cast<std::uint64_t>(100 + i));
+    e.jump = i % 3;
+    e.bridge = i % 3 == 0 ? MacAddress{} : mac(50);
+    e.quality_sum = 200 + i % 55;
+    e.min_link_quality = 200 + i % 55;
+    snapshot.push_back(e);
+  }
+  NeighbourhoodAnalyzer analyzer{mac(1)};
+  for (auto _ : state) {
+    DeviceStorage storage;
+    DeviceRecord responder;
+    responder.device.mac = mac(2);
+    responder.jump = 0;
+    responder.quality_sum = 240;
+    responder.min_link_quality = 240;
+    benchmark::DoNotOptimize(analyzer.integrate(
+        storage, responder, snapshot, Technology::kBluetooth, SimTime{}));
+  }
+  state.SetItemsProcessed(state.iterations() * entries);
+}
+BENCHMARK(BM_AnalyzerIntegrate)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_RoutePreference(benchmark::State& state) {
+  RoutePolicy policy;
+  DeviceRecord a;
+  a.jump = 1;
+  a.route_mobility = 0;
+  a.quality_sum = 470;
+  a.min_link_quality = 235;
+  DeviceRecord b = a;
+  b.quality_sum = 460;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.prefer(a, b));
+  }
+}
+BENCHMARK(BM_RoutePreference);
 
 }  // namespace
 
@@ -269,10 +239,6 @@ int main(int argc, char** argv) {
     }
   }
   argc = out;
-  if (!g_smoke) {
-    report_awareness();
-    report_notification_delay();
-  }
   report_scale_sweep();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

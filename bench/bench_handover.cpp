@@ -1,23 +1,16 @@
-// E7 — The handover plane (§5.2, Fig. 5.8) and the PR 5 scenario matrix.
-//
-// E7a reproduces the paper's simulation exactly: the monitored link quality
-// is decreased artificially by 1 every second from 250; when it has been
-// below 230 for more than 3 samples the HandoverThread re-routes the
-// connection through the second route.
-//
-// E7c is the scenario-matrix sweep of the predictive make-before-break
-// engine: reactive (paper baseline) vs predictive policies across the
-// corridor walk (Fig. 5.4), reference-point group mobility, a random-
+// E-handover — the scenario-matrix sweep of the predictive make-before-break
+// engine (§5.2, Fig. 5.4): reactive (paper baseline) vs predictive policies
+// across the corridor walk, reference-point group mobility, a random-
 // waypoint office floor and the same floor under relay churn. Reported per
 // cell: total outage ms (no usable connection), frames lost, handovers,
 // mean handover latency, and control overhead (non-payload frames) — all
-// also emitted as BENCH_JSON for the CI perf trajectory.
+// also emitted as BENCH_JSON for the CI perf trajectory. The Fig. 5.8 decay
+// simulation (E7a) is in paper_experiments.cpp.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
 #include "bench_util.hpp"
-#include "handover/handover.hpp"
 #include "scenario/scenario.hpp"
 
 namespace {
@@ -25,102 +18,7 @@ namespace {
 using namespace peerhood;
 using namespace peerhood::bench;
 
-// --- E7a: Fig. 5.8 artificial decay ------------------------------------------
-
-struct DecayResult {
-  bool handover_done{false};
-  double detect_s{0.0};   // decay start -> degradation detected
-  double execute_s{0.0};  // degradation -> substituted connection
-  bool lost_first{false};
-};
-
-DecayResult run_decay_trial(std::uint64_t seed, bool paper_radio) {
-  node::Testbed testbed{seed};
-  testbed.medium().configure(paper_radio ? paper_bluetooth()
-                                         : ideal_bluetooth());
-  auto& a = testbed.add_node("a", {0.0, 0.0},
-                             scenario_node(MobilityClass::kDynamic));
-  auto& s = testbed.add_node("s", {4.0, 0.0},
-                             scenario_node(MobilityClass::kStatic));
-  testbed.add_node("c", {2.0, 3.0}, scenario_node(MobilityClass::kStatic));
-  // Sessions live in an explicit registry — handlers must not own their
-  // own channel (see common/handler_slot.hpp).
-  std::vector<ChannelPtr> sessions;
-  (void)s.library().register_service(
-      ServiceInfo{"print", "", 0},
-      [&sessions](ChannelPtr channel, const wire::ConnectRequest&) {
-        sessions.push_back(std::move(channel));
-        sessions.back()->set_data_handler([](const Bytes&) {});
-      });
-  testbed.run_discovery_rounds(4);
-
-  auto connect = a.connect_blocking(s.mac(), "print", {}, 120.0);
-  DecayResult result;
-  if (!connect.ok()) return result;
-  const ChannelPtr channel = connect.value();
-
-  // Fig. 5.8 decay: -1 per second from 250.
-  const double t0 = testbed.sim().now().seconds();
-  channel->connection()->set_quality_override([t0](SimTime now) {
-    return static_cast<int>(250.0 - (now.seconds() - t0));
-  });
-
-  handover::HandoverController controller{a.library(), channel, {}};
-  double detected_at = -1.0;
-  double done_at = -1.0;
-  controller.set_event_handler([&](const handover::HandoverEvent& event) {
-    using Kind = handover::HandoverEvent::Kind;
-    if (event.kind == Kind::kDegradationDetected && detected_at < 0) {
-      detected_at = testbed.sim().now().seconds();
-    }
-    if (event.kind == Kind::kHandoverComplete && done_at < 0) {
-      done_at = testbed.sim().now().seconds();
-    }
-  });
-  bool lost = false;
-  channel->set_close_handler([&] { lost = done_at < 0; });
-  controller.start();
-  testbed.run_for(120.0);
-
-  result.handover_done = done_at >= 0;
-  result.lost_first = lost && done_at < 0;
-  if (detected_at >= 0) result.detect_s = detected_at - t0;
-  if (done_at >= 0 && detected_at >= 0) result.execute_s = done_at - detected_at;
-  return result;
-}
-
-void report_decay(int trials) {
-  heading("E7a Fig. 5.8 decay simulation (threshold 230, low-count > 3)");
-  std::printf("%12s %10s %14s %14s %12s\n", "radio", "handover %",
-              "detect (s)", "execute (s)", "lost first %");
-  for (const bool paper_radio : {false, true}) {
-    int done = 0;
-    int lost = 0;
-    std::vector<double> detect;
-    std::vector<double> execute;
-    for (std::uint64_t seed = 1;
-         seed <= static_cast<std::uint64_t>(trials); ++seed) {
-      const DecayResult r = run_decay_trial(seed, paper_radio);
-      if (r.handover_done) {
-        ++done;
-        detect.push_back(r.detect_s);
-        execute.push_back(r.execute_s);
-      }
-      if (r.lost_first) ++lost;
-    }
-    std::printf("%12s %10.0f %14.1f %14.1f %12.0f\n",
-                paper_radio ? "paper BT" : "fast BT", 100.0 * done / trials,
-                summarize(detect).mean, summarize(execute).mean,
-                100.0 * lost / trials);
-  }
-  note("decay starts at 250, crosses 230 after ~21 s; >3 low samples adds");
-  note("~4 s, so detection lands near 25 s — matching the paper's design.");
-  note("(The decay is an override on the channel, invisible to the radio");
-  note("model, so the predictive observers stay silent: this is exactly the");
-  note("reactive-fallback path of the rewritten engine.)");
-}
-
-// --- E7c: scenario matrix ----------------------------------------------------
+// --- Scenario matrix ---------------------------------------------------------
 
 struct MatrixCell {
   std::string scenario;
@@ -238,8 +136,9 @@ void emit_cell(const MatrixCell& cell) {
 }
 
 void report_matrix(bool smoke) {
-  heading(smoke ? "E7c scenario matrix (smoke: 2 sizes per family, 1 seed)"
-                : "E7c scenario matrix: reactive vs predictive");
+  heading(smoke
+              ? "E-handover scenario matrix (smoke: 2 sizes per family, 1 seed)"
+              : "E-handover scenario matrix: reactive vs predictive");
   std::printf("%10s %11s %10s %6s %5s %6s %6s %9s %9s\n", "scenario",
               "policy", "outage ms", "sent", "lost", "ho", "mbb",
               "lat ms", "ctl frames");
@@ -290,14 +189,6 @@ void report_matrix(bool smoke) {
   note("by coverage holes, where prediction neither helps nor hurts.");
 }
 
-void BM_DecayTrial(benchmark::State& state) {
-  std::uint64_t seed = 500;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_decay_trial(seed++, false).handover_done);
-  }
-}
-BENCHMARK(BM_DecayTrial)->Unit(benchmark::kMillisecond);
-
 void BM_CorridorPredictive(benchmark::State& state) {
   std::uint64_t seed = 900;
   for (auto _ : state) {
@@ -322,7 +213,6 @@ int main(int argc, char** argv) {
   }
   argc = out;
 
-  report_decay(smoke ? 5 : 20);
   report_matrix(smoke);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

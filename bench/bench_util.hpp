@@ -1,6 +1,6 @@
-// Shared helpers for the experiment benches: scenario builders, summary
-// statistics and table printing. Every bench binary prints its paper-style
-// report first, then runs its registered google-benchmark measurements.
+// Shared helpers for the benches: scenario builders, summary statistics and
+// table printing. The paper's measured Bluetooth (per-hop connect 1.5-9 s,
+// per-hop fault probability 0.16, §4.3) is sim::bluetooth_params() itself.
 #pragma once
 
 #include <algorithm>
@@ -20,18 +20,14 @@ struct Summary {
   double mean{0.0};
   double min{0.0};
   double max{0.0};
-  double p50{0.0};
-  std::size_t count{0};
 };
 
 inline Summary summarize(std::vector<double> values) {
   Summary s;
-  s.count = values.size();
   if (values.empty()) return s;
   std::sort(values.begin(), values.end());
   s.min = values.front();
   s.max = values.back();
-  s.p50 = values[values.size() / 2];
   s.mean = std::accumulate(values.begin(), values.end(), 0.0) /
            static_cast<double>(values.size());
   return s;
@@ -116,12 +112,6 @@ inline node::NodeOptions scenario_node(MobilityClass mobility) {
   options.mobility = mobility;
   options.daemon.service_check_interval = seconds(5.0);
   return options;
-}
-
-// The paper's measured Bluetooth: per-hop connect 1.5-9 s, per-hop fault
-// probability 0.16 (§4.3), inquiry asymmetry on.
-inline sim::TechnologyParams paper_bluetooth() {
-  return sim::bluetooth_params();
 }
 
 // Bluetooth with stochastic faults disabled (for benches isolating protocol

@@ -216,6 +216,7 @@ void Plugin::job_done(wire::ReceivedFetchResponse* resp) {
   }
   bool view_consistent = false;
   if (resp != nullptr) {
+    ++stats_.updates_answered;
     if (resp->not_modified) {
       // Nothing the responder advertises moved since our baseline: skip
       // the whole analyzer/reconcile pass — re-integrating an identical

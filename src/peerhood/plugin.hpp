@@ -35,6 +35,10 @@ class Plugin {
     // answer to a retried or completed fetch, or a fault-plane duplicate).
     std::uint64_t fetch_retries{0};
     std::uint64_t stale_responses{0};
+    // Device updates (a full fetch, split or unified, or a neighbours
+    // refresh) whose every exchange was answered. The aborted ones number
+    // fetch_failures + fetch_timeouts - fetch_retries.
+    std::uint64_t updates_answered{0};
     std::uint64_t integrations{0};
     std::uint64_t removed_devices{0};
     // Conditional-fetch outcome counters: fetches answered kNotModified

@@ -164,7 +164,24 @@ GeneratedWalk::MakeLeg random_waypoint_legs(RandomWaypoint::Config config,
 }  // namespace
 
 RandomWaypoint::RandomWaypoint(Config config, Vec2 start, Rng rng)
-    : config_{config}, walk_{rng, random_waypoint_legs(config, start)} {}
+    : config_{config}, walk_{rng, random_waypoint_legs(config, start)} {
+  // A leg ends its travel plus its pause after it departs. Without a pause,
+  // a walk whose every travel is cut to zero microseconds (no positive
+  // speed, or an area crossed within 1 us at the slowest speed) makes only
+  // legs that end where they depart, and would append them forever.
+  if (config.pause < SimDuration::zero()) {
+    throw std::invalid_argument{"RandomWaypoint: pause must be >= 0"};
+  }
+  const double slowest = std::min(config.speed_min_mps, config.speed_max_mps);
+  const double fastest = std::max(config.speed_min_mps, config.speed_max_mps);
+  const double across = distance(config.area_min, config.area_max);
+  const bool travels = fastest > 0.0 && across > 0.0 &&
+                       (slowest <= 0.0 || across / slowest > 1e-6);
+  if (config.pause == SimDuration::zero() && !travels) {
+    throw std::invalid_argument{
+        "RandomWaypoint: a walk without a pause must travel over 1 us"};
+  }
+}
 
 Vec2 RandomWaypoint::position_at(SimTime t) const {
   return walk_.position_at(t);

@@ -201,6 +201,8 @@ class RandomWaypoint final : public MobilityModel {
     SimDuration pause{std::chrono::seconds{2}};
   };
 
+  // Throws std::invalid_argument for a negative pause, and for a walk
+  // without a pause that cannot travel for over 1 us (see mobility.cpp).
   RandomWaypoint(Config config, Vec2 start, Rng rng);
 
   [[nodiscard]] Vec2 position_at(SimTime t) const override;

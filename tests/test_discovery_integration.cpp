@@ -234,6 +234,35 @@ sim::LinkQualityModel noise_free_quality() {
   return model;
 }
 
+// Between cycles every device update a cycle queued is decided: answered,
+// or aborted by a failed exchange or a timeout with no retry left.
+TEST(DiscoveryIntegration, EveryUpdateIsAnsweredOrAborted) {
+  for (const bool unified : {false, true}) {
+    Testbed testbed{3};
+    sim::TechnologyParams bt = reliable_bluetooth();
+    bt.fetch_failure_prob = 0.25;
+    testbed.medium().configure(bt);
+    for (int i = 0; i < 4; ++i) {
+      node::NodeOptions options = fast_node(MobilityClass::kStatic);
+      options.daemon.unified_fetch = unified;
+      testbed.add_node("n" + std::to_string(i), {8.0 * i, 0.0}, options);
+    }
+    const Plugin& plugin =
+        *testbed.node("n1").daemon().plugin(Technology::kBluetooth);
+    testbed.run_for(120.0);
+    ASSERT_TRUE(testing::run_until(
+        testbed, [&] { return !plugin.cycle_active(); }, 30.0));
+    const Plugin::Stats& s = plugin.stats();
+    const std::uint64_t aborted =
+        s.fetch_failures + s.fetch_timeouts - s.fetch_retries;
+    EXPECT_GT(aborted, 0u) << "unified " << unified;
+    EXPECT_GT(s.updates_answered, 0u) << "unified " << unified;
+    EXPECT_EQ(s.updates_answered + aborted,
+              s.responders - s.non_peerhood + s.epoch_invalidations)
+        << "unified " << unified;
+  }
+}
+
 TEST(DiscoveryDelta, DeltaPlaneConvergesLikeFullFetch) {
   // Two identically-seeded worlds, one with the conditional-fetch plane,
   // one with the paper's always-full fetch. The discovery outcome must be

@@ -732,6 +732,50 @@ TEST(MobilityConfig, NonPositiveUpdateIntervalIsRefused) {
   }
 }
 
+// A walk without a pause whose legs can only end where they depart used to
+// append them forever; the constructor refuses each such config.
+RandomWaypoint::Config no_pause_walk() {
+  RandomWaypoint::Config config;
+  config.pause = SimDuration{0};
+  return config;
+}
+
+TEST(MobilityConfig, RandomWaypointWithoutSpeedOrPauseIsRefused) {
+  RandomWaypoint::Config config = no_pause_walk();
+  config.speed_min_mps = 0.0;
+  config.speed_max_mps = 0.0;
+  EXPECT_THROW(RandomWaypoint(config, {1.0, 1.0}, Rng{1}),
+               std::invalid_argument);
+  // With a pause every leg ends later than it departs.
+  config.pause = milliseconds(1);
+  const RandomWaypoint paused{config, {1.0, 1.0}, Rng{1}};
+  (void)paused.position_at(at(10.0));
+}
+
+TEST(MobilityConfig, RandomWaypointAreaTooSmallForAMicrosecondIsRefused) {
+  RandomWaypoint::Config config = no_pause_walk();
+  config.area_max = {1e-7, 1e-7};  // crossed in 0.3 us at 0.5 m/s
+  EXPECT_THROW(RandomWaypoint(config, {0.0, 0.0}, Rng{1}),
+               std::invalid_argument);
+  config.area_max = {5e-7, 0.0};  // crossed in exactly 1 us
+  EXPECT_THROW(RandomWaypoint(config, {0.0, 0.0}, Rng{1}),
+               std::invalid_argument);
+  config.area_max = config.area_min;  // a single point
+  EXPECT_THROW(RandomWaypoint(config, {0.0, 0.0}, Rng{1}),
+               std::invalid_argument);
+  // An area crossed in 2 us at the slowest speed can still travel.
+  config.area_max = {1e-6, 0.0};
+  const RandomWaypoint tiny{config, {0.0, 0.0}, Rng{1}};
+  (void)tiny.position_at(at(0.001));
+}
+
+TEST(MobilityConfig, RandomWaypointNegativePauseIsRefused) {
+  RandomWaypoint::Config config;
+  config.pause = SimDuration{-1};
+  EXPECT_THROW(RandomWaypoint(config, {1.0, 1.0}, Rng{1}),
+               std::invalid_argument);
+}
+
 TEST(Vec2, Arithmetic) {
   const Vec2 a{1.0, 2.0};
   const Vec2 b{3.0, 4.0};
