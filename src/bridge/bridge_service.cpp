@@ -61,9 +61,8 @@ void BridgeService::on_bridge_request(net::ConnectionPtr upstream,
   ++stats_.requests;
   if (active_pairs() >= config_.max_connections) {
     ++stats_.failed_capacity;
-    (void)upstream->write(wire::encode_fail(ErrorCode::kCapacityExceeded,
-                                            "bridge at maximum connections"));
-    upstream->close();
+    refuse_dial(*upstream, ErrorCode::kCapacityExceeded,
+                "bridge at maximum connections");
     return;
   }
   establish_downstream(std::move(upstream), std::move(request),
@@ -79,34 +78,16 @@ void BridgeService::establish_downstream(net::ConnectionPtr upstream,
   const DeviceRecord* record = daemon_.storage().lookup(request.destination);
   if (record == nullptr) {
     ++stats_.failed_no_route;
-    (void)upstream->write(wire::encode_fail(
-        ErrorCode::kNoRoute,
-        "bridge has no route to " + request.destination.to_string()));
-    upstream->close();
+    refuse_dial(*upstream, ErrorCode::kNoRoute,
+                "bridge has no route to " + request.destination.to_string());
     return;
   }
-
-  Bytes forward_frame;
-  net::NetAddress hop;
-  if (record->is_direct()) {
-    hop = net::NetAddress{request.destination, record->via_tech,
-                          net::kPeerHoodEnginePort};
-    switch (request.final_command) {
-      case wire::Command::kResume:
-        forward_frame = wire::encode_resume(request.inner);
-        break;
-      case wire::Command::kResumeRestart:
-        forward_frame = wire::encode_resume_restart(request.inner);
-        break;
-      default:
-        forward_frame = wire::encode_connect(request.inner);
-        break;
-    }
-  } else {
-    hop = net::NetAddress{record->bridge, record->via_tech,
-                          net::kPeerHoodEnginePort};
-    forward_frame = wire::encode_bridge(request);
-  }
+  const MacAddress hop_mac =
+      record->is_direct() ? request.destination : record->bridge;
+  const net::NetAddress hop{hop_mac, record->via_tech,
+                            net::kPeerHoodEnginePort};
+  Bytes forward_frame = wire::encode_open(
+      request.final_command, hop_mac, request.destination, request.inner);
 
   // The downstream chaining is exactly a dial: connect, forward the bridge
   // frame, await the chain acknowledgement. Every completion below captures
@@ -124,8 +105,7 @@ void BridgeService::establish_downstream(net::ConnectionPtr upstream,
       return;
     }
     ++stats_.failed_downstream;
-    (void)upstream->write(wire::encode_fail(error.code, error.message));
-    upstream->close();
+    refuse_dial(*upstream, error.code, error.message);
   };
 
   dial_with_ack(

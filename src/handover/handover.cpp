@@ -392,7 +392,7 @@ void HandoverController::attempt_route(std::size_t candidate_index) {
   }
   const MacAddress bridge = plan_[candidate_index].bridge;
   ++stats_.route_attempts;
-  library_.resume_via_bridge(
+  library_.resume(
       bridge, channel_,
       [this, token = sentinel_.token(), bridge,
        candidate_index](Status status) {
@@ -419,8 +419,8 @@ void HandoverController::attempt_route(std::size_t candidate_index) {
 
 void HandoverController::attempt_direct_resume() {
   ++stats_.direct_resumes;
-  library_.resume_direct(
-      channel_,
+  library_.resume(
+      channel_->peer(), channel_,
       [this, token = sentinel_.token()](Status status) {
         if (token.expired()) return;
         if (status.ok()) {

@@ -19,8 +19,9 @@
 //    latency (× margin), the engine pre-dials the best RouteCandidate
 //    bridge — the §5.2.1 re-routing, but *before* the link dies — and the
 //    session's connection is swapped while the old link is still alive
-//    (make-before-break). The §4.1 chain machinery (and PR 3's HalfOpenDial
-//    ownership) is reused unchanged via Library::resume_via_bridge.
+//    (make-before-break). The §4.1 chain machinery (and the dial's
+//    HalfOpenDial ownership) is reused unchanged via Library::resume with
+//    the bridge as the hop.
 //  * If prediction misses (link dies first, or quality collapses without a
 //    mobility signal — e.g. the artificial decay of Fig. 5.8), the reactive
 //    monitor still detects degradation / loss and repairs it, falling back

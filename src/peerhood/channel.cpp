@@ -52,14 +52,13 @@ bool Channel::absorb_stray_handshake(const Bytes& frame) {
   // the ack was lost) or a duplicated ack. Neither is application data.
   if (frame.empty()) return false;
   const auto command = static_cast<wire::Command>(frame[0]);
-  const bool is_request = command == wire::Command::kConnect ||
-                          command == wire::Command::kResume ||
-                          command == wire::Command::kBridge;
   // Only PH_OK among the acks: a failed dial closes its connection, so a
   // stray PH_FAIL cannot reach an established channel through the protocol
   // — but an application payload that merely *looks* like one can, and it
   // must be delivered opaquely (BridgeTest.BridgeDoesNotInterpretTraffic).
-  if (!is_request && command != wire::Command::kOk) return false;
+  if (!wire::opens_session(command) && command != wire::Command::kOk) {
+    return false;
+  }
   const auto handshake = wire::decode_handshake(frame);
   if (!handshake.has_value()) return false;
   if (command == wire::Command::kOk) {

@@ -14,26 +14,58 @@ namespace {
 // The shared ownership state of one in-flight dial: a connection attempt
 // plus the wait for its chain acknowledgement (PH_OK / PH_FAIL).
 //
-// The state owns the half-open connection; the connection's handlers
-// capture only a shared_ptr to this state (never the connection itself), so
-// the only cycle is state->conn->handlers->state, and every completion path
-// breaks it with release_conn(). A dial still in flight at teardown is
-// broken by the network's handler sever.
+// The state owns the half-open connection and the completion callback; the
+// connection's handlers capture only a shared_ptr to this state (never the
+// connection itself), so the only cycle is state->conn->handlers->state,
+// and finish()/fail() — the one completion path — breaks it. A dial still
+// in flight at teardown is broken by the network's handler sever.
 struct HalfOpenDial {
-  bool done{false};
+  HalfOpenDial(sim::Simulator& simulator, Bytes frame,
+               std::function<void(Result<net::ConnectionPtr>)> callback)
+      : sim{simulator},
+        first_frame{std::move(frame)},
+        done{std::move(callback)} {}
+
+  sim::Simulator& sim;
+  Bytes first_frame;
+  // Empty once the dial resolved.
+  std::function<void(Result<net::ConnectionPtr>)> done;
   sim::EventId timer{sim::kInvalidEvent};
   net::ConnectionPtr conn;
 
-  // Detaches the half-open connection and returns it (empty when the
-  // connect itself has not resolved yet). Severing the handlers here is
-  // what releases the state — and with it, this struct's captures.
-  net::ConnectionPtr release_conn() {
+  [[nodiscard]] bool resolved() const { return !done; }
+
+  // Resolves the dial with its acknowledged connection (handlers cleared).
+  void finish() {
+    net::ConnectionPtr out = release();
+    take()(std::move(out));
+  }
+
+  // Resolves the dial with `error`, abandoning the half-open connection (if
+  // the connect resolved): closing it lets the peer converge to closed too.
+  void fail(Error error) {
+    if (const net::ConnectionPtr out = release()) out->close();
+    take()(std::move(error));
+  }
+
+ private:
+  // Cancels the deadline and detaches the half-open connection. Severing
+  // its handlers is what releases this state.
+  net::ConnectionPtr release() {
+    sim.cancel(timer);
     net::ConnectionPtr out = std::move(conn);
     conn = nullptr;
     if (out != nullptr) {
       out->set_data_handler(nullptr);
       out->set_close_handler(nullptr);
     }
+    return out;
+  }
+
+  // Moves the callback out, so the dial reads resolved before it runs.
+  std::function<void(Result<net::ConnectionPtr>)> take() {
+    auto out = std::move(done);
+    done = nullptr;
     return out;
   }
 };
@@ -55,26 +87,19 @@ constexpr SimDuration kHandshakeRetryCap = std::chrono::seconds{6};
 // long enough to ride out any loss burst the fault plane produces.
 constexpr int kHandshakeRetryLimit = 8;
 
-void schedule_handshake_retransmit(
-    sim::Simulator& sim, std::shared_ptr<HalfOpenDial> state, Bytes frame,
-    SimDuration delay, int attempts,
-    std::shared_ptr<std::function<void(Result<net::ConnectionPtr>)>> done) {
-  sim.schedule_after(delay, [&sim, state = std::move(state),
-                             frame = std::move(frame), delay, attempts,
-                             done = std::move(done)]() mutable {
-    if (state->done || state->conn == nullptr) return;
+void schedule_handshake_retransmit(std::shared_ptr<HalfOpenDial> state,
+                                   SimDuration delay, int attempts) {
+  sim::Simulator& sim = state->sim;
+  sim.schedule_after(delay, [state = std::move(state), delay, attempts] {
+    if (state->resolved() || state->conn == nullptr) return;
     if (attempts >= kHandshakeRetryLimit) {
-      state->done = true;
-      sim.cancel(state->timer);
-      if (const auto conn = state->release_conn()) conn->close();
-      (*done)(Error{ErrorCode::kTimeout,
-                    "handshake unacknowledged after retransmission limit"});
+      state->fail(Error{ErrorCode::kTimeout,
+                        "handshake unacknowledged after retransmission limit"});
       return;
     }
-    (void)state->conn->write(frame);
-    schedule_handshake_retransmit(sim, std::move(state), std::move(frame),
-                                  std::min(delay * 2, kHandshakeRetryCap),
-                                  attempts + 1, std::move(done));
+    (void)state->conn->write(state->first_frame);
+    schedule_handshake_retransmit(
+        state, std::min(delay * 2, kHandshakeRetryCap), attempts + 1);
   });
 }
 
@@ -84,80 +109,56 @@ void dial_with_ack(net::Network& network, MacAddress from,
                    const net::NetAddress& hop, Bytes first_frame,
                    SimDuration timeout,
                    std::function<void(Result<net::ConnectionPtr>)> done) {
-  sim::Simulator& sim = network.simulator();
-  auto state = std::make_shared<HalfOpenDial>();
-  auto shared_done =
-      std::make_shared<std::function<void(Result<net::ConnectionPtr>)>>(
-          std::move(done));
-
-  state->timer = sim.schedule_after(timeout, [state, shared_done] {
-    if (state->done) return;
-    state->done = true;
-    // Abandon the half-open connection: sever its handlers (they keep this
-    // state alive) and close it so the peer converges to closed too.
-    if (const auto conn = state->release_conn()) conn->close();
-    (*shared_done)(Error{ErrorCode::kTimeout, "connect timed out"});
+  auto state = std::make_shared<HalfOpenDial>(
+      network.simulator(), std::move(first_frame), std::move(done));
+  state->timer = state->sim.schedule_after(timeout, [state] {
+    if (!state->resolved()) {
+      state->fail(Error{ErrorCode::kTimeout, "connect timed out"});
+    }
   });
 
-  sim::Simulator* simp = &sim;
-  network.connect(
-      from, hop,
-      [state, shared_done, simp, first_frame = std::move(first_frame)](
-          Result<net::ConnectionPtr> result) mutable {
-        if (state->done) {
-          // Timed out while establishing; release the late connection.
-          if (result.ok()) result.value()->close();
-          return;
-        }
-        if (!result.ok()) {
-          state->done = true;
-          simp->cancel(state->timer);
-          (*shared_done)(result.error());
-          return;
-        }
-        // The state owns the connection while the ack is pending; the
-        // handlers below deliberately capture `state`, not the connection.
-        state->conn = std::move(result).value();
-        (void)state->conn->write(first_frame);
-        schedule_handshake_retransmit(*simp, state, std::move(first_frame),
-                                      kHandshakeRetryBase, /*attempts=*/0,
-                                      shared_done);
-        // Await the PH_OK / PH_FAIL chain acknowledgement.
-        state->conn->set_close_handler([state, shared_done, simp] {
-          if (state->done) return;
-          state->done = true;
-          simp->cancel(state->timer);
-          (void)state->release_conn();
-          (*shared_done)(Error{ErrorCode::kConnectionClosed,
-                               "closed before acknowledgement"});
-        });
-        state->conn->set_data_handler([state, shared_done,
-                                       simp](const Bytes& frame) {
-          if (state->done) return;
-          state->done = true;
-          simp->cancel(state->timer);
-          const net::ConnectionPtr conn = state->release_conn();
-          const auto handshake = wire::decode_handshake(frame);
-          if (!handshake.has_value()) {
-            conn->close();
-            (*shared_done)(
-                Error{ErrorCode::kProtocolError, "bad acknowledgement"});
-            return;
-          }
-          if (handshake->command == wire::Command::kOk) {
-            (*shared_done)(conn);
-            return;
-          }
-          conn->close();
-          if (handshake->command == wire::Command::kFail) {
-            (*shared_done)(
-                Error{handshake->fail.code, handshake->fail.message});
-          } else {
-            (*shared_done)(Error{ErrorCode::kProtocolError,
-                                 "unexpected acknowledgement command"});
-          }
-        });
-      });
+  network.connect(from, hop, [state](Result<net::ConnectionPtr> result) {
+    if (state->resolved()) {
+      // Timed out while establishing; release the late connection.
+      if (result.ok()) result.value()->close();
+      return;
+    }
+    if (!result.ok()) {
+      state->fail(result.error());
+      return;
+    }
+    // The state owns the connection while the ack is pending; the handlers
+    // below deliberately capture `state`, not the connection.
+    state->conn = std::move(result).value();
+    (void)state->conn->write(state->first_frame);
+    schedule_handshake_retransmit(state, kHandshakeRetryBase, /*attempts=*/0);
+    // Await the PH_OK / PH_FAIL chain acknowledgement.
+    state->conn->set_close_handler([state] {
+      if (state->resolved()) return;
+      state->fail(Error{ErrorCode::kConnectionClosed,
+                        "closed before acknowledgement"});
+    });
+    state->conn->set_data_handler([state](const Bytes& frame) {
+      if (state->resolved()) return;
+      const auto handshake = wire::decode_handshake(frame);
+      if (!handshake.has_value()) {
+        state->fail(Error{ErrorCode::kProtocolError, "bad acknowledgement"});
+      } else if (handshake->command == wire::Command::kOk) {
+        state->finish();
+      } else if (handshake->command == wire::Command::kFail) {
+        state->fail(Error{handshake->fail.code, handshake->fail.message});
+      } else {
+        state->fail(Error{ErrorCode::kProtocolError,
+                          "unexpected acknowledgement command"});
+      }
+    });
+  });
+}
+
+void refuse_dial(net::Connection& connection, ErrorCode code,
+                 std::string_view message) {
+  (void)connection.write(wire::encode_fail(code, message));
+  connection.close();
 }
 
 }  // namespace peerhood

@@ -4,15 +4,17 @@
 // resume) and BridgeService (downstream chaining), which previously each
 // hand-rolled this wiring.
 //
-// Ownership: the half-open connection is parked in a HalfOpenDial (see
-// dial.cpp) whose handlers capture only the state; every completion path —
-// ack, peer close, timeout, connect failure — severs the handlers, so no
-// dial leaves a handler cycle behind. `done` fires exactly
-// once, with an open connection (handlers cleared, ack consumed) or an
-// error.
+// Ownership: the half-open connection and `done` are parked in a
+// HalfOpenDial (see dial.cpp) whose handlers capture only the state; every
+// completion — ack, refusal, peer close, timeout, retransmission limit,
+// connect failure — goes through its one finish()/fail() pair, which severs
+// the handlers, so no dial leaves a handler cycle behind. `done` fires
+// exactly once, with an open connection (handlers cleared, ack consumed) or
+// an error.
 #pragma once
 
 #include <functional>
+#include <string_view>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -25,5 +27,10 @@ void dial_with_ack(net::Network& network, MacAddress from,
                    const net::NetAddress& hop, Bytes first_frame,
                    SimDuration timeout,
                    std::function<void(Result<net::ConnectionPtr>)> done);
+
+// The answering side's refusal of a dial: PH_FAIL carrying `code` and
+// `message` (the dialler's error), then close.
+void refuse_dial(net::Connection& connection, ErrorCode code,
+                 std::string_view message);
 
 }  // namespace peerhood

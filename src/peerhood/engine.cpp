@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 #include "net/address.hpp"
+#include "peerhood/dial.hpp"
 
 namespace peerhood {
 
@@ -54,10 +55,6 @@ void Engine::remove_service_handler(const std::string& service_name) {
   service_handlers_.erase(service_name);
 }
 
-bool Engine::has_service_handler(const std::string& name) const {
-  return service_handlers_.contains(name);
-}
-
 void Engine::set_bridge_handler(BridgeHandler handler) {
   bridge_slot_.set(std::move(handler));
 }
@@ -99,34 +96,60 @@ void Engine::on_accept(net::ConnectionPtr connection) {
   pending_.emplace(key, std::move(connection));
 }
 
+void Engine::refuse(net::Connection& connection, ErrorCode code,
+                    std::string_view message) {
+  ++stats_.rejected;
+  refuse_dial(connection, code, message);
+}
+
+ChannelPtr Engine::live_session(const wire::ConnectRequest& request) {
+  ChannelPtr session = find_session(request.session_id);
+  // Expiry is explicit: drop the registry entry of a dead session here
+  // rather than behind a const lookup. A closed channel is equally
+  // unresumable — its handlers are severed and its state retired.
+  if (session == nullptr) (void)prune_session(request.session_id);
+  if (session == nullptr || session->closed() ||
+      session->service() != request.service) {
+    return nullptr;
+  }
+  return session;
+}
+
+void Engine::admit(net::ConnectionPtr connection,
+                   const wire::ConnectRequest& request, MacAddress peer,
+                   ServiceHandler handler) {
+  // The application peer: with a bridged chain the transport remote is the
+  // last bridge, so prefer the pushed client parameters.
+  if (request.client_params.has_value()) {
+    peer = request.client_params->device.mac;
+  }
+  (void)connection->write(wire::encode_ok());
+  auto channel = std::make_shared<Channel>(
+      request.session_id, request.service, peer, std::move(connection));
+  channel->client_params = request.client_params;
+  register_session(channel);
+  // `handler` is a copy: the callback may unregister the service (or
+  // replace its handler) from inside.
+  handler(channel, request);
+}
+
 void Engine::handle_handshake(net::ConnectionPtr connection,
                               const Bytes& frame) {
   const auto handshake = wire::decode_handshake(frame);
   if (!handshake.has_value()) {
-    ++stats_.rejected;
-    (void)connection->write(
-        wire::encode_fail(ErrorCode::kProtocolError, "bad handshake"));
-    connection->close();
+    refuse(*connection, ErrorCode::kProtocolError, "bad handshake");
     return;
   }
+  const wire::ConnectRequest& request = handshake->connect;
   switch (handshake->command) {
     case wire::Command::kConnect: {
       ++stats_.connects;
-      const wire::ConnectRequest& request = handshake->connect;
       const auto it = service_handlers_.find(request.service);
       if (it == service_handlers_.end()) {
-        ++stats_.rejected;
-        (void)connection->write(wire::encode_fail(
-            ErrorCode::kNoSuchService, "service not registered: " +
-                                           request.service));
-        connection->close();
+        refuse(*connection, ErrorCode::kNoSuchService,
+               "service not registered: " + request.service);
         return;
       }
-      // The application peer: with a bridged chain the transport remote is
-      // the last bridge, so prefer the pushed client parameters.
-      const MacAddress peer = request.client_params.has_value()
-                                  ? request.client_params->device.mac
-                                  : connection->remote_address().mac;
       // A fresh connect begins a fresh session: any journalled frontier
       // under this id is a leftover from an earlier client incarnation that
       // happened to mint the same id (deterministic minting makes that
@@ -135,50 +158,25 @@ void Engine::handle_handshake(net::ConnectionPtr connection,
       if (session_store_ != nullptr) {
         session_store_->erase(request.session_id);
       }
-      (void)connection->write(wire::encode_ok());
-      auto channel = std::make_shared<Channel>(
-          request.session_id, request.service, peer, std::move(connection));
-      channel->client_params = request.client_params;
-      register_session(channel);
-      // Copy the handler out of the map: the callback may unregister the
-      // service (or replace its handler) from inside.
-      const ServiceHandler handler = it->second;
-      handler(channel, request);
+      const MacAddress remote = connection->remote_address().mac;
+      admit(std::move(connection), request, remote, it->second);
       return;
     }
-    case wire::Command::kResume: {
-      ++stats_.resumes;
-      const wire::ConnectRequest& request = handshake->connect;
-      ChannelPtr session = find_session(request.session_id);
-      // Expiry is explicit: drop the registry entry of a dead session here
-      // rather than behind a const lookup. A closed channel is equally
-      // unresumable — its handlers are severed and its state retired.
-      if (session == nullptr) (void)prune_session(request.session_id);
-      if (session == nullptr || session->closed() ||
-          session->service() != request.service) {
-        ++stats_.rejected;
-        // kUnknownSession tells the client this is (potentially) a restart,
-        // not a missing service — its cue to re-dial with kResumeRestart.
-        (void)connection->write(wire::encode_fail(
-            ErrorCode::kUnknownSession, "unknown session for resume"));
-        connection->close();
-        return;
-      }
-      (void)connection->write(wire::encode_ok());
-      session->replace_connection(std::move(connection));
-      return;
-    }
+    case wire::Command::kResume:
     case wire::Command::kResumeRestart: {
       ++stats_.resumes;
-      const wire::ConnectRequest& request = handshake->connect;
-      // If the session is in fact still live (the client misread a transient
-      // outage as a crash), treat this as a plain resume.
-      ChannelPtr session = find_session(request.session_id);
-      if (session == nullptr) (void)prune_session(request.session_id);
-      if (session != nullptr && !session->closed() &&
-          session->service() == request.service) {
+      // A restart-resume whose session is in fact still live (the client
+      // misread a transient outage as a crash) is a plain resume.
+      if (const ChannelPtr session = live_session(request)) {
         (void)connection->write(wire::encode_ok());
         session->replace_connection(std::move(connection));
+        return;
+      }
+      if (handshake->command == wire::Command::kResume) {
+        // kUnknownSession tells the client this is (potentially) a restart,
+        // not a missing service — its cue to re-dial with kResumeRestart.
+        refuse(*connection, ErrorCode::kUnknownSession,
+               "unknown session for resume");
         return;
       }
       // Otherwise the journal must vouch for the session and the service
@@ -191,32 +189,19 @@ void Engine::handle_handshake(net::ConnectionPtr connection,
       const auto it = service_handlers_.find(request.service);
       if (record == nullptr || record->service != request.service ||
           it == service_handlers_.end()) {
-        ++stats_.rejected;
-        (void)connection->write(wire::encode_fail(
-            ErrorCode::kUnknownSession, "session not journalled"));
-        connection->close();
+        refuse(*connection, ErrorCode::kUnknownSession,
+               "session not journalled");
         return;
       }
       ++stats_.restart_resumes;
-      const MacAddress peer = request.client_params.has_value()
-                                  ? request.client_params->device.mac
-                                  : record->peer;
-      (void)connection->write(wire::encode_ok());
-      auto channel = std::make_shared<Channel>(
-          request.session_id, request.service, peer, std::move(connection));
-      channel->client_params = request.client_params;
-      register_session(channel);
-      const ServiceHandler handler = it->second;
-      handler(channel, request);
+      admit(std::move(connection), request, record->peer, it->second);
       return;
     }
     case wire::Command::kBridge: {
       ++stats_.bridges;
       if (!bridge_slot_.armed()) {
-        ++stats_.rejected;
-        (void)connection->write(wire::encode_fail(
-            ErrorCode::kNoSuchService, "bridge service disabled"));
-        connection->close();
+        refuse(*connection, ErrorCode::kNoSuchService,
+               "bridge service disabled");
         return;
       }
       // Slot dispatch: the bridge service may disable itself from inside.

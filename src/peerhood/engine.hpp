@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/handler_slot.hpp"
@@ -50,7 +51,6 @@ class Engine {
 
   void set_service_handler(std::string service_name, ServiceHandler handler);
   void remove_service_handler(const std::string& service_name);
-  [[nodiscard]] bool has_service_handler(const std::string& name) const;
 
   void set_bridge_handler(BridgeHandler handler);
 
@@ -82,6 +82,17 @@ class Engine {
  private:
   void on_accept(net::ConnectionPtr connection);
   void handle_handshake(net::ConnectionPtr connection, const Bytes& frame);
+  // Counts the rejection and refuses the dial (PH_FAIL, close).
+  void refuse(net::Connection& connection, ErrorCode code,
+              std::string_view message);
+  // The live, open session `request` resumes, or nullptr.
+  ChannelPtr live_session(const wire::ConnectRequest& request);
+  // Acknowledges `connection` and opens `request`'s session on it for
+  // `handler`. The peer is the one in the pushed client parameters, else
+  // `peer`.
+  void admit(net::ConnectionPtr connection,
+             const wire::ConnectRequest& request, MacAddress peer,
+             ServiceHandler handler);
 
   net::Network& network_;
   MacAddress mac_;

@@ -54,12 +54,6 @@ void Library::connect(MacAddress destination, std::string service,
     });
     return;
   }
-  if (!record->is_direct() && !options.allow_bridge) {
-    sim.schedule_after(microseconds(1), [callback] {
-      callback(Error{ErrorCode::kNoRoute, "remote device and bridging off"});
-    });
-    return;
-  }
 
   wire::ConnectRequest request;
   request.session_id = options.session_id != 0 ? options.session_id
@@ -73,24 +67,13 @@ void Library::connect(MacAddress destination, std::string service,
     request.client_params = std::move(params);
   }
 
-  Bytes first_frame;
-  net::NetAddress hop;
-  if (record->is_direct()) {
-    hop = net::NetAddress{destination, record->via_tech,
-                          net::kPeerHoodEnginePort};
-    first_frame = wire::encode_connect(request);
-  } else {
-    hop = net::NetAddress{record->bridge, record->via_tech,
-                          net::kPeerHoodEnginePort};
-    wire::BridgeRequest bridge_request;
-    bridge_request.destination = destination;
-    bridge_request.final_command = wire::Command::kConnect;
-    bridge_request.inner = request;
-    first_frame = wire::encode_bridge(bridge_request);
-  }
-
+  const MacAddress hop_mac = record->is_direct() ? destination : record->bridge;
+  const net::NetAddress hop{hop_mac, record->via_tech,
+                            net::kPeerHoodEnginePort};
   const std::uint64_t session_id = request.session_id;
-  dial_with_ack(daemon_.network(), daemon_.mac(), hop, std::move(first_frame),
+  dial_with_ack(daemon_.network(), daemon_.mac(), hop,
+                wire::encode_open(wire::Command::kConnect, hop_mac,
+                                  destination, request),
                 options.timeout,
                 [callback, session_id, service, destination](
                     Result<net::ConnectionPtr> result) {
@@ -104,39 +87,18 @@ void Library::connect(MacAddress destination, std::string service,
                 });
 }
 
-void Library::resume_via_bridge(MacAddress bridge, const ChannelPtr& channel,
-                                StatusCallback callback, SimDuration timeout) {
+void Library::resume(MacAddress hop_mac, const ChannelPtr& channel,
+                     StatusCallback callback, SimDuration timeout) {
   wire::ConnectRequest request;
   request.session_id = channel->session_id();
   request.service = channel->service();
-
-  wire::BridgeRequest bridge_request;
-  bridge_request.destination = channel->peer();
-  bridge_request.final_command = wire::Command::kResume;
-  bridge_request.inner = std::move(request);
-  Bytes resume_frame = wire::encode_bridge(bridge_request);
-  bridge_request.final_command = wire::Command::kResumeRestart;
-  Bytes restart_frame = wire::encode_bridge(bridge_request);
-
-  resume(bridge, std::move(resume_frame), std::move(restart_frame), channel,
-         std::move(callback), timeout);
-}
-
-void Library::resume_direct(const ChannelPtr& channel, StatusCallback callback,
-                            SimDuration timeout) {
-  wire::ConnectRequest request;
-  request.session_id = channel->session_id();
-  request.service = channel->service();
+  Bytes resume_frame = wire::encode_open(wire::Command::kResume, hop_mac,
+                                         channel->peer(), request);
   // The restart frame carries the same session id: the responder restores
   // it from its journal rather than the (crashed) live session map.
-  resume(channel->peer(), wire::encode_resume(request),
-         wire::encode_resume_restart(request), channel, std::move(callback),
-         timeout);
-}
+  Bytes restart_frame = wire::encode_open(wire::Command::kResumeRestart,
+                                          hop_mac, channel->peer(), request);
 
-void Library::resume(MacAddress hop_mac, Bytes resume_frame,
-                     Bytes restart_frame, const ChannelPtr& channel,
-                     StatusCallback callback, SimDuration timeout) {
   const DeviceRecord* record = daemon_.storage().lookup(hop_mac);
   const Technology tech =
       record != nullptr ? record->via_tech : Technology::kBluetooth;

@@ -1,7 +1,7 @@
 // Library — the PeerHood application interface (§2.2.2): GetDeviceList,
 // GetServiceList, RegisterService and Connect. Connect performs the Fig. 2.5
 // sequence for direct neighbours and the Fig. 4.3 PH_BRIDGE sequence for
-// remote devices reached through bridge nodes; resume_* perform the
+// remote devices reached through bridge nodes; resume performs the
 // connection re-establishment used by handover (§5.2.1).
 #pragma once
 
@@ -27,8 +27,6 @@ class Library {
     std::string reconnect_service;
     // 0 = mint a fresh session id.
     std::uint64_t session_id{0};
-    // Allow routing through bridge nodes when the target is remote.
-    bool allow_bridge{true};
     // Skip the local is-service-advertised check (used by result routing
     // Method 2, where the target service is known out of band and possibly
     // hidden from discovery).
@@ -60,26 +58,18 @@ class Library {
   void connect(MacAddress destination, std::string service,
                ConnectOptions options, ConnectCallback callback);
 
-  // Re-establishes `channel` through `bridge` (routing handover, §5.2.1
-  // state 2) — the server substitutes the connection of the same session.
-  void resume_via_bridge(MacAddress bridge, const ChannelPtr& channel,
-                         StatusCallback callback,
-                         SimDuration timeout = std::chrono::seconds{60});
-  // Re-establishes `channel` directly (peer back in coverage).
-  void resume_direct(const ChannelPtr& channel, StatusCallback callback,
-                     SimDuration timeout = std::chrono::seconds{60});
+  // Re-establishes `channel` through `hop` (§5.2.1): a bridge for a routing
+  // handover, or the peer itself once it is back in coverage. The server
+  // substitutes the connection of the same session; if it refuses with
+  // kUnknownSession (it restarted), the dial is repeated once with
+  // PH_RESUME_RESTART so its journal can revive the session.
+  void resume(MacAddress hop, const ChannelPtr& channel,
+              StatusCallback callback,
+              SimDuration timeout = std::chrono::seconds{60});
 
   [[nodiscard]] Daemon& daemon() { return daemon_; }
 
  private:
-  // The resume ladder shared by both resume_* entry points: dial `hop_mac`
-  // with `resume_frame`; on kUnknownSession (the server restarted) dial once
-  // more with `restart_frame` (PH_RESUME_RESTART); then hand the new
-  // connection to `channel`.
-  void resume(MacAddress hop_mac, Bytes resume_frame, Bytes restart_frame,
-              const ChannelPtr& channel, StatusCallback callback,
-              SimDuration timeout);
-
   Daemon& daemon_;
 };
 

@@ -52,7 +52,7 @@ MobilityClass decode_mobility(ByteReader& reader) {
   }
 }
 
-void encode_connect_body(ByteWriter& writer, const ConnectRequest& request) {
+void encode_request_body(ByteWriter& writer, const ConnectRequest& request) {
   writer.reserve(16 + request.service.size());
   writer.u64(request.session_id);
   writer.string(request.service);
@@ -68,7 +68,7 @@ void encode_connect_body(ByteWriter& writer, const ConnectRequest& request) {
   }
 }
 
-ConnectRequest decode_connect_body(ByteReader& reader) {
+ConnectRequest decode_request_body(ByteReader& reader) {
   ConnectRequest request;
   request.session_id = reader.u64();
   request.service = reader.str_view();
@@ -380,33 +380,15 @@ void SnapshotEntryView::copy_descriptors_to(DeviceRecord& record) const {
   }
 }
 
-Bytes encode_connect(const ConnectRequest& request) {
+Bytes encode_open(Command command, MacAddress hop, MacAddress destination,
+                  const ConnectRequest& request) {
   ByteWriter writer;
-  writer.u8(static_cast<std::uint8_t>(Command::kConnect));
-  encode_connect_body(writer, request);
-  return std::move(writer).take();
-}
-
-Bytes encode_resume(const ConnectRequest& request) {
-  ByteWriter writer;
-  writer.u8(static_cast<std::uint8_t>(Command::kResume));
-  encode_connect_body(writer, request);
-  return std::move(writer).take();
-}
-
-Bytes encode_resume_restart(const ConnectRequest& request) {
-  ByteWriter writer;
-  writer.u8(static_cast<std::uint8_t>(Command::kResumeRestart));
-  encode_connect_body(writer, request);
-  return std::move(writer).take();
-}
-
-Bytes encode_bridge(const BridgeRequest& request) {
-  ByteWriter writer;
-  writer.u8(static_cast<std::uint8_t>(Command::kBridge));
-  writer.u64(request.destination.as_u64());
-  writer.u8(static_cast<std::uint8_t>(request.final_command));
-  encode_connect_body(writer, request.inner);
+  if (hop != destination) {
+    writer.u8(static_cast<std::uint8_t>(Command::kBridge));
+    writer.u64(destination.as_u64());
+  }
+  writer.u8(static_cast<std::uint8_t>(command));
+  encode_request_body(writer, request);
   return std::move(writer).take();
 }
 
@@ -429,30 +411,22 @@ std::optional<Handshake> decode_handshake(std::span<const std::uint8_t> frame) {
   ByteReader reader{frame};
   Handshake handshake;
   handshake.command = static_cast<Command>(reader.u8());
-  switch (handshake.command) {
-    case Command::kConnect:
-    case Command::kResume:
-    case Command::kResumeRestart:
-      handshake.connect = decode_connect_body(reader);
-      break;
-    case Command::kBridge:
-      handshake.bridge.destination = MacAddress::from_u64(reader.u64());
-      handshake.bridge.final_command = static_cast<Command>(reader.u8());
-      handshake.bridge.inner = decode_connect_body(reader);
-      if (handshake.bridge.final_command != Command::kConnect &&
-          handshake.bridge.final_command != Command::kResume &&
-          handshake.bridge.final_command != Command::kResumeRestart) {
-        return std::nullopt;
-      }
-      break;
-    case Command::kOk:
-      break;
-    case Command::kFail:
-      handshake.fail.code = static_cast<ErrorCode>(reader.u8());
-      handshake.fail.message = reader.string();
-      break;
-    default:
+  if (handshake.command == Command::kBridge) {
+    handshake.bridge.destination = MacAddress::from_u64(reader.u64());
+    handshake.bridge.final_command = static_cast<Command>(reader.u8());
+    handshake.bridge.inner = decode_request_body(reader);
+    // A bridge relays one request; it does not nest another PH_BRIDGE.
+    if (!opens_session(handshake.bridge.final_command) ||
+        handshake.bridge.final_command == Command::kBridge) {
       return std::nullopt;
+    }
+  } else if (opens_session(handshake.command)) {
+    handshake.connect = decode_request_body(reader);
+  } else if (handshake.command == Command::kFail) {
+    handshake.fail.code = static_cast<ErrorCode>(reader.u8());
+    handshake.fail.message = reader.string();
+  } else if (handshake.command != Command::kOk) {
+    return std::nullopt;
   }
   if (!reader.ok()) return std::nullopt;
   return handshake;

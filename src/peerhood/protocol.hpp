@@ -222,10 +222,20 @@ struct Handshake {
   FailInfo fail;           // valid for kFail
 };
 
-[[nodiscard]] Bytes encode_connect(const ConnectRequest& request);
-[[nodiscard]] Bytes encode_resume(const ConnectRequest& request);
-[[nodiscard]] Bytes encode_resume_restart(const ConnectRequest& request);
-[[nodiscard]] Bytes encode_bridge(const BridgeRequest& request);
+// The commands a connection's first frame may carry: PH_CONNECT, PH_BRIDGE,
+// PH_RESUME and PH_RESUME_RESTART.
+[[nodiscard]] constexpr bool opens_session(Command command) {
+  return command == Command::kConnect || command == Command::kBridge ||
+         command == Command::kResume || command == Command::kResumeRestart;
+}
+
+// The first frame of a connection to `hop` that opens `request` with
+// `command` (kConnect, kResume or kResumeRestart) at `destination`: the bare
+// request when the hop is the destination, else a PH_BRIDGE asking the hop
+// to relay it there.
+[[nodiscard]] Bytes encode_open(Command command, MacAddress hop,
+                                MacAddress destination,
+                                const ConnectRequest& request);
 [[nodiscard]] Bytes encode_ok();
 [[nodiscard]] Bytes encode_fail(ErrorCode code, std::string_view message);
 

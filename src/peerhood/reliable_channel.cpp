@@ -151,20 +151,24 @@ void ReliableChannel::set_handover_handler(HandoverHandler handler) {
   handover_slot_.set(std::move(handler));
 }
 
-void ReliableChannel::set_journal_hook(JournalHook hook) {
-  journal_hook_ = std::move(hook);
+void ReliableChannel::journal_to(SessionStore& store) {
+  if (const SessionRecord* record = store.find(channel_->session_id())) {
+    next_seq_ = record->next_seq;
+    highest_ack_ = record->next_seq;  // a restart holds nothing outstanding
+    expected_ = record->expected;
+  }
+  journal_ = &store;
   journal();
 }
 
 void ReliableChannel::journal() {
-  if (journal_hook_) journal_hook_(next_seq_, expected_);
-}
-
-void ReliableChannel::restore(std::uint64_t next_seq, std::uint64_t expected) {
-  next_seq_ = next_seq;
-  highest_ack_ = next_seq;  // a restart holds nothing outstanding
-  expected_ = expected;
-  journal();
+  if (journal_ == nullptr ||
+      journal_->update_frontier(channel_->session_id(), next_seq_,
+                                expected_)) {
+    return;
+  }
+  journal_->put(SessionRecord{channel_->session_id(), channel_->peer(),
+                              channel_->service(), next_seq_, expected_});
 }
 
 std::uint32_t ReliableChannel::advertised_window() const {

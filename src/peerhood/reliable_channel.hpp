@@ -34,10 +34,11 @@
 //  * The receiver's reorder buffer is capped; frames beyond the cap are
 //    dropped (and counted) rather than buffered — the sender's window
 //    bound makes such frames a protocol violation anyway.
-//  * A journal hook reports the resume frontier (next outgoing seq, next
-//    expected incoming seq) after every change, feeding the daemon's
-//    SessionStore so a restarted server can `restore()` the layer at the
-//    journalled frontier and the session continues exactly-once.
+//  * journal_to() keeps the resume frontier (next outgoing seq, next
+//    expected incoming seq) in the daemon's SessionStore after every
+//    change, and a layer a restarted server attaches to a journalled
+//    session starts at that frontier, so the session continues
+//    exactly-once.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,7 @@
 
 #include "common/handler_slot.hpp"
 #include "peerhood/channel.hpp"
+#include "peerhood/session_store.hpp"
 #include "sim/simulator.hpp"
 
 namespace peerhood {
@@ -85,8 +87,6 @@ class ReliableChannel {
  public:
   using DataHandler = std::function<void(const Bytes&)>;
   using HandoverHandler = std::function<void()>;
-  using JournalHook = std::function<void(std::uint64_t next_seq,
-                                         std::uint64_t expected)>;
 
   ReliableChannel(sim::Simulator& sim, ChannelPtr channel,
                   ReliableConfig config = {});
@@ -110,14 +110,14 @@ class ReliableChannel {
   // owners that also want handover notifications chain through here.
   void set_handover_handler(HandoverHandler handler);
 
-  // Invoked whenever the resume frontier moves; the daemon points this at
-  // its SessionStore journal.
-  void set_journal_hook(JournalHook hook);
-
-  // Rebuilds the frontier of a restarted endpoint from its journal: the
-  // next sequence it will send and the next it expects. Outstanding state
-  // (outbox, reorder buffer) is assumed empty — the restart wiped it.
-  void restore(std::uint64_t next_seq, std::uint64_t expected);
+  // Journals the resume frontier of the channel's session in `store`, now
+  // and whenever it moves. A record already there is the frontier a crashed
+  // incarnation reached: the layer first resumes from it (the next sequence
+  // it sends and the next it expects), so redelivered in-flight frames
+  // dedupe and its own sequence stream does not restart at 1. Call before
+  // any frame flows: outstanding state (outbox, reorder buffer) is assumed
+  // empty. `store` must outlive the layer.
+  void journal_to(SessionStore& store);
 
   [[nodiscard]] const ChannelPtr& channel() const { return channel_; }
   [[nodiscard]] std::size_t unacked() const { return outbox_.size(); }
@@ -161,7 +161,7 @@ class ReliableChannel {
   ReliableConfig config_;
   HandlerSlot<void(const Bytes&)> data_slot_;
   HandlerSlot<void()> handover_slot_;
-  JournalHook journal_hook_;
+  SessionStore* journal_{nullptr};
 
   // Sender state.
   std::uint64_t next_seq_{1};

@@ -531,23 +531,8 @@ void ScenarioRunner::adopt_reliable_server_channel(Daemon& daemon,
                                                    const ChannelPtr& channel) {
   const std::uint64_t session_id = channel->session_id();
   auto layer = std::make_shared<ReliableChannel>(testbed_->sim(), channel);
-  // A restart-resume: the journal still holds the frontier the crashed
-  // incarnation reached — restore it before any frame flows, so redelivered
-  // in-flight frames dedupe and our own seq stream does not restart at 1.
-  if (const SessionRecord* record = daemon.session_store().find(session_id)) {
-    layer->restore(record->next_seq, record->expected);
-  }
-  Daemon* raw_daemon = &daemon;
-  layer->set_journal_hook(
-      [raw_daemon, session_id, peer = channel->peer(),
-       service = channel->service()](std::uint64_t next_seq,
-                                     std::uint64_t expected) {
-        if (!raw_daemon->session_store().update_frontier(session_id, next_seq,
-                                                         expected)) {
-          raw_daemon->session_store().put(
-              SessionRecord{session_id, peer, service, next_seq, expected});
-        }
-      });
+  // A restart-resume picks up the frontier the crashed incarnation reached.
+  layer->journal_to(daemon.session_store());
   layer->set_data_handler(
       [this](const Bytes& payload) { count_delivery(payload); });
   // A restart-resume replaces the layer the crash orphaned; destroying the

@@ -108,8 +108,8 @@ TEST_F(EngineLibraryTest, ResumeSubstitutesServerConnection) {
 
   // Re-establish directly (same session id — the Engine matches it).
   std::optional<Status> resumed;
-  client_->library().resume_direct(channel,
-                                   [&](Status s) { resumed = s; });
+  client_->library().resume(server_->mac(), channel,
+                            [&](Status s) { resumed = s; });
   testbed_.run_for(20.0);
   ASSERT_TRUE(resumed.has_value());
   ASSERT_TRUE(resumed->ok()) << resumed->error().to_string();
@@ -131,10 +131,48 @@ TEST_F(EngineLibraryTest, ResumeUnknownSessionFails) {
   server_->daemon().engine().unregister_session(channel->session_id());
   server_channels_.clear();
   std::optional<Status> resumed;
-  client_->library().resume_direct(channel, [&](Status s) { resumed = s; });
+  client_->library().resume(server_->mac(), channel,
+                            [&](Status s) { resumed = s; });
   testbed_.run_for(20.0);
   ASSERT_TRUE(resumed.has_value());
   EXPECT_FALSE(resumed->ok());
+}
+
+// A dial retransmits its first frame until acknowledged, so an established
+// server channel can receive a late copy of it: the bare request from a
+// direct dial or from the last bridge's downstream dial, or the client's
+// PH_BRIDGE, which the relay forwards opaquely once the chain is up. Every
+// opening command must be swallowed and re-acked, never delivered as data.
+TEST_F(EngineLibraryTest, LateOpeningFrameIsAbsorbedAndReacked) {
+  const MacAddress relay = MacAddress::from_index(77);
+  const wire::Command commands[] = {
+      wire::Command::kConnect, wire::Command::kResume,
+      wire::Command::kResumeRestart, wire::Command::kBridge};
+  for (const wire::Command command : commands) {
+    SCOPED_TRACE(static_cast<int>(command));
+    auto result = client_->connect_blocking(server_->mac(), "echo");
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    const ChannelPtr channel = result.value();
+    const ChannelPtr server_channel = server_channels_.back();
+    std::vector<Bytes> delivered;
+    server_channel->set_data_handler(
+        [&](const Bytes& frame) { delivered.push_back(frame); });
+
+    const wire::ConnectRequest request{channel->session_id(), "echo", {}};
+    const Bytes frame =
+        command == wire::Command::kBridge
+            ? wire::encode_open(wire::Command::kConnect, relay,
+                                server_->mac(), request)
+            : wire::encode_open(command, server_->mac(), server_->mac(),
+                                request);
+    ASSERT_EQ(frame[0], static_cast<std::uint8_t>(command));
+    ASSERT_TRUE(channel->connection()->write(frame).ok());
+    testbed_.run_for(5.0);
+    EXPECT_TRUE(delivered.empty());
+    EXPECT_EQ(server_channel->stray_handshakes_absorbed(), 1u);
+    // The re-ack is a duplicate PH_OK the client side swallows in turn.
+    EXPECT_EQ(channel->stray_handshakes_absorbed(), 1u);
+  }
 }
 
 TEST_F(EngineLibraryTest, EngineStatsCount) {

@@ -201,65 +201,69 @@ TEST(Protocol, FetchResponsePartialSections) {
   ASSERT_EQ(decoded.services.size(), 1u);
 }
 
-TEST(Protocol, ConnectRoundTripWithoutParams) {
-  ConnectRequest request;
-  request.session_id = 0xABCD;
-  request.service = "echo";
-  const auto decoded = decode_handshake(encode_connect(request));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->command, Command::kConnect);
-  EXPECT_EQ(decoded->connect.session_id, 0xABCDu);
-  EXPECT_EQ(decoded->connect.service, "echo");
-  EXPECT_FALSE(decoded->connect.client_params.has_value());
-}
-
-TEST(Protocol, ConnectRoundTripWithParams) {
-  ConnectRequest request;
-  request.session_id = 1;
-  request.service = "picture.analyse";
+// Every first frame encode_open writes — each opening request, sent
+// directly to its destination or through a bridge, with and without pushed
+// client parameters — decodes to the handshake it stands for.
+TEST(Protocol, OpeningFramesRoundTrip) {
+  const MacAddress destination = MacAddress::from_index(66);
+  const MacAddress bridge = MacAddress::from_index(9);
   ClientParams params;
   params.device = sample_device(11);
-  params.tech = Technology::kBluetooth;
+  params.tech = Technology::kWlan;
   params.reconnect_service = "client.result";
   params.port = 8;
-  request.client_params = params;
-  const auto decoded = decode_handshake(encode_connect(request));
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_TRUE(decoded->connect.client_params.has_value());
-  EXPECT_EQ(*decoded->connect.client_params, params);
-}
-
-TEST(Protocol, ResumeCommand) {
-  ConnectRequest request;
-  request.session_id = 5;
-  request.service = "echo";
-  const auto decoded = decode_handshake(encode_resume(request));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->command, Command::kResume);
-}
-
-TEST(Protocol, BridgeRoundTrip) {
-  BridgeRequest request;
-  request.destination = MacAddress::from_index(66);
-  request.final_command = Command::kResume;
-  request.inner.session_id = 99;
-  request.inner.service = "echo";
-  const auto decoded = decode_handshake(encode_bridge(request));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->command, Command::kBridge);
-  EXPECT_EQ(decoded->bridge.destination, request.destination);
-  EXPECT_EQ(decoded->bridge.final_command, Command::kResume);
-  EXPECT_EQ(decoded->bridge.inner.session_id, 99u);
+  struct Entry {
+    Command command;
+    MacAddress hop;
+  };
+  const Entry table[] = {
+      {Command::kConnect, destination},  {Command::kConnect, bridge},
+      {Command::kResume, destination},   {Command::kResume, bridge},
+      {Command::kResumeRestart, destination},
+      {Command::kResumeRestart, bridge},
+  };
+  for (const Entry& entry : table) {
+    for (const bool with_params : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "command " << static_cast<int>(entry.command)
+                   << (entry.hop == bridge ? " via bridge" : " direct")
+                   << (with_params ? " with params" : ""));
+      ConnectRequest request;
+      request.session_id = 0xABCD;
+      request.service = "picture.analyse";
+      if (with_params) request.client_params = params;
+      const auto decoded = decode_handshake(
+          encode_open(entry.command, entry.hop, destination, request));
+      ASSERT_TRUE(decoded.has_value());
+      const ConnectRequest* inner = &decoded->connect;
+      if (entry.hop == bridge) {
+        EXPECT_EQ(decoded->command, Command::kBridge);
+        EXPECT_EQ(decoded->bridge.destination, destination);
+        EXPECT_EQ(decoded->bridge.final_command, entry.command);
+        inner = &decoded->bridge.inner;
+      } else {
+        EXPECT_EQ(decoded->command, entry.command);
+      }
+      EXPECT_EQ(inner->session_id, 0xABCDu);
+      EXPECT_EQ(inner->service, "picture.analyse");
+      EXPECT_EQ(inner->client_params, request.client_params);
+    }
+  }
 }
 
 TEST(Protocol, BridgeRejectsBadFinalCommand) {
-  BridgeRequest request;
-  request.destination = MacAddress::from_index(66);
-  request.inner.service = "x";
-  Bytes frame = encode_bridge(request);
-  // Corrupt the final-command byte (offset: cmd(1) + mac(8)).
-  frame[9] = 0x63;
-  EXPECT_FALSE(decode_handshake(frame).has_value());
+  ConnectRequest request;
+  request.service = "x";
+  const Bytes frame = encode_open(Command::kConnect, MacAddress::from_index(9),
+                                  MacAddress::from_index(66), request);
+  // Corrupt the final-command byte (offset: cmd(1) + mac(8)): neither an
+  // unknown command nor a nested PH_BRIDGE is a request a bridge can relay.
+  for (const std::uint8_t bad :
+       {std::uint8_t{0x63}, static_cast<std::uint8_t>(Command::kBridge)}) {
+    Bytes corrupted = frame;
+    corrupted[9] = bad;
+    EXPECT_FALSE(decode_handshake(corrupted).has_value()) << int{bad};
+  }
 }
 
 TEST(Protocol, OkAndFail) {
@@ -281,7 +285,8 @@ TEST(Protocol, MalformedInputRejected) {
   // Truncated connect.
   ConnectRequest request;
   request.service = "abcdef";
-  Bytes frame = encode_connect(request);
+  Bytes frame = encode_open(Command::kConnect, MacAddress::from_index(1),
+                            MacAddress::from_index(1), request);
   frame.resize(frame.size() / 2);
   EXPECT_FALSE(decode_handshake(frame).has_value());
   EXPECT_FALSE(decode_fetch_request(Bytes{1, 2}).has_value());

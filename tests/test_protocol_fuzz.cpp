@@ -141,11 +141,8 @@ Bytes sample_bridge_handshake() {
   params.reconnect_service = "client.result";
   params.port = 88;
   inner.client_params = params;
-  BridgeRequest bridge;
-  bridge.destination = MacAddress::from_index(9);
-  bridge.final_command = Command::kResume;
-  bridge.inner = inner;
-  return encode_bridge(bridge);
+  return encode_open(Command::kResume, MacAddress::from_index(8),
+                     MacAddress::from_index(9), inner);
 }
 
 // The crash-recovery handshake: a client replaying a journalled session
@@ -154,16 +151,15 @@ Bytes sample_resume_restart() {
   ConnectRequest request;
   request.session_id = 77;
   request.service = "print";
-  return encode_resume_restart(request);
+  return encode_open(Command::kResumeRestart, MacAddress::from_index(4),
+                     MacAddress::from_index(4), request);
 }
 
 // ...and relayed, as the final command of a bridge chain.
 Bytes sample_bridge_resume_restart() {
-  BridgeRequest bridge;
-  bridge.destination = MacAddress::from_index(4);
-  bridge.final_command = Command::kResumeRestart;
-  bridge.inner = ConnectRequest{77, "print", std::nullopt};
-  return encode_bridge(bridge);
+  return encode_open(Command::kResumeRestart, MacAddress::from_index(8),
+                     MacAddress::from_index(4),
+                     ConnectRequest{77, "print", std::nullopt});
 }
 
 // The reliability layer's wire frames (window-advertising ack included).
@@ -291,7 +287,10 @@ TEST(ProtocolFuzz, BitFlippedValidFramesNeverCrashDecoders) {
                            sample_neighbours_response(),
                            sample_bridge_handshake(), encode_ok(),
                            encode_fail(ErrorCode::kProtocolError, "boom"),
-                           encode_connect(ConnectRequest{1, "svc", {}}),
+                           encode_open(Command::kConnect,
+                                       MacAddress::from_index(1),
+                                       MacAddress::from_index(1),
+                                       ConnectRequest{1, "svc", {}}),
                            sample_resume_restart(),
                            sample_bridge_resume_restart(),
                            sample_reliable_data(), sample_reliable_ack()};

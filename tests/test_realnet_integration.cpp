@@ -5,7 +5,7 @@
 // TCP: discovery, dial, a reliable counter stream, kill -9 of the server
 // MID-TRANSFER, restart from the on-disk SessionStore journal, recovery via
 // the kResume -> kUnknownSession -> kResumeRestart ladder, a bridged
-// session migration (resume_via_bridge through the relay), and stream
+// session migration (Library::resume with the relay as the hop), and stream
 // completion. The oracle:
 //
 //   * the client reports every counter acked, with >= 1 successful resume;
@@ -235,7 +235,7 @@ TEST(RealnetIntegration, CrashMidTransferRecoversExactlyOnce) {
   harness.forget(server1);
 
   // Phase D: restart the server on the same ports with the same journal.
-  // The client has been knocking with resume_direct the whole time.
+  // The client has been knocking with a direct resume the whole time.
   const pid_t server2 = harness.spawn("server", server_args);
   ASSERT_TRUE(harness.wait_for("server", "RESUMED", 60000))
       << harness.dump_logs();

@@ -265,7 +265,7 @@ TEST_F(TeardownTest, CloseHandlerRearmsAcrossSubstitution) {
   EXPECT_EQ(losses, 1);
   EXPECT_FALSE(channel->closed()) << "a transport loss is not a session end";
 
-  // Substitute a fresh raw transport (what resume_via_bridge does), then
+  // Substitute a fresh raw transport (what Library::resume does), then
   // kill it too: the new transport's death is a new loss and must be
   // reported again — fires-at-most-once is per transport, not per channel.
   const net::NetAddress addr{server_->mac(), Technology::kBluetooth, 999};

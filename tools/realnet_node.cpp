@@ -10,9 +10,10 @@
 //           delivery of the client's counter stream — across kill -9.
 //   client  discovers the server, dials "echo", streams counters 1..N over
 //           ReliableChannel, rides out the server's death via
-//           resume_direct (kResume -> kUnknownSession -> kResumeRestart),
-//           then migrates the session through the bridge relay
-//           (resume_via_bridge) and streams the remainder.
+//           Library::resume with the server as the hop (kResume ->
+//           kUnknownSession -> kResumeRestart), then migrates the session
+//           through the bridge relay (resume with the relay as the hop) and
+//           streams the remainder.
 //   bridge  a plain daemon whose BridgeService relays PH_BRIDGE traffic.
 //
 // The process speaks a line protocol on stdout (READY / PROGRESS / SRV_DONE
@@ -192,27 +193,16 @@ int run_server(const Options& options) {
   const auto handler = [&](ChannelPtr channel,
                            const wire::ConnectRequest& request) {
     const std::uint64_t session_id = request.session_id;
-    const SessionRecord* record = daemon.session_store().find(session_id);
-    auto layer = std::make_shared<ReliableChannel>(
-        stack.network->simulator(), channel, snappy_reliable());
-    if (record != nullptr) {
-      layer->restore(record->next_seq, record->expected);
+    if (const SessionRecord* record =
+            daemon.session_store().find(session_id)) {
       expected_counter = record->expected;
       say("RESUMED session=%llu expected=%llu\n",
           static_cast<unsigned long long>(session_id),
           static_cast<unsigned long long>(record->expected));
     }
-    Daemon* raw_daemon = &daemon;
-    layer->set_journal_hook(
-        [raw_daemon, session_id, peer = channel->peer(),
-         service = channel->service()](std::uint64_t next_seq,
-                                       std::uint64_t expected) {
-          if (!raw_daemon->session_store().update_frontier(
-                  session_id, next_seq, expected)) {
-            raw_daemon->session_store().put(
-                SessionRecord{session_id, peer, service, next_seq, expected});
-          }
-        });
+    auto layer = std::make_shared<ReliableChannel>(
+        stack.network->simulator(), channel, snappy_reliable());
+    layer->journal_to(daemon.session_store());
     layer->set_data_handler([&](const Bytes& payload) {
       ByteReader reader{payload};
       const std::uint64_t counter = reader.u64();
@@ -322,14 +312,14 @@ int run_client(const Options& options) {
   std::uint64_t resumes = 0;
   channel->set_close_handler([&] { link_down = true; });
 
-  // Retry resume_direct until the restarted server answers. The library
+  // Retry a direct resume until the restarted server answers. The library
   // handles the kResume -> kUnknownSession -> kResumeRestart ladder; we just
   // keep knocking while the process is down (connection refused).
   const auto try_resume = [&] {
     if (resume_in_flight) return;
     resume_in_flight = true;
-    stack.library->resume_direct(
-        channel,
+    stack.library->resume(
+        channel->peer(), channel,
         [&](Status status) {
           resume_in_flight = false;
           if (status.ok()) {
@@ -375,7 +365,7 @@ int run_client(const Options& options) {
   // §5.2.1 routing handover, on real sockets), then stream the remainder.
   bool migrated = false;
   bool migrate_failed = false;
-  stack.library->resume_via_bridge(
+  stack.library->resume(
       relay, channel,
       [&](Status status) {
         if (status.ok()) {
