@@ -14,9 +14,8 @@ namespace {
 constexpr SimDuration kDownstreamTimeout = std::chrono::seconds{45};
 }  // namespace
 
-BridgeService::BridgeService(Daemon& daemon, Library& library,
-                             BridgeConfig config)
-    : daemon_{daemon}, library_{library}, config_{config} {}
+BridgeService::BridgeService(Daemon& daemon, BridgeConfig config)
+    : daemon_{daemon}, config_{config} {}
 
 BridgeService::~BridgeService() { stop(); }
 

@@ -17,7 +17,6 @@
 
 #include "common/handler_slot.hpp"
 #include "peerhood/daemon.hpp"
-#include "peerhood/library.hpp"
 
 namespace peerhood::bridge {
 
@@ -45,7 +44,7 @@ class BridgeService {
     std::uint64_t closed_pairs{0};
   };
 
-  BridgeService(Daemon& daemon, Library& library, BridgeConfig config = {});
+  explicit BridgeService(Daemon& daemon, BridgeConfig config = {});
   ~BridgeService();
 
   BridgeService(const BridgeService&) = delete;
@@ -69,7 +68,6 @@ class BridgeService {
   void update_load();
 
   Daemon& daemon_;
-  Library& library_;
   BridgeConfig config_;
   // Even index: upstream (incoming); odd index: downstream (outgoing).
   std::vector<net::ConnectionPtr> connections_;

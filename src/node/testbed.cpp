@@ -23,8 +23,7 @@ Node::Node(Testbed& testbed, std::string name, MacAddress mac,
   }
   bridge::BridgeConfig bridge_config = options.bridge;
   bridge_config.max_connections = options.daemon.max_bridge_connections;
-  bridge_ = std::make_unique<bridge::BridgeService>(*daemon_, *library_,
-                                                    bridge_config);
+  bridge_ = std::make_unique<bridge::BridgeService>(*daemon_, bridge_config);
   bridge_configured_ = options.start_bridge && options.daemon.bridge_enabled;
   if (bridge_configured_) {
     bridge_->start();

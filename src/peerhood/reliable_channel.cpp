@@ -13,17 +13,22 @@ namespace {
 // either plain frames or a ReliableChannel on both ends).
 constexpr std::uint8_t kTagData = 0xD1;
 constexpr std::uint8_t kTagAck = 0xD2;
-// Consecutive duplicate cumulative acks that trigger a fast retransmit of
-// the first unacked frame.
-constexpr int kDupAckThreshold = 3;
 // Maximum out-of-order frames the receiver buffers; also the basis of the
 // window it advertises in every ack.
 constexpr std::size_t kReorderCap = 256;
+// Frames past the cumulative ack an ack's SACK bitmap can name.
+constexpr std::uint64_t kSackSpan = 64;
+// An ack resends a hole only if the hole was last sent at least this long
+// ago, so the acks of one burst resend it once, not once each.
+constexpr SimDuration kHoleRetryGap = milliseconds(50);
+// An out-of-order arrival acks at once only if no ack went out this
+// recently; otherwise one ack at the end of the gap covers the burst.
+constexpr SimDuration kBurstGap = milliseconds(10);
 
 // Tag, seq and payload length before a data frame's payload; tag,
-// cumulative ack and window make up a whole ack.
+// cumulative ack, window and SACK bitmap make up a whole ack.
 constexpr std::size_t kDataHeaderSize = 1 + 8 + 4;
-constexpr std::size_t kAckSize = 1 + 8 + 4;
+constexpr std::size_t kAckSize = 1 + 8 + 4 + 8;
 
 // A writer over one exactly-sized buffer of `room` zero bytes followed by a
 // frame of `frame_size` bytes.
@@ -44,11 +49,12 @@ Bytes encode_data(std::size_t room, std::uint64_t seq, const Bytes& payload) {
 }
 
 Bytes encode_ack(std::size_t room, std::uint64_t cumulative,
-                 std::uint32_t window) {
+                 std::uint32_t window, std::uint64_t sack) {
   ByteWriter writer = frame_writer(room, kAckSize);
   writer.u8(kTagAck);
   writer.u64(cumulative);
   writer.u32(window);
+  writer.u64(sack);
   return std::move(writer).take();
 }
 
@@ -58,8 +64,9 @@ Bytes encode_reliable_data(std::uint64_t seq, const Bytes& payload) {
   return encode_data(0, seq, payload);
 }
 
-Bytes encode_reliable_ack(std::uint64_t cumulative, std::uint32_t window) {
-  return encode_ack(0, cumulative, window);
+Bytes encode_reliable_ack(std::uint64_t cumulative, std::uint32_t window,
+                          std::uint64_t sack) {
+  return encode_ack(0, cumulative, window, sack);
 }
 
 std::optional<ReliableFrame> decode_reliable_frame(
@@ -76,6 +83,7 @@ std::optional<ReliableFrame> decode_reliable_frame(
       decoded.kind = ReliableFrame::Kind::kAck;
       decoded.cumulative = reader.u64();
       decoded.window = reader.u32();
+      decoded.sack = reader.u64();
       break;
     default:
       return std::nullopt;
@@ -105,7 +113,6 @@ void ReliableChannel::shutdown() {
   retransmit_event_ = sim::kInvalidEvent;
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEvent;
-  ack_pending_ = false;
   // The channel outlives this layer whenever the application still holds a
   // ChannelPtr; its handlers capture a raw `this` and must be detached.
   if (channel_ != nullptr) {
@@ -129,18 +136,20 @@ Status ReliableChannel::send(Bytes frame) {
     return Status{ErrorCode::kCapacityExceeded, "window full"};
   }
   const std::uint64_t seq = next_seq_++;
-  const auto queued = outbox_.try_emplace(seq, std::move(frame)).first;
+  const auto queued =
+      outbox_.try_emplace(seq, Outgoing{std::move(frame)}).first;
   transmit(seq, queued->second);
   if (retransmit_event_ == sim::kInvalidEvent) arm_retransmit();
   journal();
   return Status::ok_status();
 }
 
-void ReliableChannel::transmit(std::uint64_t seq, const Bytes& payload) {
+void ReliableChannel::transmit(std::uint64_t seq, Outgoing& frame) {
+  frame.last_sent = sim_.now();
   // A failed write is fine: the frame stays in the outbox and the
   // retransmit timer (or post-handover resync) tries again.
   (void)channel_->write_with_room(
-      encode_data(net::kConnFrameHeaderSize, seq, payload));
+      encode_data(net::kConnFrameHeaderSize, seq, frame.payload));
 }
 
 void ReliableChannel::set_data_handler(DataHandler handler) {
@@ -186,7 +195,7 @@ void ReliableChannel::on_frame(const Bytes& frame) {
     return;
   }
   if (decoded->kind == ReliableFrame::Kind::kAck) {
-    on_ack(decoded->cumulative, decoded->window);
+    on_ack(decoded->cumulative, decoded->window, decoded->sack);
     return;
   }
   const std::uint64_t seq = decoded->seq;
@@ -194,7 +203,7 @@ void ReliableChannel::on_frame(const Bytes& frame) {
   if (seq >= expected_) {
     // Bound the reorder buffer: a frame past the cap (only possible from a
     // peer ignoring our advertised window) is dropped, not buffered; the
-    // immediate ack below re-advertises the window.
+    // gap ack below re-advertises the window.
     if (in_order || reorder_.count(seq) != 0 ||
         reorder_.size() < kReorderCap) {
       reorder_.emplace(seq, std::move(decoded->payload));
@@ -211,46 +220,74 @@ void ReliableChannel::on_frame(const Bytes& frame) {
       ++reorder_drops_;
     }
   }
-  if (!in_order) {
-    // A gap, a duplicate or an old frame: ack immediately so the sender
-    // sees duplicate cumulative acks and can fast-retransmit the hole.
+  // A gap, a duplicate or an old frame acks at once so the sender learns
+  // the holes; the rest of its burst shares one ack at the burst gap's end.
+  schedule_ack(in_order ? sim_.now() + config_.ack_delay
+                        : std::max(sim_.now(), last_ack_ + kBurstGap));
+}
+
+void ReliableChannel::schedule_ack(SimTime due) {
+  if (due <= sim_.now()) {
     flush_ack();
     return;
   }
-  if (!ack_pending_) {
-    ack_pending_ = true;
-    ack_timer_ = sim_.schedule_after(config_.ack_delay,
-                                     [this] { flush_ack(); });
-  }
+  if (ack_timer_ != sim::kInvalidEvent && ack_due_ <= due) return;
+  sim_.cancel(ack_timer_);
+  ack_due_ = due;
+  ack_timer_ = sim_.schedule_at(due, [this] { flush_ack(); });
 }
 
-void ReliableChannel::on_ack(std::uint64_t cumulative, std::uint32_t window) {
+void ReliableChannel::on_ack(std::uint64_t cumulative, std::uint32_t window,
+                             std::uint64_t sack) {
   if (cumulative < highest_ack_) return;  // reordered stale ack: ignore
   peer_window_ = window;
   if (cumulative > highest_ack_) {
     // Progress: everything below `cumulative` is delivered at the peer.
     highest_ack_ = cumulative;
-    dup_acks_ = 0;
     outbox_.erase(outbox_.begin(), outbox_.lower_bound(cumulative));
     rto_ = config_.retransmit_interval;
     arm_retransmit();
-    return;
   }
-  // Duplicate cumulative ack: the peer is stuck at a hole we can fill.
-  if (outbox_.empty()) return;
-  if (++dup_acks_ < kDupAckThreshold) return;
-  dup_acks_ = 0;
-  ++fast_retransmits_;
-  ++retransmissions_;
-  transmit(outbox_.begin()->first, outbox_.begin()->second);
+  // The latest ack alone says what the peer holds: a frame it no longer
+  // reports (say, its restarted successor lost the reorder buffer) loses
+  // its mark. Marks only reach kSackSpan past the cumulative ack, and no
+  // earlier ack could mark anything beyond that.
+  std::uint64_t highest_sacked = 0;
+  for (auto it = outbox_.begin();
+       it != outbox_.end() && it->first <= cumulative + kSackSpan; ++it) {
+    const std::uint64_t offset = it->first - cumulative;
+    it->second.sacked = offset > 0 && ((sack >> (offset - 1)) & 1U) != 0;
+    if (it->second.sacked) highest_sacked = it->first;
+  }
+  // Every unsacked frame below the highest sacked one is a hole.
+  const SimTime now = sim_.now();
+  for (auto it = outbox_.begin();
+       it != outbox_.end() && it->first < highest_sacked; ++it) {
+    if (it->second.sacked || now - it->second.last_sent < kHoleRetryGap) {
+      continue;
+    }
+    ++retransmissions_;
+    transmit(it->first, it->second);
+  }
+}
+
+std::uint64_t ReliableChannel::sack_bitmap() const {
+  std::uint64_t sack = 0;
+  for (const auto& [seq, payload] : reorder_) {
+    const std::uint64_t offset = seq - expected_;  // >= 1: a future frame
+    if (offset > kSackSpan) break;
+    sack |= std::uint64_t{1} << (offset - 1);
+  }
+  return sack;
 }
 
 void ReliableChannel::flush_ack() {
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEvent;
-  ack_pending_ = false;
-  (void)channel_->write_with_room(encode_ack(
-      net::kConnFrameHeaderSize, expected_, advertised_window()));
+  last_ack_ = sim_.now();
+  (void)channel_->write_with_room(encode_ack(net::kConnFrameHeaderSize,
+                                             expected_, advertised_window(),
+                                             sack_bitmap()));
 }
 
 void ReliableChannel::arm_retransmit() {
@@ -265,9 +302,10 @@ void ReliableChannel::arm_retransmit() {
 
 void ReliableChannel::retransmit_outstanding() {
   if (channel_->open()) {
-    for (const auto& [seq, payload] : outbox_) {
+    for (auto& [seq, frame] : outbox_) {
+      if (frame.sacked) continue;
       ++retransmissions_;
-      transmit(seq, payload);
+      transmit(seq, frame);
     }
   }
   // No progress since the last arm: back off so a dead or partitioned link
@@ -277,13 +315,14 @@ void ReliableChannel::retransmit_outstanding() {
 }
 
 void ReliableChannel::resync() {
-  if (ack_pending_) flush_ack();
+  if (ack_timer_ != sim::kInvalidEvent) flush_ack();
   // The substituted connection is fresh; restart probing at the base rate.
   rto_ = config_.retransmit_interval;
-  dup_acks_ = 0;
-  for (const auto& [seq, payload] : outbox_) {
+  // The peer may have lost what it held with the old link: resend all.
+  for (auto& [seq, frame] : outbox_) {
+    frame.sacked = false;
     ++retransmissions_;
-    transmit(seq, payload);
+    transmit(seq, frame);
   }
   arm_retransmit();
 }

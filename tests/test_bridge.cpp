@@ -147,8 +147,7 @@ TEST_F(BridgeTest, CapacityLimitRejects) {
   b_->bridge_service().stop();
   bridge::BridgeConfig tiny;
   tiny.max_connections = 0;
-  auto* constrained =
-      new bridge::BridgeService(b_->daemon(), b_->library(), tiny);
+  auto* constrained = new bridge::BridgeService(b_->daemon(), tiny);
   constrained->start();
   auto result = a_->connect_blocking(end_->mac(), "echo");
   ASSERT_FALSE(result.ok());

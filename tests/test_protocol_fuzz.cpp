@@ -162,14 +162,16 @@ Bytes sample_bridge_resume_restart() {
                      ConnectRequest{77, "print", std::nullopt});
 }
 
-// The reliability layer's wire frames (window-advertising ack included).
+// The reliability layer's wire frames (the ack advertises a window and
+// names held frames past the cumulative ack in its SACK bitmap).
 Bytes sample_reliable_data() {
   return peerhood::encode_reliable_data(0x1122334455667788ull,
                                         Bytes{0xDE, 0xAD, 0xBE, 0xEF});
 }
 
 Bytes sample_reliable_ack() {
-  return peerhood::encode_reliable_ack(0x8877665544332211ull, 192);
+  return peerhood::encode_reliable_ack(0x8877665544332211ull, 192,
+                                       0x8000000000000105ull);
 }
 
 Bytes sample_fetch_request() {

@@ -137,7 +137,7 @@ TEST_F(ReliableBackpressureTest, PeerAdvertisedWindowBoundsSenderWithoutAllocati
   ASSERT_TRUE(reliable_->send(Bytes{0x01}).ok());
   testbed_->run_for(2.0);
   ASSERT_NE(server_channel_, nullptr);
-  ASSERT_TRUE(server_channel_->write(encode_reliable_ack(2, 2)).ok());
+  ASSERT_TRUE(server_channel_->write(encode_reliable_ack(2, 2, 0)).ok());
   testbed_->run_for(2.0);
   ASSERT_EQ(reliable_->unacked(), 0u);
   ASSERT_EQ(reliable_->peer_window(), 2u);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "handover/handover.hpp"
 #include "net/connection.hpp"
 #include "scenario_util.hpp"
@@ -31,11 +33,8 @@ class ReliableChannelTest : public ::testing::Test {
     (void)s_->library().register_service(
         ServiceInfo{"rel", "", 0},
         [this](ChannelPtr channel, const wire::ConnectRequest&) {
-          server_rel_ = std::make_unique<ReliableChannel>(
-              testbed_->sim(), channel);
-          server_rel_->set_data_handler([this](const Bytes& frame) {
-            received_.push_back(frame);
-          });
+          server_channel_ = channel;
+          attach_server_layer();
         });
     testbed_->run_discovery_rounds(3);
     auto result = a_->connect_blocking(s_->mac(), "rel");
@@ -45,10 +44,42 @@ class ReliableChannelTest : public ::testing::Test {
         std::make_unique<ReliableChannel>(testbed_->sim(), channel_);
   }
 
+  // (Re)places the receiving layer on the server's channel. The old layer
+  // goes first: its shutdown detaches whatever handles the channel.
+  void attach_server_layer() {
+    server_rel_.reset();
+    server_rel_ =
+        std::make_unique<ReliableChannel>(testbed_->sim(), server_channel_);
+    server_rel_->set_data_handler(
+        [this](const Bytes& frame) { received_.push_back(frame); });
+  }
+
+  // Sends frames 1..count from the client, 100 us apart; the frames whose
+  // sequence numbers are in `lost` die on the air.
+  void send_burst(std::uint8_t count, const std::set<std::uint8_t>& lost) {
+    for (std::uint8_t seq = 1; seq <= count; ++seq) {
+      if (lost.count(seq) != 0) {
+        testbed_->medium().fault_plane().schedule_blackout(
+            sim::LinkFaultModel::Blackout{testbed_->sim().now(),
+                                          microseconds(1)});
+      }
+      ASSERT_TRUE(client_rel_->send(Bytes{seq}).ok());
+      testbed_->run_for(0.0001);
+    }
+  }
+
+  void expect_received_in_order(std::uint8_t count) {
+    ASSERT_EQ(received_.size(), count);
+    for (std::uint8_t i = 0; i < count; ++i) {
+      EXPECT_EQ(received_[i], Bytes{static_cast<std::uint8_t>(i + 1)});
+    }
+  }
+
   std::unique_ptr<Testbed> testbed_;
   node::Node* a_{nullptr};
   node::Node* s_{nullptr};
   ChannelPtr channel_;
+  ChannelPtr server_channel_;
   std::unique_ptr<ReliableChannel> client_rel_;
   std::unique_ptr<ReliableChannel> server_rel_;
   std::vector<Bytes> received_;
@@ -170,6 +201,82 @@ TEST_F(ReliableChannelTest, RetransmitTimerRecoversSilentLoss) {
   ASSERT_TRUE(client_rel_->send(Bytes{10}).ok());
   testbed_->run_for(20.0);  // retransmit interval passes
   EXPECT_EQ(received_.size(), 2u);
+  EXPECT_EQ(client_rel_->unacked(), 0u);
+}
+
+TEST(ReliableFrameCodec, AckCarriesItsSackBitmap) {
+  const Bytes ack = encode_reliable_ack(7, 100, 0x8000000000000005ull);
+  EXPECT_EQ(ack.size(), 21u);
+  const std::optional<ReliableFrame> decoded = decode_reliable_frame(ack);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->kind, ReliableFrame::Kind::kAck);
+  EXPECT_EQ(decoded->cumulative, 7u);
+  EXPECT_EQ(decoded->window, 100u);
+  EXPECT_EQ(decoded->sack, 0x8000000000000005ull);
+
+  // The old 13-byte ack (tag, cumulative, window) is malformed now.
+  const Bytes old_format(ack.begin(), ack.begin() + 13);
+  EXPECT_FALSE(decode_reliable_frame(old_format).has_value());
+}
+
+// Seqs 2 and 4 of a burst are lost: the burst's acks name both holes, so the
+// sender resends exactly those two, once each, long before its 5 s
+// retransmit timer.
+TEST_F(ReliableChannelTest, OneAckRecoversEveryHole) {
+  build(10);
+  send_burst(6, {2, 4});
+  testbed_->run_for(1.0);
+  expect_received_in_order(6);
+  EXPECT_EQ(server_rel_->delivered_count(), 6u);
+  EXPECT_EQ(client_rel_->retransmissions(), 2u);
+  EXPECT_EQ(client_rel_->unacked(), 0u);
+}
+
+// Twenty frames behind a hole arrive back to back: the first acks at once,
+// one more ack at the end of the burst names all twenty.
+TEST_F(ReliableChannelTest, GapAcksAreCoalescedPerBurst) {
+  build(11);
+  client_rel_.reset();  // the client writes and reads raw frames
+  std::vector<ReliableFrame> acks;
+  channel_->set_data_handler([&](const Bytes& frame) {
+    std::optional<ReliableFrame> decoded = decode_reliable_frame(frame);
+    if (decoded && decoded->kind == ReliableFrame::Kind::kAck) {
+      acks.push_back(*decoded);
+    }
+  });
+  for (std::uint8_t seq = 2; seq <= 21; ++seq) {
+    ASSERT_TRUE(channel_->write(encode_reliable_data(seq, Bytes{seq})).ok());
+  }
+  testbed_->run_for(0.15);
+  ASSERT_FALSE(acks.empty());
+  EXPECT_LE(acks.size(), 2u);
+  EXPECT_EQ(acks.back().cumulative, 1u);
+  EXPECT_EQ(acks.back().sack, (std::uint64_t{1} << 20) - 1);
+
+  ASSERT_TRUE(channel_->write(encode_reliable_data(1, Bytes{1})).ok());
+  testbed_->run_for(1.0);
+  expect_received_in_order(21);
+}
+
+// The receiving layer SACKs seqs 2-6 while seq 1 is lost, then a restart
+// replaces it with a journal-resumed layer whose reorder buffer is empty.
+// Its acks no longer report 2-6, so the sender drops their marks and its
+// retransmit timer resends them.
+TEST_F(ReliableChannelTest, RestartedReceiverUnmarksSackedFrames) {
+  build(12);
+  SessionStore store;
+  server_rel_->journal_to(store);
+  send_burst(6, {1});
+  // Both acks of the burst are back at the sender; the resent seq 1 is
+  // still in flight.
+  testbed_->run_for(0.08);
+  ASSERT_TRUE(received_.empty());
+  attach_server_layer();
+  server_rel_->journal_to(store);
+
+  testbed_->run_for(10.0);
+  expect_received_in_order(6);
+  EXPECT_EQ(server_rel_->delivered_count(), 6u);
   EXPECT_EQ(client_rel_->unacked(), 0u);
 }
 

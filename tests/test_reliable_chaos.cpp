@@ -37,7 +37,6 @@ struct ChaosOutcome {
   bool in_order{true};
   std::uint64_t server_delivered{0};
   std::uint64_t retransmissions{0};
-  std::uint64_t fast_retransmits{0};
   sim::FaultStats faults{};
 };
 
@@ -99,7 +98,6 @@ ChaosOutcome run_chaos(std::uint64_t seed, int total_frames) {
   }
   outcome.server_delivered = server_rel ? server_rel->delivered_count() : 0;
   outcome.retransmissions = client_rel.retransmissions();
-  outcome.fast_retransmits = client_rel.fast_retransmits();
   outcome.faults = testbed.medium().fault_plane().stats();
   client_rel.shutdown();
   if (server_rel) server_rel->shutdown();
@@ -135,7 +133,6 @@ TEST(ReliableChaos, SameSeedReplaysIdentically) {
   const ChaosOutcome second = run_chaos(99, 25);
   EXPECT_EQ(first.delivered, second.delivered);
   EXPECT_EQ(first.retransmissions, second.retransmissions);
-  EXPECT_EQ(first.fast_retransmits, second.fast_retransmits);
   EXPECT_EQ(first.faults.frames_seen, second.faults.frames_seen);
   EXPECT_EQ(first.faults.loss_drops, second.faults.loss_drops);
   EXPECT_EQ(first.faults.corrupted, second.faults.corrupted);

@@ -177,10 +177,12 @@ ScenarioSpec chaos_group_walk(std::uint64_t seed) {
 TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
   const PlaneWork work = run_and_count(chaos_group_walk(11));
   // Measurements only: re-checks inside a quiet horizon do not measure.
-  EXPECT_EQ(work.evaluations, 2826u);
-  EXPECT_EQ(work.observer_evals, 1916u);
-  EXPECT_EQ(work.events_emitted, 2u);
-  EXPECT_EQ(work.frames, 2950u);
+  // SACK recovery resends only the holes, so fewer frames cross the lossy
+  // links and the fault plane's draws land on different frames.
+  EXPECT_EQ(work.evaluations, 2620u);
+  EXPECT_EQ(work.observer_evals, 1875u);
+  EXPECT_EQ(work.events_emitted, 3u);
+  EXPECT_EQ(work.frames, 2736u);
 }
 
 // The office floor with relay daemons stopping and restarting: the shape of

@@ -163,8 +163,7 @@ struct Stack {
                                       nullptr, std::move(daemon_config));
     library = std::make_unique<Library>(*daemon);
     daemon->start();
-    bridge = std::make_unique<bridge::BridgeService>(*daemon, *library,
-                                                     bridge::BridgeConfig{});
+    bridge = std::make_unique<bridge::BridgeService>(*daemon);
   }
 };
 
