@@ -1014,7 +1014,7 @@ void run_load(std::uint64_t seed, bool derating, int& via_busy,
 
   node::NodeOptions bridge_options = scenario_node(MobilityClass::kStatic);
   bridge_options.daemon.load_derating = derating;
-  bridge_options.daemon.max_bridge_connections = 4;
+  bridge_options.bridge.max_connections = 4;
 
   node::NodeOptions client_options = scenario_node(MobilityClass::kDynamic);
   client_options.daemon.load_derating = derating;

@@ -42,7 +42,8 @@ void TaskClient::run(DoneCallback done) {
       ServiceInfo{config_.reconnect_service, kHiddenAttribute, 0},
       [this](ChannelPtr back_channel, const wire::ConnectRequest&) {
         back_channel->set_data_handler([this](const Bytes& frame) {
-          if (tag_of(frame) == FrameTag::kResult && !outcome_.has_value()) {
+          // A malformed result frame is ignored like any stray frame.
+          if (!outcome_.has_value() && decode_result(frame).has_value()) {
             finish(MigrationOutcome::Kind::kCompletedRouted);
           }
         });
@@ -167,7 +168,7 @@ void TaskClient::on_frame(const Bytes& frame) {
       return;
     }
     case FrameTag::kResult: {
-      if (!outcome_.has_value()) {
+      if (!outcome_.has_value() && decode_result(frame).has_value()) {
         finish(MigrationOutcome::Kind::kCompletedLive);
       }
       return;

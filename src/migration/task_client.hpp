@@ -64,9 +64,6 @@ class TaskClient {
   [[nodiscard]] const std::optional<MigrationOutcome>& outcome() const {
     return outcome_;
   }
-  [[nodiscard]] handover::HandoverController* handover_controller() {
-    return handover_.get();
-  }
   [[nodiscard]] const ChannelPtr& channel() const { return channel_; }
 
  private:

@@ -218,7 +218,7 @@ void SimNetwork::finish_connect(MacAddress from_mac, NetAddress to,
   // connections merely stall under a blackout (their frames drop at the
   // medium and retransmission recovers after it lifts), but a new one
   // cannot form across radio silence.
-  if (medium_.link_blacked_out(from_mac, to.mac, to.tech)) {
+  if (medium_.link_blacked_out(from_mac, to.mac)) {
     handler(Error{ErrorCode::kConnectionFailed, "link blacked out"});
     return;
   }

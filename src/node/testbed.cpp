@@ -21,10 +21,8 @@ Node::Node(Testbed& testbed, std::string name, MacAddress mac,
   for (const Technology tech : options.technologies) {
     testbed.medium().set_peerhood_tag(mac, tech, options.peerhood_capable);
   }
-  bridge::BridgeConfig bridge_config = options.bridge;
-  bridge_config.max_connections = options.daemon.max_bridge_connections;
-  bridge_ = std::make_unique<bridge::BridgeService>(*daemon_, bridge_config);
-  bridge_configured_ = options.start_bridge && options.daemon.bridge_enabled;
+  bridge_ = std::make_unique<bridge::BridgeService>(*daemon_, options.bridge);
+  bridge_configured_ = options.start_bridge;
   if (bridge_configured_) {
     bridge_->start();
   }

@@ -56,6 +56,14 @@ class Channel {
   void set_data_handler(DataHandler handler);
   void set_close_handler(CloseHandler handler);
   void set_handover_handler(HandoverHandler handler);
+  // HandlerSlot::sets() of the data and handover slots: a layer that
+  // installed handlers can tell whether the channel still holds them.
+  [[nodiscard]] std::uint64_t data_handler_sets() const {
+    return data_slot_.sets();
+  }
+  [[nodiscard]] std::uint64_t handover_handler_sets() const {
+    return handover_slot_.sets();
+  }
 
   [[nodiscard]] bool open() const;
   // Idempotent: severs all handlers (releasing their captures), detaches and

@@ -45,11 +45,9 @@ struct DaemonConfig {
   // in-memory, as every sim scenario expects.
   std::string session_journal_path{};
 
-  // Interconnection (Ch. 4).
-  bool bridge_enabled{true};
-  int max_bridge_connections{8};
-  // §4: decrease the advertised link quality proportionally to bridge
-  // occupancy to steer routes away from bottleneck bridges (ablation E11).
+  // Interconnection (Ch. 4): decrease the advertised link quality
+  // proportionally to bridge occupancy to steer routes away from bottleneck
+  // bridges (§4, ablation E11). Bridge capacity is NodeOptions::bridge.
   bool load_derating{false};
 };
 

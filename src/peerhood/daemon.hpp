@@ -128,7 +128,7 @@ class Daemon {
   Engine engine_;
   std::vector<std::unique_ptr<Plugin>> plugins_;
   std::vector<ServiceInfo> services_;
-  SnapshotCache cache_{/*datagram_frames=*/true};
+  SnapshotCache cache_;
   // Every received fetch response is decoded into this one buffer, so a
   // steady neighbours refresh allocates nothing; its entry views die with
   // the dispatch that decoded them (see on_datagram).

@@ -110,8 +110,6 @@ void Plugin::stop() {
   cycle_active_ = false;
 }
 
-void Plugin::trigger_cycle() { begin_cycle(); }
-
 void Plugin::forget_peers() {
   peer_views_.clear();
   storage_weakening_gen_ = 0;

@@ -72,9 +72,6 @@ class Plugin {
   void on_fetch_response(MacAddress from,
                          wire::ReceivedFetchResponse& response);
 
-  // Triggers one inquiry cycle immediately (tests/benches).
-  void trigger_cycle();
-
   // Crash support: drops every conditional-fetch baseline (they are volatile
   // requester state; a restarted daemon starts from full fetches).
   void forget_peers();

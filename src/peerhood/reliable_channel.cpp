@@ -104,6 +104,8 @@ ReliableChannel::ReliableChannel(sim::Simulator& sim, ChannelPtr channel,
     resync();
     handover_slot_.invoke();
   });
+  data_handler_set_ = channel_->data_handler_sets();
+  handover_handler_set_ = channel_->handover_handler_sets();
 }
 
 ReliableChannel::~ReliableChannel() { shutdown(); }
@@ -114,10 +116,16 @@ void ReliableChannel::shutdown() {
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEvent;
   // The channel outlives this layer whenever the application still holds a
-  // ChannelPtr; its handlers capture a raw `this` and must be detached.
+  // ChannelPtr; its handlers capture a raw `this` and must be detached. A
+  // slot given another handler since (a successor layer on the same
+  // channel) no longer holds them and is left alone.
   if (channel_ != nullptr) {
-    channel_->set_data_handler(nullptr);
-    channel_->set_handover_handler(nullptr);
+    if (channel_->data_handler_sets() == data_handler_set_) {
+      channel_->set_data_handler(nullptr);
+    }
+    if (channel_->handover_handler_sets() == handover_handler_set_) {
+      channel_->set_handover_handler(nullptr);
+    }
   }
   data_slot_.sever();
   handover_slot_.sever();

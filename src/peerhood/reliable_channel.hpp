@@ -166,7 +166,8 @@ class ReliableChannel {
   void resync();
 
   // Idempotent: stops the timers and detaches from the channel (which holds
-  // raw-`this` handlers), leaving the channel itself usable. Called by the
+  // raw-`this` handlers, unless a successor layer replaced them), leaving
+  // the channel itself usable. Called by the
   // destructor, so destroying the reliability layer mid-transfer is safe.
   void shutdown();
 
@@ -202,6 +203,10 @@ class ReliableChannel {
   ReliableConfig config_;
   HandlerSlot<void(const Bytes&)> data_slot_;
   HandlerSlot<void()> handover_slot_;
+  // The channel's data/handover_handler_sets() right after this layer
+  // installed its handlers there.
+  std::uint64_t data_handler_set_{0};
+  std::uint64_t handover_handler_set_{0};
   SessionStore* journal_{nullptr};
 
   // Sender state.

@@ -63,7 +63,6 @@ class SessionStore {
   // would put a disk flush on the data path; durable writes belong with
   // the append-only log that replaces the whole-file rewrite.
   void bind_file(const std::string& path);
-  [[nodiscard]] const std::string& journal_path() const { return path_; }
 
   // Inserts or overwrites the record and marks it most recently touched.
   void put(SessionRecord record);

@@ -1,7 +1,5 @@
 #include "peerhood/snapshot_cache.hpp"
 
-#include <utility>
-
 #include "net/frame_check.hpp"
 
 namespace peerhood {
@@ -14,19 +12,6 @@ bool SnapshotCache::sections_equal(std::uint8_t sections,
     if (a.of(section) != b.of(section)) return false;
   }
   return true;
-}
-
-template <typename WriteBody>
-SnapshotCache::FramePtr SnapshotCache::make_frame(
-    std::size_t body_size, WriteBody&& write_body) const {
-  if (datagram_frames_) {
-    return net::make_datagram_frame(body_size,
-                                    std::forward<WriteBody>(write_body));
-  }
-  ByteWriter writer;
-  writer.reserve(body_size);
-  std::forward<WriteBody>(write_body)(writer);
-  return std::make_shared<const Bytes>(std::move(writer).take());
 }
 
 SnapshotCache::FramePtr SnapshotCache::encode_sections(
@@ -65,7 +50,7 @@ SnapshotCache::FramePtr SnapshotCache::encode_sections(
     }
   }
 
-  return make_frame(size, [&](ByteWriter& writer) {
+  return net::make_datagram_frame(size, [&](ByteWriter& writer) {
     wire::encode_response_header(writer, request_id, sections,
                                  src.load_percent, src.epoch);
     if ((sections & wire::kSectionDevice) != 0) {
@@ -115,9 +100,10 @@ SnapshotCache::FramePtr SnapshotCache::respond(
       response.not_modified = true;
       response.request_id = wire::kSharedRequestId;
       response.load_percent = src.load_percent;
-      FramePtr frame = make_frame(6, [&response](ByteWriter& writer) {
-        wire::encode_into(writer, response);
-      });
+      FramePtr frame = net::make_datagram_frame(
+          6, [&response](ByteWriter& writer) {
+            wire::encode_into(writer, response);
+          });
       not_modified_ = frame;
       not_modified_load_ = src.load_percent;
       return frame;

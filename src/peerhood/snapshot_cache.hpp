@@ -56,15 +56,10 @@ class SnapshotCache {
     std::uint64_t not_modified{0};  // kNotModified served
   };
 
-  // With `datagram_frames` every produced buffer is a complete sealed
-  // datagram frame (net::make_datagram_frame) that the daemon hands to
-  // Network::send_datagram as is; without, it is the bare encoded response.
-  explicit SnapshotCache(bool datagram_frames = false)
-      : datagram_frames_{datagram_frames} {}
-
-  // Produces the encoded reply frame for `request` against `src`: a shared
-  // cached full response, a shared cached kNotModified, or a fresh delta.
-  // Never returns nullptr.
+  // Produces the reply for `request` against `src`: a shared cached full
+  // response, a shared cached kNotModified, or a fresh delta. Every buffer
+  // is a complete sealed datagram frame (net::make_datagram_frame) that the
+  // daemon hands to Network::send_datagram as is. Never returns nullptr.
   [[nodiscard]] FramePtr respond(const wire::FetchRequest& request,
                                  const SnapshotSource& src);
 
@@ -83,10 +78,6 @@ class SnapshotCache {
                                            const wire::SectionGens& a,
                                            const wire::SectionGens& b);
 
-  // Wraps `write_body` output in a datagram frame or a bare buffer.
-  template <typename WriteBody>
-  [[nodiscard]] FramePtr make_frame(std::size_t body_size,
-                                    WriteBody&& write_body) const;
   // Encodes a response carrying `sections` straight from `src` — device,
   // prototypes, services and the storage records in place, no intermediate
   // FetchResponse — into one exactly-sized buffer.
@@ -94,7 +85,6 @@ class SnapshotCache {
                                          std::uint8_t sections,
                                          const SnapshotSource& src) const;
 
-  bool datagram_frames_;
   // One cached full response per requested-sections bitmask (0..15).
   std::array<CachedFull, 16> full_{};
   FramePtr not_modified_;

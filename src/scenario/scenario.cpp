@@ -119,9 +119,6 @@ std::shared_ptr<const sim::MobilityModel> MobilitySpec::build(
   switch (kind) {
     case Kind::kStatic:
       return std::make_shared<sim::StaticPosition>(start + offset);
-    case Kind::kLinear:
-      return std::make_shared<sim::LinearMotion>(start + offset, velocity,
-                                                 departure);
     case Kind::kWaypoints:
       return std::make_shared<sim::WaypointPath>(shifted(waypoints, offset));
     case Kind::kRandomWaypoint:
@@ -168,16 +165,6 @@ std::uint64_t ScenarioMetrics::total_handovers() const {
   std::uint64_t n = 0;
   for (const SessionMetrics& s : sessions) n += s.handovers;
   return n;
-}
-
-double ScenarioMetrics::mean_handover_latency_s() const {
-  double sum = 0.0;
-  std::uint64_t count = 0;
-  for (const SessionMetrics& s : sessions) {
-    sum += s.handover_latency_sum_s;
-    count += s.handover_latency_count;
-  }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
 std::uint64_t ScenarioMetrics::control_frames() const {

@@ -32,7 +32,6 @@ namespace peerhood::scenario {
 struct MobilitySpec {
   enum class Kind {
     kStatic,
-    kLinear,
     kWaypoints,
     kRandomWaypoint,
     kGaussMarkov,
@@ -40,11 +39,9 @@ struct MobilitySpec {
   };
 
   Kind kind{Kind::kStatic};
-  // Start position (kStatic / kLinear) or initial position inside the area
-  // models. Group members ignore it (placement = reference + offset).
+  // Start position (kStatic) or initial position inside the area models.
+  // Group members ignore it (placement = reference + offset).
   sim::Vec2 start{};
-  sim::Vec2 velocity{};                                // kLinear
-  SimTime departure{};                                 // kLinear
   // kWaypoints: scripted, or a recorded trace (parse_waypoint_trace).
   std::vector<sim::WaypointPath::Waypoint> waypoints;
   sim::RandomWaypoint::Config random_waypoint{};
@@ -235,7 +232,6 @@ struct ScenarioMetrics {
   [[nodiscard]] std::uint64_t frames_lost() const;
   [[nodiscard]] double total_outage_s() const;
   [[nodiscard]] std::uint64_t total_handovers() const;
-  [[nodiscard]] double mean_handover_latency_s() const;
   // Non-payload medium frames: everything the stack sent beyond the
   // application's delivered messages (discovery, acks, repairs) — the
   // control-overhead figure of the bench matrix.

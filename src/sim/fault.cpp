@@ -27,55 +27,16 @@ void LinkFaultModel::set_profile(Technology tech, FaultProfile profile) {
   tech_profiles_[static_cast<std::size_t>(tech)] = profile;
 }
 
-void LinkFaultModel::set_link_profile(MacAddress a, MacAddress b,
-                                      Technology tech, FaultProfile profile) {
-  link_profiles_[link_key(a, b, tech)] = profile;
-}
-
-void LinkFaultModel::clear_link_profile(MacAddress a, MacAddress b,
-                                        Technology tech) {
-  link_profiles_.erase(link_key(a, b, tech));
-}
-
-const FaultProfile& LinkFaultModel::profile(MacAddress a, MacAddress b,
-                                            Technology tech) const {
-  const auto it = link_profiles_.find(link_key(a, b, tech));
-  if (it != link_profiles_.end()) return it->second;
-  return tech_profiles_[static_cast<std::size_t>(tech)];
-}
-
-bool LinkFaultModel::any_profile_active() const {
-  for (const FaultProfile& p : tech_profiles_) {
-    if (p.active()) return true;
-  }
-  for (const auto& [key, p] : link_profiles_) {
-    if (p.active()) return true;
-  }
-  return false;
-}
-
 void LinkFaultModel::schedule_blackout(Blackout window) {
   blackouts_.push_back(std::move(window));
 }
 
-bool LinkFaultModel::blackout_possible(SimTime now) const {
-  for (const Blackout& b : blackouts_) {
-    if (now >= b.start && now < b.start + b.duration) return true;
-  }
-  return false;
-}
-
-bool LinkFaultModel::blacked_out(MacAddress from, MacAddress to, SimTime now,
-                                 Vec2 from_pos, Vec2 to_pos) const {
+bool LinkFaultModel::blacked_out(MacAddress from, MacAddress to,
+                                 SimTime now) const {
   for (const Blackout& b : blackouts_) {
     if (now < b.start || now >= b.start + b.duration) continue;
-    if (b.radius_m > 0.0 &&
-        distance(b.center, from_pos) > b.radius_m &&
-        distance(b.center, to_pos) > b.radius_m) {
-      continue;  // region blackout, neither endpoint inside
-    }
     if (b.side_a.empty()) {
-      if (b.radius_m > 0.0 || b.side_b.empty()) return true;  // global/region
+      if (b.side_b.empty()) return true;  // global
       continue;
     }
     const bool from_a = contains(b.side_a, from);
@@ -95,16 +56,15 @@ bool LinkFaultModel::blacked_out(MacAddress from, MacAddress to, SimTime now,
 
 FaultDecision LinkFaultModel::judge(MacAddress from, MacAddress to,
                                     Technology tech, double degradation,
-                                    SimTime now, Vec2 from_pos, Vec2 to_pos) {
+                                    SimTime now) {
   FaultDecision decision;
   ++stats_.frames_seen;
-  if (blackout_possible(now) &&
-      blacked_out(from, to, now, from_pos, to_pos)) {
+  if (blacked_out(from, to, now)) {
     ++stats_.blackout_drops;
     decision.drop = true;
     return decision;
   }
-  const FaultProfile& p = profile(from, to, tech);
+  const FaultProfile& p = tech_profiles_[static_cast<std::size_t>(tech)];
   if (!p.active()) return decision;
 
   // The quality coupling scales the burst machinery by link degradation:
@@ -134,13 +94,12 @@ FaultDecision LinkFaultModel::judge(MacAddress from, MacAddress to,
   if (rng_.bernoulli(p.duplicate_prob)) {
     ++stats_.duplicated;
     decision.duplicate = true;
-    decision.duplicate_lag = p.duplicate_lag;
   }
   if (rng_.bernoulli(p.reorder_prob)) {
     ++stats_.reordered;
     decision.reorder = true;
     const double max_s =
-        std::chrono::duration<double>(p.reorder_delay_max).count();
+        std::chrono::duration<double>(kReorderDelayMax).count();
     decision.extra_delay = seconds(rng_.uniform(0.0, max_s));
   }
   return decision;

@@ -17,8 +17,8 @@
 //    adds a random extra delay and exempts the frame from the medium's
 //    in-order bump, so later frames overtake it.
 //  * Blackouts are scheduled windows (start + duration) that drop every
-//    frame crossing a node-set cut or touching a circular region —
-//    partitions, elevator rides, jammed rooms.
+//    frame crossing a node-set cut, touching a node set, or (with no set)
+//    every frame — partitions, a device switched off, radio silence.
 //
 // Every random decision draws from one forked Rng owned by this model, so a
 // fixed (seed, schedule) pair replays the exact same fault sequence — the
@@ -38,12 +38,11 @@
 #include "common/sim_time.hpp"
 #include "sim/radio.hpp"
 #include "sim/simulator.hpp"
-#include "sim/vec2.hpp"
 
 namespace peerhood::sim {
 
-// Per-technology (or per-link override) fault parameters. Default constructed
-// = fault free; `active()` lets the medium skip the whole plane cheaply.
+// Per-technology fault parameters. Default constructed = fault free;
+// `active()` lets the medium skip the whole plane cheaply.
 struct FaultProfile {
   // Gilbert–Elliott loss: drop probabilities inside each state and the
   // per-frame state transition probabilities.
@@ -61,16 +60,16 @@ struct FaultProfile {
   double duplicate_prob{0.0};
   double reorder_prob{0.0};
 
-  // Extra delivery delay drawn U(0, reorder_delay_max) for reordered frames.
-  SimDuration reorder_delay_max{std::chrono::milliseconds{150}};
-  // The duplicate copy lands this long after the original.
-  SimDuration duplicate_lag{std::chrono::milliseconds{20}};
-
   [[nodiscard]] bool active() const {
     return loss_good > 0.0 || loss_bad > 0.0 || p_good_to_bad > 0.0 ||
            corrupt_prob > 0.0 || duplicate_prob > 0.0 || reorder_prob > 0.0;
   }
 };
+
+// Extra delivery delay drawn U(0, kReorderDelayMax) for reordered frames.
+inline constexpr SimDuration kReorderDelayMax = std::chrono::milliseconds{150};
+// The duplicate copy lands this long after the original.
+inline constexpr SimDuration kDuplicateLag = std::chrono::milliseconds{20};
 
 // Per-kind counters; identical across runs with the same (seed, schedule).
 struct FaultStats {
@@ -92,48 +91,34 @@ struct FaultDecision {
   bool corrupt{false};
   bool duplicate{false};
   bool reorder{false};
-  SimDuration extra_delay{SimDuration{0}};   // reorder jitter
-  SimDuration duplicate_lag{SimDuration{0}};  // second-copy offset
+  SimDuration extra_delay{SimDuration{0}};  // reorder jitter
 };
 
 class LinkFaultModel {
  public:
   // A scheduled blackout window. Semantics of the node sets:
-  //  * both empty (and radius_m <= 0): global blackout;
+  //  * both empty: global blackout;
   //  * side_b empty: every frame touching a side_a node is dropped
   //    (node-set blackout);
   //  * both non-empty: only frames crossing the side_a <-> side_b cut are
   //    dropped (partition) — traffic inside either side still flows.
-  // A radius_m > 0 additionally requires one endpoint inside the circle, so
-  // region blackouts compose with the node-set filter.
   struct Blackout {
     SimTime start{};
     SimDuration duration{SimDuration{0}};
     std::vector<MacAddress> side_a;
     std::vector<MacAddress> side_b;
-    Vec2 center{};
-    double radius_m{0.0};
   };
 
   explicit LinkFaultModel(Rng rng) : rng_{rng} {}
 
-  // Per-technology baseline profile (applies to every link of that tech).
+  // Per-technology profile (applies to every link of that tech).
   void set_profile(Technology tech, FaultProfile profile);
-  // Per-link override, undirected; wins over the technology profile.
-  void set_link_profile(MacAddress a, MacAddress b, Technology tech,
-                        FaultProfile profile);
-  void clear_link_profile(MacAddress a, MacAddress b, Technology tech);
-  [[nodiscard]] const FaultProfile& profile(MacAddress a, MacAddress b,
-                                            Technology tech) const;
 
   void schedule_blackout(Blackout window);
-  // True while any blackout window covers `now` — the cheap pre-check the
-  // hot paths make before the per-link cut test.
-  [[nodiscard]] bool blackout_possible(SimTime now) const;
   // True when a frame (or inquiry response / connect attempt) between the
   // endpoints is silenced by an active blackout.
-  [[nodiscard]] bool blacked_out(MacAddress from, MacAddress to, SimTime now,
-                                 Vec2 from_pos, Vec2 to_pos) const;
+  [[nodiscard]] bool blacked_out(MacAddress from, MacAddress to,
+                                 SimTime now) const;
 
   // Rolls the dice for one frame. `degradation` is 0 (perfect link) .. 1
   // (coverage edge), from the medium's quality model. Blackouts are checked
@@ -141,17 +126,12 @@ class LinkFaultModel {
   // so healing restores the channel exactly where it paused.
   [[nodiscard]] FaultDecision judge(MacAddress from, MacAddress to,
                                     Technology tech, double degradation,
-                                    SimTime now, Vec2 from_pos, Vec2 to_pos);
+                                    SimTime now);
 
   // Flips 1-3 random bits; the caller passes a fresh copy of the frame.
   void corrupt(Bytes& frame);
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = FaultStats{}; }
-
-  // True when any technology profile or link override injects faults —
-  // blackouts count separately via blackout_possible().
-  [[nodiscard]] bool any_profile_active() const;
 
  private:
   using LinkKey = std::tuple<std::uint64_t, std::uint64_t, std::uint8_t>;
@@ -160,7 +140,6 @@ class LinkFaultModel {
 
   Rng rng_;
   std::array<FaultProfile, kTechnologyCount> tech_profiles_{};
-  std::map<LinkKey, FaultProfile> link_profiles_;
   // Gilbert-Elliott state per undirected link, created on first frame.
   std::map<LinkKey, bool> burst_state_;
   std::vector<Blackout> blackouts_;

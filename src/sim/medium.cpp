@@ -237,11 +237,6 @@ void RadioMedium::ensure_grid(TechState& ts) const {
   for (TechState& stale : tech_) stale.grid_gen = position_gen_;
 }
 
-void RadioMedium::set_discoverable(MacAddress mac, Technology tech,
-                                   bool discoverable) {
-  if (Endpoint* e = find(mac, tech)) e->discoverable = discoverable;
-}
-
 void RadioMedium::set_inquiring(MacAddress mac, Technology tech,
                                 bool inquiring) {
   if (Endpoint* e = find(mac, tech)) e->inquiring = inquiring;
@@ -306,23 +301,12 @@ SimTime RadioMedium::quiet_until(SimTime now, const Endpoint& ea,
                    std::min(quiet_s, kMaxQuietS) * 1e6)};
 }
 
-std::uint64_t RadioMedium::link_shadow_key(MacAddress a, MacAddress b,
-                                           Technology tech) {
-  const std::uint64_t lo = std::min(a.as_u64(), b.as_u64());
-  const std::uint64_t hi = std::max(a.as_u64(), b.as_u64());
-  return (lo * 0x9e3779b97f4a7c15ULL) ^ (hi * 0xbf58476d1ce4e5b9ULL) ^
-         static_cast<std::uint64_t>(tech);
-}
-
-double RadioMedium::base_quality(const Endpoint& ea, const Endpoint& eb,
-                                 double distance_m) const {
+double RadioMedium::base_quality(Technology tech, double distance_m) const {
   ++quality_stats_.evaluations;
-  return quality_model_.base_quality(distance_m, state(ea.tech).params.range_m,
-                                     link_shadow_key(ea.mac, eb.mac, ea.tech));
+  return quality_model_.base_quality(distance_m, state(tech).params.range_m);
 }
 
 double RadioMedium::quiet_margin(const QualityObserver& obs,
-                                 const Endpoint& ea, const Endpoint& eb,
                                  double distance_m) const {
   // Qualities in [lo, hi] keep the detector still: live or dead as now,
   // and no lower than the threshold while above it, no higher than
@@ -334,16 +318,15 @@ double RadioMedium::quiet_margin(const QualityObserver& obs,
   } else {
     lo = std::max(lo, obs.threshold);
   }
-  const double range = state(ea.tech).params.range_m;
-  const std::uint64_t key = link_shadow_key(ea.mac, eb.mac, ea.tech);
+  const double range = state(obs.tech).params.range_m;
   const auto quality_at = [&](double d) {
-    return quality_model_.finalize(quality_model_.base_quality(d, range, key),
+    return quality_model_.finalize(quality_model_.base_quality(d, range),
                                    nullptr);
   };
   // finalize() rounds to nearest: quality >= level takes a base of at least
   // level - 0.5, and quality >= 1 any live base.
   const auto edge = [&](int level) {
-    return quality_model_.reach(level <= 1 ? 0.0 : level - 0.5, range, key);
+    return quality_model_.reach(level <= 1 ? 0.0 : level - 0.5, range);
   };
   // Quality never rises with distance, so each band end is proven by one
   // check of quality_at a slack inside the solved edge: what holds there
@@ -367,7 +350,7 @@ int RadioMedium::sample_quality(MacAddress a, MacAddress b, Technology tech) {
   const Endpoint* eb = find(b, tech);
   if (ea == nullptr || eb == nullptr) return 0;
   const double d = sim::distance(cached_position(*ea), cached_position(*eb));
-  return quality_model_.finalize(base_quality(*ea, *eb, d), &noise_rng_);
+  return quality_model_.finalize(base_quality(tech, d), &noise_rng_);
 }
 
 int RadioMedium::expected_quality(MacAddress a, MacAddress b,
@@ -376,7 +359,7 @@ int RadioMedium::expected_quality(MacAddress a, MacAddress b,
   const Endpoint* eb = find(b, tech);
   if (ea == nullptr || eb == nullptr) return 0;
   const double d = sim::distance(cached_position(*ea), cached_position(*eb));
-  return quality_model_.finalize(base_quality(*ea, *eb, d), nullptr);
+  return quality_model_.finalize(base_quality(tech, d), nullptr);
 }
 
 QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,
@@ -499,7 +482,7 @@ void RadioMedium::measure_link(const Endpoint& ea, const Endpoint& eb,
                                LinkQualityEvent& event) const {
   event.distance_m = (cached_position(ea) - cached_position(eb)).norm();
   event.quality = quality_model_.finalize(
-      base_quality(ea, eb, event.distance_m), nullptr);
+      base_quality(event.tech, event.distance_m), nullptr);
 }
 
 void RadioMedium::add_link_motion(const Endpoint& ea, const Endpoint& eb,
@@ -520,8 +503,7 @@ void RadioMedium::add_link_motion(const Endpoint& ea, const Endpoint& eb,
     const double range = state(event.tech).params.range_m;
     const double ahead =
         std::clamp(event.distance_m + event.radial_speed_mps, 0.0, range);
-    const double base_ahead = quality_model_.base_quality(
-        ahead, range, link_shadow_key(event.a, event.b, event.tech));
+    const double base_ahead = quality_model_.base_quality(ahead, range);
     event.slope_per_s =
         static_cast<double>(quality_model_.finalize(base_ahead, nullptr)) -
         static_cast<double>(event.quality);
@@ -561,8 +543,7 @@ void RadioMedium::evaluate_observer(std::uint32_t index, SimTime now,
   obs.below = below;
   obs.quiet_epoch = horizon_epoch_;
   obs.quiet_until =
-      linked ? quiet_until(now, *ea, *eb,
-                           quiet_margin(obs, *ea, *eb, event.distance_m))
+      linked ? quiet_until(now, *ea, *eb, quiet_margin(obs, event.distance_m))
              : SimTime{SimDuration::max()};
   if (!emit) return;
 
@@ -640,17 +621,10 @@ std::vector<MacAddress> RadioMedium::discoverable_in_range(
   out.reserve(hits.size());
   // A blackout partition silences inquiry responses across the cut too —
   // otherwise discovery would keep "seeing" devices no frame can reach.
-  const bool blackout =
-      faults_ != nullptr && faults_->blackout_possible(sim_.now());
-  const Vec2 origin_pos = blackout ? cached_position(*origin) : Vec2{};
   for (const Endpoint* e : hits) {
-    if (!e->discoverable) continue;
     // Bluetooth asymmetry: a device busy inquiring does not answer inquiries.
     if (asymmetric && e->inquiring) continue;
-    if (blackout && faults_->blacked_out(mac, e->mac, sim_.now(), origin_pos,
-                                         cached_position(*e))) {
-      continue;
-    }
+    if (link_blacked_out(mac, e->mac)) continue;
     out.push_back(e->mac);
   }
   return out;
@@ -663,16 +637,8 @@ LinkFaultModel& RadioMedium::fault_plane() {
   return *faults_;
 }
 
-bool RadioMedium::link_blacked_out(MacAddress a, MacAddress b,
-                                   Technology tech) const {
-  if (faults_ == nullptr || !faults_->blackout_possible(sim_.now())) {
-    return false;
-  }
-  const Endpoint* ea = find(a, tech);
-  const Endpoint* eb = find(b, tech);
-  if (ea == nullptr || eb == nullptr) return false;
-  return faults_->blacked_out(a, b, sim_.now(), cached_position(*ea),
-                              cached_position(*eb));
+bool RadioMedium::link_blacked_out(MacAddress a, MacAddress b) const {
+  return faults_ != nullptr && faults_->blacked_out(a, b, sim_.now());
 }
 
 void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
@@ -697,14 +663,12 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
   if (faults_ != nullptr) {
     // Degradation for the quality coupling: 0 at full quality, 1 at the
     // coverage edge (out-of-range frames never reach this point).
-    const double base =
-        base_quality(*from_e, *to_e, sim::distance(from_at, to_at));
+    const double base = base_quality(tech, sim::distance(from_at, to_at));
     const double span = std::max(
         1.0, static_cast<double>(quality_model_.q_max - quality_model_.q_edge));
     const double degradation = std::clamp(
         (static_cast<double>(quality_model_.q_max) - base) / span, 0.0, 1.0);
-    fault = faults_->judge(from, to, tech, degradation, sim_.now(), from_at,
-                           to_at);
+    fault = faults_->judge(from, to, tech, degradation, sim_.now());
     if (fault.drop) {
       ++stats_.drops;
       return;
@@ -728,7 +692,7 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
   for (int copy = 0; copy < copies; ++copy) {
     SimTime deliver_at =
         sim_.now() + p.per_hop_latency + tx_time + fault.extra_delay;
-    if (copy == 1) deliver_at = deliver_at + fault.duplicate_lag;
+    if (copy == 1) deliver_at = deliver_at + kDuplicateLag;
 
     if (!fault.reorder) {
       auto& last = last_delivery_[link_key(from.as_u64(), to.as_u64(), tech)];

@@ -1,8 +1,8 @@
 // The shared radio medium: tracks every (device, technology) endpoint, its
-// mobility, discoverability and inquiry state, answers range/quality queries
-// and delivers unicast frames with per-technology latency, bandwidth and
-// in-order guarantees. Everything above (sockets, plugins, daemon) is built
-// on these primitives.
+// mobility and inquiry state, answers range/quality queries and delivers
+// unicast frames with per-technology latency, bandwidth and in-order
+// guarantees. Everything above (sockets, plugins, daemon) is built on these
+// primitives.
 //
 // Neighbour queries are served by a per-technology uniform spatial grid
 // (cell edge == radio range) instead of a linear scan, and every endpoint's
@@ -111,7 +111,7 @@ struct LinkQualityEvent {
   MacAddress b;
   Technology tech{Technology::kBluetooth};
   Edge edge{Edge::kFell};
-  // Noise-free (shadowed) quality at `at`; 0 when out of range.
+  // Noise-free quality at `at`; 0 when out of range.
   int quality{0};
   // Signed quality slope (units/s) derived from the mobility models'
   // velocities — negative while the endpoints separate.
@@ -163,7 +163,6 @@ class RadioMedium {
   void unregister_endpoint(MacAddress mac, Technology tech);
   [[nodiscard]] bool has_endpoint(MacAddress mac, Technology tech) const;
 
-  void set_discoverable(MacAddress mac, Technology tech, bool discoverable);
   void set_inquiring(MacAddress mac, Technology tech, bool inquiring);
   // The "PeerHood tag" found via SDP query (§2.3); endpoints without it are
   // detected but not PeerHood capable.
@@ -234,8 +233,8 @@ class RadioMedium {
   // MAC order.
   [[nodiscard]] std::vector<MacAddress> in_range_of(MacAddress mac,
                                                     Technology tech) const;
-  // As in_range_of, but honouring discoverability and the Bluetooth inquiry
-  // asymmetry: a device that is itself inquiring does not respond (§3.4.2).
+  // As in_range_of, but honouring the Bluetooth inquiry asymmetry (a device
+  // that is itself inquiring does not respond, §3.4.2) and blackouts.
   [[nodiscard]] std::vector<MacAddress> discoverable_in_range(
       MacAddress mac, Technology tech) const;
 
@@ -263,8 +262,7 @@ class RadioMedium {
   // True while an active blackout window silences the (a, b) link. The
   // connection-establishment path and the inquiry plane honour partitions
   // too, not just in-flight data frames.
-  [[nodiscard]] bool link_blacked_out(MacAddress a, MacAddress b,
-                                      Technology tech) const;
+  [[nodiscard]] bool link_blacked_out(MacAddress a, MacAddress b) const;
 
   // Evicts `last_delivery_` entries whose delivery time has already passed —
   // they can no longer influence in-order bumping, since every new delivery
@@ -286,7 +284,6 @@ class RadioMedium {
     Technology tech;
     std::shared_ptr<const MobilityModel> mobility;
     FrameHandler handler;
-    bool discoverable{true};
     bool inquiring{false};
     bool peerhood_tag{true};
     // Static endpoints are sampled once and never re-indexed: the grid
@@ -397,10 +394,9 @@ class RadioMedium {
   void collect_in_range(const Endpoint& origin, TechState& ts,
                         std::vector<const Endpoint*>& out) const;
 
-  // Noise-free shadowed quality of the (ea, eb) link at `distance_m`;
-  // <= 0 means dead. Counts one evaluation.
-  [[nodiscard]] double base_quality(const Endpoint& ea, const Endpoint& eb,
-                                    double distance_m) const;
+  // Noise-free quality of a `tech` link at `distance_m`; <= 0 means dead.
+  // Counts one evaluation.
+  [[nodiscard]] double base_quality(Technology tech, double distance_m) const;
   // probe_link in two halves. measure_link fills the event's distance and
   // noise-free quality (one evaluation); add_link_motion then adds the
   // radial speed and quality slope from both models' velocities (not
@@ -409,9 +405,6 @@ class RadioMedium {
                     LinkQualityEvent& event) const;
   void add_link_motion(const Endpoint& ea, const Endpoint& eb,
                        LinkQualityEvent& event) const;
-  [[nodiscard]] static std::uint64_t link_shadow_key(MacAddress a,
-                                                     MacAddress b,
-                                                     Technology tech);
   // The last instant up to which the distance of the (ea, eb) link, now
   // `margin_m` inside a band edge, provably stays inside: both models'
   // speed bounds and slack. `now` when nothing more is proven.
@@ -428,11 +421,10 @@ class RadioMedium {
     return quiet_until(sim_.now(), ea, eb,
                        range_m - std::sqrt(gap.x * gap.x + gap.y * gap.y));
   }
-  // How far the observed (ea, eb) link, now at `distance_m`, provably is
-  // inside the band of distances whose quality keeps obs's detector in its
-  // current state; not positive if nothing is proven.
+  // How far obs's link, now at `distance_m`, provably is inside the band of
+  // distances whose quality keeps obs's detector in its current state; not
+  // positive if nothing is proven.
   [[nodiscard]] double quiet_margin(const QualityObserver& obs,
-                                    const Endpoint& ea, const Endpoint& eb,
                                     double distance_m) const;
   // Re-checks observers attached to mobile endpoints; runs from the clock's
   // time observer, after position_gen_ was bumped. Skipped while the clock

@@ -68,54 +68,19 @@ TechnologyParams default_params(Technology tech) {
   return bluetooth_params();
 }
 
-double LinkQualityModel::shadow_offset(std::uint64_t link_key) const {
-  if (shadow_sigma <= 0.0) return 0.0;
-  // One splitmix-seeded draw per (seed, link): deterministic for the run,
-  // decorrelated across links.
-  Rng rng{shadow_seed ^ (link_key * 0x9e3779b97f4a7c15ULL + 1)};
-  return rng.gaussian(0.0, shadow_sigma);
-}
-
-double LinkQualityModel::base_quality(double distance_m, double range_m,
-                                      std::uint64_t link_key) const {
+double LinkQualityModel::base_quality(double distance_m,
+                                      double range_m) const {
   if (distance_m > range_m || range_m <= 0.0) return 0.0;
   const double frac = std::clamp(distance_m / range_m, 0.0, 1.0);
-  const double span = static_cast<double>(q_max - q_edge);
-  double q = q_max;
-  switch (law) {
-    case PathLossLaw::kConcavePower:
-      q -= span * std::pow(frac, exponent);
-      break;
-    case PathLossLaw::kLogDistance:
-      // log10(1 + 9·frac) runs 0 -> 1 over the coverage: steep attenuation
-      // near the transmitter, flat toward the edge.
-      q -= span * std::log10(1.0 + 9.0 * frac);
-      break;
-  }
-  if (link_key != 0) q += shadow_offset(link_key);
-  // May come back <= 0 under deep shadow: a dead link inside nominal
-  // coverage, which finalize() reports as quality 0.
-  return q;
+  return q_max - static_cast<double>(q_max - q_edge) * std::pow(frac, exponent);
 }
 
-double LinkQualityModel::reach(double base, double range_m,
-                               std::uint64_t link_key) const {
-  double top = q_max;
-  if (link_key != 0) top += shadow_offset(link_key);
-  // The share of the span the law may lose before the quality drops below
+double LinkQualityModel::reach(double base, double range_m) const {
+  // The share of the span the quality may lose before it drops below
   // `base`.
-  const double loss = (top - base) / static_cast<double>(q_max - q_edge);
+  const double loss = (q_max - base) / static_cast<double>(q_max - q_edge);
   if (!(loss >= 0.0)) return -std::numeric_limits<double>::infinity();
-  double frac = 1.0;
-  switch (law) {
-    case PathLossLaw::kConcavePower:
-      frac = std::pow(loss, 1.0 / exponent);
-      break;
-    case PathLossLaw::kLogDistance:
-      frac = (std::pow(10.0, loss) - 1.0) / 9.0;
-      break;
-  }
-  return std::min(frac, 1.0) * range_m;
+  return std::min(std::pow(loss, 1.0 / exponent), 1.0) * range_m;
 }
 
 int LinkQualityModel::finalize(double base, Rng* noise_rng) const {
@@ -128,8 +93,8 @@ int LinkQualityModel::finalize(double base, Rng* noise_rng) const {
 }
 
 int LinkQualityModel::quality(double distance_m, double range_m,
-                              Rng* noise_rng, std::uint64_t link_key) const {
-  return finalize(base_quality(distance_m, range_m, link_key), noise_rng);
+                              Rng* noise_rng) const {
+  return finalize(base_quality(distance_m, range_m), noise_rng);
 }
 
 }  // namespace peerhood::sim

@@ -86,53 +86,33 @@ struct TechnologyParams {
 [[nodiscard]] TechnologyParams gprs_params();
 [[nodiscard]] TechnologyParams default_params(Technology tech);
 
-// Path-loss law selecting how quality decays between transmitter and the
-// coverage edge:
-//  * kConcavePower — RSSI stays near maximum until close to the edge
-//    (q_max - (q_max-q_edge)·(d/r)^exponent); the seed model.
-//  * kLogDistance — log-distance profile: quality falls steeply near the
-//    transmitter and flattens toward the edge, the classic indoor shape.
-enum class PathLossLaw : std::uint8_t { kConcavePower = 0, kLogDistance = 1 };
-
-// Distance -> link-quality mapping (0-255). Quality decays from q_max at the
-// transmitter towards q_edge at the coverage edge under the configured
-// path-loss law, optionally offset by per-link log-normal-style shadowing
-// (a deterministic N(0, shadow_sigma) quality offset hashed from the link
-// key, so a given pair sees the same shadow for the whole run), plus bounded
+// Distance -> link-quality mapping (0-255), the sim's stand-in for the
+// measured Bluetooth RSSI (§3.4.1). Quality stays near q_max close to the
+// transmitter and falls as a concave power of distance to q_edge at the
+// coverage edge (q_max - (q_max-q_edge)·(d/r)^exponent), plus bounded
 // per-sample noise. Beyond the range the link is dead (quality 0).
 struct LinkQualityModel {
   static constexpr int q_max = 255;
   static constexpr int q_edge = 175;
   static constexpr double exponent = 2.0;
 
-  PathLossLaw law{PathLossLaw::kConcavePower};
   double noise{2.0};
-  // 0 = shadowing off. In quality units (the 0-255 scale is the sim's dB
-  // analogue). `shadow_seed` decorrelates shadow maps across runs.
-  double shadow_sigma{0.0};
-  std::uint64_t shadow_seed{0};
 
   // The paper's "minimum demanded" link quality (Fig. 3.9, §5.2.1).
   static constexpr int kDefaultThreshold = 230;
 
-  // Noise-free quality before the integer clamp; <= 0.0 means dead link
-  // (out of range). `link_key` selects the shadowing offset (pass 0 for an
-  // un-shadowed sample, e.g. analytic benches).
-  [[nodiscard]] double base_quality(double distance_m, double range_m,
-                                    std::uint64_t link_key = 0) const;
+  // Noise-free quality before the integer clamp; 0.0 means dead link (out
+  // of range).
+  [[nodiscard]] double base_quality(double distance_m, double range_m) const;
   // The inverse of base_quality: the largest distance whose base quality
   // is still at least `base` (at most range_m), exact only to rounding;
   // -infinity if the base quality is below `base` everywhere.
-  [[nodiscard]] double reach(double base, double range_m,
-                             std::uint64_t link_key = 0) const;
+  [[nodiscard]] double reach(double base, double range_m) const;
   // Applies per-sample noise and the 1..255 clamp to a live base quality.
   [[nodiscard]] int finalize(double base, Rng* noise_rng) const;
-  // Deterministic per-link shadow offset (0 when shadow_sigma == 0).
-  [[nodiscard]] double shadow_offset(std::uint64_t link_key) const;
 
   [[nodiscard]] int quality(double distance_m, double range_m,
-                            Rng* noise_rng = nullptr,
-                            std::uint64_t link_key = 0) const;
+                            Rng* noise_rng = nullptr) const;
 };
 
 }  // namespace sim

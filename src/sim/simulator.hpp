@@ -92,7 +92,6 @@ class Simulator {
   }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] Rng fork_rng() { return rng_.fork(); }

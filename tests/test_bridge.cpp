@@ -14,13 +14,15 @@ using testing::reliable_bluetooth;
 // Line a(0) - b(8) - c(16): a and c are not in mutual coverage; b relays.
 class BridgeTest : public ::testing::Test {
  protected:
-  void build(std::uint64_t seed, int extra_hops = 0) {
+  // `relay` configures b, the bridge between a and c.
+  void build(std::uint64_t seed, int extra_hops = 0,
+             const node::NodeOptions& relay =
+                 fast_node(MobilityClass::kStatic)) {
     testbed_ = std::make_unique<Testbed>(seed);
     testbed_->medium().configure(reliable_bluetooth());
     a_ = &testbed_->add_node("a", {0.0, 0.0},
                              fast_node(MobilityClass::kDynamic));
-    b_ = &testbed_->add_node("b", {8.0, 0.0},
-                             fast_node(MobilityClass::kStatic));
+    b_ = &testbed_->add_node("b", {8.0, 0.0}, relay);
     double x = 16.0;
     node::Node* last = &testbed_->add_node(
         "c", {x, 0.0}, fast_node(MobilityClass::kStatic));
@@ -153,6 +155,19 @@ TEST_F(BridgeTest, CapacityLimitRejects) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kCapacityExceeded);
   delete constrained;
+}
+
+TEST_F(BridgeTest, NodeBridgeTakesItsCapacityFromNodeOptions) {
+  // The testbed builds b's bridge from NodeOptions::bridge as given: a
+  // capacity of zero refuses the PH_BRIDGE request.
+  node::NodeOptions relay = fast_node(MobilityClass::kStatic);
+  relay.bridge.max_connections = 0;
+  build(7, 0, relay);
+  auto result = a_->connect_blocking(end_->mac(), "echo");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kCapacityExceeded);
+  EXPECT_EQ(b_->bridge_service().stats().failed_capacity, 1u);
+  EXPECT_EQ(b_->bridge_service().stats().established, 0u);
 }
 
 TEST_F(BridgeTest, FailurePropagatesWhenDestinationGone) {

@@ -94,14 +94,8 @@ std::vector<NeighbourSnapshotEntry> neighbourhood(std::size_t entries) {
 class DiscoveryAllocation : public ::testing::Test {
  protected:
   DiscoveryAllocation()
-      : network_{{kResponder}}, daemon_{network_, kSelf, nullptr, config()} {
+      : network_{{kResponder}}, daemon_{network_, kSelf, nullptr, DaemonConfig{}} {
     daemon_.start();
-  }
-
-  static DaemonConfig config() {
-    DaemonConfig config;
-    config.bridge_enabled = false;
-    return config;
   }
 
   // Answers every fetch request of the next inquiry cycle with an

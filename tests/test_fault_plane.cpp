@@ -160,11 +160,10 @@ TEST_F(FaultPlaneTest, DuplicationDeliversTwice) {
 TEST_F(FaultPlaneTest, ReorderedFrameIsOvertaken) {
   const MacAddress a = add(1, {0.0, 0.0});
   const MacAddress b = add(2, {2.0, 0.0});
-  // First frame carries a large reorder delay; then the profile is cleared
-  // so the second frame travels at base latency and overtakes it.
+  // First frame carries a reorder delay; then the profile is cleared so the
+  // second frame travels at base latency and overtakes it.
   FaultProfile delayed;
   delayed.reorder_prob = 1.0;
-  delayed.reorder_delay_max = seconds(5.0);
   medium_.fault_plane().set_profile(Technology::kBluetooth, delayed);
   medium_.send_frame(a, b, Technology::kBluetooth, Bytes{1});
   medium_.fault_plane().set_profile(Technology::kBluetooth, FaultProfile{});
@@ -216,8 +215,8 @@ TEST_F(FaultPlaneTest, PartitionCutsOnlyCrossLinks) {
   ASSERT_EQ(received_.size(), 2u);
   EXPECT_EQ(medium_.fault_plane().stats().blackout_drops, 1u);
   // Discovery is silenced across the cut too.
-  EXPECT_TRUE(medium_.link_blacked_out(a, c, Technology::kBluetooth));
-  EXPECT_FALSE(medium_.link_blacked_out(a, b, Technology::kBluetooth));
+  EXPECT_TRUE(medium_.link_blacked_out(a, c));
+  EXPECT_FALSE(medium_.link_blacked_out(a, b));
 }
 
 TEST_F(FaultPlaneTest, BlackoutDoesNotAdvanceBurstState) {

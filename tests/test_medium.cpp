@@ -74,7 +74,7 @@ TEST_F(MediumTest, DiscoverableInRangeHonoursFlags) {
   auto discoverable = medium_.discoverable_in_range(a, Technology::kBluetooth);
   EXPECT_EQ(discoverable.size(), 2u);
 
-  medium_.set_discoverable(b, Technology::kBluetooth, false);
+  medium_.set_inquiring(b, Technology::kBluetooth, true);
   discoverable = medium_.discoverable_in_range(a, Technology::kBluetooth);
   ASSERT_EQ(discoverable.size(), 1u);
   EXPECT_EQ(discoverable[0], c);

@@ -207,5 +207,72 @@ TEST(Migration, TwoClientsShareOneServer) {
   EXPECT_EQ(task_server.stats().sessions, 2u);
 }
 
+// A server that accepts the task upload and sends nothing on its own: the
+// test writes the result frames by hand.
+struct RawResultServer {
+  explicit RawResultServer(std::uint64_t seed) : testbed{seed} {
+    testbed.medium().configure(reliable_bluetooth());
+    server = &testbed.add_node("server", {5.0, 0.0},
+                               fast_node(MobilityClass::kStatic));
+    client = &testbed.add_node("client", {0.0, 0.0},
+                               fast_node(MobilityClass::kDynamic));
+    (void)server->library().register_service(
+        ServiceInfo{"raw.result", "", 0},
+        [this](ChannelPtr channel, const wire::ConnectRequest&) {
+          upload = std::move(channel);
+        });
+    testbed.run_discovery_rounds(3);
+    TaskClientConfig config;
+    config.spec.package_count = 1;
+    task_client = std::make_unique<TaskClient>(
+        client->library(), server->mac(), "raw.result", config);
+    task_client->run([this](const MigrationOutcome& o) { outcome = o; });
+    testbed.run_for(10.0);
+  }
+
+  Testbed testbed;
+  node::Node* server{nullptr};
+  node::Node* client{nullptr};
+  ChannelPtr upload;
+  std::unique_ptr<TaskClient> task_client;
+  std::optional<MigrationOutcome> outcome;
+};
+
+const Bytes kTruncatedResult{
+    static_cast<std::uint8_t>(migration::FrameTag::kResult)};
+
+TEST(Migration, MalformedResultOnTheLiveChannelIsIgnored) {
+  RawResultServer raw{7};
+  ASSERT_NE(raw.upload, nullptr);
+  ASSERT_TRUE(raw.upload->write(kTruncatedResult).ok());
+  raw.testbed.run_for(5.0);
+  EXPECT_FALSE(raw.outcome.has_value());
+
+  ASSERT_TRUE(raw.upload->write(migration::encode(migration::ResultFrame{16, 1}))
+                  .ok());
+  raw.testbed.run_for(5.0);
+  ASSERT_TRUE(raw.outcome.has_value());
+  EXPECT_EQ(raw.outcome->kind, MigrationOutcome::Kind::kCompletedLive);
+}
+
+TEST(Migration, MalformedResultOnTheRoutedChannelIsIgnored) {
+  RawResultServer raw{8};
+  // The hidden call-back service, dialled as the result router does.
+  Library::ConnectOptions options;
+  options.skip_service_check = true;
+  auto back = raw.server->connect_blocking(raw.client->mac(), "client.result",
+                                           options);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  ASSERT_TRUE(back.value()->write(kTruncatedResult).ok());
+  raw.testbed.run_for(5.0);
+  EXPECT_FALSE(raw.outcome.has_value());
+
+  ASSERT_TRUE(
+      back.value()->write(migration::encode(migration::ResultFrame{16, 1})).ok());
+  raw.testbed.run_for(5.0);
+  ASSERT_TRUE(raw.outcome.has_value());
+  EXPECT_EQ(raw.outcome->kind, MigrationOutcome::Kind::kCompletedRouted);
+}
+
 }  // namespace
 }  // namespace peerhood

@@ -19,15 +19,9 @@ class PluginFetchChain : public ::testing::Test {
   PluginFetchChain()
       : network_{{MacAddress::from_index(2), MacAddress::from_index(3),
                   MacAddress::from_index(4)}},
-        daemon_{network_, kSelf, nullptr, config()} {
+        daemon_{network_, kSelf, nullptr, DaemonConfig{}} {
     network_.mutable_params().fetch_failure_prob = 1.0;
     daemon_.start();
-  }
-
-  static DaemonConfig config() {
-    DaemonConfig config;
-    config.bridge_enabled = false;
-    return config;
   }
 
   const Plugin::Stats& stats() {

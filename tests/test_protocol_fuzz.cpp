@@ -240,7 +240,6 @@ TEST(ProtocolFuzz, RejectedNeighboursSectionNeverReachesTheStorage) {
   const MacAddress responder = MacAddress::from_index(2);
   testing::ScriptedNetwork network{{responder}};
   DaemonConfig config;
-  config.bridge_enabled = false;
   config.unified_fetch = true;
   Daemon daemon{network, self, nullptr, config};
   daemon.start();

@@ -395,51 +395,34 @@ ObservedWalk observe_walk(const LinkQualityModel& quality, int threshold,
   return out;
 }
 
-// Both path-loss laws, with and without shadowing, and thresholds from
-// low to high: every crossing is pushed at the same instant with the same
-// reading, and the proven run measures less.
+// Thresholds from low to high: every crossing is pushed at the same
+// instant with the same reading, and the proven run measures less.
 TEST(QualityObserverHorizon, PushesWhatAlwaysMeasuringPushes) {
   int pushed = 0;
-  for (const PathLossLaw law :
-       {PathLossLaw::kConcavePower, PathLossLaw::kLogDistance}) {
-    for (const double shadow : {0.0, 6.0, 150.0}) {
-      for (const std::uint64_t shadow_seed : {1u, 2u, 3u}) {
-        for (const int threshold : {1, 180, 200, kThreshold, 250, 255}) {
-          LinkQualityModel quality;
-          quality.law = law;
-          quality.shadow_sigma = shadow;
-          quality.shadow_seed = shadow_seed;
-          const ObservedWalk proven = observe_walk(quality, threshold, false);
-          const ObservedWalk measured = observe_walk(quality, threshold, true);
-          const std::string where =
-              "law " + std::to_string(static_cast<int>(law)) + " shadow " +
-              std::to_string(shadow) + " seed " +
-              std::to_string(shadow_seed) + " threshold " +
-              std::to_string(threshold);
-          ASSERT_EQ(proven.events.size(), measured.events.size()) << where;
-          for (std::size_t i = 0; i < proven.events.size(); ++i) {
-            const LinkQualityEvent& p = proven.events[i];
-            const LinkQualityEvent& m = measured.events[i];
-            EXPECT_EQ(p.edge, m.edge) << where << " event " << i;
-            EXPECT_EQ(p.at, m.at) << where << " event " << i;
-            EXPECT_EQ(p.quality, m.quality) << where << " event " << i;
-            EXPECT_EQ(p.distance_m, m.distance_m) << where << " event " << i;
-            EXPECT_EQ(p.slope_per_s, m.slope_per_s) << where;
-            EXPECT_EQ(p.radial_speed_mps, m.radial_speed_mps) << where;
-          }
-          EXPECT_EQ(proven.stats.observer_evals, measured.stats.observer_evals)
-              << where;
-          EXPECT_EQ(proven.stats.events_emitted,
-                    measured.stats.events_emitted)
-              << where;
-          EXPECT_LT(proven.stats.evaluations, measured.stats.evaluations)
-              << where;
-          pushed += static_cast<int>(proven.events.size());
-        }
-      }
+  const LinkQualityModel quality;
+  for (const int threshold : {1, 180, 200, kThreshold, 250, 255}) {
+    const ObservedWalk proven = observe_walk(quality, threshold, false);
+    const ObservedWalk measured = observe_walk(quality, threshold, true);
+    const std::string where = "threshold " + std::to_string(threshold);
+    ASSERT_EQ(proven.events.size(), measured.events.size()) << where;
+    for (std::size_t i = 0; i < proven.events.size(); ++i) {
+      const LinkQualityEvent& p = proven.events[i];
+      const LinkQualityEvent& m = measured.events[i];
+      EXPECT_EQ(p.edge, m.edge) << where << " event " << i;
+      EXPECT_EQ(p.at, m.at) << where << " event " << i;
+      EXPECT_EQ(p.quality, m.quality) << where << " event " << i;
+      EXPECT_EQ(p.distance_m, m.distance_m) << where << " event " << i;
+      EXPECT_EQ(p.slope_per_s, m.slope_per_s) << where;
+      EXPECT_EQ(p.radial_speed_mps, m.radial_speed_mps) << where;
     }
+    EXPECT_EQ(proven.stats.observer_evals, measured.stats.observer_evals)
+        << where;
+    EXPECT_EQ(proven.stats.events_emitted, measured.stats.events_emitted)
+        << where;
+    EXPECT_LT(proven.stats.evaluations, measured.stats.evaluations) << where;
+    pushed += static_cast<int>(proven.events.size());
   }
-  EXPECT_GT(pushed, 200);
+  EXPECT_GE(pushed, 33);
 }
 
 // Near the threshold the horizon shrinks to nothing: a link hovering just
@@ -460,40 +443,6 @@ TEST(QualityObserverHorizon, FellAtTheSameInstantNearTheThreshold) {
   // Out past the edge, and twice more while hovering around 5.6-5.9 m.
   EXPECT_GE(proven_fell.size(), 2u);
   EXPECT_EQ(proven_fell, measured_fell);
-}
-
-TEST(LinkQualityModelTest, LogDistanceLawDecaysSteeperNearTransmitter) {
-  LinkQualityModel concave;
-  LinkQualityModel logdist;
-  logdist.law = PathLossLaw::kLogDistance;
-  // Same endpoints of the curve...
-  EXPECT_EQ(concave.quality(0.0, 10.0), logdist.quality(0.0, 10.0));
-  EXPECT_EQ(concave.quality(10.0, 10.0), logdist.quality(10.0, 10.0));
-  EXPECT_EQ(logdist.quality(10.01, 10.0), 0);
-  // ...but log-distance loses more quality early.
-  EXPECT_LT(logdist.quality(2.0, 10.0), concave.quality(2.0, 10.0));
-  // Monotone non-increasing across the coverage.
-  int prev = 256;
-  for (double d = 0.0; d <= 10.0; d += 0.5) {
-    const int q = logdist.quality(d, 10.0);
-    EXPECT_LE(q, prev);
-    prev = q;
-  }
-}
-
-TEST(LinkQualityModelTest, ShadowingIsDeterministicPerLink) {
-  LinkQualityModel model;
-  model.shadow_sigma = 6.0;
-  model.shadow_seed = 7;
-  const int a = model.quality(5.0, 10.0, nullptr, 1234);
-  const int b = model.quality(5.0, 10.0, nullptr, 1234);
-  const int c = model.quality(5.0, 10.0, nullptr, 9999);
-  EXPECT_EQ(a, b);   // same link, same shadow
-  EXPECT_NE(a, c);   // different link, decorrelated shadow
-  LinkQualityModel plain;
-  // link_key without shadowing configured changes nothing.
-  EXPECT_EQ(plain.quality(5.0, 10.0, nullptr, 1234),
-            plain.quality(5.0, 10.0));
 }
 
 }  // namespace

@@ -44,10 +44,9 @@ class ReliableChannelTest : public ::testing::Test {
         std::make_unique<ReliableChannel>(testbed_->sim(), channel_);
   }
 
-  // (Re)places the receiving layer on the server's channel. The old layer
-  // goes first: its shutdown detaches whatever handles the channel.
+  // (Re)places the receiving layer on the server's channel. The new layer
+  // attaches before the old one is destroyed.
   void attach_server_layer() {
-    server_rel_.reset();
     server_rel_ =
         std::make_unique<ReliableChannel>(testbed_->sim(), server_channel_);
     server_rel_->set_data_handler(
@@ -278,6 +277,43 @@ TEST_F(ReliableChannelTest, RestartedReceiverUnmarksSackedFrames) {
   expect_received_in_order(6);
   EXPECT_EQ(server_rel_->delivered_count(), 6u);
   EXPECT_EQ(client_rel_->unacked(), 0u);
+}
+
+// A successor attached to the same channel before the old layer dies keeps
+// the channel: the old layer's shutdown leaves the successor's handlers.
+TEST_F(ReliableChannelTest, OldLayerShutdownLeavesTheSuccessorAttached) {
+  build(13);
+  auto successor =
+      std::make_unique<ReliableChannel>(testbed_->sim(), server_channel_);
+  std::vector<Bytes> heard;
+  successor->set_data_handler(
+      [&heard](const Bytes& frame) { heard.push_back(frame); });
+  server_rel_.reset();
+  ASSERT_TRUE(client_rel_->send(Bytes{1}).ok());
+  testbed_->run_for(1.0);
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard[0], Bytes{1});
+  EXPECT_EQ(client_rel_->unacked(), 0u);
+}
+
+// A layer that dies alone leaves the channel with no handler capturing it:
+// later frames reach a handler installed afterwards, or nothing.
+TEST_F(ReliableChannelTest, OnlyLayerShutdownDetachesIt) {
+  build(14);
+  server_rel_.reset();
+  ASSERT_TRUE(client_rel_->send(Bytes{1}).ok());
+  testbed_->run_for(1.0);
+  EXPECT_TRUE(received_.empty());
+  std::vector<Bytes> raw;
+  server_channel_->set_data_handler(
+      [&raw](const Bytes& frame) { raw.push_back(frame); });
+  // The unacked frame comes back with the retransmit timer.
+  testbed_->run_for(10.0);
+  ASSERT_FALSE(raw.empty());
+  const auto decoded = decode_reliable_frame(raw.front());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->kind, ReliableFrame::Kind::kData);
+  EXPECT_EQ(decoded->seq, 1u);
 }
 
 // journal_to: the server side's resume frontier lives in a SessionStore.

@@ -177,10 +177,10 @@ TEST(ExchangeAllocation, RequestFrameIsOneBufferAndOneControlBlock) {
 }
 
 TEST(ExchangeAllocation, CachedDatagramReplyAllocatesNothing) {
-  // The daemon's cache builds sealed datagram frames; a repeat request at
-  // the same generations hands the same frame out by reference count.
+  // The cache builds sealed datagram frames; a repeat request at the same
+  // generations hands the same frame out by reference count.
   Responder responder{16};
-  SnapshotCache cache{/*datagram_frames=*/true};
+  SnapshotCache cache;
   const auto warm =
       cache.respond({1, wire::kSectionAll, std::nullopt}, responder.src);
   const std::uint64_t before = g_allocations.load();
@@ -196,7 +196,7 @@ TEST(ExchangeAllocation, FreshEncodeIsOneBufferAndOneControlBlock) {
   // fresh cache's first reply is always a fresh encode.
   for (const std::size_t entries : {0u, 1u, 4u, 32u, 128u}) {
     Responder responder{entries};
-    SnapshotCache cache{/*datagram_frames=*/true};
+    SnapshotCache cache;
     std::uint64_t before = g_allocations.load();
     const auto full =
         cache.respond({1, wire::kSectionAll, std::nullopt}, responder.src);

@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "common/rng.hpp"
+#include "net/frame_check.hpp"
 #include "peerhood/snapshot_cache.hpp"
 #include "reference_fetch_decoder.hpp"
 
@@ -116,8 +117,19 @@ struct View {
   }
 };
 
+// The cache answers with sealed datagram frames: the encoded response is
+// the body behind the integrity header and the datagram tag.
+Bytes response_bytes(const SnapshotCache::FramePtr& frame) {
+  const auto body = net::check_frame(*frame);
+  EXPECT_TRUE(body.has_value());
+  if (!body.has_value() || body->empty()) return {};
+  EXPECT_EQ(body->front(), net::kDatagramFrameTag);
+  return Bytes{body->begin() + 1, body->end()};
+}
+
 wire::FetchResponse decode_or_die(const SnapshotCache::FramePtr& frame) {
-  const auto decoded = wire::reference_decode_fetch_response(*frame);
+  const auto decoded =
+      wire::reference_decode_fetch_response(response_bytes(frame));
   EXPECT_TRUE(decoded.has_value());
   return decoded.value_or(wire::FetchResponse{});
 }
@@ -183,7 +195,8 @@ TEST(SnapshotCache, EncodesLikeTheResponseStructEncoder) {
            record.bridge, record.quality_sum, record.min_link_quality});
     });
     const auto frame = responder.answer({9, sections, std::nullopt});
-    EXPECT_EQ(*frame, wire::encode(expected)) << "sections " << +sections;
+    EXPECT_EQ(response_bytes(frame), wire::encode(expected))
+        << "sections " << +sections;
   }
 }
 
@@ -307,13 +320,13 @@ TEST(SnapshotDelta, TruncatedFramesRejected) {
        wire::FetchBaseline{responder.epoch, responder.source().gens}});
   wire::ReceivedFetchResponse decoded;
   for (const auto& frame : {full, delta, not_modified}) {
-    for (std::size_t cut = 1; cut < frame->size(); ++cut) {
-      Bytes truncated{frame->begin(),
-                      frame->begin() + static_cast<long>(cut)};
+    const Bytes bytes = response_bytes(frame);
+    for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+      Bytes truncated{bytes.begin(), bytes.begin() + static_cast<long>(cut)};
       EXPECT_FALSE(wire::decode_fetch_response(truncated, decoded))
           << "prefix of length " << cut << " must be rejected";
     }
-    EXPECT_TRUE(wire::decode_fetch_response(*frame, decoded));
+    EXPECT_TRUE(wire::decode_fetch_response(bytes, decoded));
   }
 
   // Conditional requests reject truncation too.
@@ -326,7 +339,7 @@ TEST(SnapshotDelta, TruncatedFramesRejected) {
   }
 
   // Unknown section bits and unknown request flags are rejected.
-  Bytes bad_sections = *full;
+  Bytes bad_sections = response_bytes(full);
   bad_sections[5] = 0xff;
   EXPECT_FALSE(wire::decode_fetch_response(bad_sections, decoded));
   Bytes bad_flags = encoded;
@@ -381,13 +394,15 @@ TEST(SnapshotDelta, RandomizedDeltaVsFullParity) {
         const std::uint8_t sections = wire::kSectionAll;
         const auto request_id = static_cast<std::uint32_t>(op + 1);
         const auto conditional =
-            wire::reference_decode_fetch_response(*responder.answer(
-                {request_id, sections, view.baseline(sections)}));
+            wire::reference_decode_fetch_response(response_bytes(
+                responder.answer(
+                    {request_id, sections, view.baseline(sections)})));
         ASSERT_TRUE(conditional.has_value());
         view.apply(*conditional);
 
         const auto full = wire::reference_decode_fetch_response(
-            *responder.answer({request_id, sections, std::nullopt}));
+            response_bytes(
+                responder.answer({request_id, sections, std::nullopt})));
         ASSERT_TRUE(full.has_value());
         ASSERT_EQ(view.device, full->device) << "op " << op;
         ASSERT_EQ(view.prototypes, full->prototypes) << "op " << op;

@@ -342,7 +342,7 @@ TEST_F(GridParityTest, DiscoverableFilteringMatchesAfterTimeAdvance) {
       add(2, std::make_shared<StaticPosition>(Vec2{4.0, 0.0}));
   add(3, std::make_shared<StaticPosition>(Vec2{0.0, 4.0}));
   sim_.run_until(sim_.now() + seconds(5.0));
-  medium_.set_discoverable(b, Technology::kBluetooth, false);
+  medium_.set_inquiring(b, Technology::kBluetooth, true);
   const auto discoverable =
       medium_.discoverable_in_range(a, Technology::kBluetooth);
   ASSERT_EQ(discoverable.size(), 1u);
