@@ -10,6 +10,7 @@
 // model.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "bench_util.hpp"
@@ -122,6 +123,8 @@ struct ChaosCell {
   std::uint64_t restart_resumes{0};
   std::uint64_t dup_or_reorder{0};
   std::uint64_t gaps{0};
+  // Each trial's delivery ratio (trials that sent nothing have none).
+  std::vector<double> trial_delivery;
 };
 
 struct ScenarioRow {
@@ -163,6 +166,10 @@ ChaosCell run_cell(const ScenarioRow& row, Tier tier, int trials) {
     runner.run();
     ++cell.trials;
     const scenario::ScenarioMetrics& m = runner.metrics();
+    if (m.total_sent() > 0) {
+      cell.trial_delivery.push_back(static_cast<double>(m.total_received()) /
+                                    static_cast<double>(m.total_sent()));
+    }
     cell.sent += m.total_sent();
     cell.received += m.total_received();
     cell.outage_s += m.total_outage_s();
@@ -189,7 +196,26 @@ ChaosCell run_cell(const ScenarioRow& row, Tier tier, int trials) {
   return cell;
 }
 
-void emit_cell(const ChaosCell& cell) {
+// Per-trial delivery spread of a full-matrix cell: min, median, max.
+struct Spread {
+  double min{0.0};
+  double median{0.0};
+  double max{0.0};
+};
+
+Spread spread(std::vector<double> values) {
+  if (values.empty()) return {};
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  const double median = values.size() % 2 != 0
+                            ? values[mid]
+                            : (values[mid - 1] + values[mid]) / 2.0;
+  return {values.front(), median, values.back()};
+}
+
+// The smoke rows (one trial per cell) are pinned by a golden file, so only
+// the full matrix reports the per-trial spread.
+void emit_cell(const ChaosCell& cell, bool smoke) {
   const double delivery =
       cell.sent > 0
           ? static_cast<double>(cell.received) / static_cast<double>(cell.sent)
@@ -203,6 +229,12 @@ void emit_cell(const ChaosCell& cell) {
               static_cast<unsigned long long>(cell.restarts),
               static_cast<unsigned long long>(cell.faults.loss_drops),
               static_cast<unsigned long long>(cell.corrupt_dropped));
+  const Spread delivery_spread = spread(cell.trial_delivery);
+  if (!smoke) {
+    std::printf("%21s per-trial delivery min %.3f median %.3f max %.3f\n", "",
+                delivery_spread.min, delivery_spread.median,
+                delivery_spread.max);
+  }
   JsonRecord record{"chaos_matrix"};
   record.field("scenario", cell.scenario)
       .field("faults", tier_name(cell.tier))
@@ -227,12 +259,18 @@ void emit_cell(const ChaosCell& cell) {
       .field("restart_resumes", cell.restart_resumes)
       .field("dup_or_reorder", cell.dup_or_reorder)
       .field("gaps", cell.gaps);
+  if (!smoke) {
+    record.field("delivery_min", delivery_spread.min)
+        .field("delivery_median", delivery_spread.median)
+        .field("delivery_max", delivery_spread.max);
+  }
   record.emit();
 }
 
 void report_matrix(bool smoke) {
   heading(smoke ? "E-chaos chaos matrix (smoke: 1 seed per cell)"
-                : "E-chaos chaos matrix: scenarios x fault tiers");
+                : "E-chaos chaos matrix: scenarios x fault tiers, 40 seeds "
+                  "per cell");
   std::printf("%10s %10s %6s %6s %9s %10s %4s %4s %8s %8s\n", "scenario",
               "faults", "sent", "recv", "delivery", "outage ms", "ho", "rst",
               "lost", "corrupt");
@@ -241,12 +279,14 @@ void report_matrix(bool smoke) {
       {"office10", make_office, {"srv"}, {"mob", "anchor"}},
       {"churn10", make_churn, {"srv"}, {"mob", "anchor"}},
   };
-  const int trials = smoke ? 1 : 5;
+  // 40 trials: one seed's delivery swings by tens of percent under chaos
+  // with crashes, so 5 could not resolve a change of a few percent.
+  const int trials = smoke ? 1 : 40;
   for (const ScenarioRow& row : rows) {
     for (const Tier tier :
          {Tier::kNone, Tier::kLoss, Tier::kChaos, Tier::kChaosCut,
           Tier::kCrash, Tier::kChaosCrash}) {
-      emit_cell(run_cell(row, tier, trials));
+      emit_cell(run_cell(row, tier, trials), smoke);
     }
   }
   note("delivery = received / sent over the scenario body; outage = summed");

@@ -54,8 +54,8 @@ struct LoopbackPair {
     PosixConfig cb = ca;
     cb.mac = MacAddress::from_index(2);
     cb.seed = 2;
-    a = std::make_unique<PosixNetwork>(ca);
-    b = std::make_unique<PosixNetwork>(cb);
+    a = PosixNetwork::open(ca).value();
+    b = PosixNetwork::open(cb).value();
     a->add_peer({b->mac(), "127.0.0.1", b->udp_port(), b->tcp_port()});
     b->add_peer({a->mac(), "127.0.0.1", a->udp_port(), a->tcp_port()});
     a->attach_interface(a->mac(), kTech, nullptr);

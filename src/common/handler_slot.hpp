@@ -19,7 +19,6 @@
 //     the callback checks token.expired() before touching the owner.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -51,7 +50,6 @@ class HandlerSlot<void(Args...)> {
   // drops late installations instead of resurrecting dispatch.
   void set(Fn fn) {
     if (severed_) return;
-    ++sets_;
     // Move the old handler out before storing the new one: destroying its
     // captures can reentrantly call set()/clear() on this same slot.
     Held doomed = std::move(fn_);
@@ -82,9 +80,6 @@ class HandlerSlot<void(Args...)> {
 
   [[nodiscard]] bool armed() const { return fn_ != nullptr; }
   explicit operator bool() const { return armed(); }
-  // How many handlers set() has installed: whoever installed one can tell
-  // whether the slot still holds it.
-  [[nodiscard]] std::uint64_t sets() const { return sets_; }
 
   // Pin-before-call dispatch. The callback may replace/clear/sever this
   // slot or destroy the owner; no member is touched after the call.
@@ -107,7 +102,6 @@ class HandlerSlot<void(Args...)> {
 
  private:
   Held fn_;
-  std::uint64_t sets_{0};
   bool severed_{false};
 };
 

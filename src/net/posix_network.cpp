@@ -15,7 +15,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/log.hpp"
 #include "net/frame_check.hpp"
 
 namespace peerhood::net {
@@ -161,36 +160,68 @@ PosixNetwork::PosixNetwork(PosixConfig config)
   for (std::size_t i = 0; i < kTechnologyCount; ++i) {
     params_[i] = fast_params(static_cast<Technology>(i));
   }
+}
 
+Result<std::unique_ptr<PosixNetwork>> PosixNetwork::open(PosixConfig config) {
+  std::unique_ptr<PosixNetwork> network{new PosixNetwork(std::move(config))};
+  if (Status opened = network->open_sockets(); !opened.ok()) {
+    return opened.error();
+  }
+  return network;
+}
+
+Status PosixNetwork::open_sockets() {
+  // The failed call's errno as an error; the destructor closes whatever
+  // was already opened.
+  const auto failed = [](const char* what) {
+    const int err = errno;
+    return Status{err == EADDRINUSE ? ErrorCode::kAddressInUse
+                                    : ErrorCode::kConnectionFailed,
+                  std::string{what} + ": " + std::strerror(err)};
+  };
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  if (::inet_pton(AF_INET, config_.bind_ip.c_str(), &addr.sin_addr) != 1) {
+    return Status{ErrorCode::kInvalidArgument,
+                  "bad bind address '" + config_.bind_ip + "'"};
+  }
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  assert(epoll_fd_ >= 0);
+  if (epoll_fd_ < 0) return failed("epoll_create1");
 
   udp_fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  assert(udp_fd_ >= 0);
-  int one = 1;
-  ::setsockopt(udp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in udp_addr = make_addr(config_.bind_ip, config_.udp_port);
-  if (::bind(udp_fd_, reinterpret_cast<sockaddr*>(&udp_addr),
-             sizeof(udp_addr)) != 0) {
-    log(LogLevel::kError, sim_.now(), "posixnet",
-        "udp bind failed: ", std::strerror(errno));
+  if (udp_fd_ < 0) return failed("udp socket");
+  addr.sin_port = htons(config_.udp_port);
+  if (::bind(udp_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    return failed("udp bind");
   }
   udp_port_ = bound_port(udp_fd_);
 
   tcp_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  assert(tcp_fd_ >= 0);
-  ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in tcp_addr = make_addr(config_.bind_ip, config_.tcp_port);
-  if (::bind(tcp_fd_, reinterpret_cast<sockaddr*>(&tcp_addr),
-             sizeof(tcp_addr)) != 0 ||
-      ::listen(tcp_fd_, 64) != 0) {
-    log(LogLevel::kError, sim_.now(), "posixnet",
-        "tcp bind/listen failed: ", std::strerror(errno));
+  if (tcp_fd_ < 0) return failed("tcp socket");
+  const int one = 1;
+  if (::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) !=
+      0) {
+    return failed("tcp SO_REUSEADDR");
   }
+  addr.sin_port = htons(config_.tcp_port);
+  if (::bind(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    return failed("tcp bind");
+  }
+  if (::listen(tcp_fd_, 64) != 0) return failed("tcp listen");
   tcp_port_ = bound_port(tcp_fd_);
 
-  update_epoll(udp_fd_, kUdpKey, EPOLLIN);
-  update_epoll(tcp_fd_, kListenerKey, EPOLLIN);
+  for (const auto& [fd, key] : {std::pair{udp_fd_, kUdpKey},
+                                std::pair{tcp_fd_, kListenerKey}}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = key;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      return failed("epoll_ctl");
+    }
+  }
+  return Status::ok_status();
 }
 
 PosixNetwork::~PosixNetwork() {
@@ -701,7 +732,7 @@ void PosixNetwork::queue_frame(Stream& stream, std::uint8_t kind,
   Bytes encoded = encode_stream_frame(std::move(writer).take());
   if (stream.outbox.size() >= config_.max_send_queue) {
     // Bounded queue, oldest-drop (PR 7's accounting): dropping the *newest*
-    // would starve progress under sustained overload; reliable layers
+    // would starve progress under sustained overload; reliable channels
     // retransmit whatever the drop ate.
     if (stream.outbox.size() == 1 && stream.front_sent > 0) {
       // Never drop a partially written frame — the stream would desync.

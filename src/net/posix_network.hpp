@@ -88,7 +88,14 @@ struct PosixConfig {
 
 class PosixNetwork final : public Network {
  public:
-  explicit PosixNetwork(PosixConfig config);
+  // Creates the epoll set and binds the UDP socket and the TCP listener.
+  // Any failure comes back as an error (a port already bound is
+  // kAddressInUse) and leaves no network behind, so a half-built network
+  // is never polled. The listener keeps SO_REUSEADDR, so a daemon killed
+  // with -9 rebinds its port at once; the UDP socket does not, so a second
+  // process cannot share a live node's datagram port and take its traffic.
+  [[nodiscard]] static Result<std::unique_ptr<PosixNetwork>> open(
+      PosixConfig config);
   ~PosixNetwork() override;
 
   // Static topology: who exists and where their sockets live. Localhost
@@ -142,6 +149,9 @@ class PosixNetwork final : public Network {
 
  private:
   friend class PosixConnection;
+
+  explicit PosixNetwork(PosixConfig config);
+  Status open_sockets();
 
   struct Stream;
   using StreamPtr = std::shared_ptr<Stream>;

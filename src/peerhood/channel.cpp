@@ -1,5 +1,6 @@
 #include "peerhood/channel.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace peerhood {
@@ -22,15 +23,19 @@ Channel::~Channel() {
 
 void Channel::attach() {
   // A closed channel must never re-arm transport handlers: set_*_handler
-  // after close() is a documented no-op (TaskClient's destructor and
-  // ReliableChannel::shutdown pass nullptr through here in good faith).
+  // after close() is a documented no-op (TaskClient's destructor passes
+  // nullptr through here in good faith).
   if (closed_ || connection_ == nullptr) return;
   // The transport-level handlers capture a raw `this`: the channel owns the
   // connection and detaches these in close()/~Channel, so they can never
   // outlive the channel.
   connection_->set_data_handler([this](const Bytes& frame) {
     if (absorb_stray_handshake(frame)) return;
-    data_slot_.invoke(frame);
+    if (engine_ != nullptr) {
+      engine_->on_frame(frame);
+    } else {
+      data_slot_.invoke(frame);
+    }
   });
   connection_->set_close_handler([this] {
     // Transport lost. The session itself stays resumable (§5.2.1); the loss
@@ -81,6 +86,7 @@ Status Channel::write(Bytes frame) {
   if (connection_ == nullptr || closed_) {
     return Status{ErrorCode::kConnectionClosed, "channel has no connection"};
   }
+  if (engine_ != nullptr) return engine_->send(std::move(frame));
   return connection_->write(std::move(frame));
 }
 
@@ -95,6 +101,13 @@ void Channel::set_data_handler(DataHandler handler) {
   data_slot_.set(std::move(handler));
   // Re-attach so that buffered frames drain into the new handler.
   attach();
+}
+
+ReliableChannel& Channel::make_reliable(sim::Simulator& sim,
+                                       ReliableConfig config) {
+  assert(engine_ == nullptr && "make_reliable is called once per channel");
+  engine_.reset(new ReliableChannel(sim, *this, config));
+  return *engine_;
 }
 
 void Channel::set_close_handler(CloseHandler handler) {
@@ -112,6 +125,7 @@ bool Channel::open() const {
 void Channel::close() {
   if (closed_) return;
   closed_ = true;
+  if (engine_ != nullptr) engine_->stop();
   if (connection_ != nullptr) {
     // Detach before closing: the old link's demise is not a session loss.
     connection_->set_data_handler(nullptr);
@@ -144,6 +158,7 @@ void Channel::replace_connection(net::ConnectionPtr connection) {
   connection_ = std::move(connection);
   loss_reported_ = false;  // the new transport's death is a new loss
   attach();
+  if (engine_ != nullptr) engine_->resync();
   handover_slot_.invoke(connection_);
 }
 

@@ -13,6 +13,11 @@
 // the endpoint and the transport side — after a substitution the re-armed
 // latch reports the new connection's death again (the session-survives-
 // transport contract).
+//
+// make_reliable() turns the channel into a reliable session: the channel's
+// one ReliableChannel engine then carries its writes, received frames,
+// handovers and close (peerhood/reliable_channel.hpp). The application holds
+// the channel alone, reliable or plain.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,7 @@
 #include "common/result.hpp"
 #include "net/connection.hpp"
 #include "peerhood/protocol.hpp"
+#include "peerhood/reliable_channel.hpp"
 
 namespace peerhood {
 
@@ -50,26 +56,27 @@ class Channel {
   // The application-level peer (not the bridge the traffic flows through).
   [[nodiscard]] MacAddress peer() const { return peer_; }
 
+  // On a reliable channel the engine buffers and sends the frame (see
+  // ReliableChannel::send for its refusals).
   Status write(Bytes frame);
-  // See net::Connection::write_with_room.
-  Status write_with_room(Bytes frame);
+  // On a reliable channel the data handler gets the peer's frames in order,
+  // exactly once.
   void set_data_handler(DataHandler handler);
   void set_close_handler(CloseHandler handler);
   void set_handover_handler(HandoverHandler handler);
-  // HandlerSlot::sets() of the data and handover slots: a layer that
-  // installed handlers can tell whether the channel still holds them.
-  [[nodiscard]] std::uint64_t data_handler_sets() const {
-    return data_slot_.sets();
-  }
-  [[nodiscard]] std::uint64_t handover_handler_sets() const {
-    return handover_slot_.sets();
-  }
+
+  // Creates the channel's reliability engine; call once, before frames flow.
+  // The engine lives and dies with the channel; the reference is for
+  // journal_to() and the counters.
+  ReliableChannel& make_reliable(sim::Simulator& sim,
+                                 ReliableConfig config = {});
 
   [[nodiscard]] bool open() const;
-  // Idempotent: severs all handlers (releasing their captures), detaches and
-  // closes the transport. The channel's own close handler does not fire (a
-  // local close is not a session loss); afterwards set_*_handler is a no-op
-  // and the session cannot be resumed.
+  // Idempotent: stops the reliability engine's timers, severs all handlers
+  // (releasing their captures), detaches and closes the transport. The
+  // channel's own close handler does not fire (a local close is not a
+  // session loss); afterwards set_*_handler is a no-op and the session
+  // cannot be resumed.
   void close();
   [[nodiscard]] bool closed() const { return closed_; }
   [[nodiscard]] int link_quality();
@@ -81,7 +88,8 @@ class Channel {
 
   // Substitutes the underlying connection, re-attaching the application
   // handlers; the old connection is closed silently (its close must not be
-  // reported as a session loss). No-op on a closed channel — the incoming
+  // reported as a session loss). A reliability engine resyncs before the
+  // handover handler runs. No-op on a closed channel — the incoming
   // connection is closed instead.
   void replace_connection(net::ConnectionPtr connection);
 
@@ -99,8 +107,12 @@ class Channel {
   std::optional<wire::ClientParams> client_params;
 
  private:
+  friend class ReliableChannel;
+
   void attach();
   bool absorb_stray_handshake(const Bytes& frame);
+  // See net::Connection::write_with_room; only the engine writes with room.
+  Status write_with_room(Bytes frame);
 
   std::uint64_t session_id_;
   std::string service_;
@@ -109,6 +121,7 @@ class Channel {
   HandlerSlot<void(const Bytes&)> data_slot_;
   HandlerSlot<void()> close_slot_;
   HandlerSlot<void(const net::ConnectionPtr&)> handover_slot_;
+  std::unique_ptr<ReliableChannel> engine_;
   bool sending_{true};
   bool closed_{false};
   // Latches after the current transport's loss was reported; reset by

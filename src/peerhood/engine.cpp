@@ -181,8 +181,8 @@ void Engine::handle_handshake(net::ConnectionPtr connection,
       }
       // Otherwise the journal must vouch for the session and the service
       // must be registered again; then the handshake behaves like a connect
-      // that keeps the old session id, and the application handler restores
-      // the reliable layer from the journalled frontier.
+      // that keeps the old session id, and the application handler makes
+      // the channel reliable at the journalled frontier.
       const SessionRecord* record =
           session_store_ != nullptr ? session_store_->find(request.session_id)
                                     : nullptr;

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 
-#include "common/bytes.hpp"
 #include "net/connection.hpp"
-#include "net/frame_check.hpp"
+#include "peerhood/channel.hpp"
 
 namespace peerhood {
 namespace {
 
-// Frame tags on the wire (distinct from migration framing; a channel uses
-// either plain frames or a ReliableChannel on both ends).
+// Frame tags on the wire (distinct from migration framing; a session is
+// reliable on both ends or on neither).
 constexpr std::uint8_t kTagData = 0xD1;
 constexpr std::uint8_t kTagAck = 0xD2;
-// Maximum out-of-order frames the receiver buffers; also the basis of the
-// window it advertises in every ack.
-constexpr std::size_t kReorderCap = 256;
 // Frames past the cumulative ack an ack's SACK bitmap can name.
 constexpr std::uint64_t kSackSpan = 64;
 // An ack resends a hole only if the hole was last sent at least this long
@@ -92,43 +88,18 @@ std::optional<ReliableFrame> decode_reliable_frame(
   return decoded;
 }
 
-ReliableChannel::ReliableChannel(sim::Simulator& sim, ChannelPtr channel,
+ReliableChannel::ReliableChannel(sim::Simulator& sim, Channel& channel,
                                  ReliableConfig config)
     : sim_{sim},
-      channel_{std::move(channel)},
+      channel_{channel},
       config_{config},
-      peer_window_{config.window},
-      rto_{config.retransmit_interval} {
-  channel_->set_data_handler([this](const Bytes& frame) { on_frame(frame); });
-  channel_->set_handover_handler([this](const net::ConnectionPtr&) {
-    resync();
-    handover_slot_.invoke();
-  });
-  data_handler_set_ = channel_->data_handler_sets();
-  handover_handler_set_ = channel_->handover_handler_sets();
-}
+      rto_{config.retransmit_interval} {}
 
-ReliableChannel::~ReliableChannel() { shutdown(); }
-
-void ReliableChannel::shutdown() {
+void ReliableChannel::stop() {
   sim_.cancel(retransmit_event_);
   retransmit_event_ = sim::kInvalidEvent;
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEvent;
-  // The channel outlives this layer whenever the application still holds a
-  // ChannelPtr; its handlers capture a raw `this` and must be detached. A
-  // slot given another handler since (a successor layer on the same
-  // channel) no longer holds them and is left alone.
-  if (channel_ != nullptr) {
-    if (channel_->data_handler_sets() == data_handler_set_) {
-      channel_->set_data_handler(nullptr);
-    }
-    if (channel_->handover_handler_sets() == handover_handler_set_) {
-      channel_->set_handover_handler(nullptr);
-    }
-  }
-  data_slot_.sever();
-  handover_slot_.sever();
 }
 
 Status ReliableChannel::send(Bytes frame) {
@@ -138,9 +109,9 @@ Status ReliableChannel::send(Bytes frame) {
   // Backpressure check next — this path must not allocate when refusing,
   // so a never-draining peer bounds sender memory at the window size. The
   // message stays within the small-string buffer for the same reason.
-  if (outbox_.size() >= std::min<std::uint64_t>(config_.window,
-                                                std::max<std::uint64_t>(
-                                                    peer_window_, 1))) {
+  if (outbox_.size() >= std::min<std::uint64_t>(
+                            kReliableWindow,
+                            std::max<std::uint64_t>(peer_window_, 1))) {
     return Status{ErrorCode::kCapacityExceeded, "window full"};
   }
   const std::uint64_t seq = next_seq_++;
@@ -156,20 +127,12 @@ void ReliableChannel::transmit(std::uint64_t seq, Outgoing& frame) {
   frame.last_sent = sim_.now();
   // A failed write is fine: the frame stays in the outbox and the
   // retransmit timer (or post-handover resync) tries again.
-  (void)channel_->write_with_room(
+  (void)channel_.write_with_room(
       encode_data(net::kConnFrameHeaderSize, seq, frame.payload));
 }
 
-void ReliableChannel::set_data_handler(DataHandler handler) {
-  data_slot_.set(std::move(handler));
-}
-
-void ReliableChannel::set_handover_handler(HandoverHandler handler) {
-  handover_slot_.set(std::move(handler));
-}
-
 void ReliableChannel::journal_to(SessionStore& store) {
-  if (const SessionRecord* record = store.find(channel_->session_id())) {
+  if (const SessionRecord* record = store.find(channel_.session_id())) {
     next_seq_ = record->next_seq;
     highest_ack_ = record->next_seq;  // a restart holds nothing outstanding
     expected_ = record->expected;
@@ -180,18 +143,18 @@ void ReliableChannel::journal_to(SessionStore& store) {
 
 void ReliableChannel::journal() {
   if (journal_ == nullptr ||
-      journal_->update_frontier(channel_->session_id(), next_seq_,
+      journal_->update_frontier(channel_.session_id(), next_seq_,
                                 expected_)) {
     return;
   }
-  journal_->put(SessionRecord{channel_->session_id(), channel_->peer(),
-                              channel_->service(), next_seq_, expected_});
+  journal_->put(SessionRecord{channel_.session_id(), channel_.peer(),
+                              channel_.service(), next_seq_, expected_});
 }
 
 std::uint32_t ReliableChannel::advertised_window() const {
   const std::size_t used = reorder_.size();
   const std::size_t free =
-      kReorderCap > used ? kReorderCap - used : 0;
+      kReliableWindow > used ? kReliableWindow - used : 0;
   return static_cast<std::uint32_t>(
       std::min<std::size_t>(free, UINT32_MAX));
 }
@@ -213,7 +176,7 @@ void ReliableChannel::on_frame(const Bytes& frame) {
     // peer ignoring our advertised window) is dropped, not buffered; the
     // gap ack below re-advertises the window.
     if (in_order || reorder_.count(seq) != 0 ||
-        reorder_.size() < kReorderCap) {
+        reorder_.size() < kReliableWindow) {
       reorder_.emplace(seq, std::move(decoded->payload));
       // Deliver the contiguous prefix.
       while (!reorder_.empty() && reorder_.begin()->first == expected_) {
@@ -221,7 +184,7 @@ void ReliableChannel::on_frame(const Bytes& frame) {
         reorder_.erase(reorder_.begin());
         ++expected_;
         ++delivered_;
-        data_slot_.invoke(next);
+        channel_.data_slot_.invoke(next);
       }
       journal();
     } else {
@@ -242,7 +205,9 @@ void ReliableChannel::schedule_ack(SimTime due) {
   if (ack_timer_ != sim::kInvalidEvent && ack_due_ <= due) return;
   sim_.cancel(ack_timer_);
   ack_due_ = due;
-  ack_timer_ = sim_.schedule_at(due, [this] { flush_ack(); });
+  ack_timer_ = sim_.schedule_at(due, [this, alive = alive_.token()] {
+    if (!alive.expired()) flush_ack();
+  });
 }
 
 void ReliableChannel::on_ack(std::uint64_t cumulative, std::uint32_t window,
@@ -293,7 +258,7 @@ void ReliableChannel::flush_ack() {
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEvent;
   last_ack_ = sim_.now();
-  (void)channel_->write_with_room(encode_ack(net::kConnFrameHeaderSize,
+  (void)channel_.write_with_room(encode_ack(net::kConnFrameHeaderSize,
                                              expected_, advertised_window(),
                                              sack_bitmap()));
 }
@@ -302,14 +267,16 @@ void ReliableChannel::arm_retransmit() {
   sim_.cancel(retransmit_event_);
   retransmit_event_ = sim::kInvalidEvent;
   if (outbox_.empty()) return;
-  retransmit_event_ = sim_.schedule_after(rto_, [this] {
+  retransmit_event_ = sim_.schedule_after(rto_, [this,
+                                                 alive = alive_.token()] {
+    if (alive.expired()) return;
     retransmit_event_ = sim::kInvalidEvent;
     retransmit_outstanding();
   });
 }
 
 void ReliableChannel::retransmit_outstanding() {
-  if (channel_->open()) {
+  if (channel_.open()) {
     for (auto& [seq, frame] : outbox_) {
       if (frame.sacked) continue;
       ++retransmissions_;

@@ -3,14 +3,21 @@
 // Write function not being aware of the connection loss ... an efficient
 // Data Buffering is necessary to guarantee the data integrity."
 //
-// A thin reliability layer over Channel: every application frame gets a
-// sequence number and is buffered until acknowledged; the receiver delivers
-// in order exactly once and acks cumulatively and selectively. After a
-// handover (connection substitution) the unacknowledged tail is
-// retransmitted, so no frame is lost to the in-flight window that died with
-// the old link. Acks piggyback on a timer to amortise the cost the paper
-// worried about ("the implementation of Data Transferring Acknowledge is too
-// costly due to the small size of packet").
+// The reliability engine of a Channel. Channel::make_reliable creates a
+// channel's one engine, and from then on the channel routes through it:
+// write() buffers and sends through the engine, received frames reach the
+// channel's data handler in order and exactly once, a handover resyncs the
+// engine before the channel's handover handler runs, and close() stops the
+// engine's timers. The application holds the channel alone; the engine it
+// gets back is for journal_to() and the counters.
+//
+// Every application frame gets a sequence number and is buffered until
+// acknowledged; the receiver delivers in order exactly once and acks
+// cumulatively and selectively. After a handover (connection substitution)
+// the unacknowledged tail is retransmitted, so no frame is lost to the
+// in-flight window that died with the old link. Acks piggyback on a timer to
+// amortise the cost the paper worried about ("the implementation of Data
+// Transferring Acknowledge is too costly due to the small size of packet").
 //
 // Loss hardening (fault plane, sim/fault.hpp), selective acks after TCP
 // SACK (RFC 2018, RFC 6675):
@@ -21,7 +28,7 @@
 //    time and a `sacked` mark, both taken from the *latest* accepted ack
 //    alone, never accumulated. Marks only skip resends; a frame leaves the
 //    outbox only through the cumulative ack. So a receiver that drops
-//    frames it had SACKed (a restarted server's layer resumes from the
+//    frames it had SACKed (a restarted server's channel resumes from the
 //    journal with an empty reorder buffer) un-marks them with its next ack
 //    and they are resent; the worst a stale mark costs is a late resend,
 //    never a lost frame, since the frame at the cumulative ack is never
@@ -53,7 +60,7 @@
 //
 // Bounded-resource paths (crash hardening):
 //  * Every ack advertises the receiver's free reorder capacity; the sender
-//    sends no new frame beyond min(own window, advertised window) and
+//    sends no new frame beyond min(kReliableWindow, advertised window) and
 //    returns a backpressure error without allocating — a never-draining
 //    peer cannot grow sender memory. Retransmissions of already-buffered
 //    frames are exempt, so the hole that stalls the receiver can always be
@@ -63,23 +70,33 @@
 //    bound makes such frames a protocol violation anyway.
 //  * journal_to() keeps the resume frontier (next outgoing seq, next
 //    expected incoming seq) in the daemon's SessionStore after every
-//    change, and a layer a restarted server attaches to a journalled
-//    session starts at that frontier, so the session continues
+//    change, and the engine of a channel a restarted server accepts for a
+//    journalled session starts at that frontier, so the session continues
 //    exactly-once.
+//  * Both timers hold a DestructionSentinel token (handler_slot.hpp rule 4)
+//    and the destructor cancels nothing, so a reliable channel may die at
+//    any point, even while the simulator tears its event queue down with
+//    the last ChannelPtr inside a queued callback.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
 
+#include "common/bytes.hpp"
 #include "common/handler_slot.hpp"
-#include "peerhood/channel.hpp"
+#include "common/result.hpp"
 #include "peerhood/session_store.hpp"
 #include "sim/simulator.hpp"
 
 namespace peerhood {
+
+class Channel;
+
+// Maximum buffered-but-unacked frames before a write is refused; also the
+// receiver's reorder capacity, which every ack advertises.
+inline constexpr std::size_t kReliableWindow = 256;
 
 struct ReliableConfig {
   // Delay before a cumulative ack is flushed (batching small packets).
@@ -88,8 +105,6 @@ struct ReliableConfig {
   // round without progress, capped at retransmit_cap.
   SimDuration retransmit_interval{std::chrono::seconds{5}};
   SimDuration retransmit_cap{std::chrono::seconds{40}};
-  // Maximum buffered-but-unacked frames before write() refuses.
-  std::size_t window{256};
 };
 
 // The reliability layer's wire frames, exposed for the protocol fuzzer: the
@@ -115,41 +130,18 @@ struct ReliableFrame {
 
 class ReliableChannel {
  public:
-  using DataHandler = std::function<void(const Bytes&)>;
-  using HandoverHandler = std::function<void()>;
-
-  ReliableChannel(sim::Simulator& sim, ChannelPtr channel,
-                  ReliableConfig config = {});
-  ~ReliableChannel();
-
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
-  // Buffers and sends; the frame stays queued until the peer acks it. When
-  // the send window (own or peer-advertised) is full, refuses with
-  // kCapacityExceeded *before allocating anything* — backpressure, not
-  // unbounded buffering. A frame whose data frame would exceed
-  // net::kMaxConnPayload is refused with kInvalidArgument, taking no
-  // window slot: the transport could never carry it.
-  Status send(Bytes frame);
-
-  // In-order, exactly-once delivery of the peer's frames.
-  void set_data_handler(DataHandler handler);
-
-  // This layer occupies the channel's handover slot (it must resync first);
-  // owners that also want handover notifications chain through here.
-  void set_handover_handler(HandoverHandler handler);
-
   // Journals the resume frontier of the channel's session in `store`, now
   // and whenever it moves. A record already there is the frontier a crashed
-  // incarnation reached: the layer first resumes from it (the next sequence
+  // incarnation reached: the engine first resumes from it (the next sequence
   // it sends and the next it expects), so redelivered in-flight frames
   // dedupe and its own sequence stream does not restart at 1. Call before
   // any frame flows: outstanding state (outbox, reorder buffer) is assumed
-  // empty. `store` must outlive the layer.
+  // empty. `store` must outlive the engine.
   void journal_to(SessionStore& store);
 
-  [[nodiscard]] const ChannelPtr& channel() const { return channel_; }
   [[nodiscard]] std::size_t unacked() const { return outbox_.size(); }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_; }
   [[nodiscard]] std::uint64_t retransmissions() const {
@@ -165,13 +157,9 @@ class ReliableChannel {
   // called automatically after a handover, exposed for tests.
   void resync();
 
-  // Idempotent: stops the timers and detaches from the channel (which holds
-  // raw-`this` handlers, unless a successor layer replaced them), leaving
-  // the channel itself usable. Called by the
-  // destructor, so destroying the reliability layer mid-transfer is safe.
-  void shutdown();
-
  private:
+  friend class Channel;
+
   // An unacked frame, its last send time and whether the peer's latest ack
   // reports holding it.
   struct Outgoing {
@@ -180,7 +168,23 @@ class ReliableChannel {
     bool sacked{false};
   };
 
+  ReliableChannel(sim::Simulator& sim, Channel& channel,
+                  ReliableConfig config);
+
+  // Channel::write on a reliable channel. Buffers and sends; the frame
+  // stays queued until the peer acks it. When the send window (own or
+  // peer-advertised) is full, refuses with kCapacityExceeded *before
+  // allocating anything* — backpressure, not unbounded buffering. A frame
+  // whose data frame would exceed net::kMaxConnPayload is refused with
+  // kInvalidArgument, taking no window slot: the transport could never
+  // carry it.
+  Status send(Bytes frame);
+  // A transport frame of the channel; in-order payloads go to the channel's
+  // data handler.
   void on_frame(const Bytes& frame);
+  // Channel::close: cancels both timers.
+  void stop();
+
   void on_ack(std::uint64_t cumulative, std::uint32_t window,
               std::uint64_t sack);
   // Flushes the ack at `due`, or now if `due` has passed; a pending ack
@@ -199,15 +203,11 @@ class ReliableChannel {
   void journal();
 
   sim::Simulator& sim_;
-  ChannelPtr channel_;
+  Channel& channel_;
   ReliableConfig config_;
-  HandlerSlot<void(const Bytes&)> data_slot_;
-  HandlerSlot<void()> handover_slot_;
-  // The channel's data/handover_handler_sets() right after this layer
-  // installed its handlers there.
-  std::uint64_t data_handler_set_{0};
-  std::uint64_t handover_handler_set_{0};
   SessionStore* journal_{nullptr};
+  // The timers' guard: the destructor cancels nothing.
+  DestructionSentinel alive_;
 
   // Sender state.
   std::uint64_t next_seq_{1};
@@ -215,7 +215,7 @@ class ReliableChannel {
   std::uint64_t highest_ack_{1};  // largest cumulative ack seen from the peer
   // Peer's last advertised window; until the first ack arrives, assume a
   // symmetric configuration.
-  std::uint64_t peer_window_;
+  std::uint64_t peer_window_{kReliableWindow};
   SimDuration rto_{};  // current (backed-off) retransmit timeout
   sim::EventId retransmit_event_{sim::kInvalidEvent};
 

@@ -3,11 +3,12 @@
 // Everything else a daemon holds is volatile: a crash wipes DeviceStorage,
 // plugin baselines and the engine's live session map. This journal is the
 // one sliver of state that outlives a crash: per session, the resume
-// frontier of its ReliableChannel — the next sequence it would send and the
+// frontier of its reliable channel — the next sequence it would send and the
 // next it expects to receive. A restarted daemon honours kResumeRestart by
-// looking the session up here and rebuilding the reliable layer at exactly
-// that frontier, so the surviving peer replays its unacked outbox and the
-// session continues with exactly-once in-order delivery.
+// looking the session up here; the channel it accepts for the session is
+// made reliable and resumes at exactly that frontier
+// (ReliableChannel::journal_to), so the surviving peer replays its unacked
+// outbox and the session continues with exactly-once in-order delivery.
 //
 // The store is bounded (crash storms must not grow it without limit): when
 // full, the least-recently-touched record is dropped and counted — a client
@@ -27,8 +28,8 @@ struct SessionRecord {
   std::uint64_t session_id{0};
   MacAddress peer;
   std::string service;
-  // ReliableChannel resume frontier: our next outgoing sequence and the next
-  // incoming sequence we expect (== cumulative ack + 1).
+  // The reliability engine's resume frontier: our next outgoing sequence and
+  // the next incoming sequence we expect (== cumulative ack + 1).
   std::uint64_t next_seq{1};
   std::uint64_t expected{1};
 };

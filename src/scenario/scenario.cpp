@@ -180,9 +180,6 @@ struct ScenarioRunner::Session {
   node::Node* client{nullptr};
   MacAddress server_mac;
   ChannelPtr channel;
-  // Client-side reliability layer when spec.reliable (rebuilt with every
-  // attach_channel — it rides the channel, not the session).
-  std::shared_ptr<ReliableChannel> reliable;
   std::unique_ptr<handover::HandoverController> controller;
   sim::PeriodicTask traffic;
   sim::PeriodicTask watchdog;
@@ -212,7 +209,7 @@ Status ScenarioRunner::setup() {
   if (spec_.radio.has_value()) testbed_->medium().configure(*spec_.radio);
 
   // The server-side accept handler needs to know, per service, whether its
-  // sessions run the reliability layer — resolved up front from the specs.
+  // sessions are reliable — resolved up front from the specs.
   for (const SessionSpec& session : spec_.sessions) {
     if (session.reliable) reliable_services_.insert(session.service);
   }
@@ -258,14 +255,16 @@ Status ScenarioRunner::setup() {
               // unresumable and silently reject §5.2.1 handovers. Growth is
               // bounded by handovers + restarts and freed at teardown.
               server_channels_.push_back(std::move(channel));
-              const ChannelPtr& accepted = server_channels_.back();
-              if (reliable_services_.contains(accepted->service())) {
-                adopt_reliable_server_channel(*daemon, accepted);
-              } else {
-                accepted->set_data_handler([this](const Bytes& payload) {
-                  count_delivery(payload);
-                });
+              Channel& accepted = *server_channels_.back();
+              if (reliable_services_.contains(accepted.service())) {
+                // A restart-resume picks up the frontier the crashed
+                // incarnation reached; the channel it orphaned keeps an idle
+                // engine on its dead transport.
+                accepted.make_reliable(testbed_->sim())
+                    .journal_to(daemon->session_store());
               }
+              accepted.set_data_handler(
+                  [this](const Bytes& payload) { count_delivery(payload); });
             });
         if (!status.ok()) return status;
       }
@@ -355,9 +354,6 @@ void ScenarioRunner::attach_channel(Session& session, ChannelPtr channel) {
     bank_controller_stats(session);
     session.controller.reset();
   }
-  // The old reliability layer detaches before its channel is touched — its
-  // handlers hold raw-`this` into the layer (reliable_channel.hpp).
-  session.reliable.reset();
   if (session.channel != nullptr) {
     // The dead predecessor must stop reporting into this session: close()
     // severs its handlers.
@@ -368,18 +364,10 @@ void ScenarioRunner::attach_channel(Session& session, ChannelPtr channel) {
   // The runner is the application here, so the app-side channel handlers are
   // its to use. Handlers capture the runner/session raw — the runner owns
   // both the channel registry and the testbed (handler_slot.hpp rule 1).
+  if (session.spec.reliable) session.channel->make_reliable(testbed_->sim());
   session.channel->set_close_handler([this, raw] { note_outage_start(*raw); });
-  if (session.spec.reliable) {
-    // The reliability layer occupies the channel's data + handover slots;
-    // the runner's outage accounting chains through its handover hook.
-    session.reliable = std::make_shared<ReliableChannel>(
-        testbed_->sim(), session.channel);
-    session.reliable->set_handover_handler(
-        [this, raw] { note_outage_end(*raw); });
-  } else {
-    session.channel->set_handover_handler(
-        [this, raw](const net::ConnectionPtr&) { note_outage_end(*raw); });
-  }
+  session.channel->set_handover_handler(
+      [this, raw](const net::ConnectionPtr&) { note_outage_end(*raw); });
 
   session.controller = std::make_unique<handover::HandoverController>(
       session.client->library(), session.channel,
@@ -437,15 +425,12 @@ void ScenarioRunner::start_traffic(Session& session) {
       testbed_->sim(), kMessageInterval,
       [this, raw] {
         if (raw->channel == nullptr) return;
-        // A reliable session keeps sending through an outage — the layer
+        // A reliable session keeps sending through an outage — the engine
         // buffers (bounded by its window) and replays after the resume. A
-        // plain session's writes would just vanish; skip them.
-        if (raw->reliable == nullptr && !raw->channel->open()) return;
-        const Bytes payload = make_payload(
-            static_cast<std::uint32_t>(raw->index), raw->next_msg);
-        const Status accepted = raw->reliable != nullptr
-                                    ? raw->reliable->send(payload)
-                                    : raw->channel->write(payload);
+        // plain session's write fails on the dead transport and counts
+        // nothing.
+        const Status accepted = raw->channel->write(make_payload(
+            static_cast<std::uint32_t>(raw->index), raw->next_msg));
         if (accepted.ok()) {
           ++raw->metrics.sent;
           ++raw->next_msg;
@@ -505,26 +490,13 @@ void ScenarioRunner::count_delivery(const Bytes& payload) {
   if (!counter.has_value()) return;
   if (*counter < session.server_expected) {
     // Behind the high-water mark: a duplicate or reordered delivery. The
-    // reliability layer must make this impossible; plain sessions surface
+    // reliability engine must make this impossible; plain sessions surface
     // whatever the medium did.
     ++session.metrics.dup_or_reorder;
     return;
   }
   session.metrics.gaps += *counter - session.server_expected;
   session.server_expected = *counter + 1;
-}
-
-void ScenarioRunner::adopt_reliable_server_channel(Daemon& daemon,
-                                                   const ChannelPtr& channel) {
-  const std::uint64_t session_id = channel->session_id();
-  auto layer = std::make_shared<ReliableChannel>(testbed_->sim(), channel);
-  // A restart-resume picks up the frontier the crashed incarnation reached.
-  layer->journal_to(daemon.session_store());
-  layer->set_data_handler(
-      [this](const Bytes& payload) { count_delivery(payload); });
-  // A restart-resume replaces the layer the crash orphaned; destroying the
-  // old one severs its handlers from its (dead) channel.
-  server_reliable_[session_id] = std::move(layer);
 }
 
 std::vector<MacAddress> ScenarioRunner::resolve_prefixes(

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -20,7 +19,7 @@
 #include "handover/handover.hpp"
 #include "net/network.hpp"
 #include "node/testbed.hpp"
-#include "peerhood/reliable_channel.hpp"
+#include "peerhood/channel.hpp"
 #include "sim/fault.hpp"
 #include "sim/mobility.hpp"
 
@@ -92,9 +91,10 @@ struct SessionSpec {
   // Every session sends one 32-byte message per second and is guarded by a
   // HandoverController with this policy.
   handover::HandoverConfig handover_config{};
-  // Run the session over ReliableChannel on both ends. The server side
-  // journals the resume frontier into its daemon's SessionStore, so the
-  // session survives a server crash–restart (kResumeRestart) exactly-once.
+  // Make the session's channel reliable on both ends (Channel::
+  // make_reliable). The server side journals the resume frontier into its
+  // daemon's SessionStore, so the session survives a server crash–restart
+  // (kResumeRestart) exactly-once.
   bool reliable{false};
 };
 
@@ -286,10 +286,6 @@ class ScenarioRunner {
   void install_crashes();
   // Server-side delivery accounting shared by plain and reliable sessions.
   void count_delivery(const Bytes& payload);
-  // Wraps a freshly accepted server channel in a ReliableChannel wired to
-  // the daemon's SessionStore journal (restoring the frontier after a
-  // restart-resume).
-  void adopt_reliable_server_channel(Daemon& daemon, const ChannelPtr& channel);
   [[nodiscard]] std::vector<MacAddress> resolve_prefixes(
       const std::vector<std::string>& prefixes) const;
   [[nodiscard]] node::Node* find_node(MacAddress mac) const;
@@ -300,9 +296,6 @@ class ScenarioRunner {
   // Server-side sessions live here — handlers must not own their channel
   // (common/handler_slot.hpp).
   std::vector<ChannelPtr> server_channels_;
-  // Server-side reliability layers by session id; a restart-resume replaces
-  // the (inert) layer the crash orphaned.
-  std::map<std::uint64_t, std::shared_ptr<ReliableChannel>> server_reliable_;
   // Services whose sessions run reliable (from SessionSpec::reliable).
   std::set<std::string> reliable_services_;
   std::vector<node::Node*> churn_nodes_;

@@ -66,8 +66,8 @@ class SimBackend {
 class PosixBackend {
  public:
   PosixBackend()
-      : client_{std::make_unique<PosixNetwork>(config(1))},
-        server_{std::make_unique<PosixNetwork>(config(2))} {
+      : client_{PosixNetwork::open(config(1)).value()},
+        server_{PosixNetwork::open(config(2)).value()} {
     client_->add_peer({server_->mac(), "127.0.0.1", server_->udp_port(),
                        server_->tcp_port()});
     server_->add_peer({client_->mac(), "127.0.0.1", client_->udp_port(),

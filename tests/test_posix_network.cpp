@@ -61,8 +61,8 @@ void introduce(PosixNetwork& a, PosixNetwork& b) {
 class PosixNetworkTest : public ::testing::Test {
  protected:
   PosixNetworkTest()
-      : a_{std::make_unique<PosixNetwork>(fast_config(1))},
-        b_{std::make_unique<PosixNetwork>(fast_config(2))} {
+      : a_{PosixNetwork::open(fast_config(1)).value()},
+        b_{PosixNetwork::open(fast_config(2)).value()} {
     introduce(*a_, *b_);
     a_->attach_interface(a_->mac(), kBluetooth, nullptr);
     b_->attach_interface(b_->mac(), kBluetooth, nullptr);
@@ -205,6 +205,45 @@ TEST_F(PosixNetworkTest, DoubleBindIsAddressInUse) {
   ASSERT_TRUE(b_->listen(addr, [](ConnectionPtr) {}).ok());
 }
 
+// A network cannot open on a live network's ports. Its UDP socket would
+// otherwise share the port and take the live node's datagrams, and its
+// unbound listener would make every poll return at once.
+TEST_F(PosixNetworkTest, OpenOnALiveNetworksPortIsAddressInUse) {
+  PosixConfig udp_clash = fast_config(3);
+  udp_clash.udp_port = a_->udp_port();
+  const auto udp = PosixNetwork::open(udp_clash);
+  ASSERT_FALSE(udp.ok());
+  EXPECT_EQ(udp.error().code, ErrorCode::kAddressInUse);
+
+  PosixConfig tcp_clash = fast_config(3);
+  tcp_clash.tcp_port = a_->tcp_port();
+  const auto tcp = PosixNetwork::open(tcp_clash);
+  ASSERT_FALSE(tcp.ok());
+  EXPECT_EQ(tcp.error().code, ErrorCode::kAddressInUse);
+
+  PosixConfig bad_ip = fast_config(3);
+  bad_ip.bind_ip = "not an address";
+  const auto bad = PosixNetwork::open(bad_ip);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().code, ErrorCode::kInvalidArgument);
+
+  // The live network keeps its datagrams.
+  std::optional<Bytes> received;
+  a_->set_datagram_handler(
+      a_->mac(), kBluetooth,
+      [&](MacAddress, std::span<const std::uint8_t> payload) {
+        received = Bytes{payload.begin(), payload.end()};
+      });
+  const Bytes payload{1, 2, 3};
+  b_->send_datagram(b_->mac(), a_->mac(), kBluetooth,
+                    make_datagram_frame(payload.size(),
+                                        [&payload](ByteWriter& writer) {
+                                          writer.raw(payload);
+                                        }));
+  ASSERT_TRUE(pump_until(*a_, *b_, [&] { return received.has_value(); }));
+  EXPECT_EQ(*received, payload);
+}
+
 TEST_F(PosixNetworkTest, InquiryDiscoversAttachedPeer) {
   a_->begin_inquiry(a_->mac(), kBluetooth);
   // Probe + reply need a few pump rounds; close the window once the reply
@@ -243,7 +282,7 @@ TEST_F(PosixNetworkTest, DetachedPeerStopsAnswering) {
 TEST_F(PosixNetworkTest, BoundedSendQueueDropsOldest) {
   PosixConfig tiny = fast_config(1);
   tiny.max_send_queue = 4;
-  auto a = std::make_unique<PosixNetwork>(tiny);
+  auto a = PosixNetwork::open(tiny).value();
   a->add_peer({b_->mac(), "127.0.0.1", b_->udp_port(), b_->tcp_port()});
   b_->add_peer({a->mac(), "127.0.0.1", a->udp_port(), a->tcp_port()});
   a->attach_interface(a->mac(), kBluetooth, nullptr);

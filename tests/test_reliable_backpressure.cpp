@@ -1,7 +1,7 @@
 // Proves the bounded-resource claim of the reliability layer with a counting
 // operator-new hook (same technique as test_snapshot_alloc): once the send
-// window — the channel's own or the peer-advertised one — is full,
-// ReliableChannel::send refuses with kCapacityExceeded and the refusing path
+// window — the engine's own or the peer-advertised one — is full, a write
+// on a reliable channel refuses with kCapacityExceeded and the refusing path
 // allocates *nothing*, so a never-draining peer bounds sender memory at the
 // window size instead of growing it. The ConnectionFrameAllocation pins
 // count one steady-state data frame and one ack. This TU overrides global
@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "peerhood/reliable_channel.hpp"
+#include "peerhood/channel.hpp"
 #include "scenario_util.hpp"
 
 namespace {
@@ -64,11 +64,11 @@ using node::Testbed;
 using testing::fast_node;
 using testing::reliable_bluetooth;
 
-// Two nodes, one session; the server side stays a *raw* Channel (no
-// reliability layer, so it never acks — the never-draining peer).
+// Two nodes, one session; the server side stays a *plain* Channel (no
+// reliability engine, so it never acks — the never-draining peer).
 class ReliableBackpressureTest : public ::testing::Test {
  protected:
-  void build(std::uint64_t seed, ReliableConfig config) {
+  void build(std::uint64_t seed) {
     testbed_ = std::make_unique<Testbed>(seed);
     testbed_->medium().configure(reliable_bluetooth());
     client_ = &testbed_->add_node("client", {0.0, 0.0},
@@ -84,8 +84,7 @@ class ReliableBackpressureTest : public ::testing::Test {
     auto result = client_->connect_blocking(server_->mac(), "sink");
     ASSERT_TRUE(result.ok()) << result.error().to_string();
     channel_ = result.value();
-    reliable_ = std::make_unique<ReliableChannel>(testbed_->sim(), channel_,
-                                                  config);
+    reliable_ = &channel_->make_reliable(testbed_->sim());
   }
 
   std::unique_ptr<Testbed> testbed_;
@@ -93,22 +92,20 @@ class ReliableBackpressureTest : public ::testing::Test {
   node::Node* server_{nullptr};
   ChannelPtr channel_;
   ChannelPtr server_channel_;
-  std::unique_ptr<ReliableChannel> reliable_;
+  ReliableChannel* reliable_{nullptr};
 };
 
 TEST_F(ReliableBackpressureTest, RefusedSendsAllocateNothingOnceWindowFull) {
-  ReliableConfig config;
-  config.window = 3;
-  build(1, config);
+  build(1);
 
   // Fill the window (these sends buffer + transmit and may allocate).
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(reliable_->send(Bytes(64, 0xAB)).ok());
+  for (std::size_t i = 0; i < kReliableWindow; ++i) {
+    ASSERT_TRUE(channel_->write(Bytes(64, 0xAB)).ok());
   }
-  ASSERT_EQ(reliable_->unacked(), 3u);
+  ASSERT_EQ(reliable_->unacked(), kReliableWindow);
 
   // Pre-build the payloads the refused sends will consume; moving them into
-  // send() transfers the existing buffer, so the measured region performs no
+  // write() transfers the existing buffer, so the measured region performs no
   // allocation of its own.
   std::vector<Bytes> payloads;
   payloads.reserve(200);
@@ -118,7 +115,7 @@ TEST_F(ReliableBackpressureTest, RefusedSendsAllocateNothingOnceWindowFull) {
   bool all_refused = true;
   for (int i = 0; i < 200; ++i) {
     // (No gtest assertions inside the measured region — they allocate.)
-    const Status status = reliable_->send(std::move(payloads[i]));
+    const Status status = channel_->write(std::move(payloads[i]));
     all_refused = all_refused && !status.ok() &&
                   status.error().code == ErrorCode::kCapacityExceeded;
   }
@@ -126,15 +123,15 @@ TEST_F(ReliableBackpressureTest, RefusedSendsAllocateNothingOnceWindowFull) {
   EXPECT_EQ(g_allocations.load(), before)
       << "the refusing send path must not allocate — backpressure, not "
          "unbounded buffering";
-  EXPECT_EQ(reliable_->unacked(), 3u);
+  EXPECT_EQ(reliable_->unacked(), kReliableWindow);
 }
 
 TEST_F(ReliableBackpressureTest, PeerAdvertisedWindowBoundsSenderWithoutAllocating) {
-  build(2, ReliableConfig{});  // own window 256 — the peer's is the binding one
+  build(2);  // own window 256 — the peer's is the binding one
 
-  // Deliver one frame, then have the (raw) server hand-craft a cumulative
+  // Deliver one frame, then have the (plain) server hand-craft a cumulative
   // ack that advertises only 2 free reorder slots.
-  ASSERT_TRUE(reliable_->send(Bytes{0x01}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{0x01}).ok());
   testbed_->run_for(2.0);
   ASSERT_NE(server_channel_, nullptr);
   ASSERT_TRUE(server_channel_->write(encode_reliable_ack(2, 2, 0)).ok());
@@ -143,8 +140,8 @@ TEST_F(ReliableBackpressureTest, PeerAdvertisedWindowBoundsSenderWithoutAllocati
   ASSERT_EQ(reliable_->peer_window(), 2u);
 
   // The advertised window admits exactly two more frames...
-  ASSERT_TRUE(reliable_->send(Bytes{0x02}).ok());
-  ASSERT_TRUE(reliable_->send(Bytes{0x03}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{0x02}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{0x03}).ok());
 
   std::vector<Bytes> payloads;
   payloads.reserve(100);
@@ -154,7 +151,7 @@ TEST_F(ReliableBackpressureTest, PeerAdvertisedWindowBoundsSenderWithoutAllocati
   const std::uint64_t before = g_allocations.load();
   bool all_refused = true;
   for (int i = 0; i < 100; ++i) {
-    const Status status = reliable_->send(std::move(payloads[i]));
+    const Status status = channel_->write(std::move(payloads[i]));
     all_refused = all_refused && !status.ok() &&
                   status.error().code == ErrorCode::kCapacityExceeded;
   }
@@ -171,17 +168,17 @@ TEST_F(ReliableBackpressureTest, PeerAdvertisedWindowBoundsSenderWithoutAllocati
 class ConnectionFrameAllocation : public ReliableBackpressureTest {};
 
 TEST_F(ConnectionFrameAllocation, SendIsOutboxEntryFrameBufferAndControlBlock) {
-  build(3, ReliableConfig{});
+  build(3);
   // Warm up: grow the event arena and the medium's per-link state.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(reliable_->send(Bytes(64, 0x11)).ok());
+    ASSERT_TRUE(channel_->write(Bytes(64, 0x11)).ok());
     testbed_->run_for(0.1);
   }
   std::vector<Bytes> payloads;
   for (int i = 0; i < 4; ++i) payloads.emplace_back(64, 0x22);
   for (Bytes& payload : payloads) {
     const std::uint64_t before = g_allocations.load();
-    const Status status = reliable_->send(std::move(payload));
+    const Status status = channel_->write(std::move(payload));
     const std::uint64_t allocations = g_allocations.load() - before;
     ASSERT_TRUE(status.ok());
     EXPECT_EQ(allocations, 3u);
@@ -190,11 +187,11 @@ TEST_F(ConnectionFrameAllocation, SendIsOutboxEntryFrameBufferAndControlBlock) {
 }
 
 TEST_F(ConnectionFrameAllocation, FlushedAckIsOneBufferAndOneControlBlock) {
-  build(4, ReliableConfig{});
+  build(4);
   ASSERT_NE(server_channel_, nullptr);
-  ReliableChannel server{testbed_->sim(), server_channel_};
+  ReliableChannel& server = server_channel_->make_reliable(testbed_->sim());
   for (int round = 0; round < 4; ++round) {
-    ASSERT_TRUE(reliable_->send(Bytes(64, 0x33)).ok());
+    ASSERT_TRUE(channel_->write(Bytes(64, 0x33)).ok());
     // Delivered, but the batched ack is still pending (200 ms delay).
     testbed_->run_for(0.1);
     ASSERT_EQ(server.delivered_count(), static_cast<std::uint64_t>(round + 1));

@@ -9,6 +9,7 @@
 
 #include "handover/handover.hpp"
 #include "net/connection.hpp"
+#include "peerhood/channel.hpp"
 #include "scenario_util.hpp"
 
 namespace peerhood {
@@ -20,7 +21,10 @@ using testing::reliable_bluetooth;
 
 class ReliableChannelTest : public ::testing::Test {
  protected:
-  void build(std::uint64_t seed, bool with_bridge = false) {
+  // A session whose server channel is reliable; the client channel is too
+  // unless the test writes and reads raw reliable frames on it.
+  void build(std::uint64_t seed, bool with_bridge = false,
+             bool reliable_client = true) {
     testbed_ = std::make_unique<Testbed>(seed);
     testbed_->medium().configure(reliable_bluetooth());
     a_ = &testbed_->add_node("a", {0.0, 0.0},
@@ -33,23 +37,22 @@ class ReliableChannelTest : public ::testing::Test {
     (void)s_->library().register_service(
         ServiceInfo{"rel", "", 0},
         [this](ChannelPtr channel, const wire::ConnectRequest&) {
-          server_channel_ = channel;
-          attach_server_layer();
+          adopt_server_channel(std::move(channel));
         });
     testbed_->run_discovery_rounds(3);
     auto result = a_->connect_blocking(s_->mac(), "rel");
     ASSERT_TRUE(result.ok()) << result.error().to_string();
     channel_ = result.value();
-    client_rel_ =
-        std::make_unique<ReliableChannel>(testbed_->sim(), channel_);
+    if (reliable_client) {
+      client_rel_ = &channel_->make_reliable(testbed_->sim());
+    }
   }
 
-  // (Re)places the receiving layer on the server's channel. The new layer
-  // attaches before the old one is destroyed.
-  void attach_server_layer() {
-    server_rel_ =
-        std::make_unique<ReliableChannel>(testbed_->sim(), server_channel_);
-    server_rel_->set_data_handler(
+  // Makes `channel` the reliable receiving end of the session.
+  void adopt_server_channel(ChannelPtr channel) {
+    server_channel_ = std::move(channel);
+    server_rel_ = &server_channel_->make_reliable(testbed_->sim());
+    server_channel_->set_data_handler(
         [this](const Bytes& frame) { received_.push_back(frame); });
   }
 
@@ -62,7 +65,7 @@ class ReliableChannelTest : public ::testing::Test {
             sim::LinkFaultModel::Blackout{testbed_->sim().now(),
                                           microseconds(1)});
       }
-      ASSERT_TRUE(client_rel_->send(Bytes{seq}).ok());
+      ASSERT_TRUE(channel_->write(Bytes{seq}).ok());
       testbed_->run_for(0.0001);
     }
   }
@@ -79,15 +82,15 @@ class ReliableChannelTest : public ::testing::Test {
   node::Node* s_{nullptr};
   ChannelPtr channel_;
   ChannelPtr server_channel_;
-  std::unique_ptr<ReliableChannel> client_rel_;
-  std::unique_ptr<ReliableChannel> server_rel_;
+  ReliableChannel* client_rel_{nullptr};
+  ReliableChannel* server_rel_{nullptr};
   std::vector<Bytes> received_;
 };
 
 TEST_F(ReliableChannelTest, DeliversInOrder) {
   build(1);
   for (std::uint8_t i = 0; i < 20; ++i) {
-    ASSERT_TRUE(client_rel_->send(Bytes{i}).ok());
+    ASSERT_TRUE(channel_->write(Bytes{i}).ok());
   }
   testbed_->run_for(5.0);
   ASSERT_EQ(received_.size(), 20u);
@@ -98,8 +101,8 @@ TEST_F(ReliableChannelTest, DeliversInOrder) {
 
 TEST_F(ReliableChannelTest, AcksDrainTheOutbox) {
   build(2);
-  ASSERT_TRUE(client_rel_->send(Bytes{1}).ok());
-  ASSERT_TRUE(client_rel_->send(Bytes{2}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{1}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{2}).ok());
   EXPECT_EQ(client_rel_->unacked(), 2u);
   testbed_->run_for(5.0);
   EXPECT_EQ(client_rel_->unacked(), 0u);
@@ -107,7 +110,7 @@ TEST_F(ReliableChannelTest, AcksDrainTheOutbox) {
 
 TEST_F(ReliableChannelTest, DuplicatesDeliveredOnce) {
   build(3);
-  ASSERT_TRUE(client_rel_->send(Bytes{7}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{7}).ok());
   testbed_->run_for(2.0);
   // Force duplicate transmissions of the (already delivered) tail.
   client_rel_->resync();
@@ -119,14 +122,11 @@ TEST_F(ReliableChannelTest, DuplicatesDeliveredOnce) {
 
 TEST_F(ReliableChannelTest, WindowLimitsOutstandingFrames) {
   build(4);
-  ReliableConfig tiny;
-  tiny.window = 4;
-  auto limited = std::make_unique<ReliableChannel>(testbed_->sim(),
-                                                   channel_, tiny);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(limited->send(Bytes{1}).ok());
+  for (std::size_t i = 0; i < kReliableWindow; ++i) {
+    ASSERT_TRUE(channel_->write(Bytes{1}).ok());
   }
-  const Status overflow = limited->send(Bytes{1});
+  EXPECT_EQ(client_rel_->unacked(), kReliableWindow);
+  const Status overflow = channel_->write(Bytes{1});
   EXPECT_FALSE(overflow.ok());
   EXPECT_EQ(overflow.error().code, ErrorCode::kCapacityExceeded);
 }
@@ -136,7 +136,7 @@ TEST_F(ReliableChannelTest, OversizeFrameIsRefusedWithoutTakingAWindowSlot) {
   // The largest payload whose data frame (tag, seq, length, payload) still
   // fits one connection frame.
   const std::size_t largest = net::kMaxConnPayload - (1 + 8 + 4);
-  const Status oversize = client_rel_->send(Bytes(largest + 1, 0xEE));
+  const Status oversize = channel_->write(Bytes(largest + 1, 0xEE));
   ASSERT_FALSE(oversize.ok());
   EXPECT_EQ(oversize.error().code, ErrorCode::kInvalidArgument);
   EXPECT_EQ(client_rel_->unacked(), 0u);
@@ -145,8 +145,8 @@ TEST_F(ReliableChannelTest, OversizeFrameIsRefusedWithoutTakingAWindowSlot) {
   for (std::size_t i = 0; i < maximal.size(); ++i) {
     maximal[i] = static_cast<std::uint8_t>(i * 13);
   }
-  ASSERT_TRUE(client_rel_->send(maximal).ok());
-  ASSERT_TRUE(client_rel_->send(Bytes{9}).ok());
+  ASSERT_TRUE(channel_->write(maximal).ok());
+  ASSERT_TRUE(channel_->write(Bytes{9}).ok());
   EXPECT_EQ(client_rel_->unacked(), 2u);
   testbed_->run_for(10.0);
   ASSERT_EQ(received_.size(), 2u);
@@ -171,7 +171,7 @@ TEST_F(ReliableChannelTest, NoLossAcrossHandover) {
   for (int i = 0; i < total; ++i) {
     testbed_->sim().schedule_after(
         seconds(static_cast<double>(i)), [this, i] {
-          (void)client_rel_->send(
+          (void)channel_->write(
               Bytes{static_cast<std::uint8_t>(i), 0xEE});
         });
   }
@@ -194,10 +194,10 @@ TEST_F(ReliableChannelTest, RetransmitTimerRecoversSilentLoss) {
   // channel handler before delivery is possible. Instead we exercise the
   // public path: send with the underlying write failing (closed), then
   // re-open via resync after the channel recovers.
-  ASSERT_TRUE(client_rel_->send(Bytes{9}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{9}).ok());
   testbed_->run_for(0.05);  // in flight, not yet delivered
   // Frame already on the air; also queue one that will be retransmitted.
-  ASSERT_TRUE(client_rel_->send(Bytes{10}).ok());
+  ASSERT_TRUE(channel_->write(Bytes{10}).ok());
   testbed_->run_for(20.0);  // retransmit interval passes
   EXPECT_EQ(received_.size(), 2u);
   EXPECT_EQ(client_rel_->unacked(), 0u);
@@ -234,8 +234,8 @@ TEST_F(ReliableChannelTest, OneAckRecoversEveryHole) {
 // Twenty frames behind a hole arrive back to back: the first acks at once,
 // one more ack at the end of the burst names all twenty.
 TEST_F(ReliableChannelTest, GapAcksAreCoalescedPerBurst) {
-  build(11);
-  client_rel_.reset();  // the client writes and reads raw frames
+  // The client writes and reads raw frames.
+  build(11, /*with_bridge=*/false, /*reliable_client=*/false);
   std::vector<ReliableFrame> acks;
   channel_->set_data_handler([&](const Bytes& frame) {
     std::optional<ReliableFrame> decoded = decode_reliable_frame(frame);
@@ -257,10 +257,10 @@ TEST_F(ReliableChannelTest, GapAcksAreCoalescedPerBurst) {
   expect_received_in_order(21);
 }
 
-// The receiving layer SACKs seqs 2-6 while seq 1 is lost, then a restart
-// replaces it with a journal-resumed layer whose reorder buffer is empty.
-// Its acks no longer report 2-6, so the sender drops their marks and its
-// retransmit timer resends them.
+// The receiving channel SACKs seqs 2-6 while seq 1 is lost, then a restart
+// replaces it with a journal-resumed channel of the same session on the same
+// connection, whose reorder buffer is empty. Its acks no longer report 2-6,
+// so the sender drops their marks and its retransmit timer resends them.
 TEST_F(ReliableChannelTest, RestartedReceiverUnmarksSackedFrames) {
   build(12);
   SessionStore store;
@@ -270,50 +270,17 @@ TEST_F(ReliableChannelTest, RestartedReceiverUnmarksSackedFrames) {
   // still in flight.
   testbed_->run_for(0.08);
   ASSERT_TRUE(received_.empty());
-  attach_server_layer();
+  // ~Channel clears its connection's handlers: the old channel goes first.
+  const net::ConnectionPtr connection = server_channel_->connection();
+  server_channel_.reset();
+  adopt_server_channel(std::make_shared<Channel>(
+      channel_->session_id(), "rel", a_->mac(), connection));
   server_rel_->journal_to(store);
 
   testbed_->run_for(10.0);
   expect_received_in_order(6);
   EXPECT_EQ(server_rel_->delivered_count(), 6u);
   EXPECT_EQ(client_rel_->unacked(), 0u);
-}
-
-// A successor attached to the same channel before the old layer dies keeps
-// the channel: the old layer's shutdown leaves the successor's handlers.
-TEST_F(ReliableChannelTest, OldLayerShutdownLeavesTheSuccessorAttached) {
-  build(13);
-  auto successor =
-      std::make_unique<ReliableChannel>(testbed_->sim(), server_channel_);
-  std::vector<Bytes> heard;
-  successor->set_data_handler(
-      [&heard](const Bytes& frame) { heard.push_back(frame); });
-  server_rel_.reset();
-  ASSERT_TRUE(client_rel_->send(Bytes{1}).ok());
-  testbed_->run_for(1.0);
-  ASSERT_EQ(heard.size(), 1u);
-  EXPECT_EQ(heard[0], Bytes{1});
-  EXPECT_EQ(client_rel_->unacked(), 0u);
-}
-
-// A layer that dies alone leaves the channel with no handler capturing it:
-// later frames reach a handler installed afterwards, or nothing.
-TEST_F(ReliableChannelTest, OnlyLayerShutdownDetachesIt) {
-  build(14);
-  server_rel_.reset();
-  ASSERT_TRUE(client_rel_->send(Bytes{1}).ok());
-  testbed_->run_for(1.0);
-  EXPECT_TRUE(received_.empty());
-  std::vector<Bytes> raw;
-  server_channel_->set_data_handler(
-      [&raw](const Bytes& frame) { raw.push_back(frame); });
-  // The unacked frame comes back with the retransmit timer.
-  testbed_->run_for(10.0);
-  ASSERT_FALSE(raw.empty());
-  const auto decoded = decode_reliable_frame(raw.front());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->kind, ReliableFrame::Kind::kData);
-  EXPECT_EQ(decoded->seq, 1u);
 }
 
 // journal_to: the server side's resume frontier lives in a SessionStore.
@@ -336,11 +303,11 @@ TEST_F(ReliableChannelTest, JournalToFollowsEveryFrontierMove) {
   const SessionRecord* record = store.find(channel_->session_id());
   ASSERT_NE(record, nullptr);
   for (std::uint64_t sent = 1; sent <= 3; ++sent) {
-    ASSERT_TRUE(server_rel_->send(Bytes{1}).ok());
+    ASSERT_TRUE(server_channel_->write(Bytes{1}).ok());
     EXPECT_EQ(record->next_seq, sent + 1);
   }
   for (std::uint8_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client_rel_->send(Bytes{i}).ok());
+    ASSERT_TRUE(channel_->write(Bytes{i}).ok());
     testbed_->run_for(1.0);
     ASSERT_EQ(received_.size(), i + 1u);
     EXPECT_EQ(record->expected, i + 2u);
@@ -350,14 +317,13 @@ TEST_F(ReliableChannelTest, JournalToFollowsEveryFrontierMove) {
 }
 
 TEST_F(ReliableChannelTest, JournalToResumesFromAJournalledFrontier) {
-  build(9);
+  build(9, /*with_bridge=*/false, /*reliable_client=*/false);
   // The frontier a crashed incarnation reached: it sent 1..9 and was
   // delivered 1..4.
   SessionStore store;
   store.put(SessionRecord{channel_->session_id(), a_->mac(), "rel", 10, 5});
   server_rel_->journal_to(store);
   // Read the server's frames raw on the client end.
-  client_rel_.reset();
   std::vector<ReliableFrame> seen;
   channel_->set_data_handler([&](const Bytes& frame) {
     if (auto decoded = decode_reliable_frame(frame)) {
@@ -365,7 +331,7 @@ TEST_F(ReliableChannelTest, JournalToResumesFromAJournalledFrontier) {
     }
   });
 
-  ASSERT_TRUE(server_rel_->send(Bytes{42}).ok());
+  ASSERT_TRUE(server_channel_->write(Bytes{42}).ok());
   testbed_->run_for(1.0);
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen.front().kind, ReliableFrame::Kind::kData);

@@ -4,7 +4,7 @@
 // channel must drain completely once the sender stops.
 #include <gtest/gtest.h>
 
-#include "peerhood/reliable_channel.hpp"
+#include "peerhood/channel.hpp"
 #include "scenario_util.hpp"
 #include "sim/fault.hpp"
 
@@ -49,19 +49,22 @@ ChaosOutcome run_chaos(std::uint64_t seed, int total_frames) {
                                   fast_node(MobilityClass::kStatic));
 
   std::vector<Bytes> received;
-  std::unique_ptr<ReliableChannel> server_rel;
+  ChannelPtr server_channel;
+  const ReliableChannel* server_rel = nullptr;
   (void)server.library().register_service(
       ServiceInfo{"rel", "", 0},
       [&](ChannelPtr channel, const wire::ConnectRequest&) {
-        server_rel = std::make_unique<ReliableChannel>(testbed.sim(), channel);
-        server_rel->set_data_handler(
+        server_channel = std::move(channel);
+        server_rel = &server_channel->make_reliable(testbed.sim());
+        server_channel->set_data_handler(
             [&received](const Bytes& frame) { received.push_back(frame); });
       });
   testbed.run_discovery_rounds(3);
   auto result = client.connect_blocking(server.mac(), "rel");
   EXPECT_TRUE(result.ok()) << result.error().to_string();
   if (!result.ok()) return {};
-  ReliableChannel client_rel{testbed.sim(), result.value()};
+  const ChannelPtr channel = result.value();
+  const ReliableChannel& client_rel = channel->make_reliable(testbed.sim());
 
   // Faults start only now: the session is established and discovery has
   // converged, mirroring the scenario runner's fault-free warm-up.
@@ -69,10 +72,10 @@ ChaosOutcome run_chaos(std::uint64_t seed, int total_frames) {
                                              chaos_profile());
 
   for (int i = 0; i < total_frames; ++i) {
-    testbed.sim().schedule_after(seconds(0.5 * i), [&client_rel, i] {
+    testbed.sim().schedule_after(seconds(0.5 * i), [&channel, i] {
       const auto lo = static_cast<std::uint8_t>(i & 0xff);
       const auto hi = static_cast<std::uint8_t>((i >> 8) & 0xff);
-      ASSERT_TRUE(client_rel.send(Bytes{lo, hi, 0xAB}).ok());
+      ASSERT_TRUE(channel->write(Bytes{lo, hi, 0xAB}).ok());
     });
   }
   // Drain: sending takes total*0.5s; leave generous room for backoff-capped
@@ -99,8 +102,6 @@ ChaosOutcome run_chaos(std::uint64_t seed, int total_frames) {
   outcome.server_delivered = server_rel ? server_rel->delivered_count() : 0;
   outcome.retransmissions = client_rel.retransmissions();
   outcome.faults = testbed.medium().fault_plane().stats();
-  client_rel.shutdown();
-  if (server_rel) server_rel->shutdown();
   return outcome;
 }
 

@@ -21,7 +21,7 @@
 #include "net/posix_network.hpp"
 #include "migration/task_client.hpp"
 #include "migration/task_server.hpp"
-#include "peerhood/reliable_channel.hpp"
+#include "peerhood/channel.hpp"
 #include "scenario_util.hpp"
 
 namespace peerhood {
@@ -176,23 +176,23 @@ TEST_F(TeardownTest, TeardownWithUndeliveredRxFrames) {
   EXPECT_FALSE(channel->open());
 }
 
-TEST_F(TeardownTest, ReliableLayerDetachesOnDestruction) {
+TEST_F(TeardownTest, CloseStopsTheReliabilityEngine) {
   build(5);
+  // The engine's timers run on a simulator of their own, whose queue holds
+  // nothing else.
+  sim::Simulator engine_sim{5};
   const ChannelPtr channel = connect();
   ASSERT_NE(channel, nullptr);
-  ASSERT_EQ(server_channels_.size(), 1u);
-
-  auto reliable = std::make_unique<ReliableChannel>(testbed_->sim(), channel);
-  ASSERT_TRUE(reliable->send(Bytes{1, 2, 3}).ok());
-  // Destroy the reliability layer with unacked frames outstanding, then let
-  // the peer keep talking on the raw channel: the dead layer's raw-`this`
-  // handlers must be gone.
-  reliable.reset();
-  int raw_frames = 0;
-  channel->set_data_handler([&](const Bytes&) { ++raw_frames; });
-  ASSERT_TRUE(server_channels_.front()->write(Bytes{9}).ok());
-  testbed_->run_for(5.0);
-  EXPECT_EQ(raw_frames, 1);
+  const ReliableChannel& reliable = channel->make_reliable(engine_sim);
+  ASSERT_TRUE(channel->write(Bytes{1, 2, 3}).ok());
+  ASSERT_EQ(reliable.unacked(), 1u);
+  ASSERT_FALSE(engine_sim.idle()) << "the retransmit timer is armed";
+  // Closing with the frame unacked cancels the engine's timers.
+  channel->close();
+  EXPECT_TRUE(engine_sim.idle());
+  EXPECT_EQ(channel->write(Bytes{4}).error().code,
+            ErrorCode::kConnectionClosed);
+  EXPECT_EQ(reliable.unacked(), 1u);
 }
 
 TEST_F(TeardownTest, EngineStopClosesPendingHandshakes) {
@@ -676,12 +676,10 @@ TEST(CrashTeardown, CrashMidReliableTransfer) {
   auto& b = testbed->add_node("b", {5.0, 0.0},
                               fast_node(MobilityClass::kStatic));
   std::vector<ChannelPtr> sessions;
-  std::vector<std::unique_ptr<ReliableChannel>> server_layers;
   (void)b.library().register_service(
       ServiceInfo{"sink", "", 0},
       [&](ChannelPtr channel, const wire::ConnectRequest&) {
-        server_layers.push_back(std::make_unique<ReliableChannel>(
-            testbed->sim(), channel));
+        channel->make_reliable(testbed->sim());
         sessions.push_back(std::move(channel));
       });
   testbed->run_discovery_rounds(3);
@@ -689,26 +687,68 @@ TEST(CrashTeardown, CrashMidReliableTransfer) {
   auto result = a.connect_blocking(b.mac(), "sink");
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   const ChannelPtr channel = result.value();
-  auto reliable = std::make_unique<ReliableChannel>(testbed->sim(), channel);
+  const ReliableChannel& reliable = channel->make_reliable(testbed->sim());
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(reliable->send(Bytes(32, 0x42)).ok());
+    ASSERT_TRUE(channel->write(Bytes(32, 0x42)).ok());
   }
   testbed->run_for(0.05);  // frames (and acks) in flight both ways
   b.crash();
-  // The client layer keeps probing the dead link (backed-off retransmits on
-  // a closed transport) — harmlessly.
+  // The client engine keeps probing the dead link (backed-off retransmits
+  // on a closed transport) — harmlessly.
   testbed->run_for(20.0);
-  EXPECT_GT(reliable->unacked(), 0u);
+  EXPECT_GT(reliable.unacked(), 0u);
   b.restart();
   testbed->run_for(10.0);
-  // Teardown with the unacked tail still buffered. Reliability layers go
-  // before the testbed (they hold timers on its simulator — the same
-  // member-order rule ScenarioRunner follows), channels in awkward order.
-  reliable.reset();
-  server_layers.clear();
+  // Teardown with the unacked tail still buffered and its timers pending:
+  // the client channel outlives the testbed and its simulator.
   sessions.clear();
   testbed.reset();
   EXPECT_FALSE(channel->open());
+}
+
+TEST(CrashTeardown, ReliableChannelHeldOnlyByAPendingResumeDial) {
+  // The last reference to a reliable channel with unacked frames and armed
+  // timers sits in a resume dial queued on the simulator, so the channel
+  // dies while the testbed destroys the event queue. Its engine must not
+  // touch that queue on the way out.
+  auto testbed = std::make_unique<Testbed>(35);
+  testbed->medium().configure(reliable_bluetooth());
+  auto& a = testbed->add_node("a", {0.0, 0.0},
+                              fast_node(MobilityClass::kDynamic));
+  auto& b = testbed->add_node("b", {5.0, 0.0},
+                              fast_node(MobilityClass::kStatic));
+  std::vector<ChannelPtr> sessions;
+  (void)b.library().register_service(
+      ServiceInfo{"sink", "", 0},
+      [&](ChannelPtr channel, const wire::ConnectRequest&) {
+        channel->make_reliable(testbed->sim());
+        sessions.push_back(std::move(channel));
+      });
+  testbed->run_discovery_rounds(3);
+
+  auto result = a.connect_blocking(b.mac(), "sink");
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  ChannelPtr channel = std::move(result).value();
+  const ReliableChannel& reliable = channel->make_reliable(testbed->sim());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(channel->write(Bytes(32, 0x42)).ok());
+  }
+  testbed->run_for(0.05);
+  b.crash();
+  testbed->run_for(1.0);
+  ASSERT_GT(reliable.unacked(), 0u);
+
+  bool resolved = false;
+  a.library().resume(
+      b.mac(), channel, [&resolved](Status) { resolved = true; },
+      seconds(30.0));
+  const std::weak_ptr<Channel> watch = channel;
+  channel.reset();
+  ASSERT_FALSE(watch.expired()) << "the dial holds the channel";
+  sessions.clear();
+  testbed.reset();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(resolved);
 }
 
 TEST(CrashTeardown, CrashMidHandover) {
@@ -830,8 +870,8 @@ PosixConfig snappy_config(std::uint64_t index) {
 }
 
 TEST(PosixTeardown, DestroyBackendUnderLiveSessions) {
-  auto a = std::make_unique<PosixNetwork>(snappy_config(1));
-  auto b = std::make_unique<PosixNetwork>(snappy_config(2));
+  auto a = PosixNetwork::open(snappy_config(1)).value();
+  auto b = PosixNetwork::open(snappy_config(2)).value();
   a->add_peer({b->mac(), "127.0.0.1", b->udp_port(), b->tcp_port()});
   b->add_peer({a->mac(), "127.0.0.1", a->udp_port(), a->tcp_port()});
   a->attach_interface(a->mac(), Technology::kBluetooth, nullptr);
@@ -872,7 +912,7 @@ TEST(PosixTeardown, DestroyBackendUnderLiveSessions) {
 }
 
 TEST(PosixTeardown, DestroyBackendWithHalfOpenConnects) {
-  auto a = std::make_unique<PosixNetwork>(snappy_config(1));
+  auto a = PosixNetwork::open(snappy_config(1)).value();
   a->attach_interface(a->mac(), Technology::kBluetooth, nullptr);
   // A peer whose TCP port is a black hole for this process: grab a bound
   // port and close it, so connects are refused / retried with backoff.
@@ -912,8 +952,8 @@ TEST(PosixTeardown, DestroyBackendWithHalfOpenConnects) {
 }
 
 TEST(PosixTeardown, DestroyBackendWithQueuedSends) {
-  auto a = std::make_unique<PosixNetwork>(snappy_config(1));
-  auto b = std::make_unique<PosixNetwork>(snappy_config(2));
+  auto a = PosixNetwork::open(snappy_config(1)).value();
+  auto b = PosixNetwork::open(snappy_config(2)).value();
   a->add_peer({b->mac(), "127.0.0.1", b->udp_port(), b->tcp_port()});
   b->add_peer({a->mac(), "127.0.0.1", a->udp_port(), a->tcp_port()});
   a->attach_interface(a->mac(), Technology::kBluetooth, nullptr);

@@ -1,7 +1,7 @@
 // realnet_node — one PeerHood daemon process on real sockets.
 //
 // The same protocol stack every sim scenario runs (Daemon, Engine, Plugin
-// discovery, Library, BridgeService, ReliableChannel) composed over
+// discovery, Library, BridgeService, reliable Channel) composed over
 // net::PosixNetwork instead of net::SimNetwork: UDP datagrams for the
 // discovery plane, framed TCP for sessions, epoll for both. Three roles:
 //
@@ -9,7 +9,7 @@
 //           resume frontier to --journal, and verifies exactly-once
 //           delivery of the client's counter stream — across kill -9.
 //   client  discovers the server, dials "echo", streams counters 1..N over
-//           ReliableChannel, rides out the server's death via
+//           a reliable channel, rides out the server's death via
 //           Library::resume with the server as the hop (kResume ->
 //           kUnknownSession -> kResumeRestart), then migrates the session
 //           through the bridge relay (resume with the relay as the hop) and
@@ -38,9 +38,9 @@
 
 #include "bridge/bridge_service.hpp"
 #include "net/posix_network.hpp"
+#include "peerhood/channel.hpp"
 #include "peerhood/daemon.hpp"
 #include "peerhood/library.hpp"
-#include "peerhood/reliable_channel.hpp"
 
 using namespace peerhood;
 
@@ -118,7 +118,7 @@ void say(const char* fmt, ...) {
 }
 
 // Counter payload: [u64 counter][u64 grand_total], and counter == the
-// ReliableChannel sequence by construction (counters are the only frames on
+// reliable channel's sequence by construction (counters are the only frames on
 // the session), so the server-side journal frontier `expected` IS the next
 // counter — the identity the kill -9 oracle rests on.
 Bytes encode_counter(std::uint64_t counter, std::uint64_t total) {
@@ -143,13 +143,20 @@ struct Stack {
   std::unique_ptr<Library> library;
   std::unique_ptr<bridge::BridgeService> bridge;
 
-  explicit Stack(const Options& options) {
+  // Binds the sockets and starts the daemon. A network that cannot bind
+  // (a port in use, say) prints a FATAL line and fails before READY.
+  bool open(const Options& options) {
     net::PosixConfig net_config;
     net_config.mac = MacAddress::from_index(options.index);
     net_config.udp_port = options.udp;
     net_config.tcp_port = options.tcp;
     net_config.seed = options.index;
-    network = std::make_unique<net::PosixNetwork>(net_config);
+    auto opened = net::PosixNetwork::open(net_config);
+    if (!opened.ok()) {
+      say("FATAL network: %s\n", opened.error().to_string().c_str());
+      return false;
+    }
+    network = std::move(opened).value();
     for (const net::PosixPeer& peer : options.peers) {
       network->add_peer(peer);
     }
@@ -164,23 +171,18 @@ struct Stack {
     library = std::make_unique<Library>(*daemon);
     daemon->start();
     bridge = std::make_unique<bridge::BridgeService>(*daemon);
+    return true;
   }
 };
 
 // --- server ------------------------------------------------------------------
 
-// One adopted session: the channel the engine handed us plus its
-// reliability layer restored at the journalled frontier.
-struct ServerSession {
-  ChannelPtr channel;
-  std::shared_ptr<ReliableChannel> reliable;
-};
-
 int run_server(const Options& options) {
-  Stack stack{options};
+  Stack stack;
+  if (!stack.open(options)) return 1;
   Daemon& daemon = *stack.daemon;
 
-  std::map<std::uint64_t, ServerSession> sessions;
+  std::map<std::uint64_t, ChannelPtr> sessions;
   std::uint64_t expected_counter = 1;  // next counter the app should see
   std::uint64_t dup = 0;
   std::uint64_t gaps = 0;
@@ -199,10 +201,9 @@ int run_server(const Options& options) {
           static_cast<unsigned long long>(session_id),
           static_cast<unsigned long long>(record->expected));
     }
-    auto layer = std::make_shared<ReliableChannel>(
-        stack.network->simulator(), channel, snappy_reliable());
-    layer->journal_to(daemon.session_store());
-    layer->set_data_handler([&](const Bytes& payload) {
+    channel->make_reliable(stack.network->simulator(), snappy_reliable())
+        .journal_to(daemon.session_store());
+    channel->set_data_handler([&](const Bytes& payload) {
       ByteReader reader{payload};
       const std::uint64_t counter = reader.u64();
       const std::uint64_t total = reader.u64();
@@ -226,10 +227,9 @@ int run_server(const Options& options) {
                 daemon.engine().stats().restart_resumes));
       }
     });
-    // Replacing a prior adoption of the same session severs the orphaned
-    // layer's handlers (a restart-resume of a session this incarnation also
-    // held just substitutes the transport).
-    sessions[session_id] = ServerSession{channel, std::move(layer)};
+    // A restart-resume of a session this incarnation also held just
+    // substitutes the transport, so a replaced entry is a dead channel.
+    sessions[session_id] = std::move(channel);
   };
 
   const Status bound =
@@ -260,7 +260,8 @@ int run_server(const Options& options) {
 // --- client ------------------------------------------------------------------
 
 int run_client(const Options& options) {
-  Stack stack{options};
+  Stack stack;
+  if (!stack.open(options)) return 1;
   const MacAddress target = MacAddress::from_index(options.target_index);
   const MacAddress relay = MacAddress::from_index(options.bridge_index);
   say("READY udp=%u tcp=%u\n", stack.network->udp_port(),
@@ -302,10 +303,9 @@ int run_client(const Options& options) {
   say("CONNECTED session=%llu\n",
       static_cast<unsigned long long>(channel->session_id()));
 
-  // The reliability layer occupies the channel's data/handover slots; the
-  // close slot is ours and signals server death.
-  auto reliable = std::make_shared<ReliableChannel>(
-      stack.network->simulator(), channel, snappy_reliable());
+  // The close handler signals server death.
+  const ReliableChannel& reliable =
+      channel->make_reliable(stack.network->simulator(), snappy_reliable());
   bool link_down = false;
   bool resume_in_flight = false;
   std::uint64_t resumes = 0;
@@ -342,14 +342,14 @@ int run_client(const Options& options) {
   const auto pump = [&](std::uint64_t limit) {
     if (link_down || next_counter > limit) return;
     if (stack.network->wall_now() < next_send) return;
-    if (reliable->send(encode_counter(next_counter, options.total)).ok()) {
+    if (channel->write(encode_counter(next_counter, options.total)).ok()) {
       ++next_counter;
       next_send = stack.network->wall_now() + pace;
     }
   };
 
   // Phase 2: stream counters 1..phase1; survive the kill -9 in the middle.
-  while ((next_counter <= phase1_end || reliable->unacked() > 0) &&
+  while ((next_counter <= phase1_end || reliable.unacked() > 0) &&
          g_stop == 0) {
     pump(phase1_end);
     if (link_down) try_resume();
@@ -381,7 +381,7 @@ int run_client(const Options& options) {
   if (!migrated) return 1;
   say("MIGRATED\n");
 
-  while ((next_counter <= options.total || reliable->unacked() > 0) &&
+  while ((next_counter <= options.total || reliable.unacked() > 0) &&
          g_stop == 0) {
     pump(options.total);
     if (link_down) try_resume();
@@ -391,14 +391,15 @@ int run_client(const Options& options) {
   say("CLIENT_DONE sent=%llu resumes=%llu retransmissions=%llu\n",
       static_cast<unsigned long long>(options.total),
       static_cast<unsigned long long>(resumes),
-      static_cast<unsigned long long>(reliable->retransmissions()));
+      static_cast<unsigned long long>(reliable.retransmissions()));
   return 0;
 }
 
 // --- bridge ------------------------------------------------------------------
 
 int run_bridge(const Options& options) {
-  Stack stack{options};
+  Stack stack;
+  if (!stack.open(options)) return 1;
   stack.bridge->start();
   say("READY udp=%u tcp=%u\n", stack.network->udp_port(),
       stack.network->tcp_port());
