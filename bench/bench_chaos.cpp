@@ -111,6 +111,8 @@ struct ChaosCell {
   std::string scenario;
   Tier tier{Tier::kNone};
   int trials{0};
+  // Seeds whose setup failed (no session connected): they add no trial.
+  int setup_failures{0};
   std::uint64_t sent{0};
   std::uint64_t received{0};
   double outage_s{0.0};
@@ -123,6 +125,8 @@ struct ChaosCell {
   std::uint64_t restart_resumes{0};
   std::uint64_t dup_or_reorder{0};
   std::uint64_t gaps{0};
+  std::uint64_t reorder_drops{0};
+  std::uint64_t malformed_frames{0};
   // Each trial's delivery ratio (trials that sent nothing have none).
   std::vector<double> trial_delivery;
 };
@@ -152,6 +156,10 @@ ChaosCell run_cell(const ScenarioRow& row, Tier tier, int trials) {
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(trials);
        ++seed) {
     scenario::ScenarioSpec spec = row.factory(seed);
+    // Some seeds start a client walking out of its server's range, so the
+    // first connect can take minutes (as in perfbench's churn workload);
+    // a shorter deadline would drop those seeds from the cell.
+    spec.connect_deadline_s = 600.0;
     spec.faults = tier_schedule(tier, row.servers, row.rest);
     spec.crashes = tier_crashes(tier, row.servers);
     if (is_crash_tier(tier)) make_crash_tolerant(spec);
@@ -161,6 +169,7 @@ ChaosCell run_cell(const ScenarioRow& row, Tier tier, int trials) {
       std::printf("    !! %s/%s seed %llu setup failed: %s\n", row.name,
                   tier_name(tier), static_cast<unsigned long long>(seed),
                   status.error().to_string().c_str());
+      ++cell.setup_failures;
       continue;
     }
     runner.run();
@@ -192,6 +201,8 @@ ChaosCell run_cell(const ScenarioRow& row, Tier tier, int trials) {
     cell.faults.node_restarts += m.fault_stats.node_restarts;
     cell.corrupt_dropped += m.net_stats.corrupt_drops;
     cell.restart_resumes += m.restart_resumes;
+    cell.reorder_drops += m.reliable_reorder_drops;
+    cell.malformed_frames += m.reliable_malformed_frames;
   }
   return cell;
 }
@@ -239,6 +250,7 @@ void emit_cell(const ChaosCell& cell, bool smoke) {
   record.field("scenario", cell.scenario)
       .field("faults", tier_name(cell.tier))
       .field("trials", cell.trials)
+      .field("setup_failures", cell.setup_failures)
       .field("sent", cell.sent)
       .field("received", cell.received)
       .field("delivery_ratio", delivery)
@@ -258,7 +270,9 @@ void emit_cell(const ChaosCell& cell, bool smoke) {
       .field("node_restarts", cell.faults.node_restarts)
       .field("restart_resumes", cell.restart_resumes)
       .field("dup_or_reorder", cell.dup_or_reorder)
-      .field("gaps", cell.gaps);
+      .field("gaps", cell.gaps)
+      .field("reorder_drops", cell.reorder_drops)
+      .field("malformed_frames", cell.malformed_frames);
   if (!smoke) {
     record.field("delivery_min", delivery_spread.min)
         .field("delivery_median", delivery_spread.median)
@@ -267,7 +281,8 @@ void emit_cell(const ChaosCell& cell, bool smoke) {
   record.emit();
 }
 
-void report_matrix(bool smoke) {
+// Returns false when a cell ran no trial: its row would measure nothing.
+bool report_matrix(bool smoke) {
   heading(smoke ? "E-chaos chaos matrix (smoke: 1 seed per cell)"
                 : "E-chaos chaos matrix: scenarios x fault tiers, 40 seeds "
                   "per cell");
@@ -282,11 +297,18 @@ void report_matrix(bool smoke) {
   // 40 trials: one seed's delivery swings by tens of percent under chaos
   // with crashes, so 5 could not resolve a change of a few percent.
   const int trials = smoke ? 1 : 40;
+  bool every_cell_ran = true;
   for (const ScenarioRow& row : rows) {
     for (const Tier tier :
          {Tier::kNone, Tier::kLoss, Tier::kChaos, Tier::kChaosCut,
           Tier::kCrash, Tier::kChaosCrash}) {
-      emit_cell(run_cell(row, tier, trials), smoke);
+      const ChaosCell cell = run_cell(row, tier, trials);
+      if (cell.trials == 0) {
+        std::printf("    !! %s/%s ran no trial\n", row.name,
+                    tier_name(tier));
+        every_cell_ran = false;
+      }
+      emit_cell(cell, smoke);
     }
   }
   note("delivery = received / sent over the scenario body; outage = summed");
@@ -298,6 +320,7 @@ void report_matrix(bool smoke) {
   note("servers mid-body and measure the journalled resume (restart_resumes,");
   note("node_crashes/node_restarts in the JSON); dup_or_reorder/gaps are the");
   note("exactly-once counters and must stay 0 on the reliable sessions.");
+  return every_cell_ran;
 }
 
 void BM_CorridorChaos(benchmark::State& state) {
@@ -327,7 +350,7 @@ int main(int argc, char** argv) {
   }
   argc = out;
 
-  report_matrix(smoke);
+  if (!report_matrix(smoke)) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

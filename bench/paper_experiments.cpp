@@ -438,6 +438,7 @@ void e5_bridge_mobility() {
   std::printf("%10s %10s %16s %18s\n", "bridge", "connect %",
               "survival (s)", "frames delivered");
   double survival_s[2] = {};
+  int connected_trials[2] = {};
   for (const bool static_bridge : {true, false}) {
     std::vector<double> survival;
     std::vector<double> frames;
@@ -456,13 +457,17 @@ void e5_bridge_mobility() {
                 static_bridge ? "static" : "dynamic",
                 100.0 * connected / trials, s.mean, f.mean);
     survival_s[static_bridge ? 0 : 1] = s.mean;
+    connected_trials[static_bridge ? 0 : 1] = connected;
   }
   claim(survival_s[0] >= 300.0,
         "a static bridge keeps the relay for the full 300 s (Fig. 3.11)",
         strprintf("%.1f s vs >= 300 s", survival_s[0]));
-  claim(survival_s[1] < 300.0,
+  // A chain that never connected has no survival to compare.
+  claim(connected_trials[1] > 0 && survival_s[1] < 300.0,
         "a wandering bridge drops the chain early (§3.4.3)",
-        strprintf("%.1f s vs < 300 s", survival_s[1]));
+        connected_trials[1] > 0
+            ? strprintf("%.1f s vs < 300 s", survival_s[1])
+            : std::string{"no dynamic-bridge chain connected"});
 }
 
 // --- E6: the §4.3 bridge performance test (Fig. 4.5) ------------------------
@@ -911,6 +916,9 @@ FetchResult run_fetch(std::uint64_t seed, bool unified, double fault_prob) {
   for (int i = 0; i < 4; ++i) {
     node::NodeOptions options = scenario_node(MobilityClass::kStatic);
     options.daemon.unified_fetch = unified;
+    // The thesis's always-full fetch: with conditional fetch a stored
+    // device's service check is one exchange in either mode.
+    options.daemon.conditional_fetch = false;
     testbed.add_node("n" + std::to_string(i), {8.0 * i, 0.0}, options);
   }
   // Run until n0 knows the whole line (or deadline).

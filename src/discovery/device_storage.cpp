@@ -73,7 +73,7 @@ bool DeviceStorage::refresh_direct(MacAddress mac, int quality, SimTime now) {
     }
     record.quality_sum = quality;
     record.min_link_quality = quality;
-    ++generation_;
+    bump_generation();
   }
   record.last_seen = std::max(record.last_seen, now);
   record.missed_loops = 0;

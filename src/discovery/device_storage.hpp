@@ -88,7 +88,8 @@ class DeviceStorage {
   // neighbour-link refreshes do not move it, so an unchanged storage keeps a
   // stable generation across inquiry rounds — the discovery plane compares
   // generations for equality to skip re-encoding and re-shipping snapshots.
-  // u32 wraparound is safe: consumers never order generations.
+  // u32 wraparound is safe: consumers never order generations. It starts
+  // at 1 and skips 0 when it wraps.
   [[nodiscard]] std::uint32_t generation() const { return generation_; }
 
   // Refreshes liveness of `mac` (Fig. 3.12 time stamp) without touching
@@ -191,8 +192,13 @@ class DeviceStorage {
                                                    const Route& b);
   // Counts a removed record: both generations move.
   void erased() {
-    ++generation_;
+    bump_generation();
     ++weakening_gen_;
+  }
+  // Generation 0 is never advertised, also after a wrap: a requester names
+  // it (wire::kNoGeneration) to have the neighbours section shipped.
+  void bump_generation() {
+    if (++generation_ == 0) generation_ = 1;
   }
 
   RoutePolicy policy_;
@@ -211,7 +217,7 @@ bool DeviceStorage::upsert(Candidate&& candidate) {
   if (it == records_.end() || it->first != mac) {
     it = records_.emplace_hint(it, mac, DeviceRecord{});
     candidate.write(it->second, true);
-    ++generation_;
+    bump_generation();
     return true;
   }
   DeviceRecord& stored = it->second;
@@ -225,7 +231,7 @@ bool DeviceStorage::upsert(Candidate&& candidate) {
   }
   const bool same_descriptors = candidate.same_descriptors(stored);
   if (!same_descriptors || !advertised_route_equal(route, stored)) {
-    ++generation_;
+    bump_generation();
     // A record that got *worse* (the old content would still win under the
     // policy) can un-dominate previously rejected candidates, exactly like
     // a removal: flag it so baselines are dropped and alternatives

@@ -287,6 +287,10 @@ void PosixNetwork::poll_once(SimDuration max_wait) {
   epoll_event events[64];
   const int n = ::epoll_wait(epoll_fd_, events, 64,
                              static_cast<int>(wait_ms));
+  // The wait took wall time: what arrived is handled at the time it was
+  // read, not at the time the wait began (a discovery answer stamped early
+  // would look sooner than the responder's fetch cost allows).
+  advance_clock();
   for (int i = 0; i < n; ++i) {
     const std::uint64_t key = events[i].data.u64;
     if (key == kUdpKey) {

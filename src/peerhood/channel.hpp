@@ -70,6 +70,10 @@ class Channel {
   // journal_to() and the counters.
   ReliableChannel& make_reliable(sim::Simulator& sim,
                                  ReliableConfig config = {});
+  // The reliability engine, or nullptr on a plain channel.
+  [[nodiscard]] const ReliableChannel* reliable() const {
+    return engine_.get();
+  }
 
   [[nodiscard]] bool open() const;
   // Idempotent: stops the reliability engine's timers, severs all handlers

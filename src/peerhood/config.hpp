@@ -21,16 +21,20 @@ struct DaemonConfig {
   // Known devices are re-fetched only at this interval ("a service checking
   // interval defines a longer interval time for stored devices to achieve
   // the energy saving", §3.5). Inquiry responses still refresh liveness.
+  // With conditional_fetch on, a service check is one exchange for all four
+  // sections.
   SimDuration service_check_interval{std::chrono::seconds{30}};
 
   // §3.4.1: fetch device/prototype/service/neighbourhood information through
-  // one unified connection instead of four short ones (ablation E10).
+  // one unified connection instead of four short ones (ablation E10). With
+  // conditional_fetch on, this only decides first contact: a stored
+  // device's service check is one exchange either way.
   bool unified_fetch{false};
 
   // Requester side: send the last-seen epoch + per-section generations with
   // each fetch so unchanged responders answer kNotModified / section deltas
-  // instead of full snapshots (off = always fetch full, the paper's
-  // behaviour).
+  // instead of full snapshots. Off is the paper's protocol: every fetch is
+  // a full one, over four exchanges unless unified_fetch is set.
   bool conditional_fetch{true};
 
   // When false the daemon behaves like pre-thesis PeerHood [2]: neighbour

@@ -171,14 +171,29 @@ void Plugin::end_inquiry() {
     if (is_new || recheck_due) {
       // Full information fetch for new devices and at the service checking
       // interval (energy saving, §3.5).
-      fetch_queue_.push_back(FetchJob{responder, /*full=*/true});
+      fetch_queue_.push_back(FetchJob{responder, FetchJob::kFull});
     } else {
       // Known device: refresh only the neighbourhood snapshot (and sample
       // the link quality) every loop — this is what makes the maximum
       // notification delay equal jumps x searching cycle (Fig. 3.10).
-      fetch_queue_.push_back(FetchJob{responder, /*full=*/false});
+      fetch_queue_.push_back(FetchJob{responder, FetchJob::kNeighbours});
     }
   }
+  // The inquiry asymmetry is sampled at one instant, the end of the window,
+  // so two static neighbours whose inquiry phases lock can miss each other
+  // loop after loop. A stored direct device that ageing would drop this
+  // loop is asked directly: an answer counts as an inquiry response
+  // (job_done), and a device that really left fails the exchange and is
+  // dropped in this same loop.
+  daemon_.storage().for_each([this](const DeviceRecord& record) {
+    if (record.is_direct() && record.via_tech == tech_ &&
+        record.missed_loops >= kMaxMissedLoops &&
+        std::ranges::find(cycle_responders_, record.device.mac) ==
+            cycle_responders_.end()) {
+      fetch_queue_.push_back(
+          FetchJob{record.device.mac, FetchJob::kAbsenceCheck});
+    }
+  });
   process_next_responder();
 }
 
@@ -188,17 +203,26 @@ void Plugin::process_next_responder() {
     return;
   }
   job_ = fetch_queue_[fetch_index_++];
-  if (job_.full) {
+  if (job_.kind == FetchJob::kFull) {
     fetch_info();
-  } else {
-    const sim::TechnologyParams& params =
-        daemon_.network().params(tech_);
-    fetch_section(job_.target, wire::kSectionNeighbours, params.fetch_time);
+    return;
   }
+  // An absence check gets no retry: it starts at its last attempt.
+  const bool absence_check = job_.kind == FetchJob::kAbsenceCheck;
+  if (absence_check) ++stats_.absence_checks;
+  fetch_section(job_.target, wire::kSectionNeighbours,
+                daemon_.network().params(tech_).fetch_time,
+                absence_check ? kFetchRetries : 0);
 }
 
 void Plugin::job_done(wire::ReceivedFetchResponse* resp) {
   const FetchJob job = job_;
+  if (resp != nullptr && job.kind == FetchJob::kAbsenceCheck) {
+    // The device the inquiry missed answered: it is in range, seen this
+    // loop. The list stays in ascending MAC order for age_direct.
+    cycle_responders_.insert(
+        std::ranges::upper_bound(cycle_responders_, job.target), job.target);
+  }
   if (resp != nullptr && resp->epoch_changed && !resp->not_modified &&
       resp->sections != wire::kSectionAll) {
     // The responder restarted between our request and this (partial)
@@ -208,7 +232,7 @@ void Plugin::job_done(wire::ReceivedFetchResponse* resp) {
     // and requeue an unconditional full fetch this cycle instead.
     ++stats_.epoch_invalidations;
     peer_views_.erase(job.target);
-    fetch_queue_.push_back(FetchJob{job.target, /*full=*/true});
+    fetch_queue_.push_back(FetchJob{job.target, FetchJob::kFull});
     process_next_responder();
     return;
   }
@@ -250,13 +274,24 @@ void Plugin::job_done(wire::ReceivedFetchResponse* resp) {
 void Plugin::fetch_info() {
   const sim::TechnologyParams& params =
       daemon_.network().params(tech_);
-  if (daemon_.config().unified_fetch) {
+  // A stored device whose descriptor versions we hold is service-checked
+  // with one conditional exchange: the responder ships only the sections
+  // that moved (usually the neighbourhood) or kNotModified, and the answer
+  // overlays the stored record like an assembled split one. A neighbours
+  // baseline dropped by a storage weakening ships that section in full
+  // (baseline_for).
+  constexpr auto kDescriptors = static_cast<std::uint8_t>(
+      wire::kSectionDevice | wire::kSectionPrototypes |
+      wire::kSectionServices);
+  if (daemon_.config().unified_fetch ||
+      baseline_for(job_.target, kDescriptors).has_value()) {
     // One longer connection fetching everything (§3.4.1 suggestion).
     fetch_section(job_.target, wire::kSectionAll, 2 * params.fetch_time);
     return;
   }
-  // The paper's four short connections (Fig. 3.7), issued sequentially; any
-  // failure aborts the whole fetch for this cycle.
+  // First contact, or no descriptor baseline: the paper's four short
+  // connections (Fig. 3.7), issued sequentially; any failure aborts the
+  // whole fetch for this cycle.
   split_ = SplitState{};
   split_.active = true;
   split_.section_cost = params.fetch_time;
@@ -368,19 +403,8 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
   }
   std::uint32_t request_id = next_request_id_++;
   if (request_id == wire::kSharedRequestId) request_id = next_request_id_++;
-  wire::FetchRequest request{request_id, sections, std::nullopt};
-  if (daemon_.config().conditional_fetch) {
-    // Attach our last-seen versions when they cover every requested section
-    // *and* we still hold a direct record to overlay absent sections from —
-    // a view that outlived its record must not suppress a full re-fetch.
-    const auto view = peer_views_.find(target);
-    if (view != peer_views_.end() &&
-        (view->second.known & sections) == sections &&
-        daemon_.storage().contains_direct(target)) {
-      request.baseline =
-          wire::FetchBaseline{view->second.epoch, view->second.gens};
-    }
-  }
+  const wire::FetchRequest request{request_id, sections,
+                                   baseline_for(target, sections)};
   // The request is encoded straight into its sealed datagram frame.
   daemon_.network().send_datagram(
       daemon_.mac(), target, tech_,
@@ -389,6 +413,7 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
                                  wire::encode_into(writer, request);
                                }));
   pending_.request_id = request_id;
+  pending_.sent_at = sim.now();
   pending_.awaiting = true;
   const SimDuration deadline =
       seconds(std::chrono::duration<double>(cost).count() *
@@ -397,6 +422,31 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
   pending_.timeout = sim.schedule_after(deadline, [this] {
     on_fetch_timeout();
   });
+}
+
+std::optional<wire::FetchBaseline> Plugin::baseline_for(
+    MacAddress target, std::uint8_t sections) const {
+  if (!daemon_.config().conditional_fetch) return std::nullopt;
+  // A direct record must be stored to overlay absent sections from — a
+  // view that outlived its record must not suppress a full re-fetch.
+  const auto view = peer_views_.find(target);
+  if (view == peer_views_.end() ||
+      !daemon_.storage().contains_direct(target)) {
+    return std::nullopt;
+  }
+  wire::FetchBaseline baseline{view->second.epoch, view->second.gens};
+  const auto unknown =
+      static_cast<std::uint8_t>(sections & ~view->second.known);
+  if (unknown == wire::kSectionNeighbours &&
+      sections != wire::kSectionNeighbours) {
+    // Only the neighbours baseline was dropped (a storage weakening): the
+    // responder cannot match kNoGeneration, so it ships the neighbours in
+    // full and still answers the descriptors conditionally.
+    baseline.gens.neighbours = wire::kNoGeneration;
+  } else if (unknown != 0) {
+    return std::nullopt;
+  }
+  return baseline;
 }
 
 void Plugin::on_fetch_timeout() {
@@ -429,15 +479,17 @@ void Plugin::on_fetch_timeout() {
 void Plugin::on_fetch_response(MacAddress from,
                                wire::ReceivedFetchResponse& response) {
   // Shared cached frames cannot echo our id (wire::kSharedRequestId); they
-  // are matched by peer address instead — a response always arrives (if at
-  // all) well inside the pending window, so the address is unambiguous.
+  // are matched by peer address and time instead. The responder answers
+  // only after its fetch cost, so a shared frame that arrives sooner is a
+  // fault-plane duplicate of the previous exchange's answer.
   if (!pending_.awaiting || pending_.target != from) {
     ++stats_.stale_responses;  // unsolicited, late or duplicated on the air
     return;
   }
-  if (response.request_id != pending_.request_id &&
-      response.request_id != wire::kSharedRequestId) {
-    ++stats_.stale_responses;  // answers a fetch we already gave up on
+  if (response.request_id == wire::kSharedRequestId
+          ? daemon_.simulator().now() < pending_.sent_at + pending_.cost
+          : response.request_id != pending_.request_id) {
+    ++stats_.stale_responses;  // answers an earlier or abandoned exchange
     return;
   }
   if (!response.not_modified) {

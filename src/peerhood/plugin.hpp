@@ -4,6 +4,19 @@
 // recheck-due devices, analyse their neighbourhood snapshots (Fig. 3.13) and
 // age the storage with time stamps. Implements the Bluetooth inquiry
 // asymmetry: while inquiring the device is itself undiscoverable (§3.4.2).
+//
+// Per responder and loop the plugin runs one fetch job:
+//  * a new device gets the paper's four short exchanges (Fig. 3.7), or one
+//    unified exchange with DaemonConfig::unified_fetch;
+//  * a stored device due for its service check, whose descriptor versions
+//    the conditional fetch holds, gets one conditional exchange for all four
+//    sections: the responder ships the sections that moved, or kNotModified
+//    (a dropped neighbours version is named wire::kNoGeneration, so that
+//    section ships in full);
+//  * any other known device gets a neighbours-only refresh.
+// A stored direct device that the inquiry missed and that ageing would drop
+// this loop is asked once more, with one neighbours exchange and no retry,
+// before the loop ages the storage.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +63,9 @@ class Plugin {
     // mid-conversation): the delta baseline was invalidated and the fetch
     // fell back to a full one instead of overlaying stale state.
     std::uint64_t epoch_invalidations{0};
+    // Neighbours exchanges asked of a stored direct device that the inquiry
+    // missed and ageing would drop this loop (see end_inquiry).
+    std::uint64_t absence_checks{0};
   };
 
   Plugin(Daemon& daemon, Technology technology);
@@ -82,8 +98,9 @@ class Plugin {
   // Starts the next queued fetch job, or completes the cycle when none is
   // left.
   void process_next_responder();
-  // Issues the information fetch for job_: either the unified single
-  // exchange or the paper's four short exchanges (§3.4.1).
+  // Issues the information fetch for job_: one exchange for all sections
+  // (unified_fetch, or a stored device's conditional service check) or the
+  // paper's four short exchanges (§3.4.1).
   void fetch_info();
   // Requests the next section of a split fetch.
   void split_step();
@@ -128,8 +145,13 @@ class Plugin {
 
   // Per-cycle state.
   struct FetchJob {
+    enum Kind : std::uint8_t {
+      kFull,          // information fetch (first contact or service check)
+      kNeighbours,    // neighbours-only refresh of a responder
+      kAbsenceCheck,  // neighbours exchange asking a missed device, no retry
+    };
     MacAddress target;
-    bool full{true};  // full info fetch vs neighbours-only refresh
+    Kind kind{kFull};
   };
   std::vector<FetchJob> fetch_queue_;
   std::vector<MacAddress> cycle_responders_;
@@ -145,6 +167,7 @@ class Plugin {
     std::uint32_t request_id{0};
     std::uint8_t sections{0};
     SimDuration cost{};
+    SimTime sent_at{};
     int attempt{0};
     sim::EventId timeout{sim::kInvalidEvent};
     bool awaiting{false};
@@ -164,6 +187,13 @@ class Plugin {
     std::uint8_t known{0};
   };
   std::unordered_map<MacAddress, PeerView> peer_views_;
+  // The baseline a request for `sections` of `target` carries: present when
+  // conditional fetch is on, a direct record of `target` is stored and the
+  // view covers every section asked for. A request for the neighbours and
+  // other sections whose view lost only the neighbours names it with
+  // wire::kNoGeneration, so that section ships in full.
+  [[nodiscard]] std::optional<wire::FetchBaseline> baseline_for(
+      MacAddress target, std::uint8_t sections) const;
   // storage().weakening_generation() as of the last cycle; a move drops
   // the neighbours baselines above (see end_inquiry).
   std::uint32_t storage_weakening_gen_{0};

@@ -101,8 +101,14 @@ inline constexpr std::size_t kMaxFetchRequestSize = 7 + 24;
 
 // Cached response frames are shared verbatim between requesters, so they
 // cannot echo a per-request id; they carry kSharedRequestId instead and the
-// requester matches them by peer address. Requesters mint ids from 1.
+// requester matches them by peer address and arrival time. Requesters mint
+// ids from 1.
 inline constexpr std::uint32_t kSharedRequestId = 0;
+
+// A neighbours generation no responder advertises (DeviceStorage skips 0):
+// a baseline naming it has the neighbours section shipped in full while the
+// other sections it names may still answer kNotModified.
+inline constexpr std::uint32_t kNoGeneration = 0;
 
 // One received neighbours-section entry, viewed in the frame that carried
 // it: decode_fetch_response has validated every byte (enum fields are in

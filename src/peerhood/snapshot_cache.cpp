@@ -80,8 +80,9 @@ SnapshotCache::FramePtr SnapshotCache::encode_sections(
 
 SnapshotCache::FramePtr SnapshotCache::respond(
     const wire::FetchRequest& request, const SnapshotSource& src) {
-  const std::uint8_t sections =
+  auto sections =
       static_cast<std::uint8_t>(request.sections & wire::kSectionAll);
+  bool delta = false;
   if (request.baseline.has_value() && request.baseline->epoch == src.epoch) {
     // Conditional fetch against a live baseline: ship only what moved.
     std::uint8_t changed = 0;
@@ -108,14 +109,15 @@ SnapshotCache::FramePtr SnapshotCache::respond(
       not_modified_load_ = src.load_percent;
       return frame;
     }
-    // Deltas are requester-specific (they depend on the baseline), so they
-    // are encoded afresh and can echo the real request id.
-    ++stats_.deltas;
-    return encode_sections(request.request_id, changed, src);
+    // A delta is byte for byte the full response for the sections that
+    // moved (only which sections moved depends on the baseline), so it is
+    // served from, and fills, that response's shared slot.
+    sections = changed;
+    delta = true;
   }
 
-  // Full response: no baseline, or the responder restarted since the
-  // requester last looked (epoch mismatch — generations are incomparable).
+  // Full response (no baseline, or the responder restarted since the
+  // requester last looked: generations are incomparable) or a delta.
   CachedFull& slot = full_[sections];
   if (slot.frame != nullptr && slot.epoch == src.epoch &&
       slot.load_percent == src.load_percent &&
@@ -123,7 +125,7 @@ SnapshotCache::FramePtr SnapshotCache::respond(
     ++stats_.full_hits;
     return slot.frame;
   }
-  ++stats_.full_encodes;
+  ++(delta ? stats_.deltas : stats_.full_encodes);
   FramePtr frame = encode_sections(wire::kSharedRequestId, sections, src);
   slot.frame = frame;
   slot.gens = src.gens;

@@ -12,8 +12,8 @@
 //  * A request carrying a baseline (the requester's last-seen epoch +
 //    per-section generations) is answered with kNotModified — also a shared
 //    cached frame — when nothing the requester asked for moved, or with a
-//    freshly-encoded delta holding only the sections whose generation
-//    differs.
+//    delta holding only the sections whose generation differs. A delta is
+//    the full response for those sections, so it shares that cached frame.
 //  * Epoch mismatch (responder restarted, generations regressed) and
 //    generation wraparound both degrade safely to a full response because
 //    generations are compared for equality only, never ordered.
@@ -50,14 +50,14 @@ class SnapshotCache {
   using FramePtr = std::shared_ptr<const Bytes>;
 
   struct Stats {
-    std::uint64_t full_hits{0};     // full response served from cache
+    std::uint64_t full_hits{0};     // full or delta response from cache
     std::uint64_t full_encodes{0};  // full response (re-)encoded
-    std::uint64_t deltas{0};        // delta response encoded
+    std::uint64_t deltas{0};        // delta response (re-)encoded
     std::uint64_t not_modified{0};  // kNotModified served
   };
 
   // Produces the reply for `request` against `src`: a shared cached full
-  // response, a shared cached kNotModified, or a fresh delta. Every buffer
+  // or delta response, or a shared cached kNotModified. Every buffer
   // is a complete sealed datagram frame (net::make_datagram_frame) that the
   // daemon hands to Network::send_datagram as is. Never returns nullptr.
   [[nodiscard]] FramePtr respond(const wire::FetchRequest& request,

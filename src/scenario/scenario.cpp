@@ -358,6 +358,7 @@ void ScenarioRunner::attach_channel(Session& session, ChannelPtr channel) {
     // The dead predecessor must stop reporting into this session: close()
     // severs its handlers.
     session.channel->close();
+    count_reliable(*session.channel);
   }
   session.channel = std::move(channel);
   Session* raw = &session;
@@ -631,7 +632,19 @@ void ScenarioRunner::run() {
   for (node::Node* node : testbed_->nodes()) {
     metrics_.restart_resumes += node->daemon().engine().stats().restart_resumes;
   }
+  // Retired client channels were counted as they were replaced.
+  for (const auto& session : sessions_) {
+    if (session->channel != nullptr) count_reliable(*session->channel);
+  }
+  for (const ChannelPtr& channel : server_channels_) count_reliable(*channel);
   metrics_.net_stats = testbed_->network().net_stats();
+}
+
+void ScenarioRunner::count_reliable(const Channel& channel) {
+  if (const ReliableChannel* engine = channel.reliable()) {
+    metrics_.reliable_reorder_drops += engine->reorder_drops();
+    metrics_.reliable_malformed_frames += engine->malformed_frames();
+  }
 }
 
 // --- Canned scenarios --------------------------------------------------------

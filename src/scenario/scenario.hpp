@@ -226,6 +226,11 @@ struct ScenarioMetrics {
   // kResumeRestart handshakes honoured from a SessionStore journal, summed
   // over every node's engine — the crash plane's recovery counter.
   std::uint64_t restart_resumes{0};
+  // ReliableChannel::reorder_drops() and malformed_frames() summed over every
+  // reliability engine of the run, client and server side, retired channels
+  // included: frames beyond the receive window, and undecodable frames.
+  std::uint64_t reliable_reorder_drops{0};
+  std::uint64_t reliable_malformed_frames{0};
 
   [[nodiscard]] std::uint64_t total_sent() const;
   [[nodiscard]] std::uint64_t total_received() const;
@@ -284,6 +289,8 @@ class ScenarioRunner {
   void install_faults();
   // Installs spec_.crashes (same body-only contract as install_faults).
   void install_crashes();
+  // Adds a channel's reliability counters to the run's totals.
+  void count_reliable(const Channel& channel);
   // Server-side delivery accounting shared by plain and reliable sessions.
   void count_delivery(const Bytes& payload);
   [[nodiscard]] std::vector<MacAddress> resolve_prefixes(

@@ -86,7 +86,9 @@ void check_exactly_once(const SessionMetrics& session) {
 // journal and delivery continues exactly-once. The walk then exercises an
 // ordinary bridge handover on the *resumed* session.
 TEST(CrashSoak, ServerCrashResumesFromJournalAcrossSeeds) {
-  for (const std::uint64_t seed : {301u, 302u, 303u}) {
+  // Seed 306: the inquiry phases of the bridge and the static server lock,
+  // so the bridge misses the server four loops in a row.
+  for (const std::uint64_t seed : {301u, 302u, 303u, 306u}) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     ScenarioSpec spec = corridor_walk(seed, /*predictive=*/true);
     make_crash_tolerant(spec.sessions[0]);

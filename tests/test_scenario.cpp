@@ -177,23 +177,26 @@ ScenarioSpec chaos_group_walk(std::uint64_t seed) {
 TEST(ScenarioRunner, ChaosGroupWalkQualityWorkIsPinned) {
   const PlaneWork work = run_and_count(chaos_group_walk(11));
   // Measurements only: re-checks inside a quiet horizon do not measure.
-  // SACK recovery resends only the holes, so fewer frames cross the lossy
-  // links and the fault plane's draws land on different frames.
-  EXPECT_EQ(work.evaluations, 2620u);
-  EXPECT_EQ(work.observer_evals, 1875u);
+  // SACK recovery resends only the holes, and a stored device's service
+  // check is one conditional exchange instead of four, so fewer frames
+  // cross the lossy links and the fault plane's draws land on different
+  // frames.
+  EXPECT_EQ(work.evaluations, 2371u);
+  EXPECT_EQ(work.observer_evals, 1817u);
   EXPECT_EQ(work.events_emitted, 3u);
-  EXPECT_EQ(work.frames, 2736u);
+  EXPECT_EQ(work.frames, 1990u);
 }
 
 // The office floor with relay daemons stopping and restarting: the shape of
-// the benchmark's churn workload.
+// the benchmark's churn workload. Its discovery plane service-checks every
+// stored device each loop, one conditional exchange per device.
 TEST(ScenarioRunner, ChurnQualityWorkIsPinned) {
   const PlaneWork work =
       run_and_count(churn(11, /*predictive=*/true, /*nodes=*/12));
-  EXPECT_EQ(work.evaluations, 1348u);
-  EXPECT_EQ(work.observer_evals, 1919u);
-  EXPECT_EQ(work.events_emitted, 8u);
-  EXPECT_EQ(work.frames, 4861u);
+  EXPECT_EQ(work.evaluations, 1312u);
+  EXPECT_EQ(work.observer_evals, 1843u);
+  EXPECT_EQ(work.events_emitted, 15u);
+  EXPECT_EQ(work.frames, 2918u);
 }
 
 // --- Horizon oracle ------------------------------------------------------------
@@ -237,7 +240,8 @@ std::string describe(const ScenarioMetrics& m, const sim::TrafficStats& t) {
   const sim::FaultStats& f = m.fault_stats;
   out << "body " << m.medium_frames << ' ' << m.medium_frame_bytes << ' '
       << m.quality_observer_evals << ' ' << m.quality_events << ' '
-      << m.restart_resumes << "\nfaults " << f.frames_seen << ' '
+      << m.restart_resumes << ' ' << m.reliable_reorder_drops << ' '
+      << m.reliable_malformed_frames << "\nfaults " << f.frames_seen << ' '
       << f.loss_drops << ' ' << f.blackout_drops << ' ' << f.corrupted << ' '
       << f.duplicated << ' ' << f.reordered << ' ' << f.burst_entries << ' '
       << f.node_crashes << ' ' << f.node_restarts << "\nnet "

@@ -1,7 +1,8 @@
 // The conditional-fetch discovery protocol (generation-versioned snapshot
 // cache + delta responses), tested at the wire level:
 //  * the cache serves repeat same-generation requests from one shared frame,
-//  * deltas carry exactly the sections whose generation moved,
+//  * deltas carry exactly the sections whose generation moved, and share
+//    the cached frame of a full response for those sections,
 //  * kNotModified round-trips,
 //  * epoch mismatch (responder restart) and generation wraparound force a
 //    full / correct response,
@@ -238,11 +239,18 @@ TEST(SnapshotCache, DeltaCarriesOnlyChangedSections) {
 
   responder.services.push_back({"late", "", 5});
   ++responder.services_gen;
-  const auto decoded = decode_or_die(responder.answer(
-      {7, wire::kSectionAll, view.baseline(wire::kSectionAll)}));
+  const auto reply = responder.answer(
+      {7, wire::kSectionAll, view.baseline(wire::kSectionAll)});
+  const auto decoded = decode_or_die(reply);
   EXPECT_EQ(decoded.sections, wire::kSectionServices);
-  EXPECT_EQ(decoded.request_id, 7u);  // deltas echo the real id
   ASSERT_EQ(decoded.services.size(), 2u);
+  // A delta is the full response for the sections that moved: one shared
+  // frame, which cannot echo a request id.
+  EXPECT_EQ(decoded.request_id, wire::kSharedRequestId);
+  EXPECT_EQ(reply.get(),
+            responder.answer({8, wire::kSectionServices, std::nullopt}).get());
+  EXPECT_EQ(responder.cache.stats().deltas, 1u);
+  EXPECT_EQ(responder.cache.stats().full_hits, 1u);
 
   view.apply(decoded);
   EXPECT_EQ(view.services, responder.services);

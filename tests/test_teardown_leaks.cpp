@@ -724,7 +724,11 @@ TEST(CrashTeardown, ReliableChannelHeldOnlyByAPendingResumeDial) {
         channel->make_reliable(testbed->sim());
         sessions.push_back(std::move(channel));
       });
-  testbed->run_discovery_rounds(3);
+  // Under the inquiry asymmetry (§3.4.2) a's first inquiries can each end
+  // while b is inquiring; wait for the discovery this test builds on.
+  ASSERT_TRUE(testing::run_until(
+      *testbed, [&] { return a.daemon().storage().contains_direct(b.mac()); },
+      120.0));
 
   auto result = a.connect_blocking(b.mac(), "sink");
   ASSERT_TRUE(result.ok()) << result.error().to_string();
