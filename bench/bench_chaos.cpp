@@ -8,10 +8,7 @@
 // tier doubles as the fault-free regression row: its numbers must match the
 // plain scenario benches, since an empty schedule never constructs the fault
 // model.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "scenario/scenario.hpp"
@@ -323,35 +320,8 @@ bool report_matrix(bool smoke) {
   return every_cell_ran;
 }
 
-void BM_CorridorChaos(benchmark::State& state) {
-  std::uint64_t seed = 700;
-  for (auto _ : state) {
-    scenario::ScenarioSpec spec = scenario::corridor_walk(seed++, true);
-    spec.faults =
-        tier_schedule(Tier::kChaosCut, {"server"}, {"walker", "bridge"});
-    scenario::ScenarioRunner runner{std::move(spec)};
-    if (runner.setup().ok()) runner.run();
-    benchmark::DoNotOptimize(runner.metrics().total_received());
-  }
-}
-BENCHMARK(BM_CorridorChaos)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-
-  if (!report_matrix(smoke)) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return report_matrix(smoke_flag(argc, argv)) ? 0 : 1;
 }

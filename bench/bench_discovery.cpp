@@ -1,11 +1,9 @@
 // E-discovery — the discovery plane's cost at scale: steady-state fetch
 // bytes and round latency, full fetch vs conditional delta fetch, plus the
-// timing loops of discovery convergence, snapshot integration and route
-// preference. The paper's experiments E1-E12 are in paper_experiments.cpp.
+// per-entry cost of integrating one responder's snapshot. The paper's
+// experiments E1-E12 are in paper_experiments.cpp.
 //
 // Pass --smoke for a tiny workload (CI keeps BENCH_JSON emission alive).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstring>
 
@@ -167,25 +165,15 @@ void report_scale_sweep() {
   note("bytes/round and >= 3x lower round latency than full fetch.");
 }
 
-void BM_DiscoveryConvergenceLine5(benchmark::State& state) {
-  for (auto _ : state) {
-    node::Testbed testbed{42};
-    testbed.medium().configure(ideal_bluetooth());
-    for (int i = 0; i < 5; ++i) {
-      testbed.add_node("n" + std::to_string(i), {8.0 * i, 0.0},
-                       scenario_node(MobilityClass::kStatic));
-    }
-    testbed.run_discovery_rounds(9);
-    benchmark::DoNotOptimize(
-        testbed.node("n0").daemon().storage().size());
-  }
-}
-BENCHMARK(BM_DiscoveryConvergenceLine5)->Unit(benchmark::kMillisecond);
+// --- Snapshot integration ----------------------------------------------------
+//
+// NeighbourhoodAnalyzer::integrate of one responder's snapshot into an empty
+// storage, the per-entry upsert every fetch answer pays. Entries mix jumps
+// 0-2, and a third of them name no bridge.
 
 MacAddress mac(std::uint64_t i) { return MacAddress::from_index(i); }
 
-void BM_AnalyzerIntegrate(benchmark::State& state) {
-  const int entries = static_cast<int>(state.range(0));
+double integrate_ns_per_entry(int entries, int reps) {
   std::vector<NeighbourSnapshotEntry> snapshot;
   for (int i = 0; i < entries; ++i) {
     NeighbourSnapshotEntry e;
@@ -196,51 +184,44 @@ void BM_AnalyzerIntegrate(benchmark::State& state) {
     e.min_link_quality = 200 + i % 55;
     snapshot.push_back(e);
   }
-  NeighbourhoodAnalyzer analyzer{mac(1)};
-  for (auto _ : state) {
+  DeviceRecord responder;
+  responder.device.mac = mac(2);
+  responder.jump = 0;
+  responder.quality_sum = 240;
+  responder.min_link_quality = 240;
+  const NeighbourhoodAnalyzer analyzer{mac(1)};
+  const auto begin = std::chrono::steady_clock::now();
+  for (int rep = 0; rep < reps; ++rep) {
     DeviceStorage storage;
-    DeviceRecord responder;
-    responder.device.mac = mac(2);
-    responder.jump = 0;
-    responder.quality_sum = 240;
-    responder.min_link_quality = 240;
-    benchmark::DoNotOptimize(analyzer.integrate(
-        storage, responder, snapshot, Technology::kBluetooth, SimTime{}));
+    keep(analyzer.integrate(storage, responder, snapshot,
+                            Technology::kBluetooth, SimTime{}));
   }
-  state.SetItemsProcessed(state.iterations() * entries);
+  const auto end = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(end - begin).count() /
+         (static_cast<double>(entries) * reps);
 }
-BENCHMARK(BM_AnalyzerIntegrate)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_RoutePreference(benchmark::State& state) {
-  RoutePolicy policy;
-  DeviceRecord a;
-  a.jump = 1;
-  a.route_mobility = 0;
-  a.quality_sum = 470;
-  a.min_link_quality = 235;
-  DeviceRecord b = a;
-  b.quality_sum = 460;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.prefer(a, b));
+void report_integrate() {
+  heading("E-discovery  Snapshot integration into an empty storage");
+  // Every size integrates the same number of entries in total.
+  const int budget = g_smoke ? 20'000 : 4'000'000;
+  std::printf("%-16s %10s %10s %10s\n", "entries", "8", "64", "512");
+  std::printf("%-16s", "ns per entry");
+  JsonRecord record{"analyzer_integrate"};
+  for (const int entries : {8, 64, 512}) {
+    const double ns = integrate_ns_per_entry(entries, budget / entries);
+    std::printf(" %10.1f", ns);
+    record.field("ns_per_entry_" + std::to_string(entries), ns);
   }
+  std::printf("\n");
+  record.emit();
 }
-BENCHMARK(BM_RoutePreference);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      g_smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+  g_smoke = smoke_flag(argc, argv);
   report_scale_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  report_integrate();
   return 0;
 }

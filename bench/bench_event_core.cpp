@@ -22,11 +22,8 @@
 //    the copy-free FramePtr path riding the pooled queue.
 //
 // Pass --smoke for a tiny workload (CI keeps BENCH_JSON emission alive).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -74,7 +71,7 @@ double schedule_fire_ns_per_op(int batch, int batches) {
     while (!q.empty()) now = q.run_next();
   }
   const auto end = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  keep(sink);
   const double ns =
       std::chrono::duration<double, std::nano>(end - begin).count();
   return ns / (static_cast<double>(batch) * batches);
@@ -99,7 +96,7 @@ double cascade_ns_per_op(int standing, int total) {
     now = q.run_next();
   }
   const auto end = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  keep(sink);
   const double ns =
       std::chrono::duration<double, std::nano>(end - begin).count();
   return ns / total;
@@ -135,7 +132,7 @@ double mixed_ns_per_op(int standing, int total) {
     q.schedule(now + realistic_delay(rng), [cap] { *cap.sink += cap.a; });
   }
   const auto end = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  keep(sink);
   const double ns =
       std::chrono::duration<double, std::nano>(end - begin).count();
   return ns / total;
@@ -165,7 +162,7 @@ double schedule_cancel_ns_per_op(int batch, int batches) {
     while (!q.empty()) now = q.run_next();
   }
   const auto end = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  keep(sink);
   const double ns =
       std::chrono::duration<double, std::nano>(end - begin).count();
   return ns / (static_cast<double>(batch) * batches);
@@ -274,45 +271,10 @@ void report_event_core() {
   note("tests/test_event_alloc.cpp rather than measured here.");
 }
 
-void BM_ScheduleFirePooled(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        schedule_fire_ns_per_op<sim::EventQueue>(1024, 20));
-  }
-}
-BENCHMARK(BM_ScheduleFirePooled)->Unit(benchmark::kMillisecond);
-
-void BM_ScheduleFireReference(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        schedule_fire_ns_per_op<sim::ReferenceEventQueue>(1024, 20));
-  }
-}
-BENCHMARK(BM_ScheduleFireReference)->Unit(benchmark::kMillisecond);
-
-void BM_FrameDelivery(benchmark::State& state) {
-  for (auto _ : state) {
-    std::uint64_t delivered = 0;
-    benchmark::DoNotOptimize(frames_per_second(4096, 2, &delivered));
-  }
-}
-BENCHMARK(BM_FrameDelivery)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      g_smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+  g_smoke = smoke_flag(argc, argv);
   report_event_core();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

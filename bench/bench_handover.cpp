@@ -6,10 +6,6 @@
 // mean handover latency, and control overhead (non-payload frames) — all
 // also emitted as BENCH_JSON for the CI perf trajectory. The Fig. 5.8 decay
 // simulation (E7a) is in paper_experiments.cpp.
-#include <benchmark/benchmark.h>
-
-#include <cstring>
-
 #include "bench_util.hpp"
 #include "scenario/scenario.hpp"
 
@@ -189,32 +185,9 @@ void report_matrix(bool smoke) {
   note("by coverage holes, where prediction neither helps nor hurts.");
 }
 
-void BM_CorridorPredictive(benchmark::State& state) {
-  std::uint64_t seed = 900;
-  for (auto _ : state) {
-    scenario::ScenarioRunner runner{scenario::corridor_walk(seed++, true)};
-    if (runner.setup().ok()) runner.run();
-    benchmark::DoNotOptimize(runner.metrics().total_outage_s());
-  }
-}
-BENCHMARK(BM_CorridorPredictive)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-
-  report_matrix(smoke);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  report_matrix(smoke_flag(argc, argv));
   return 0;
 }

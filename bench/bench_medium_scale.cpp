@@ -16,11 +16,8 @@
 // re-sampling, matching how discovery cycles hit the medium in real runs.
 //
 // Pass --smoke for a tiny workload (CI keeps BENCH_JSON emission alive).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -120,7 +117,7 @@ void sampled_rep(Scene& scene, double* grid_ms, double* brute_ms,
   const auto grid_begin = Clock::now();
   std::size_t checksum = sweep<false>(scene);
   const auto grid_end = Clock::now();
-  benchmark::DoNotOptimize(checksum);
+  keep(checksum);
   *grid_ms +=
       std::chrono::duration<double, std::milli>(grid_end - grid_begin).count();
 
@@ -129,7 +126,7 @@ void sampled_rep(Scene& scene, double* grid_ms, double* brute_ms,
   double queries = 0.0;
   const auto brute_begin = Clock::now();
   for (std::size_t i = 0; i < n; i += stride) {
-    benchmark::DoNotOptimize(scene.brute(scene.macs[i]).data());
+    keep(scene.brute(scene.macs[i]).data());
     queries += 1.0;
   }
   const auto brute_end = Clock::now();
@@ -148,7 +145,8 @@ void sampled_rep(Scene& scene, double* grid_ms, double* brute_ms,
   }
 }
 
-void report_sweep_scaling() {
+// Returns false when the grid disagreed with the brute-force oracle.
+bool report_sweep_scaling() {
   heading("E-scale  Discovery sweep: brute-force scan vs spatial grid");
   std::printf("%7s %14s %14s %10s %12s %8s\n", "nodes", "brute (ms)",
               "grid (ms)", "speedup", "parity ok", "oracle");
@@ -156,6 +154,7 @@ void report_sweep_scaling() {
       g_smoke ? std::vector<int>{100, 500, 1000, 2000}
               : std::vector<int>{100, 500, 1000, 2000, 5000, 10'000, 20'000,
                                  50'000};
+  bool every_parity_ok = true;
   for (const int n : sizes) {
     const bool sampled = n > kOracleFullSweepMax;
     // Fewer reps at the largest sizes keeps the brute baseline affordable.
@@ -193,46 +192,18 @@ void report_sweep_scaling() {
         .field("checksum_ok", parity_ok)
         .field("oracle", sampled ? "sampled" : "full")
         .emit();
+    every_parity_ok = every_parity_ok && parity_ok;
   }
   note("acceptance: >= 5x at 2000 nodes; full oracle compares total");
   note("neighbour counts over identical scenarios; above 5000 nodes the");
   note("oracle samples 200 nodes (exact per-node set equality) and the");
   note("brute sweep time is extrapolated from the per-query mean.");
+  return every_parity_ok;
 }
-
-void BM_MediumSweepGrid2000(benchmark::State& state) {
-  Scene scene{2000, 7};
-  for (auto _ : state) {
-    scene.sim.run_until(scene.sim.now() + seconds(1.0));
-    benchmark::DoNotOptimize(sweep<false>(scene));
-  }
-}
-BENCHMARK(BM_MediumSweepGrid2000)->Unit(benchmark::kMillisecond);
-
-void BM_MediumSweepBrute2000(benchmark::State& state) {
-  Scene scene{2000, 7};
-  for (auto _ : state) {
-    scene.sim.run_until(scene.sim.now() + seconds(1.0));
-    benchmark::DoNotOptimize(sweep<true>(scene));
-  }
-}
-BENCHMARK(BM_MediumSweepBrute2000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      g_smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  report_sweep_scaling();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  g_smoke = smoke_flag(argc, argv);
+  return report_sweep_scaling() ? 0 : 1;
 }

@@ -17,11 +17,8 @@
 //  * datagram rate: sealed-frame UDP round, the discovery plane's transport.
 //
 // Pass --smoke for a tiny workload (CI keeps BENCH_JSON emission alive).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -170,36 +167,10 @@ void report_realnet() {
       .emit();
 }
 
-void BM_LoopbackStream1KiB(benchmark::State& state) {
-  LoopbackPair pair;
-  ConnectionPtr client;
-  ConnectionPtr server;
-  (void)measure_connect_ms(pair, client, server);
-  const int frames = g_smoke ? 64 : 2'000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        stream_frames_per_sec(pair, client, server, frames, 1024));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          frames * 1024);
-}
-BENCHMARK(BM_LoopbackStream1KiB)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      g_smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+  g_smoke = smoke_flag(argc, argv);
   report_realnet();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

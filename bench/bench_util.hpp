@@ -1,12 +1,15 @@
-// Shared helpers for the benches: scenario builders, summary statistics and
-// table printing. The paper's measured Bluetooth (per-hop connect 1.5-9 s,
-// per-hop fault probability 0.16, §4.3) is sim::bluetooth_params() itself.
+// Shared helpers for the benches: argument parsing, scenario builders,
+// summary statistics and table printing. The paper's measured Bluetooth
+// (per-hop connect 1.5-9 s, per-hop fault probability 0.16, §4.3) is
+// sim::bluetooth_params() itself.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <type_traits>
@@ -15,6 +18,23 @@
 #include "node/testbed.hpp"
 
 namespace peerhood::bench {
+
+// A bench's command line: no argument runs the full workload, `--smoke` a
+// tiny one. Anything else prints usage and exits 2, so a stale flag fails
+// loudly instead of being ignored.
+inline bool smoke_flag(int argc, char** argv) {
+  if (argc == 1) return false;
+  if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) return true;
+  std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
+  std::exit(2);
+}
+
+// Keeps a timed loop's result alive: the optimiser must assume the value is
+// read, so it cannot drop the work that produced it.
+template <typename T>
+inline void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
 
 struct Summary {
   double mean{0.0};

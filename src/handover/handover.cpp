@@ -15,6 +15,8 @@ namespace {
 constexpr int kQualityThreshold = sim::LinkQualityModel::kDefaultThreshold;
 constexpr int kLowCountLimit = 3;
 constexpr SimDuration kMonitorPeriod = std::chrono::seconds{1};
+// Routing-handover attempts (distinct bridges) before falling back.
+constexpr int kMaxRouteAttempts = 2;
 // Deadline of one bridged or direct session resume.
 constexpr SimDuration kResumeTimeout = std::chrono::seconds{30};
 // Plan scoring: quality units subtracted per §3.4.3 mobility-cost unit of
@@ -267,7 +269,6 @@ void HandoverController::predict_check() {
   // first hop: resuming "via" the hop we are already on replaces the
   // connection with an identical path. Terminal loss with no alternative
   // (and §5.2.2 reconnection) stays with the reactive path.
-  if (!config_.routing_enabled) return;
   refresh_plan();
   std::erase_if(plan_, [hop = remote.mac](const RouteCandidate& c) {
     return c.bridge == hop;
@@ -344,7 +345,7 @@ void HandoverController::execute() {
   }
   state_ = HandoverState::kExecute;
   busy_ = true;
-  if (config_.routing_enabled && !plan_.empty()) {
+  if (!plan_.empty()) {
     attempt_route(0);
   } else if (config_.direct_resume_enabled && !channel_->open()) {
     // No routing plan at all, link dead: go straight at the peer — it may
@@ -369,7 +370,7 @@ void HandoverController::execute() {
 
 void HandoverController::attempt_route(std::size_t candidate_index) {
   const std::size_t limit = std::min<std::size_t>(
-      plan_.size(), static_cast<std::size_t>(config_.max_route_attempts));
+      plan_.size(), static_cast<std::size_t>(kMaxRouteAttempts));
   if (candidate_index >= limit) {
     ++stats_.route_failures;
     predicted_ = false;

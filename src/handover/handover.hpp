@@ -49,13 +49,8 @@ struct HandoverConfig {
   // --- Reactive (paper) repair ---------------------------------------------
   // The HandoverThread's Fig. 3.9 quality threshold, 1 s monitor period and
   // low-count limit are the paper's fixed parameters (constants in
-  // handover.cpp); only the repair strategy is chosen here.
-
-  // Routing-handover attempts (distinct bridges) before falling back.
-  int max_route_attempts{2};
-  // Disables routing handover entirely (hard-handover baseline: reconnect
-  // to another provider only — the Fig. 5.3 behaviour).
-  bool routing_enabled{true};
+  // handover.cpp); only the repair strategy is chosen here. Routing
+  // handover always runs first, over at most kMaxRouteAttempts bridges.
   bool reconnection_enabled{true};
   // Full routing-plan passes attempted against a dead link before the
   // controller goes terminal. Crash scenarios raise this so the controller

@@ -191,6 +191,11 @@ struct ScenarioRunner::Session {
   // the next the server expects. Session-lifetime (survive restarts).
   std::uint32_t next_msg{1};
   std::uint32_t server_expected{1};
+  // The first counter stamped in the scenario body, and which body counters
+  // have been delivered (bit `counter - body_first`): `received` counts each
+  // body message once, however often the medium duplicates it.
+  std::uint32_t body_first{1};
+  std::vector<bool> body_delivered;
   // Stats accumulated from controllers retired by reconnection / restart.
   handover::HandoverController::Stats prior_stats;
 };
@@ -318,6 +323,8 @@ Status ScenarioRunner::setup() {
   for (const auto& session : sessions_) {
     session->metrics.sent = 0;
     session->metrics.received = 0;
+    session->body_first = session->next_msg;
+    session->body_delivered.clear();
     session->metrics.dup_or_reorder = 0;
     session->metrics.gaps = 0;
     session->metrics.outage_s = 0.0;
@@ -486,9 +493,18 @@ void ScenarioRunner::count_delivery(const Bytes& payload) {
   const auto index = payload_session(payload);
   if (!index.has_value() || *index >= sessions_.size()) return;
   Session& session = *sessions_[*index];
-  ++session.metrics.received;
   const auto counter = payload_counter(payload);
   if (!counter.has_value()) return;
+  if (*counter >= session.body_first && *counter < session.next_msg) {
+    const std::size_t bit = *counter - session.body_first;
+    if (bit >= session.body_delivered.size()) {
+      session.body_delivered.resize(bit + 1);
+    }
+    if (!session.body_delivered[bit]) {
+      session.body_delivered[bit] = true;
+      ++session.metrics.received;
+    }
+  }
   if (*counter < session.server_expected) {
     // Behind the high-water mark: a duplicate or reordered delivery. The
     // reliability engine must make this impossible; plain sessions surface

@@ -183,6 +183,9 @@ struct ScenarioSpec {
 
 struct SessionMetrics {
   bool connected{false};
+  // Messages written in the scenario body, and how many of them arrived:
+  // each counts once, however often the medium duplicated it, and a message
+  // stamped during setup counts never, so received <= sent.
   std::uint64_t sent{0};
   std::uint64_t received{0};
   std::uint64_t handovers{0};

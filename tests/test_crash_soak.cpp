@@ -219,6 +219,32 @@ TEST(CrashSoak, ChurnCrashesSurviveAcrossSeeds) {
   }
 }
 
+// --- Delivery accounting across setup --------------------------------------
+// The office floor's crash tier (bench_chaos `crash`): messages stamped
+// while setup was still connecting the other sessions arrive after the body
+// counters were reset. They must not count as body deliveries, or a session
+// reads more messages received than sent (seed 19 read 122 of 120).
+TEST(CrashSoak, OfficeCrashNeverCountsMoreDeliveriesThanSends) {
+  ScenarioSpec spec = office(19, /*predictive=*/true, 10);
+  spec.connect_deadline_s = 600.0;
+  for (SessionSpec& session : spec.sessions) make_crash_tolerant(session);
+  CrashScheduleSpec::Crash crash;
+  crash.targets = {"srv"};
+  crash.at_s = 30.0;
+  crash.downtime_s = 10.0;
+  spec.crashes.crashes.push_back(crash);
+
+  ScenarioRunner runner{std::move(spec)};
+  const Status status = runner.setup();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  runner.run();
+  ASSERT_FALSE(runner.metrics().sessions.empty());
+  for (const SessionMetrics& session : runner.metrics().sessions) {
+    EXPECT_GT(session.sent, 0u);
+    EXPECT_LE(session.received, session.sent);
+  }
+}
+
 // --- Determinism ------------------------------------------------------------
 // The same (seed, crash schedule) pair replays bit-identically: every
 // application, medium, fault and recovery counter matches across two runs.

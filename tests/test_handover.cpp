@@ -189,9 +189,7 @@ TEST_F(HandoverTest, ReconnectsToAlternativeProviderWhenNoBridge) {
   // Kill the link outright (server walks off / hard loss).
   channel->connection()->set_quality_override([](SimTime) { return 0; });
 
-  HandoverConfig config;
-  config.max_route_attempts = 1;
-  HandoverController controller{a_->library(), channel, config};
+  HandoverController controller{a_->library(), channel};
   ChannelPtr replacement;
   int permission_asked = 0;
   controller.set_permission_callback(
@@ -221,9 +219,7 @@ TEST_F(HandoverTest, UserMayDeclineReconnection) {
   const ChannelPtr channel = connect();
   ASSERT_NE(channel, nullptr);
   channel->connection()->set_quality_override([](SimTime) { return 0; });
-  HandoverConfig config;
-  config.max_route_attempts = 1;
-  HandoverController controller{a_->library(), channel, config};
+  HandoverController controller{a_->library(), channel};
   bool gave_up = false;
   controller.set_permission_callback(
       [](std::function<void(bool)> grant) { grant(false); });
@@ -265,34 +261,6 @@ TEST_F(HandoverTest, CrashTolerantSessionKeepsMonitoringOpenLinkWithoutPlan) {
   EXPECT_EQ(controller.state(), handover::HandoverState::kMonitor);
   EXPECT_EQ(controller.stats().direct_resumes, 0u);
   EXPECT_TRUE(channel->open());
-}
-
-TEST_F(HandoverTest, HardHandoverBaselineSkipsRouting) {
-  build(9);
-  auto& s2 = testbed_->add_node("s2", {-6.0, 0.0},
-                                fast_node(MobilityClass::kStatic));
-  (void)s2.library().register_service(
-      ServiceInfo{"print", "", 0},
-      [](ChannelPtr channel, const wire::ConnectRequest&) {
-        channel->set_data_handler([](const Bytes&) {});
-      });
-  testbed_->run_discovery_rounds(4);
-  const ChannelPtr channel = connect();
-  ASSERT_NE(channel, nullptr);
-  channel->connection()->set_quality_override([](SimTime) { return 0; });
-  HandoverConfig config;
-  config.routing_enabled = false;  // Fig. 5.3 behaviour
-  HandoverController controller{a_->library(), channel, config};
-  ChannelPtr replacement;
-  controller.set_event_handler([&](const HandoverEvent& event) {
-    if (event.kind == HandoverEvent::Kind::kReconnected) {
-      replacement = event.new_channel;
-    }
-  });
-  controller.start();
-  testbed_->run_for(90.0);
-  EXPECT_EQ(controller.stats().route_attempts, 0u);
-  ASSERT_NE(replacement, nullptr);
 }
 
 TEST_F(HandoverTest, WalkingAwayScenario) {
