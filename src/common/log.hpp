@@ -16,7 +16,6 @@ class Logger {
  public:
   static Logger& instance();
 
-  void set_level(LogLevel level) { level_ = level; }
   [[nodiscard]] LogLevel level() const { return level_; }
 
   [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }

@@ -8,9 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace peerhood {
 
@@ -25,9 +23,6 @@ class MacAddress {
   // Deterministically derives a MAC from a small integer; used by the
   // simulator to mint unique interface identities.
   [[nodiscard]] static MacAddress from_index(std::uint64_t index);
-
-  // Parses "aa:bb:cc:dd:ee:ff"; returns nullopt on malformed input.
-  [[nodiscard]] static std::optional<MacAddress> parse(std::string_view text);
 
   [[nodiscard]] constexpr std::array<std::uint8_t, 6> octets() const {
     std::array<std::uint8_t, 6> octets{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 namespace peerhood {
 namespace {
@@ -60,15 +59,6 @@ bool Rng::bernoulli(double p) {
 double Rng::exponential(double mean) {
   // Inverse-CDF sampling; next_double() < 1 so the log argument is > 0.
   return -mean * std::log(1.0 - next_double());
-}
-
-double Rng::gaussian(double mean, double sigma) {
-  // Box–Muller, one branch of the pair (no cached second value, keeping the
-  // per-call uniform consumption fixed at two draws).
-  const double u1 = std::max(1e-300, 1.0 - next_double());
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + sigma * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 Rng Rng::fork() { return Rng{next_u64()}; }

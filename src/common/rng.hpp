@@ -28,10 +28,6 @@ class Rng {
   // Exponentially distributed value with the given mean.
   [[nodiscard]] double exponential(double mean);
 
-  // Normally distributed value (Box–Muller; draws exactly two uniforms per
-  // call so consumers advance the stream deterministically).
-  [[nodiscard]] double gaussian(double mean, double sigma);
-
   // Derives an independent child stream; used to give each simulated device
   // its own stream so that adding devices does not perturb others.
   [[nodiscard]] Rng fork();

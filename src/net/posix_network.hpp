@@ -23,7 +23,7 @@
 // does against SimNetwork, and the epoll_wait timeout is bounded by the
 // event queue's next deadline, so sockets and timers share one core.
 //
-// Robustness contract (PR 7's crash plane made real): a kill -9'd process
+// Robustness contract (the simulated node crash made real): a kill -9'd process
 // loses exactly what Daemon::crash() loses. Peers observe the death as
 // FIN/RST (connections force_close), the restarted daemon re-binds the same
 // ports with a fresh epoch, and sessions resume through the kResumeRestart

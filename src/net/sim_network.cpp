@@ -328,8 +328,9 @@ void SimNetwork::on_peer_close(std::uint64_t conn_id, MacAddress receiver) {
 void SimNetwork::notify_local_close(Pair& pair, bool is_a) {
   (is_a ? pair.open_a : pair.open_b) = false;
   if (pair.torn_down) return;
-  // Tell the peer; a lost frame here is fine — its keepalive/expired-end
-  // checks converge to closed anyway.
+  // Tell the peer. If the fault plane loses this frame while the link stays
+  // in range, the peer end stays open: nothing else closes it (the
+  // half-open pair of ROADMAP.md's open items).
   const NetAddress& self = is_a ? pair.addr_a : pair.addr_b;
   const NetAddress& peer = is_a ? pair.addr_b : pair.addr_a;
   send_conn_frame(pair.id, self.mac, peer.mac, pair.tech, kFrameClose,
@@ -358,10 +359,6 @@ void SimNetwork::check_keepalive(std::uint64_t conn_id) {
   // (§5.2.1 decay experiments).
   if (end_a != nullptr && end_a->overridden_dead()) dead = true;
   if (end_b != nullptr && end_b->overridden_dead()) dead = true;
-  // An end whose last handle was dropped behaves as closed.
-  if ((pair.open_a && end_a == nullptr) || (pair.open_b && end_b == nullptr)) {
-    dead = true;
-  }
   if (dead) teardown(pair, /*notify_peers=*/true);
 }
 

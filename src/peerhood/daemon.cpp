@@ -194,10 +194,7 @@ void Daemon::answer_fetch(Technology tech, MacAddress from,
     const auto [memo, inserted] = last_request_.emplace(key,
                                                         request.request_id);
     if (!inserted) {
-      if (memo->second == request.request_id) {
-        ++duplicate_requests_;
-        return;
-      }
+      if (memo->second == request.request_id) return;
       memo->second = request.request_id;
     }
   }

@@ -89,12 +89,6 @@ class Daemon {
   [[nodiscard]] wire::SectionGens section_gens() const;
   [[nodiscard]] const SnapshotCache& snapshot_cache() const { return cache_; }
 
-  // Fetch requests duplicated on the medium and dropped by the responder's
-  // suppression memo (answering twice is idempotent but doubles cost).
-  [[nodiscard]] std::uint64_t duplicate_requests() const {
-    return duplicate_requests_;
-  }
-
   // --- Crash tolerance ---------------------------------------------------------
   // The crash-survivable per-session resume journal (see session_store.hpp).
   [[nodiscard]] SessionStore& session_store() { return session_store_; }
@@ -146,7 +140,6 @@ class Daemon {
   std::vector<PendingSend> send_queue_;
   std::uint64_t next_send_id_{1};
   std::uint64_t send_queue_drops_{0};
-  std::uint64_t duplicate_requests_{0};
   std::uint64_t epoch_{0};
   std::uint32_t services_gen_{1};
   double load_fraction_{0.0};

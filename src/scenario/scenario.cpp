@@ -1,9 +1,6 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
-#include <sstream>
 
 namespace peerhood::scenario {
 namespace {
@@ -19,6 +16,9 @@ constexpr std::size_t kPayloadHeader = 8;
 constexpr SimDuration kMessageInterval = std::chrono::seconds{1};
 constexpr std::size_t kMessageBytes = 32;
 static_assert(kMessageBytes >= kPayloadHeader);
+// A crashed node stays down at least this long, so its restart never shares
+// an event batch with the crash.
+constexpr SimDuration kMinDowntime = std::chrono::milliseconds{100};
 
 void put_u32(Bytes& payload, std::size_t at, std::uint32_t value) {
   payload[at] = static_cast<std::uint8_t>(value & 0xff);
@@ -58,59 +58,6 @@ std::vector<sim::WaypointPath::Waypoint> shifted(
 
 }  // namespace
 
-// --- Trace loading -----------------------------------------------------------
-
-Result<std::vector<sim::WaypointPath::Waypoint>> parse_waypoint_trace(
-    std::string_view text) {
-  std::vector<sim::WaypointPath::Waypoint> out;
-  std::istringstream stream{std::string{text}};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(stream, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields{line};
-    double t = 0.0;
-    double x = 0.0;
-    double y = 0.0;
-    if (!(fields >> t)) continue;  // blank / comment-only line
-    std::string rest;
-    if (!(fields >> x >> y) || (fields >> rest)) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "trace line " + std::to_string(line_no) +
-                       ": expected '<seconds> <x> <y>'"};
-    }
-    if (t < 0.0) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "trace line " + std::to_string(line_no) +
-                       ": negative timestamp"};
-    }
-    const SimTime at = SimTime{} + seconds(t);
-    if (!out.empty() && at < out.back().at) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "trace line " + std::to_string(line_no) +
-                       ": timestamps must be non-decreasing"};
-    }
-    out.push_back({at, {x, y}});
-  }
-  if (out.empty()) {
-    return Error{ErrorCode::kInvalidArgument, "trace holds no waypoints"};
-  }
-  return out;
-}
-
-Result<std::vector<sim::WaypointPath::Waypoint>> load_waypoint_trace(
-    const std::string& path) {
-  std::ifstream file{path};
-  if (!file) {
-    return Error{ErrorCode::kInvalidArgument, "cannot open trace " + path};
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_waypoint_trace(text.str());
-}
-
 // --- MobilitySpec ------------------------------------------------------------
 
 std::shared_ptr<const sim::MobilityModel> MobilitySpec::build(
@@ -124,9 +71,6 @@ std::shared_ptr<const sim::MobilityModel> MobilitySpec::build(
     case Kind::kRandomWaypoint:
       return std::make_shared<sim::RandomWaypoint>(random_waypoint,
                                                    start + offset, rng);
-    case Kind::kGaussMarkov:
-      return std::make_shared<sim::GaussMarkov>(gauss_markov, start + offset,
-                                                rng);
     case Kind::kGroup:
       if (reference == nullptr) return nullptr;
       return std::make_shared<sim::GroupMember>(std::move(reference), offset,
@@ -516,25 +460,18 @@ void ScenarioRunner::count_delivery(const Bytes& payload) {
   session.server_expected = *counter + 1;
 }
 
-std::vector<MacAddress> ScenarioRunner::resolve_prefixes(
+std::vector<node::Node*> ScenarioRunner::resolve_prefixes(
     const std::vector<std::string>& prefixes) const {
-  std::vector<MacAddress> macs;
+  std::vector<node::Node*> nodes;
   for (node::Node* node : testbed_->nodes()) {
     for (const std::string& prefix : prefixes) {
       if (node->name().rfind(prefix, 0) == 0) {
-        macs.push_back(node->mac());
+        nodes.push_back(node);
         break;
       }
     }
   }
-  return macs;
-}
-
-node::Node* ScenarioRunner::find_node(MacAddress mac) const {
-  for (node::Node* node : testbed_->nodes()) {
-    if (node->mac() == mac) return node;
-  }
-  return nullptr;
+  return nodes;
 }
 
 void ScenarioRunner::schedule_churn() {
@@ -568,40 +505,38 @@ void ScenarioRunner::install_faults() {
     sim::LinkFaultModel::Blackout window;
     window.start = base + seconds(cut.start_s);
     window.duration = seconds(cut.duration_s);
-    window.side_a = resolve_prefixes(cut.side_a);
-    window.side_b = resolve_prefixes(cut.side_b);
+    for (node::Node* node : resolve_prefixes(cut.side_a)) {
+      window.side_a.push_back(node->mac());
+    }
+    for (node::Node* node : resolve_prefixes(cut.side_b)) {
+      window.side_b.push_back(node->mac());
+    }
     faults.schedule_blackout(window);
   }
 }
 
 void ScenarioRunner::install_crashes() {
-  if (spec_.crashes.empty()) return;
-  // Own forked stream, derived from the scenario seed only — like the link
-  // fault plane, so a (seed, crash schedule) pair replays bit-identically
-  // and an empty schedule never even constructs the plane.
-  crash_plane_ = std::make_unique<sim::NodeCrashPlane>(
-      testbed_->sim(), Rng{spec_.seed ^ 0xc7a5ffedfa117e11ULL});
-  crash_plane_->set_hooks(
-      [this](MacAddress mac) {
-        if (node::Node* node = find_node(mac)) node->crash();
-      },
-      [this](MacAddress mac) {
-        if (node::Node* node = find_node(mac)) node->restart();
-      });
   const SimTime base = testbed_->sim().now();
   for (const CrashScheduleSpec::Crash& crash : spec_.crashes.crashes) {
-    for (const MacAddress mac : resolve_prefixes(crash.targets)) {
-      crash_plane_->schedule_crash(mac, base + seconds(crash.at_s),
-                                   seconds(crash.downtime_s));
+    for (node::Node* node : resolve_prefixes(crash.targets)) {
+      testbed_->sim().schedule_at(
+          base + seconds(crash.at_s),
+          [this, node, downtime = seconds(crash.downtime_s)] {
+            crash_node(*node, downtime);
+          });
     }
   }
-  for (const CrashScheduleSpec::Churn& churn : spec_.crashes.churns) {
-    const double stop_s = churn.stop_s > 0.0 ? churn.stop_s : spec_.duration_s;
-    crash_plane_->start_churn(resolve_prefixes(churn.targets),
-                              seconds(churn.mtbf_s), seconds(churn.mttr_s),
-                              base + seconds(churn.start_s),
-                              base + seconds(stop_s));
-  }
+}
+
+void ScenarioRunner::crash_node(node::Node& node, SimDuration downtime) {
+  if (node.crashed()) return;  // overlapping crashes of one node
+  ++crash_stats_.node_crashes;
+  node.crash();
+  testbed_->sim().schedule_after(std::max(downtime, kMinDowntime),
+                                 [this, &node] {
+                                   ++crash_stats_.node_restarts;
+                                   node.restart();
+                                 });
 }
 
 void ScenarioRunner::run() {
@@ -640,10 +575,8 @@ void ScenarioRunner::run() {
   if (testbed_->medium().has_fault_plane()) {
     metrics_.fault_stats = testbed_->medium().fault_plane().stats();
   }
-  if (crash_plane_ != nullptr) {
-    metrics_.fault_stats.node_crashes += crash_plane_->stats().node_crashes;
-    metrics_.fault_stats.node_restarts += crash_plane_->stats().node_restarts;
-  }
+  metrics_.fault_stats.node_crashes += crash_stats_.node_crashes;
+  metrics_.fault_stats.node_restarts += crash_stats_.node_restarts;
   metrics_.restart_resumes = 0;
   for (node::Node* node : testbed_->nodes()) {
     metrics_.restart_resumes += node->daemon().engine().stats().restart_resumes;

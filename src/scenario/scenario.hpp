@@ -33,7 +33,6 @@ struct MobilitySpec {
     kStatic,
     kWaypoints,
     kRandomWaypoint,
-    kGaussMarkov,
     kGroup,
   };
 
@@ -41,10 +40,9 @@ struct MobilitySpec {
   // Start position (kStatic) or initial position inside the area models.
   // Group members ignore it (placement = reference + offset).
   sim::Vec2 start{};
-  // kWaypoints: scripted, or a recorded trace (parse_waypoint_trace).
+  // kWaypoints: the scripted walk.
   std::vector<sim::WaypointPath::Waypoint> waypoints;
   sim::RandomWaypoint::Config random_waypoint{};
-  sim::GaussMarkov::Config gauss_markov{};
   sim::GroupMember::Config group{};
 
   // Instantiates the model. `offset` shifts the start (for kGroup it is the
@@ -55,17 +53,6 @@ struct MobilitySpec {
       Rng rng, sim::Vec2 offset = {},
       std::shared_ptr<const sim::MobilityModel> reference = nullptr) const;
 };
-
-// Parses a waypoint trace: one "<seconds> <x> <y>" triple per line,
-// '#'-comments and blank lines ignored, timestamps non-decreasing.
-// The scenario layer's trace-driven loader — recorded walks (or ns-2-style
-// exports converted to this form) go into MobilitySpec::waypoints and replay
-// as WaypointPath models; a bad trace is an error here, before any build.
-[[nodiscard]] Result<std::vector<sim::WaypointPath::Waypoint>>
-parse_waypoint_trace(std::string_view text);
-// Same, from a file on disk.
-[[nodiscard]] Result<std::vector<sim::WaypointPath::Waypoint>>
-load_waypoint_trace(const std::string& path);
 
 struct NodeGroup {
   std::string prefix;  // members are named prefix0, prefix1, ...
@@ -127,32 +114,21 @@ struct FaultScheduleSpec {
   }
 };
 
-// Declarative node-crash plane (sim/fault.hpp NodeCrashPlane): scheduled
-// one-shot crashes plus seeded MTBF/MTTR churn over name-prefix node sets.
-// Like the link-fault plane it installs at the top of run() — the body, not
-// the warm-up, runs under crash injection — and like it the plane is only
-// constructed when the schedule is non-empty, so crash-free runs stay
-// byte-identical to builds that predate it. Times are relative to the start
-// of the scenario body.
+// Scheduled node crashes: each Crash hard-kills every node its name prefixes
+// match (Node::crash) and restarts it `downtime_s` later (at least 100 ms).
+// A crash that lands on a node that is still down is skipped. The runner
+// schedules them at the top of run(), so the body, not the warm-up, runs
+// under crash injection. Times are relative to the start of the scenario
+// body.
 struct CrashScheduleSpec {
   struct Crash {
     std::vector<std::string> targets;  // name prefixes, like Partition sides
     double at_s{0.0};
     double downtime_s{10.0};
   };
-  struct Churn {
-    std::vector<std::string> targets;
-    double mtbf_s{30.0};  // mean time between crashes, Exp-distributed
-    double mttr_s{5.0};   // mean downtime, Exp-distributed
-    double start_s{0.0};
-    double stop_s{0.0};  // 0 = end of the scenario body
-  };
   std::vector<Crash> crashes;
-  std::vector<Churn> churns;
 
-  [[nodiscard]] bool empty() const {
-    return crashes.empty() && churns.empty();
-  }
+  [[nodiscard]] bool empty() const { return crashes.empty(); }
 };
 
 struct ScenarioSpec {
@@ -173,7 +149,7 @@ struct ScenarioSpec {
   // model is never even constructed, so fault-free runs draw identical RNG
   // streams to builds that predate the fault plane).
   FaultScheduleSpec faults{};
-  // Node-crash plane for the scenario body; same lazy-construction contract.
+  // Node crashes in the scenario body; empty = no node crashes.
   CrashScheduleSpec crashes{};
   // Fixed at 1: the simulation runs on one single-threaded kernel. Kept
   // only because the perfbench workload runner assigns it; setup()
@@ -219,15 +195,16 @@ struct ScenarioMetrics {
   std::uint64_t quality_observer_evals{0};
   std::uint64_t quality_events{0};
   // Per-kind fault-plane counters over the body (all zero when
-  // ScenarioSpec::faults is empty). node_crashes/node_restarts are merged in
-  // from the crash plane. Part of the determinism contract: the same (seed,
-  // fault schedule, crash schedule) must reproduce these exactly.
+  // ScenarioSpec::faults is empty). node_crashes/node_restarts count the
+  // crashes and restarts of ScenarioSpec::crashes. Part of the determinism
+  // contract: the same (seed, fault schedule, crash schedule) must
+  // reproduce these exactly.
   sim::FaultStats fault_stats{};
   // Backend-agnostic transport counters (net::Network::net_stats()) over the
   // whole run, comparable with what a real-socket daemon logs on shutdown.
   net::NetStats net_stats{};
   // kResumeRestart handshakes honoured from a SessionStore journal, summed
-  // over every node's engine — the crash plane's recovery counter.
+  // over every node's engine — the crash recovery counter.
   std::uint64_t restart_resumes{0};
   // ReliableChannel::reorder_drops() and malformed_frames() summed over every
   // reliability engine of the run, client and server side, retired channels
@@ -290,15 +267,18 @@ class ScenarioRunner {
   // Installs spec_.faults on the medium (called at the top of run(), so the
   // body — not the warm-up — runs under fault injection).
   void install_faults();
-  // Installs spec_.crashes (same body-only contract as install_faults).
+  // Schedules spec_.crashes (same body-only contract as install_faults).
   void install_crashes();
+  // Crashes `node` now and restarts it `downtime` later; a no-op while the
+  // node is still down.
+  void crash_node(node::Node& node, SimDuration downtime);
   // Adds a channel's reliability counters to the run's totals.
   void count_reliable(const Channel& channel);
   // Server-side delivery accounting shared by plain and reliable sessions.
   void count_delivery(const Bytes& payload);
-  [[nodiscard]] std::vector<MacAddress> resolve_prefixes(
+  // The nodes whose names start with one of `prefixes`, in testbed order.
+  [[nodiscard]] std::vector<node::Node*> resolve_prefixes(
       const std::vector<std::string>& prefixes) const;
-  [[nodiscard]] node::Node* find_node(MacAddress mac) const;
 
   ScenarioSpec spec_;
   std::unique_ptr<node::Testbed> testbed_;
@@ -311,7 +291,7 @@ class ScenarioRunner {
   std::vector<node::Node*> churn_nodes_;
   std::size_t next_churn_{0};
   sim::PeriodicTask churn_task_;
-  std::unique_ptr<sim::NodeCrashPlane> crash_plane_;
+  sim::FaultStats crash_stats_;  // node_crashes and node_restarts only
   ScenarioMetrics metrics_;
   sim::TrafficStats medium_baseline_{};
   std::uint64_t observer_evals_baseline_{0};

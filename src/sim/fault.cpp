@@ -1,7 +1,6 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace peerhood::sim {
 namespace {
@@ -114,75 +113,6 @@ void LinkFaultModel::corrupt(Bytes& frame) {
     const auto bit = static_cast<std::uint8_t>(rng_.uniform_int(0, 7));
     frame[pos] ^= static_cast<std::uint8_t>(1u << bit);
   }
-}
-
-// ---------------------------------------------------------------------------
-// NodeCrashPlane
-
-namespace {
-
-// Exponential draw via inverse transform; 1-u keeps the argument of log in
-// (0, 1] for u in [0, 1).
-[[nodiscard]] SimDuration exponential(Rng& rng, SimDuration mean) {
-  const double mean_s = std::chrono::duration<double>(mean).count();
-  const double u = rng.uniform(0.0, 1.0);
-  return seconds(-mean_s * std::log(std::max(1.0 - u, 1e-12)));
-}
-
-constexpr SimDuration kMinDowntime = std::chrono::milliseconds{100};
-
-}  // namespace
-
-void NodeCrashPlane::set_hooks(NodeHook kill, NodeHook restart) {
-  kill_ = std::move(kill);
-  restart_ = std::move(restart);
-}
-
-void NodeCrashPlane::schedule_crash(MacAddress mac, SimTime at,
-                                    SimDuration downtime) {
-  sim_.schedule_at(at, [this, mac, downtime] { crash_now(mac, downtime); });
-}
-
-void NodeCrashPlane::crash_now(MacAddress mac, SimDuration downtime) {
-  if (contains(down_, mac)) return;  // already down (overlapping schedules)
-  down_.push_back(mac);
-  ++stats_.node_crashes;
-  if (kill_) kill_(mac);
-  sim_.schedule_after(std::max(downtime, kMinDowntime), [this, mac] {
-    down_.erase(std::remove(down_.begin(), down_.end(), mac), down_.end());
-    ++stats_.node_restarts;
-    if (restart_) restart_(mac);
-  });
-}
-
-void NodeCrashPlane::start_churn(std::vector<MacAddress> targets,
-                                 SimDuration mtbf_mean, SimDuration mttr_mean,
-                                 SimTime start, SimTime stop) {
-  if (targets.empty()) return;
-  ChurnState churn;
-  churn.targets = std::move(targets);
-  churn.mtbf_mean = mtbf_mean;
-  churn.mttr_mean = mttr_mean;
-  churn.stop = stop;
-  churns_.push_back(std::move(churn));
-  const std::size_t index = churns_.size() - 1;
-  const SimTime first =
-      std::max(start, sim_.now()) + exponential(rng_, mtbf_mean);
-  sim_.schedule_at(first, [this, index] { churn_tick(index); });
-}
-
-void NodeCrashPlane::churn_tick(std::size_t churn_index) {
-  const ChurnState& churn = churns_[churn_index];
-  if (sim_.now() >= churn.stop) return;
-  // Draw the victim and downtime *before* the down-check so a skipped draw
-  // still advances the RNG stream identically across replays.
-  const auto pick = static_cast<std::size_t>(rng_.uniform_int(
-      0, static_cast<std::int64_t>(churn.targets.size()) - 1));
-  const MacAddress victim = churn.targets[pick];
-  const SimDuration downtime = exponential(rng_, churn.mttr_mean);
-  if (!contains(down_, victim)) crash_now(victim, downtime);
-  const SimTime next = sim_.now() + exponential(rng_, churn.mtbf_mean);
-  sim_.schedule_at(next, [this, index = churn_index] { churn_tick(index); });
 }
 
 }  // namespace peerhood::sim

@@ -27,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "sim/radio.hpp"
-#include "sim/simulator.hpp"
 
 namespace peerhood::sim {
 
@@ -80,7 +78,8 @@ struct FaultStats {
   std::uint64_t duplicated{0};
   std::uint64_t reordered{0};
   std::uint64_t burst_entries{0};  // good -> bad transitions
-  // Node crash plane (NodeCrashPlane fills these; the link model never does).
+  // Node crashes (scenario::CrashScheduleSpec; the ScenarioRunner fills
+  // these, the link model never does).
   std::uint64_t node_crashes{0};
   std::uint64_t node_restarts{0};
 };
@@ -143,62 +142,6 @@ class LinkFaultModel {
   // Gilbert-Elliott state per undirected link, created on first frame.
   std::map<LinkKey, bool> burst_state_;
   std::vector<Blackout> blackouts_;
-  FaultStats stats_;
-};
-
-// ---------------------------------------------------------------------------
-// Node crash plane. Where the LinkFaultModel breaks *links*, this breaks
-// *processes*: at scheduled instants (or at seeded exponential MTBF/MTTR
-// intervals) it hard-kills a node's whole daemon stack and later restarts it.
-// The plane itself knows nothing about daemons — the owner installs kill /
-// restart callbacks keyed by MAC — so it lives in sim/ next to its sibling
-// without dragging in peerhood types. All randomness (churn inter-arrival
-// and repair draws) comes from one forked Rng owned by the plane, so a fixed
-// (seed, schedule) pair replays the exact crash sequence; like the link
-// model, the plane is only constructed when a crash schedule exists, leaving
-// crash-free runs byte-identical.
-class NodeCrashPlane {
- public:
-  using NodeHook = std::function<void(MacAddress)>;
-
-  NodeCrashPlane(Simulator& sim, Rng rng) : sim_{sim}, rng_{rng} {}
-
-  // `kill` tears the node down mid-flight; `restart` brings it back (fresh
-  // epoch is the callee's job). Install before scheduling anything.
-  void set_hooks(NodeHook kill, NodeHook restart);
-
-  // One-shot: crash `mac` at `at`, restart it `downtime` later.
-  void schedule_crash(MacAddress mac, SimTime at, SimDuration downtime);
-
-  // Seeded random crash–restart churn over a node set: inter-crash gaps are
-  // Exp(mtbf_mean), repair times Exp(mttr_mean) (clamped to >= 100 ms so a
-  // restart is never in the same event batch as its crash), victims drawn
-  // uniformly from `targets`. No new crash is *started* at or after `stop`;
-  // an in-flight downtime still completes with its restart.
-  void start_churn(std::vector<MacAddress> targets, SimDuration mtbf_mean,
-                   SimDuration mttr_mean, SimTime start, SimTime stop);
-
-  [[nodiscard]] const FaultStats& stats() const { return stats_; }
-
- private:
-  void crash_now(MacAddress mac, SimDuration downtime);
-  void churn_tick(std::size_t churn_index);
-
-  struct ChurnState {
-    std::vector<MacAddress> targets;
-    SimDuration mtbf_mean{};
-    SimDuration mttr_mean{};
-    SimTime stop{};
-  };
-
-  Simulator& sim_;
-  Rng rng_;
-  NodeHook kill_;
-  NodeHook restart_;
-  std::vector<ChurnState> churns_;
-  // Nodes currently down; a churn draw that lands on one is skipped (the
-  // gap is re-drawn) rather than double-killed.
-  std::vector<MacAddress> down_;
   FaultStats stats_;
 };
 

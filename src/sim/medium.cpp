@@ -252,23 +252,6 @@ bool RadioMedium::peerhood_tag(MacAddress mac, Technology tech) const {
   return e != nullptr && e->peerhood_tag;
 }
 
-std::optional<Vec2> RadioMedium::position_of(MacAddress mac,
-                                             Technology tech) const {
-  const Endpoint* e = find(mac, tech);
-  if (e == nullptr) return std::nullopt;
-  return cached_position(*e);
-}
-
-double RadioMedium::distance(MacAddress a, MacAddress b,
-                             Technology tech) const {
-  const Endpoint* ea = find(a, tech);
-  const Endpoint* eb = find(b, tech);
-  if (ea == nullptr || eb == nullptr) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return sim::distance(cached_position(*ea), cached_position(*eb));
-}
-
 bool RadioMedium::in_range(MacAddress a, MacAddress b, Technology tech) const {
   const Endpoint* ea = find(a, tech);
   const Endpoint* eb = find(b, tech);
@@ -351,15 +334,6 @@ int RadioMedium::sample_quality(MacAddress a, MacAddress b, Technology tech) {
   if (ea == nullptr || eb == nullptr) return 0;
   const double d = sim::distance(cached_position(*ea), cached_position(*eb));
   return quality_model_.finalize(base_quality(tech, d), &noise_rng_);
-}
-
-int RadioMedium::expected_quality(MacAddress a, MacAddress b,
-                                  Technology tech) const {
-  const Endpoint* ea = find(a, tech);
-  const Endpoint* eb = find(b, tech);
-  if (ea == nullptr || eb == nullptr) return 0;
-  const double d = sim::distance(cached_position(*ea), cached_position(*eb));
-  return quality_model_.finalize(base_quality(tech, d), nullptr);
 }
 
 QualityObserverId RadioMedium::observe_quality(MacAddress a, MacAddress b,

@@ -170,10 +170,6 @@ class RadioMedium {
   [[nodiscard]] bool peerhood_tag(MacAddress mac, Technology tech) const;
 
   // --- Geometry / link quality ---------------------------------------------
-  [[nodiscard]] std::optional<Vec2> position_of(MacAddress mac,
-                                                Technology tech) const;
-  [[nodiscard]] double distance(MacAddress a, MacAddress b,
-                                Technology tech) const;
   [[nodiscard]] bool in_range(MacAddress a, MacAddress b,
                               Technology tech) const;
   // in_range with its horizon: the last instant up to which the link
@@ -189,9 +185,6 @@ class RadioMedium {
   // Noisy sample of the RSSI-style quality (0 when out of range / missing).
   [[nodiscard]] int sample_quality(MacAddress a, MacAddress b,
                                    Technology tech);
-  // Noise-free quality (for analytical benches and the observer plane).
-  [[nodiscard]] int expected_quality(MacAddress a, MacAddress b,
-                                     Technology tech) const;
 
   // --- Push-based quality observers ----------------------------------------
   // Subscribes to threshold/coverage crossings on the (a, b) link. The

@@ -25,10 +25,6 @@ double to_seconds(SimDuration d) {
   return static_cast<double>(d.count()) / kMicrosPerSecond;
 }
 
-Vec2 clamp_into(Vec2 p, Vec2 lo, Vec2 hi) {
-  return {std::clamp(p.x, lo.x, hi.x), std::clamp(p.y, lo.y, hi.y)};
-}
-
 }  // namespace
 
 WaypointPath::WaypointPath(std::vector<Waypoint> waypoints)
@@ -208,73 +204,6 @@ double RandomWaypoint::max_speed() const {
 
 namespace {
 
-// One AR step per update_interval. The first leg resets the AR state from
-// the (re-)wound stream, so a replay is exact.
-GeneratedWalk::MakeLeg gauss_markov_legs(GaussMarkov::Config config,
-                                         Vec2 start) {
-  return [config, start, speed = 0.0, direction = 0.0](
-             const GeneratedWalk::Leg* last, Rng& rng) mutable {
-    if (last == nullptr) {
-      speed = std::max(0.0, config.mean_speed_mps);
-      direction = rng.uniform(0.0, 2.0 * std::numbers::pi);
-    }
-    const SimTime depart = last == nullptr ? SimTime::zero() : last->end;
-    const Vec2 from =
-        last == nullptr ? clamp_into(start, config.area_min, config.area_max)
-                        : last->to;
-    const double dt = to_seconds(config.update_interval);
-    // Steer the mean heading back toward the centre when hugging an edge.
-    double mean_dir = direction;
-    const Vec2 centre = (config.area_min + config.area_max) * 0.5;
-    const bool near_edge = from.x < config.area_min.x + config.edge_margin_m ||
-                           from.x > config.area_max.x - config.edge_margin_m ||
-                           from.y < config.area_min.y + config.edge_margin_m ||
-                           from.y > config.area_max.y - config.edge_margin_m;
-    if (near_edge) mean_dir = std::atan2(centre.y - from.y, centre.x - from.x);
-
-    const double a = std::clamp(config.alpha, 0.0, 1.0);
-    const double memoryless = std::sqrt(std::max(0.0, 1.0 - a * a));
-    const double speed_noise = rng.gaussian(0.0, config.speed_sigma);
-    speed = std::max(0.0, a * speed + (1.0 - a) * config.mean_speed_mps +
-                              memoryless * speed_noise);
-    // Blend toward the mean heading along the short way around the circle:
-    // the random walk drifts the unwrapped direction arbitrarily far, and a
-    // naive (1-a)·(mean - dir) step would then spin instead of steer.
-    const double turn =
-        std::remainder(mean_dir - direction, 2.0 * std::numbers::pi);
-    direction += (1.0 - a) * turn +
-                 memoryless * rng.gaussian(0.0, config.direction_sigma);
-
-    const Vec2 velocity{speed * std::cos(direction),
-                        speed * std::sin(direction)};
-    const Vec2 to =
-        clamp_into(from + velocity * dt, config.area_min, config.area_max);
-    return GeneratedWalk::Leg{depart, depart + config.update_interval, from,
-                              to, dt};
-  };
-}
-
-}  // namespace
-
-GaussMarkov::GaussMarkov(Config config, Vec2 start, Rng rng)
-    : walk_{rng, gauss_markov_legs(config, start)} {
-  // Every leg departs one interval after the last: a zero interval would
-  // make the walk append legs forever.
-  if (config.update_interval <= SimDuration::zero()) {
-    throw std::invalid_argument{"GaussMarkov: update_interval must be > 0"};
-  }
-}
-
-Vec2 GaussMarkov::position_at(SimTime t) const {
-  return walk_.position_at(t);
-}
-
-Vec2 GaussMarkov::velocity_at(SimTime t) const {
-  return walk_.velocity_at(t);
-}
-
-namespace {
-
 // Every update_interval the deviation re-targets a uniform point of its disk.
 GeneratedWalk::MakeLeg deviation_legs(GroupMember::Config config) {
   return [config](const GeneratedWalk::Leg* last, Rng& rng) {
@@ -300,7 +229,9 @@ GroupMember::GroupMember(std::shared_ptr<const MobilityModel> reference,
       config_{config},
       deviation_{rng, deviation_legs(config)} {
   assert(reference_ != nullptr);
-  // As in GaussMarkov; a deviation that never moves is never queried.
+  // Every leg departs one interval after the last: a zero interval would
+  // make the walk append legs forever. A deviation that never moves is
+  // never queried.
   if (config_.deviation_radius_m > 0.0 &&
       config_.update_interval <= SimDuration::zero()) {
     throw std::invalid_argument{

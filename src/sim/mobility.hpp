@@ -1,19 +1,18 @@
 // Mobility models. Each simulated device owns one model; the radio medium
 // samples positions lazily at the current simulation time. Models cover the
 // paper's scenarios: fixed servers (static), the corridor walk of §5.2.1
-// (linear / waypoint), random office movement (random waypoint), plus the
-// scenario-matrix models of the handover plane: temporally correlated
-// Gauss–Markov motion, reference-point group mobility, and trace-driven
-// waypoint paths (parsed by src/scenario/).
+// (linear / waypoint), random office movement (random waypoint), and the
+// walking groups of the handover plane's scenario matrix (reference-point
+// group mobility).
 //
 // Every model also reports its instantaneous velocity (velocity_at): the
 // quality observers of RadioMedium use it to compute the signed link-quality
 // slope, which is what turns threshold crossings into *predictions*.
 //
-// The random models (RandomWaypoint, GaussMarkov, and GroupMember's
-// deviation) generate their path leg by leg from a private RNG stream. Their
-// legs live in one GeneratedWalk, which holds the history, its cursor, its
-// pruning and its replay; a model only says how its next leg is made.
+// The random models (RandomWaypoint and GroupMember's deviation) generate
+// their path leg by leg from a private RNG stream. Their legs live in one
+// GeneratedWalk, which holds the history, its cursor, its pruning and its
+// replay; a model only says how its next leg is made.
 //
 // max_speed() is an upper bound on how fast a model can move: for any
 // t1 <= t2, |position_at(t2) - position_at(t1)| <= max_speed() * (t2 - t1)
@@ -107,8 +106,7 @@ class LinearMotion final : public MobilityModel {
 
 // Piecewise-linear path through timestamped waypoints; holds the first
 // waypoint before the path starts and the last one after it ends. Used to
-// script walks (leave office, enter corridor, come back — Fig. 5.6/5.7) and
-// to replay recorded traces (scenario::parse_waypoint_trace).
+// script walks (leave office, enter corridor, come back — Fig. 5.6/5.7).
 class WaypointPath final : public MobilityModel {
  public:
   struct Waypoint {
@@ -218,40 +216,6 @@ class RandomWaypoint final : public MobilityModel {
 
  private:
   Config config_;
-  GeneratedWalk walk_;
-};
-
-// Gauss–Markov mobility: speed and direction evolve as first-order
-// autoregressive processes, so motion is temporally correlated — no sharp
-// random-waypoint turnarounds. `alpha` tunes the memory (1 = straight line,
-// 0 = memoryless). Near the area edge the mean direction steers back toward
-// the centre (the standard boundary treatment). Each leg is one
-// update_interval of straight motion, both ends inside the area.
-class GaussMarkov final : public MobilityModel {
- public:
-  struct Config {
-    Vec2 area_min{0.0, 0.0};
-    Vec2 area_max{100.0, 100.0};
-    double mean_speed_mps{1.0};
-    double speed_sigma{0.3};
-    double direction_sigma{0.5};  // radians
-    double alpha{0.85};
-    SimDuration update_interval{std::chrono::seconds{1}};
-    // Distance from an edge below which the mean direction turns inward.
-    double edge_margin_m{5.0};
-  };
-
-  // Throws std::invalid_argument unless update_interval is positive.
-  GaussMarkov(Config config, Vec2 start, Rng rng);
-
-  [[nodiscard]] Vec2 position_at(SimTime t) const override;
-  [[nodiscard]] Vec2 velocity_at(SimTime t) const override;
-
-  [[nodiscard]] std::size_t segment_count() const {
-    return walk_.segment_count();
-  }
-
- private:
   GeneratedWalk walk_;
 };
 

@@ -1,6 +1,7 @@
-// Crash soak: the canned scenarios run under the node-crash plane — the
+// Crash soak: the canned scenarios run under scheduled node crashes — the
 // session server hard-crashes mid-run, an active bridge relay hard-crashes
-// mid-relay, and MTBF/MTTR churn cycles relay nodes — across multiple seeds.
+// mid-relay, and seeded random crash schedules cycle relay nodes — across
+// multiple seeds.
 // Sessions run over ReliableChannel with the server-side SessionStore
 // journal, so every surviving-endpoint session must resume with exactly-once
 // in-order delivery (dup_or_reorder == 0, gaps == 0), discovery must
@@ -10,9 +11,11 @@
 // the suite.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "scenario/scenario.hpp"
 
 namespace peerhood::scenario {
@@ -39,6 +42,26 @@ void add_server_crash(ScenarioSpec& spec) {
   crash.at_s = 30.0;
   crash.downtime_s = 10.0;
   spec.crashes.crashes.push_back(crash);
+}
+
+// Seeded random crash churn over `victims`, written out as one-shot crashes:
+// from `start_s` to the end of the body the gaps between crashes are
+// Exp(mtbf_s), each crash picks a victim uniformly and keeps it down for
+// Exp(mttr_s). A crash that lands on a victim still down is skipped.
+void add_crash_churn(ScenarioSpec& spec,
+                     const std::vector<std::string>& victims, double mtbf_s,
+                     double mttr_s, double start_s, std::uint64_t seed) {
+  Rng rng{seed};
+  const auto last = static_cast<std::int64_t>(victims.size()) - 1;
+  for (double at_s = start_s + rng.exponential(mtbf_s);
+       at_s < spec.duration_s; at_s += rng.exponential(mtbf_s)) {
+    CrashScheduleSpec::Crash crash;
+    const auto victim = static_cast<std::size_t>(rng.uniform_int(0, last));
+    crash.targets = {victims[victim]};
+    crash.at_s = at_s;
+    crash.downtime_s = rng.exponential(mttr_s);
+    spec.crashes.crashes.push_back(crash);
+  }
 }
 
 struct SoakOutcome {
@@ -177,24 +200,21 @@ TEST(CrashSoak, BridgeRelayCrashRereoutesAcrossSeeds) {
   }
 }
 
-// --- MTBF/MTTR churn + a server crash under churn ---------------------------
-// The office relays (anchors) crash and restart on seeded exponential
-// clocks while both sessions run, and the session server itself takes one
+// --- Random crash churn + a server crash under churn -------------------------
+// The office relays (anchors) crash and restart on a seeded exponential
+// schedule while both sessions run, and the session server itself takes one
 // scheduled crash mid-run. Every surviving-endpoint session must come back
 // exactly-once; the churn keeps tearing down the routes it comes back over.
 TEST(CrashSoak, ChurnCrashesSurviveAcrossSeeds) {
   for (const std::uint64_t seed : {501u, 502u, 503u}) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     ScenarioSpec spec = churn(seed, /*predictive=*/true);
-    // Replace the daemon stop/start cycling with the crash plane's churn:
-    // same nodes, but now a hard kill with volatile-state loss.
+    // Replace the daemon stop/start cycling with random crashes: same
+    // nodes, but now a hard kill with volatile-state loss.
     spec.churn_interval_s = 0.0;
     for (SessionSpec& session : spec.sessions) make_crash_tolerant(session);
-    CrashScheduleSpec::Churn churn_spec;
-    churn_spec.targets = {"anchor"};
-    churn_spec.mtbf_s = 25.0;
-    churn_spec.mttr_s = 6.0;
-    spec.crashes.churns.push_back(churn_spec);
+    add_crash_churn(spec, {"anchor0", "anchor1"}, /*mtbf_s=*/25.0,
+                    /*mttr_s=*/6.0, /*start_s=*/0.0, seed);
     CrashScheduleSpec::Crash crash;
     crash.targets = {"srv0"};
     crash.at_s = 40.0;
@@ -245,6 +265,28 @@ TEST(CrashSoak, OfficeCrashNeverCountsMoreDeliveriesThanSends) {
   }
 }
 
+// --- Overlapping crashes of one node ----------------------------------------
+// The second crash lands while the bridge is still down from the first, so
+// it is skipped: one crash, one restart, and the node is up at the end.
+TEST(CrashSoak, OverlappingCrashesOfOneNodeCountOnce) {
+  ScenarioSpec spec = corridor_walk(7, /*predictive=*/true);
+  make_crash_tolerant(spec.sessions[0]);
+  for (const double at_s : {30.0, 35.0}) {
+    CrashScheduleSpec::Crash crash;
+    crash.targets = {"bridge"};
+    crash.at_s = at_s;
+    crash.downtime_s = 10.0;
+    spec.crashes.crashes.push_back(crash);
+  }
+  ScenarioRunner runner{std::move(spec)};
+  const Status status = runner.setup();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  runner.run();
+  EXPECT_EQ(runner.metrics().fault_stats.node_crashes, 1u);
+  EXPECT_EQ(runner.metrics().fault_stats.node_restarts, 1u);
+  EXPECT_FALSE(runner.testbed().node("bridge0").crashed());
+}
+
 // --- Determinism ------------------------------------------------------------
 // The same (seed, crash schedule) pair replays bit-identically: every
 // application, medium, fault and recovery counter matches across two runs.
@@ -257,12 +299,8 @@ TEST(CrashSoak, SameSeedAndCrashScheduleReplayIdentically) {
     crash.at_s = 30.0;
     crash.downtime_s = 10.0;
     spec.crashes.crashes.push_back(crash);
-    CrashScheduleSpec::Churn churn_spec;
-    churn_spec.targets = {"bridge"};
-    churn_spec.mtbf_s = 50.0;
-    churn_spec.mttr_s = 4.0;
-    churn_spec.start_s = 60.0;
-    spec.crashes.churns.push_back(churn_spec);
+    add_crash_churn(spec, {"bridge"}, /*mtbf_s=*/50.0, /*mttr_s=*/4.0,
+                    /*start_s=*/60.0, /*seed=*/88);
     return run_soak(std::move(spec));
   };
   const SoakOutcome a = run_once();
@@ -287,11 +325,11 @@ TEST(CrashSoak, SameSeedAndCrashScheduleReplayIdentically) {
   }
 }
 
-// The crash-free regression guard: an empty CrashScheduleSpec must leave the
-// run byte-identical to a build that never heard of the crash plane — the
-// plane is not even constructed, so no RNG stream shifts. Mirrors the
-// chaos-soak guard (and ScenarioRunner.CorridorRunsTrafficAndMeasures): the
-// pre-crash baseline assertions still hold bit-for-bit.
+// The crash-free regression guard: an empty CrashScheduleSpec schedules no
+// event and draws from no RNG stream, so the run stays byte-identical to one
+// without crash support. Mirrors the chaos-soak guard (and
+// ScenarioRunner.CorridorRunsTrafficAndMeasures): the pre-crash baseline
+// assertions still hold bit-for-bit.
 TEST(CrashSoak, EmptyCrashScheduleLeavesScenarioUntouched) {
   ScenarioSpec spec = corridor_walk(7, /*predictive=*/true);
   EXPECT_TRUE(spec.crashes.empty());

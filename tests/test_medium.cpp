@@ -110,10 +110,12 @@ TEST_F(MediumTest, QualityDecreasesWithDistance) {
   const MacAddress a = add(1, {0.0, 0.0});
   const MacAddress b = add(2, {2.0, 0.0});
   const MacAddress c = add(3, {9.0, 0.0});
-  EXPECT_GT(medium_.expected_quality(a, b, Technology::kBluetooth),
-            medium_.expected_quality(a, c, Technology::kBluetooth));
-  EXPECT_EQ(medium_.expected_quality(a, MacAddress::from_index(99),
-                                     Technology::kBluetooth),
+  EXPECT_GT(medium_.probe_link(a, b, Technology::kBluetooth).quality,
+            medium_.probe_link(a, c, Technology::kBluetooth).quality);
+  EXPECT_EQ(medium_
+                .probe_link(a, MacAddress::from_index(99),
+                            Technology::kBluetooth)
+                .quality,
             0);
 }
 
@@ -272,6 +274,7 @@ TEST_F(MediumTest, UnregisteredReceiverDrops) {
 }
 
 TEST_F(MediumTest, PositionTracksMobility) {
+  const MacAddress origin = add(1, {0.0, 0.0});
   const MacAddress m = MacAddress::from_index(5);
   medium_.register_endpoint(
       m, Technology::kBluetooth,
@@ -279,9 +282,8 @@ TEST_F(MediumTest, PositionTracksMobility) {
       nullptr);
   sim_.schedule_after(seconds(10.0), [] {});
   sim_.run_all();
-  const auto pos = medium_.position_of(m, Technology::kBluetooth);
-  ASSERT_TRUE(pos.has_value());
-  EXPECT_DOUBLE_EQ(pos->x, 10.0);
+  EXPECT_DOUBLE_EQ(
+      medium_.probe_link(m, origin, Technology::kBluetooth).distance_m, 10.0);
 }
 
 TEST_F(MediumTest, SharedFrameDeliversWithoutCopy) {
@@ -367,6 +369,15 @@ TEST(MediumEndpointIndex, AgreesWithReferenceMapThroughChurn) {
   std::set<std::pair<std::uint64_t, Technology>> returned;
   Rng rng{2024};
   const auto mac = [](std::uint64_t n) { return MacAddress::from_index(n); };
+  // A fixed endpoint per technology, out of every churned endpoint's range:
+  // its distance to each of them checks that endpoint's position.
+  const MacAddress anchor = mac(kMacs + 1);
+  const Vec2 anchor_at{-10000.0, -10000.0};
+  for (const Technology t : kTechs) {
+    medium.register_endpoint(anchor, t,
+                             std::make_shared<StaticPosition>(anchor_at),
+                             nullptr);
+  }
 
   for (int step = 0; step < 5000; ++step) {
     const auto n = static_cast<std::uint64_t>(rng.uniform_int(1, kMacs));
@@ -395,10 +406,9 @@ TEST(MediumEndpointIndex, AgreesWithReferenceMapThroughChurn) {
         const auto it = reference.find({i, t});
         ASSERT_EQ(medium.has_endpoint(mac(i), t), it != reference.end())
             << "step " << step << " mac " << i;
-        const auto position = medium.position_of(mac(i), t);
-        ASSERT_EQ(position.has_value(), it != reference.end());
-        if (position) {
-          EXPECT_EQ(*position, it->second->position_at(sim.now()));
+        if (it != reference.end()) {
+          EXPECT_EQ(medium.probe_link(mac(i), anchor, t).distance_m,
+                    (it->second->position_at(sim.now()) - anchor_at).norm());
         }
       }
     }

@@ -174,16 +174,6 @@ TEST(VelocityAt, RandomWaypointMatchesFiniteDifference) {
   }
 }
 
-TEST(VelocityAt, GaussMarkovMatchesFiniteDifference) {
-  GaussMarkov model{{}, {50.0, 50.0}, Rng{5}};
-  for (double t = 1.5; t < 60.0; t += 4.0) {
-    const Vec2 v0 = model.velocity_at(at(t - 0.05));
-    const Vec2 v1 = model.velocity_at(at(t + 0.05));
-    if (!(v0 == v1)) continue;
-    expect_velocity_parity(model, t);
-  }
-}
-
 TEST(VelocityAt, GroupMemberMatchesFiniteDifference) {
   auto reference = std::make_shared<WaypointPath>(
       std::vector<WaypointPath::Waypoint>{
@@ -197,49 +187,6 @@ TEST(VelocityAt, GroupMemberMatchesFiniteDifference) {
     if (!(v0 == v1)) continue;
     expect_velocity_parity(member, t);
   }
-}
-
-// --- Gauss–Markov ------------------------------------------------------------
-
-TEST(GaussMarkov, StaysInsideAreaAndDeterministic) {
-  GaussMarkov::Config config;
-  config.area_min = {0.0, 0.0};
-  config.area_max = {40.0, 25.0};
-  GaussMarkov a{config, {20.0, 12.0}, Rng{21}};
-  GaussMarkov b{config, {20.0, 12.0}, Rng{21}};
-  for (double t = 0.0; t < 400.0; t += 1.7) {
-    const Vec2 p = a.position_at(at(t));
-    EXPECT_GE(p.x, 0.0);
-    EXPECT_LE(p.x, 40.0);
-    EXPECT_GE(p.y, 0.0);
-    EXPECT_LE(p.y, 25.0);
-    EXPECT_EQ(p, b.position_at(at(t)));
-  }
-}
-
-TEST(GaussMarkov, MotionIsTemporallyCorrelated) {
-  // With alpha near 1 the heading barely changes between updates — the
-  // defining property vs random waypoint.
-  GaussMarkov::Config config;
-  config.area_min = {0.0, 0.0};
-  config.area_max = {1000.0, 1000.0};  // far from edge steering
-  config.alpha = 0.97;
-  config.direction_sigma = 0.2;
-  GaussMarkov model{config, {500.0, 500.0}, Rng{3}};
-  int aligned = 0;
-  int samples = 0;
-  for (double t = 2.0; t < 60.0; t += 1.0) {
-    const Vec2 v0 = model.velocity_at(at(t));
-    const Vec2 v1 = model.velocity_at(at(t + 1.0));
-    const double n0 = v0.norm();
-    const double n1 = v1.norm();
-    if (n0 < 1e-6 || n1 < 1e-6) continue;
-    ++samples;
-    const double cosine = (v0.x * v1.x + v0.y * v1.y) / (n0 * n1);
-    if (cosine > 0.5) ++aligned;
-  }
-  ASSERT_GT(samples, 20);
-  EXPECT_GT(aligned, samples * 8 / 10);
 }
 
 // --- Reference-point group mobility ------------------------------------------
@@ -308,17 +255,6 @@ TEST(RandomWaypoint, BackwardQueryBehindPruneBaseIsStillExact) {
   EXPECT_EQ(pruned.position_at(at(20'000.0)), oracle.position_at(at(20'000.0)));
 }
 
-TEST(GaussMarkov, LongSimsKeepBoundedHistory) {
-  GaussMarkov model{{}, {50.0, 50.0}, Rng{29}};
-  for (double t = 0.0; t < 20'000.0; t += 2.0) {
-    (void)model.position_at(at(t));
-  }
-  EXPECT_LE(model.segment_count(), 80u);
-  // Backwards replay stays exact.
-  GaussMarkov oracle{{}, {50.0, 50.0}, Rng{29}};
-  EXPECT_EQ(model.position_at(at(10.0)), oracle.position_at(at(10.0)));
-}
-
 // --- Segment history: exact against a fresh model ----------------------------
 
 // Drives one long-lived model through a random mix of forward steps,
@@ -384,17 +320,6 @@ TEST(SegmentHistory, RandomWaypointMatchesFreshModel) {
   }
 }
 
-TEST(SegmentHistory, GaussMarkovMatchesFreshModel) {
-  for (const std::uint64_t seed : {4u, 5u, 6u}) {
-    expect_history_parity(
-        [seed] {
-          return std::make_shared<GaussMarkov>(GaussMarkov::Config{},
-                                               Vec2{50.0, 50.0}, Rng{seed});
-        },
-        seed, GaussMarkov::Config{}.update_interval);
-  }
-}
-
 TEST(SegmentHistory, GroupMemberMatchesFreshModel) {
   for (const std::uint64_t seed : {7u, 8u, 9u}) {
     expect_history_parity(
@@ -410,12 +335,12 @@ TEST(SegmentHistory, GroupMemberMatchesFreshModel) {
 }
 
 TEST(SegmentHistory, CopiedModelContinuesItsOwnWalk) {
-  // Mid-walk, the Gauss–Markov leg maker carries AR state; a copy must own
-  // its own, so interleaved queries of the two never disturb each other.
-  GaussMarkov original{{}, {50.0, 50.0}, Rng{31}};
+  // Mid-walk, a copy must own its leg history, cursor and RNG stream, so
+  // interleaved queries of the two never disturb each other.
+  RandomWaypoint original{small_area(), {5.0, 5.0}, Rng{31}};
   (void)original.position_at(at(50.0));
-  const GaussMarkov copy = original;
-  const GaussMarkov fresh{{}, {50.0, 50.0}, Rng{31}};
+  const RandomWaypoint copy = original;
+  const RandomWaypoint fresh{small_area(), {5.0, 5.0}, Rng{31}};
   for (double t = 50.5; t < 150.0; t += 1.3) {
     EXPECT_EQ(copy.position_at(at(t)), fresh.position_at(at(t))) << t;
     EXPECT_EQ(original.velocity_at(at(t)), fresh.velocity_at(at(t))) << t;
@@ -447,17 +372,6 @@ TEST(SegmentBoundary, RandomWaypointPauseEndIgnoresHistory) {
   EXPECT_NE(model.velocity_at(at(2.0)), (Vec2{0.0, 0.0}));
 }
 
-TEST(SegmentBoundary, GaussMarkovUpdateIgnoresHistory) {
-  for (const double t : {1.0, 3.0, 8.0}) {
-    expect_boundary_ignores_history(
-        [] {
-          return std::make_shared<GaussMarkov>(GaussMarkov::Config{},
-                                               Vec2{50.0, 50.0}, Rng{5});
-        },
-        at(t), at(t + 1.0));
-  }
-}
-
 TEST(SegmentBoundary, GroupMemberRetargetIgnoresHistory) {
   GroupMember::Config config;
   config.deviation_radius_m = 0.8;
@@ -479,7 +393,7 @@ TEST(SegmentBoundary, GroupMemberRetargetIgnoresHistory) {
 // and far backward jumps, far forward jumps (which prune the history), with
 // a quarter of the times snapped onto a multiple of `boundary`. A change to
 // a model's draw order, leg arithmetic or boundary convention changes the
-// hash; GaussMarkov appears in no golden output, so only this catches it.
+// hash.
 std::uint64_t walk_hash(const MobilityModel& model, std::uint64_t seed,
                         SimDuration boundary) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -523,7 +437,6 @@ TEST(WalkHash, GeneratedWalksAreBitStable) {
   still.deviation_radius_m = 0.0;
   std::uint64_t random_default = 0;
   std::uint64_t random_small = 0;
-  std::uint64_t gauss = 0;
   std::uint64_t group_path = 0;
   std::uint64_t group_walk = 0;
   std::uint64_t group_still = 0;
@@ -534,8 +447,6 @@ TEST(WalkHash, GeneratedWalksAreBitStable) {
     random_small += walk_hash(
         RandomWaypoint{small_area(), {5.0, 5.0}, Rng{seed}}, seed,
         small_area().pause);
-    gauss += walk_hash(GaussMarkov{{}, {50.0, 50.0}, Rng{seed}}, seed,
-                       seconds(1.0));
     group_path += walk_hash(
         GroupMember{path, {1.0, -1.0}, {}, Rng{seed + 100}}, seed,
         seconds(4.0));
@@ -552,7 +463,6 @@ TEST(WalkHash, GeneratedWalksAreBitStable) {
   }
   EXPECT_EQ(random_default, 943118308762712251ULL);
   EXPECT_EQ(random_small, 18390587335224192518ULL);
-  EXPECT_EQ(gauss, 9301331562593035587ULL);
   EXPECT_EQ(group_path, 10846265213145376449ULL);
   EXPECT_EQ(group_walk, 11593575834152295966ULL);
   EXPECT_EQ(group_still, 6730690878041790638ULL);
@@ -700,25 +610,19 @@ TEST(MaxSpeed, GroupMemberAddsItsDeviation) {
 }
 
 TEST(MaxSpeed, UnboundedModelsReportInfinity) {
-  const auto gauss = std::make_shared<GaussMarkov>(GaussMarkov::Config{},
-                                                   Vec2{50.0, 50.0}, Rng{1});
-  EXPECT_EQ(gauss->max_speed(), kUnbounded);
-  EXPECT_EQ(testing::ForwardingModel(std::make_shared<StaticPosition>(Vec2{}))
-                .max_speed(),
-            kUnbounded);
+  const auto unbounded = std::make_shared<testing::ForwardingModel>(
+      std::make_shared<StaticPosition>(Vec2{}));
+  EXPECT_EQ(unbounded->max_speed(), kUnbounded);
   // A member of an unbounded group is unbounded too.
-  EXPECT_EQ(GroupMember(gauss, {}, GroupMember::Config{}, Rng{2}).max_speed(),
-            kUnbounded);
+  EXPECT_EQ(
+      GroupMember(unbounded, {}, GroupMember::Config{}, Rng{2}).max_speed(),
+      kUnbounded);
 }
 
 // A non-positive update interval used to make the walk append legs forever;
 // the constructors refuse it.
 TEST(MobilityConfig, NonPositiveUpdateIntervalIsRefused) {
   for (const SimDuration interval : {SimDuration{0}, SimDuration{-1}}) {
-    GaussMarkov::Config gauss;
-    gauss.update_interval = interval;
-    EXPECT_THROW(GaussMarkov(gauss, {1.0, 1.0}, Rng{1}),
-                 std::invalid_argument);
     GroupMember::Config group;
     group.update_interval = interval;
     const auto reference = std::make_shared<StaticPosition>(Vec2{});

@@ -2,9 +2,10 @@
 // stop() must end it wherever it is waiting. These tests park the chain in
 // the short-connection failure wait (fetch_failure_prob = 1, so every
 // exchange fails after its connection cost) and stop the daemon there. The
-// last two answer fetches by hand: a split fetch with a duplicated answer,
-// whose every exchange must take its own answer, and a service check after
-// a storage weakening, which must still name the descriptors' versions.
+// others answer fetches by hand: a split fetch with a duplicated answer,
+// whose every exchange must take its own answer, split fetches whose
+// responder restarts mid-assembly, and a service check after a storage
+// weakening, which must still name the descriptors' versions.
 #include <gtest/gtest.h>
 
 #include "peerhood/daemon.hpp"
@@ -141,6 +142,66 @@ TEST(PluginSplitFetch, DuplicatedSharedAnswerDoesNotShiftTheSections) {
   ASSERT_NE(stored, nullptr) << "the split fetch lost its sections";
   EXPECT_TRUE(stored->is_direct());
   EXPECT_EQ(stored->prototypes, prototypes);
+}
+
+// A responder that restarts between two exchanges of a split fetch answers
+// with a new epoch. The sections gathered so far describe state that no
+// longer exists, so the assembly starts over from the device section, once;
+// a second restart aborts the fetch for this cycle.
+TEST(PluginSplitFetch, ResponderRestartMidAssemblyStartsOverOnce) {
+  for (const bool restarts_twice : {false, true}) {
+    SCOPED_TRACE(restarts_twice ? "two restarts" : "one restart");
+    const MacAddress responder = MacAddress::from_index(2);
+    testing::ScriptedNetwork network{{responder}};
+    Daemon daemon{network, kSelf, nullptr, DaemonConfig{}};
+    daemon.start();
+    const SimDuration cost =
+        network.params(Technology::kBluetooth).fetch_time;
+    // Waits for the request of `section`, then answers it from `epoch`.
+    const auto exchange = [&](std::uint8_t section, std::uint64_t epoch) {
+      const auto sent = network.next_request();
+      ASSERT_TRUE(sent.has_value());
+      ASSERT_EQ(sent->request.sections, section);
+      network.simulator().run_for(cost);
+      wire::FetchResponse response;
+      response.request_id = sent->request.request_id;
+      response.sections = section;
+      response.epoch = epoch;
+      response.gens = wire::SectionGens{1, 1, 1, 1};
+      response.device = DeviceInfo{responder, "epoch" + std::to_string(epoch),
+                                   2, MobilityClass::kStatic};
+      response.prototypes = {Technology::kBluetooth};
+      response.services = {{"echo", "", 4}};
+      network.deliver(responder, wire::encode(response));
+    };
+
+    exchange(wire::kSectionDevice, 9);
+    exchange(wire::kSectionPrototypes, 10);  // restarted: start over
+    exchange(wire::kSectionDevice, 10);
+    if (restarts_twice) {
+      exchange(wire::kSectionPrototypes, 11);  // again: abort
+    } else {
+      for (const std::uint8_t section :
+           {wire::kSectionPrototypes, wire::kSectionServices,
+            wire::kSectionNeighbours}) {
+        exchange(section, 10);
+      }
+    }
+
+    const Plugin::Stats& stats =
+        daemon.plugin(Technology::kBluetooth)->stats();
+    const DeviceRecord* stored = daemon.storage().lookup(responder);
+    if (restarts_twice) {
+      // No third assembly: the fetch ended without a new request.
+      EXPECT_FALSE(network.next_request(cost).has_value());
+      EXPECT_EQ(stats.updates_answered, 0u);
+      EXPECT_EQ(stored, nullptr);
+    } else {
+      EXPECT_EQ(stats.updates_answered, 1u);
+      ASSERT_NE(stored, nullptr);
+      EXPECT_EQ(stored->device.name, "epoch10");
+    }
+  }
 }
 
 TEST(PluginServiceCheck, WeakenedStorageShipsOnlyTheNeighbours) {

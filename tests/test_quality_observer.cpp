@@ -267,10 +267,10 @@ TEST_F(QualityObserverTest, QualityReadsAreSymmetricAndEachCountsOneEvaluation) 
   add_static(2, {4.0, 0.0});
   const auto& stats = medium_.quality_stats();
   const std::uint64_t evals0 = stats.evaluations;
-  const int q = medium_.expected_quality(mac(1), mac(2),
-                                         Technology::kBluetooth);
+  const int q =
+      medium_.probe_link(mac(1), mac(2), Technology::kBluetooth).quality;
   EXPECT_GT(q, 0);
-  EXPECT_EQ(medium_.expected_quality(mac(2), mac(1), Technology::kBluetooth),
+  EXPECT_EQ(medium_.probe_link(mac(2), mac(1), Technology::kBluetooth).quality,
             q);
   (void)medium_.sample_quality(mac(1), mac(2), Technology::kBluetooth);
   (void)medium_.sample_quality(mac(2), mac(1), Technology::kBluetooth);
@@ -278,7 +278,7 @@ TEST_F(QualityObserverTest, QualityReadsAreSymmetricAndEachCountsOneEvaluation) 
   EXPECT_EQ(stats.evaluations, evals0 + 4);
 
   sim_.run_until(sim_.now() + seconds(1.0));
-  EXPECT_EQ(medium_.expected_quality(mac(1), mac(2), Technology::kBluetooth),
+  EXPECT_EQ(medium_.probe_link(mac(1), mac(2), Technology::kBluetooth).quality,
             q);
   EXPECT_EQ(stats.evaluations, evals0 + 5);
   // Nothing serves repeats any more; the counter stays for the benchmark.

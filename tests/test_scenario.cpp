@@ -1,5 +1,5 @@
-// Scenario subsystem (PR 5): trace loading, MobilitySpec factories, and the
-// declarative ScenarioRunner — setup, traffic, metrics, determinism.
+// Scenario subsystem: MobilitySpec factories and the declarative
+// ScenarioRunner — setup, traffic, metrics, determinism.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,41 +14,6 @@
 namespace peerhood::scenario {
 namespace {
 
-TEST(WaypointTrace, ParsesTimedPositions) {
-  const auto result = parse_waypoint_trace(
-      "# a short corridor walk\n"
-      "0 2.0 0.0\n"
-      "60 2.0 0.0   # hold\n"
-      "\n"
-      "74 16.0 0.0\n");
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const auto& waypoints = result.value();
-  ASSERT_EQ(waypoints.size(), 3u);
-  EXPECT_EQ(waypoints[0].position, (sim::Vec2{2.0, 0.0}));
-  EXPECT_EQ(waypoints[2].at, SimTime{} + seconds(74.0));
-  EXPECT_EQ(waypoints[2].position, (sim::Vec2{16.0, 0.0}));
-
-  // Round-trips into a WaypointPath model.
-  sim::WaypointPath path{waypoints};
-  EXPECT_EQ(path.position_at(SimTime{} + seconds(67.0)),
-            (sim::Vec2{9.0, 0.0}));
-}
-
-TEST(WaypointTrace, RejectsMalformedInput) {
-  EXPECT_FALSE(parse_waypoint_trace("").ok());
-  EXPECT_FALSE(parse_waypoint_trace("# only comments\n").ok());
-  EXPECT_FALSE(parse_waypoint_trace("0 1.0\n").ok());           // missing y
-  EXPECT_FALSE(parse_waypoint_trace("0 1 2 3\n").ok());         // extra field
-  EXPECT_FALSE(parse_waypoint_trace("5 1 1\n3 2 2\n").ok());    // time order
-  EXPECT_FALSE(parse_waypoint_trace("-1 0 0\n").ok());          // negative t
-}
-
-TEST(WaypointTrace, MissingFileReportsError) {
-  const auto result = load_waypoint_trace("/nonexistent/trace.txt");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument);
-}
-
 TEST(MobilitySpecBuild, EveryKindProducesAModel) {
   Rng rng{1};
   MobilitySpec spec;
@@ -59,18 +24,14 @@ TEST(MobilitySpecBuild, EveryKindProducesAModel) {
   EXPECT_EQ(built->position_at(SimTime{}), (sim::Vec2{2.0, 2.0}));
   EXPECT_TRUE(built->is_static());
 
-  // A recorded trace replays as a waypoint path.
-  auto trace = parse_waypoint_trace("0 0 0\n10 5 0\n");
-  ASSERT_TRUE(trace.ok());
   spec.kind = MobilitySpec::Kind::kWaypoints;
-  spec.waypoints = std::move(trace).value();
+  spec.waypoints = {{SimTime{}, {0.0, 0.0}},
+                    {SimTime{} + seconds(10.0), {5.0, 0.0}}};
   built = spec.build(rng.fork());
   ASSERT_NE(built, nullptr);
   EXPECT_EQ(built->position_at(SimTime{} + seconds(4.0)),
             (sim::Vec2{2.0, 0.0}));
 
-  spec.kind = MobilitySpec::Kind::kGaussMarkov;
-  EXPECT_NE(spec.build(rng.fork()), nullptr);
   spec.kind = MobilitySpec::Kind::kRandomWaypoint;
   EXPECT_NE(spec.build(rng.fork()), nullptr);
 

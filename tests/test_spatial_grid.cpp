@@ -191,7 +191,7 @@ TEST_F(GridParityTest, RandomizedMovingNodesManySimTimes) {
 }
 
 TEST_F(GridParityTest, PointQueriesBetweenTicksDoNotDesyncTheGrid) {
-  // position_of / in_range re-sample the position cache without refreshing
+  // in_range / probe_link re-sample the position cache without refreshing
   // the grid; the incremental refresh must still detect the move (it
   // compares against the entry's recorded grid position, not the cache).
   const MacAddress mover =
@@ -202,9 +202,10 @@ TEST_F(GridParityTest, PointQueriesBetweenTicksDoNotDesyncTheGrid) {
   for (int step = 0; step < 12; ++step) {
     sim_.run_until(sim_.now() + seconds(2.0));
     // Point query first: refreshes the mover's cached position only.
-    (void)medium_.position_of(mover, Technology::kBluetooth);
-    (void)medium_.distance(mover, MacAddress::from_index(3),
+    (void)medium_.in_range(mover, MacAddress::from_index(2),
                            Technology::kBluetooth);
+    (void)medium_.probe_link(mover, MacAddress::from_index(3),
+                             Technology::kBluetooth);
     // Neighbour query second: the incremental refresh must move the entry.
     expect_parity(Technology::kBluetooth);
   }

@@ -629,7 +629,7 @@ TEST(QualityObserverTeardown, StopIsIdempotentAndReleasesObserver) {
 
 }  // namespace observer_teardown
 
-// --- Crash teardown (node crash plane) ---------------------------------------
+// --- Crash teardown (node crashes) -------------------------------------------
 // Node::crash() hard-kills a full stack at an "interesting" phase — with a
 // handshake in flight, with unacked reliable frames outstanding, with a
 // handover resume dialing through the crashed node — and the world keeps
